@@ -253,9 +253,14 @@ def _load_grid(path: str):
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "dist" not in entry or "ks" not in entry:
             raise UsageError(f"grid entry {i} must be an object with 'dist' and 'ks'")
+        ks = entry["ks"]
+        if not isinstance(ks, list) or not all(
+            isinstance(k, int) and not isinstance(k, bool) for k in ks
+        ):
+            raise UsageError(f"grid entry {i}: 'ks' must be a list of integers, got {ks!r}")
+        ks = tuple(ks)
         try:
             spec = parse_distribution(entry["dist"])
-            ks = tuple(int(k) for k in entry["ks"])
         except (ValueError, TypeError) as exc:
             raise UsageError(f"grid entry {i} is malformed: {exc}") from exc
         if not ks:

@@ -76,6 +76,7 @@ __all__ = [
     "check_first_kind_inversion",
     "check_lah_via_first_kind",
     "check_bernoulli_expansion",
+    "check_bernoulli_expansion_single_index",
     "check_fubini_convolution",
     "check_route_agreement",
     "check_all_ones_deterministic",
@@ -347,14 +348,13 @@ def check_lah_via_first_kind(
 
 def check_bernoulli_expansion(
     ms: MomentSequence, ks, order: int, dist: Optional[str] = None
-) -> list[VerificationReport]:
-    """{n; ks}_Y via the multi-Bernoulli expansion, in its general form and in
-    the single-index form that uses higher-order Bernoulli numbers."""
+) -> VerificationReport:
+    """{n; ks}_Y via the multi-Bernoulli expansion."""
     ks = tuple(ks)
     r = len(ks)
     r_fact = factorial(r)
 
-    def general_pairs():
+    def pairs():
         for n in range(r, order - r + 1):
             rhs = Fraction(0)
             for m in range(n - r + 1):
@@ -372,7 +372,16 @@ def check_bernoulli_expansion(
                     )
             yield n, prob_multi_stirling2(ms, ks, n, order), rhs
 
-    def single_pairs():
+    return _report("bernoulli-expansion", order, _scan(pairs()), ks, dist)
+
+
+def check_bernoulli_expansion_single_index(
+    ms: MomentSequence, r: int, order: int, dist: Optional[str] = None
+) -> VerificationReport:
+    """The same expansion for the all-ones tuple of length ``r``, written with
+    higher-order Bernoulli numbers; it depends on ``r`` alone, not on ``ks``."""
+
+    def pairs():
         for n in range(r, order - r + 1):
             rhs = Fraction(0)
             for m in range(n - r + 1):
@@ -389,15 +398,9 @@ def check_bernoulli_expansion(
                     )
             yield n, prob_stirling2(ms, n, r, order), rhs
 
-    general = _report("bernoulli-expansion", order, _scan(general_pairs()), ks, dist)
-    single = _report(
-        "bernoulli-expansion-single-index",
-        order,
-        _scan(single_pairs()),
-        (1,) * r,
-        dist,
+    return _report(
+        "bernoulli-expansion-single-index", order, _scan(pairs()), (1,) * r, dist
     )
-    return [general, single]
 
 
 def check_fubini_convolution(
@@ -616,6 +619,7 @@ def run_full_suite(
         if spec not in dists_seen:
             dists_seen.append(spec)
     rs_seen = sorted({len(ks) for ks in tuples_seen})
+    cell_rs = {(spec, len(ks)) for spec, ks in cells}
 
     for ks in tuples_seen:
         if want("derivative-rules"):
@@ -645,6 +649,8 @@ def run_full_suite(
         for r in rs_seen:
             if want("all-ones-prob-second-kind", "all-ones-prob-lah"):
                 add(check_all_ones_probabilistic(ms, r, order, spec.label))
+            if want("bernoulli-expansion-single-index") and (spec, r) in cell_rs:
+                add(check_bernoulli_expansion_single_index(ms, r, order, spec.label))
 
     for spec, ks in cells:
         ms = moments(spec, order)
@@ -656,7 +662,7 @@ def run_full_suite(
             add(check_first_kind_inversion(ms, ks, order, spec.label))
         if want("lah-via-first-kind-corrected", "lah-via-first-kind-literal"):
             add(check_lah_via_first_kind(ms, ks, order, spec.label))
-        if want("bernoulli-expansion", "bernoulli-expansion-single-index"):
+        if want("bernoulli-expansion"):
             add(check_bernoulli_expansion(ms, ks, order, spec.label))
         if want("fubini-convolution"):
             add(check_fubini_convolution(ms, ks, order, spec.label))

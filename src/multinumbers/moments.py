@@ -59,6 +59,12 @@ class MomentSequence:
             raise ValueError("a moment sequence needs at least mu_0")
         if self.mu[0] != 1:
             raise ValueError(f"mu_0 must equal 1, got {self.mu[0]}")
+        # Caches keyed on a sequence would otherwise re-hash every moment per
+        # lookup; the value is the one the dataclass-generated hash gives.
+        object.__setattr__(self, "_hash", hash((self.mu,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

@@ -45,11 +45,3 @@ class VerificationReport:
         if self.status in (FAIL, EXPECTED_DISCREPANCY) and not has_mismatch:
             raise ValueError(f"status {self.status!r} requires a mismatch")
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    @property
-    def acceptable(self) -> bool:
-        """True unless the check found an unexpected failure."""
-        return self.status != FAIL

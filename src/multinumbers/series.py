@@ -8,9 +8,17 @@ with every ``c_n`` a :class:`fractions.Fraction`, so all arithmetic is
 exact and nothing is ever rounded.  The truncation order ``N`` is fixed
 per value: binary operations require both operands to carry the same
 order, and the few operations that shorten a series (``derivative``,
-``divide``, ``truncate``) say so explicitly.  Constant-coefficient
-preconditions (``exp`` wants c_0 = 0, ``log`` wants c_0 = 1, composition
-wants a nilpotent inner argument) are enforced, not assumed.
+``divide``) say so explicitly.  Constant-coefficient preconditions
+(``exp`` wants c_0 = 0, ``log`` wants c_0 = 1, composition wants a
+nilpotent inner argument) are enforced, not assumed.
+
+The product of two series, and with it ``compose``, ``**`` and
+``divide``, is computed in integers: each operand is brought to integer
+numerators over the least common multiple of its denominators, the
+truncated convolution is formed with plain ``int`` arithmetic, and each
+output coefficient is reduced by a single ``Fraction(c, d_a * d_b)``.
+This replaces one ``Fraction`` multiply and add, each with its own gcd,
+per pair of terms.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are read
 off with :meth:`Series.egf_coeff`; storage stays in ordinary form so that
@@ -23,7 +31,7 @@ series may be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -35,6 +43,12 @@ def _exact(value: Scalar) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are inexact; pass int, Fraction or str")
     return Fraction(value)
+
+
+def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators ``m_n`` and one denominator ``d`` with ``c_n = m_n / d``."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _check_order(order: int) -> int:
@@ -53,6 +67,13 @@ class Series:
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         self._coeffs = cs
+
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "Series":
+        """Wrap a non-empty tuple of results of ``Fraction`` arithmetic as is."""
+        s = object.__new__(cls)
+        s._coeffs = coeffs
+        return s
 
     # ------------------------------------------------------------ constructors
 
@@ -98,13 +119,6 @@ class Series:
         self._check_index(n)
         return factorial(n) * self._coeffs[n]
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or ``None`` for the zero series."""
-        for n, c in enumerate(self._coeffs):
-            if c:
-                return n
-        return None
-
     def _check_index(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("coefficient index must be an integer")
@@ -130,16 +144,16 @@ class Series:
         return hash(self._coeffs)
 
     def __neg__(self) -> "Series":
-        return Series(-c for c in self._coeffs)
+        return Series._of(tuple([-c for c in self._coeffs]))
 
     def __add__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             self._check_same_order(other)
-            return Series(a + b for a, b in zip(self._coeffs, other._coeffs))
+            return Series._of(tuple([a + b for a, b in zip(self._coeffs, other._coeffs)]))
         if isinstance(other, (int, Fraction)):
             coeffs = list(self._coeffs)
             coeffs[0] += _exact(other)
-            return Series(coeffs)
+            return Series._of(tuple(coeffs))
         return NotImplemented
 
     __radd__ = __add__
@@ -147,7 +161,7 @@ class Series:
     def __sub__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             self._check_same_order(other)
-            return Series(a - b for a, b in zip(self._coeffs, other._coeffs))
+            return Series._of(tuple([a - b for a, b in zip(self._coeffs, other._coeffs)]))
         if isinstance(other, (int, Fraction)):
             return self + (-_exact(other))
         return NotImplemented
@@ -161,19 +175,18 @@ class Series:
         if isinstance(other, Series):
             self._check_same_order(other)
             n = self.order
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (n + 1)
+            a, da = _over_common_denominator(self._coeffs)
+            b, db = _over_common_denominator(other._coeffs)
+            out = [0] * (n + 1)
             for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return Series(out)
+                if ai:
+                    for j in range(n + 1 - i):
+                        out[i + j] += ai * b[j]
+            d = da * db
+            return Series._of(tuple([Fraction(c, d) for c in out]))
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
-            return Series(c * a for a in self._coeffs)
+            return Series._of(tuple([c * a for a in self._coeffs]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -208,7 +221,7 @@ class Series:
                 if a[j]:
                     acc += j * a[j] * b[n - j]
             b[n] = acc / n
-        return Series(b)
+        return Series._of(tuple(b))
 
     def log(self) -> "Series":
         """log of a series with unit constant term, via b' = a' / a."""
@@ -223,7 +236,7 @@ class Series:
                 if b[j] and a[n - j]:
                     acc += j * b[j] * a[n - j]
             b[n] = a[n] - acc / n
-        return Series(b)
+        return Series._of(tuple(b))
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -239,7 +252,7 @@ class Series:
                 if a[j]:
                     acc += a[j] * b[n - j]
             b[n] = -acc / a[0]
-        return Series(b)
+        return Series._of(tuple(b))
 
     def compose(self, inner: "Series") -> "Series":
         """Substitution self(inner(t)); the inner constant term must vanish.
@@ -276,22 +289,15 @@ class Series:
             raise ValueError(f"denominator does not have valuation {valuation}")
         if any(self._coeffs[i] for i in range(valuation)):
             raise ValueError(f"numerator valuation is below {valuation}")
-        num_shift = Series(self._coeffs[valuation:])
-        den_shift = Series(den._coeffs[valuation:])
+        num_shift = Series._of(self._coeffs[valuation:])
+        den_shift = Series._of(den._coeffs[valuation:])
         return num_shift * den_shift.inverse()
 
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""
         if self.order == 0:
             raise ValueError("cannot differentiate a series of order 0")
-        return Series(n * c for n, c in enumerate(self._coeffs) if n >= 1)
-
-    def truncate(self, order: int) -> "Series":
-        """Copy truncated at a lower order (explicit, never silent)."""
-        _check_order(order)
-        if order > self.order:
-            raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return Series(self._coeffs[: order + 1])
+        return Series._of(tuple([n * c for n, c in enumerate(self._coeffs) if n >= 1]))
 
     def __repr__(self) -> str:
         shown = []

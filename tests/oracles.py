@@ -108,3 +108,28 @@ def bernoulli_higher_oracle(n_max: int, r: int) -> list[Fraction]:
                 nxt[i + j] += a * base[j]
         acc = nxt
     return [factorial(n) * c for n, c in enumerate(acc)]
+
+
+def series_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Truncated product of two equal-length coefficient lists, term by term
+    in schoolbook ``Fraction`` arithmetic."""
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def series_compose(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """Coefficients of f(g(t)) for g with zero constant term, by Horner's
+    scheme over :func:`series_product`."""
+    result = [Fraction(0)] * len(f)
+    for c in reversed(f):
+        result = series_product(result, g)
+        result[0] += c
+    return result

@@ -172,6 +172,18 @@ def test_verify_malformed_grid(tmp_path, capsys):
     assert "grid entry" in err
 
 
+@pytest.mark.parametrize("ks", [[1.9, True], "12", ["3"]], ids=repr)
+def test_verify_grid_rejects_non_integer_ks(tmp_path, capsys, ks):
+    grid_file = tmp_path / "coerced.json"
+    grid_file.write_text(
+        json.dumps([{"dist": "poisson:1", "ks": [1]}, {"dist": "poisson:1", "ks": ks}])
+    )
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert "grid entry 1" in err
+
+
 def test_verify_list_identities(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list-identities")
     assert code == 0

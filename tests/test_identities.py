@@ -7,6 +7,7 @@ from multinumbers.identities import (
     check_append_one,
     check_bernoulli_convolution,
     check_bernoulli_expansion,
+    check_bernoulli_expansion_single_index,
     check_fubini_convolution,
     check_first_kind_inversion,
     check_lah_via_first_kind,
@@ -80,7 +81,8 @@ def test_lah_corrected_form_always_passes(spec, ks):
 @pytest.mark.parametrize("spec,ks", SAMPLE_CELLS, ids=lambda v: str(v))
 def test_bernoulli_expansion_both_forms_pass(spec, ks):
     ms = moments(spec, 10)
-    general, single = check_bernoulli_expansion(ms, ks, 10, spec.label)
+    general = check_bernoulli_expansion(ms, ks, 10, spec.label)
+    single = check_bernoulli_expansion_single_index(ms, len(ks), 10, spec.label)
     assert general.status == "pass"
     assert single.status == "pass"
 

@@ -109,6 +109,13 @@ def test_mu0_must_be_one():
         MomentSequence((F(2),))
 
 
+def test_moment_sequence_hash_is_the_field_hash():
+    mu = (F(1), F(1, 2), F(3, 4))
+    a, b = MomentSequence(mu), MomentSequence(tuple(mu))
+    assert a == b
+    assert hash(a) == hash(b) == hash((mu,))
+
+
 # ---------------------------------------------------------------- grammar
 
 

@@ -13,7 +13,12 @@ from multinumbers.series import (
     one_minus_exp_neg_t,
 )
 
-from oracles import ordered_partition_count, stirling2_count
+from oracles import (
+    ordered_partition_count,
+    series_compose,
+    series_product,
+    stirling2_count,
+)
 
 F = Fraction
 
@@ -290,3 +295,48 @@ def test_divide_undoes_multiply(v, pair):
     q_padded = Series(list(q.coeffs) + [Fraction(0)] * v)
     prod = q_padded * den_padded
     assert prod.divide(den_padded, v) == q
+
+
+# ---------------------------------------------------------------- integer kernel
+
+huge = 10**60
+mixed_fractions = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-huge, max_value=huge),
+        st.integers(min_value=1, max_value=huge),
+    ),
+)
+
+
+def mixed_lists(order):
+    zeros = st.just([Fraction(0)] * (order + 1))
+    return st.one_of(
+        zeros, st.lists(mixed_fractions, min_size=order + 1, max_size=order + 1)
+    )
+
+
+def assert_kernel_result(got, expected):
+    assert list(got.coeffs) == expected
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
+))
+@settings(max_examples=150)
+def test_mul_matches_fraction_oracle(pair):
+    a, b = pair
+    assert_kernel_result(Series(a) * Series(b), series_product(a, b))
+
+
+@given(st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
+))
+@settings(max_examples=100)
+def test_compose_matches_fraction_oracle(pair):
+    f, g = pair
+    g[0] = Fraction(0)
+    assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
