@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .series import Series, exp_t
+from .series import Series, _check_entry, exp_t
 
 __all__ = ["stirling1", "stirling2", "lah", "bernoulli_higher", "bernoulli_higher_series"]
 
@@ -96,8 +96,5 @@ def bernoulli_higher_series(r: int, order: int) -> Series:
 
 def bernoulli_higher(n: int, r: int, order: int | None = None) -> Fraction:
     """Higher-order Bernoulli number: n-th EGF coefficient of (t/(e^t-1))^r."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return bernoulli_higher_series(r, order).egf_coeff(n)

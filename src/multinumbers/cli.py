@@ -287,10 +287,14 @@ def _cmd_verify(args) -> int:
         identities = [args.identity]
     try:
         reports = run_full_suite(grid=grid, order=args.order, identities=identities)
+        # rendered in full before any is written; a value too large for str()
+        # becomes a usage error rather than a traceback after partial output
+        lines = [
+            json.dumps(_report_to_dict(rep), separators=(",", ":")) + "\n" for rep in reports
+        ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for rep in reports:
-        sys.stdout.write(json.dumps(_report_to_dict(rep), separators=(",", ":")) + "\n")
+    sys.stdout.writelines(lines)
     counts = {"pass": 0, "fail": 0, "skipped": 0, "expected-discrepancy": 0}
     for rep in reports:
         counts[rep.status] += 1

@@ -34,14 +34,12 @@ from .moments import (
     binomial,
     finite,
     geometric as geometric_dist,
-    mgf,
     moments,
     point,
     poisson,
 )
 from .multi import (
     check_append_one_deterministic,
-    li_argument,
     multi_bernoulli,
     multi_bernoulli_series,
     multi_lah,
@@ -49,6 +47,7 @@ from .multi import (
 )
 from .multilog import check_derivative_rules, multi_stirling1, multilog
 from .probabilistic import (
+    _mgf_argument,
     prob_fubini,
     prob_lah,
     prob_multi_lah,
@@ -258,7 +257,7 @@ def check_bernoulli_convolution(
             status=SKIPPED,
             detail="first moment is zero; the divided series has no valuation r",
         )
-    h = li_argument(mgf(ms, order))
+    h = _mgf_argument(ms, order)
     ratio = multilog(ks, order).compose(h).divide(h**r, r)
     bern = multi_bernoulli_series(ks, order)
 

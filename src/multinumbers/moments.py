@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 from .classical import stirling2
-from .series import Series, neg_log1m
+from .series import Series, _check_entry, neg_log1m
 
 __all__ = [
     "MomentSequence",
@@ -260,8 +260,5 @@ def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = Non
     """E[(Y_1 + ... + Y_j)^n] for independent copies of Y; j = 0 gives 0^n."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ValueError(f"number of copies must be a non-negative integer, got {j!r}")
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return _mgf_power(ms, j, order).egf_coeff(n)

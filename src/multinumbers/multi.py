@@ -22,7 +22,7 @@ from math import comb
 
 from .multilog import index_tuple, multilog
 from .report import FAIL, PASS, Mismatch, VerificationReport
-from .series import Series, exp_t, geometric, one_minus_exp_neg_t
+from .series import Series, _check_entry, exp_t, geometric, one_minus_exp_neg_t
 
 __all__ = [
     "li_argument",
@@ -58,10 +58,7 @@ def multi_stirling2_series(ks, order: int) -> Series:
 
 def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
     """Multi-Stirling number of the second kind; zero for n < r."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return multi_stirling2_series(ks, order).egf_coeff(n)
 
 
@@ -79,10 +76,7 @@ def multi_bernoulli_series(ks, order: int) -> Series:
 
 def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
     """Multi-Bernoulli number of the given index tuple."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return multi_bernoulli_series(ks, order).egf_coeff(n)
 
 
@@ -99,10 +93,7 @@ def multi_lah_series(ks, order: int) -> Series:
 
 def multi_lah(ks, n: int, order: int | None = None) -> Fraction:
     """Multi-Lah number; the second classical argument is always len(ks)."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return multi_lah_series(ks, order).egf_coeff(n)
 
 

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import factorial
 
 from .report import FAIL, PASS, Mismatch, VerificationReport
-from .series import Series, geometric
+from .series import Series, _check_entry, geometric
 
 __all__ = [
     "index_tuple",
@@ -94,10 +94,7 @@ def multilog_coefficient(ks, m: int) -> Fraction:
 
 def multi_stirling1(ks, n: int, order: int | None = None) -> Fraction:
     """Unsigned multi-Stirling number of the first kind, ``n! * [t^n] Li``."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
+    order = _check_entry(n, order)
     return multilog(ks, order).egf_coeff(n)
 
 

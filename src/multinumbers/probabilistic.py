@@ -24,7 +24,7 @@ from math import comb, factorial
 from .moments import MomentSequence, mgf, resolvent, sum_power_moment
 from .multi import li_argument
 from .multilog import index_tuple, multilog
-from .series import Series
+from .series import Series, _check_entry
 
 __all__ = [
     "prob_stirling2",
@@ -39,14 +39,6 @@ __all__ = [
     "prob_fubini",
     "prob_fubini_series",
 ]
-
-
-def _check_entry(n: int, order: int | None) -> int:
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"n={n} exceeds truncation order {order}")
-    return order
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +78,14 @@ def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _mgf_argument(ms: MomentSequence, order: int) -> Series:
+    """1 - e^(1 - M), the inner series of every multi second-kind family of Y."""
+    return li_argument(mgf(ms, order))
+
+
+@lru_cache(maxsize=None)
 def _multi_s2_series(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Series:
-    return multilog(ks, order).compose(li_argument(mgf(ms, order)))
+    return multilog(ks, order).compose(_mgf_argument(ms, order))
 
 
 def prob_multi_stirling2_series(ms: MomentSequence, ks, order: int) -> Series:
@@ -121,8 +119,14 @@ def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fr
 
 
 @lru_cache(maxsize=None)
+def _resolvent_argument(ms: MomentSequence, order: int) -> Series:
+    """1 - e^(1 - R), the inner series of every multi-Lah family of Y."""
+    return li_argument(resolvent(ms, order))
+
+
+@lru_cache(maxsize=None)
 def _multi_lah_series(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Series:
-    return multilog(ks, order).compose(li_argument(resolvent(ms, order)))
+    return multilog(ks, order).compose(_resolvent_argument(ms, order))
 
 
 def prob_multi_lah_series(ms: MomentSequence, ks, order: int) -> Series:

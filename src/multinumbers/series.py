@@ -1,42 +1,59 @@
 """Truncated formal power series with exact rational coefficients.
 
-A :class:`Series` stores the ordinary coefficients ``c_0, ..., c_N`` of
+A :class:`Series` stands for the ordinary coefficients ``c_0, ..., c_N`` of
 
     f(t) = c_0 + c_1 t + ... + c_N t^N
 
-with every ``c_n`` a :class:`fractions.Fraction`, so all arithmetic is
-exact and nothing is ever rounded.  The truncation order ``N`` is fixed
-per value: binary operations require both operands to carry the same
-order, and the few operations that shorten a series (``derivative``,
-``divide``) say so explicitly.  Constant-coefficient preconditions
-(``exp`` wants c_0 = 0, ``log`` wants c_0 = 1, composition wants a
-nilpotent inner argument) are enforced, not assumed.
+with every ``c_n`` an exact rational, so nothing is ever rounded.  The
+truncation order ``N`` is fixed per value: binary operations require both
+operands to carry the same order, and the few operations that shorten a
+series (``derivative``, ``divide``) say so explicitly.  Constant-coefficient
+preconditions (``exp`` wants c_0 = 0, ``log`` wants c_0 = 1, composition
+wants a nilpotent inner argument) are enforced, not assumed.
 
-The product of two series, and with it ``compose``, ``**`` and
-``divide``, is computed in integers: each operand is brought to integer
-numerators over the least common multiple of its denominators, the
-truncated convolution is formed with plain ``int`` arithmetic, and each
-output coefficient is reduced by a single ``Fraction(c, d_a * d_b)``.
-This replaces one ``Fraction`` multiply and add, each with its own gcd,
-per pair of terms.
+Storage is one vector of integer numerators over one positive integer
+denominator, ``c_n = m_n / d``, kept in lowest terms: ``gcd(d, m_0, ...,
+m_N) == 1``, so ``d`` is the lcm of the reduced denominators and equal
+series have equal ``(m, d)``.  Every operation works on that form in
+plain ``int`` arithmetic and reduces its result by one content gcd:
+sums rescale both vectors to the lcm of the two denominators, a product
+is one integer convolution over ``d_a * d_b``.  ``Fraction`` values are
+built only when a caller reads coefficients, once per series.
+
+``compose`` is the baby-step/giant-step scheme of Paterson and
+Stockmeyer (SIAM J. Comput. 1973): with ``k = isqrt(N) + 1`` it forms
+the inner powers ``g^0 .. g^k``, sums each block of ``k`` outer
+coefficients against ``g^0 .. g^(k-1)`` over one common denominator, and
+runs Horner's scheme in ``g^k`` over the blocks; about ``2 sqrt(N)``
+series products instead of ``N``.
+
+``exp``, ``log`` and ``inverse`` are triangular recurrences
+(``n b_n = sum j a_j b_(n-j)``, the same for ``t b'`` against ``a``,
+and ``a_0 b_n = -sum a_j b_(n-j)``) solved in integers: the coefficients
+found so far share one denominator, each new one is reduced by a single
+gcd, and the shared denominator is rescaled only when it must grow.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are read
-off with :meth:`Series.egf_coeff`; storage stays in ordinary form so that
-products and compositions need no factorial bookkeeping.
+off with :meth:`Series.egf_coeff` from a table built once per series;
+storage stays in ordinary form so that products and compositions need
+no factorial bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
-series may be shared freely across threads.
+series may be shared freely across threads; the coefficient tables are
+filled on first use with a value that does not depend on who fills them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 __all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t"]
+
+_ZERO = Fraction(0)
 
 
 def _exact(value: Scalar) -> Fraction:
@@ -45,41 +62,86 @@ def _exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators ``m_n`` and one denominator ``d`` with ``c_n = m_n / d``."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _check_order(order: int) -> int:
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
     return order
 
 
+def _check_entry(n: int, order: int | None) -> int:
+    """Truncation order for the single entry ``n``: ``n`` itself by default."""
+    if order is None:
+        order = n
+    if n > order:
+        raise ValueError(f"n={n} exceeds truncation order {order}")
+    return order
+
+
+def _make(num: list[int], den: int) -> "Series":
+    """The series ``num[n] / den`` (``den > 0``), brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [m // g for m in num]
+        den //= g
+    s = object.__new__(Series)
+    s._num = tuple(num)
+    s._den = den
+    s._coeffs = None
+    s._egf = None
+    return s
+
+
+def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Fraction) -> tuple[list[int], int]:
+    """Integer numerators ``X`` and one denominator ``L`` of the sequence
+
+        x_0 = x0,  x_n = (c_n + sum_{j=1..n} w_j x_(n-j)) / d_n,
+
+    for ``n`` up to ``len(w) - 1``; ``w``, ``c`` (``None`` for zeros) and
+    nonzero ``d`` are integers, entry 0 of each unused.  ``L`` is the lcm
+    of the reduced denominators of ``x_0 .. x_N``.
+    """
+    xs = [x0.numerator]
+    den = x0.denominator
+    terms = [j for j in range(1, len(w)) if w[j]]
+    for n in range(1, len(w)):
+        acc = c[n] * den if c else 0
+        for j in terms:
+            if j > n:
+                break
+            acc += w[j] * xs[n - j]
+        full = d[n] * den
+        g = gcd(acc, full)
+        if full < 0:
+            g = -g
+        num, new_den = acc // g, full // g
+        if den % new_den:
+            grow = new_den // gcd(den, new_den)
+            xs = [x * grow for x in xs]
+            den *= grow
+        xs.append(num * (den // new_den))
+    return xs, den
+
+
 class Series:
     """Formal power series in ``t`` truncated after the ``t^order`` term."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs", "_egf")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_exact(c) for c in coeffs)
+        cs = tuple([_exact(c) for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
+        den = lcm(*[c.denominator for c in cs])
+        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
         self._coeffs = cs
-
-    @classmethod
-    def _of(cls, coeffs: tuple[Fraction, ...]) -> "Series":
-        """Wrap a non-empty tuple of results of ``Fraction`` arithmetic as is."""
-        s = object.__new__(cls)
-        s._coeffs = coeffs
-        return s
+        self._egf = None
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls([Fraction(0)] * (_check_order(order) + 1))
+        return _make([0] * (_check_order(order) + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -87,37 +149,52 @@ class Series:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "Series":
-        coeffs = [Fraction(0)] * (_check_order(order) + 1)
-        coeffs[0] = _exact(value)
-        return cls(coeffs)
+        c = _exact(value)
+        num = [0] * (_check_order(order) + 1)
+        num[0] = c.numerator
+        return _make(num, c.denominator)
 
     @classmethod
     def t(cls, order: int) -> "Series":
         """The variable itself (zero when truncated at order 0)."""
-        coeffs = [Fraction(0)] * (_check_order(order) + 1)
+        num = [0] * (_check_order(order) + 1)
         if order >= 1:
-            coeffs[1] = Fraction(1)
-        return cls(coeffs)
+            num[1] = 1
+        return _make(num, 1)
 
     # ------------------------------------------------------------ inspection
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            cs = self._coeffs = tuple([Fraction(m, d) if m else _ZERO for m in self._num])
+        return cs
 
     def coeff(self, n: int) -> Fraction:
         """Ordinary coefficient of ``t^n``; ``n`` must lie within the truncation."""
         self._check_index(n)
-        return self._coeffs[n]
+        return self.coeffs[n]
 
     def egf_coeff(self, n: int) -> Fraction:
         """Exponential-generating-function coefficient ``n! * c_n``."""
         self._check_index(n)
-        return factorial(n) * self._coeffs[n]
+        table = self._egf
+        if table is None:
+            d = self._den
+            table = []
+            fact = 1
+            for m, c in enumerate(self._num):
+                if m:
+                    fact *= m
+                table.append(Fraction(c * fact, d) if c else _ZERO)
+            table = self._egf = tuple(table)
+        return table[n]
 
     def _check_index(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -138,55 +215,64 @@ class Series:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __neg__(self) -> "Series":
-        return Series._of(tuple([-c for c in self._coeffs]))
+        return _make([-m for m in self._num], self._den)
+
+    def _plus(self, other: "Series", sign: int) -> "Series":
+        self._check_same_order(other)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
+
+    def _plus_scalar(self, value: Scalar) -> "Series":
+        c = _exact(value)
+        den = lcm(self._den, c.denominator)
+        f = den // self._den
+        num = [m * f for m in self._num]
+        num[0] += c.numerator * (den // c.denominator)
+        return _make(num, den)
 
     def __add__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
-            self._check_same_order(other)
-            return Series._of(tuple([a + b for a, b in zip(self._coeffs, other._coeffs)]))
+            return self._plus(other, 1)
         if isinstance(other, (int, Fraction)):
-            coeffs = list(self._coeffs)
-            coeffs[0] += _exact(other)
-            return Series._of(tuple(coeffs))
+            return self._plus_scalar(other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
-            self._check_same_order(other)
-            return Series._of(tuple([a - b for a, b in zip(self._coeffs, other._coeffs)]))
+            return self._plus(other, -1)
         if isinstance(other, (int, Fraction)):
-            return self + (-_exact(other))
+            return self._plus_scalar(-_exact(other))
         return NotImplemented
 
     def __rsub__(self, other: Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):
-            return (-self) + _exact(other)
+            return (-self)._plus_scalar(other)
         return NotImplemented
 
     def __mul__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             self._check_same_order(other)
-            n = self.order
-            a, da = _over_common_denominator(self._coeffs)
-            b, db = _over_common_denominator(other._coeffs)
+            a, b = self._num, other._num
+            n = len(a) - 1
             out = [0] * (n + 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j in range(n + 1 - i):
                         out[i + j] += ai * b[j]
-            d = da * db
-            return Series._of(tuple([Fraction(c, d) for c in out]))
+            return _make(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
-            return Series._of(tuple([c * a for a in self._coeffs]))
+            p = c.numerator
+            return _make([p * m for m in self._num], self._den * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -209,65 +295,70 @@ class Series:
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term, via b' = a' * b."""
-        a = self._coeffs
+        a, d = self._num, self._den
         if a[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        n_max = self.order
-        b = [Fraction(0)] * (n_max + 1)
-        b[0] = Fraction(1)
-        for n in range(1, n_max + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if a[j]:
-                    acc += j * a[j] * b[n - j]
-            b[n] = acc / n
-        return Series._of(tuple(b))
+        w = [j * m for j, m in enumerate(a)]
+        xs, den = _solve(w, None, [n * d for n in range(len(a))], Fraction(1))
+        return _make(xs, den)
 
     def log(self) -> "Series":
-        """log of a series with unit constant term, via b' = a' / a."""
-        a = self._coeffs
-        if a[0] != 1:
+        """log of a series with unit constant term, via t b' = t a' / a."""
+        a, d = self._num, self._den
+        if a[0] != d:
             raise ValueError("log requires a unit constant term")
-        n_max = self.order
-        b = [Fraction(0)] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            acc = Fraction(0)
-            for j in range(1, n):
-                if b[j] and a[n - j]:
-                    acc += j * b[j] * a[n - j]
-            b[n] = a[n] - acc / n
-        return Series._of(tuple(b))
+        # e_n = n b_n solves a * e = t a'; with a_j = m_j / d that is
+        # d e_n = n m_n - sum_{j>=1} m_j e_(n-j)
+        n_max = len(a) - 1
+        xs, den = _solve(
+            [-m for m in a], [n * m for n, m in enumerate(a)], [d] * (n_max + 1), _ZERO
+        )
+        scale = lcm(*range(1, n_max + 1))
+        return _make([0] + [xs[n] * (scale // n) for n in range(1, n_max + 1)], den * scale)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; the constant term must be nonzero."""
-        a = self._coeffs
+        a, d = self._num, self._den
         if a[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        n_max = self.order
-        b = [Fraction(0)] * (n_max + 1)
-        b[0] = 1 / a[0]
-        for n in range(1, n_max + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if a[j]:
-                    acc += a[j] * b[n - j]
-            b[n] = -acc / a[0]
-        return Series._of(tuple(b))
+        xs, den = _solve([-m for m in a], None, [a[0]] * len(a), Fraction(d, a[0]))
+        return _make(xs, den)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitution self(inner(t)); the inner constant term must vanish.
 
-        Evaluated by Horner's scheme in the series ring, which is exact at
-        every kept order because the inner series is nilpotent mod t^(N+1).
+        Baby-step/giant-step: with ``k = isqrt(order) + 1``, each block of
+        ``k`` outer coefficients is summed against the baby steps
+        ``inner^0 .. inner^(k-1)`` over their common denominator, and the
+        blocks are combined by Horner's scheme in the giant step
+        ``inner^k``.  Exact at every kept order because the inner series
+        is nilpotent mod t^(N+1); ``inner^i`` vanishes below ``t^i``.
         """
         if not isinstance(inner, Series):
             raise TypeError("composition needs a Series argument")
         self._check_same_order(inner)
-        if inner._coeffs[0] != 0:
+        if inner._num[0] != 0:
             raise ValueError("composition requires a zero inner constant term")
-        result = Series.constant(self._coeffs[self.order], self.order)
-        for i in range(self.order - 1, -1, -1):
-            result = result * inner + self._coeffs[i]
+        n = self.order
+        k = isqrt(n) + 1
+        powers = [Series.one(n), inner]
+        while len(powers) <= k:
+            powers.append(powers[-1] * inner)
+        giant = powers.pop()
+        den = lcm(*[p._den for p in powers])
+        baby = [[m * (den // p._den) for m in p._num] for p in powers]
+        block_den = den * self._den
+        f = self._num
+        result = None
+        for start in range(n - n % k, -1, -k):
+            block = [0] * (n + 1)
+            for i, c in enumerate(f[start : start + k]):
+                if c:
+                    row = baby[i]
+                    for m in range(i, n + 1):
+                        block[m] += c * row[m]
+            term = _make(block, block_den)
+            result = term if result is None else result * giant + term
         return result
 
     def divide(self, den: "Series", valuation: int) -> "Series":
@@ -285,23 +376,24 @@ class Series:
             raise ValueError("valuation must be a non-negative integer")
         if valuation > self.order:
             raise ValueError("valuation exceeds the truncation order")
-        if any(den._coeffs[i] for i in range(valuation)) or den._coeffs[valuation] == 0:
+        if any(den._num[:valuation]) or den._num[valuation] == 0:
             raise ValueError(f"denominator does not have valuation {valuation}")
-        if any(self._coeffs[i] for i in range(valuation)):
+        if any(self._num[:valuation]):
             raise ValueError(f"numerator valuation is below {valuation}")
-        num_shift = Series._of(self._coeffs[valuation:])
-        den_shift = Series._of(den._coeffs[valuation:])
+        num_shift = _make(self._num[valuation:], self._den)
+        den_shift = _make(den._num[valuation:], den._den)
         return num_shift * den_shift.inverse()
 
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""
         if self.order == 0:
             raise ValueError("cannot differentiate a series of order 0")
-        return Series._of(tuple([n * c for n, c in enumerate(self._coeffs) if n >= 1]))
+        a = self._num
+        return _make([n * a[n] for n in range(1, len(a))], self._den)
 
     def __repr__(self) -> str:
         shown = []
-        for n, c in enumerate(self._coeffs):
+        for n, c in enumerate(self.coeffs):
             if c:
                 shown.append(f"{c}" if n == 0 else f"{c}*t^{n}")
             if len(shown) == 4:

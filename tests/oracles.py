@@ -133,3 +133,44 @@ def series_compose(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
         result = series_product(result, g)
         result[0] += c
     return result
+
+
+def series_exp(a: list[Fraction]) -> list[Fraction]:
+    """exp of a coefficient list with a[0] == 0, from b' = a' b in ``Fraction``
+    arithmetic, one term at a time."""
+    b = [Fraction(0)] * len(a)
+    b[0] = Fraction(1)
+    for n in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            if a[j]:
+                acc += j * a[j] * b[n - j]
+        b[n] = acc / n
+    return b
+
+
+def series_log(a: list[Fraction]) -> list[Fraction]:
+    """log of a coefficient list with a[0] == 1, from b' = a' / a in
+    ``Fraction`` arithmetic, one term at a time."""
+    b = [Fraction(0)] * len(a)
+    for n in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, n):
+            if b[j] and a[n - j]:
+                acc += j * b[j] * a[n - j]
+        b[n] = a[n] - acc / n
+    return b
+
+
+def series_inverse(a: list[Fraction]) -> list[Fraction]:
+    """Multiplicative inverse of a coefficient list with a[0] != 0, from
+    a b = 1 in ``Fraction`` arithmetic, one term at a time."""
+    b = [Fraction(0)] * len(a)
+    b[0] = 1 / a[0]
+    for n in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            if a[j]:
+                acc += a[j] * b[n - j]
+        b[n] = -acc / a[0]
+    return b

@@ -184,6 +184,17 @@ def test_verify_grid_rejects_non_integer_ks(tmp_path, capsys, ks):
     assert "grid entry 1" in err
 
 
+def test_verify_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
+    # multi-Stirling values for k = 10000 have denominators past CPython's
+    # int-to-str digit limit; no report line may be written before the error
+    grid_file = tmp_path / "huge.json"
+    grid_file.write_text(json.dumps([{"dist": "poisson:1", "ks": [10000]}]))
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_list_identities(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list-identities")
     assert code == 0

@@ -16,6 +16,9 @@ from multinumbers.series import (
 from oracles import (
     ordered_partition_count,
     series_compose,
+    series_exp,
+    series_inverse,
+    series_log,
     series_product,
     stirling2_count,
 )
@@ -320,23 +323,120 @@ def mixed_lists(order):
 
 def assert_kernel_result(got, expected):
     assert list(got.coeffs) == expected
-    assert all(type(c) is Fraction for c in got.coeffs)
+    for n, c in enumerate(expected):
+        assert type(got.coeff(n)) is Fraction and got.coeff(n) == c
+        assert type(got.egf_coeff(n)) is Fraction and got.egf_coeff(n) == factorial(n) * c
 
 
-@given(st.integers(min_value=0, max_value=9).flatmap(
-    lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
-))
+# Orders 0-3 are the block-size edges of the baby-step/giant-step compose:
+# its block size k = isqrt(N) + 1 is 1 at N = 0 and 2 up to N = 3, then
+# steps up at N = 4, 9 and 16.
+kernel_orders = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=4, max_value=10)
+)
+
+
+@given(kernel_orders.flatmap(lambda n: st.tuples(mixed_lists(n), mixed_lists(n))))
 @settings(max_examples=150)
 def test_mul_matches_fraction_oracle(pair):
     a, b = pair
     assert_kernel_result(Series(a) * Series(b), series_product(a, b))
 
 
-@given(st.integers(min_value=0, max_value=7).flatmap(
-    lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
-))
-@settings(max_examples=100)
-def test_compose_matches_fraction_oracle(pair):
+@given(
+    st.one_of(kernel_orders, st.sampled_from([15, 16])).flatmap(
+        lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
+    ),
+    st.one_of(st.just(1), st.integers(min_value=2, max_value=3)),
+)
+@settings(max_examples=120)
+def test_compose_matches_fraction_oracle(pair, valuation):
     f, g = pair
-    g[0] = Fraction(0)
+    g[:valuation] = [Fraction(0)] * min(valuation, len(g))
     assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
+
+
+def test_compose_every_block_layout():
+    # orders 0-16 give block sizes 1-5 and every length of the last block
+    # for block sizes up to 4
+    for order in range(17):
+        f = [F((-1) ** i * (i + 1), i + 2) for i in range(order + 1)]
+        g = [F(0)] + [F(3 - i, 2 * i + 1) for i in range(1, order + 1)]
+        assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
+
+
+@given(kernel_orders.flatmap(mixed_lists))
+@settings(max_examples=120)
+def test_exp_matches_fraction_oracle(a):
+    a[0] = Fraction(0)
+    assert_kernel_result(Series(a).exp(), series_exp(a))
+
+
+@given(kernel_orders.flatmap(mixed_lists))
+@settings(max_examples=120)
+def test_log_matches_fraction_oracle(a):
+    a[0] = Fraction(1)
+    assert_kernel_result(Series(a).log(), series_log(a))
+
+
+@given(kernel_orders.flatmap(mixed_lists), mixed_fractions.filter(bool))
+@settings(max_examples=120)
+def test_inverse_matches_fraction_oracle(a, head):
+    a[0] = head
+    assert_kernel_result(Series(a).inverse(), series_inverse(a))
+
+
+@given(
+    kernel_orders.flatmap(lambda n: st.tuples(mixed_lists(n), mixed_lists(n))),
+    st.one_of(mixed_fractions, st.integers(min_value=-huge, max_value=huge)),
+)
+@settings(max_examples=150)
+def test_linear_ops_match_fraction_oracle(pair, c):
+    a, b = pair
+    sa, sb = Series(a), Series(b)
+    assert_kernel_result(sa + sb, [x + y for x, y in zip(a, b)])
+    assert_kernel_result(sa - sb, [x - y for x, y in zip(a, b)])
+    assert_kernel_result(-sa, [-x for x in a])
+    assert_kernel_result(sa * c, [c * x for x in a])
+    assert_kernel_result(c * sa, [c * x for x in a])
+    shifted = list(a)
+    shifted[0] += c
+    assert_kernel_result(sa + c, shifted)
+    assert_kernel_result(c + sa, shifted)
+    shifted[0] -= 2 * c
+    assert_kernel_result(sa - c, shifted)
+    assert_kernel_result(c - sa, [-x for x in shifted])
+
+
+@given(
+    kernel_orders.flatmap(lambda n: st.tuples(mixed_lists(n), mixed_lists(n))),
+    mixed_fractions.filter(bool),
+)
+@settings(max_examples=150)
+def test_canonical_form(pair, c):
+    a, b = pair
+    sa, sb = Series(a), Series(b)
+    assert (sa == sb) == (a == b)
+    assert Series(b) == sb and hash(Series(b)) == hash(sb)
+    # the same series reached through arithmetic that leaves common factors
+    for same in ((sa * c) * (1 / c), (sa + sb) - sb, sa * Series.one(sa.order)):
+        assert same == sa and hash(same) == hash(sa)
+        assert same.coeffs == tuple(a)
+
+
+@given(kernel_orders.flatmap(mixed_lists), mixed_fractions)
+@settings(max_examples=100)
+def test_preconditions_still_raised(a, head):
+    a[0] = head
+    s = Series(a)
+    if head != 0:
+        with pytest.raises(ValueError, match="exp requires a zero constant term"):
+            s.exp()
+        with pytest.raises(ValueError, match="composition requires a zero inner constant term"):
+            s.compose(s)
+    else:
+        with pytest.raises(ValueError, match="inverse requires a nonzero constant term"):
+            s.inverse()
+    if head != 1:
+        with pytest.raises(ValueError, match="log requires a unit constant term"):
+            s.log()
