@@ -23,10 +23,11 @@ counterexample attached:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
-from .classical import bernoulli_higher, lah, stirling1, stirling2
+from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -39,21 +40,26 @@ from .moments import (
     poisson,
 )
 from .multi import (
+    _prefix_column,
     check_append_one_deterministic,
     multi_bernoulli,
     multi_bernoulli_series,
     multi_lah,
+    multi_lah_series,
     multi_stirling2,
 )
 from .multilog import check_derivative_rules, multi_stirling1, multilog
 from .probabilistic import (
     _mgf_argument,
-    prob_fubini,
+    prob_fubini_series,
     prob_lah,
     prob_multi_lah,
+    prob_multi_lah_series,
     prob_multi_stirling2,
+    prob_multi_stirling2_series,
     prob_stirling2,
     prob_stirling2_by_moments,
+    prob_stirling2_series,
 )
 from .report import (
     EXPECTED_DISCREPANCY,
@@ -110,6 +116,8 @@ IDENTITY_DESCRIPTIONS: dict[str, str] = {
 }
 
 ALL_IDENTITIES: tuple[str, ...] = tuple(IDENTITY_DESCRIPTIONS)
+
+_ZERO = Fraction(0)
 
 _DEFAULT_TUPLES: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -171,11 +179,59 @@ def _report(
     )
 
 
-def _pms2(ms: MomentSequence, ks: tuple[int, ...], n: int, order: int) -> Fraction:
-    """Probabilistic multi second kind extended to the empty tuple (delta at 0)."""
-    if not ks:
-        return Fraction(1 if n == 0 else 0)
-    return prob_multi_stirling2(ms, ks, n, order)
+@lru_cache(maxsize=None)
+def _second_kind_columns(ms: MomentSequence, order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The {n; k}_Y triangle by columns: entry k holds {0; k}_Y .. {order; k}_Y."""
+    return tuple([prob_stirling2_series(ms, k, order).egf_coeffs for k in range(order + 1)])
+
+
+def _second_kind_sums(ms: MomentSequence, weights: Sequence, order: int) -> list[Fraction]:
+    """sum_{j<=n} weights[j] {n; j}_Y for n = 0 .. len(weights) - 1.
+
+    This applies the exponential Riordan array (1, M - 1) to ``weights``
+    in O(len(weights)^2) products.
+    """
+    cols = _second_kind_columns(ms, order)
+    sums = []
+    for n in range(len(weights)):
+        acc = _ZERO
+        for j in range(n + 1):
+            if weights[j]:
+                acc += weights[j] * cols[j][n]
+        sums.append(acc)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _append_one_single_index(ms: MomentSequence, r: int, order: int) -> Optional[Mismatch]:
+    """First mismatch of {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m), n = r..order."""
+    cols = _second_kind_columns(ms, order)
+    mu = ms.mu
+
+    def pairs():
+        for n in range(r, order + 1):
+            below = cols[r - 1]
+            lhs = _ZERO
+            for m in range(r - 1, n):
+                lhs += comb(n - 1, m) * below[m] * mu[n - m]
+            yield n, lhs, cols[r][n]
+
+    return _scan(pairs())
+
+
+@lru_cache(maxsize=None)
+def _append_one_classical(r: int, order: int) -> Optional[Mismatch]:
+    """First mismatch of S(n, r) = sum_m C(n-1, m) S(m, r-1), n = r..order."""
+
+    def pairs():
+        for n in range(r, order + 1):
+            lhs = sum(
+                (comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n)),
+                Fraction(0),
+            )
+            yield n, lhs, Fraction(stirling2(n, r))
+
+    return _scan(pairs())
 
 
 def check_append_one(
@@ -185,52 +241,33 @@ def check_append_one(
 
         sum_m C(n, m) mu_{n-m+1} {m; prefix}_Y = {n+1; prefix + (1,)}_Y,
 
-    together with its two single-index specialisations (probabilistic and
-    classical).
+    together with its two single-index specialisations.  The probabilistic
+    one depends only on (Y, r) and the classical one only on r, so each is
+    evaluated once per key and shared by every prefix.
     """
     prefix = tuple(ks_prefix)
     full = prefix + (1,)
     r = len(full)
+    head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
+    tail = prob_multi_stirling2_series(ms, full, order).egf_coeffs
+    mu = ms.mu
 
     def main_pairs():
         for n in range(order):
-            lhs = sum(
-                (
-                    comb(n, m) * ms.moment(n - m + 1) * _pms2(ms, prefix, m, order)
-                    for m in range(r - 1, n + 1)
-                ),
-                Fraction(0),
-            )
-            yield n, lhs, _pms2(ms, full, n + 1, order)
+            lhs = _ZERO
+            for m in range(r - 1, n + 1):
+                lhs += comb(n, m) * mu[n - m + 1] * head[m]
+            yield n, lhs, tail[n + 1]
 
     mismatch = _scan(main_pairs())
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="main form")
 
-    def single_prob_pairs():
-        for n in range(r, order + 1):
-            lhs = sum(
-                (
-                    comb(n - 1, m) * prob_stirling2(ms, m, r - 1, order) * ms.moment(n - m)
-                    for m in range(r - 1, n)
-                ),
-                Fraction(0),
-            )
-            yield n, lhs, prob_stirling2(ms, n, r, order)
-
-    mismatch = _scan(single_prob_pairs())
+    mismatch = _append_one_single_index(ms, r, order)
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="single-index form")
 
-    def single_classical_pairs():
-        for n in range(r, order + 1):
-            lhs = sum(
-                (comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n)),
-                Fraction(0),
-            )
-            yield n, lhs, Fraction(stirling2(n, r))
-
-    mismatch = _scan(single_classical_pairs())
+    mismatch = _append_one_classical(r, order)
     return _report(
         "append-one", order, mismatch, prefix, dist,
         detail="" if mismatch is None else "single-index classical form",
@@ -258,45 +295,53 @@ def check_bernoulli_convolution(
             detail="first moment is zero; the divided series has no valuation r",
         )
     h = _mgf_argument(ms, order)
-    ratio = multilog(ks, order).compose(h).divide(h**r, r)
-    bern = multi_bernoulli_series(ks, order)
+    ratio = multilog(ks, order).compose(h).divide(h**r, r).egf_coeffs
+    top = order - r
+    bern = multi_bernoulli_series(ks, order).egf_coeffs[: max(top + 1, 0)]
+    lhs = _second_kind_sums(ms, bern, order)
+    mismatch = _scan((n, lhs[n], ratio[n]) for n in range(top + 1))
+    return _report("bernoulli-convolution", order, mismatch, ks, dist)
 
-    def pairs():
-        for n in range(order - r + 1):
-            lhs = sum(
-                (bern.egf_coeff(m) * prob_stirling2(ms, n, m, order) for m in range(n + 1)),
-                Fraction(0),
-            )
-            yield n, lhs, ratio.egf_coeff(n)
 
-    return _report("bernoulli-convolution", order, _scan(pairs()), ks, dist)
+@lru_cache(maxsize=None)
+def _first_kind_weights(ks: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+    """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero below r)."""
+    r = len(ks)
+    first = multilog(ks, order).egf_coeffs
+    v = [_ZERO] * (order + 1)
+    for l in range(r, order + 1):
+        acc = _ZERO
+        for m in range(r, l + 1):
+            acc += _sign(l - m) * stirling2(l, m) * first[m]
+        v[l] = acc
+    return tuple(v)
+
+
+def _first_kind_inversion_rhs(
+    ms: MomentSequence, ks: tuple[int, ...], order: int
+) -> list[Fraction]:
+    """sum_{l=r}^{n} {n; l}_Y v_l for n = 0..order; see :func:`_first_kind_weights`."""
+    return _second_kind_sums(ms, _first_kind_weights(ks, order), order)
 
 
 def check_first_kind_inversion(
     ms: MomentSequence, ks, order: int, dist: Optional[str] = None
 ) -> VerificationReport:
     """{n; ks}_Y equals the double sum over {l; m}, {n; l}_Y and the
-    multi first-kind numbers [m; ks], with alternating signs."""
+    multi first-kind numbers [m; ks], with alternating signs:
+
+        {n; ks}_Y = sum_{l=r}^{n} {n; l}_Y v_l,
+        v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks],
+
+    for n = r..order.  The inner sum ``v_l`` does not depend on n (or on
+    Y) and is formed once per index tuple.
+    """
     ks = tuple(ks)
     r = len(ks)
-
-    def pairs():
-        for n in range(r, order + 1):
-            rhs = Fraction(0)
-            for l in range(r, n + 1):
-                snl = prob_stirling2(ms, n, l, order)
-                if not snl:
-                    continue
-                for m in range(r, l + 1):
-                    rhs += (
-                        _sign(l - m)
-                        * stirling2(l, m)
-                        * snl
-                        * multi_stirling1(ks, m, order)
-                    )
-            yield n, prob_multi_stirling2(ms, ks, n, order), rhs
-
-    return _report("first-kind-inversion", order, _scan(pairs()), ks, dist)
+    lhs = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
+    rhs = _first_kind_inversion_rhs(ms, ks, order)
+    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order + 1))
+    return _report("first-kind-inversion", order, mismatch, ks, dist)
 
 
 def check_lah_via_first_kind(
@@ -311,22 +356,17 @@ def check_lah_via_first_kind(
     """
     ks = tuple(ks)
     r = len(ks)
-    direct = [prob_multi_lah(ms, ks, n, order) for n in range(order + 1)]
+    direct = prob_multi_lah_series(ms, ks, order).egf_coeffs
+    second = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
 
     def corrected_pairs():
         for n in range(r, order + 1):
-            rhs = sum(
-                (
-                    prob_multi_stirling2(ms, ks, k, order) * stirling1(n, k)
-                    for k in range(r, n + 1)
-                ),
-                Fraction(0),
-            )
+            rhs = sum((second[k] * stirling1(n, k) for k in range(r, n + 1)), Fraction(0))
             yield n, direct[n], rhs
 
     def literal_pairs():
         for n in range(r, order + 1):
-            outer = prob_multi_stirling2(ms, ks, n, order)
+            outer = second[n]
             rhs = sum((outer * stirling1(n, k) for k in range(r, n + 1)), Fraction(0))
             yield n, direct[n], rhs
 
@@ -345,61 +385,104 @@ def check_lah_via_first_kind(
     return [corrected, literal]
 
 
+def _expansion_weights(b: Sequence[Fraction], r: int, order: int) -> tuple[Fraction, ...]:
+    """w_j = sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) b_m for j = 0..order-r
+    (zero below r)."""
+    w = [_ZERO] * max(order - r + 1, 0)
+    for j in range(r, order - r + 1):
+        acc = _ZERO
+        for m in range(j - r + 1):
+            if b[m]:
+                acc += _sign(j - m - r) * comb(j, m) * stirling2(j - m, r) * b[m]
+        w[j] = acc
+    return tuple(w)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+    r_fact = factorial(len(ks))
+    bern = multi_bernoulli_series(ks, order).egf_coeffs
+    return _expansion_weights([r_fact * b for b in bern], len(ks), order)
+
+
+@lru_cache(maxsize=None)
+def _single_index_expansion_weights(r: int, order: int) -> tuple[Fraction, ...]:
+    bern = bernoulli_higher_series(r, order).egf_coeffs
+    # (-1)^m B_m^(r) turns the sign (-1)^(j-m-r) into (-1)^(j-r)
+    return _expansion_weights([_sign(m) * b for m, b in enumerate(bern)], r, order)
+
+
+def _bernoulli_expansion_rhs(
+    ms: MomentSequence, ks: tuple[int, ...], order: int
+) -> list[Fraction]:
+    """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
+    w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
+    return _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
+
+
+def _single_index_expansion_rhs(ms: MomentSequence, r: int, order: int) -> list[Fraction]:
+    """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
+    w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r)."""
+    return _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
+
+
 def check_bernoulli_expansion(
     ms: MomentSequence, ks, order: int, dist: Optional[str] = None
 ) -> VerificationReport:
-    """{n; ks}_Y via the multi-Bernoulli expansion."""
+    """{n; ks}_Y via the multi-Bernoulli expansion
+
+        {n; ks}_Y = r! sum_{m} sum_{l=r}^{n-m} (-1)^(l-r) C(m+l, m) S(l, r)
+                    {n; m+l}_Y B_m(ks),
+
+    compared for n = r..order-r.  With j = m + l the weight of {n; j}_Y,
+
+        w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks),
+
+    does not depend on n (or on Y) and is formed once per index tuple, so
+    the right-hand side is sum_{j=r}^{n} w_j {n; j}_Y.
+    """
     ks = tuple(ks)
     r = len(ks)
-    r_fact = factorial(r)
-
-    def pairs():
-        for n in range(r, order - r + 1):
-            rhs = Fraction(0)
-            for m in range(n - r + 1):
-                bm = multi_bernoulli(ks, m, order)
-                if not bm:
-                    continue
-                for l in range(r, n - m + 1):
-                    rhs += (
-                        r_fact
-                        * _sign(l - r)
-                        * comb(m + l, m)
-                        * stirling2(l, r)
-                        * prob_stirling2(ms, n, m + l, order)
-                        * bm
-                    )
-            yield n, prob_multi_stirling2(ms, ks, n, order), rhs
-
-    return _report("bernoulli-expansion", order, _scan(pairs()), ks, dist)
+    lhs = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
+    rhs = _bernoulli_expansion_rhs(ms, ks, order)
+    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order - r + 1))
+    return _report("bernoulli-expansion", order, mismatch, ks, dist)
 
 
 def check_bernoulli_expansion_single_index(
     ms: MomentSequence, r: int, order: int, dist: Optional[str] = None
 ) -> VerificationReport:
     """The same expansion for the all-ones tuple of length ``r``, written with
-    higher-order Bernoulli numbers; it depends on ``r`` alone, not on ``ks``."""
+    higher-order Bernoulli numbers; it depends on ``r`` alone, not on ``ks``:
 
-    def pairs():
-        for n in range(r, order - r + 1):
-            rhs = Fraction(0)
-            for m in range(n - r + 1):
-                bm = bernoulli_higher(m, r, order)
-                if not bm:
-                    continue
-                for l in range(r, n - m + 1):
-                    rhs += (
-                        _sign(m + l - r)
-                        * comb(m + l, m)
-                        * stirling2(l, r)
-                        * prob_stirling2(ms, n, m + l, order)
-                        * bm
-                    )
-            yield n, prob_stirling2(ms, n, r, order), rhs
+        {n; r}_Y = sum_{j=r}^{n} w_j {n; j}_Y,
+        w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r),
 
-    return _report(
-        "bernoulli-expansion-single-index", order, _scan(pairs()), (1,) * r, dist
-    )
+    compared for n = r..order-r, with ``w_j`` formed once per ``r``.
+    """
+    lhs = prob_stirling2_series(ms, r, order).egf_coeffs
+    rhs = _single_index_expansion_rhs(ms, r, order)
+    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order - r + 1))
+    return _report("bernoulli-expansion-single-index", order, mismatch, (1,) * r, dist)
+
+
+def _fubini_sides(
+    ms: MomentSequence, ks: tuple[int, ...], order: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Both sides of the Fubini convolution for n = 0..order:
+    sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k)."""
+    r = len(ks)
+    lah_col = multi_lah_series(ks, order).egf_coeffs
+    lhs = _second_kind_sums(ms, [c if k >= r else _ZERO for k, c in enumerate(lah_col)], order)
+    second = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
+    fubini = prob_fubini_series(ms, r, 1, order).egf_coeffs
+    rhs = []
+    for n in range(order + 1):
+        acc = _ZERO
+        for k in range(r, n + 1):
+            acc += comb(n, k) * second[k] * fubini[n - k]
+        rhs.append(acc)
+    return lhs, rhs
 
 
 def check_fubini_convolution(
@@ -408,29 +491,9 @@ def check_fubini_convolution(
     """Second-kind numbers weighted by deterministic multi-Lah numbers equal
     binomial sums of multi second-kind numbers against Fubini values at 1."""
     ks = tuple(ks)
-    r = len(ks)
-
-    def pairs():
-        for n in range(r, order + 1):
-            lhs = sum(
-                (
-                    prob_stirling2(ms, n, k, order) * multi_lah(ks, k, order)
-                    for k in range(r, n + 1)
-                ),
-                Fraction(0),
-            )
-            rhs = sum(
-                (
-                    comb(n, k)
-                    * prob_multi_stirling2(ms, ks, k, order)
-                    * prob_fubini(ms, r, 1, n - k, order)
-                    for k in range(r, n + 1)
-                ),
-                Fraction(0),
-            )
-            yield n, lhs, rhs
-
-    return _report("fubini-convolution", order, _scan(pairs()), ks, dist)
+    lhs, rhs = _fubini_sides(ms, ks, order)
+    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(len(ks), order + 1))
+    return _report("fubini-convolution", order, mismatch, ks, dist)
 
 
 def check_route_agreement(

@@ -97,11 +97,12 @@ def multi_lah(ks, n: int, order: int | None = None) -> Fraction:
     return multi_lah_series(ks, order).egf_coeff(n)
 
 
-def _ms2_or_delta(ks: tuple[int, ...], n: int, order: int) -> Fraction:
-    """Multi-Stirling second kind extended to the empty tuple (delta at n = 0)."""
-    if not ks:
-        return Fraction(1 if n == 0 else 0)
-    return multi_stirling2(ks, n, order)
+def _prefix_column(family, prefix: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+    """EGF column ``family(prefix, order).egf_coeffs`` of a possibly empty
+    index prefix; the empty prefix gives the delta column (1, 0, ..., 0)."""
+    if not prefix:
+        return Series.one(order).egf_coeffs
+    return family(prefix, order).egf_coeffs
 
 
 def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
@@ -110,16 +111,13 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
         ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
     """
     prefix = tuple(ks_prefix)
-    if prefix:
-        prefix = index_tuple(prefix)
     full = prefix + (1,)
     r = len(full)
+    head = _prefix_column(multi_stirling2_series, prefix, order)
+    tail = multi_stirling2_series(full, order).egf_coeffs
     for n in range(order):
-        lhs = sum(
-            (comb(n, m) * _ms2_or_delta(prefix, m, order) for m in range(r - 1, n + 1)),
-            Fraction(0),
-        )
-        rhs = multi_stirling2(full, n + 1, order)
+        lhs = sum((comb(n, m) * head[m] for m in range(r - 1, n + 1)), Fraction(0))
+        rhs = tail[n + 1]
         if lhs != rhs:
             return VerificationReport(
                 identity="append-one-deterministic",

@@ -34,7 +34,8 @@ found so far share one denominator, each new one is reduced by a single
 gcd, and the shared denominator is rescaled only when it must grow.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are read
-off with :meth:`Series.egf_coeff` from a table built once per series;
+off with :meth:`Series.egf_coeff`, or all at once as
+:attr:`Series.egf_coeffs`, from a table built once per series;
 storage stays in ordinary form so that products and compositions need
 no factorial bookkeeping.
 
@@ -181,19 +182,29 @@ class Series:
         self._check_index(n)
         return self.coeffs[n]
 
-    def egf_coeff(self, n: int) -> Fraction:
-        """Exponential-generating-function coefficient ``n! * c_n``."""
-        self._check_index(n)
+    @property
+    def egf_coeffs(self) -> tuple[Fraction, ...]:
+        """Exponential-generating-function coefficients ``(0! c_0, ..., N! c_N)``."""
         table = self._egf
         if table is None:
             d = self._den
-            table = []
+            table = [_ZERO] * len(self._num)
             fact = 1
             for m, c in enumerate(self._num):
                 if m:
                     fact *= m
-                table.append(Fraction(c * fact, d) if c else _ZERO)
+                if c:
+                    table[m] = Fraction(c * fact, d)
             table = self._egf = tuple(table)
+        return table
+
+    def egf_coeff(self, n: int) -> Fraction:
+        """Exponential-generating-function coefficient ``n! * c_n``."""
+        self._check_index(n)
+        # the table commands call this once per entry: no extra call on a hit
+        table = self._egf
+        if table is None:
+            table = self.egf_coeffs
         return table[n]
 
     def _check_index(self, n: int) -> None:

@@ -1,14 +1,28 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (exhaustive enumeration or textbook
-recurrences) and shares no code with the library paths it checks.
+recurrences) and shares no code with the library paths it checks.  The
+literal identity sums at the end are the one exception: they read each
+number through the library's per-entry functions and check only how the
+identity checks sum those numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
+
+from multinumbers import (
+    bernoulli_higher,
+    multi_bernoulli,
+    multi_lah,
+    multi_stirling1,
+    prob_fubini,
+    prob_multi_stirling2,
+    prob_stirling2,
+    stirling2,
+)
 
 
 def set_partitions(elements: list):
@@ -94,8 +108,6 @@ def bernoulli_numbers(count: int) -> list[Fraction]:
 
 def bernoulli_higher_oracle(n_max: int, r: int) -> list[Fraction]:
     """EGF coefficients of (t/(e^t-1))^r by plain list convolution."""
-    from math import factorial
-
     base = [b / factorial(n) for n, b in enumerate(bernoulli_numbers(n_max + 1))]
     acc = [Fraction(0)] * (n_max + 1)
     acc[0] = Fraction(1)
@@ -174,3 +186,99 @@ def series_inverse(a: list[Fraction]) -> list[Fraction]:
                 acc += a[j] * b[n - j]
         b[n] = -acc / a[0]
     return b
+
+
+# ---------------------------------------------------------------- literal identity sums
+# The sums of the identity checks exactly as the identities are written,
+# one entry at a time: O(N^3) per cell, kept to test the hoisted O(N^2) forms.
+
+
+def _sign(e: int) -> int:
+    return 1 if e % 2 == 0 else -1
+
+
+def first_kind_inversion_sum(ms, ks, order: int) -> list[Fraction]:
+    """sum_{l=r}^{n} sum_{m=r}^{l} (-1)^(l-m) S(l, m) {n; l}_Y [m; ks], n = 0..order."""
+    r = len(ks)
+    out = []
+    for n in range(order + 1):
+        rhs = Fraction(0)
+        for l in range(r, n + 1):
+            for m in range(r, l + 1):
+                rhs += (
+                    _sign(l - m)
+                    * stirling2(l, m)
+                    * prob_stirling2(ms, n, l, order)
+                    * multi_stirling1(ks, m, order)
+                )
+        out.append(rhs)
+    return out
+
+
+def bernoulli_expansion_sum(ms, ks, order: int) -> list[Fraction]:
+    """r! sum_m sum_{l=r}^{n-m} (-1)^(l-r) C(m+l, m) S(l, r) {n; m+l}_Y B_m(ks),
+    n = 0..order-r."""
+    r = len(ks)
+    out = []
+    for n in range(order - r + 1):
+        rhs = Fraction(0)
+        for m in range(n - r + 1):
+            for l in range(r, n - m + 1):
+                rhs += (
+                    factorial(r)
+                    * _sign(l - r)
+                    * comb(m + l, m)
+                    * stirling2(l, r)
+                    * prob_stirling2(ms, n, m + l, order)
+                    * multi_bernoulli(ks, m, order)
+                )
+        out.append(rhs)
+    return out
+
+
+def bernoulli_expansion_single_index_sum(ms, r: int, order: int) -> list[Fraction]:
+    """sum_m sum_{l=r}^{n-m} (-1)^(m+l-r) C(m+l, m) S(l, r) {n; m+l}_Y B_m^(r),
+    n = 0..order-r."""
+    out = []
+    for n in range(order - r + 1):
+        rhs = Fraction(0)
+        for m in range(n - r + 1):
+            for l in range(r, n - m + 1):
+                rhs += (
+                    _sign(m + l - r)
+                    * comb(m + l, m)
+                    * stirling2(l, r)
+                    * prob_stirling2(ms, n, m + l, order)
+                    * bernoulli_higher(m, r, order)
+                )
+        out.append(rhs)
+    return out
+
+
+def fubini_sums(ms, ks, order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k),
+    n = 0..order."""
+    r = len(ks)
+    lhs, rhs = [], []
+    for n in range(order + 1):
+        lhs.append(
+            sum(
+                (
+                    prob_stirling2(ms, n, k, order) * multi_lah(ks, k, order)
+                    for k in range(r, n + 1)
+                ),
+                Fraction(0),
+            )
+        )
+        rhs.append(
+            sum(
+                (
+                    comb(n, k)
+                    * prob_multi_stirling2(ms, ks, k, order)
+                    * prob_fubini(ms, r, 1, n - k, order)
+                    for k in range(r, n + 1)
+                ),
+                Fraction(0),
+            )
+        )
+    return lhs, rhs

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -263,3 +264,27 @@ def test_verify_exit_1_on_unexpected_failure(capsys, monkeypatch):
     assert code == 1
     assert json_lines(out)[0]["status"] == "fail"
     assert "1 fail" in err
+
+
+# sha256 of the report stream of `verify` as first recorded; the identity
+# checks may be rewritten for speed, but not one byte of what they print may move.
+PINNED_VERIFY_BYTES = [
+    (
+        ("verify", "--order", "8"),
+        "2ce870c23e74da28ddc4361978956b38a4ea776802c08622323417d96f5d6817",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--list-identities"),
+        "b81f37cb992b80ad15ff0860f6f0df749b4c375b01cf82d53e3256d1a68fdec1",
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,stdout_sha256,stderr", PINNED_VERIFY_BYTES, ids=lambda v: str(v))
+def test_verify_output_bytes_are_pinned(capsys, argv, stdout_sha256, stderr):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    assert err == stderr

@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from multinumbers import identities
 from multinumbers.identities import (
     ALL_IDENTITIES,
+    _bernoulli_expansion_rhs,
+    _first_kind_inversion_rhs,
+    _fubini_sides,
+    _single_index_expansion_rhs,
     check_append_one,
     check_bernoulli_convolution,
     check_bernoulli_expansion,
@@ -17,6 +22,13 @@ from multinumbers.identities import (
     run_full_suite,
 )
 from multinumbers.moments import bernoulli, finite, moments, point, poisson
+from multinumbers.series import Series
+from oracles import (
+    bernoulli_expansion_single_index_sum,
+    bernoulli_expansion_sum,
+    first_kind_inversion_sum,
+    fubini_sums,
+)
 
 F = Fraction
 
@@ -159,3 +171,80 @@ def test_default_grid_shape():
 def test_all_identities_are_covered_by_default_run():
     reports = run_full_suite(order=6)
     assert {r.identity for r in reports} == set(ALL_IDENTITIES)
+
+
+# ---------------------------------------------------------------- hoisted sums
+
+ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
+
+
+@pytest.mark.parametrize("spec,ks", ORACLE_CELLS, ids=lambda v: str(v))
+def test_hoisted_sums_match_literal_triple_sums(spec, ks):
+    ms = moments(spec, 10)
+    r = len(ks)
+    assert _first_kind_inversion_rhs(ms, ks, 10) == first_kind_inversion_sum(ms, ks, 10)
+    assert _bernoulli_expansion_rhs(ms, ks, 10) == bernoulli_expansion_sum(ms, ks, 10)
+    assert _single_index_expansion_rhs(ms, r, 10) == bernoulli_expansion_single_index_sum(
+        ms, r, 10
+    )
+    assert _fubini_sides(ms, ks, 10) == fubini_sums(ms, ks, 10)
+
+
+def clear_identity_caches():
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.fixture
+def perturb(monkeypatch):
+    """Replace a column source of the checks by a perturbed one; the sums the
+    checks cache per tuple are dropped on the way in and on the way out."""
+
+    def apply(name, m):
+        clear_identity_caches()
+        monkeypatch.setattr(identities, name, bumped(getattr(identities, name), m))
+
+    yield apply
+    clear_identity_caches()
+
+
+def bumped(source, m):
+    """``source`` with ordinary coefficient ``m`` of the series it returns raised by 1."""
+
+    def perturbed(*args):
+        s = source(*args)
+        return Series([c + 1 if i == m else c for i, c in enumerate(s.coeffs)])
+
+    return perturbed
+
+
+# (check, column source it reads, coefficient raised, first n the change
+# reaches); at Y = poisson(1) every {n; n}_Y = mu_1^n is 1, so a change to
+# the weight of {n; j}_Y shows first at n = j, and a change to the Fubini
+# value F_j first at n = j + r.
+PERTURBATIONS = [
+    (lambda ms: check_first_kind_inversion(ms, (1, 2), 10), "multilog", 4, 4),
+    (lambda ms: check_bernoulli_expansion(ms, (1, 2), 10), "multi_bernoulli_series", 1, 3),
+    (
+        lambda ms: check_bernoulli_expansion_single_index(ms, 2, 10),
+        "bernoulli_higher_series",
+        1,
+        3,
+    ),
+    (lambda ms: check_bernoulli_convolution(ms, (1, 2), 10), "multi_bernoulli_series", 3, 3),
+    (lambda ms: check_fubini_convolution(ms, (1, 2), 10), "multi_lah_series", 4, 4),
+    (lambda ms: check_fubini_convolution(ms, (1, 2), 10), "prob_fubini_series", 2, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "check,source,m,first_n", PERTURBATIONS, ids=[f"{p[1]}-{p[2]}" for p in PERTURBATIONS]
+)
+def test_perturbed_column_fails_at_first_reached_n(perturb, check, source, m, first_n):
+    ms = moments(poisson(1), 10)
+    assert check(ms).status == "pass"
+    perturb(source, m)
+    report = check(ms)
+    assert report.status == "fail"
+    assert report.first_mismatch.n == first_n

@@ -230,6 +230,27 @@ def test_egf_two_block_partitions():
         assert blocks2.egf_coeff(m) == stirling2_count(m, 2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Series.zero(5),
+        lambda: Series.one(0),
+        lambda: series(F(-3, 2), -1, F(-7, 5), 0, -2),
+        lambda: (exp_t(6) - 1) ** 2 * F(1, 2),
+    ],
+    ids=["zero", "order-0", "negative", "product"],
+)
+@pytest.mark.parametrize("table_first", [True, False], ids=["table-first", "entry-first"])
+def test_egf_coeffs_is_the_whole_egf_table(make, table_first):
+    s = make()
+    if not table_first:
+        s.egf_coeff(s.order)
+    table = s.egf_coeffs
+    assert table == tuple(s.egf_coeff(n) for n in range(s.order + 1))
+    assert all(type(c) is Fraction for c in table)
+    assert s.egf_coeffs is table
+
+
 # ---------------------------------------------------------------- properties
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -326,6 +347,7 @@ def assert_kernel_result(got, expected):
     for n, c in enumerate(expected):
         assert type(got.coeff(n)) is Fraction and got.coeff(n) == c
         assert type(got.egf_coeff(n)) is Fraction and got.egf_coeff(n) == factorial(n) * c
+    assert got.egf_coeffs == tuple(factorial(n) * c for n, c in enumerate(expected))
 
 
 # Orders 0-3 are the block-size edges of the baby-step/giant-step compose:
