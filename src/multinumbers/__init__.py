@@ -7,13 +7,7 @@ mechanical verifier for the identities connecting them.
 """
 
 from .series import Series, exp_t, geometric, neg_log1m, one_minus_exp_neg_t
-from .multilog import (
-    check_derivative_rules,
-    index_tuple,
-    multi_stirling1,
-    multilog,
-    multilog_coefficient,
-)
+from .multilog import index_tuple, multi_stirling1, multilog, multilog_coefficient
 from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
     DistributionSpec,
@@ -32,7 +26,6 @@ from .moments import (
     sum_power_moment,
 )
 from .multi import (
-    check_append_one_deterministic,
     li_argument,
     multi_bernoulli,
     multi_bernoulli_series,
@@ -57,7 +50,9 @@ from .probabilistic import (
 from .report import Mismatch, VerificationReport
 from .identities import (
     ALL_IDENTITIES,
-    IDENTITY_DESCRIPTIONS,
+    IDENTITIES,
+    check_append_one_deterministic,
+    check_derivative_rules,
     default_grid,
     run_full_suite,
 )
@@ -116,7 +111,7 @@ __all__ = [
     "Mismatch",
     "VerificationReport",
     "ALL_IDENTITIES",
-    "IDENTITY_DESCRIPTIONS",
+    "IDENTITIES",
     "default_grid",
     "run_full_suite",
 ]

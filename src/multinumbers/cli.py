@@ -16,59 +16,89 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .classical import bernoulli_higher, lah, stirling1, stirling2
-from .identities import ALL_IDENTITIES, IDENTITY_DESCRIPTIONS, run_full_suite
-from .moments import DistributionSpec, moments, parse_distribution
-from .multi import multi_bernoulli, multi_lah, multi_stirling2
-from .multilog import multi_stirling1, multilog
+from .classical import bernoulli_higher_series, lah, stirling1, stirling2
+from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
+from .moments import moments, parse_distribution
+from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
+from .multilog import multilog
 from .probabilistic import (
-    prob_fubini,
-    prob_lah,
-    prob_multi_lah,
-    prob_multi_stirling2,
-    prob_stirling2,
+    prob_fubini_series,
+    prob_lah_series,
+    prob_multi_lah_series,
+    prob_multi_stirling2_series,
+    prob_stirling2_series,
 )
-from .report import FAIL, VerificationReport
+from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
 
 ORDER_CAP = 64
 
-FAMILIES = (
-    "multilog",
-    "multi-stirling1",
-    "multi-stirling2",
-    "multi-bernoulli",
-    "multi-lah",
-    "stirling1",
-    "stirling2",
-    "lah",
-    "bernoulli-higher",
-    "prob-stirling2",
-    "prob-multi-stirling2",
-    "prob-lah",
-    "prob-multi-lah",
-    "prob-fubini",
-)
 
-_NEEDS_KS = {
-    "multilog",
-    "multi-stirling1",
-    "multi-stirling2",
-    "multi-bernoulli",
-    "multi-lah",
-    "prob-multi-stirling2",
-    "prob-multi-lah",
+class Family(NamedTuple):
+    """One ``table`` family.
+
+    ``inputs`` names the flags it requires, in the order they are checked
+    (ks, dist, r, y).  ``values`` maps the parsed inputs and the order to
+    the whole column of values for n = 0..order or, for a ``two_index``
+    family, to one such column per k = 0..order.
+    """
+
+    inputs: tuple[str, ...]
+    values: Callable[[SimpleNamespace, int], Sequence]
+    two_index: bool = False
+
+
+def _triangle(entry, order: int) -> list[list[int]]:
+    return [[entry(n, k) for n in range(order + 1)] for k in range(order + 1)]
+
+
+def _power_columns(series, ms, order: int) -> list[tuple[Fraction, ...]]:
+    return [series(ms, k, order).egf_coeffs for k in range(order + 1)]
+
+
+FAMILIES: dict[str, Family] = {
+    "multilog": Family(("ks",), lambda a, order: multilog(a.ks, order).coeffs),
+    "multi-stirling1": Family(("ks",), lambda a, order: multilog(a.ks, order).egf_coeffs),
+    "multi-stirling2": Family(
+        ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_coeffs
+    ),
+    "multi-bernoulli": Family(
+        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_coeffs
+    ),
+    "multi-lah": Family(("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs),
+    "stirling1": Family((), lambda a, order: _triangle(stirling1, order), two_index=True),
+    "stirling2": Family((), lambda a, order: _triangle(stirling2, order), two_index=True),
+    "lah": Family((), lambda a, order: _triangle(lah, order), two_index=True),
+    "bernoulli-higher": Family(
+        ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs
+    ),
+    "prob-stirling2": Family(
+        ("dist",),
+        lambda a, order: _power_columns(prob_stirling2_series, a.ms, order),
+        two_index=True,
+    ),
+    "prob-multi-stirling2": Family(
+        ("ks", "dist"),
+        lambda a, order: prob_multi_stirling2_series(a.ms, a.ks, order).egf_coeffs,
+    ),
+    "prob-lah": Family(
+        ("dist",),
+        lambda a, order: _power_columns(prob_lah_series, a.ms, order),
+        two_index=True,
+    ),
+    "prob-multi-lah": Family(
+        ("ks", "dist"),
+        lambda a, order: prob_multi_lah_series(a.ms, a.ks, order).egf_coeffs,
+    ),
+    "prob-fubini": Family(
+        ("dist", "r", "y"),
+        lambda a, order: prob_fubini_series(a.ms, a.r, a.y, order).egf_coeffs,
+    ),
 }
-_NEEDS_DIST = {
-    "prob-stirling2",
-    "prob-multi-stirling2",
-    "prob-lah",
-    "prob-multi-lah",
-    "prob-fubini",
-}
-_TWO_INDEX = {"stirling1", "stirling2", "lah", "prob-stirling2", "prob-lah"}
 
 
 class UsageError(Exception):
@@ -102,100 +132,55 @@ def _check_order_flag(order: int, force: bool) -> int:
     return order
 
 
-def _table_records(args) -> Iterator[dict]:
-    family = args.family
+def _table_inputs(name: str, inputs: tuple[str, ...], args) -> SimpleNamespace:
+    """Parse the flags a family requires; the others are ignored."""
+    a = SimpleNamespace(ks=None, spec=None, ms=None, r=None, y=None)
+    for flag in inputs:
+        given = getattr(args, flag)
+        if given is None:
+            raise UsageError(f"family {name} requires --{flag}")
+        if flag == "ks":
+            a.ks = _parse_ks(given)
+        elif flag == "dist":
+            try:
+                a.spec = parse_distribution(given)
+                a.ms = moments(a.spec, args.order)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+        elif flag == "r":
+            if given < 1:
+                raise UsageError("--r must be a positive integer")
+            a.r = given
+        else:
+            a.y = _parse_rational(given, "--y")
+    return a
+
+
+def _table_records(args) -> list[dict]:
+    family = FAMILIES[args.family]
+    a = _table_inputs(args.family, family.inputs, args)
     order = args.order
-    ks: Optional[tuple[int, ...]] = None
-    spec: Optional[DistributionSpec] = None
-    ms = None
-
-    if family in _NEEDS_KS:
-        if args.ks is None:
-            raise UsageError(f"family {family} requires --ks")
-        ks = _parse_ks(args.ks)
-    if family in _NEEDS_DIST:
-        if args.dist is None:
-            raise UsageError(f"family {family} requires --dist")
-        try:
-            spec = parse_distribution(args.dist)
-            ms = moments(spec, order)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if family == "bernoulli-higher" or family == "prob-fubini":
-        if args.r is None:
-            raise UsageError(f"family {family} requires --r")
-        if args.r < 1:
-            raise UsageError("--r must be a positive integer")
-    y = None
-    if family == "prob-fubini":
-        if args.y is None:
-            raise UsageError("family prob-fubini requires --y")
-        y = _parse_rational(args.y, "--y")
-
-    ks_field = list(ks) if ks is not None else None
-    dist_field = spec.label if spec is not None else None
-
-    def record(n: int, k: Optional[int], value: Fraction) -> dict:
-        return {
-            "family": family,
-            "ks": ks_field,
-            "dist": dist_field,
-            "n": n,
-            "k": k,
-            "value": str(value),
-        }
-
+    ks_field = list(a.ks) if a.ks is not None else None
+    dist_field = a.spec.label if a.spec is not None else None
     try:
-        if family == "multilog":
-            series = multilog(ks, order)
-            for n in range(order + 1):
-                yield record(n, None, series.coeff(n))
-        elif family == "multi-stirling1":
-            for n in range(order + 1):
-                yield record(n, None, multi_stirling1(ks, n, order))
-        elif family == "multi-stirling2":
-            for n in range(order + 1):
-                yield record(n, None, multi_stirling2(ks, n, order))
-        elif family == "multi-bernoulli":
-            for n in range(order + 1):
-                yield record(n, None, multi_bernoulli(ks, n, order))
-        elif family == "multi-lah":
-            for n in range(order + 1):
-                yield record(n, None, multi_lah(ks, n, order))
-        elif family == "bernoulli-higher":
-            for n in range(order + 1):
-                yield record(n, None, bernoulli_higher(n, args.r, order))
-        elif family == "stirling1":
-            for n in range(order + 1):
-                for k in range(n + 1):
-                    yield record(n, k, Fraction(stirling1(n, k)))
-        elif family == "stirling2":
-            for n in range(order + 1):
-                for k in range(n + 1):
-                    yield record(n, k, Fraction(stirling2(n, k)))
-        elif family == "lah":
-            for n in range(order + 1):
-                for k in range(n + 1):
-                    yield record(n, k, Fraction(lah(n, k)))
-        elif family == "prob-stirling2":
-            for n in range(order + 1):
-                for k in range(n + 1):
-                    yield record(n, k, prob_stirling2(ms, n, k, order))
-        elif family == "prob-lah":
-            for n in range(order + 1):
-                for k in range(n + 1):
-                    yield record(n, k, prob_lah(ms, n, k, order))
-        elif family == "prob-multi-stirling2":
-            for n in range(order + 1):
-                yield record(n, None, prob_multi_stirling2(ms, ks, n, order))
-        elif family == "prob-multi-lah":
-            for n in range(order + 1):
-                yield record(n, None, prob_multi_lah(ms, ks, n, order))
-        elif family == "prob-fubini":
-            for n in range(order + 1):
-                yield record(n, None, prob_fubini(ms, args.r, y, n, order))
-        else:  # pragma: no cover - argparse choices forbid this
-            raise UsageError(f"unknown family {family!r}")
+        values = family.values(a, order)
+        if family.two_index:
+            cells = [(n, k, values[k][n]) for n in range(order + 1) for k in range(n + 1)]
+        else:
+            cells = [(n, None, value) for n, value in enumerate(values)]
+        # str() inside the guard: a value past the int-to-str digit limit
+        # is a usage error, not a traceback
+        return [
+            {
+                "family": args.family,
+                "ks": ks_field,
+                "dist": dist_field,
+                "n": n,
+                "k": k,
+                "value": str(value),
+            }
+            for n, k, value in cells
+        ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -271,7 +256,7 @@ def _load_grid(path: str):
 
 def _cmd_table(args) -> int:
     _check_order_flag(args.order, args.force_order)
-    records = list(_table_records(args))
+    records = _table_records(args)
     _emit_records(records, args.format, sys.stdout)
     return 0
 
@@ -295,16 +280,12 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.writelines(lines)
-    counts = {"pass": 0, "fail": 0, "skipped": 0, "expected-discrepancy": 0}
-    for rep in reports:
-        counts[rep.status] += 1
+    counts = Counter(rep.status for rep in reports)
     sys.stderr.write(
-        "verify: {pass} pass, {fail} fail, {skipped} skipped, "
-        "{expected} expected-discrepancy\n".format(
-            expected=counts["expected-discrepancy"], **{k: counts[k] for k in ("pass", "fail", "skipped")}
-        )
+        f"verify: {counts[PASS]} pass, {counts[FAIL]} fail, {counts[SKIPPED]} skipped, "
+        f"{counts[EXPECTED_DISCREPANCY]} expected-discrepancy\n"
     )
-    return 1 if any(rep.status == FAIL for rep in reports) else 0
+    return 1 if counts[FAIL] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,8 +331,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "list_identities", False):
-            for name in ALL_IDENTITIES:
-                sys.stdout.write(f"{name}\t{IDENTITY_DESCRIPTIONS[name]}\n")
+            for entry in IDENTITIES:
+                sys.stdout.write(f"{entry.id}\t{entry.description}\n")
             return 0
         return args.func(args)
     except UsageError as exc:

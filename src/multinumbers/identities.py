@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
@@ -40,15 +40,14 @@ from .moments import (
     poisson,
 )
 from .multi import (
-    _prefix_column,
-    check_append_one_deterministic,
     multi_bernoulli,
     multi_bernoulli_series,
     multi_lah,
     multi_lah_series,
     multi_stirling2,
+    multi_stirling2_series,
 )
-from .multilog import check_derivative_rules, multi_stirling1, multilog
+from .multilog import index_tuple, multi_stirling1, multilog
 from .probabilistic import (
     _mgf_argument,
     prob_fubini_series,
@@ -69,13 +68,16 @@ from .report import (
     Mismatch,
     VerificationReport,
 )
-from .series import neg_log1m
+from .series import Series, geometric, neg_log1m
 
 __all__ = [
     "ALL_IDENTITIES",
-    "IDENTITY_DESCRIPTIONS",
+    "IDENTITIES",
+    "Identity",
     "default_grid",
     "run_full_suite",
+    "check_derivative_rules",
+    "check_append_one_deterministic",
     "check_append_one",
     "check_bernoulli_convolution",
     "check_first_kind_inversion",
@@ -89,33 +91,6 @@ __all__ = [
     "check_point_mass_collapse_classical",
     "check_point_mass_collapse_multi",
 ]
-
-IDENTITY_DESCRIPTIONS: dict[str, str] = {
-    "derivative-rules": "derivative of the multiple logarithm against its two recurrences",
-    "append-one-deterministic": "appending a trailing 1 to a deterministic index tuple",
-    "append-one": "appending a trailing 1, moment-weighted probabilistic form",
-    "bernoulli-convolution": "multi-Bernoulli/second-kind convolution equals the divided series",
-    "first-kind-inversion": "probabilistic multi second kind via first-kind inversion",
-    "lah-via-first-kind-corrected": "probabilistic multi-Lah as sum of {k; ks}_Y [n; k]",
-    "lah-via-first-kind-literal": "same sum with the outer index fixed at n (known mismatch)",
-    "bernoulli-expansion": "probabilistic multi second kind via multi-Bernoulli expansion",
-    "bernoulli-expansion-single-index": "same expansion with higher-order Bernoulli numbers",
-    "fubini-convolution": "Lah-weighted sums against Fubini-weighted binomial sums",
-    "second-kind-route-agreement": "EGF route versus inclusion-exclusion moment route",
-    "all-ones-multilog": "all-ones multiple logarithm equals (-log(1-t))^r / r!",
-    "all-ones-first-kind": "all-ones multi first kind equals Stirling first kind",
-    "all-ones-second-kind": "all-ones multi second kind equals Stirling second kind",
-    "all-ones-lah": "all-ones multi-Lah equals unsigned Lah",
-    "all-ones-bernoulli": "all-ones multi-Bernoulli equals signed higher-order Bernoulli / r!",
-    "all-ones-prob-second-kind": "all-ones probabilistic multi second kind collapses",
-    "all-ones-prob-lah": "all-ones probabilistic multi-Lah collapses",
-    "point-mass-collapse-second-kind": "Y = point(1) second kind equals classical",
-    "point-mass-collapse-lah": "Y = point(1) Lah equals classical",
-    "point-mass-collapse-multi-second-kind": "Y = point(1) multi second kind equals deterministic",
-    "point-mass-collapse-multi-lah": "Y = point(1) multi-Lah versus deterministic (known mismatch)",
-}
-
-ALL_IDENTITIES: tuple[str, ...] = tuple(IDENTITY_DESCRIPTIONS)
 
 _ZERO = Fraction(0)
 
@@ -163,11 +138,12 @@ def _report(
     ks: Optional[tuple[int, ...]] = None,
     dist: Optional[str] = None,
     detail: str = "",
-    expected: bool = False,
 ) -> VerificationReport:
+    """A pass, or the mismatch as a failure or, for an identity the registry
+    flags ``expected``, as an expected discrepancy."""
     if mismatch is None:
         return VerificationReport(identity=identity, order=order, ks=ks, dist=dist, status=PASS)
-    status = EXPECTED_DISCREPANCY if expected else FAIL
+    status = EXPECTED_DISCREPANCY if _REGISTRY[identity].expected else FAIL
     return VerificationReport(
         identity=identity,
         order=order,
@@ -177,6 +153,55 @@ def _report(
         first_mismatch=mismatch,
         detail=detail,
     )
+
+
+def check_derivative_rules(ks, order: int) -> VerificationReport:
+    """The two derivative recurrences of the multiple logarithm.
+
+    Always: d/dt Li_{k_1,...,k_r}(t) = (1/t) Li_{k_1,...,k_r - 1}(t).
+    When k_r = 1: d/dt Li_{k_1,...,k_{r-1},1}(t) = Li_{k_1,...,k_{r-1}}(t)/(1-t),
+    with the empty prefix read as the constant series 1.
+    Both are compared coefficientwise up to order - 1.
+    """
+    ks = index_tuple(ks)
+    if order < 1:
+        raise ValueError("derivative checks need order >= 1")
+    lhs = multilog(ks, order).derivative().coeffs
+    lowered = ks[:-1] + (ks[-1] - 1,)
+    shifted = multilog(lowered, order).divide(Series.t(order), 1).coeffs
+    mismatch = _scan((n, lhs[n], shifted[n]) for n in range(order))
+    if mismatch is not None or ks[-1] != 1:
+        return _report("derivative-rules", order, mismatch, ks, detail="index-lowering rule")
+
+    prefix = ks[:-1]
+    tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
+    rhs = (geometric(order - 1) * tail).coeffs
+    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(order))
+    detail = "prefix rule at trailing index 1"
+    return _report("derivative-rules", order, mismatch, ks, detail=detail)
+
+
+def _prefix_column(family, prefix: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+    """EGF column ``family(prefix, order).egf_coeffs`` of a possibly empty
+    index prefix; the empty prefix gives the delta column (1, 0, ..., 0)."""
+    if not prefix:
+        return Series.one(order).egf_coeffs
+    return family(prefix, order).egf_coeffs
+
+
+def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
+    """Appending a trailing index 1 is binomial summation over the prefix family:
+
+        ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
+    """
+    prefix = tuple(ks_prefix)
+    head = _prefix_column(multi_stirling2_series, prefix, order)
+    tail = multi_stirling2_series(prefix + (1,), order).egf_coeffs
+    mismatch = _scan(
+        (n, sum((comb(n, m) * head[m] for m in range(len(prefix), n + 1)), _ZERO), tail[n + 1])
+        for n in range(order)
+    )
+    return _report("append-one-deterministic", order, mismatch, prefix)
 
 
 @lru_cache(maxsize=None)
@@ -268,10 +293,8 @@ def check_append_one(
         return _report("append-one", order, mismatch, prefix, dist, detail="single-index form")
 
     mismatch = _append_one_classical(r, order)
-    return _report(
-        "append-one", order, mismatch, prefix, dist,
-        detail="" if mismatch is None else "single-index classical form",
-    )
+    detail = "single-index classical form"
+    return _report("append-one", order, mismatch, prefix, dist, detail=detail)
 
 
 def check_bernoulli_convolution(
@@ -294,10 +317,12 @@ def check_bernoulli_convolution(
             status=SKIPPED,
             detail="first moment is zero; the divided series has no valuation r",
         )
+    top = order - r
+    if top < 0:  # no n to compare, and h**r has no valuation r below order r
+        return _report("bernoulli-convolution", order, None, ks, dist)
     h = _mgf_argument(ms, order)
     ratio = multilog(ks, order).compose(h).divide(h**r, r).egf_coeffs
-    top = order - r
-    bern = multi_bernoulli_series(ks, order).egf_coeffs[: max(top + 1, 0)]
+    bern = multi_bernoulli_series(ks, order).egf_coeffs[: top + 1]
     lhs = _second_kind_sums(ms, bern, order)
     mismatch = _scan((n, lhs[n], ratio[n]) for n in range(top + 1))
     return _report("bernoulli-convolution", order, mismatch, ks, dist)
@@ -380,7 +405,6 @@ def check_lah_via_first_kind(
         ks,
         dist,
         detail="summand uses the outer index; the corrected variant matches the series",
-        expected=True,
     )
     return [corrected, literal]
 
@@ -624,9 +648,84 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
             ks,
             label,
             detail="collapse holds only for all-ones index tuples",
-            expected=True,
         ),
     ]
+
+
+class Identity(NamedTuple):
+    """One entry of the identity catalogue.
+
+    ``check`` names the module-level function that produces the report; it
+    is looked up when the suite runs, so a wrapper installed on the module
+    attribute (a profiler or tracer) sees every call.  One check may produce
+    several identities; it then runs once per item of its ``scope`` for all
+    of them.  ``expected`` marks a comparison that is known to disagree.
+
+    Scopes: ``tuple`` (each grid index tuple), ``r`` (each tuple length),
+    ``global`` (once), ``distribution`` (each grid distribution),
+    ``distribution-r`` (each grid distribution with each tuple length),
+    ``cell-r`` (the (distribution, tuple length) pairs of grid cells) and
+    ``cell`` (each grid cell).
+    """
+
+    id: str
+    scope: str
+    check: str
+    description: str
+    expected: bool = False
+
+
+# id, scope, check, description[, expected]
+IDENTITIES: tuple[Identity, ...] = tuple(Identity(*row) for row in (
+    ("derivative-rules", "tuple", "check_derivative_rules",
+     "derivative of the multiple logarithm against its two recurrences"),
+    ("append-one-deterministic", "tuple", "check_append_one_deterministic",
+     "appending a trailing 1 to a deterministic index tuple"),
+    ("append-one", "cell", "check_append_one",
+     "appending a trailing 1, moment-weighted probabilistic form"),
+    ("bernoulli-convolution", "cell", "check_bernoulli_convolution",
+     "multi-Bernoulli/second-kind convolution equals the divided series"),
+    ("first-kind-inversion", "cell", "check_first_kind_inversion",
+     "probabilistic multi second kind via first-kind inversion"),
+    ("lah-via-first-kind-corrected", "cell", "check_lah_via_first_kind",
+     "probabilistic multi-Lah as sum of {k; ks}_Y [n; k]"),
+    ("lah-via-first-kind-literal", "cell", "check_lah_via_first_kind",
+     "same sum with the outer index fixed at n (known mismatch)", True),
+    ("bernoulli-expansion", "cell", "check_bernoulli_expansion",
+     "probabilistic multi second kind via multi-Bernoulli expansion"),
+    ("bernoulli-expansion-single-index", "cell-r", "check_bernoulli_expansion_single_index",
+     "same expansion with higher-order Bernoulli numbers"),
+    ("fubini-convolution", "cell", "check_fubini_convolution",
+     "Lah-weighted sums against Fubini-weighted binomial sums"),
+    ("second-kind-route-agreement", "distribution", "check_route_agreement",
+     "EGF route versus inclusion-exclusion moment route"),
+    ("all-ones-multilog", "r", "check_all_ones_deterministic",
+     "all-ones multiple logarithm equals (-log(1-t))^r / r!"),
+    ("all-ones-first-kind", "r", "check_all_ones_deterministic",
+     "all-ones multi first kind equals Stirling first kind"),
+    ("all-ones-second-kind", "r", "check_all_ones_deterministic",
+     "all-ones multi second kind equals Stirling second kind"),
+    ("all-ones-lah", "r", "check_all_ones_deterministic",
+     "all-ones multi-Lah equals unsigned Lah"),
+    ("all-ones-bernoulli", "r", "check_all_ones_deterministic",
+     "all-ones multi-Bernoulli equals signed higher-order Bernoulli / r!"),
+    ("all-ones-prob-second-kind", "distribution-r", "check_all_ones_probabilistic",
+     "all-ones probabilistic multi second kind collapses"),
+    ("all-ones-prob-lah", "distribution-r", "check_all_ones_probabilistic",
+     "all-ones probabilistic multi-Lah collapses"),
+    ("point-mass-collapse-second-kind", "global", "check_point_mass_collapse_classical",
+     "Y = point(1) second kind equals classical"),
+    ("point-mass-collapse-lah", "global", "check_point_mass_collapse_classical",
+     "Y = point(1) Lah equals classical"),
+    ("point-mass-collapse-multi-second-kind", "tuple", "check_point_mass_collapse_multi",
+     "Y = point(1) multi second kind equals deterministic"),
+    ("point-mass-collapse-multi-lah", "tuple", "check_point_mass_collapse_multi",
+     "Y = point(1) multi-Lah versus deterministic (known mismatch)", True),
+))
+
+_REGISTRY = {entry.id: entry for entry in IDENTITIES}
+
+ALL_IDENTITIES: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def run_full_suite(
@@ -651,83 +750,38 @@ def run_full_suite(
         if unknown:
             raise ValueError(f"unknown identities: {sorted(unknown)}")
 
-    cells = [(spec, tuple(ks)) for spec, ks in grid]
+    cells = list(dict.fromkeys((spec, tuple(ks)) for spec, ks in grid))
     reports: list[VerificationReport] = []
     if not cells:
         return reports
+    tuples = list(dict.fromkeys(ks for _, ks in cells))
+    dists = list(dict.fromkeys(spec for spec, _ in cells))
+    rs = sorted({len(ks) for ks in tuples})
+    # the argument tuples a check of each scope is called with, built once
+    scopes = {
+        "tuple": lambda: [(ks, order) for ks in tuples],
+        "r": lambda: [(r, order) for r in rs],
+        "global": lambda: [(order,)],
+        "distribution": lambda: [(moments(s, order), order, s.label) for s in dists],
+        "distribution-r": lambda: [
+            (moments(s, order), r, order, s.label) for s in dists for r in rs
+        ],
+        "cell-r": lambda: [
+            (moments(s, order), r, order, s.label)
+            for s, r in dict.fromkeys((s, len(ks)) for s, ks in cells)
+        ],
+        "cell": lambda: [(moments(s, order), ks, order, s.label) for s, ks in cells],
+    }
 
-    seen_keys: set[tuple] = set()
+    scope_args: dict[str, list[tuple]] = {}
+    for name, scope in dict.fromkeys((e.check, e.scope) for e in IDENTITIES if e.id in wanted):
+        if scope not in scope_args:
+            scope_args[scope] = scopes[scope]()
+        check = globals()[name]
+        for args in scope_args[scope]:
+            out = check(*args)
+            reports += out if isinstance(out, list) else [out]
 
-    def add(new: Iterable[VerificationReport] | VerificationReport) -> None:
-        batch = [new] if isinstance(new, VerificationReport) else list(new)
-        for rep in batch:
-            if rep.identity not in wanted:
-                continue
-            key = (rep.identity, rep.ks, rep.dist)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            reports.append(rep)
-
-    def want(*ids: str) -> bool:
-        return any(i in wanted for i in ids)
-
-    tuples_seen: list[tuple[int, ...]] = []
-    for _, ks in cells:
-        if ks not in tuples_seen:
-            tuples_seen.append(ks)
-    dists_seen: list[DistributionSpec] = []
-    for spec, _ in cells:
-        if spec not in dists_seen:
-            dists_seen.append(spec)
-    rs_seen = sorted({len(ks) for ks in tuples_seen})
-    cell_rs = {(spec, len(ks)) for spec, ks in cells}
-
-    for ks in tuples_seen:
-        if want("derivative-rules"):
-            add(check_derivative_rules(ks, order))
-        if want("append-one-deterministic"):
-            add(check_append_one_deterministic(ks, order))
-        if want("point-mass-collapse-multi-second-kind", "point-mass-collapse-multi-lah"):
-            add(check_point_mass_collapse_multi(ks, order))
-
-    for r in rs_seen:
-        if want(
-            "all-ones-multilog",
-            "all-ones-first-kind",
-            "all-ones-second-kind",
-            "all-ones-lah",
-            "all-ones-bernoulli",
-        ):
-            add(check_all_ones_deterministic(r, order))
-
-    if want("point-mass-collapse-second-kind", "point-mass-collapse-lah"):
-        add(check_point_mass_collapse_classical(order))
-
-    for spec in dists_seen:
-        ms = moments(spec, order)
-        if want("second-kind-route-agreement"):
-            add(check_route_agreement(ms, order, spec.label))
-        for r in rs_seen:
-            if want("all-ones-prob-second-kind", "all-ones-prob-lah"):
-                add(check_all_ones_probabilistic(ms, r, order, spec.label))
-            if want("bernoulli-expansion-single-index") and (spec, r) in cell_rs:
-                add(check_bernoulli_expansion_single_index(ms, r, order, spec.label))
-
-    for spec, ks in cells:
-        ms = moments(spec, order)
-        if want("append-one"):
-            add(check_append_one(ms, ks, order, spec.label))
-        if want("bernoulli-convolution"):
-            add(check_bernoulli_convolution(ms, ks, order, spec.label))
-        if want("first-kind-inversion"):
-            add(check_first_kind_inversion(ms, ks, order, spec.label))
-        if want("lah-via-first-kind-corrected", "lah-via-first-kind-literal"):
-            add(check_lah_via_first_kind(ms, ks, order, spec.label))
-        if want("bernoulli-expansion"):
-            add(check_bernoulli_expansion(ms, ks, order, spec.label))
-        if want("fubini-convolution"):
-            add(check_fubini_convolution(ms, ks, order, spec.label))
-
+    reports = [rep for rep in reports if rep.identity in wanted]
     reports.sort(key=lambda rep: (rep.identity, rep.ks or (), rep.dist or ""))
     return reports

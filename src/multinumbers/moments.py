@@ -250,10 +250,16 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _mgf_power(ms: MomentSequence, j: int, order: int) -> Series:
-    if j == 0:
+def power_table(u, ms: MomentSequence, k: int, order: int, scaled: bool) -> Series:
+    """``u(ms, order) ** k``, divided by ``k!`` when ``scaled``.
+
+    Each power is cached and built from the one below it, so a table of
+    k = 0..K costs one series product per k.
+    """
+    if k == 0:
         return Series.one(order)
-    return _mgf_power(ms, j - 1, order) * mgf(ms, order)
+    power = power_table(u, ms, k - 1, order, scaled) * u(ms, order)
+    return power * Fraction(1, k) if scaled else power
 
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:
@@ -261,4 +267,4 @@ def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = Non
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ValueError(f"number of copies must be a non-negative integer, got {j!r}")
     order = _check_entry(n, order)
-    return _mgf_power(ms, j, order).egf_coeff(n)
+    return power_table(mgf, ms, j, order, False).egf_coeff(n)

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .multilog import index_tuple, multilog
-from .report import FAIL, PASS, Mismatch, VerificationReport
 from .series import Series, _check_entry, exp_t, geometric, one_minus_exp_neg_t
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "multi_bernoulli_series",
     "multi_lah",
     "multi_lah_series",
-    "check_append_one_deterministic",
 ]
 
 
@@ -95,37 +92,3 @@ def multi_lah(ks, n: int, order: int | None = None) -> Fraction:
     """Multi-Lah number; the second classical argument is always len(ks)."""
     order = _check_entry(n, order)
     return multi_lah_series(ks, order).egf_coeff(n)
-
-
-def _prefix_column(family, prefix: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
-    """EGF column ``family(prefix, order).egf_coeffs`` of a possibly empty
-    index prefix; the empty prefix gives the delta column (1, 0, ..., 0)."""
-    if not prefix:
-        return Series.one(order).egf_coeffs
-    return family(prefix, order).egf_coeffs
-
-
-def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
-    """Appending a trailing index 1 is binomial summation over the prefix family:
-
-        ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
-    """
-    prefix = tuple(ks_prefix)
-    full = prefix + (1,)
-    r = len(full)
-    head = _prefix_column(multi_stirling2_series, prefix, order)
-    tail = multi_stirling2_series(full, order).egf_coeffs
-    for n in range(order):
-        lhs = sum((comb(n, m) * head[m] for m in range(r - 1, n + 1)), Fraction(0))
-        rhs = tail[n + 1]
-        if lhs != rhs:
-            return VerificationReport(
-                identity="append-one-deterministic",
-                order=order,
-                ks=prefix,
-                status=FAIL,
-                first_mismatch=Mismatch(n, lhs, rhs),
-            )
-    return VerificationReport(
-        identity="append-one-deterministic", order=order, ks=prefix, status=PASS
-    )

@@ -23,17 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
-from .report import FAIL, PASS, Mismatch, VerificationReport
-from .series import Series, _check_entry, geometric
+from .series import Series, _check_entry
 
 __all__ = [
     "index_tuple",
     "multilog",
     "multilog_coefficient",
     "multi_stirling1",
-    "check_derivative_rules",
 ]
 
 
@@ -96,47 +93,3 @@ def multi_stirling1(ks, n: int, order: int | None = None) -> Fraction:
     """Unsigned multi-Stirling number of the first kind, ``n! * [t^n] Li``."""
     order = _check_entry(n, order)
     return multilog(ks, order).egf_coeff(n)
-
-
-def check_derivative_rules(ks, order: int) -> VerificationReport:
-    """Verify the two derivative recurrences of the multiple logarithm.
-
-    Always: d/dt Li_{k_1,...,k_r}(t) = (1/t) Li_{k_1,...,k_r - 1}(t).
-    When k_r = 1: d/dt Li_{k_1,...,k_{r-1},1}(t) = Li_{k_1,...,k_{r-1}}(t)/(1-t),
-    with the empty prefix read as the constant series 1.
-    Both are compared coefficientwise up to order - 1.
-    """
-    ks = index_tuple(ks)
-    if order < 1:
-        raise ValueError("derivative checks need order >= 1")
-    lhs = multilog(ks, order).derivative()
-
-    lowered = ks[:-1] + (ks[-1] - 1,)
-    shifted = multilog(lowered, order).divide(Series.t(order), 1)
-    for n in range(order):
-        if lhs.coeff(n) != shifted.coeff(n):
-            return VerificationReport(
-                identity="derivative-rules",
-                order=order,
-                ks=ks,
-                status=FAIL,
-                first_mismatch=Mismatch(n, lhs.coeff(n), shifted.coeff(n)),
-                detail="index-lowering rule",
-            )
-
-    if ks[-1] == 1:
-        prefix = ks[:-1]
-        tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
-        rhs = geometric(order - 1) * tail
-        for n in range(order):
-            if lhs.coeff(n) != rhs.coeff(n):
-                return VerificationReport(
-                    identity="derivative-rules",
-                    order=order,
-                    ks=ks,
-                    status=FAIL,
-                    first_mismatch=Mismatch(n, lhs.coeff(n), rhs.coeff(n)),
-                    detail="prefix rule at trailing index 1",
-                )
-
-    return VerificationReport(identity="derivative-rules", order=order, ks=ks, status=PASS)

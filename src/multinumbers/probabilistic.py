@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .moments import MomentSequence, mgf, resolvent, sum_power_moment
+from .moments import MomentSequence, mgf, power_table, resolvent, sum_power_moment
 from .multi import li_argument
 from .multilog import index_tuple, multilog
 from .series import Series, _check_entry
@@ -41,19 +41,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _gap_power_over_factorial(ms: MomentSequence, k: int, order: int) -> Series:
-    # (M - 1)^k / k!, built incrementally so a full table costs one product per k
-    if k == 0:
-        return Series.one(order)
-    prev = _gap_power_over_factorial(ms, k - 1, order)
-    return prev * (mgf(ms, order) - 1) * Fraction(1, k)
+def _mgf_gap(ms: MomentSequence, order: int) -> Series:
+    return mgf(ms, order) - 1
+
+
+def _resolvent_gap(ms: MomentSequence, order: int) -> Series:
+    return resolvent(ms, order) - 1
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
+    """(M - 1)^k / k!."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return _gap_power_over_factorial(ms, k, order)
+    return power_table(_mgf_gap, ms, k, order, True)
 
 
 def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
@@ -98,18 +98,11 @@ def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = Non
     return prob_multi_stirling2_series(ms, ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
-def _resolvent_gap_power(ms: MomentSequence, k: int, order: int) -> Series:
-    if k == 0:
-        return Series.one(order)
-    prev = _resolvent_gap_power(ms, k - 1, order)
-    return prev * (resolvent(ms, order) - 1) * Fraction(1, k)
-
-
 def prob_lah_series(ms: MomentSequence, k: int, order: int) -> Series:
+    """(R - 1)^k / k!."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return _resolvent_gap_power(ms, k, order)
+    return power_table(_resolvent_gap, ms, k, order, True)
 
 
 def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:

@@ -212,25 +212,26 @@ def test_output_is_deterministic_between_runs(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("table", "multilog", "--ks", "1"),
-        ("table", "multi-stirling1", "--ks", "1,2"),
-        ("table", "multi-stirling2", "--ks", "2"),
-        ("table", "multi-bernoulli", "--ks", "1,1"),
-        ("table", "multi-lah", "--ks", "2,1"),
-        ("table", "stirling1"),
-        ("table", "stirling2"),
-        ("table", "lah"),
-        ("table", "bernoulli-higher", "--r", "2"),
-        ("table", "prob-stirling2", "--dist", "poisson:1"),
-        ("table", "prob-multi-stirling2", "--ks", "1,2", "--dist", "bernoulli:1/2"),
-        ("table", "prob-lah", "--dist", "point:2"),
-        ("table", "prob-multi-lah", "--ks", "1,1", "--dist", "geometric:1/2"),
-        ("table", "prob-fubini", "--dist", "binomial:3,1/3", "--r", "2", "--y=-1/2"),
-    ],
-)
+# one invocation of every family, with the inputs it requires
+FAMILY_ARGV = [
+    ("table", "multilog", "--ks", "1"),
+    ("table", "multi-stirling1", "--ks", "1,2"),
+    ("table", "multi-stirling2", "--ks", "2"),
+    ("table", "multi-bernoulli", "--ks", "1,1"),
+    ("table", "multi-lah", "--ks", "2,1"),
+    ("table", "stirling1"),
+    ("table", "stirling2"),
+    ("table", "lah"),
+    ("table", "bernoulli-higher", "--r", "2"),
+    ("table", "prob-stirling2", "--dist", "poisson:1"),
+    ("table", "prob-multi-stirling2", "--ks", "1,2", "--dist", "bernoulli:1/2"),
+    ("table", "prob-lah", "--dist", "point:2"),
+    ("table", "prob-multi-lah", "--ks", "1,1", "--dist", "geometric:1/2"),
+    ("table", "prob-fubini", "--dist", "binomial:3,1/3", "--r", "2", "--y=-1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", FAMILY_ARGV)
 def test_every_family_emits_valid_records(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--order", "4")
     assert code == 0
@@ -288,3 +289,128 @@ def test_verify_output_bytes_are_pinned(capsys, argv, stdout_sha256, stderr):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
     assert err == stderr
+
+
+# sha256 of `table <family> --order 5` (JSON, CSV) for every family in
+# FAMILY_ARGV, as first recorded: a refactor of the table code may not move a byte.
+PINNED_TABLE_BYTES = {
+    "multilog": (
+        "f6d14ae7b73e1e810fee62b408019517ade32f7e6475ec33a848d937bf2dee06",
+        "d2122630b9c60c111e17d3ec037991ae18cd8fd19531a231b71d2c56f105a38b",
+    ),
+    "multi-stirling1": (
+        "f5f0466074550204e1dd2049e0c702ba2fa2c5741c25044d3984a789d850cd2c",
+        "d351ec597fabb4ee7a4998c7facacf497b0eae9e6e1ab4f803cac365e4b674d6",
+    ),
+    "multi-stirling2": (
+        "be2ad47e3411f3eb87428556d1a09db99bed91a857a43c85dbab49479fc27a7a",
+        "8f81b02414e2676f971c1c2b483fe25e939b64a9a93bff24aa91129b9e25dc2f",
+    ),
+    "multi-bernoulli": (
+        "2c3c500aa51beac15c9724ca033da70a0f2c430971ccffd94492a927d922846a",
+        "046f11d3ba40e908f5ebdcbb498be7b9dc12db69a361829e12ff825081d4c18b",
+    ),
+    "multi-lah": (
+        "49bc5b8f26964ca7e32afd3204c335583bb489a3fd3a4ad5e1e55b6c51251024",
+        "849092d41108ab3b99c750d1b4c30cd26830f6c3b5c9d9bbd06fcfc44d54d5ee",
+    ),
+    "stirling1": (
+        "b51460b47f8752836ed7dd0e485cb4ab88658121cef156a2eaa7b216ec821535",
+        "a52309ac95579a3765ec0918b5bb4314a1da3f4eaf41660f53c9d02311953110",
+    ),
+    "stirling2": (
+        "0324af3bb2eec8198f74acb3b6772f2689f5fce17b3b4266ea088bdb28194c8b",
+        "a93e1bfe4fd3e95926482dee16a8cd0045953d431c9350a31b4f1de6f19bf05f",
+    ),
+    "lah": (
+        "7a43184ba5fca179451d3143c092b08fdf5d54b16bb97c6559a94a6c8a1bd5fb",
+        "7e5157986c195df1590feb097e26ace9700512881885b48660768418e6d2397f",
+    ),
+    "bernoulli-higher": (
+        "ad597d74d51ecb91a1455d4ba70bf9fe61646218224ab7750aabccc58ca2c9de",
+        "d950407420289c1263f010893850c54a65a84a3b72c21bd2b0f38e9455da98f6",
+    ),
+    "prob-stirling2": (
+        "51fc0e66438df65669757bc4970f215b57f64520ed92844c5adb685e49ca4648",
+        "18fa8756ab4f8572a8f1c7ab83581baa88c61dd5d3bdc0ed7d73bfb55c02e596",
+    ),
+    "prob-multi-stirling2": (
+        "0b667483dbdba468c8e6b49d5a5ae26093b3d72163662e248cf2d4b2855a156d",
+        "2eb2738989e6e8567018471b178ee1b3443c6f0fa42e67c3913d5155e5e2946f",
+    ),
+    "prob-lah": (
+        "16517d6853cb7538d6b581ce52e45fe49ae50ff7eeca1e6fc431bef5cf88b9ab",
+        "ac0d8c14dae06da878dd8cd8168f07fe378fa0d6cce6d7ae6d87cbc3aec5bf40",
+    ),
+    "prob-multi-lah": (
+        "44ecafa16dce9e9f5d60b1187ea5815b53f66338b03761c8629f5938105beb35",
+        "8879a2cfde8226acc7e57e571d9e30c4c8ff357b45daca2d1eb6d39f0b763e52",
+    ),
+    "prob-fubini": (
+        "ada9199336573d7d996dadda474fd864c70680b85ef99981ae5b85374880089b",
+        "fd36d57663db91d75771e42ee5a7bc88da16e84c4a750ae61b1bca3370134e2d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", FAMILY_ARGV, ids=lambda argv: argv[1])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_output_bytes_are_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--order", "5", "--format", fmt)
+    assert code == 0
+    assert err == ""
+    want = PINNED_TABLE_BYTES[argv[1]][fmt == "csv"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# not a product of distributions and tuples, with a duplicated cell, a
+# negative index and a mean-zero point mass (which skips bernoulli-convolution)
+IRREGULAR_GRID = [
+    {"dist": "poisson:1", "ks": [1, 2]},
+    {"dist": "point:0", "ks": [2, -1]},
+    {"dist": "poisson:1", "ks": [1, 2]},
+    {"dist": "geometric:1/2", "ks": [1]},
+    {"dist": "point:1", "ks": [0, 3]},
+]
+
+
+def test_verify_irregular_grid_bytes_are_pinned(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(IRREGULAR_GRID))
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "8")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ad35f947c64f144425e5754881601677e7b33fb9f7645ea9943837592d261d56"
+    )
+    assert err == "verify: 73 pass, 0 fail, 1 skipped, 6 expected-discrepancy\n"
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_below_the_tuple_length_reports_instead_of_erroring(capsys, order):
+    # the default grid has r = 3 tuples, so the Bernoulli comparisons have
+    # no n to compare; that is a pass over an empty range, not a usage error
+    code, out, err = run_cli(capsys, "verify", "--order", str(order))
+    assert code == 0
+    assert json_lines(out)
+    assert " 0 fail," in err
+
+
+def test_verify_order_below_a_grid_tuple_length(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps([{"dist": "bernoulli:1/2", "ks": [1, 1, 1, 1]}]))
+    code, out, _ = run_cli(
+        capsys, "verify", "--grid", str(grid_file), "--order", "3",
+        "--identity", "bernoulli-convolution",
+    )
+    assert code == 0
+    assert json_lines(out) == [
+        {
+            "identity": "bernoulli-convolution",
+            "ks": [1, 1, 1, 1],
+            "dist": "bernoulli:1/2",
+            "order": 3,
+            "status": "pass",
+            "first_mismatch": None,
+        }
+    ]

@@ -5,6 +5,7 @@ import pytest
 from multinumbers import identities
 from multinumbers.identities import (
     ALL_IDENTITIES,
+    IDENTITIES,
     _bernoulli_expansion_rhs,
     _first_kind_inversion_rhs,
     _fubini_sides,
@@ -171,6 +172,110 @@ def test_default_grid_shape():
 def test_all_identities_are_covered_by_default_run():
     reports = run_full_suite(order=6)
     assert {r.identity for r in reports} == set(ALL_IDENTITIES)
+
+
+# ---------------------------------------------------------------- registry
+
+
+def test_registry_ids_are_unique_and_in_registry_order():
+    ids = [entry.id for entry in IDENTITIES]
+    assert len(set(ids)) == len(ids) == 22
+    assert ALL_IDENTITIES == tuple(ids)
+
+
+def test_registry_checks_are_public_functions_with_known_scopes():
+    for entry in IDENTITIES:
+        assert entry.check in identities.__all__
+        assert callable(getattr(identities, entry.check))
+        assert entry.scope in (
+            "tuple", "r", "global", "distribution", "distribution-r", "cell-r", "cell"
+        )
+
+
+# the check functions the benchmark tracer reports by name (bench/run.py
+# IDENTITY_CHECKS), plus the single-index Bernoulli expansion; a rename or a
+# move out of this module would silently zero their traced times
+TRACED_CHECKS = (
+    "check_derivative_rules",
+    "check_append_one_deterministic",
+    "check_append_one",
+    "check_bernoulli_convolution",
+    "check_first_kind_inversion",
+    "check_lah_via_first_kind",
+    "check_bernoulli_expansion",
+    "check_fubini_convolution",
+    "check_route_agreement",
+    "check_all_ones_deterministic",
+    "check_all_ones_probabilistic",
+    "check_point_mass_collapse_classical",
+    "check_point_mass_collapse_multi",
+    "check_bernoulli_expansion_single_index",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_CHECKS)
+def test_traced_checks_stay_public_in_identities(name):
+    assert name in identities.__all__
+    assert callable(getattr(identities, name))
+
+
+def test_suite_calls_checks_through_the_module_attribute(monkeypatch):
+    calls = []
+    original = identities.check_derivative_rules
+
+    def wrapped(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(identities, "check_derivative_rules", wrapped)
+    grid = [(point(1), (1, 2)), (poisson(1), (1, 2)), (poisson(1), (2,))]
+    reports = run_full_suite(grid=grid, order=5, identities=["derivative-rules"])
+    assert calls == [((1, 2), 5), ((2,), 5)]
+    assert [r.ks for r in reports] == [(1, 2), (2,)]
+
+
+def test_only_flagged_identities_report_expected_discrepancies():
+    flagged = {entry.id for entry in IDENTITIES if entry.expected}
+    assert flagged == {"lah-via-first-kind-literal", "point-mass-collapse-multi-lah"}
+    reports = run_full_suite(order=8)
+    assert {r.identity for r in reports if r.status == "expected-discrepancy"} == flagged
+
+
+SHARED_CHECK_IDS = [
+    entry.id
+    for entry in IDENTITIES
+    if sum(other.check == entry.check for other in IDENTITIES) > 1
+]
+
+
+@pytest.mark.parametrize("identity", SHARED_CHECK_IDS)
+def test_filter_on_one_id_of_a_shared_check_returns_only_that_id(identity):
+    grid = [(point(1), (1, 2)), (poisson(1), (2,))]
+    reports = run_full_suite(grid=grid, order=5, identities=[identity])
+    assert reports
+    assert {r.identity for r in reports} == {identity}
+
+
+def test_scopes_over_an_irregular_grid():
+    # not a product grid: all-ones-prob-* pairs every distribution with every
+    # tuple length, the single-index expansion only the pairs of grid cells
+    grid = [(poisson(1), (1,)), (point(2), (1, 2)), (poisson(1), (1,))]
+    reports = run_full_suite(grid=grid, order=5)
+
+    def keys(identity):
+        return sorted((r.dist, r.ks) for r in reports if r.identity == identity)
+
+    assert keys("all-ones-prob-lah") == [
+        ("point:2", (1,)), ("point:2", (1, 1)), ("poisson:1", (1,)), ("poisson:1", (1, 1))
+    ]
+    assert keys("bernoulli-expansion-single-index") == [
+        ("point:2", (1, 1)), ("poisson:1", (1,))
+    ]
+    assert keys("append-one") == [("point:2", (1, 2)), ("poisson:1", (1,))]
+    assert keys("second-kind-route-agreement") == [("point:2", None), ("poisson:1", None)]
+    assert keys("all-ones-lah") == [(None, (1,)), (None, (1, 1))]
+    assert keys("point-mass-collapse-lah") == [("point:1", None)]
+    assert keys("derivative-rules") == [(None, (1,)), (None, (1, 2))]
 
 
 # ---------------------------------------------------------------- hoisted sums

@@ -4,13 +4,8 @@ from math import factorial
 import pytest
 
 from multinumbers.classical import bernoulli_higher, lah, stirling2
-from multinumbers.multi import (
-    check_append_one_deterministic,
-    li_argument,
-    multi_bernoulli,
-    multi_lah,
-    multi_stirling2,
-)
+from multinumbers.identities import check_append_one_deterministic
+from multinumbers.multi import li_argument, multi_bernoulli, multi_lah, multi_stirling2
 from multinumbers.multilog import multilog
 from multinumbers.series import Series, one_minus_exp_neg_t
 

@@ -3,13 +3,8 @@ from math import factorial
 
 import pytest
 
-from multinumbers.multilog import (
-    check_derivative_rules,
-    index_tuple,
-    multi_stirling1,
-    multilog,
-    multilog_coefficient,
-)
+from multinumbers.identities import check_derivative_rules
+from multinumbers.multilog import index_tuple, multi_stirling1, multilog, multilog_coefficient
 from multinumbers.series import neg_log1m
 
 from oracles import stirling1_count
