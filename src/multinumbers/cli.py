@@ -16,10 +16,9 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence
 
 from .classical import bernoulli_higher_series, lah, stirling1, stirling2
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
@@ -38,18 +37,17 @@ from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationRepor
 ORDER_CAP = 64
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", ("inputs", "values", "two_index"), defaults=(False,))):
     """One ``table`` family.
 
     ``inputs`` names the flags it requires, in the order they are checked
-    (ks, dist, r, y).  ``values`` maps the parsed inputs and the order to
-    the whole column of values for n = 0..order or, for a ``two_index``
-    family, to one such column per k = 0..order.
+    (ks, dist, r, y).  ``values(args, order)`` maps the parsed inputs (a
+    ``SimpleNamespace``) and the order to the whole column of values for
+    n = 0..order or, for a ``two_index`` family, to one such column per
+    k = 0..order.
     """
 
-    inputs: tuple[str, ...]
-    values: Callable[[SimpleNamespace, int], Sequence]
-    two_index: bool = False
+    __slots__ = ()
 
 
 def _triangle(entry, order: int) -> list[list[int]]:
@@ -326,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,10 +22,11 @@ counterexample attached:
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
@@ -124,7 +125,7 @@ def _sign(e: int) -> int:
     return 1 if e % 2 == 0 else -1
 
 
-def _scan(pairs: Iterable[tuple[int, Fraction, Fraction]]) -> Optional[Mismatch]:
+def _scan(pairs: Iterable[tuple[int, Fraction, Fraction]]) -> Mismatch | None:
     for n, lhs, rhs in pairs:
         if lhs != rhs:
             return Mismatch(n, lhs, rhs)
@@ -134,9 +135,9 @@ def _scan(pairs: Iterable[tuple[int, Fraction, Fraction]]) -> Optional[Mismatch]
 def _report(
     identity: str,
     order: int,
-    mismatch: Optional[Mismatch],
-    ks: Optional[tuple[int, ...]] = None,
-    dist: Optional[str] = None,
+    mismatch: Mismatch | None,
+    ks: tuple[int, ...] | None = None,
+    dist: str | None = None,
     detail: str = "",
 ) -> VerificationReport:
     """A pass, or the mismatch as a failure or, for an identity the registry
@@ -161,11 +162,12 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     Always: d/dt Li_{k_1,...,k_r}(t) = (1/t) Li_{k_1,...,k_r - 1}(t).
     When k_r = 1: d/dt Li_{k_1,...,k_{r-1},1}(t) = Li_{k_1,...,k_{r-1}}(t)/(1-t),
     with the empty prefix read as the constant series 1.
-    Both are compared coefficientwise up to order - 1.
+    Both are compared coefficientwise up to order - 1; at order 0 that
+    range is empty and the check passes.
     """
     ks = index_tuple(ks)
-    if order < 1:
-        raise ValueError("derivative checks need order >= 1")
+    if order == 0:
+        return _report("derivative-rules", order, None, ks)
     lhs = multilog(ks, order).derivative().coeffs
     lowered = ks[:-1] + (ks[-1] - 1,)
     shifted = multilog(lowered, order).divide(Series.t(order), 1).coeffs
@@ -228,7 +230,7 @@ def _second_kind_sums(ms: MomentSequence, weights: Sequence, order: int) -> list
 
 
 @lru_cache(maxsize=None)
-def _append_one_single_index(ms: MomentSequence, r: int, order: int) -> Optional[Mismatch]:
+def _append_one_single_index(ms: MomentSequence, r: int, order: int) -> Mismatch | None:
     """First mismatch of {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m), n = r..order."""
     cols = _second_kind_columns(ms, order)
     mu = ms.mu
@@ -245,7 +247,7 @@ def _append_one_single_index(ms: MomentSequence, r: int, order: int) -> Optional
 
 
 @lru_cache(maxsize=None)
-def _append_one_classical(r: int, order: int) -> Optional[Mismatch]:
+def _append_one_classical(r: int, order: int) -> Mismatch | None:
     """First mismatch of S(n, r) = sum_m C(n-1, m) S(m, r-1), n = r..order."""
 
     def pairs():
@@ -260,7 +262,7 @@ def _append_one_classical(r: int, order: int) -> Optional[Mismatch]:
 
 
 def check_append_one(
-    ms: MomentSequence, ks_prefix, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks_prefix, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Appending a trailing 1 to the index tuple is a moment-weighted binomial sum:
 
@@ -298,17 +300,19 @@ def check_append_one(
 
 
 def check_bernoulli_convolution(
-    ms: MomentSequence, ks, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Convolving multi-Bernoulli numbers with probabilistic second-kind numbers
     reproduces Li(1 - e^(1 - M)) / (1 - e^(1 - M))^r coefficientwise.
 
     Requires a nonzero first moment, otherwise the denominator does not have
-    valuation r and the check is skipped.
+    valuation r and the check is skipped.  Below order r there is no n to
+    compare and the check passes; that covers order 0, where the moment
+    sequence may stop at mu_0 and the mean is not known.
     """
     ks = tuple(ks)
     r = len(ks)
-    if ms.moment(1) == 0:
+    if ms.order >= 1 and ms.moment(1) == 0:
         return VerificationReport(
             identity="bernoulli-convolution",
             order=order,
@@ -350,7 +354,7 @@ def _first_kind_inversion_rhs(
 
 
 def check_first_kind_inversion(
-    ms: MomentSequence, ks, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """{n; ks}_Y equals the double sum over {l; m}, {n; l}_Y and the
     multi first-kind numbers [m; ks], with alternating signs:
@@ -370,7 +374,7 @@ def check_first_kind_inversion(
 
 
 def check_lah_via_first_kind(
-    ms: MomentSequence, ks, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> list[VerificationReport]:
     """Probabilistic multi-Lah numbers as first-kind weighted sums.
 
@@ -451,7 +455,7 @@ def _single_index_expansion_rhs(ms: MomentSequence, r: int, order: int) -> list[
 
 
 def check_bernoulli_expansion(
-    ms: MomentSequence, ks, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """{n; ks}_Y via the multi-Bernoulli expansion
 
@@ -474,7 +478,7 @@ def check_bernoulli_expansion(
 
 
 def check_bernoulli_expansion_single_index(
-    ms: MomentSequence, r: int, order: int, dist: Optional[str] = None
+    ms: MomentSequence, r: int, order: int, dist: str | None = None
 ) -> VerificationReport:
     """The same expansion for the all-ones tuple of length ``r``, written with
     higher-order Bernoulli numbers; it depends on ``r`` alone, not on ``ks``:
@@ -510,7 +514,7 @@ def _fubini_sides(
 
 
 def check_fubini_convolution(
-    ms: MomentSequence, ks, order: int, dist: Optional[str] = None
+    ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Second-kind numbers weighted by deterministic multi-Lah numbers equal
     binomial sums of multi second-kind numbers against Fubini values at 1."""
@@ -521,7 +525,7 @@ def check_fubini_convolution(
 
 
 def check_route_agreement(
-    ms: MomentSequence, order: int, dist: Optional[str] = None
+    ms: MomentSequence, order: int, dist: str | None = None
 ) -> VerificationReport:
     """EGF route equals the inclusion-exclusion moment route for the
     probabilistic second-kind numbers (n capped at 10)."""
@@ -578,7 +582,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
 
 
 def check_all_ones_probabilistic(
-    ms: MomentSequence, r: int, order: int, dist: Optional[str] = None
+    ms: MomentSequence, r: int, order: int, dist: str | None = None
 ) -> list[VerificationReport]:
     """All-ones index tuples collapse both probabilistic multi families to
     their single-index counterparts for every Y."""
@@ -652,7 +656,9 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
     ]
 
 
-class Identity(NamedTuple):
+class Identity(
+    namedtuple("Identity", ("id", "scope", "check", "description", "expected"), defaults=(False,))
+):
     """One entry of the identity catalogue.
 
     ``check`` names the module-level function that produces the report; it
@@ -668,11 +674,7 @@ class Identity(NamedTuple):
     ``cell`` (each grid cell).
     """
 
-    id: str
-    scope: str
-    check: str
-    description: str
-    expected: bool = False
+    __slots__ = ()
 
 
 # id, scope, check, description[, expected]
@@ -729,9 +731,9 @@ ALL_IDENTITIES: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def run_full_suite(
-    grid: Optional[Sequence[tuple[DistributionSpec, Sequence[int]]]] = None,
+    grid: Sequence[tuple[DistributionSpec, Sequence[int]]] | None = None,
     order: int = 12,
-    identities: Optional[Iterable[str]] = None,
+    identities: Iterable[str] | None = None,
 ) -> list[VerificationReport]:
     """Run every check over the grid and return reports in canonical order.
 

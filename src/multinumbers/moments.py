@@ -13,12 +13,12 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
 from .classical import stirling2
+from .report import FrozenRecord
 from .series import Series, _check_entry, neg_log1m
 
 __all__ = [
@@ -48,20 +48,24 @@ def _rational(value, what: str) -> Fraction:
         raise ValueError(f"cannot parse {what} from {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(FrozenRecord):
     """Raw moments mu_0..mu_N of Y, with mu_0 = 1."""
+
+    _fields = ("mu",)
+    __match_args__ = _fields
+    __slots__ = ("mu", "_hash")
 
     mu: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.mu:
+    def __init__(self, mu: tuple[Fraction, ...]) -> None:
+        if not mu:
             raise ValueError("a moment sequence needs at least mu_0")
-        if self.mu[0] != 1:
-            raise ValueError(f"mu_0 must equal 1, got {self.mu[0]}")
+        if mu[0] != 1:
+            raise ValueError(f"mu_0 must equal 1, got {mu[0]}")
+        object.__setattr__(self, "mu", mu)
         # Caches keyed on a sequence would otherwise re-hash every moment per
-        # lookup; the value is the one the dataclass-generated hash gives.
-        object.__setattr__(self, "_hash", hash((self.mu,)))
+        # lookup; the value is hash of the field tuple, as for every record.
+        object.__setattr__(self, "_hash", hash((mu,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -76,13 +80,26 @@ class MomentSequence:
         return self.mu[n]
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(FrozenRecord):
     """A validated distribution description; ``label`` is its canonical text form."""
+
+    _fields = ("kind", "params", "label")
+    __match_args__ = _fields
+    __slots__ = ("kind", "params", "label", "_hash")
 
     kind: str
     params: tuple
     label: str
+
+    def __init__(self, kind: str, params: tuple, label: str) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "label", label)
+        # grid deduplication and the moment cache look specs up by hash
+        object.__setattr__(self, "_hash", hash((kind, params, label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.label

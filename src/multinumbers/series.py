@@ -46,11 +46,11 @@ filled on first use with a value that does not depend on who fills them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = "int | Fraction"
 
 __all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t"]
 

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -414,3 +418,43 @@ def test_verify_order_below_a_grid_tuple_length(tmp_path, capsys):
             "first_mismatch": None,
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "identity,count",
+    [(None, 511), ("bernoulli-convolution", 56), ("derivative-rules", 8)],
+)
+def test_verify_order_zero_compares_nothing_and_passes(capsys, identity, count):
+    # --order 0 is accepted by the flag check; every comparison range is
+    # empty there, including those of the derivative rules (0..N-1) and of
+    # the Bernoulli convolution, whose moment sequence stops at mu_0
+    argv = ["verify", "--order", "0"] + (["--identity", identity] if identity else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == f"verify: {count} pass, 0 fail, 0 skipped, 0 expected-discrepancy\n"
+    records = json_lines(out)
+    assert len(records) == count
+    assert all(rec["order"] == 0 and rec["status"] == "pass" for rec in records)
+
+
+# ---------------------------------------------------------------- tooling
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# dataclasses pulls in inspect, ast, dis and tokenize; none of them, nor
+# typing, is needed to run the command line, and each costs cold-start time
+HEAVY_IMPORTS = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_stays_off_the_heavy_stdlib_modules():
+    code = (
+        "import multinumbers.cli, sys; "
+        f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from multinumbers.identities import (
     run_full_suite,
 )
 from multinumbers.moments import bernoulli, finite, moments, point, poisson
+from multinumbers.report import Mismatch, VerificationReport
 from multinumbers.series import Series
 from oracles import (
     bernoulli_expansion_single_index_sum,
@@ -66,6 +69,19 @@ def test_bernoulli_convolution_skips_on_zero_mean():
     assert report.status == "skipped"
     assert report.first_mismatch is None
     assert "first moment" in report.detail
+
+
+@pytest.mark.parametrize("spec", [poisson(1), MEAN_ZERO], ids=str)
+def test_bernoulli_convolution_at_order_zero_compares_nothing(spec):
+    # at order 0 the moments stop at mu_0, so the mean is not known
+    ms = moments(spec, 0)
+    report = check_bernoulli_convolution(ms, (1, 2), 0, spec.label)
+    assert (report.status, report.order, report.first_mismatch) == ("pass", 0, None)
+
+
+def test_bernoulli_convolution_skips_on_zero_mean_before_the_empty_range():
+    report = check_bernoulli_convolution(moments(MEAN_ZERO, 1), (1, 2), 1, MEAN_ZERO.label)
+    assert report.status == "skipped"
 
 
 @pytest.mark.parametrize("spec,ks", SAMPLE_CELLS, ids=lambda v: str(v))
@@ -353,3 +369,114 @@ def test_perturbed_column_fails_at_first_reached_n(perturb, check, source, m, fi
     report = check(ms)
     assert report.status == "fail"
     assert report.first_mismatch.n == first_n
+
+
+# ---------------------------------------------------------------- records
+
+MISMATCH = Mismatch(2, F(1, 2), F(1, 3))
+
+
+def test_mismatch_is_a_plain_tuple_record():
+    assert MISMATCH == (2, F(1, 2), F(1, 3))
+    assert MISMATCH != (2, F(1, 2), F(1, 4))
+    assert hash(MISMATCH) == hash((2, F(1, 2), F(1, 3)))
+    assert (MISMATCH.n, MISMATCH.lhs, MISMATCH.rhs) == tuple(MISMATCH)
+    assert Mismatch(n=2, lhs=F(1, 2), rhs=F(1, 3)) == MISMATCH
+    assert repr(MISMATCH) == "Mismatch(n=2, lhs=Fraction(1, 2), rhs=Fraction(1, 3))"
+    with pytest.raises(AttributeError):
+        MISMATCH.n = 3
+
+
+def test_identity_entry_defaults_and_tuple_semantics():
+    entry = identities.Identity("x", "tuple", "check_x", "a description")
+    assert entry.expected is False
+    assert entry == ("x", "tuple", "check_x", "a description", False)
+    assert entry._fields == ("id", "scope", "check", "description", "expected")
+    assert hash(entry) == hash(("x", "tuple", "check_x", "a description", False))
+    assert repr(entry) == (
+        "Identity(id='x', scope='tuple', check='check_x', "
+        "description='a description', expected=False)"
+    )
+    with pytest.raises(AttributeError):
+        entry.expected = True
+
+
+REPORT_FIELDS = ("x", 3, (1, 2), "poisson:1", "fail", MISMATCH, "why")
+
+
+def test_report_construction_equality_and_hash():
+    report = VerificationReport(*REPORT_FIELDS)
+    by_keyword = VerificationReport(
+        identity="x", order=3, ks=(1, 2), dist="poisson:1", status="fail",
+        first_mismatch=MISMATCH, detail="why",
+    )
+    assert report == by_keyword
+    assert report != VerificationReport(*REPORT_FIELDS[:-1], "other")
+    assert report != REPORT_FIELDS
+    assert hash(report) == hash(by_keyword) == hash(REPORT_FIELDS)
+    assert (
+        report.identity, report.order, report.ks, report.dist, report.status,
+        report.first_mismatch, report.detail,
+    ) == REPORT_FIELDS
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert copy.copy(report) == report
+    assert VerificationReport.__match_args__ == (
+        "identity", "order", "ks", "dist", "status", "first_mismatch", "detail"
+    )
+
+
+def test_report_defaults_and_repr():
+    report = VerificationReport("x", 3)
+    assert (report.ks, report.dist, report.status, report.first_mismatch, report.detail) == (
+        None, None, "pass", None, ""
+    )
+    assert repr(report) == (
+        "VerificationReport(identity='x', order=3, ks=None, dist=None, "
+        "status='pass', first_mismatch=None, detail='')"
+    )
+    assert repr(VerificationReport(*REPORT_FIELDS)) == (
+        "VerificationReport(identity='x', order=3, ks=(1, 2), dist='poisson:1', "
+        "status='fail', first_mismatch=Mismatch(n=2, lhs=Fraction(1, 2), "
+        "rhs=Fraction(1, 3)), detail='why')"
+    )
+
+
+@pytest.mark.parametrize("name", ["status", "order", "new_attribute"])
+def test_report_is_frozen(name):
+    report = VerificationReport("x", 3)
+    with pytest.raises(AttributeError):
+        setattr(report, name, "fail")
+    with pytest.raises(AttributeError):
+        delattr(report, name)
+    assert report == VerificationReport("x", 3)
+
+
+@pytest.mark.parametrize(
+    "status,mismatch,message",
+    [
+        ("bogus", None, "unknown status 'bogus'"),
+        ("pass", MISMATCH, "status 'pass' cannot carry a mismatch"),
+        ("skipped", MISMATCH, "status 'skipped' cannot carry a mismatch"),
+        ("fail", None, "status 'fail' requires a mismatch"),
+        ("expected-discrepancy", None, "status 'expected-discrepancy' requires a mismatch"),
+    ],
+)
+def test_report_validation_errors(status, mismatch, message):
+    with pytest.raises(ValueError) as excinfo:
+        VerificationReport("x", 3, status=status, first_mismatch=mismatch)
+    assert str(excinfo.value) == message
+
+
+def test_wrapped_report_init_counts_every_report_built(monkeypatch):
+    # the benchmark tracer counts reports built by wrapping __init__ this way
+    init = VerificationReport.__init__
+    built = []
+
+    def counted_init(report, *args, **kwargs):
+        built.append(report)
+        init(report, *args, **kwargs)
+
+    monkeypatch.setattr(VerificationReport, "__init__", counted_init)
+    reports = run_full_suite(order=4)
+    assert len(built) == len(reports) == 511
+    assert {id(report) for report in built} == {id(report) for report in reports}

@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from multinumbers.moments import (
+    DistributionSpec,
     MomentSequence,
     bernoulli,
     binomial,
@@ -107,6 +110,67 @@ def test_invalid_parameters_rejected():
 def test_mu0_must_be_one():
     with pytest.raises(ValueError):
         MomentSequence((F(2),))
+
+
+def test_moment_sequence_record_semantics():
+    mu = (F(1), F(1, 2), F(3, 4))
+    ms = MomentSequence(mu)
+    assert ms == MomentSequence(mu=mu) == moments(raw_moments(mu), 2)
+    assert ms != MomentSequence(mu[:2])
+    assert ms != mu and ms != (mu,)
+    assert hash(ms) == hash((mu,))
+    assert repr(ms) == "MomentSequence(mu=(Fraction(1, 1), Fraction(1, 2), Fraction(3, 4)))"
+    assert MomentSequence.__match_args__ == ("mu",)
+    assert pickle.loads(pickle.dumps(ms)) == ms
+    assert copy.copy(ms) == ms
+    for name in ("mu", "order", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ms, name, (F(1),))
+    with pytest.raises(AttributeError):
+        del ms.mu
+    assert ms.mu == mu
+
+
+def test_moment_sequence_validation_messages():
+    with pytest.raises(ValueError, match="needs at least mu_0"):
+        MomentSequence(())
+    with pytest.raises(ValueError, match="mu_0 must equal 1, got 2"):
+        MomentSequence((F(2), F(1)))
+
+
+def test_distribution_spec_record_semantics():
+    spec = poisson(F(1, 2))
+    assert spec == DistributionSpec("poisson", (F(1, 2),), "poisson:1/2")
+    assert spec == DistributionSpec(kind="poisson", params=(F(1, 2),), label="poisson:1/2")
+    assert spec != poisson(1)
+    assert spec != ("poisson", (F(1, 2),), "poisson:1/2")
+    assert hash(spec) == hash((spec.kind, spec.params, spec.label))
+    assert str(spec) == "poisson:1/2"
+    assert repr(spec) == (
+        "DistributionSpec(kind='poisson', params=(Fraction(1, 2),), label='poisson:1/2')"
+    )
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert DistributionSpec.__match_args__ == ("kind", "params", "label")
+    for name in ("kind", "label", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, "point")
+    assert spec.kind == "poisson"
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        ("poisson:2/4", "poisson:1/2"),
+        ("finite:2=1/2;0=1/2", "finite:0=1/2; 2=2/4"),
+        ("binomial:3,1/3", "binomial: 3,2/6"),
+        ("raw:1,1/2", "raw:1, 2/4"),
+    ],
+)
+def test_equal_parsed_specs_are_equal_and_hash_equal(first, second):
+    a, b = parse_distribution(first), parse_distribution(second)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b) == hash((a.kind, a.params, a.label))
 
 
 def test_moment_sequence_hash_is_the_field_hash():

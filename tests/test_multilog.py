@@ -87,6 +87,15 @@ def test_derivative_rules_full_grid(ks):
     assert check_derivative_rules(ks, 8).status == "pass"
 
 
-def test_derivative_rules_needs_positive_order():
+@pytest.mark.parametrize("ks", [(1,), (2, 1), (3,)])
+def test_derivative_rules_at_order_zero_compare_nothing_and_pass(ks):
+    report = check_derivative_rules(ks, 0)
+    assert (report.status, report.order, report.ks) == ("pass", 0, ks)
+    assert report.first_mismatch is None
+
+
+def test_derivative_rules_still_validate_the_index_tuple_and_the_order():
     with pytest.raises(ValueError):
-        check_derivative_rules((1,), 0)
+        check_derivative_rules((), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_derivative_rules((1,), -1)
