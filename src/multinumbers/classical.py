@@ -51,6 +51,11 @@ def _check_lattice(n: int, k: int) -> None:
         raise ValueError("triangle entries are indexed by integers with n >= 0")
 
 
+def _triangle(entry, order: int) -> list[list[int]]:
+    """The triangle ``entry`` by columns: entry k holds entry(0, k) .. entry(order, k)."""
+    return [[entry(n, k) for n in range(order + 1)] for k in range(order + 1)]
+
+
 def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind; 0 off the triangle."""
     _check_lattice(n, k)

@@ -18,9 +18,10 @@ import json
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
-from .classical import bernoulli_higher_series, lah, stirling1, stirling2
+from .classical import _triangle, bernoulli_higher_series, lah, stirling1, stirling2
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
 from .moments import moments, parse_distribution
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
@@ -35,23 +36,31 @@ from .probabilistic import (
 from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
 
 ORDER_CAP = 64
+# Inputs whose values would run to more bits than this are refused before
+# anything is computed.  CPython prints an int of at most 4300 decimal digits
+# (about 14,300 bits) by default; the estimate in _check_size overshoots a
+# printable multiple logarithm by at most a factor of 2.
+BITS_CAP = 1 << 15
+# one encoder for every output line; json.dumps with non-default arguments
+# would build a new one per line
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-class Family(namedtuple("Family", ("inputs", "values", "two_index"), defaults=(False,))):
+class Family(
+    namedtuple("Family", ("inputs", "values", "two_index", "composed"), defaults=(False, False))
+):
     """One ``table`` family.
 
     ``inputs`` names the flags it requires, in the order they are checked
     (ks, dist, r, y).  ``values(args, order)`` maps the parsed inputs (a
     ``SimpleNamespace``) and the order to the whole column of values for
     n = 0..order or, for a ``two_index`` family, to one such column per
-    k = 0..order.
+    k = 0..order.  ``composed`` marks a family whose value at n sums the
+    multiple-logarithm coefficients of every chain end m <= n, so that its
+    denominators grow like lcm(1..n)^k rather than n^k.
     """
 
     __slots__ = ()
-
-
-def _triangle(entry, order: int) -> list[list[int]]:
-    return [[entry(n, k) for n in range(order + 1)] for k in range(order + 1)]
 
 
 def _power_columns(series, ms, order: int) -> list[tuple[Fraction, ...]]:
@@ -62,12 +71,14 @@ FAMILIES: dict[str, Family] = {
     "multilog": Family(("ks",), lambda a, order: multilog(a.ks, order).coeffs),
     "multi-stirling1": Family(("ks",), lambda a, order: multilog(a.ks, order).egf_coeffs),
     "multi-stirling2": Family(
-        ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_coeffs
+        ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_coeffs, composed=True
     ),
     "multi-bernoulli": Family(
-        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_coeffs
+        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_coeffs, composed=True
     ),
-    "multi-lah": Family(("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs),
+    "multi-lah": Family(
+        ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs, composed=True
+    ),
     "stirling1": Family((), lambda a, order: _triangle(stirling1, order), two_index=True),
     "stirling2": Family((), lambda a, order: _triangle(stirling2, order), two_index=True),
     "lah": Family((), lambda a, order: _triangle(lah, order), two_index=True),
@@ -82,6 +93,7 @@ FAMILIES: dict[str, Family] = {
     "prob-multi-stirling2": Family(
         ("ks", "dist"),
         lambda a, order: prob_multi_stirling2_series(a.ms, a.ks, order).egf_coeffs,
+        composed=True,
     ),
     "prob-lah": Family(
         ("dist",),
@@ -91,6 +103,7 @@ FAMILIES: dict[str, Family] = {
     "prob-multi-lah": Family(
         ("ks", "dist"),
         lambda a, order: prob_multi_lah_series(a.ms, a.ks, order).egf_coeffs,
+        composed=True,
     ),
     "prob-fubini": Family(
         ("dist", "r", "y"),
@@ -130,6 +143,39 @@ def _check_order_flag(order: int, force: bool) -> int:
     return order
 
 
+def _param_bits(value) -> int:
+    """Largest bit length of a numerator or denominator in a rational
+    parameter or a nested tuple of them."""
+    if isinstance(value, tuple):
+        return max([_param_bits(v) for v in value], default=0)
+    q = Fraction(value)
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _check_size(
+    order: int, ks: tuple[int, ...], params: tuple, composed: bool, force: bool
+) -> None:
+    """Refuse inputs whose values would run past ``BITS_CAP`` bits, from an
+    estimate that computes nothing.
+
+    A chain 0 < m_1 < ... < m_r = m of the multiple logarithm contributes
+    m_i^(-k_i), about |k_i| log2(m) bits, or |k_i| log2(lcm(1..N)) bits in a
+    ``composed`` family, which sums over every chain end.  The n-th moments
+    of Y, and the coefficients built from them, grow by about the bits of
+    the parameters (and log2 N) per order.
+    """
+    if force:
+        return
+    step = max(order, 1).bit_length()
+    per_index = lcm(*range(1, order + 1)).bit_length() if composed else step
+    bits = sum(abs(k) for k in ks) * per_index + order * (step + _param_bits(params))
+    if bits > BITS_CAP:
+        raise UsageError(
+            f"the values would run to about {bits} bits, past the cap of {BITS_CAP}; "
+            "pass --force-order to override"
+        )
+
+
 def _table_inputs(name: str, inputs: tuple[str, ...], args) -> SimpleNamespace:
     """Parse the flags a family requires; the others are ignored."""
     a = SimpleNamespace(ks=None, spec=None, ms=None, r=None, y=None)
@@ -142,7 +188,6 @@ def _table_inputs(name: str, inputs: tuple[str, ...], args) -> SimpleNamespace:
         elif flag == "dist":
             try:
                 a.spec = parse_distribution(given)
-                a.ms = moments(a.spec, args.order)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         elif flag == "r":
@@ -158,9 +203,13 @@ def _table_records(args) -> list[dict]:
     family = FAMILIES[args.family]
     a = _table_inputs(args.family, family.inputs, args)
     order = args.order
+    params = (a.spec.params if a.spec is not None else (), a.r or 0, a.y or 0)
+    _check_size(order, a.ks or (), params, family.composed, args.force_order)
     ks_field = list(a.ks) if a.ks is not None else None
     dist_field = a.spec.label if a.spec is not None else None
     try:
+        if a.spec is not None:
+            a.ms = moments(a.spec, order)
         values = family.values(a, order)
         if family.two_index:
             cells = [(n, k, values[k][n]) for n in range(order + 1) for k in range(n + 1)]
@@ -186,7 +235,7 @@ def _table_records(args) -> list[dict]:
 def _emit_records(records, fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
-            out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            out.write(_JSON.encode(rec) + "\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["family", "ks", "dist", "n", "k", "value"])
@@ -262,6 +311,8 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     _check_order_flag(args.order, args.force_order)
     grid = _load_grid(args.grid) if args.grid else None
+    for spec, ks in grid or ():
+        _check_size(args.order, ks, spec.params, True, args.force_order)
     identities = None
     if args.identity != "all":
         if args.identity not in ALL_IDENTITIES:
@@ -272,9 +323,7 @@ def _cmd_verify(args) -> int:
         reports = run_full_suite(grid=grid, order=args.order, identities=identities)
         # rendered in full before any is written; a value too large for str()
         # becomes a usage error rather than a traceback after partial output
-        lines = [
-            json.dumps(_report_to_dict(rep), separators=(",", ":")) + "\n" for rep in reports
-        ]
+        lines = [_JSON.encode(_report_to_dict(rep)) + "\n" for rep in reports]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.writelines(lines)
@@ -284,6 +333,9 @@ def _cmd_verify(args) -> int:
         f"{counts[EXPECTED_DISCREPANCY]} expected-discrepancy\n"
     )
     return 1 if counts[FAIL] else 0
+
+
+_FORCE_HELP = f"allow --order above {ORDER_CAP} and values past the size cap"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,9 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--r", type=int, help="power for bernoulli-higher / prob-fubini")
     table.add_argument("--y", help="rational argument for prob-fubini")
     table.add_argument("--format", choices=("json", "csv"), default="json")
-    table.add_argument(
-        "--force-order", action="store_true", help=f"allow --order above {ORDER_CAP}"
-    )
+    table.add_argument("--force-order", action="store_true", help=_FORCE_HELP)
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run the identity suite and stream JSON reports")
@@ -317,9 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--list-identities", action="store_true", help="print identity ids and exit"
     )
-    verify.add_argument(
-        "--force-order", action="store_true", help=f"allow --order above {ORDER_CAP}"
-    )
+    verify.add_argument("--force-order", action="store_true", help=_FORCE_HELP)
     verify.set_defaults(func=_cmd_verify)
     return parser
 

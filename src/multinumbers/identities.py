@@ -4,7 +4,10 @@
 Every check compares exact rationals computed along two independent code
 paths (a direct series extraction against a finite sum over number
 tables), so a shared bug cannot certify itself.  A report is ``pass``
-only under exact equality of every coefficient in range.
+only under exact equality of every coefficient in range.  Both sides are
+integer numerators over one denominator per column, summed in ``int``
+arithmetic and compared by cross-multiplication; a ``Fraction`` is built
+only for the first mismatch.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -26,9 +29,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
+from .classical import _triangle, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -40,25 +43,15 @@ from .moments import (
     point,
     poisson,
 )
-from .multi import (
-    multi_bernoulli,
-    multi_bernoulli_series,
-    multi_lah,
-    multi_lah_series,
-    multi_stirling2,
-    multi_stirling2_series,
-)
-from .multilog import index_tuple, multi_stirling1, multilog
+from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
+from .multilog import index_tuple, multilog
 from .probabilistic import (
     _mgf_argument,
+    _moment_route_columns,
     prob_fubini_series,
-    prob_lah,
-    prob_multi_lah,
+    prob_lah_series,
     prob_multi_lah_series,
-    prob_multi_stirling2,
     prob_multi_stirling2_series,
-    prob_stirling2,
-    prob_stirling2_by_moments,
     prob_stirling2_series,
 )
 from .report import (
@@ -69,7 +62,7 @@ from .report import (
     Mismatch,
     VerificationReport,
 )
-from .series import Series, geometric, neg_log1m
+from .series import Series, _over_lcm, geometric, neg_log1m
 
 __all__ = [
     "ALL_IDENTITIES",
@@ -93,7 +86,11 @@ __all__ = [
     "check_point_mass_collapse_multi",
 ]
 
-_ZERO = Fraction(0)
+# A column is ``(a, d)``: integer numerators over one positive denominator,
+# standing for the values a[n] / d.  A triangle is ``(columns, d)``: several
+# numerator columns over one denominator, entry ``columns[k][n]``.
+Column = "tuple[Sequence[int], int]"
+Triangle = "tuple[Sequence[Sequence[int]], int]"
 
 _DEFAULT_TUPLES: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -125,10 +122,31 @@ def _sign(e: int) -> int:
     return 1 if e % 2 == 0 else -1
 
 
-def _scan(pairs: Iterable[tuple[int, Fraction, Fraction]]) -> Mismatch | None:
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            return Mismatch(n, lhs, rhs)
+def _scan(lhs: Column, rhs: Column, ns: Iterable[int]) -> Mismatch | None:
+    """First ``n`` in ``ns`` at which the columns ``lhs = (a, da)`` and
+    ``rhs = (b, db)`` differ, ``a[n] / da != b[n] / db``.
+
+    The values are compared by cross-multiplication, so a ``Fraction`` is
+    built only for the mismatch.
+    """
+    a, da = lhs
+    b, db = rhs
+    for n in ns:
+        if a[n] * db != b[n] * da:
+            return Mismatch(n, Fraction(a[n], da), Fraction(b[n], db))
+    return None
+
+
+def _scan_triangles(lhs: Triangle, rhs: Triangle, top: int) -> Mismatch | None:
+    """The same for two triangles ``(columns, d)`` with entry ``columns[k][n]``,
+    scanned over n = 0..top and, for each n, k = 0..n."""
+    cols_a, da = lhs
+    cols_b, db = rhs
+    for n in range(top + 1):
+        for k in range(n + 1):
+            a, b = cols_a[k][n], cols_b[k][n]
+            if a * db != b * da:
+                return Mismatch(n, Fraction(a, da), Fraction(b, db))
     return None
 
 
@@ -156,6 +174,11 @@ def _report(
     )
 
 
+def _coeff_column(s: Series) -> Column:
+    """The ordinary coefficients of ``s`` as a column."""
+    return s._num, s._den
+
+
 def check_derivative_rules(ks, order: int) -> VerificationReport:
     """The two derivative recurrences of the multiple logarithm.
 
@@ -168,27 +191,42 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     ks = index_tuple(ks)
     if order == 0:
         return _report("derivative-rules", order, None, ks)
-    lhs = multilog(ks, order).derivative().coeffs
+    lhs = _coeff_column(multilog(ks, order).derivative())
     lowered = ks[:-1] + (ks[-1] - 1,)
-    shifted = multilog(lowered, order).divide(Series.t(order), 1).coeffs
-    mismatch = _scan((n, lhs[n], shifted[n]) for n in range(order))
+    shifted = _coeff_column(multilog(lowered, order).divide(Series.t(order), 1))
+    mismatch = _scan(lhs, shifted, range(order))
     if mismatch is not None or ks[-1] != 1:
         return _report("derivative-rules", order, mismatch, ks, detail="index-lowering rule")
 
     prefix = ks[:-1]
     tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
-    rhs = (geometric(order - 1) * tail).coeffs
-    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(order))
+    rhs = _coeff_column(geometric(order - 1) * tail)
+    mismatch = _scan(lhs, rhs, range(order))
     detail = "prefix rule at trailing index 1"
     return _report("derivative-rules", order, mismatch, ks, detail=detail)
 
 
-def _prefix_column(family, prefix: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
-    """EGF column ``family(prefix, order).egf_coeffs`` of a possibly empty
+def _prefix_column(family, prefix: tuple[int, ...], order: int) -> Column:
+    """EGF column ``family(prefix, order).egf_column`` of a possibly empty
     index prefix; the empty prefix gives the delta column (1, 0, ..., 0)."""
     if not prefix:
-        return Series.one(order).egf_coeffs
-    return family(prefix, order).egf_coeffs
+        return Series.one(order).egf_column
+    return family(prefix, order).egf_column
+
+
+def _append_one_deterministic_sides(prefix: tuple[int, ...], order: int) -> tuple[Column, Column]:
+    """Both sides of the deterministic append-one rule for n = 0..order-1:
+    sum_m C(n, m) ms2(prefix, m) and ms2(prefix + (1,), n + 1)."""
+    head, dh = _prefix_column(multi_stirling2_series, prefix, order)
+    tail, dt = multi_stirling2_series(prefix + (1,), order).egf_column
+    lhs = [0] * order
+    for n in range(order):
+        acc = 0
+        for m in range(len(prefix), n + 1):
+            if head[m]:
+                acc += comb(n, m) * head[m]
+        lhs[n] = acc
+    return (lhs, dh), (tail[1:], dt)
 
 
 def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
@@ -197,68 +235,87 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
         ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
     """
     prefix = tuple(ks_prefix)
-    head = _prefix_column(multi_stirling2_series, prefix, order)
-    tail = multi_stirling2_series(prefix + (1,), order).egf_coeffs
-    mismatch = _scan(
-        (n, sum((comb(n, m) * head[m] for m in range(len(prefix), n + 1)), _ZERO), tail[n + 1])
-        for n in range(order)
-    )
-    return _report("append-one-deterministic", order, mismatch, prefix)
+    lhs, rhs = _append_one_deterministic_sides(prefix, order)
+    return _report("append-one-deterministic", order, _scan(lhs, rhs, range(order)), prefix)
 
 
 @lru_cache(maxsize=None)
-def _second_kind_columns(ms: MomentSequence, order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The {n; k}_Y triangle by columns: entry k holds {0; k}_Y .. {order; k}_Y."""
-    return tuple([prob_stirling2_series(ms, k, order).egf_coeffs for k in range(order + 1)])
+def _second_kind_columns(ms: MomentSequence, order: int) -> Triangle:
+    """The {n; k}_Y triangle over one denominator: column k holds the
+    numerators of {0; k}_Y .. {order; k}_Y."""
+    return _over_lcm([prob_stirling2_series(ms, k, order).egf_column for k in range(order + 1)])
 
 
-def _second_kind_sums(ms: MomentSequence, weights: Sequence, order: int) -> list[Fraction]:
-    """sum_{j<=n} weights[j] {n; j}_Y for n = 0 .. len(weights) - 1.
+def _second_kind_sums(ms: MomentSequence, weights: Column, order: int) -> Column:
+    """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``.
 
-    This applies the exponential Riordan array (1, M - 1) to ``weights``
-    in O(len(weights)^2) products.
+    This applies the exponential Riordan array (1, M - 1) to ``w`` in
+    O(len(w)^2) integer products; {n; j}_Y vanishes for n < j.
     """
-    cols = _second_kind_columns(ms, order)
-    sums = []
-    for n in range(len(weights)):
-        acc = _ZERO
-        for j in range(n + 1):
-            if weights[j]:
-                acc += weights[j] * cols[j][n]
-        sums.append(acc)
-    return sums
+    w, dw = weights
+    cols, den = _second_kind_columns(ms, order)
+    top = len(w)
+    sums = [0] * top
+    for j, wj in enumerate(w):
+        if wj:
+            col = cols[j]
+            for n in range(j, top):
+                sums[n] += wj * col[n]
+    return sums, dw * den
 
 
 @lru_cache(maxsize=None)
-def _append_one_single_index(ms: MomentSequence, r: int, order: int) -> Mismatch | None:
-    """First mismatch of {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m), n = r..order."""
-    cols = _second_kind_columns(ms, order)
-    mu = ms.mu
+def _moment_column(ms: MomentSequence) -> Column:
+    """The moments mu_0 .. mu_N of Y as a column."""
+    den = lcm(*[m.denominator for m in ms.mu])
+    return tuple([m.numerator * (den // m.denominator) for m in ms.mu]), den
 
-    def pairs():
-        for n in range(r, order + 1):
-            below = cols[r - 1]
-            lhs = _ZERO
-            for m in range(r - 1, n):
-                lhs += comb(n - 1, m) * below[m] * mu[n - m]
-            yield n, lhs, cols[r][n]
 
-    return _scan(pairs())
+def _append_one_sides(
+    ms: MomentSequence, prefix: tuple[int, ...], order: int
+) -> tuple[Column, Column]:
+    """Both sides of the moment-weighted append-one rule for n = 0..order-1:
+    sum_m C(n, m) mu_(n-m+1) {m; prefix}_Y and {n+1; prefix + (1,)}_Y."""
+    head, dh = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
+    tail, dt = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
+    mu, dmu = _moment_column(ms)
+    lhs = [0] * order
+    for n in range(order):
+        acc = 0
+        for m in range(len(prefix), n + 1):
+            if head[m]:
+                acc += comb(n, m) * mu[n - m + 1] * head[m]
+        lhs[n] = acc
+    return (lhs, dmu * dh), (tail[1:], dt)
 
 
 @lru_cache(maxsize=None)
-def _append_one_classical(r: int, order: int) -> Mismatch | None:
-    """First mismatch of S(n, r) = sum_m C(n-1, m) S(m, r-1), n = r..order."""
+def _append_one_single_index_sides(
+    ms: MomentSequence, r: int, order: int
+) -> tuple[Column, Column]:
+    """Both sides of {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m) for
+    n = 0..order, zero below n = r."""
+    cols, den = _second_kind_columns(ms, order)
+    mu, dmu = _moment_column(ms)
+    lhs = [0] * (order + 1)
+    for n in range(r, order + 1):
+        below = cols[r - 1]
+        acc = 0
+        for m in range(r - 1, n):
+            acc += comb(n - 1, m) * below[m] * mu[n - m]
+        lhs[n] = acc
+    rhs = cols[r] if r <= order else (0,) * (order + 1)
+    return (tuple(lhs), den * dmu), (rhs, den)
 
-    def pairs():
-        for n in range(r, order + 1):
-            lhs = sum(
-                (comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n)),
-                Fraction(0),
-            )
-            yield n, lhs, Fraction(stirling2(n, r))
 
-    return _scan(pairs())
+@lru_cache(maxsize=None)
+def _append_one_classical_sides(r: int, order: int) -> tuple[Column, Column]:
+    """Both sides of S(n, r) = sum_m C(n-1, m) S(m, r-1) for n = 0..order,
+    zero below n = r."""
+    lhs = [0] * (order + 1)
+    for n in range(r, order + 1):
+        lhs[n] = sum(comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n))
+    return (tuple(lhs), 1), (tuple([stirling2(n, r) for n in range(order + 1)]), 1)
 
 
 def check_append_one(
@@ -269,32 +326,24 @@ def check_append_one(
         sum_m C(n, m) mu_{n-m+1} {m; prefix}_Y = {n+1; prefix + (1,)}_Y,
 
     together with its two single-index specialisations.  The probabilistic
-    one depends only on (Y, r) and the classical one only on r, so each is
-    evaluated once per key and shared by every prefix.
+    one depends only on (Y, r) and the classical one only on r, so the sums
+    of each are formed once per key and shared by every prefix.
     """
     prefix = tuple(ks_prefix)
-    full = prefix + (1,)
-    r = len(full)
-    head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
-    tail = prob_multi_stirling2_series(ms, full, order).egf_coeffs
-    mu = ms.mu
-
-    def main_pairs():
-        for n in range(order):
-            lhs = _ZERO
-            for m in range(r - 1, n + 1):
-                lhs += comb(n, m) * mu[n - m + 1] * head[m]
-            yield n, lhs, tail[n + 1]
-
-    mismatch = _scan(main_pairs())
+    r = len(prefix) + 1
+    lhs, rhs = _append_one_sides(ms, prefix, order)
+    mismatch = _scan(lhs, rhs, range(order))
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="main form")
 
-    mismatch = _append_one_single_index(ms, r, order)
+    single_index = range(r, order + 1)
+    lhs, rhs = _append_one_single_index_sides(ms, r, order)
+    mismatch = _scan(lhs, rhs, single_index)
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="single-index form")
 
-    mismatch = _append_one_classical(r, order)
+    lhs, rhs = _append_one_classical_sides(r, order)
+    mismatch = _scan(lhs, rhs, single_index)
     detail = "single-index classical form"
     return _report("append-one", order, mismatch, prefix, dist, detail=detail)
 
@@ -325,30 +374,28 @@ def check_bernoulli_convolution(
     if top < 0:  # no n to compare, and h**r has no valuation r below order r
         return _report("bernoulli-convolution", order, None, ks, dist)
     h = _mgf_argument(ms, order)
-    ratio = multilog(ks, order).compose(h).divide(h**r, r).egf_coeffs
-    bern = multi_bernoulli_series(ks, order).egf_coeffs[: top + 1]
-    lhs = _second_kind_sums(ms, bern, order)
-    mismatch = _scan((n, lhs[n], ratio[n]) for n in range(top + 1))
+    ratio = multilog(ks, order).compose(h).divide(h**r, r).egf_column
+    bern, db = multi_bernoulli_series(ks, order).egf_column
+    lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
+    mismatch = _scan(lhs, ratio, range(top + 1))
     return _report("bernoulli-convolution", order, mismatch, ks, dist)
 
 
 @lru_cache(maxsize=None)
-def _first_kind_weights(ks: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+def _first_kind_weights(ks: tuple[int, ...], order: int) -> Column:
     """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero below r)."""
     r = len(ks)
-    first = multilog(ks, order).egf_coeffs
-    v = [_ZERO] * (order + 1)
+    first, d = multilog(ks, order).egf_column
+    v = [0] * (order + 1)
     for l in range(r, order + 1):
-        acc = _ZERO
+        acc = 0
         for m in range(r, l + 1):
             acc += _sign(l - m) * stirling2(l, m) * first[m]
         v[l] = acc
-    return tuple(v)
+    return tuple(v), d
 
 
-def _first_kind_inversion_rhs(
-    ms: MomentSequence, ks: tuple[int, ...], order: int
-) -> list[Fraction]:
+def _first_kind_inversion_rhs(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Column:
     """sum_{l=r}^{n} {n; l}_Y v_l for n = 0..order; see :func:`_first_kind_weights`."""
     return _second_kind_sums(ms, _first_kind_weights(ks, order), order)
 
@@ -366,11 +413,32 @@ def check_first_kind_inversion(
     Y) and is formed once per index tuple.
     """
     ks = tuple(ks)
-    r = len(ks)
-    lhs = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
+    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
     rhs = _first_kind_inversion_rhs(ms, ks, order)
-    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order + 1))
+    mismatch = _scan(lhs, rhs, range(len(ks), order + 1))
     return _report("first-kind-inversion", order, mismatch, ks, dist)
+
+
+def _lah_sides(
+    ms: MomentSequence, ks: tuple[int, ...], order: int
+) -> tuple[Column, Column, Column]:
+    """The probabilistic multi-Lah column and both first-kind sums for
+    n = 0..order: sum_{k=r}^{n} {k; ks}_Y [n; k] (corrected) and
+    sum_{k=r}^{n} {n; ks}_Y [n; k] (literal)."""
+    r = len(ks)
+    direct = prob_multi_lah_series(ms, ks, order).egf_column
+    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
+    corrected = [0] * (order + 1)
+    literal = [0] * (order + 1)
+    for n in range(r, order + 1):
+        acc = row = 0
+        for k in range(r, n + 1):
+            s1 = stirling1(n, k)
+            acc += second[k] * s1
+            row += s1
+        corrected[n] = acc
+        literal[n] = second[n] * row
+    return direct, (corrected, ds), (literal, ds)
 
 
 def check_lah_via_first_kind(
@@ -384,71 +452,56 @@ def check_lah_via_first_kind(
     first at (ks = (1,1), Y = point(1), n = 3) where it gives 12 against 6.
     """
     ks = tuple(ks)
-    r = len(ks)
-    direct = prob_multi_lah_series(ms, ks, order).egf_coeffs
-    second = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
-
-    def corrected_pairs():
-        for n in range(r, order + 1):
-            rhs = sum((second[k] * stirling1(n, k) for k in range(r, n + 1)), Fraction(0))
-            yield n, direct[n], rhs
-
-    def literal_pairs():
-        for n in range(r, order + 1):
-            outer = second[n]
-            rhs = sum((outer * stirling1(n, k) for k in range(r, n + 1)), Fraction(0))
-            yield n, direct[n], rhs
-
-    corrected = _report(
-        "lah-via-first-kind-corrected", order, _scan(corrected_pairs()), ks, dist
-    )
-    literal = _report(
-        "lah-via-first-kind-literal",
-        order,
-        _scan(literal_pairs()),
-        ks,
-        dist,
-        detail="summand uses the outer index; the corrected variant matches the series",
-    )
-    return [corrected, literal]
+    direct, corrected, literal = _lah_sides(ms, ks, order)
+    ns = range(len(ks), order + 1)
+    return [
+        _report("lah-via-first-kind-corrected", order, _scan(direct, corrected, ns), ks, dist),
+        _report(
+            "lah-via-first-kind-literal",
+            order,
+            _scan(direct, literal, ns),
+            ks,
+            dist,
+            detail="summand uses the outer index; the corrected variant matches the series",
+        ),
+    ]
 
 
-def _expansion_weights(b: Sequence[Fraction], r: int, order: int) -> tuple[Fraction, ...]:
+def _expansion_weights(b: Column, r: int, order: int) -> Column:
     """w_j = sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) b_m for j = 0..order-r
     (zero below r)."""
-    w = [_ZERO] * max(order - r + 1, 0)
+    bs, d = b
+    w = [0] * max(order - r + 1, 0)
     for j in range(r, order - r + 1):
-        acc = _ZERO
+        acc = 0
         for m in range(j - r + 1):
-            if b[m]:
-                acc += _sign(j - m - r) * comb(j, m) * stirling2(j - m, r) * b[m]
+            if bs[m]:
+                acc += _sign(j - m - r) * comb(j, m) * stirling2(j - m, r) * bs[m]
         w[j] = acc
-    return tuple(w)
+    return tuple(w), d
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> Column:
     r_fact = factorial(len(ks))
-    bern = multi_bernoulli_series(ks, order).egf_coeffs
-    return _expansion_weights([r_fact * b for b in bern], len(ks), order)
+    bern, d = multi_bernoulli_series(ks, order).egf_column
+    return _expansion_weights(([r_fact * b for b in bern], d), len(ks), order)
 
 
 @lru_cache(maxsize=None)
-def _single_index_expansion_weights(r: int, order: int) -> tuple[Fraction, ...]:
-    bern = bernoulli_higher_series(r, order).egf_coeffs
+def _single_index_expansion_weights(r: int, order: int) -> Column:
+    bern, d = bernoulli_higher_series(r, order).egf_column
     # (-1)^m B_m^(r) turns the sign (-1)^(j-m-r) into (-1)^(j-r)
-    return _expansion_weights([_sign(m) * b for m, b in enumerate(bern)], r, order)
+    return _expansion_weights(([_sign(m) * b for m, b in enumerate(bern)], d), r, order)
 
 
-def _bernoulli_expansion_rhs(
-    ms: MomentSequence, ks: tuple[int, ...], order: int
-) -> list[Fraction]:
+def _bernoulli_expansion_rhs(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Column:
     """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
     w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
     return _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
 
 
-def _single_index_expansion_rhs(ms: MomentSequence, r: int, order: int) -> list[Fraction]:
+def _single_index_expansion_rhs(ms: MomentSequence, r: int, order: int) -> Column:
     """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
     w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r)."""
     return _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
@@ -471,9 +524,9 @@ def check_bernoulli_expansion(
     """
     ks = tuple(ks)
     r = len(ks)
-    lhs = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
+    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
     rhs = _bernoulli_expansion_rhs(ms, ks, order)
-    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order - r + 1))
+    mismatch = _scan(lhs, rhs, range(r, order - r + 1))
     return _report("bernoulli-expansion", order, mismatch, ks, dist)
 
 
@@ -488,29 +541,30 @@ def check_bernoulli_expansion_single_index(
 
     compared for n = r..order-r, with ``w_j`` formed once per ``r``.
     """
-    lhs = prob_stirling2_series(ms, r, order).egf_coeffs
+    lhs = prob_stirling2_series(ms, r, order).egf_column
     rhs = _single_index_expansion_rhs(ms, r, order)
-    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(r, order - r + 1))
+    mismatch = _scan(lhs, rhs, range(r, order - r + 1))
     return _report("bernoulli-expansion-single-index", order, mismatch, (1,) * r, dist)
 
 
 def _fubini_sides(
     ms: MomentSequence, ks: tuple[int, ...], order: int
-) -> tuple[list[Fraction], list[Fraction]]:
+) -> tuple[Column, Column]:
     """Both sides of the Fubini convolution for n = 0..order:
     sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k)."""
     r = len(ks)
-    lah_col = multi_lah_series(ks, order).egf_coeffs
-    lhs = _second_kind_sums(ms, [c if k >= r else _ZERO for k, c in enumerate(lah_col)], order)
-    second = prob_multi_stirling2_series(ms, ks, order).egf_coeffs
-    fubini = prob_fubini_series(ms, r, 1, order).egf_coeffs
-    rhs = []
+    lah_col, dl = multi_lah_series(ks, order).egf_column
+    lhs = _second_kind_sums(ms, ([c if k >= r else 0 for k, c in enumerate(lah_col)], dl), order)
+    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
+    fubini, df = prob_fubini_series(ms, r, 1, order).egf_column
+    rhs = [0] * (order + 1)
     for n in range(order + 1):
-        acc = _ZERO
+        acc = 0
         for k in range(r, n + 1):
-            acc += comb(n, k) * second[k] * fubini[n - k]
-        rhs.append(acc)
-    return lhs, rhs
+            if second[k]:
+                acc += comb(n, k) * second[k] * fubini[n - k]
+        rhs[n] = acc
+    return lhs, (rhs, ds * df)
 
 
 def check_fubini_convolution(
@@ -520,7 +574,7 @@ def check_fubini_convolution(
     binomial sums of multi second-kind numbers against Fubini values at 1."""
     ks = tuple(ks)
     lhs, rhs = _fubini_sides(ms, ks, order)
-    mismatch = _scan((n, lhs[n], rhs[n]) for n in range(len(ks), order + 1))
+    mismatch = _scan(lhs, rhs, range(len(ks), order + 1))
     return _report("fubini-convolution", order, mismatch, ks, dist)
 
 
@@ -530,55 +584,49 @@ def check_route_agreement(
     """EGF route equals the inclusion-exclusion moment route for the
     probabilistic second-kind numbers (n capped at 10)."""
     top = min(order, 10)
+    mismatch = _scan_triangles(
+        _second_kind_columns(ms, order), _moment_route_columns(ms, top), top
+    )
+    return _report("second-kind-route-agreement", order, mismatch, None, dist)
 
-    def pairs():
-        for n in range(top + 1):
-            for k in range(n + 1):
-                yield n, prob_stirling2(ms, n, k, order), prob_stirling2_by_moments(ms, n, k)
 
-    return _report("second-kind-route-agreement", order, _scan(pairs()), None, dist)
+def _classical_column(entry, r: int, order: int) -> Column:
+    """``entry(n, r)`` for n = 0..order as a column."""
+    return [entry(n, r) for n in range(order + 1)], 1
 
 
 def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]:
     """All-ones index tuples collapse every deterministic family to its
     classical counterpart."""
     ones = (1,) * r
-    reports = []
-
-    closed = neg_log1m(order) ** r * Fraction(1, factorial(r))
+    ns = range(order + 1)
     series = multilog(ones, order)
-    mismatch = _scan(
-        (n, series.coeff(n), closed.coeff(n)) for n in range(order + 1)
-    )
-    reports.append(_report("all-ones-multilog", order, mismatch, ones))
-
-    mismatch = _scan(
-        (n, multi_stirling1(ones, n, order), Fraction(stirling1(n, r)))
-        for n in range(order + 1)
-    )
-    reports.append(_report("all-ones-first-kind", order, mismatch, ones))
-
-    mismatch = _scan(
-        (n, multi_stirling2(ones, n, order), Fraction(stirling2(n, r)))
-        for n in range(order + 1)
-    )
-    reports.append(_report("all-ones-second-kind", order, mismatch, ones))
-
-    mismatch = _scan(
-        (n, multi_lah(ones, n, order), Fraction(lah(n, r))) for n in range(order + 1)
-    )
-    reports.append(_report("all-ones-lah", order, mismatch, ones))
-
-    mismatch = _scan(
+    closed = neg_log1m(order) ** r * Fraction(1, factorial(r))
+    higher, dh = bernoulli_higher_series(r, order).egf_column
+    # the family column and its classical counterpart, per identity
+    pairs = (
+        ("all-ones-multilog", _coeff_column(series), _coeff_column(closed)),
+        ("all-ones-first-kind", series.egf_column, _classical_column(stirling1, r, order)),
         (
-            n,
-            multi_bernoulli(ones, n, order),
-            _sign(n) * bernoulli_higher(n, r, order) / factorial(r),
-        )
-        for n in range(order + 1)
+            "all-ones-second-kind",
+            multi_stirling2_series(ones, order).egf_column,
+            _classical_column(stirling2, r, order),
+        ),
+        (
+            "all-ones-lah",
+            multi_lah_series(ones, order).egf_column,
+            _classical_column(lah, r, order),
+        ),
+        (
+            "all-ones-bernoulli",
+            multi_bernoulli_series(ones, order).egf_column,
+            ([_sign(n) * b for n, b in enumerate(higher)], dh * factorial(r)),
+        ),
     )
-    reports.append(_report("all-ones-bernoulli", order, mismatch, ones))
-    return reports
+    return [
+        _report(identity, order, _scan(family, classical, ns), ones)
+        for identity, family, classical in pairs
+    ]
 
 
 def check_all_ones_probabilistic(
@@ -587,13 +635,16 @@ def check_all_ones_probabilistic(
     """All-ones index tuples collapse both probabilistic multi families to
     their single-index counterparts for every Y."""
     ones = (1,) * r
+    ns = range(order + 1)
     second = _scan(
-        (n, prob_multi_stirling2(ms, ones, n, order), prob_stirling2(ms, n, r, order))
-        for n in range(order + 1)
+        prob_multi_stirling2_series(ms, ones, order).egf_column,
+        prob_stirling2_series(ms, r, order).egf_column,
+        ns,
     )
     lah_m = _scan(
-        (n, prob_multi_lah(ms, ones, n, order), prob_lah(ms, n, r, order))
-        for n in range(order + 1)
+        prob_multi_lah_series(ms, ones, order).egf_column,
+        prob_lah_series(ms, r, order).egf_column,
+        ns,
     )
     return [
         _report("all-ones-prob-second-kind", order, second, ones, dist),
@@ -605,20 +656,14 @@ def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     """At Y = point(1) the single-index probabilistic families are classical."""
     ms = moments(point(1), order)
     label = "point:1"
-
-    def second_pairs():
-        for n in range(order + 1):
-            for k in range(n + 1):
-                yield n, prob_stirling2(ms, n, k, order), Fraction(stirling2(n, k))
-
-    def lah_pairs():
-        for n in range(order + 1):
-            for k in range(n + 1):
-                yield n, prob_lah(ms, n, k, order), Fraction(lah(n, k))
-
+    lah_triangle = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
+    second = _scan_triangles(
+        _second_kind_columns(ms, order), (_triangle(stirling2, order), 1), order
+    )
+    lah_m = _scan_triangles(lah_triangle, (_triangle(lah, order), 1), order)
     return [
-        _report("point-mass-collapse-second-kind", order, _scan(second_pairs()), None, label),
-        _report("point-mass-collapse-lah", order, _scan(lah_pairs()), None, label),
+        _report("point-mass-collapse-second-kind", order, second, None, label),
+        _report("point-mass-collapse-lah", order, lah_m, None, label),
     ]
 
 
@@ -635,13 +680,16 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
     ks = tuple(ks)
     ms = moments(point(1), order)
     label = "point:1"
+    ns = range(order + 1)
     second = _scan(
-        (n, prob_multi_stirling2(ms, ks, n, order), multi_stirling2(ks, n, order))
-        for n in range(order + 1)
+        prob_multi_stirling2_series(ms, ks, order).egf_column,
+        multi_stirling2_series(ks, order).egf_column,
+        ns,
     )
     lah_m = _scan(
-        (n, prob_multi_lah(ms, ks, n, order), multi_lah(ks, n, order))
-        for n in range(order + 1)
+        prob_multi_lah_series(ms, ks, order).egf_column,
+        multi_lah_series(ks, order).egf_column,
+        ns,
     )
     return [
         _report("point-mass-collapse-multi-second-kind", order, second, ks, label),

@@ -12,7 +12,8 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j, kept here as the
-independent route :func:`prob_stirling2_by_moments`.
+independent route :func:`prob_stirling2_by_moments`, computed as one
+integer triangle per (Y, order).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .moments import MomentSequence, mgf, power_table, resolvent, sum_power_moment
+from .moments import MomentSequence, mgf, power_table, resolvent
 from .multi import li_argument
 from .multilog import index_tuple, multilog
-from .series import Series, _check_entry
+from .series import Series, _check_entry, _over_lcm
 
 __all__ = [
     "prob_stirling2",
@@ -62,19 +63,52 @@ def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None)
     return prob_stirling2_series(ms, k, order).egf_coeff(n)
 
 
+@lru_cache(maxsize=None)
+def _moment_route_columns(
+    ms: MomentSequence, order: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The second-kind triangle by the inclusion-exclusion sum over moments
+    of S_j, for n, k = 0..order, in integers:
+
+        {n; k}_Y = (1/k!) sum_{j=0}^{k} C(k, j) (-1)^(k-j) E[S_j^n],
+
+    returned as ``(columns, d)``: entry k of ``columns`` holds the
+    numerators of {0; k}_Y .. {order; k}_Y over the one denominator ``d``.
+    ``E[S_j^n]`` is read off the EGF column of ``M^j``.
+    """
+    sums, den = _over_lcm(
+        [power_table(mgf, ms, j, order, False).egf_column for j in range(order + 1)]
+    )
+    top = factorial(order)
+    columns = []
+    for k in range(order + 1):
+        scale = top // factorial(k)
+        column = [0] * (order + 1)
+        for j in range(k + 1):
+            c = comb(k, j) * scale
+            if (k - j) % 2:
+                c = -c
+            for n, x in enumerate(sums[j]):
+                column[n] += c * x
+        columns.append(tuple(column))
+    return tuple(columns), den * top
+
+
 def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     """Same number by the inclusion-exclusion sum over moments of S_j.
 
     (1/k!) sum_{j=0}^{k} C(k,j) (-1)^(k-j) E[S_j^n]; kept as an independent
-    cross-check of the EGF route.
+    cross-check of the EGF route.  Zero for k > n: E[S_j^n] is a polynomial
+    of degree n in j, so its k-th difference vanishes.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    total = Fraction(0)
-    for j in range(k + 1):
-        sign = 1 if (k - j) % 2 == 0 else -1
-        total += sign * comb(k, j) * sum_power_moment(ms, j, n)
-    return total / factorial(k)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if k > n:
+        return Fraction(0)
+    columns, den = _moment_route_columns(ms, n)
+    return Fraction(columns[k][n], den)
 
 
 @lru_cache(maxsize=None)

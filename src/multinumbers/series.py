@@ -33,11 +33,14 @@ and ``a_0 b_n = -sum a_j b_(n-j)``) solved in integers: the coefficients
 found so far share one denominator, each new one is reduced by a single
 gcd, and the shared denominator is rescaled only when it must grow.
 
-Exponential-generating-function coefficients ``a_n = n! * c_n`` are read
-off with :meth:`Series.egf_coeff`, or all at once as
-:attr:`Series.egf_coeffs`, from a table built once per series;
-storage stays in ordinary form so that products and compositions need
-no factorial bookkeeping.
+Exponential-generating-function coefficients ``a_n = n! * c_n`` come
+from one table built once per series, :attr:`Series.egf_column`: the
+integer numerators ``n! m_n`` over the series denominator ``d``.  The
+identity checks sum and compare those integers directly;
+:attr:`Series.egf_coeffs` and :meth:`Series.egf_coeff` read the same
+table as ``Fraction`` values, built once on first use.  Storage stays in
+ordinary form so that products and compositions need no factorial
+bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
 series may be shared freely across threads; the coefficient tables are
@@ -89,7 +92,15 @@ def _make(num: list[int], den: int) -> "Series":
     s._den = den
     s._coeffs = None
     s._egf = None
+    s._egf_coeffs = None
     return s
+
+
+def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer columns ``(a, d)``, each standing for the values ``a[n] / d``,
+    rescaled to one denominator, the lcm of theirs: ``(numerators, lcm)``."""
+    den = lcm(*[d for _, d in columns])
+    return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
 
 
 def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Fraction) -> tuple[list[int], int]:
@@ -126,7 +137,7 @@ def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Fraction) -> tup
 class Series:
     """Formal power series in ``t`` truncated after the ``t^order`` term."""
 
-    __slots__ = ("_num", "_den", "_coeffs", "_egf")
+    __slots__ = ("_num", "_den", "_coeffs", "_egf", "_egf_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = tuple([_exact(c) for c in coeffs])
@@ -137,6 +148,7 @@ class Series:
         self._den = den
         self._coeffs = cs
         self._egf = None
+        self._egf_coeffs = None
 
     # ------------------------------------------------------------ constructors
 
@@ -183,26 +195,38 @@ class Series:
         return self.coeffs[n]
 
     @property
+    def egf_column(self) -> tuple[tuple[int, ...], int]:
+        """EGF coefficients as integers over one denominator: ``(a, d)`` with
+        ``n! c_n = a[n] / d`` for n = 0..order; ``d`` is the series
+        denominator, so ``a[n] / d`` need not be in lowest terms."""
+        column = self._egf
+        if column is None:
+            a = list(self._num)
+            fact = 1
+            for n, m in enumerate(a):
+                if n > 1:
+                    fact *= n
+                    a[n] = m * fact
+            column = self._egf = (tuple(a), self._den)
+        return column
+
+    @property
     def egf_coeffs(self) -> tuple[Fraction, ...]:
         """Exponential-generating-function coefficients ``(0! c_0, ..., N! c_N)``."""
-        table = self._egf
+        table = self._egf_coeffs
         if table is None:
-            d = self._den
-            table = [_ZERO] * len(self._num)
-            fact = 1
-            for m, c in enumerate(self._num):
-                if m:
-                    fact *= m
-                if c:
-                    table[m] = Fraction(c * fact, d)
-            table = self._egf = tuple(table)
+            a, d = self.egf_column
+            table = list(a)
+            for n, m in enumerate(a):
+                table[n] = Fraction(m, d) if m else _ZERO
+            table = self._egf_coeffs = tuple(table)
         return table
 
     def egf_coeff(self, n: int) -> Fraction:
         """Exponential-generating-function coefficient ``n! * c_n``."""
         self._check_index(n)
         # the table commands call this once per entry: no extra call on a hit
-        table = self._egf
+        table = self._egf_coeffs
         if table is None:
             table = self.egf_coeffs
         return table[n]

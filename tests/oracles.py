@@ -18,9 +18,12 @@ from multinumbers import (
     multi_bernoulli,
     multi_lah,
     multi_stirling1,
+    multi_stirling2,
     prob_fubini,
+    prob_multi_lah,
     prob_multi_stirling2,
     prob_stirling2,
+    stirling1,
     stirling2,
 )
 
@@ -188,9 +191,30 @@ def series_inverse(a: list[Fraction]) -> list[Fraction]:
     return b
 
 
+def rising_factorial_stirling1(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of the unsigned first-kind triangle, row n holding the
+    coefficients of the rising factorial x (x + 1) ... (x + n - 1) in x."""
+    rows = [[1]]
+    for n in range(n_max):
+        prev = rows[-1] + [0]
+        rows.append([(prev[k - 1] if k else 0) + n * prev[k] for k in range(n + 2)])
+    return rows
+
+
+def rising_factorial_resolvent(ms, order: int) -> list[Fraction]:
+    """[t^n] E[(1-t)^(-Y)] = sum_k [n; k] mu_k / n! for n = 0..order: the
+    coefficient of t^n in (1-t)^(-y) is the rising factorial y^(n) / n!."""
+    rows = rising_factorial_stirling1(order)
+    return [
+        sum((c * ms.mu[k] for k, c in enumerate(rows[n])), Fraction(0)) / factorial(n)
+        for n in range(order + 1)
+    ]
+
+
 # ---------------------------------------------------------------- literal identity sums
 # The sums of the identity checks exactly as the identities are written,
-# one entry at a time: O(N^3) per cell, kept to test the hoisted O(N^2) forms.
+# one entry at a time in ``Fraction`` arithmetic: O(N^3) per cell for the
+# double sums, kept to test the integer O(N^2) forms of the checks.
 
 
 def _sign(e: int) -> int:
@@ -282,3 +306,129 @@ def fubini_sums(ms, ks, order: int) -> tuple[list[Fraction], list[Fraction]]:
             )
         )
     return lhs, rhs
+
+
+def _prefix_entry(entry, prefix, m: int, order: int) -> Fraction:
+    """``entry(prefix, m, order)``, or the delta value [m == 0] for an empty prefix."""
+    if not prefix:
+        return Fraction(int(m == 0))
+    return entry(prefix, m, order)
+
+
+def append_one_deterministic_sums(prefix, order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """sum_m C(n, m) ms2(prefix, m) and ms2(prefix + (1,), n + 1), n = 0..order-1."""
+    full = tuple(prefix) + (1,)
+    lhs = [
+        sum(
+            (
+                comb(n, m) * _prefix_entry(multi_stirling2, prefix, m, order)
+                for m in range(len(prefix), n + 1)
+            ),
+            Fraction(0),
+        )
+        for n in range(order)
+    ]
+    return lhs, [multi_stirling2(full, n + 1, order) for n in range(order)]
+
+
+def append_one_sums(ms, prefix, order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """sum_m C(n, m) mu_(n-m+1) {m; prefix}_Y and {n+1; prefix + (1,)}_Y,
+    n = 0..order-1."""
+    full = tuple(prefix) + (1,)
+
+    def head(ks, m, order):
+        return prob_multi_stirling2(ms, ks, m, order)
+
+    lhs = [
+        sum(
+            (
+                comb(n, m) * ms.mu[n - m + 1] * _prefix_entry(head, prefix, m, order)
+                for m in range(len(prefix), n + 1)
+            ),
+            Fraction(0),
+        )
+        for n in range(order)
+    ]
+    return lhs, [prob_multi_stirling2(ms, full, n + 1, order) for n in range(order)]
+
+
+def append_one_single_index_sums(ms, r: int, order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """sum_m C(n-1, m) {m; r-1}_Y mu_(n-m) and {n; r}_Y, n = 0..order (zero below r)."""
+    lhs = [Fraction(0)] * (order + 1)
+    rhs = [Fraction(0)] * (order + 1)
+    for n in range(r, order + 1):
+        lhs[n] = sum(
+            (
+                comb(n - 1, m) * prob_stirling2(ms, m, r - 1, order) * ms.mu[n - m]
+                for m in range(r - 1, n)
+            ),
+            Fraction(0),
+        )
+        rhs[n] = prob_stirling2(ms, n, r, order)
+    return lhs, rhs
+
+
+def append_one_classical_sums(r: int, order: int) -> tuple[list[int], list[int]]:
+    """sum_m C(n-1, m) S(m, r-1) and S(n, r), n = 0..order (zero below r)."""
+    lhs = [0] * (order + 1)
+    for n in range(r, order + 1):
+        lhs[n] = sum(comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n))
+    return lhs, [stirling2(n, r) for n in range(order + 1)]
+
+
+def lah_sums(ms, ks, order: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """The probabilistic multi-Lah numbers, sum_{k=r}^{n} {k; ks}_Y [n; k]
+    (corrected) and sum_{k=r}^{n} {n; ks}_Y [n; k] (literal), n = 0..order."""
+    r = len(ks)
+    direct = [prob_multi_lah(ms, ks, n, order) for n in range(order + 1)]
+    corrected = [
+        sum(
+            (prob_multi_stirling2(ms, ks, k, order) * stirling1(n, k) for k in range(r, n + 1)),
+            Fraction(0),
+        )
+        for n in range(order + 1)
+    ]
+    literal = [
+        sum(
+            (prob_multi_stirling2(ms, ks, n, order) * stirling1(n, k) for k in range(r, n + 1)),
+            Fraction(0),
+        )
+        for n in range(order + 1)
+    ]
+    return direct, corrected, literal
+
+
+def bernoulli_convolution_sum(ms, ks, order: int) -> list[Fraction]:
+    """sum_{j=0}^{n} B_j(ks) {n; j}_Y, n = 0..order-r."""
+    return [
+        sum(
+            (
+                multi_bernoulli(ks, j, order) * prob_stirling2(ms, n, j, order)
+                for j in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        for n in range(order - len(ks) + 1)
+    ]
+
+
+def moment_route(ms, order: int) -> list[list[Fraction]]:
+    """T[k][n] = (1/k!) sum_{j=0}^{k} C(k, j) (-1)^(k-j) E[S_j^n] for
+    n, k = 0..order, with E[S_j^n] = n! [t^n] M(t)^j from
+    :func:`series_product` on the moment EGF M."""
+    mgf = [ms.mu[n] / factorial(n) for n in range(order + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * order
+    sums = []
+    for _ in range(order + 1):
+        sums.append([factorial(n) * c for n, c in enumerate(power)])
+        power = series_product(power, mgf)
+    return [
+        [
+            sum(
+                (_sign(k - j) * comb(k, j) * sums[j][n] for j in range(k + 1)), Fraction(0)
+            )
+            / factorial(k)
+            for n in range(order + 1)
+        ]
+        for k in range(order + 1)
+    ]

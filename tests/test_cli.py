@@ -200,6 +200,68 @@ def test_verify_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "multilog", "--ks", "1000000", "--order", "3"),
+        ("table", "multilog", "--ks", "100000", "--order", "8"),
+        # a composed family's denominators grow like lcm(1..N)^k
+        ("table", "multi-stirling2", "--ks", "2000", "--order", "64"),
+        ("table", "prob-lah", "--dist", "point:" + "9" * 300, "--order", "64"),
+        ("table", "bernoulli-higher", "--r", "9" * 600, "--order", "64"),
+    ],
+    ids=["multilog-1e6", "multilog-1e5", "composed", "dist-params", "r"],
+)
+def test_runaway_table_inputs_are_refused_before_computing(capsys, monkeypatch, argv):
+    from multinumbers import cli
+
+    def computed(*args):
+        raise AssertionError("computed a refused input")
+
+    for name in ("multilog", "multi_stirling2_series", "moments", "bernoulli_higher_series"):
+        monkeypatch.setattr(cli, name, computed)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the values would run to about ") and err.endswith(
+        "pass --force-order to override\n"
+    )
+
+
+def test_force_order_overrides_the_size_cap(capsys):
+    # the estimate counts every index, but only the last one reaches n = 2
+    argv = ("table", "multilog", "--ks", "20000,1", "--order", "2")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "cap" in err
+    code, out, _ = run_cli(capsys, *argv, "--force-order")
+    assert code == 0
+    assert [rec["value"] for rec in json_lines(out)] == ["0", "0", "1/2"]
+
+
+def test_printable_inputs_near_the_size_cap_still_run(capsys):
+    code, out, _ = run_cli(capsys, "table", "multilog", "--ks", "14000", "--order", "2")
+    assert code == 0
+    assert json_lines(out)[-1]["value"] == f"1/{2 ** 14000}"
+
+
+def test_verify_grid_past_the_size_cap_is_refused(tmp_path, capsys):
+    grid_file = tmp_path / "runaway.json"
+    cells = [{"dist": "poisson:1", "ks": [1]}, {"dist": "point:1", "ks": [100000]}]
+    grid_file.write_text(json.dumps(cells))
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the values would run to about ")
+
+
+def test_table_with_too_few_raw_moments_is_a_usage_error(capsys):
+    argv = ("table", "prob-stirling2", "--dist", "raw:1,2", "--order", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: raw spec provides moments up to order 1, needed 5\n"
+
+
 def test_verify_list_identities(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list-identities")
     assert code == 0

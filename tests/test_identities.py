@@ -1,37 +1,67 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinumbers import identities
 from multinumbers.identities import (
     ALL_IDENTITIES,
     IDENTITIES,
+    _append_one_classical_sides,
+    _append_one_deterministic_sides,
+    _append_one_sides,
+    _append_one_single_index_sides,
     _bernoulli_expansion_rhs,
     _first_kind_inversion_rhs,
     _fubini_sides,
+    _lah_sides,
+    _second_kind_sums,
     _single_index_expansion_rhs,
+    check_all_ones_deterministic,
+    check_all_ones_probabilistic,
     check_append_one,
+    check_append_one_deterministic,
     check_bernoulli_convolution,
     check_bernoulli_expansion,
     check_bernoulli_expansion_single_index,
+    check_derivative_rules,
     check_fubini_convolution,
     check_first_kind_inversion,
     check_lah_via_first_kind,
+    check_point_mass_collapse_classical,
     check_point_mass_collapse_multi,
     check_route_agreement,
     default_grid,
     run_full_suite,
 )
-from multinumbers.moments import bernoulli, finite, moments, point, poisson
+from multinumbers.moments import bernoulli, finite, geometric, moments, point, poisson
+from multinumbers.multi import multi_bernoulli_series
+from multinumbers.multilog import multilog
+from multinumbers.probabilistic import (
+    _mgf_argument,
+    _moment_route_columns,
+    prob_multi_stirling2,
+    prob_stirling2,
+)
 from multinumbers.report import Mismatch, VerificationReport
 from multinumbers.series import Series
 from oracles import (
+    append_one_classical_sums,
+    append_one_deterministic_sums,
+    append_one_single_index_sums,
+    append_one_sums,
+    bernoulli_convolution_sum,
     bernoulli_expansion_single_index_sum,
     bernoulli_expansion_sum,
     first_kind_inversion_sum,
     fubini_sums,
+    lah_sums,
+    moment_route,
 )
 
 F = Fraction
@@ -294,7 +324,14 @@ def test_scopes_over_an_irregular_grid():
     assert keys("derivative-rules") == [(None, (1,)), (None, (1, 2))]
 
 
-# ---------------------------------------------------------------- hoisted sums
+# ---------------------------------------------------------------- integer sums
+
+
+def values(column):
+    """The rationals a[n] / d of an integer column ``(a, d)``."""
+    nums, den = column
+    return [Fraction(a, den) for a in nums]
+
 
 ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
 
@@ -303,12 +340,113 @@ ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3
 def test_hoisted_sums_match_literal_triple_sums(spec, ks):
     ms = moments(spec, 10)
     r = len(ks)
-    assert _first_kind_inversion_rhs(ms, ks, 10) == first_kind_inversion_sum(ms, ks, 10)
-    assert _bernoulli_expansion_rhs(ms, ks, 10) == bernoulli_expansion_sum(ms, ks, 10)
-    assert _single_index_expansion_rhs(ms, r, 10) == bernoulli_expansion_single_index_sum(
-        ms, r, 10
+    assert values(_first_kind_inversion_rhs(ms, ks, 10)) == first_kind_inversion_sum(ms, ks, 10)
+    assert values(_bernoulli_expansion_rhs(ms, ks, 10)) == bernoulli_expansion_sum(ms, ks, 10)
+    assert values(_single_index_expansion_rhs(ms, r, 10)) == (
+        bernoulli_expansion_single_index_sum(ms, r, 10)
     )
-    assert _fubini_sides(ms, ks, 10) == fubini_sums(ms, ks, 10)
+    lhs, rhs = _fubini_sides(ms, ks, 10)
+    assert (values(lhs), values(rhs)) == fubini_sums(ms, ks, 10)
+
+
+# laws with a zero mean, a point mass at 0 (M = 1, so every {n; k}_Y with
+# k >= 1 vanishes) and non-integer moments
+SUM_DISTS = [
+    point(0),
+    point(F(-1, 2)),
+    MEAN_ZERO,
+    poisson(F(1, 2)),
+    bernoulli(F(1, 3)),
+    geometric(F(1, 2)),
+]
+index_tuples = st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=3).map(tuple)
+orders = st.integers(min_value=0, max_value=14)
+sum_cells = st.tuples(st.sampled_from(SUM_DISTS), index_tuples, orders)
+
+
+@given(sum_cells)
+@settings(max_examples=40, deadline=None)
+def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
+    spec, ks, order = cell
+    ms = moments(spec, order)
+    r = len(ks)
+    lhs, rhs = _append_one_deterministic_sides(ks, order)
+    assert (values(lhs), values(rhs)) == append_one_deterministic_sums(ks, order)
+    lhs, rhs = _append_one_sides(ms, ks, order)
+    assert (values(lhs), values(rhs)) == append_one_sums(ms, ks, order)
+    for s in (r, r + 1):
+        lhs, rhs = _append_one_single_index_sides(ms, s, order)
+        assert (values(lhs), values(rhs)) == append_one_single_index_sums(ms, s, order)
+        lhs, rhs = _append_one_classical_sides(s, order)
+        assert (values(lhs), values(rhs)) == append_one_classical_sums(s, order)
+    assert [values(c) for c in _lah_sides(ms, ks, order)] == list(lah_sums(ms, ks, order))
+    columns, den = _moment_route_columns(ms, order)
+    assert [values((c, den)) for c in columns] == moment_route(ms, order)
+
+
+@given(sum_cells)
+@settings(max_examples=25, deadline=None)
+def test_second_kind_sums_match_the_oracles(cell):
+    spec, ks, order = cell
+    ms = moments(spec, order)
+    r = len(ks)
+    assert values(_first_kind_inversion_rhs(ms, ks, order)) == (
+        first_kind_inversion_sum(ms, ks, order)
+    )
+    assert values(_bernoulli_expansion_rhs(ms, ks, order)) == (
+        bernoulli_expansion_sum(ms, ks, order)
+    )
+    assert values(_single_index_expansion_rhs(ms, r, order)) == (
+        bernoulli_expansion_single_index_sum(ms, r, order)
+    )
+    lhs, rhs = _fubini_sides(ms, ks, order)
+    assert (values(lhs), values(rhs)) == fubini_sums(ms, ks, order)
+    if order >= r:
+        bern, den = multi_bernoulli_series(ks, order).egf_column
+        lhs = _second_kind_sums(ms, (bern[: order - r + 1], den), order)
+        assert values(lhs) == bernoulli_convolution_sum(ms, ks, order)
+
+
+# index tuples of length r = 3 and 4, over a mean-zero law among others
+EDGE_CELLS = [
+    (poisson(1), (1, 2, 3)),
+    (MEAN_ZERO, (2, 0, 1)),
+    (bernoulli(F(1, 2)), (2, -1, 0, 1)),
+    (MEAN_ZERO, (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("spec,ks", EDGE_CELLS, ids=lambda v: str(v))
+def test_every_check_runs_at_orders_zero_to_r_plus_one(spec, ks):
+    # the short orders leave some compared ranges empty and some columns unread
+    r = len(ks)
+    for order in range(r + 2):
+        ms = moments(spec, order)
+        reports = [
+            check_derivative_rules(ks, order),
+            check_append_one_deterministic(ks, order),
+            check_append_one(ms, ks, order),
+            check_append_one(ms, ks[:-1], order),
+            check_bernoulli_convolution(ms, ks, order),
+            check_first_kind_inversion(ms, ks, order),
+            *check_lah_via_first_kind(ms, ks, order),
+            check_bernoulli_expansion(ms, ks, order),
+            check_bernoulli_expansion_single_index(ms, r, order),
+            check_fubini_convolution(ms, ks, order),
+            check_route_agreement(ms, order),
+            *check_all_ones_deterministic(r, order),
+            *check_all_ones_probabilistic(ms, r, order),
+            *check_point_mass_collapse_classical(order),
+            *check_point_mass_collapse_multi(ks, order),
+        ]
+        for report in reports:
+            assert report.order == order
+            if report.identity in ("lah-via-first-kind-literal", "point-mass-collapse-multi-lah"):
+                assert report.status in ("pass", "expected-discrepancy")
+            elif report.identity == "bernoulli-convolution" and spec is MEAN_ZERO and order:
+                assert report.status == "skipped"
+            else:
+                assert (report.status, report.first_mismatch) == ("pass", None), report
 
 
 def clear_identity_caches():
@@ -319,12 +457,17 @@ def clear_identity_caches():
 
 @pytest.fixture
 def perturb(monkeypatch):
-    """Replace a column source of the checks by a perturbed one; the sums the
-    checks cache per tuple are dropped on the way in and on the way out."""
+    """Replace a column source of the checks by a perturbed one, both where the
+    checks look it up and in the module that defines it, so the per-entry
+    functions the oracles read see the same change; the sums the checks
+    cache per tuple are dropped on the way in and on the way out."""
 
     def apply(name, m):
         clear_identity_caches()
-        monkeypatch.setattr(identities, name, bumped(getattr(identities, name), m))
+        source = getattr(identities, name)
+        changed = bumped(source, m)
+        monkeypatch.setattr(identities, name, changed)
+        monkeypatch.setattr(sys.modules[source.__module__], name, changed)
 
     yield apply
     clear_identity_caches()
@@ -340,35 +483,162 @@ def bumped(source, m):
     return perturbed
 
 
-# (check, column source it reads, coefficient raised, first n the change
-# reaches); at Y = poisson(1) every {n; n}_Y = mu_1^n is 1, so a change to
-# the weight of {n; j}_Y shows first at n = j, and a change to the Fubini
-# value F_j first at n = j + r.
+KS = (1, 2)
+N = 10
+
+
+def pairs(lhs, rhs, ns):
+    return [(n, lhs[n], rhs[n]) for n in ns]
+
+
+def pms2_column(ms):
+    return [prob_multi_stirling2(ms, KS, n, N) for n in range(N + 1)]
+
+
+def convolution_pairs(ms):
+    h = _mgf_argument(ms, N)
+    ratio = multilog(KS, N).compose(h).divide(h**2, 2).egf_coeffs
+    return pairs(bernoulli_convolution_sum(ms, KS, N), ratio, range(N - 1))
+
+
+def route_pairs(ms):
+    by_moments = moment_route(ms, N)
+    return [
+        (n, prob_stirling2(ms, n, k, N), by_moments[k][n])
+        for n in range(N + 1)
+        for k in range(n + 1)
+    ]
+
+
+# (id, check, column source it reads, coefficient raised, first n the change
+# reaches, the compared values in scan order from the literal oracles); at
+# Y = poisson(1) every {n; n}_Y = mu_1^n is 1, so a change to the weight of
+# {n; j}_Y shows first at n = j, and a change to the Fubini value F_j first
+# at n = j + r.  A raised coefficient m of a column read at n + 1 shows at
+# n = m - 1.
 PERTURBATIONS = [
-    (lambda ms: check_first_kind_inversion(ms, (1, 2), 10), "multilog", 4, 4),
-    (lambda ms: check_bernoulli_expansion(ms, (1, 2), 10), "multi_bernoulli_series", 1, 3),
     (
-        lambda ms: check_bernoulli_expansion_single_index(ms, 2, 10),
+        "multilog-4",
+        lambda ms: check_first_kind_inversion(ms, KS, N),
+        "multilog",
+        4,
+        4,
+        lambda ms: pairs(pms2_column(ms), first_kind_inversion_sum(ms, KS, N), range(2, N + 1)),
+    ),
+    (
+        "multi_bernoulli_series-1",
+        lambda ms: check_bernoulli_expansion(ms, KS, N),
+        "multi_bernoulli_series",
+        1,
+        3,
+        lambda ms: pairs(pms2_column(ms), bernoulli_expansion_sum(ms, KS, N), range(2, N - 1)),
+    ),
+    (
+        "bernoulli_higher_series-1",
+        lambda ms: check_bernoulli_expansion_single_index(ms, 2, N),
         "bernoulli_higher_series",
         1,
         3,
+        lambda ms: pairs(
+            [prob_stirling2(ms, n, 2, N) for n in range(N + 1)],
+            bernoulli_expansion_single_index_sum(ms, 2, N),
+            range(2, N - 1),
+        ),
     ),
-    (lambda ms: check_bernoulli_convolution(ms, (1, 2), 10), "multi_bernoulli_series", 3, 3),
-    (lambda ms: check_fubini_convolution(ms, (1, 2), 10), "multi_lah_series", 4, 4),
-    (lambda ms: check_fubini_convolution(ms, (1, 2), 10), "prob_fubini_series", 2, 4),
+    (
+        "multi_bernoulli_series-3",
+        lambda ms: check_bernoulli_convolution(ms, KS, N),
+        "multi_bernoulli_series",
+        3,
+        3,
+        convolution_pairs,
+    ),
+    (
+        "multi_lah_series-4",
+        lambda ms: check_fubini_convolution(ms, KS, N),
+        "multi_lah_series",
+        4,
+        4,
+        lambda ms: pairs(*fubini_sums(ms, KS, N), range(2, N + 1)),
+    ),
+    (
+        "prob_fubini_series-2",
+        lambda ms: check_fubini_convolution(ms, KS, N),
+        "prob_fubini_series",
+        2,
+        4,
+        lambda ms: pairs(*fubini_sums(ms, KS, N), range(2, N + 1)),
+    ),
+    (
+        "append-one-main",
+        lambda ms: check_append_one(ms, KS, N),
+        "prob_multi_stirling2_series",
+        3,
+        2,
+        lambda ms: pairs(*append_one_sums(ms, KS, N), range(N)),
+    ),
+    (
+        "append-one-single-index",
+        lambda ms: check_append_one(ms, (1,), N),
+        "prob_stirling2_series",
+        3,
+        3,
+        lambda ms: pairs(*append_one_single_index_sums(ms, 2, N), range(2, N + 1)),
+    ),
+    (
+        "append-one-deterministic",
+        lambda ms: check_append_one_deterministic(KS, N),
+        "multi_stirling2_series",
+        3,
+        2,
+        lambda ms: pairs(*append_one_deterministic_sums(KS, N), range(N)),
+    ),
+    (
+        "lah-corrected",
+        lambda ms: check_lah_via_first_kind(ms, KS, N)[0],
+        "prob_multi_stirling2_series",
+        3,
+        3,
+        lambda ms: pairs(*lah_sums(ms, KS, N)[:2], range(2, N + 1)),
+    ),
+    (
+        "lah-literal",
+        lambda ms: check_lah_via_first_kind(ms, KS, N)[1],
+        "prob_multi_lah_series",
+        2,
+        2,
+        lambda ms: pairs(*lah_sums(ms, KS, N)[::2], range(2, N + 1)),
+    ),
+    (
+        "route-agreement",
+        lambda ms: check_route_agreement(ms, N),
+        "prob_stirling2_series",
+        3,
+        3,
+        route_pairs,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "check,source,m,first_n", PERTURBATIONS, ids=[f"{p[1]}-{p[2]}" for p in PERTURBATIONS]
+    "check,source,m,first_n,oracle",
+    [p[1:] for p in PERTURBATIONS],
+    ids=[p[0] for p in PERTURBATIONS],
 )
-def test_perturbed_column_fails_at_first_reached_n(perturb, check, source, m, first_n):
-    ms = moments(poisson(1), 10)
-    assert check(ms).status == "pass"
+def test_perturbed_column_fails_at_first_reached_n(perturb, check, source, m, first_n, oracle):
+    ms = moments(poisson(1), N)
+    before = check(ms)
+    assert before.first_mismatch is None or before.first_mismatch.n > first_n
     perturb(source, m)
     report = check(ms)
-    assert report.status == "fail"
+    # the literal Lah variant is an expected discrepancy either way
+    assert report.status == ("fail" if before.status == "pass" else before.status)
     assert report.first_mismatch.n == first_n
+    expected = next((n, a, b) for n, a, b in oracle(ms) if a != b)
+    assert tuple(report.first_mismatch) == expected
+    for value in (report.first_mismatch.lhs, report.first_mismatch.rhs):
+        assert type(value) is Fraction
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
 
 
 # ---------------------------------------------------------------- records

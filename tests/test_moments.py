@@ -24,7 +24,7 @@ from multinumbers.moments import (
 from multinumbers.series import Series, exp_t
 from multinumbers.series import geometric as geometric_series
 
-from oracles import bell_numbers, ordered_partition_count
+from oracles import bell_numbers, ordered_partition_count, rising_factorial_resolvent
 
 F = Fraction
 
@@ -242,6 +242,16 @@ def test_resolvent_point_masses():
     assert resolvent(moments(point(1), 7), 7) == geometric_series(7)
     two = resolvent(moments(point(2), 7), 7)
     assert two == Series(F(n + 1) for n in range(8))
+
+
+@pytest.mark.parametrize(
+    "spec", [poisson(F(3, 2)), geometric(F(1, 3)), binomial(4, F(2, 5))], ids=str
+)
+@pytest.mark.parametrize("order", [24, 64])
+def test_resolvent_equals_the_rising_factorial_sum(spec, order):
+    # [t^n] E[(1-t)^(-Y)] = sum_k [n; k] mu_k / n!, with no series composition
+    ms = moments(spec, order)
+    assert list(resolvent(ms, order).coeffs) == rising_factorial_resolvent(ms, order)
 
 
 def test_resolvent_bernoulli_linear_coefficient():

@@ -57,6 +57,19 @@ def test_second_kind_bernoulli_value_by_moment_sum():
     assert prob_stirling2_by_moments(ms, 2, 2) == F(1, 4)
 
 
+def test_moment_route_above_the_diagonal_and_its_argument_checks():
+    ms = moments(poisson(1), 4)
+    assert prob_stirling2_by_moments(ms, 2, 5) == 0
+    assert type(prob_stirling2_by_moments(ms, 2, 5)) is Fraction
+    assert type(prob_stirling2_by_moments(ms, 3, 2)) is Fraction
+    for n, k in ((-1, 0), (2, -1), (True, 1)):
+        with pytest.raises(ValueError):
+            prob_stirling2_by_moments(ms, n, k)
+    # the moments must reach order n, as for the EGF route
+    with pytest.raises(ValueError):
+        prob_stirling2_by_moments(ms, 5, 2)
+
+
 def test_second_kind_empty_cell():
     ms = moments(poisson(1), 4)
     assert prob_stirling2(ms, 0, 0, 4) == 1
