@@ -36,10 +36,10 @@ from .probabilistic import (
 from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
 
 ORDER_CAP = 64
-# Inputs whose values would run to more bits than this are refused before
+# table refuses inputs whose values would run to more bits than this before
 # anything is computed.  CPython prints an int of at most 4300 decimal digits
-# (about 14,300 bits) by default; the estimate in _check_size overshoots a
-# printable multiple logarithm by at most a factor of 2.
+# (about 14,300 bits) by default; a value between that and the cap is
+# computed and then refused when it is printed.
 BITS_CAP = 1 << 15
 # one encoder for every output line; json.dumps with non-default arguments
 # would build a new one per line
@@ -158,17 +158,23 @@ def _check_size(
     """Refuse inputs whose values would run past ``BITS_CAP`` bits, from an
     estimate that computes nothing.
 
-    A chain 0 < m_1 < ... < m_r = m of the multiple logarithm contributes
-    m_i^(-k_i), about |k_i| log2(m) bits, or |k_i| log2(lcm(1..N)) bits in a
-    ``composed`` family, which sums over every chain end.  The n-th moments
-    of Y, and the coefficients built from them, grow by about the bits of
-    the parameters (and log2 N) per order.
+    In a chain 0 < m_1 < ... < m_r <= N of the multiple logarithm index i
+    reaches at most M_i = N - r + i.  The coefficient at n sums m_i^(-k_i)
+    over every m_i <= M_i for i < r, about |k_i| log2(lcm(1..M_i)) bits, and
+    fixes m_r = n, about |k_r| log2(N) bits; a ``composed`` family sums over
+    every chain end as well, so its last index counts like the others.  The
+    n-th moments of Y, and the coefficients built from them, grow by about
+    the bits of the parameters (and log2 N) per order.
     """
     if force:
         return
-    step = max(order, 1).bit_length()
-    per_index = lcm(*range(1, order + 1)).bit_length() if composed else step
-    bits = sum(abs(k) for k in ks) * per_index + order * (step + _param_bits(params))
+    top = max(order, 1)
+    bits = order * (top.bit_length() + _param_bits(params))
+    r = len(ks)
+    for i, k in enumerate(ks, 1):
+        # lcm() of no arguments is 1; ceil(log2 x) = (x - 1).bit_length()
+        reach = lcm(*range(1, order - r + i + 1)) if composed or i < r else top
+        bits += abs(k) * (reach - 1).bit_length()
     if bits > BITS_CAP:
         raise UsageError(
             f"the values would run to about {bits} bits, past the cap of {BITS_CAP}; "
@@ -311,8 +317,6 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     _check_order_flag(args.order, args.force_order)
     grid = _load_grid(args.grid) if args.grid else None
-    for spec, ks in grid or ():
-        _check_size(args.order, ks, spec.params, True, args.force_order)
     identities = None
     if args.identity != "all":
         if args.identity not in ALL_IDENTITIES:
@@ -335,9 +339,6 @@ def _cmd_verify(args) -> int:
     return 1 if counts[FAIL] else 0
 
 
-_FORCE_HELP = f"allow --order above {ORDER_CAP} and values past the size cap"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multinum",
@@ -353,7 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--r", type=int, help="power for bernoulli-higher / prob-fubini")
     table.add_argument("--y", help="rational argument for prob-fubini")
     table.add_argument("--format", choices=("json", "csv"), default="json")
-    table.add_argument("--force-order", action="store_true", help=_FORCE_HELP)
+    table.add_argument(
+        "--force-order",
+        action="store_true",
+        help=f"allow --order above {ORDER_CAP} and values past the size cap",
+    )
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run the identity suite and stream JSON reports")
@@ -367,7 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--list-identities", action="store_true", help="print identity ids and exit"
     )
-    verify.add_argument("--force-order", action="store_true", help=_FORCE_HELP)
+    verify.add_argument(
+        "--force-order", action="store_true", help=f"allow --order above {ORDER_CAP}"
+    )
     verify.set_defaults(func=_cmd_verify)
     return parser
 

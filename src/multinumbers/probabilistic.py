@@ -12,8 +12,8 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j, kept here as the
-independent route :func:`prob_stirling2_by_moments`, computed as one
-integer triangle per (Y, order).
+independent route :func:`prob_stirling2_by_moments`, and as one integer
+triangle per (Y, order) for the route-agreement check.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .moments import MomentSequence, mgf, power_table, resolvent
+from .moments import MomentSequence, mgf, power_table, resolvent, sum_power_moment
 from .multi import li_argument
 from .multilog import index_tuple, multilog
 from .series import Series, _check_entry, _over_lcm
@@ -105,10 +105,11 @@ def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if k > n:
-        return Fraction(0)
-    columns, den = _moment_route_columns(ms, n)
-    return Fraction(columns[k][n], den)
+    total = Fraction(0)
+    for j in range(k + 1):
+        sign = 1 if (k - j) % 2 == 0 else -1
+        total += sign * comb(k, j) * sum_power_moment(ms, j, n)
+    return total / factorial(k)
 
 
 @lru_cache(maxsize=None)

@@ -229,29 +229,44 @@ def test_runaway_table_inputs_are_refused_before_computing(capsys, monkeypatch, 
 
 
 def test_force_order_overrides_the_size_cap(capsys):
-    # the estimate counts every index, but only the last one reaches n = 2
-    argv = ("table", "multilog", "--ks", "20000,1", "--order", "2")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "cap" in err
-    code, out, _ = run_cli(capsys, *argv, "--force-order")
+    argv = ("table", "multilog", "--ks", "40000", "--order", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "past the cap" in err
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(capsys, *argv, "--force-order")
+        assert code == 0
+        assert [rec["value"] for rec in json_lines(out)] == ["0", "1", f"1/{2 ** 40000}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "ks, order, values",
+    [
+        # only the last index reaches n = 2; the first stays at m_1 = 1
+        ("20000,1", 2, ["0", "0", "1/2"]),
+        # at order 3 the first index sums over m_1 = 1, 2
+        ("12000,1", 3, ["0", "0", "1/2", f"{2 ** 12000 + 1}/{3 * 2 ** 12000}"]),
+        ("14000", 2, ["0", "1", f"1/{2 ** 14000}"]),
+    ],
+)
+def test_printable_inputs_near_the_size_cap_still_run(capsys, ks, order, values):
+    code, out, _ = run_cli(capsys, "table", "multilog", "--ks", ks, "--order", str(order))
     assert code == 0
-    assert [rec["value"] for rec in json_lines(out)] == ["0", "0", "1/2"]
+    assert [rec["value"] for rec in json_lines(out)] == values
 
 
-def test_printable_inputs_near_the_size_cap_still_run(capsys):
-    code, out, _ = run_cli(capsys, "table", "multilog", "--ks", "14000", "--order", "2")
+def test_verify_grid_is_not_size_capped(tmp_path, capsys):
+    # verify prints a value only for a mismatch, so a large index that
+    # verifies cleanly is not refused
+    grid_file = tmp_path / "large.json"
+    grid_file.write_text(json.dumps([{"dist": "point:1", "ks": [100000]}]))
+    argv = ("verify", "--grid", str(grid_file), "--order", "3", "--identity", "first-kind-inversion")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json_lines(out)[-1]["value"] == f"1/{2 ** 14000}"
-
-
-def test_verify_grid_past_the_size_cap_is_refused(tmp_path, capsys):
-    grid_file = tmp_path / "runaway.json"
-    cells = [{"dist": "poisson:1", "ks": [1]}, {"dist": "point:1", "ks": [100000]}]
-    grid_file.write_text(json.dumps(cells))
-    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "3")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: the values would run to about ")
+    assert {rec["status"] for rec in json_lines(out)} == {"pass"}
 
 
 def test_table_with_too_few_raw_moments_is_a_usage_error(capsys):
