@@ -13,37 +13,42 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .series import Series, _check_entry, exp_t
+from .series import Series, _check_entry, _check_order
 
 __all__ = ["stirling1", "stirling2", "lah", "bernoulli_higher", "bernoulli_higher_series"]
 
 
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        v = prev[k - 1] if k >= 1 else 0
-        if k <= n - 1:
-            v += (n - 1) * prev[k]
-        row[k] = v
-    return tuple(row)
+# rows 0..len-1 of the unsigned first-kind (True) and second-kind (False) triangles
+_ROWS = {True: {0: (1,)}, False: {0: (1,)}}
+
+
+def _stirling_row(first_kind: bool, n: int) -> tuple[int, ...]:
+    """Row n of the unsigned first-kind or the second-kind Stirling triangle.
+
+    Both obey T(n, k) = T(n-1, k-1) + c T(n-1, k), with c = n - 1 for the
+    first kind and c = k for the second.  The rows are memoised and filled
+    upward from the last one held, in a loop, so a cold row costs no
+    recursion.  Row m is stored only after row m - 1, and threads that
+    fill the same row store equal values, so no lock is needed.
+    """
+    rows = _ROWS[first_kind]
+    for m in range(len(rows), n + 1):
+        prev = (0, *rows[m - 1], 0)  # prev[k] = T(m-1, k-1)
+        mult = (m - 1,) * (m + 1) if first_kind else range(m + 1)
+        rows[m] = tuple([a + c * b for a, b, c in zip(prev, prev[1:], mult)])
+    return rows[n]
 
 
 @lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        v = prev[k - 1] if k >= 1 else 0
-        if k <= n - 1:
-            v += k * prev[k]
-        row[k] = v
-    return tuple(row)
+def _stirling_columns(first_kind: bool, order: int, signed: bool = False) -> tuple:
+    """The triangle of :func:`_stirling_row` by columns: entry k holds
+    T(0, k) .. T(order, k), each times (-1)^(n-k) when ``signed``."""
+    rows = [_stirling_row(first_kind, n) for n in range(order + 1)]
+    flip = -1 if signed else 1
+    return tuple(
+        tuple([0] * k + [row[k] * flip ** (n - k) for n, row in enumerate(rows[k:], k)])
+        for k in range(order + 1)
+    )
 
 
 def _check_lattice(n: int, k: int) -> None:
@@ -61,7 +66,7 @@ def stirling1(n: int, k: int) -> int:
     _check_lattice(n, k)
     if k < 0 or k > n:
         return 0
-    return _stirling1_row(n)[k]
+    return _stirling_row(True, n)[k]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -69,7 +74,7 @@ def stirling2(n: int, k: int) -> int:
     _check_lattice(n, k)
     if k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return _stirling_row(False, n)[k]
 
 
 def lah(n: int, k: int) -> int:
@@ -88,15 +93,14 @@ def lah(n: int, k: int) -> int:
 def bernoulli_higher_series(r: int, order: int) -> Series:
     """(t/(e^t - 1))^r as an exact series of the requested order.
 
-    Computed at internal order ``order + r`` so the valuation-r division
-    loses no requested coefficients.
+    The r-th power of the inverse of (e^t - 1)/t, whose coefficients are
+    1/(n+1)!: every step works at the requested order, whatever r, and the
+    power takes about 2 log2(r) products.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 0:
         raise ValueError("the power r must be a non-negative integer")
-    work = order + r
-    num = Series.t(work) ** r
-    den = (exp_t(work) - 1) ** r
-    return num.divide(den, r)
+    quotient = Series(Fraction(1, factorial(n + 1)) for n in range(_check_order(order) + 1))
+    return quotient.inverse() ** r
 
 
 def bernoulli_higher(n: int, r: int, order: int | None = None) -> Fraction:

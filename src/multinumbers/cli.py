@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from .classical import _triangle, bernoulli_higher_series, lah, stirling1, stirling2
+from .classical import _stirling_columns, _triangle, bernoulli_higher_series, lah
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
 from .moments import moments, parse_distribution
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
@@ -79,8 +79,8 @@ FAMILIES: dict[str, Family] = {
     "multi-lah": Family(
         ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs, composed=True
     ),
-    "stirling1": Family((), lambda a, order: _triangle(stirling1, order), two_index=True),
-    "stirling2": Family((), lambda a, order: _triangle(stirling2, order), two_index=True),
+    "stirling1": Family((), lambda a, order: _stirling_columns(True, order), two_index=True),
+    "stirling2": Family((), lambda a, order: _stirling_columns(False, order), two_index=True),
     "lah": Family((), lambda a, order: _triangle(lah, order), two_index=True),
     "bernoulli-higher": Family(
         ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs

@@ -5,9 +5,15 @@ Every check compares exact rationals computed along two independent code
 paths (a direct series extraction against a finite sum over number
 tables), so a shared bug cannot certify itself.  A report is ``pass``
 only under exact equality of every coefficient in range.  Both sides are
-integer numerators over one denominator per column, summed in ``int``
-arithmetic and compared by cross-multiplication; a ``Fraction`` is built
-only for the first mismatch.
+integer numerators over one denominator per column, compared by
+cross-multiplication; a ``Fraction`` is built only for the first mismatch.
+
+Every check-side sum has one of two shapes and is formed by one kernel
+each, in ``int`` arithmetic: a binomial convolution
+sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
+(:func:`_binomial_sums`), or a lower-triangular array applied to a
+vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
+exponential Riordan array (1, M - 1) of the {n; j}_Y triangle.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -29,9 +35,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
-from .classical import _triangle, bernoulli_higher_series, lah, stirling1, stirling2
+from .classical import _stirling_columns, _triangle, bernoulli_higher_series, lah
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -118,10 +124,6 @@ def default_grid() -> list[tuple[DistributionSpec, tuple[int, ...]]]:
     return [(spec, ks) for spec in dists for ks in _DEFAULT_TUPLES]
 
 
-def _sign(e: int) -> int:
-    return 1 if e % 2 == 0 else -1
-
-
 def _scan(lhs: Column, rhs: Column, ns: Iterable[int]) -> Mismatch | None:
     """First ``n`` in ``ns`` at which the columns ``lhs = (a, da)`` and
     ``rhs = (b, db)`` differ, ``a[n] / da != b[n] / db``.
@@ -174,6 +176,35 @@ def _report(
     )
 
 
+def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
+    """sum_{m=0}^{n} C(n, m) a[m] b[n-m] for n = 0..top (none when top < 0):
+    the EGF product of the columns ``a`` and ``b``, each Pascal row formed
+    from the one above by addition."""
+    sums = [0] * (top + 1)
+    row = [1]
+    for n in range(top + 1):
+        acc = 0
+        for m, c in enumerate(row):
+            if a[m]:
+                acc += c * a[m] * b[n - m]
+        sums[n] = acc
+        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
+    return sums
+
+
+def _triangle_sums(columns: Sequence[Sequence[int]], w: Sequence[int], top: int) -> list[int]:
+    """sum_{j<=n} w[j] columns[j][n] for n = 0..top: the lower-triangular
+    array with the given columns (column j vanishes above row j) applied to
+    ``w``, in O(top^2) integer products."""
+    sums = [0] * (top + 1)
+    for j, wj in enumerate(w[: top + 1]):
+        if wj:
+            col = columns[j]
+            for n in range(j, top + 1):
+                sums[n] += wj * col[n]
+    return sums
+
+
 def _coeff_column(s: Series) -> Column:
     """The ordinary coefficients of ``s`` as a column."""
     return s._num, s._den
@@ -214,19 +245,17 @@ def _prefix_column(family, prefix: tuple[int, ...], order: int) -> Column:
     return family(prefix, order).egf_column
 
 
-def _append_one_deterministic_sides(prefix: tuple[int, ...], order: int) -> tuple[Column, Column]:
-    """Both sides of the deterministic append-one rule for n = 0..order-1:
-    sum_m C(n, m) ms2(prefix, m) and ms2(prefix + (1,), n + 1)."""
-    head, dh = _prefix_column(multi_stirling2_series, prefix, order)
-    tail, dt = multi_stirling2_series(prefix + (1,), order).egf_column
-    lhs = [0] * order
-    for n in range(order):
-        acc = 0
-        for m in range(len(prefix), n + 1):
-            if head[m]:
-                acc += comb(n, m) * head[m]
-        lhs[n] = acc
-    return (lhs, dh), (tail[1:], dt)
+def _append_one_sides(
+    head: Column, tail: Column, weights: Column, order: int
+) -> tuple[Column, Column]:
+    """Both sides of appending a trailing 1 for n = 0..order-1,
+
+        sum_m C(n, m) w_(n-m+1) head_m = tail_(n+1),
+
+    with ``weights = (w, d)`` the moments of Y for a probabilistic family
+    and all ones for a deterministic or classical one."""
+    (h, dh), (t, dt), (w, dw) = head, tail, weights
+    return (_binomial_sums(h, w[1:], order - 1), dh * dw), (t[1:], dt)
 
 
 def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
@@ -235,7 +264,9 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
         ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
     """
     prefix = tuple(ks_prefix)
-    lhs, rhs = _append_one_deterministic_sides(prefix, order)
+    head = _prefix_column(multi_stirling2_series, prefix, order)
+    tail = multi_stirling2_series(prefix + (1,), order).egf_column
+    lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1), order)
     return _report("append-one-deterministic", order, _scan(lhs, rhs, range(order)), prefix)
 
 
@@ -247,21 +278,11 @@ def _second_kind_columns(ms: MomentSequence, order: int) -> Triangle:
 
 
 def _second_kind_sums(ms: MomentSequence, weights: Column, order: int) -> Column:
-    """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``.
-
-    This applies the exponential Riordan array (1, M - 1) to ``w`` in
-    O(len(w)^2) integer products; {n; j}_Y vanishes for n < j.
-    """
+    """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``:
+    the exponential Riordan array (1, M - 1) applied to ``w``."""
     w, dw = weights
     cols, den = _second_kind_columns(ms, order)
-    top = len(w)
-    sums = [0] * top
-    for j, wj in enumerate(w):
-        if wj:
-            col = cols[j]
-            for n in range(j, top):
-                sums[n] += wj * col[n]
-    return sums, dw * den
+    return _triangle_sums(cols, w, len(w) - 1), dw * den
 
 
 @lru_cache(maxsize=None)
@@ -271,51 +292,27 @@ def _moment_column(ms: MomentSequence) -> Column:
     return tuple([m.numerator * (den // m.denominator) for m in ms.mu]), den
 
 
-def _append_one_sides(
-    ms: MomentSequence, prefix: tuple[int, ...], order: int
-) -> tuple[Column, Column]:
-    """Both sides of the moment-weighted append-one rule for n = 0..order-1:
-    sum_m C(n, m) mu_(n-m+1) {m; prefix}_Y and {n+1; prefix + (1,)}_Y."""
-    head, dh = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
-    tail, dt = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
-    mu, dmu = _moment_column(ms)
-    lhs = [0] * order
-    for n in range(order):
-        acc = 0
-        for m in range(len(prefix), n + 1):
-            if head[m]:
-                acc += comb(n, m) * mu[n - m + 1] * head[m]
-        lhs[n] = acc
-    return (lhs, dmu * dh), (tail[1:], dt)
-
-
 @lru_cache(maxsize=None)
-def _append_one_single_index_sides(
-    ms: MomentSequence, r: int, order: int
+def _single_index_sides(
+    ms: MomentSequence | None, r: int, order: int
 ) -> tuple[Column, Column]:
-    """Both sides of {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m) for
-    n = 0..order, zero below n = r."""
-    cols, den = _second_kind_columns(ms, order)
-    mu, dmu = _moment_column(ms)
-    lhs = [0] * (order + 1)
-    for n in range(r, order + 1):
-        below = cols[r - 1]
-        acc = 0
-        for m in range(r - 1, n):
-            acc += comb(n - 1, m) * below[m] * mu[n - m]
-        lhs[n] = acc
-    rhs = cols[r] if r <= order else (0,) * (order + 1)
-    return (tuple(lhs), den * dmu), (rhs, den)
+    """Both sides of the append-one rule for the single-index numbers, for
+    n = 0..order (zero below n = r) and 1 <= r <= order:
 
+        {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m)   for Y given by ``ms``,
+        S(n, r) = sum_m C(n-1, m) S(m, r-1)              for ``ms`` None;
 
-@lru_cache(maxsize=None)
-def _append_one_classical_sides(r: int, order: int) -> tuple[Column, Column]:
-    """Both sides of S(n, r) = sum_m C(n-1, m) S(m, r-1) for n = 0..order,
-    zero below n = r."""
-    lhs = [0] * (order + 1)
-    for n in range(r, order + 1):
-        lhs[n] = sum(comb(n - 1, m) * stirling2(m, r - 1) for m in range(r - 1, n))
-    return (tuple(lhs), 1), (tuple([stirling2(n, r) for n in range(order + 1)]), 1)
+    :func:`_append_one_sides` at n - 1, with a zero in front.  They depend
+    on (Y, r) or on r alone, so they are formed once per key."""
+    if ms is None:
+        cols, den = _stirling_columns(False, order), 1
+        weights = ((1,) * (order + 1), 1)
+    else:
+        cols, den = _second_kind_columns(ms, order)
+        weights = _moment_column(ms)
+    tail = (cols[r], den)
+    (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights, order)
+    return ((0, *lhs), d), tail
 
 
 def check_append_one(
@@ -325,27 +322,24 @@ def check_append_one(
 
         sum_m C(n, m) mu_{n-m+1} {m; prefix}_Y = {n+1; prefix + (1,)}_Y,
 
-    together with its two single-index specialisations.  The probabilistic
-    one depends only on (Y, r) and the classical one only on r, so the sums
-    of each are formed once per key and shared by every prefix.
+    together with its two single-index specialisations, which compare
+    n = r..order and so nothing when r > order.
     """
     prefix = tuple(ks_prefix)
     r = len(prefix) + 1
-    lhs, rhs = _append_one_sides(ms, prefix, order)
+    head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
+    tail = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
+    lhs, rhs = _append_one_sides(head, tail, _moment_column(ms), order)
     mismatch = _scan(lhs, rhs, range(order))
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="main form")
-
-    single_index = range(r, order + 1)
-    lhs, rhs = _append_one_single_index_sides(ms, r, order)
-    mismatch = _scan(lhs, rhs, single_index)
-    if mismatch is not None:
-        return _report("append-one", order, mismatch, prefix, dist, detail="single-index form")
-
-    lhs, rhs = _append_one_classical_sides(r, order)
-    mismatch = _scan(lhs, rhs, single_index)
-    detail = "single-index classical form"
-    return _report("append-one", order, mismatch, prefix, dist, detail=detail)
+    if r <= order:
+        for key, detail in ((ms, "single-index form"), (None, "single-index classical form")):
+            lhs, rhs = _single_index_sides(key, r, order)
+            mismatch = _scan(lhs, rhs, range(r, order + 1))
+            if mismatch is not None:
+                return _report("append-one", order, mismatch, prefix, dist, detail=detail)
+    return _report("append-one", order, None, prefix, dist)
 
 
 def check_bernoulli_convolution(
@@ -383,21 +377,10 @@ def check_bernoulli_convolution(
 
 @lru_cache(maxsize=None)
 def _first_kind_weights(ks: tuple[int, ...], order: int) -> Column:
-    """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero below r)."""
-    r = len(ks)
+    """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
+    below r): the signed second-kind triangle applied to the column [m; ks]."""
     first, d = multilog(ks, order).egf_column
-    v = [0] * (order + 1)
-    for l in range(r, order + 1):
-        acc = 0
-        for m in range(r, l + 1):
-            acc += _sign(l - m) * stirling2(l, m) * first[m]
-        v[l] = acc
-    return tuple(v), d
-
-
-def _first_kind_inversion_rhs(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Column:
-    """sum_{l=r}^{n} {n; l}_Y v_l for n = 0..order; see :func:`_first_kind_weights`."""
-    return _second_kind_sums(ms, _first_kind_weights(ks, order), order)
+    return tuple(_triangle_sums(_stirling_columns(False, order, True), first, order)), d
 
 
 def check_first_kind_inversion(
@@ -414,7 +397,7 @@ def check_first_kind_inversion(
     """
     ks = tuple(ks)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
-    rhs = _first_kind_inversion_rhs(ms, ks, order)
+    rhs = _second_kind_sums(ms, _first_kind_weights(ks, order), order)
     mismatch = _scan(lhs, rhs, range(len(ks), order + 1))
     return _report("first-kind-inversion", order, mismatch, ks, dist)
 
@@ -424,20 +407,15 @@ def _lah_sides(
 ) -> tuple[Column, Column, Column]:
     """The probabilistic multi-Lah column and both first-kind sums for
     n = 0..order: sum_{k=r}^{n} {k; ks}_Y [n; k] (corrected) and
-    sum_{k=r}^{n} {n; ks}_Y [n; k] (literal)."""
+    sum_{k=r}^{n} {n; ks}_Y [n; k] (literal).  {k; ks}_Y vanishes below
+    k = r, and the literal form is {n; ks}_Y times a first-kind row sum."""
     r = len(ks)
     direct = prob_multi_lah_series(ms, ks, order).egf_column
     second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    corrected = [0] * (order + 1)
-    literal = [0] * (order + 1)
-    for n in range(r, order + 1):
-        acc = row = 0
-        for k in range(r, n + 1):
-            s1 = stirling1(n, k)
-            acc += second[k] * s1
-            row += s1
-        corrected[n] = acc
-        literal[n] = second[n] * row
+    first_kind = _stirling_columns(True, order)
+    corrected = _triangle_sums(first_kind, second, order)
+    row_sums = _triangle_sums(first_kind, (0,) * r + (1,) * (order + 1 - r), order)
+    literal = [s * t for s, t in zip(second, row_sums)]
     return direct, (corrected, ds), (literal, ds)
 
 
@@ -469,20 +447,17 @@ def check_lah_via_first_kind(
 
 def _expansion_weights(b: Column, r: int, order: int) -> Column:
     """w_j = sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) b_m for j = 0..order-r
-    (zero below r)."""
+    (zero below r): the binomial convolution of ``b`` with the column
+    (-1)^(i-r) S(i, r)."""
     bs, d = b
-    w = [0] * max(order - r + 1, 0)
-    for j in range(r, order - r + 1):
-        acc = 0
-        for m in range(j - r + 1):
-            if bs[m]:
-                acc += _sign(j - m - r) * comb(j, m) * stirling2(j - m, r) * bs[m]
-        w[j] = acc
-    return tuple(w), d
+    # the triangle reaches column r; past the order no entry of it is read
+    signed = _stirling_columns(False, max(order, r), True)[r]
+    return tuple(_binomial_sums(bs, signed, order - r)), d
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> Column:
+    """w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
     r_fact = factorial(len(ks))
     bern, d = multi_bernoulli_series(ks, order).egf_column
     return _expansion_weights(([r_fact * b for b in bern], d), len(ks), order)
@@ -490,21 +465,10 @@ def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> Column:
 
 @lru_cache(maxsize=None)
 def _single_index_expansion_weights(r: int, order: int) -> Column:
+    """w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r)."""
     bern, d = bernoulli_higher_series(r, order).egf_column
     # (-1)^m B_m^(r) turns the sign (-1)^(j-m-r) into (-1)^(j-r)
-    return _expansion_weights(([_sign(m) * b for m, b in enumerate(bern)], d), r, order)
-
-
-def _bernoulli_expansion_rhs(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Column:
-    """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
-    w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
-    return _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
-
-
-def _single_index_expansion_rhs(ms: MomentSequence, r: int, order: int) -> Column:
-    """sum_{j=r}^{n} w_j {n; j}_Y for n = 0..order-r, with
-    w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r)."""
-    return _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
+    return _expansion_weights(([-b if m % 2 else b for m, b in enumerate(bern)], d), r, order)
 
 
 def check_bernoulli_expansion(
@@ -525,7 +489,7 @@ def check_bernoulli_expansion(
     ks = tuple(ks)
     r = len(ks)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
-    rhs = _bernoulli_expansion_rhs(ms, ks, order)
+    rhs = _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
     mismatch = _scan(lhs, rhs, range(r, order - r + 1))
     return _report("bernoulli-expansion", order, mismatch, ks, dist)
 
@@ -542,7 +506,7 @@ def check_bernoulli_expansion_single_index(
     compared for n = r..order-r, with ``w_j`` formed once per ``r``.
     """
     lhs = prob_stirling2_series(ms, r, order).egf_column
-    rhs = _single_index_expansion_rhs(ms, r, order)
+    rhs = _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
     mismatch = _scan(lhs, rhs, range(r, order - r + 1))
     return _report("bernoulli-expansion-single-index", order, mismatch, (1,) * r, dist)
 
@@ -551,20 +515,12 @@ def _fubini_sides(
     ms: MomentSequence, ks: tuple[int, ...], order: int
 ) -> tuple[Column, Column]:
     """Both sides of the Fubini convolution for n = 0..order:
-    sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k)."""
-    r = len(ks)
-    lah_col, dl = multi_lah_series(ks, order).egf_column
-    lhs = _second_kind_sums(ms, ([c if k >= r else 0 for k, c in enumerate(lah_col)], dl), order)
+    sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k);
+    L(k; ks) and {k; ks}_Y vanish below k = r."""
+    lhs = _second_kind_sums(ms, multi_lah_series(ks, order).egf_column, order)
     second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    fubini, df = prob_fubini_series(ms, r, 1, order).egf_column
-    rhs = [0] * (order + 1)
-    for n in range(order + 1):
-        acc = 0
-        for k in range(r, n + 1):
-            if second[k]:
-                acc += comb(n, k) * second[k] * fubini[n - k]
-        rhs[n] = acc
-    return lhs, (rhs, ds * df)
+    fubini, df = prob_fubini_series(ms, len(ks), 1, order).egf_column
+    return lhs, (_binomial_sums(second, fubini, order), ds * df)
 
 
 def check_fubini_convolution(
@@ -590,11 +546,6 @@ def check_route_agreement(
     return _report("second-kind-route-agreement", order, mismatch, None, dist)
 
 
-def _classical_column(entry, r: int, order: int) -> Column:
-    """``entry(n, r)`` for n = 0..order as a column."""
-    return [entry(n, r) for n in range(order + 1)], 1
-
-
 def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]:
     """All-ones index tuples collapse every deterministic family to its
     classical counterpart."""
@@ -603,24 +554,22 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     series = multilog(ones, order)
     closed = neg_log1m(order) ** r * Fraction(1, factorial(r))
     higher, dh = bernoulli_higher_series(r, order).egf_column
+    # the triangles reach column r; past the order their extra rows are not read
+    top = max(order, r)
     # the family column and its classical counterpart, per identity
     pairs = (
         ("all-ones-multilog", _coeff_column(series), _coeff_column(closed)),
-        ("all-ones-first-kind", series.egf_column, _classical_column(stirling1, r, order)),
+        ("all-ones-first-kind", series.egf_column, (_stirling_columns(True, top)[r], 1)),
         (
             "all-ones-second-kind",
             multi_stirling2_series(ones, order).egf_column,
-            _classical_column(stirling2, r, order),
+            (_stirling_columns(False, top)[r], 1),
         ),
-        (
-            "all-ones-lah",
-            multi_lah_series(ones, order).egf_column,
-            _classical_column(lah, r, order),
-        ),
+        ("all-ones-lah", multi_lah_series(ones, order).egf_column, ([lah(n, r) for n in ns], 1)),
         (
             "all-ones-bernoulli",
             multi_bernoulli_series(ones, order).egf_column,
-            ([_sign(n) * b for n, b in enumerate(higher)], dh * factorial(r)),
+            ([-b if n % 2 else b for n, b in enumerate(higher)], dh * factorial(r)),
         ),
     )
     return [
@@ -658,7 +607,7 @@ def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     label = "point:1"
     lah_triangle = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
     second = _scan_triangles(
-        _second_kind_columns(ms, order), (_triangle(stirling2, order), 1), order
+        _second_kind_columns(ms, order), (_stirling_columns(False, order), 1), order
     )
     lah_m = _scan_triangles(lah_triangle, (_triangle(lah, order), 1), order)
     return [

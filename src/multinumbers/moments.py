@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .classical import stirling2
+from .classical import _stirling_row
 from .report import FrozenRecord
 from .series import Series, _check_entry, neg_log1m
 
@@ -216,9 +216,8 @@ def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
         m, p = spec.params
         # mu_n through factorial moments: E[(Y)_k] = (m)_k p^k
         for n in range(1, order + 1):
-            mu[n] = sum(
-                (stirling2(n, k) * perm(m, k)) * p**k for k in range(1, min(n, m) + 1)
-            )
+            row = _stirling_row(False, n)
+            mu[n] = sum((row[k] * perm(m, k)) * p**k for k in range(1, min(n, m) + 1))
     elif spec.kind == "poisson":
         (lam,) = spec.params
         for n in range(order):
@@ -227,9 +226,8 @@ def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
         (q,) = spec.params
         theta = (1 - q) / q
         for n in range(1, order + 1):
-            mu[n] = sum(
-                stirling2(n, k) * factorial(k) * theta**k for k in range(1, n + 1)
-            )
+            row = _stirling_row(False, n)
+            mu[n] = sum(row[k] * factorial(k) * theta**k for k in range(1, n + 1))
     elif spec.kind == "finite":
         for n in range(1, order + 1):
             mu[n] = sum(w * x**n for x, w in spec.params)
@@ -267,16 +265,24 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
+def _powers(u, ms: MomentSequence, order: int, scaled: bool) -> dict[int, Series]:
+    """The powers of :func:`power_table` held for one key, from k = 0."""
+    return {0: Series.one(order)}
+
+
 def power_table(u, ms: MomentSequence, k: int, order: int, scaled: bool) -> Series:
     """``u(ms, order) ** k``, divided by ``k!`` when ``scaled``.
 
-    Each power is cached and built from the one below it, so a table of
-    k = 0..K costs one series product per k.
+    The powers of each (u, Y, order, scaled) are memoised and filled upward
+    from the highest one held, one series product per new power, in a loop:
+    a table of k = 0..K costs K products and no recursion.  As with the
+    Stirling rows, threads that fill the same power store equal values.
     """
-    if k == 0:
-        return Series.one(order)
-    power = power_table(u, ms, k - 1, order, scaled) * u(ms, order)
-    return power * Fraction(1, k) if scaled else power
+    powers = _powers(u, ms, order, scaled)
+    for j in range(len(powers), k + 1):
+        power = powers[j - 1] * u(ms, order)
+        powers[j] = power * Fraction(1, j) if scaled else power
+    return powers[k]
 
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:

@@ -3,7 +3,15 @@ from math import comb, factorial
 
 import pytest
 
-from multinumbers.classical import bernoulli_higher, lah, stirling1, stirling2
+from multinumbers.classical import (
+    _ROWS,
+    _stirling_columns,
+    bernoulli_higher,
+    bernoulli_higher_series,
+    lah,
+    stirling1,
+    stirling2,
+)
 from multinumbers.series import Series, exp_t, geometric, neg_log1m
 
 from oracles import bernoulli_higher_oracle, stirling1_count, stirling2_count
@@ -94,3 +102,39 @@ def test_bernoulli_higher_against_convolution_oracle(r):
 def test_bernoulli_higher_range_check():
     with pytest.raises(ValueError):
         bernoulli_higher(5, 1, order=4)
+
+
+def test_cold_rows_are_filled_without_recursion(shallow_stack):
+    # 300 rows past the last one held: one frame per row would pass the limit
+    n = len(_ROWS[False]) + 300
+    assert stirling2(n, 1) == 1
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    n = len(_ROWS[True]) + 300
+    assert stirling1(n, n - 1) == comb(n, 2)
+    assert stirling1(n, 1) == factorial(n - 1)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_stirling_columns_read_the_rows(signed):
+    for first_kind, entry in ((True, stirling1), (False, stirling2)):
+        columns = _stirling_columns(first_kind, 9, signed)
+        for k, column in enumerate(columns):
+            for n, value in enumerate(column):
+                sign = -1 if signed and (n - k) % 2 else 1
+                assert value == sign * entry(n, k)
+
+
+def test_bernoulli_higher_series_equals_the_divided_power():
+    # the former construction: t^r / (e^t - 1)^r at order N + r, divided
+    for r in range(8):
+        for order in range(20):
+            work = order + r
+            divided = (Series.t(work) ** r).divide((exp_t(work) - 1) ** r, r)
+            assert bernoulli_higher_series(r, order) == divided
+
+
+def test_bernoulli_higher_at_a_large_power():
+    r = 100_000
+    assert bernoulli_higher_series(r, 3).egf_coeffs == (
+        1, F(-r, 2), F(r * (3 * r - 1), 12), F(-r * r * (r - 1), 8)
+    )

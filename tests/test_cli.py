@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multinumbers.cli import main
+from multinumbers.cli import FAMILIES, main
 from multinumbers.moments import parse_distribution
 
 F = Fraction
@@ -535,3 +538,103 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# ---------------------------------------------------------------- fuzzing
+
+small_ints = st.integers(min_value=-50, max_value=50)
+rationals = st.one_of(
+    small_ints.map(str),
+    st.tuples(small_ints, small_ints).map(lambda p: f"{p[0]}/{p[1]}"),
+)
+junk = st.text(max_size=8)
+ks_lists = st.lists(small_ints, max_size=3)
+probabilities = st.fractions(min_value=0, max_value=1, max_denominator=6).filter(bool)
+valid_dists = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(lambda c: f"point:{c}"),
+    probabilities.map(lambda p: f"bernoulli:{p}"),
+    st.tuples(st.integers(1, 4), probabilities).map(lambda mp: f"binomial:{mp[0]},{mp[1]}"),
+    st.fractions(min_value=0, max_value=3, max_denominator=4).map(lambda lam: f"poisson:{lam}"),
+    probabilities.map(lambda q: f"geometric:{q}"),
+    st.tuples(st.integers(-3, 3), st.integers(4, 7), probabilities).map(
+        lambda xyw: f"finite:{xyw[0]}={xyw[2]};{xyw[1]}={1 - xyw[2]}"
+    ),
+)
+dists = st.one_of(
+    valid_dists,
+    st.builds(
+        lambda kind, params: f"{kind}:{','.join(params)}",
+        st.sampled_from(["point", "bernoulli", "binomial", "poisson", "geometric", "raw"]),
+        st.lists(rationals, max_size=3),
+    ),
+    st.lists(st.tuples(rationals, rationals), max_size=3).map(
+        lambda pairs: "finite:" + ";".join(f"{x}={w}" for x, w in pairs)
+    ),
+    junk,
+)
+flag_values = {
+    "ks": st.one_of(ks_lists.map(lambda ks: ",".join(map(str, ks))), junk),
+    "dist": dists,
+    "y": st.one_of(rationals, junk),
+    "r": st.one_of(small_ints.map(str), junk),
+}
+# every flag present and well formed; a family ignores the flags it does not take
+valid_flags = st.fixed_dictionaries({
+    "ks": st.lists(small_ints, min_size=1, max_size=3).map(lambda ks: ",".join(map(str, ks))),
+    "dist": valid_dists,
+    "y": st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    "r": st.integers(min_value=1, max_value=50).map(str),
+})
+
+
+def run_fuzzed(argv):
+    """Exit status and stderr of an in-process run; argparse exits by raising."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(min_value=-1, max_value=8),
+    st.one_of(valid_flags, st.fixed_dictionaries({}, optional=flag_values)),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_table_flags_exit_cleanly(family, order, flags):
+    argv = ["table", family, "--order", str(order)]
+    argv += [f"--{flag}={value}" for flag, value in flags.items()]
+    code, err = run_fuzzed(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+valid_grid_entries = st.fixed_dictionaries(
+    {"dist": valid_dists, "ks": st.lists(small_ints, min_size=1, max_size=3)}
+)
+grid_entries = st.one_of(
+    valid_grid_entries,
+    st.fixed_dictionaries({"dist": dists, "ks": ks_lists}),
+    st.fixed_dictionaries({}, optional={"dist": st.one_of(dists, small_ints), "ks": small_ints}),
+    small_ints,
+)
+
+
+@given(
+    st.one_of(
+        st.lists(valid_grid_entries, min_size=1, max_size=3),
+        st.lists(grid_entries, max_size=3),
+        st.dictionaries(junk, small_ints, max_size=1),
+    ),
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_verify_grids_exit_cleanly(tmp_path_factory, grid, order):
+    grid_file = tmp_path_factory.mktemp("grid") / "grid.json"
+    grid_file.write_text(json.dumps(grid))
+    code, err = run_fuzzed(["verify", "--grid", str(grid_file), "--order", str(order)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

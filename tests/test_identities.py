@@ -2,26 +2,30 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinumbers import identities
+from multinumbers.classical import stirling1, stirling2
 from multinumbers.identities import (
     ALL_IDENTITIES,
     IDENTITIES,
-    _append_one_classical_sides,
-    _append_one_deterministic_sides,
     _append_one_sides,
-    _append_one_single_index_sides,
-    _bernoulli_expansion_rhs,
-    _first_kind_inversion_rhs,
+    _bernoulli_expansion_weights,
+    _binomial_sums,
+    _first_kind_weights,
     _fubini_sides,
     _lah_sides,
+    _moment_column,
+    _prefix_column,
     _second_kind_sums,
-    _single_index_expansion_rhs,
+    _single_index_expansion_weights,
+    _single_index_sides,
+    _triangle_sums,
     check_all_ones_deterministic,
     check_all_ones_probabilistic,
     check_append_one,
@@ -39,13 +43,22 @@ from multinumbers.identities import (
     default_grid,
     run_full_suite,
 )
-from multinumbers.moments import bernoulli, finite, geometric, moments, point, poisson
-from multinumbers.multi import multi_bernoulli_series
+from multinumbers.moments import (
+    _moments_cached,
+    bernoulli,
+    finite,
+    geometric,
+    moments,
+    point,
+    poisson,
+)
+from multinumbers.multi import multi_bernoulli_series, multi_stirling2_series
 from multinumbers.multilog import multilog
 from multinumbers.probabilistic import (
     _mgf_argument,
     _moment_route_columns,
     prob_multi_stirling2,
+    prob_multi_stirling2_series,
     prob_stirling2,
 )
 from multinumbers.report import Mismatch, VerificationReport
@@ -62,6 +75,8 @@ from oracles import (
     fubini_sums,
     lah_sums,
     moment_route,
+    series_compose,
+    series_product,
 )
 
 F = Fraction
@@ -333,16 +348,98 @@ def values(column):
     return [Fraction(a, den) for a in nums]
 
 
+def egf_scaled(column):
+    """The ordinary coefficients a[n] / n! of an EGF column."""
+    return [Fraction(a, factorial(n)) for n, a in enumerate(column)]
+
+
+def egf_unscaled(coeffs):
+    """The EGF column n! c[n] of ordinary coefficients."""
+    return [factorial(n) * c for n, c in enumerate(coeffs)]
+
+
+small_ints = st.integers(min_value=-50, max_value=50)
+
+
+def int_columns(count):
+    """``count`` integer columns of one common length top + 1 (top >= 0),
+    with top first."""
+    return st.integers(min_value=0, max_value=9).flatmap(
+        lambda top: st.tuples(
+            st.just(top), *[st.lists(small_ints, min_size=top + 1, max_size=top + 1)] * count
+        )
+    )
+
+
+@given(int_columns(2))
+@example((0, [3], [-5]))
+@settings(max_examples=60, deadline=None)
+def test_binomial_sums_are_the_egf_product(cell):
+    top, a, b = cell
+    want = egf_unscaled(series_product(egf_scaled(a), egf_scaled(b)))
+    assert _binomial_sums(a, b, top) == want
+    assert _binomial_sums(a, b, -1) == []
+
+
+@given(int_columns(3))
+@example((0, [2], [0], [7]))
+@settings(max_examples=60, deadline=None)
+def test_triangle_sums_apply_an_exponential_riordan_array(cell):
+    # the array with columns n! [t^n] g f^j / j! (f(0) = 0), integer for
+    # integer EGF columns g and f, maps w to the EGF column of g * w(f)
+    top, g_col, f_col, w = cell
+    g, f = egf_scaled(g_col), egf_scaled([0] + f_col[1:])
+    columns, power = [], [Fraction(1)] + [Fraction(0)] * top
+    for j in range(top + 1):
+        column = egf_unscaled(series_product(g, power))
+        assert all(c.denominator == 1 for c in column)
+        columns.append([int(c) for c in column])
+        power = [c / (j + 1) for c in series_product(power, f)]
+    want = egf_unscaled(series_product(g, series_compose(egf_scaled(w), f)))
+    assert _triangle_sums(columns, w, top) == want
+
+
+def test_full_suite_reads_no_classical_entry():
+    # the classical triangles are read as whole cached columns, never per term
+    entries = {stirling1.__code__, stirling2.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in entries:
+            calls.append(frame.f_code.co_name)
+
+    clear_identity_caches()
+    _moments_cached.cache_clear()
+    sys.setprofile(profile)
+    try:
+        run_full_suite(order=12)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
 ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
+
+
+def first_kind_inversion_rhs(ms, ks, order):
+    return _second_kind_sums(ms, _first_kind_weights(ks, order), order)
+
+
+def bernoulli_expansion_rhs(ms, ks, order):
+    return _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
+
+
+def single_index_expansion_rhs(ms, r, order):
+    return _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
 
 
 @pytest.mark.parametrize("spec,ks", ORACLE_CELLS, ids=lambda v: str(v))
 def test_hoisted_sums_match_literal_triple_sums(spec, ks):
     ms = moments(spec, 10)
     r = len(ks)
-    assert values(_first_kind_inversion_rhs(ms, ks, 10)) == first_kind_inversion_sum(ms, ks, 10)
-    assert values(_bernoulli_expansion_rhs(ms, ks, 10)) == bernoulli_expansion_sum(ms, ks, 10)
-    assert values(_single_index_expansion_rhs(ms, r, 10)) == (
+    assert values(first_kind_inversion_rhs(ms, ks, 10)) == first_kind_inversion_sum(ms, ks, 10)
+    assert values(bernoulli_expansion_rhs(ms, ks, 10)) == bernoulli_expansion_sum(ms, ks, 10)
+    assert values(single_index_expansion_rhs(ms, r, 10)) == (
         bernoulli_expansion_single_index_sum(ms, r, 10)
     )
     lhs, rhs = _fubini_sides(ms, ks, 10)
@@ -370,15 +467,29 @@ def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
     spec, ks, order = cell
     ms = moments(spec, order)
     r = len(ks)
-    lhs, rhs = _append_one_deterministic_sides(ks, order)
+    full = ks + (1,)
+    lhs, rhs = _append_one_sides(
+        _prefix_column(multi_stirling2_series, ks, order),
+        multi_stirling2_series(full, order).egf_column,
+        ((1,) * (order + 1), 1),
+        order,
+    )
     assert (values(lhs), values(rhs)) == append_one_deterministic_sums(ks, order)
-    lhs, rhs = _append_one_sides(ms, ks, order)
+    lhs, rhs = _append_one_sides(
+        _prefix_column(partial(prob_multi_stirling2_series, ms), ks, order),
+        prob_multi_stirling2_series(ms, full, order).egf_column,
+        _moment_column(ms),
+        order,
+    )
     assert (values(lhs), values(rhs)) == append_one_sums(ms, ks, order)
     for s in (r, r + 1):
-        lhs, rhs = _append_one_single_index_sides(ms, s, order)
-        assert (values(lhs), values(rhs)) == append_one_single_index_sums(ms, s, order)
-        lhs, rhs = _append_one_classical_sides(s, order)
-        assert (values(lhs), values(rhs)) == append_one_classical_sums(s, order)
+        for key, literal in ((ms, append_one_single_index_sums(ms, s, order)),
+                             (None, append_one_classical_sums(s, order))):
+            if s <= order:
+                lhs, rhs = _single_index_sides(key, s, order)
+                assert (values(lhs), values(rhs)) == literal
+            else:  # the check compares no n here, and both literal sums vanish
+                assert not any(literal[0]) and not any(literal[1])
     assert [values(c) for c in _lah_sides(ms, ks, order)] == list(lah_sums(ms, ks, order))
     columns, den = _moment_route_columns(ms, order)
     assert [values((c, den)) for c in columns] == moment_route(ms, order)
@@ -390,13 +501,13 @@ def test_second_kind_sums_match_the_oracles(cell):
     spec, ks, order = cell
     ms = moments(spec, order)
     r = len(ks)
-    assert values(_first_kind_inversion_rhs(ms, ks, order)) == (
+    assert values(first_kind_inversion_rhs(ms, ks, order)) == (
         first_kind_inversion_sum(ms, ks, order)
     )
-    assert values(_bernoulli_expansion_rhs(ms, ks, order)) == (
+    assert values(bernoulli_expansion_rhs(ms, ks, order)) == (
         bernoulli_expansion_sum(ms, ks, order)
     )
-    assert values(_single_index_expansion_rhs(ms, r, order)) == (
+    assert values(single_index_expansion_rhs(ms, r, order)) == (
         bernoulli_expansion_single_index_sum(ms, r, order)
     )
     lhs, rhs = _fubini_sides(ms, ks, order)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from multinumbers.classical import stirling2
 from multinumbers.moments import (
     DistributionSpec,
     MomentSequence,
@@ -21,6 +22,7 @@ from multinumbers.moments import (
     resolvent,
     sum_power_moment,
 )
+from multinumbers.probabilistic import prob_lah, prob_stirling2
 from multinumbers.series import Series, exp_t
 from multinumbers.series import geometric as geometric_series
 
@@ -280,3 +282,14 @@ def test_one_copy_returns_raw_moments():
     ms = moments(poisson(F(3, 2)), 8)
     for n in range(9):
         assert sum_power_moment(ms, 1, n) == ms.moment(n)
+
+
+def test_cold_power_tables_are_filled_without_recursion(shallow_stack):
+    # 400 powers from a cold table: one frame per power would pass the limit
+    ms = moments(poisson(F(3, 7)), 5)
+    assert prob_stirling2(ms, 5, 400) == 0
+    assert prob_lah(ms, 5, 400) == 0
+    # S_j ~ Poisson(j) for Y ~ Poisson(1): E[S_j^5] = sum_k S(5, k) j^k
+    ms = moments(poisson(1), 5)
+    for j in (400, 401, 3):
+        assert sum_power_moment(ms, j, 5) == sum(stirling2(5, k) * j**k for k in range(6))
