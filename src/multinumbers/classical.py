@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .series import Series, _check_entry, _check_order
+from .series import Series, _check_entry, _check_order, _make, exp_t
 
 __all__ = ["stirling1", "stirling2", "lah", "bernoulli_higher", "bernoulli_higher_series"]
 
@@ -51,14 +51,21 @@ def _stirling_columns(first_kind: bool, order: int, signed: bool = False) -> tup
     )
 
 
+@lru_cache(maxsize=None)
+def _lah_columns(order: int) -> tuple:
+    """The unsigned Lah triangle by columns, as :func:`_stirling_columns`:
+    entry k holds L(0, k) .. L(order, k), from the recurrence
+    L(n+1, k) = L(n, k-1) + (n+k) L(n, k) with L(0, 0) = 1."""
+    rows = [(1,)]
+    for n in range(order):
+        prev = (0, *rows[n], 0)  # prev[k] = L(n, k-1)
+        rows.append(tuple([a + (n + k) * b for k, (a, b) in enumerate(zip(prev, prev[1:]))]))
+    return tuple(tuple([0] * k + [row[k] for row in rows[k:]]) for k in range(order + 1))
+
+
 def _check_lattice(n: int, k: int) -> None:
     if not isinstance(n, int) or not isinstance(k, int) or n < 0:
         raise ValueError("triangle entries are indexed by integers with n >= 0")
-
-
-def _triangle(entry, order: int) -> list[list[int]]:
-    """The triangle ``entry`` by columns: entry k holds entry(0, k) .. entry(order, k)."""
-    return [[entry(n, k) for n in range(order + 1)] for k in range(order + 1)]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -99,8 +106,8 @@ def bernoulli_higher_series(r: int, order: int) -> Series:
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 0:
         raise ValueError("the power r must be a non-negative integer")
-    quotient = Series(Fraction(1, factorial(n + 1)) for n in range(_check_order(order) + 1))
-    return quotient.inverse() ** r
+    e = exp_t(_check_order(order) + 1)
+    return _make(e._num[1:], e._den).inverse() ** r
 
 
 def bernoulli_higher(n: int, r: int, order: int | None = None) -> Fraction:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from .classical import _stirling_columns, _triangle, bernoulli_higher_series, lah
+from .classical import _lah_columns, _stirling_columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
 from .moments import moments, parse_distribution
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
@@ -81,7 +81,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "stirling1": Family((), lambda a, order: _stirling_columns(True, order), two_index=True),
     "stirling2": Family((), lambda a, order: _stirling_columns(False, order), two_index=True),
-    "lah": Family((), lambda a, order: _triangle(lah, order), two_index=True),
+    "lah": Family((), lambda a, order: _lah_columns(order), two_index=True),
     "bernoulli-higher": Family(
         ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs
     ),
@@ -317,6 +317,12 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     _check_order_flag(args.order, args.force_order)
     grid = _load_grid(args.grid) if args.grid else None
+    # every cell is bounded before any is computed
+    for i, (spec, ks) in enumerate(grid or ()):
+        try:
+            _check_size(args.order, ks, spec.params, composed=True, force=args.force_order)
+        except UsageError as exc:
+            raise UsageError(f"grid entry {i}: {exc}") from exc
     identities = None
     if args.identity != "all":
         if args.identity not in ALL_IDENTITIES:
@@ -373,7 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-identities", action="store_true", help="print identity ids and exit"
     )
     verify.add_argument(
-        "--force-order", action="store_true", help=f"allow --order above {ORDER_CAP}"
+        "--force-order",
+        action="store_true",
+        help=f"allow --order above {ORDER_CAP} and grid cells past the size cap",
     )
     verify.set_defaults(func=_cmd_verify)
     return parser

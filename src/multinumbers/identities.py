@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
 
-from .classical import _stirling_columns, _triangle, bernoulli_higher_series, lah
+from .classical import _lah_columns, _stirling_columns, bernoulli_higher_series
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -565,7 +565,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
             multi_stirling2_series(ones, order).egf_column,
             (_stirling_columns(False, top)[r], 1),
         ),
-        ("all-ones-lah", multi_lah_series(ones, order).egf_column, ([lah(n, r) for n in ns], 1)),
+        ("all-ones-lah", multi_lah_series(ones, order).egf_column, (_lah_columns(top)[r], 1)),
         (
             "all-ones-bernoulli",
             multi_bernoulli_series(ones, order).egf_column,
@@ -609,7 +609,7 @@ def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     second = _scan_triangles(
         _second_kind_columns(ms, order), (_stirling_columns(False, order), 1), order
     )
-    lah_m = _scan_triangles(lah_triangle, (_triangle(lah, order), 1), order)
+    lah_m = _scan_triangles(lah_triangle, (_lah_columns(order), 1), order)
     return [
         _report("point-mass-collapse-second-kind", order, second, None, label),
         _report("point-mass-collapse-lah", order, lah_m, None, label),

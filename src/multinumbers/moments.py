@@ -6,20 +6,29 @@ Y is represented purely by its moment sequence; there is no sampling and
 no density object anywhere.  Built-in providers cover point masses,
 Bernoulli, binomial, Poisson, geometric (failures before the first
 success, success probability q), finitely supported laws, and raw moment
-lists.  Binomial and geometric moments go through Stirling-number
-expansions of the factorial moments, which keeps everything inside exact
-rational arithmetic.
+lists.
+
+The providers compute in plain ``int``: for parameters with denominator
+``b`` the n-th moment is an integer numerator over ``c b^n``.  Poisson
+moments follow ``mu_(n+1) = lam sum_i C(n, i) mu_i`` with Pascal rows
+built by addition; binomial and geometric moments (Bernoulli is the
+binomial with one trial) expand their factorial moments in the
+second-kind Stirling numbers; finite laws (a point mass is one with a
+single point) sum ``w x^n`` over the lcm of the weight denominators and
+of the point denominators.  Each moment becomes one ``Fraction`` at the
+end.  ``mgf`` divides by ``n!`` on integer numerators over one
+denominator as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import lcm
 
 from .classical import _stirling_row
 from .report import FrozenRecord
-from .series import Series, _check_entry, neg_log1m
+from .series import Series, _check_entry, _make, neg_log1m
 
 __all__ = [
     "MomentSequence",
@@ -201,45 +210,91 @@ def parse_distribution(text: str) -> DistributionSpec:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+# Each provider maps (params, order) to integer numerators N_0..N_order,
+# a denominator c and a base b with mu_n = N_n / (c b^n).
+
+
+def _poisson(params: tuple, order: int) -> tuple[list[int], int, int]:
+    # mu_(n+1) = lam sum_i C(n, i) mu_i with lam = a/b, over b^n:
+    # N_(n+1) = a sum_i C(n, i) N_i b^(n-i)
+    (lam,) = params
+    a, b = lam.numerator, lam.denominator
+    nums = [1]
+    row = [1]  # C(n, 0..n)
+    for n in range(order):
+        acc = 0
+        for c, x in zip(row, nums):
+            acc = acc * b + c * x
+        nums.append(a * acc)
+        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
+    return nums, 1, b
+
+
+def _stirling_expansion(a: int, b: int, step, order: int) -> tuple[list[int], int, int]:
+    """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
+    E[(Y)_k] = (a/b)^k step(1) ... step(k), over b^n."""
+    fm = [1]  # a^k step(1) ... step(k)
+    for k in range(1, order + 1):
+        fm.append(fm[-1] * step(k) * a)
+    nums = []
+    for n in range(order + 1):
+        acc = 0
+        for s2, f in zip(_stirling_row(False, n), fm):
+            acc = acc * b + s2 * f
+        nums.append(acc)
+    return nums, 1, b
+
+
+def _geometric(params: tuple, order: int) -> tuple[list[int], int, int]:
+    # E[(Y)_k] = k! theta^k, theta = (1-q)/q; q = s/t in lowest terms gives
+    # theta = (t-s)/s, also in lowest terms
+    (q,) = params
+    return _stirling_expansion(q.denominator - q.numerator, q.numerator, lambda k: k, order)
+
+
+def _binomial(params: tuple, order: int) -> tuple[list[int], int, int]:
+    # E[(Y)_k] = (m)_k p^k, zero past k = m
+    m, p = params
+    return _stirling_expansion(p.numerator, p.denominator, lambda k: m - k + 1, order)
+
+
+def _finite(params: tuple, order: int) -> tuple[list[int], int, int]:
+    # mu_n = sum w x^n; weights over their lcm c, points over their lcm b
+    c = lcm(*[w.denominator for _, w in params])
+    b = lcm(*[x.denominator for x, _ in params])
+    terms = [w.numerator * (c // w.denominator) for _, w in params]
+    points = [x.numerator * (b // x.denominator) for x, _ in params]
+    nums = []
+    for _ in range(order + 1):
+        nums.append(sum(terms))
+        terms = [t * x for t, x in zip(terms, points)]
+    return nums, c, b
+
+
+_PROVIDERS = {
+    "point": lambda params, order: _finite(((params[0], 1),), order),
+    "bernoulli": lambda params, order: _binomial((1, params[0]), order),
+    "binomial": _binomial,
+    "poisson": _poisson,
+    "geometric": _geometric,
+    "finite": _finite,
+}
+
+
 @lru_cache(maxsize=None)
 def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
-    mu = [Fraction(1)] + [Fraction(0)] * order
-    if spec.kind == "point":
-        (c,) = spec.params
-        for n in range(1, order + 1):
-            mu[n] = c**n
-    elif spec.kind == "bernoulli":
-        (p,) = spec.params
-        for n in range(1, order + 1):
-            mu[n] = p
-    elif spec.kind == "binomial":
-        m, p = spec.params
-        # mu_n through factorial moments: E[(Y)_k] = (m)_k p^k
-        for n in range(1, order + 1):
-            row = _stirling_row(False, n)
-            mu[n] = sum((row[k] * perm(m, k)) * p**k for k in range(1, min(n, m) + 1))
-    elif spec.kind == "poisson":
-        (lam,) = spec.params
-        for n in range(order):
-            mu[n + 1] = lam * sum(comb(n, i) * mu[i] for i in range(n + 1))
-    elif spec.kind == "geometric":
-        (q,) = spec.params
-        theta = (1 - q) / q
-        for n in range(1, order + 1):
-            row = _stirling_row(False, n)
-            mu[n] = sum(row[k] * factorial(k) * theta**k for k in range(1, n + 1))
-    elif spec.kind == "finite":
-        for n in range(1, order + 1):
-            mu[n] = sum(w * x**n for x, w in spec.params)
-    elif spec.kind == "raw":
+    if spec.kind == "raw":
         vals = spec.params
         if len(vals) - 1 < order:
             raise ValueError(
                 f"raw spec provides moments up to order {len(vals) - 1}, needed {order}"
             )
-        mu = list(vals[: order + 1])
-    else:  # pragma: no cover - factories exhaust the kinds
-        raise ValueError(f"unknown distribution kind {spec.kind!r}")
+        return MomentSequence(vals[: order + 1])
+    nums, den, base = _PROVIDERS[spec.kind](spec.params, order)
+    mu = []
+    for num in nums:
+        mu.append(Fraction(num, den))
+        den *= base
     return MomentSequence(tuple(mu))
 
 
@@ -255,7 +310,14 @@ def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""
     if ms.order < order:
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
-    return Series(ms.mu[n] / factorial(n) for n in range(order + 1))
+    dens = []
+    fact = 1
+    for n, mu in enumerate(ms.mu[: order + 1]):
+        if n > 1:
+            fact *= n
+        dens.append(mu.denominator * fact)
+    den = lcm(*dens)
+    return _make([mu.numerator * (den // d) for mu, d in zip(ms.mu, dens)], den)
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +343,7 @@ def power_table(u, ms: MomentSequence, k: int, order: int, scaled: bool) -> Seri
     powers = _powers(u, ms, order, scaled)
     for j in range(len(powers), k + 1):
         power = powers[j - 1] * u(ms, order)
-        powers[j] = power * Fraction(1, j) if scaled else power
+        powers[j] = _make(power._num, power._den * j) if scaled else power
     return powers[k]
 
 

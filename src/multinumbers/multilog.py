@@ -11,6 +11,11 @@ so the coefficient of ``t^m`` collects every ascending chain ending at
 coefficients in O(r * order) exact operations and accepts any integer
 indices, including zero and negative ones (the coefficients are then
 rationals with growing numerators, which exact arithmetic absorbs).
+It runs on integer numerators over one denominator: with
+``L = lcm(1..order)`` a positive index ``k`` multiplies the denominator
+by ``L^k`` and the term at ``m`` by ``(L/m)^k``, a zero or negative one
+multiplies the term by ``m^|k|``, and the result is one series in lowest
+terms, with no ``Fraction`` built on the way.
 
 The unsigned multi-Stirling numbers of the first kind are the
 EGF-normalised coefficients ``n! * [t^n]`` of that series; for the
@@ -23,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
-from .series import Series, _check_entry
+from .series import Series, _check_entry, _make
 
 __all__ = [
     "index_tuple",
@@ -47,19 +53,31 @@ def index_tuple(ks) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _multilog(ks: tuple[int, ...], order: int) -> Series:
-    # prev[m] = sum over chains of the processed prefix ending exactly at m;
-    # the empty prefix contributes the single empty chain "ending" at 0.
-    prev = [Fraction(0)] * (order + 1)
-    prev[0] = Fraction(1)
+    # prev[m] / den = sum over chains of the processed prefix ending exactly
+    # at m; the empty prefix contributes the single empty chain "ending" at 0.
+    # With L = lcm(1..order), m^(-k) = (L/m)^k / L^k for k > 0, so each
+    # positive index multiplies den by L^k and a zero or negative one
+    # leaves it.
+    top = lcm(*range(1, order + 1))
+    prev = [1] + [0] * order
+    den = 1
     for k in ks:
-        cur = [Fraction(0)] * (order + 1)
-        below = Fraction(0)
-        for m in range(order + 1):
-            if m >= 1 and below:
-                cur[m] = below * Fraction(m) ** (-k)
+        if k > 0:
+            weights = [(top // m) ** k for m in range(1, order + 1)]
+            den *= top**k
+        else:
+            weights = [m**-k for m in range(1, order + 1)]
+        cur = [0] * (order + 1)
+        below = prev[0]
+        for m, w in enumerate(weights, 1):
+            if below:
+                cur[m] = below * w
             below += prev[m]
         prev = cur
-    return Series(prev)
+    # den is a power of L, so a content above 1 has a prime factor of L;
+    # the cheap test against L spares the full gcd of numerators and a
+    # denominator that a large index makes huge
+    return _make(prev, den, reduced=gcd(top, *prev) == 1)
 
 
 def multilog(ks, order: int) -> Series:

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 Scalar = "int | Fraction"
 
@@ -81,12 +82,14 @@ def _check_entry(n: int, order: int | None) -> int:
     return order
 
 
-def _make(num: list[int], den: int) -> "Series":
-    """The series ``num[n] / den`` (``den > 0``), brought to lowest terms."""
-    g = gcd(den, *num)
-    if g != 1:
-        num = [m // g for m in num]
-        den //= g
+def _make(num: list[int], den: int, reduced: bool = False) -> "Series":
+    """The series ``num[n] / den`` (``den > 0``), brought to lowest terms;
+    ``reduced`` says the caller knows ``gcd(den, *num) == 1`` already."""
+    if not reduced:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [m // g for m in num]
+            den //= g
     s = object.__new__(Series)
     s._num = tuple(num)
     s._den = den
@@ -162,7 +165,8 @@ class Series:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "Series":
-        c = _exact(value)
+        # an int carries its own numerator and denominator
+        c = value if isinstance(value, (int, Fraction)) else _exact(value)
         num = [0] * (_check_order(order) + 1)
         num[0] = c.numerator
         return _make(num, c.denominator)
@@ -439,29 +443,37 @@ class Series:
 
 
 # ------------------------------------------------------------ stock series
+# Built once per order from integer numerators; a Series is immutable, so
+# every caller may share the value.  ``typed`` keeps ``True`` from reading
+# the entry of order 1 past the order check.
 
 
+@lru_cache(maxsize=None, typed=True)
 def exp_t(order: int) -> Series:
-    """e^t, coefficients 1/n!."""
-    return Series(Fraction(1, factorial(n)) for n in range(_check_order(order) + 1))
+    """e^t, coefficients 1/n!: the numerators N!/n! over N!."""
+    num = [1] * (_check_order(order) + 1)
+    for n in range(order, 0, -1):
+        num[n - 1] = num[n] * n
+    return _make(num, num[0])
 
 
+@lru_cache(maxsize=None, typed=True)
 def geometric(order: int) -> Series:
     """1/(1-t), all coefficients 1."""
-    return Series([Fraction(1)] * (_check_order(order) + 1))
+    return _make([1] * (_check_order(order) + 1), 1)
 
 
+@lru_cache(maxsize=None, typed=True)
 def neg_log1m(order: int) -> Series:
     """-log(1-t), coefficients 1/n for n >= 1."""
-    coeffs = [Fraction(0)] * (_check_order(order) + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = Fraction(1, n)
-    return Series(coeffs)
+    den = lcm(*range(1, _check_order(order) + 1))
+    return _make([0] + [den // n for n in range(1, order + 1)], den)
 
 
+@lru_cache(maxsize=None, typed=True)
 def one_minus_exp_neg_t(order: int) -> Series:
     """1 - e^(-t), coefficients (-1)^(n+1)/n! for n >= 1."""
-    coeffs = [Fraction(0)] * (_check_order(order) + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = Fraction((-1) ** (n + 1), factorial(n))
-    return Series(coeffs)
+    e = exp_t(order)
+    num = [m if n % 2 else -m for n, m in enumerate(e._num)]
+    num[0] = 0
+    return _make(num, e._den)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from multinumbers import (
     bernoulli_higher,
@@ -189,6 +189,55 @@ def series_inverse(a: list[Fraction]) -> list[Fraction]:
                 acc += a[j] * b[n - j]
         b[n] = -acc / a[0]
     return b
+
+
+def fraction_moments(spec, order: int) -> tuple[Fraction, ...]:
+    """Raw moments mu_0..mu_order of a distribution spec, each provider a
+    textbook formula summed in ``Fraction`` arithmetic term by term."""
+    mu = [Fraction(1)] + [Fraction(0)] * order
+    if spec.kind == "point":
+        (c,) = spec.params
+        for n in range(1, order + 1):
+            mu[n] = c**n
+    elif spec.kind == "bernoulli":
+        (p,) = spec.params
+        for n in range(1, order + 1):
+            mu[n] = p
+    elif spec.kind == "binomial":
+        m, p = spec.params
+        # mu_n through factorial moments: E[(Y)_k] = (m)_k p^k
+        for n in range(1, order + 1):
+            mu[n] = sum(stirling2(n, k) * perm(m, k) * p**k for k in range(1, min(n, m) + 1))
+    elif spec.kind == "poisson":
+        (lam,) = spec.params
+        for n in range(order):
+            mu[n + 1] = lam * sum(comb(n, i) * mu[i] for i in range(n + 1))
+    elif spec.kind == "geometric":
+        (q,) = spec.params
+        theta = (1 - q) / q
+        for n in range(1, order + 1):
+            mu[n] = sum(stirling2(n, k) * factorial(k) * theta**k for k in range(1, n + 1))
+    elif spec.kind == "finite":
+        for n in range(1, order + 1):
+            mu[n] = sum(w * x**n for x, w in spec.params)
+    else:
+        mu = list(spec.params[: order + 1])
+    return tuple(mu)
+
+
+def fraction_multilog(ks, order: int) -> list[Fraction]:
+    """Coefficients of Li_ks up to t^order by the prefix-sum recurrence
+    ``cur[m] = m^(-k) sum_{j<m} prev[j]`` in ``Fraction`` arithmetic."""
+    prev = [Fraction(1)] + [Fraction(0)] * order
+    for k in ks:
+        cur = [Fraction(0)] * (order + 1)
+        below = Fraction(0)
+        for m in range(order + 1):
+            if m >= 1 and below:
+                cur[m] = below * Fraction(m) ** (-k)
+            below += prev[m]
+        prev = cur
+    return prev
 
 
 def rising_factorial_stirling1(n_max: int) -> list[list[int]]:

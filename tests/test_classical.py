@@ -5,6 +5,7 @@ import pytest
 
 from multinumbers.classical import (
     _ROWS,
+    _lah_columns,
     _stirling_columns,
     bernoulli_higher,
     bernoulli_higher_series,
@@ -122,6 +123,15 @@ def test_stirling_columns_read_the_rows(signed):
             for n, value in enumerate(column):
                 sign = -1 if signed and (n - k) % 2 else 1
                 assert value == sign * entry(n, k)
+
+
+def test_lah_columns_equal_the_closed_form():
+    columns = _lah_columns(40)
+    assert len(columns) == 41
+    for k, column in enumerate(columns):
+        assert len(column) == 41
+        for n, value in enumerate(column):
+            assert value == lah(n, k)
 
 
 def test_bernoulli_higher_series_equals_the_divided_power():

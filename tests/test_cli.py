@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multinumbers.cli import FAMILIES, main
+from multinumbers.cli import FAMILIES, ORDER_CAP, _check_size, main
+from multinumbers.identities import default_grid
 from multinumbers.moments import parse_distribution
 
 F = Fraction
@@ -261,15 +263,38 @@ def test_printable_inputs_near_the_size_cap_still_run(capsys, ks, order, values)
     assert [rec["value"] for rec in json_lines(out)] == values
 
 
-def test_verify_grid_is_not_size_capped(tmp_path, capsys):
+def test_verify_grid_cells_past_the_size_cap_are_refused_before_computing(tmp_path, capsys):
+    # before the bound this cell computed for about a minute and then
+    # failed on the int-to-string limit
+    grid_file = tmp_path / "large.json"
+    grid_file.write_text(json.dumps([{"dist": "poisson:1", "ks": [1, 2]},
+                                     {"dist": "poisson:1", "ks": [20000]}]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "12")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid entry 1: the values would run to about ")
+    assert err.endswith("past the cap of 32768; pass --force-order to override\n")
+
+
+def test_force_order_lets_a_verify_grid_cell_past_the_size_cap_run(tmp_path, capsys):
     # verify prints a value only for a mismatch, so a large index that
-    # verifies cleanly is not refused
+    # verifies cleanly runs when forced
     grid_file = tmp_path / "large.json"
     grid_file.write_text(json.dumps([{"dist": "point:1", "ks": [100000]}]))
     argv = ("verify", "--grid", str(grid_file), "--order", "3", "--identity", "first-kind-inversion")
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "past the cap" in err
+    code, out, _ = run_cli(capsys, *argv, "--force-order")
     assert code == 0
     assert {rec["status"] for rec in json_lines(out)} == {"pass"}
+
+
+def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
+    for order in range(ORDER_CAP + 1):
+        for spec, ks in default_grid():
+            _check_size(order, ks, spec.params, composed=True, force=False)
 
 
 def test_table_with_too_few_raw_moments_is_a_usage_error(capsys):

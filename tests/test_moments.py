@@ -1,9 +1,12 @@
 import copy
+import importlib
 import pickle
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinumbers.classical import stirling2
 from multinumbers.moments import (
@@ -26,7 +29,12 @@ from multinumbers.probabilistic import prob_lah, prob_stirling2
 from multinumbers.series import Series, exp_t
 from multinumbers.series import geometric as geometric_series
 
-from oracles import bell_numbers, ordered_partition_count, rising_factorial_resolvent
+from oracles import (
+    bell_numbers,
+    fraction_moments,
+    ordered_partition_count,
+    rising_factorial_resolvent,
+)
 
 F = Fraction
 
@@ -180,6 +188,67 @@ def test_moment_sequence_hash_is_the_field_hash():
     a, b = MomentSequence(mu), MomentSequence(tuple(mu))
     assert a == b
     assert hash(a) == hash(b) == hash((mu,))
+
+
+# ---------------------------------------------------------------- integer providers
+
+_orders = st.integers(min_value=0, max_value=40)
+# rationals a/b with 0 <= a/b <= 1 and b <= 12; the first draws 0 < a/b
+_unit = st.integers(1, 12).flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b)))
+_rational = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _finite_law(points, weights):
+    total = sum(weights)
+    return finite([(x, F(w, total)) for x, w in zip(points, weights)])
+
+
+_specs = st.one_of(
+    st.builds(poisson, st.builds(F, st.integers(0, 12), st.integers(1, 12))),
+    st.builds(geometric, _unit),
+    st.builds(binomial, st.integers(1, 8), _unit),
+    st.builds(point, _rational),
+    st.builds(bernoulli, _unit),
+    st.lists(_rational, min_size=1, max_size=4, unique=True).flatmap(
+        lambda xs: st.builds(
+            _finite_law,
+            st.just(xs),
+            st.lists(st.integers(0, 5), min_size=len(xs), max_size=len(xs)).filter(any),
+        )
+    ),
+)
+
+
+@given(_specs, _orders)
+@settings(max_examples=200, deadline=None)
+def test_integer_providers_equal_the_fraction_providers(spec, order):
+    ms = moments(spec, order)
+    assert ms.mu == fraction_moments(spec, order)
+    assert all(type(mu) is Fraction for mu in ms.mu)
+    assert mgf(ms, order) == Series(mu / factorial(n) for n, mu in enumerate(ms.mu))
+
+
+@pytest.mark.parametrize("spec", [poisson(0), geometric(1)], ids=str)
+def test_degenerate_poisson_and_geometric_moments_vanish(spec):
+    assert moments(spec, 40).mu == fraction_moments(spec, 40) == (1,) + (0,) * 40
+
+
+@pytest.mark.parametrize(
+    "spec", [poisson(1), poisson(F(3, 7)), geometric(F(1, 2)), binomial(5, F(1, 3))], ids=str
+)
+def test_order_64_moments_build_one_fraction_per_moment(spec, monkeypatch):
+    module = importlib.import_module("multinumbers.moments")
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(module, "Fraction", Counting)
+    mu = module._moments_cached.__wrapped__(spec, 64).mu
+    assert mu == fraction_moments(spec, 64)
+    assert len(built) <= 65
 
 
 # ---------------------------------------------------------------- grammar

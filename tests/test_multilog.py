@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinumbers.identities import check_derivative_rules
 from multinumbers.multilog import index_tuple, multi_stirling1, multilog, multilog_coefficient
-from multinumbers.series import neg_log1m
+from multinumbers.series import Series, neg_log1m
 
-from oracles import stirling1_count
+from oracles import fraction_multilog, stirling1_count
 
 F = Fraction
 
@@ -52,6 +54,21 @@ def test_series_matches_chain_enumeration(ks):
     assert s.coeff(0) == 0
     for m in range(1, 11):
         assert s.coeff(m) == multilog_coefficient(ks, m)
+
+
+@given(
+    st.lists(st.integers(-3, 4), min_size=1, max_size=4).map(tuple),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_dp_equals_the_fraction_dp(ks, order):
+    s = multilog(ks, order)
+    assert s == Series(fraction_multilog(ks, order))
+
+
+@pytest.mark.parametrize("ks, order", [((2000,), 64), ((20000,), 12), ((300, -200, 5), 64)])
+def test_large_indices_equal_the_fraction_dp(ks, order):
+    assert multilog(ks, order) == Series(fraction_multilog(ks, order))
 
 
 @pytest.mark.parametrize("ks", [(1, 2), (2, 3, 4), (5, 5), (0, 1, 2, 3)])

@@ -49,6 +49,33 @@ def test_float_coefficients_rejected():
         Series([0.5])
 
 
+STOCK = {
+    exp_t: lambda n: F(1, factorial(n)),
+    geometric: lambda n: F(1),
+    neg_log1m: lambda n: F(1, n) if n else F(0),
+    one_minus_exp_neg_t: lambda n: F((-1) ** (n + 1), factorial(n)) if n else F(0),
+}
+
+
+@pytest.mark.parametrize("stock", STOCK, ids=lambda f: f.__name__)
+def test_stock_series_equal_their_fraction_coefficients_and_are_shared(stock):
+    for order in range(41):
+        assert stock(order) == Series(STOCK[stock](n) for n in range(order + 1))
+        assert stock(order) is stock(order)
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            stock(bad)
+
+
+@pytest.mark.parametrize("value", [0, 3, -2, F(-5, 6), "7/4", True])
+def test_constant_series_from_any_exact_scalar(value):
+    for order in range(4):
+        assert Series.constant(value, order) == Series([value] + [0] * order)
+    assert Series.one(3) == Series([1, 0, 0, 0])
+    with pytest.raises(TypeError):
+        Series.constant(0.5, 3)
+
+
 def test_coeff_range_checked():
     s = series(1, 2)
     with pytest.raises(ValueError):
