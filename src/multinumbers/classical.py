@@ -106,6 +106,7 @@ def bernoulli_higher_series(r: int, order: int) -> Series:
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 0:
         raise ValueError("the power r must be a non-negative integer")
+    # (e^t - 1)/t: the coefficients of e^t from t^1 on, shifted down
     e = exp_t(_check_order(order) + 1)
     return _make(e._num[1:], e._den).inverse() ** r
 
