@@ -193,7 +193,7 @@ def test_moment_sequence_hash_is_the_field_hash():
 # ---------------------------------------------------------------- integer providers
 
 _orders = st.integers(min_value=0, max_value=40)
-# rationals a/b with 0 <= a/b <= 1 and b <= 12; the first draws 0 < a/b
+# rationals a/b in (0, 1] with b <= 12, 1 included
 _unit = st.integers(1, 12).flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b)))
 _rational = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 
