@@ -368,7 +368,7 @@ def check_bernoulli_convolution(
     if top < 0:  # no n to compare, and h**r has no valuation r below order r
         return _report("bernoulli-convolution", order, None, ks, dist)
     h = _mgf_argument(ms, order)
-    ratio = multilog(ks, order).compose(h).divide(h**r, r).egf_column
+    ratio = prob_multi_stirling2_series(ms, ks, order).divide(h**r, r).egf_column
     bern, db = multi_bernoulli_series(ks, order).egf_column
     lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
     mismatch = _scan(lhs, ratio, range(top + 1))

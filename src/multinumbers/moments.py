@@ -17,7 +17,8 @@ second-kind Stirling numbers; finite laws (a point mass is one with a
 single point) sum ``w x^n`` over the lcm of the weight denominators and
 of the point denominators.  Each moment becomes one ``Fraction`` at the
 end.  ``mgf`` divides by ``n!`` on integer numerators over one
-denominator as well.
+denominator as well.  :func:`sum_power_moment` reads ``M^j`` from the
+memo of powers in ``series``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import lcm
 
 from .classical import _stirling_row
 from .report import FrozenRecord
-from .series import Series, _check_entry, _make, neg_log1m
+from .series import Series, _check_entry, _check_order, _make, neg_log1m, powers
 
 __all__ = [
     "MomentSequence",
@@ -326,30 +327,9 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
     return mgf(ms, order).compose(neg_log1m(order))
 
 
-@lru_cache(maxsize=None)
-def _powers(u, ms: MomentSequence, order: int, scaled: bool) -> dict[int, Series]:
-    """The powers of :func:`power_table` held for one key, from k = 0."""
-    return {0: Series.one(order)}
-
-
-def power_table(u, ms: MomentSequence, k: int, order: int, scaled: bool) -> Series:
-    """``u(ms, order) ** k``, divided by ``k!`` when ``scaled``.
-
-    The powers of each (u, Y, order, scaled) are memoised and filled upward
-    from the highest one held, one series product per new power, in a loop:
-    a table of k = 0..K costs K products and no recursion.  As with the
-    Stirling rows, threads that fill the same power store equal values.
-    """
-    powers = _powers(u, ms, order, scaled)
-    for j in range(len(powers), k + 1):
-        power = powers[j - 1] * u(ms, order)
-        powers[j] = _make(power._num, power._den * j) if scaled else power
-    return powers[k]
-
-
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:
     """E[(Y_1 + ... + Y_j)^n] for independent copies of Y; j = 0 gives 0^n."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ValueError(f"number of copies must be a non-negative integer, got {j!r}")
-    order = _check_entry(n, order)
-    return power_table(mgf, ms, j, order, False).egf_coeff(n)
+    order = _check_order(_check_entry(n, order))
+    return powers(mgf(ms, order), j)[j].egf_coeff(n)

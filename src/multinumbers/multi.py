@@ -9,9 +9,9 @@ composed with a specific inner series:
     Bernoulli:     Li(1 - e^(-t)) / (1 - e^(-t))^r
     Lah:           Li(1 - e^(-t)) / (1 - t)^r
 
-where r is always the length of the index tuple.  The Bernoulli division
-has valuation r, so that series is computed at internal order N + r to
-keep every requested coefficient exact.
+where r is always the length of the index tuple.  Every chain ends at
+m_r >= r, so Li(w) / w^r is the shifted outer column c_r .. c_(N+r) of
+the multiple logarithm composed with w = 1 - e^(-t) at order N.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .multilog import index_tuple, multilog
-from .series import Series, _check_entry, exp_t, geometric, one_minus_exp_neg_t
+from .series import Series, _check_entry, _make, exp_t, geometric, one_minus_exp_neg_t
 
 __all__ = [
     "li_argument",
@@ -39,7 +39,7 @@ def li_argument(u: Series) -> Series:
     This is the substitution that turns a moment-type series into a valid
     (nilpotent) argument of the multiple logarithm.
     """
-    if u.coeff(0) != 1:
+    if u._num[0] != u._den:
         raise ValueError("li_argument requires a unit constant term")
     return 1 - (1 - u).exp()
 
@@ -61,10 +61,8 @@ def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _bernoulli_series(ks: tuple[int, ...], order: int) -> Series:
-    r = len(ks)
-    work = order + r
-    w = one_minus_exp_neg_t(work)
-    return multilog(ks, work).compose(w).divide(w**r, r)
+    li = multilog(ks, order + len(ks))
+    return _make(li._num[len(ks) :], li._den).compose(one_minus_exp_neg_t(order))
 
 
 def multi_bernoulli_series(ks, order: int) -> Series:

@@ -11,9 +11,9 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
     Fubini, order r      n! [t^n] (1 - y (M - 1))^(-r)
 
 The second-kind numbers also admit an inclusion-exclusion form over the
-moments of partial sums S_j = Y_1 + ... + Y_j, kept here as the
-independent route :func:`prob_stirling2_by_moments`, and as one integer
-triangle per (Y, order) for the route-agreement check.
+moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
+(Y, order), read by :func:`prob_stirling2_by_moments` and the route-agreement
+check.  Powers of M - 1, R - 1 and M come from the memo in ``series``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .moments import MomentSequence, mgf, power_table, resolvent, sum_power_moment
+from .moments import MomentSequence, mgf, resolvent
 from .multi import li_argument
 from .multilog import index_tuple, multilog
-from .series import Series, _check_entry, _over_lcm
+from .series import Series, _check_entry, _check_order, _make, _over_lcm, powers
 
 __all__ = [
     "prob_stirling2",
@@ -42,19 +42,24 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _scaled_power(gap: Series, k: int) -> Series:
+    """gap^k / k!, the power read from the memo of powers of ``gap``; the
+    gap series is built once per (Y, order), so this caches per (Y, k, order)."""
+    power = powers(gap, k)[k]
+    return _make(power._num, power._den * factorial(k))
+
+
+@lru_cache(maxsize=None)
 def _mgf_gap(ms: MomentSequence, order: int) -> Series:
     return mgf(ms, order) - 1
-
-
-def _resolvent_gap(ms: MomentSequence, order: int) -> Series:
-    return resolvent(ms, order) - 1
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(M - 1)^k / k!."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return power_table(_mgf_gap, ms, k, order, True)
+    return _scaled_power(_mgf_gap(ms, _check_order(order)), k)
 
 
 def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
@@ -76,9 +81,8 @@ def _moment_route_columns(
     numerators of {0; k}_Y .. {order; k}_Y over the one denominator ``d``.
     ``E[S_j^n]`` is read off the EGF column of ``M^j``.
     """
-    sums, den = _over_lcm(
-        [power_table(mgf, ms, j, order, False).egf_column for j in range(order + 1)]
-    )
+    memo = powers(mgf(ms, order), order)
+    sums, den = _over_lcm([memo[j].egf_column for j in range(order + 1)])
     top = factorial(order)
     columns = []
     for k in range(order + 1):
@@ -97,19 +101,17 @@ def _moment_route_columns(
 def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     """Same number by the inclusion-exclusion sum over moments of S_j.
 
-    (1/k!) sum_{j=0}^{k} C(k,j) (-1)^(k-j) E[S_j^n]; kept as an independent
-    cross-check of the EGF route.  Zero for k > n: E[S_j^n] is a polynomial
-    of degree n in j, so its k-th difference vanishes.
+    (1/k!) sum_{j=0}^{k} C(k,j) (-1)^(k-j) E[S_j^n], read from the order-n
+    triangle; kept as an independent cross-check of the EGF route.  Zero
+    for k > n: E[S_j^n] is a polynomial of degree n in j, so its k-th
+    difference vanishes.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    total = Fraction(0)
-    for j in range(k + 1):
-        sign = 1 if (k - j) % 2 == 0 else -1
-        total += sign * comb(k, j) * sum_power_moment(ms, j, n)
-    return total / factorial(k)
+    columns, den = _moment_route_columns(ms, n)
+    return Fraction(columns[k][n], den) if k <= n else Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +135,16 @@ def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = Non
     return prob_multi_stirling2_series(ms, ks, order).egf_coeff(n)
 
 
+@lru_cache(maxsize=None)
+def _resolvent_gap(ms: MomentSequence, order: int) -> Series:
+    return resolvent(ms, order) - 1
+
+
 def prob_lah_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(R - 1)^k / k!."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return power_table(_resolvent_gap, ms, k, order, True)
+    return _scaled_power(_resolvent_gap(ms, _check_order(order)), k)
 
 
 def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:

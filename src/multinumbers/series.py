@@ -21,11 +21,12 @@ is one integer convolution over ``d_a * d_b``.  ``Fraction`` values are
 built only when a caller reads coefficients, once per series.
 
 ``compose`` is the baby-step/giant-step scheme of Paterson and
-Stockmeyer (SIAM J. Comput. 1973): with ``k = isqrt(N) + 1`` it forms
+Stockmeyer (SIAM J. Comput. 1973): with ``k = isqrt(N) + 1`` it reads
 the inner powers ``g^0 .. g^k``, sums each block of ``k`` outer
 coefficients against ``g^0 .. g^(k-1)`` over one common denominator, and
 runs Horner's scheme in ``g^k`` over the blocks; about ``2 sqrt(N)``
-series products instead of ``N``.
+series products instead of ``N``.  The powers come from :func:`powers`,
+one memo per series value, so composing again costs only the Horner steps.
 
 ``exp``, ``log`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)``, the same for ``t b'`` against ``a``,
@@ -56,7 +57,7 @@ from math import gcd, isqrt, lcm
 
 Scalar = "int | Fraction"
 
-__all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t"]
+__all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t", "powers"]
 
 _ZERO = Fraction(0)
 
@@ -106,7 +107,7 @@ def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
 
 
-def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Fraction) -> tuple[list[int], int]:
+def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Scalar) -> tuple[list[int], int]:
     """Integer numerators ``X`` and one denominator ``L`` of the sequence
 
         x_0 = x0,  x_n = (c_n + sum_{j=1..n} w_j x_(n-j)) / d_n,
@@ -269,11 +270,10 @@ class Series:
         return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
 
     def _plus_scalar(self, value: Scalar) -> "Series":
-        c = _exact(value)
-        den = lcm(self._den, c.denominator)
+        den = lcm(self._den, value.denominator)
         f = den // self._den
         num = [m * f for m in self._num]
-        num[0] += c.numerator * (den // c.denominator)
+        num[0] += value.numerator * (den // value.denominator)
         return _make(num, den)
 
     def __add__(self, other: "Series | Scalar") -> "Series":
@@ -289,7 +289,7 @@ class Series:
         if isinstance(other, Series):
             return self._plus(other, -1)
         if isinstance(other, (int, Fraction)):
-            return self._plus_scalar(-_exact(other))
+            return self._plus_scalar(-other)
         return NotImplemented
 
     def __rsub__(self, other: Scalar) -> "Series":
@@ -338,7 +338,7 @@ class Series:
         if a[0] != 0:
             raise ValueError("exp requires a zero constant term")
         w = [j * m for j, m in enumerate(a)]
-        xs, den = _solve(w, None, [n * d for n in range(len(a))], Fraction(1))
+        xs, den = _solve(w, None, [n * d for n in range(len(a))], 1)
         return _make(xs, den)
 
     def log(self) -> "Series":
@@ -380,12 +380,10 @@ class Series:
             raise ValueError("composition requires a zero inner constant term")
         n = self.order
         k = isqrt(n) + 1
-        powers = [Series.one(n), inner]
-        while len(powers) <= k:
-            powers.append(powers[-1] * inner)
-        giant = powers.pop()
-        den = lcm(*[p._den for p in powers])
-        baby = [[m * (den // p._den) for m in p._num] for p in powers]
+        steps = powers(inner, k)
+        den = lcm(*[steps[i]._den for i in range(k)])
+        baby = [[m * (den // steps[i]._den) for m in steps[i]._num] for i in range(k)]
+        giant = steps[k]
         block_den = den * self._den
         f = self._num
         result = None
@@ -440,6 +438,20 @@ class Series:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"<Series order={self.order}: {body}>"
+
+
+@lru_cache(maxsize=None)
+def _power_memo(g: Series) -> dict[int, Series]:
+    return {0: Series.one(g.order), 1: g}
+
+
+def powers(g: Series, k: int) -> dict[int, Series]:
+    """The memo of powers ``{j: g^j}`` of the value ``g``, filled upward in a loop
+    to j = k at least.  Threads that fill a power store equal values."""
+    memo = _power_memo(g)
+    for j in range(len(memo), k + 1):
+        memo[j] = memo[j - 1] * g
+    return memo
 
 
 # ------------------------------------------------------------ stock series

@@ -385,6 +385,11 @@ PINNED_VERIFY_BYTES = [
         "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
     ),
     (
+        ("verify", "--order", "24"),
+        "b9ff5ca6c97c14d768986163ebef2835a8323c3471b64fa4b8cde15e27266753",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+    ),
+    (
         ("verify", "--list-identities"),
         "b81f37cb992b80ad15ff0860f6f0df749b4c375b01cf82d53e3256d1a68fdec1",
         "",
@@ -470,6 +475,35 @@ def test_table_output_bytes_are_pinned(capsys, argv, fmt):
     assert err == ""
     want = PINNED_TABLE_BYTES[argv[1]][fmt == "csv"]
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# sha256 of the JSON stdout of the order-64 benchmark tables and of one
+# multi-Bernoulli table with zero and negative indices, as first recorded:
+# the shared powers and the shifted Bernoulli column may not move a byte.
+PINNED_LARGE_TABLE_BYTES = {
+    ("multi-stirling2", "--ks", "2,3", "--order", "64"):
+        "65d11e4fe5f7500010b792d9b7f8f9d8fde61f0b30c74fd8105c6b2887282830",
+    ("multi-stirling2", "--ks", "2,3,1", "--order", "64"):
+        "c563ee63db837b6eff07731b592b4fc22fe03ed60e532a7a724097feb79320ea",
+    ("multi-bernoulli", "--ks", "1,1", "--order", "64"):
+        "d4a9fedc8bd3ae05b3dd798bb95e5b9e6045884d735457c3cb769256a4caf3ab",
+    ("prob-multi-stirling2", "--ks", "1,2", "--dist", "poisson:1", "--order", "64"):
+        "18475b21b7c8a076618ff43a813fc6bcf04d31b3bde3b38ea756dca6a8a9f6f2",
+    ("prob-multi-lah", "--ks", "1,2", "--dist", "poisson:1", "--order", "64"):
+        "7a2e0d0a2e9e415ec983484c8e583c538bebec4f18e8b8d3874f2144b73893a8",
+    ("prob-lah", "--dist", "geometric:1/2", "--order", "64"):
+        "6dc1080c42b69cfc893d5e3842923f7a3bbf1237b9ca20dad7b63f2ba54aebeb",
+    ("multi-bernoulli", "--ks", "2,-1,0", "--order", "24"):
+        "af9685aa9f4a155ee868dabe06c3da29147d441a26ddc05b8d832e6a1ec819e9",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_LARGE_TABLE_BYTES, ids=" ".join)
+def test_large_table_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LARGE_TABLE_BYTES[argv]
 
 
 # not a product of distributions and tuples, with a duplicated cell, a
@@ -563,6 +597,49 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# `verify` with every Series product, composition, exp, log and inverse done
+# by the schoolbook Fraction oracles; exits 3 if a kernel it swaps never ran
+ORACLE_KERNELS = """
+import sys
+from multinumbers.cli import main
+from multinumbers.series import Series
+from oracles import series_compose, series_exp, series_inverse, series_log, series_product
+
+used = set()
+
+
+def swap(name, oracle):
+    def kernel(a, *b):
+        used.add(name)
+        return Series(oracle(list(a.coeffs), *[list(s.coeffs) for s in b]))
+    return kernel
+
+
+scalar_mul, series_mul = Series.__mul__, swap("mul", series_product)
+Series.__mul__ = lambda a, b: series_mul(a, b) if isinstance(b, Series) else scalar_mul(a, b)
+Series.compose = swap("compose", series_compose)
+Series.exp = swap("exp", series_exp)
+Series.log = swap("log", series_log)
+Series.inverse = swap("inverse", series_inverse)
+code = main(sys.argv[1:])
+sys.exit(code if {"mul", "compose", "exp", "inverse"} <= used else 3)
+"""
+
+
+def test_verify_bytes_are_the_same_on_the_fraction_oracle_kernels():
+    argv, stdout_sha256, stderr = PINNED_VERIFY_BYTES[0]
+    assert argv == ("verify", "--order", "8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)])
+    proc = subprocess.run(
+        [sys.executable, "-c", ORACLE_KERNELS, *argv],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
+    assert proc.stderr.decode() == stderr
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -5,11 +5,18 @@ import pytest
 
 from multinumbers.classical import bernoulli_higher, lah, stirling2
 from multinumbers.identities import check_append_one_deterministic
-from multinumbers.multi import li_argument, multi_bernoulli, multi_lah, multi_stirling2
+from multinumbers.moments import mgf, moments, poisson
+from multinumbers.multi import (
+    li_argument,
+    multi_bernoulli,
+    multi_bernoulli_series,
+    multi_lah,
+    multi_stirling2,
+)
 from multinumbers.multilog import multilog
 from multinumbers.series import Series, one_minus_exp_neg_t
 
-from oracles import stirling2_count
+from oracles import series_exp, stirling2_count
 
 F = Fraction
 
@@ -17,6 +24,23 @@ F = Fraction
 def test_li_argument_requires_unit_constant():
     with pytest.raises(ValueError):
         li_argument(Series.t(4))
+
+
+def test_li_argument_builds_no_fraction(monkeypatch):
+    u = mgf(moments(poisson(F(3, 7)), 64), 64)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    v = li_argument(u)
+    monkeypatch.undo()
+    assert built == []
+    e = series_exp([F(0)] + [-c for c in u.coeffs[1:]])
+    assert list(v.coeffs) == [1 - e[0]] + [-c for c in e[1:]]
 
 
 def test_second_kind_examples():
@@ -37,6 +61,18 @@ def test_bernoulli_leading_coefficient_via_series_division():
     ratio = multilog((1, 2), 8).compose(w).divide(w**2, 2)
     assert ratio.egf_coeff(0) == F(1, 4)
     assert multi_bernoulli((1, 2), 0, 6) == F(1, 4)
+
+
+@pytest.mark.parametrize(
+    "ks", [(0,), (-1,), (-2, 3), (0, 0), (2, -1, 0), (1, -3, 2), (0, 1, -1, 2), (1, 1)], ids=str
+)
+def test_bernoulli_is_the_shifted_column_composed(ks):
+    # the old form, at internal order N + r and divided by w^r, as the oracle
+    r = len(ks)
+    for order in range(25):
+        w = one_minus_exp_neg_t(order + r)
+        old = multilog(ks, order + r).compose(w).divide(w**r, r)
+        assert multi_bernoulli_series(ks, order) == old
 
 
 def test_lah_examples():

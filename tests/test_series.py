@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from multinumbers.series import (
     Series,
+    _power_memo,
     exp_t,
     geometric,
     neg_log1m,
     one_minus_exp_neg_t,
+    powers,
 )
 
 from oracles import (
@@ -412,6 +414,36 @@ def test_compose_every_block_layout():
         f = [F((-1) ** i * (i + 1), i + 2) for i in range(order + 1)]
         g = [F(0)] + [F(3 - i, 2 * i + 1) for i in range(1, order + 1)]
         assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
+
+
+@given(kernel_orders.flatmap(mixed_lists), st.integers(min_value=0, max_value=10))
+@settings(max_examples=120)
+def test_powers_memo_matches_pow(a, head):
+    a[0] = Fraction(head)  # a nonzero constant term: powers need no nilpotent base
+    g = Series(a)
+    order = g.order
+    memo = powers(g, order)
+    for k in range(order + 1):
+        assert memo[k] == g**k
+    # an equal series built apart reads the same memo
+    assert powers(Series(a), order) is memo
+    assert powers(g, order + 2)[order + 2] == g ** (order + 2)
+
+
+def test_second_compose_on_an_equal_inner_adds_only_the_giant_steps(monkeypatch):
+    order, k = 30, 6  # k = isqrt(30) + 1: baby steps g^0..g^5, giant step g^6
+    f = [F(i + 1, i + 3) for i in range(order + 1)]
+    g = [F(0)] + [F(7, i + 11) for i in range(1, order + 1)]
+    _power_memo.cache_clear()
+    calls = []
+    mul = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    first = Series(f).compose(Series(g))
+    cold = len(calls)
+    second = Series(f).compose(Series(g))
+    assert first == second
+    assert cold == (k - 1) + order // k  # g^2..g^6, then the Horner steps
+    assert len(calls) - cold == order // k
 
 
 @given(kernel_orders.flatmap(mixed_lists))
