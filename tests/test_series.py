@@ -419,7 +419,7 @@ def test_compose_every_block_layout():
 @given(kernel_orders.flatmap(mixed_lists), st.integers(min_value=0, max_value=10))
 @settings(max_examples=120)
 def test_powers_memo_matches_pow(a, head):
-    a[0] = Fraction(head)  # a nonzero constant term: powers need no nilpotent base
+    a[0] = Fraction(head)  # unlike a compose inner, a power base may have a constant term
     g = Series(a)
     order = g.order
     memo = powers(g, order)
