@@ -45,14 +45,14 @@ from .moments import (
     binomial,
     finite,
     geometric as geometric_dist,
+    mgf,
     moments,
     point,
     poisson,
 )
-from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
+from .multi import li_argument, multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import index_tuple, multilog
 from .probabilistic import (
-    _mgf_argument,
     _moment_route_columns,
     prob_fubini_series,
     prob_lah_series,
@@ -367,7 +367,7 @@ def check_bernoulli_convolution(
     top = order - r
     if top < 0:  # no n to compare, and h**r has no valuation r below order r
         return _report("bernoulli-convolution", order, None, ks, dist)
-    h = _mgf_argument(ms, order)
+    h = li_argument(mgf(ms, order))
     ratio = prob_multi_stirling2_series(ms, ks, order).divide(h**r, r).egf_column
     bern, db = multi_bernoulli_series(ks, order).egf_column
     lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
@@ -552,13 +552,13 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     ones = (1,) * r
     ns = range(order + 1)
     series = multilog(ones, order)
-    closed = neg_log1m(order) ** r * Fraction(1, factorial(r))
+    power = neg_log1m(order) ** r
     higher, dh = bernoulli_higher_series(r, order).egf_column
     # the triangles reach column r; past the order their extra rows are not read
     top = max(order, r)
     # the family column and its classical counterpart, per identity
     pairs = (
-        ("all-ones-multilog", _coeff_column(series), _coeff_column(closed)),
+        ("all-ones-multilog", _coeff_column(series), (power._num, power._den * factorial(r))),
         ("all-ones-first-kind", series.egf_column, (_stirling_columns(True, top)[r], 1)),
         (
             "all-ones-second-kind",

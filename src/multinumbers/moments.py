@@ -306,10 +306,11 @@ def moments(spec: DistributionSpec, order: int) -> MomentSequence:
     return _moments_cached(spec, order)
 
 
-@lru_cache(maxsize=None)
+# ``typed``, as for the stock series: ``True`` never reads the entry of order 1
+@lru_cache(maxsize=None, typed=True)
 def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""
-    if ms.order < order:
+    if ms.order < _check_order(order):
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
     dens = []
     fact = 1
@@ -321,7 +322,7 @@ def mgf(ms: MomentSequence, order: int) -> Series:
     return _make([mu.numerator * (den // d) for mu, d in zip(ms.mu, dens)], den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def resolvent(ms: MomentSequence, order: int) -> Series:
     """E[(1/(1-t))^Y], the moment EGF composed with -log(1-t)."""
     return mgf(ms, order).compose(neg_log1m(order))

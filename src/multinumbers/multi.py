@@ -12,6 +12,11 @@ composed with a specific inner series:
 where r is always the length of the index tuple.  Every chain ends at
 m_r >= r, so Li(w) / w^r is the shifted outer column c_r .. c_(N+r) of
 the multiple logarithm composed with w = 1 - e^(-t) at order N.
+
+The second kind is one case of the shape Li_ks(1 - e^(1 - u)) that the
+probabilistic module evaluates at the moment series M and R as well:
+:func:`_li_family` caches it once per ``(ks, u)``, keyed on the value of
+``u``, so equal series share one entry whichever family asks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def li_argument(u: Series) -> Series:
     """1 - exp(1 - u) for a series with unit constant term.
 
@@ -45,12 +51,14 @@ def li_argument(u: Series) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _ms2_series(ks: tuple[int, ...], order: int) -> Series:
-    return multilog(ks, order).compose(li_argument(exp_t(order)))
+def _li_family(ks: tuple[int, ...], u: Series) -> Series:
+    """Li_ks(1 - e^(1 - u)) at the order of ``u``: the multi second kind at
+    u = e^t and its probabilistic forms at u = M and u = R."""
+    return multilog(ks, u.order).compose(li_argument(u))
 
 
 def multi_stirling2_series(ks, order: int) -> Series:
-    return _ms2_series(index_tuple(ks), order)
+    return _li_family(index_tuple(ks), exp_t(order))
 
 
 def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from .series import Series, _check_entry, _make
+from .series import Series, _check_entry, _check_order, _make
 
 __all__ = [
     "index_tuple",
@@ -82,8 +82,7 @@ def _multilog(ks: tuple[int, ...], order: int) -> Series:
 
 def multilog(ks, order: int) -> Series:
     """Multiple-logarithm series truncated at ``order``."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
+    order = _check_order(order)
     return _multilog(index_tuple(ks), order)
 
 

@@ -10,10 +10,18 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
     multi Lah            n! [t^n] Li(1 - e^(1 - R))
     Fubini, order r      n! [t^n] (1 - y (M - 1))^(-r)
 
+So there are two shapes, each evaluated at a series u: the two multi
+families are Li(1 - e^(1 - u)), cached in ``multi`` per (ks, u), and the
+two single-index families are (u - 1)^k / k!, the columns of the
+exponential Riordan array (1, u - 1), cached here per (u, k).  Both
+caches are keyed on the value of u, so equal moment series share one
+entry, and at Y = point(1), where M = e^t, the multi second kind is the
+deterministic entry itself.
+
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
 (Y, order), read by :func:`prob_stirling2_by_moments` and the route-agreement
-check.  Powers of M - 1, R - 1 and M come from the memo in ``series``.
+check.  Powers of u - 1 and M come from the memo in ``series``.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .moments import MomentSequence, mgf, resolvent
-from .multi import li_argument
-from .multilog import index_tuple, multilog
-from .series import Series, _check_entry, _check_order, _make, _over_lcm, powers
+from .multi import _li_family
+from .multilog import index_tuple
+from .series import Series, _check_entry, _make, _over_lcm, powers
 
 __all__ = [
     "prob_stirling2",
@@ -43,23 +51,29 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _scaled_power(gap: Series, k: int) -> Series:
-    """gap^k / k!, the power read from the memo of powers of ``gap``; the
-    gap series is built once per (Y, order), so this caches per (Y, k, order)."""
-    power = powers(gap, k)[k]
-    return _make(power._num, power._den * factorial(k))
+def _gap(u: Series) -> Series:
+    """u - 1, the one series whose powers the single-index families read."""
+    return u - 1
 
 
 @lru_cache(maxsize=None)
-def _mgf_gap(ms: MomentSequence, order: int) -> Series:
-    return mgf(ms, order) - 1
+def _power_family(u: Series, k: int) -> Series:
+    """(u - 1)^k / k!, column k of the exponential Riordan array (1, u - 1);
+    the power is read from the memo of powers of ``u - 1``."""
+    power = powers(_gap(u), k)[k]
+    return _make(power._num, power._den * factorial(k))
+
+
+def _check_column(k: int) -> int:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    return k
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(M - 1)^k / k!."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return _scaled_power(_mgf_gap(ms, _check_order(order)), k)
+    k = _check_column(k)
+    return _power_family(mgf(ms, order), k)
 
 
 def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
@@ -106,27 +120,16 @@ def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     for k > n: E[S_j^n] is a polynomial of degree n in j, so its k-th
     difference vanishes.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    _check_column(k)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     columns, den = _moment_route_columns(ms, n)
     return Fraction(columns[k][n], den) if k <= n else Fraction(0)
 
 
-@lru_cache(maxsize=None)
-def _mgf_argument(ms: MomentSequence, order: int) -> Series:
-    """1 - e^(1 - M), the inner series of every multi second-kind family of Y."""
-    return li_argument(mgf(ms, order))
-
-
-@lru_cache(maxsize=None)
-def _multi_s2_series(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Series:
-    return multilog(ks, order).compose(_mgf_argument(ms, order))
-
-
 def prob_multi_stirling2_series(ms: MomentSequence, ks, order: int) -> Series:
-    return _multi_s2_series(ms, index_tuple(ks), order)
+    """Li(1 - e^(1 - M))."""
+    return _li_family(index_tuple(ks), mgf(ms, order))
 
 
 def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = None) -> Fraction:
@@ -135,16 +138,10 @@ def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = Non
     return prob_multi_stirling2_series(ms, ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
-def _resolvent_gap(ms: MomentSequence, order: int) -> Series:
-    return resolvent(ms, order) - 1
-
-
 def prob_lah_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(R - 1)^k / k!."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return _scaled_power(_resolvent_gap(ms, _check_order(order)), k)
+    k = _check_column(k)
+    return _power_family(resolvent(ms, order), k)
 
 
 def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
@@ -153,19 +150,9 @@ def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fr
     return prob_lah_series(ms, k, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
-def _resolvent_argument(ms: MomentSequence, order: int) -> Series:
-    """1 - e^(1 - R), the inner series of every multi-Lah family of Y."""
-    return li_argument(resolvent(ms, order))
-
-
-@lru_cache(maxsize=None)
-def _multi_lah_series(ms: MomentSequence, ks: tuple[int, ...], order: int) -> Series:
-    return multilog(ks, order).compose(_resolvent_argument(ms, order))
-
-
 def prob_multi_lah_series(ms: MomentSequence, ks, order: int) -> Series:
-    return _multi_lah_series(ms, index_tuple(ks), order)
+    """Li(1 - e^(1 - R))."""
+    return _li_family(index_tuple(ks), resolvent(ms, order))
 
 
 def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> Fraction:
@@ -175,9 +162,8 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
 
 
 @lru_cache(maxsize=None)
-def _fubini_series(ms: MomentSequence, r: int, y: Fraction, order: int) -> Series:
-    den = (1 - y * (mgf(ms, order) - 1)) ** r
-    return den.inverse()
+def _fubini_series(u: Series, r: int, y: Fraction) -> Series:
+    return ((1 - y * _gap(u)) ** r).inverse()
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
@@ -185,7 +171,7 @@ def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
         raise ValueError(f"the order r must be a positive integer, got {r!r}")
     if isinstance(y, float):
         raise ValueError("y must be exact (int, Fraction or 'a/b' string), not float")
-    return _fubini_series(ms, r, Fraction(y), order)
+    return _fubini_series(mgf(ms, order), r, Fraction(y))
 
 
 def prob_fubini(ms: MomentSequence, r: int, y, n: int, order: int | None = None) -> Fraction:

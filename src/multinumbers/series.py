@@ -107,17 +107,19 @@ def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
 
 
-def _solve(w: list[int], c: list[int] | None, d: list[int], x0: Scalar) -> tuple[list[int], int]:
+def _solve(
+    w: list[int], c: list[int] | None, d: list[int], x0: tuple[int, int]
+) -> tuple[list[int], int]:
     """Integer numerators ``X`` and one denominator ``L`` of the sequence
 
-        x_0 = x0,  x_n = (c_n + sum_{j=1..n} w_j x_(n-j)) / d_n,
+        x_0 = p / q,  x_n = (c_n + sum_{j=1..n} w_j x_(n-j)) / d_n,
 
-    for ``n`` up to ``len(w) - 1``; ``w``, ``c`` (``None`` for zeros) and
-    nonzero ``d`` are integers, entry 0 of each unused.  ``L`` is the lcm
-    of the reduced denominators of ``x_0 .. x_N``.
+    for ``n`` up to ``len(w) - 1``, with the seed ``x0 = (p, q)`` in lowest
+    terms and ``q > 0``; ``w``, ``c`` (``None`` for zeros) and nonzero ``d``
+    are integers, entry 0 of each unused.  ``L`` is the lcm of the reduced
+    denominators of ``x_0 .. x_N``.
     """
-    xs = [x0.numerator]
-    den = x0.denominator
+    xs, den = [x0[0]], x0[1]
     terms = [j for j in range(1, len(w)) if w[j]]
     for n in range(1, len(w)):
         acc = c[n] * den if c else 0
@@ -309,9 +311,9 @@ class Series:
                         out[i + j] += ai * b[j]
             return _make(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            p = c.numerator
-            return _make([p * m for m in self._num], self._den * c.denominator)
+            # an int carries its own numerator and denominator
+            p = other.numerator
+            return _make([p * m for m in self._num], self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -338,7 +340,7 @@ class Series:
         if a[0] != 0:
             raise ValueError("exp requires a zero constant term")
         w = [j * m for j, m in enumerate(a)]
-        xs, den = _solve(w, None, [n * d for n in range(len(a))], 1)
+        xs, den = _solve(w, None, [n * d for n in range(len(a))], (1, 1))
         return _make(xs, den)
 
     def log(self) -> "Series":
@@ -350,7 +352,7 @@ class Series:
         # d e_n = n m_n - sum_{j>=1} m_j e_(n-j)
         n_max = len(a) - 1
         xs, den = _solve(
-            [-m for m in a], [n * m for n, m in enumerate(a)], [d] * (n_max + 1), _ZERO
+            [-m for m in a], [n * m for n, m in enumerate(a)], [d] * (n_max + 1), (0, 1)
         )
         scale = lcm(*range(1, n_max + 1))
         return _make([0] + [xs[n] * (scale // n) for n in range(1, n_max + 1)], den * scale)
@@ -360,7 +362,9 @@ class Series:
         a, d = self._num, self._den
         if a[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        xs, den = _solve([-m for m in a], None, [a[0]] * len(a), Fraction(d, a[0]))
+        # the seed d / a_0 in lowest terms, over a positive denominator
+        g = gcd(d, a[0]) if a[0] > 0 else -gcd(d, a[0])
+        xs, den = _solve([-m for m in a], None, [a[0]] * len(a), (d // g, a[0] // g))
         return _make(xs, den)
 
     def compose(self, inner: "Series") -> "Series":

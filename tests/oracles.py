@@ -260,6 +260,48 @@ def rising_factorial_resolvent(ms, order: int) -> list[Fraction]:
     ]
 
 
+# ---------------------------------------------------------------- whole-column family oracle
+
+
+def _integral(a: list[Fraction]) -> list[Fraction]:
+    """Antiderivative with zero constant term, one coefficient longer."""
+    return [Fraction(0)] + [c / (n + 1) for n, c in enumerate(a)]
+
+
+def li_family(ks, u, order: int) -> list[Fraction]:
+    """Coefficients of Li_ks(g), g = 1 - e^(1 - u), up to t^order, from the
+    derivative rules of the multiple logarithm instead of a composition:
+
+        d/dt Li_(ks,1)(g) = g' / (1 - g) Li_ks(g),
+        d/dt Li_(ks,k)(g) = g' / g Li_(ks,k-1)(g),
+
+    integrated upward from Li_() = 1 (the Li of a nonempty tuple vanishes at
+    t = 0), and for a last index k <= 0 read downward,
+    Li_(ks,k-1)(g) = (g / g') d/dt Li_(ks,k)(g), which costs one order per
+    step; so the work runs at ``order`` plus the number of those steps.
+    ``u(m)`` gives the coefficients of u up to t^m, with u_0 = 1 and
+    u_1 != 0 (a nonzero mean), so that g / t and g' are invertible.
+    """
+    top = order + sum(1 - k for k in ks if k <= 0)
+    # one coefficient past the working order keeps every weight nonempty
+    e = series_exp([Fraction(0)] + [-c for c in u(top + 1)[1:]])
+    g = [Fraction(0)] + [-c for c in e[1:]]
+    dg = [n * c for n, c in enumerate(g)][1:]  # g'
+    h = g[1:]  # g / t
+    one = series_product(dg, series_inverse([Fraction(1)] + [-c for c in g[1:-1]]))  # g'/(1-g)
+    up = series_product(dg, series_inverse(h))  # t g'/g
+    down = series_product(h, series_inverse(dg))  # g/(t g')
+    f = [Fraction(1)] + [Fraction(0)] * top
+    for k in ks:
+        f = _integral(series_product(one[: len(f) - 1], f[:-1]))
+        for _ in range(k - 1):
+            f = _integral(series_product(up[: len(f) - 1], f[1:]))
+        for _ in range(1 - k):
+            df = [n * c for n, c in enumerate(f)][1:]
+            f = [Fraction(0)] + series_product(down[: len(df) - 1], df[:-1])
+    return f
+
+
 # ---------------------------------------------------------------- literal identity sums
 # The sums of the identity checks exactly as the identities are written,
 # one entry at a time in ``Fraction`` arithmetic: O(N^3) per cell for the
@@ -481,3 +523,4 @@ def moment_route(ms, order: int) -> list[list[Fraction]]:
         ]
         for k in range(order + 1)
     ]
+

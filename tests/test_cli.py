@@ -529,6 +529,28 @@ def test_verify_irregular_grid_bytes_are_pinned(tmp_path, capsys):
     assert err == "verify: 73 pass, 0 fail, 1 skipped, 6 expected-discrepancy\n"
 
 
+# specs with equal moments: point:1, bernoulli:1 and binomial:1,1 (every
+# moment 1, so M = e^t), then bernoulli:1/2 and binomial:1,1/2; the families
+# are cached on the moment series, so equal specs read shared entries
+EQUAL_MOMENT_GRID = [
+    {"dist": dist, "ks": ks}
+    for dist in ("point:1", "bernoulli:1", "binomial:1,1", "bernoulli:1/2", "binomial:1,1/2")
+    for ks in ([1, 2], [2, -1], [1, 1])
+]
+
+
+def test_verify_equal_moment_grid_bytes_are_pinned(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(EQUAL_MOMENT_GRID))
+    code, out, err = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "10")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "8832aa0de07ddb457a9031feeaaa50e1158fe97a6821c55a176bd7ca017e696a"
+    )
+    assert err == "verify: 127 pass, 0 fail, 0 skipped, 17 expected-discrepancy\n"
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_verify_below_the_tuple_length_reports_instead_of_erroring(capsys, order):
     # the default grid has r = 3 tuples, so the Bernoulli comparisons have

@@ -48,14 +48,14 @@ from multinumbers.moments import (
     bernoulli,
     finite,
     geometric,
+    mgf,
     moments,
     point,
     poisson,
 )
-from multinumbers.multi import multi_bernoulli_series, multi_stirling2_series
+from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
 from multinumbers.multilog import multilog
 from multinumbers.probabilistic import (
-    _mgf_argument,
     _moment_route_columns,
     prob_multi_stirling2,
     prob_multi_stirling2_series,
@@ -607,7 +607,7 @@ def pms2_column(ms):
 
 
 def convolution_pairs(ms):
-    h = _mgf_argument(ms, N)
+    h = li_argument(mgf(ms, N))
     ratio = multilog(KS, N).compose(h).divide(h**2, 2).egf_coeffs
     return pairs(bernoulli_convolution_sum(ms, KS, N), ratio, range(N - 1))
 

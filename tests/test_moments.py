@@ -309,6 +309,18 @@ def test_mgf_needs_enough_moments():
         mgf(ms, 5)
 
 
+@pytest.mark.parametrize("order", [-1, True, False, 1.0, "2"], ids=repr)
+def test_mgf_and_resolvent_refuse_an_order_that_is_not_a_natural_number(order):
+    ms = moments(poisson(1), 3)
+    # with orders 0 and 1 cached, True and False must still not read their entries
+    for n in (0, 1):
+        mgf(ms, n), resolvent(ms, n)
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        mgf(ms, order)
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        resolvent(ms, order)
+
+
 def test_resolvent_point_masses():
     assert resolvent(moments(point(1), 7), 7) == geometric_series(7)
     two = resolvent(moments(point(2), 7), 7)

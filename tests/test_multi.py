@@ -14,7 +14,7 @@ from multinumbers.multi import (
     multi_stirling2,
 )
 from multinumbers.multilog import multilog
-from multinumbers.series import Series, one_minus_exp_neg_t
+from multinumbers.series import Series, exp_t, one_minus_exp_neg_t
 
 from oracles import series_exp, stirling2_count
 
@@ -24,6 +24,14 @@ F = Fraction
 def test_li_argument_requires_unit_constant():
     with pytest.raises(ValueError):
         li_argument(Series.t(4))
+
+
+@pytest.mark.parametrize("head", [0, 2, F(-1, 2)], ids=str)
+def test_cached_li_argument_refuses_a_non_unit_constant_term_on_every_call(head):
+    u = exp_t(6) + (head - 1)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unit constant term"):
+            li_argument(u)
 
 
 def test_li_argument_builds_no_fraction(monkeypatch):
@@ -36,7 +44,7 @@ def test_li_argument_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    v = li_argument(u)
+    v = li_argument.__wrapped__(u)  # past the cache, which an earlier call may have filled
     monkeypatch.undo()
     assert built == []
     e = series_exp([F(0)] + [-c for c in u.coeffs[1:]])

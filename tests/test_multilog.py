@@ -116,3 +116,9 @@ def test_derivative_rules_still_validate_the_index_tuple_and_the_order():
         check_derivative_rules((), 0)
     with pytest.raises(ValueError, match="non-negative"):
         check_derivative_rules((1,), -1)
+
+
+@pytest.mark.parametrize("order", [-1, True, 2.0], ids=repr)
+def test_multilog_refuses_an_order_that_is_not_a_natural_number(order):
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        multilog((1,), order)

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinumbers.classical import lah, stirling1, stirling2
 from multinumbers.moments import (
@@ -12,18 +16,23 @@ from multinumbers.moments import (
     point,
     poisson,
 )
-from multinumbers.multi import multi_lah, multi_stirling2
+from multinumbers.multi import multi_lah, multi_stirling2, multi_stirling2_series
 from multinumbers.multilog import multi_stirling1
 from multinumbers.probabilistic import (
     prob_fubini,
+    prob_fubini_series,
     prob_lah,
+    prob_lah_series,
     prob_multi_lah,
+    prob_multi_lah_series,
     prob_multi_stirling2,
+    prob_multi_stirling2_series,
     prob_stirling2,
     prob_stirling2_by_moments,
+    prob_stirling2_series,
 )
 
-from oracles import ordered_partition_count
+from oracles import fraction_moments, li_family, ordered_partition_count, rising_factorial_resolvent
 
 F = Fraction
 
@@ -209,3 +218,103 @@ def test_entry_range_checks():
         prob_stirling2(ms, 5, 1, 4)
     with pytest.raises(ValueError):
         prob_multi_lah(ms, (1,), 6, 5)
+
+
+@pytest.mark.parametrize("order", [-1, True], ids=repr)
+def test_family_series_refuse_an_order_that_is_not_a_natural_number(order):
+    ms = moments(poisson(1), 3)
+    builders = (
+        lambda: prob_fubini_series(ms, 1, 1, order),
+        lambda: prob_stirling2_series(ms, 1, order),
+        lambda: prob_lah_series(ms, 1, order),
+        lambda: prob_multi_stirling2_series(ms, (1, 2), order),
+        lambda: prob_multi_lah_series(ms, (1, 2), order),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+            build()
+
+
+# ------------------------------------------------------- shared entries
+
+
+@pytest.mark.parametrize("ks", [(1, 2), (2, -1), (1, 1)], ids=str)
+def test_point_one_multi_second_kind_is_the_deterministic_entry(ks):
+    # M of point(1) is e^t, so both read one entry keyed on the series
+    ms = moments(point(1), 10)
+    assert prob_multi_stirling2_series(ms, ks, 10) is multi_stirling2_series(ks, 10)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        (point(1), bernoulli(1), binomial(1, 1)),
+        (bernoulli(F(1, 2)), binomial(1, F(1, 2))),
+    ],
+    ids=lambda specs: ",".join(s.label for s in specs),
+)
+def test_specs_with_equal_moments_share_the_family_entries(specs):
+    first, *rest = [moments(spec, 10) for spec in specs]
+    for ms in rest:
+        for k in range(11):
+            assert prob_lah_series(ms, k, 10) is prob_lah_series(first, k, 10)
+            assert prob_stirling2_series(ms, k, 10) is prob_stirling2_series(first, k, 10)
+        assert prob_multi_lah_series(ms, (2, -1), 10) is prob_multi_lah_series(first, (2, -1), 10)
+
+
+# ------------------------------------------------------- whole-column oracle
+
+
+def _exp_t(m):
+    return [F(1, factorial(n)) for n in range(m + 1)]
+
+
+def _mgf(spec):
+    return lambda m: [mu / factorial(n) for n, mu in enumerate(fraction_moments(spec, m))]
+
+
+def _resolvent(spec):
+    return lambda m: rising_factorial_resolvent(SimpleNamespace(mu=fraction_moments(spec, m)), m)
+
+
+# every law has a nonzero mean, which the oracle's divisions by g' and g/t need
+ORACLE_LAWS = [
+    poisson(F(1, 3)),
+    poisson(2),
+    geometric(F(1, 2)),
+    geometric(F(3, 4)),
+    binomial(3, F(1, 3)),
+    binomial(2, F(2, 5)),
+    finite([(F(-1, 2), F(1, 3)), (F(3, 2), F(2, 3))]),
+]
+
+
+def _li_family_pair(base, spec, ks, order):
+    """The library series and the oracle column of Li_ks(1 - e^(1 - u))."""
+    if base == "e^t":
+        return multi_stirling2_series(ks, order), li_family(ks, _exp_t, order)
+    ms = moments(spec, order)
+    if base == "M":
+        return prob_multi_stirling2_series(ms, ks, order), li_family(ks, _mgf(spec), order)
+    return prob_multi_lah_series(ms, ks, order), li_family(ks, _resolvent(spec), order)
+
+
+@given(
+    st.sampled_from(["e^t", "M", "R"]),
+    st.sampled_from(ORACLE_LAWS),
+    st.lists(st.integers(-2, 3), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 12),
+)
+@settings(max_examples=80, deadline=None)
+def test_li_families_equal_the_derivative_rule_oracle(base, spec, ks, order):
+    series, column = _li_family_pair(base, spec, ks, order)
+    assert list(series.coeffs) == column
+
+
+@pytest.mark.parametrize(
+    "ks", [(1,), (2,), (1, 2), (2, 1, 3), (0,), (1, -1), (2, 0, 1), (-2, 1)], ids=str
+)
+@pytest.mark.parametrize("base,spec", [("e^t", None), ("R", poisson(F(1, 3)))], ids=str)
+def test_li_families_equal_the_derivative_rule_oracle_at_order_14(base, spec, ks):
+    series, column = _li_family_pair(base, spec, ks, 14)
+    assert list(series.coeffs) == column

@@ -489,6 +489,35 @@ def test_linear_ops_match_fraction_oracle(pair, c):
     assert_kernel_result(c - sa, [-x for x in shifted])
 
 
+def test_scalar_products_inverse_and_log_build_no_fraction(monkeypatch):
+    a = [F(3, 2), F(-1, 3), F(5, 7), F(2), F(-9, 4)]
+    s, unit = Series(a), Series([F(1)] + a[1:])
+    c = F(-4, 9)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    # the constant terms 3/2 and -3/2 share a factor with the denominator 84
+    got = (s * 3, 3 * s, s * c, c * s, s.inverse(), (-s).inverse(), unit.log())
+    monkeypatch.undo()
+    assert built == []
+    want = (
+        [3 * x for x in a],
+        [3 * x for x in a],
+        [c * x for x in a],
+        [c * x for x in a],
+        series_inverse(a),
+        series_inverse([-x for x in a]),
+        series_log([F(1)] + a[1:]),
+    )
+    for series_, coeffs in zip(got, want):
+        assert list(series_.coeffs) == coeffs
+
+
 @given(
     kernel_orders.flatmap(lambda n: st.tuples(mixed_lists(n), mixed_lists(n))),
     mixed_fractions.filter(bool),
