@@ -96,7 +96,7 @@ def lah(n: int, k: int) -> int:
     return comb(n - 1, k - 1) * factorial(n) // factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_higher_series(r: int, order: int) -> Series:
     """(t/(e^t - 1))^r as an exact series of the requested order.
 

@@ -67,7 +67,7 @@ def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
     return multi_stirling2_series(ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _bernoulli_series(ks: tuple[int, ...], order: int) -> Series:
     li = multilog(ks, order + len(ks))
     return _make(li._num[len(ks) :], li._den).compose(one_minus_exp_neg_t(order))
@@ -83,7 +83,7 @@ def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
     return multi_bernoulli_series(ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _lah_series(ks: tuple[int, ...], order: int) -> Series:
     r = len(ks)
     w = one_minus_exp_neg_t(order)

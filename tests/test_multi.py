@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from multinumbers.classical import bernoulli_higher, lah, stirling2
+from multinumbers.classical import bernoulli_higher, bernoulli_higher_series, lah, stirling2
 from multinumbers.identities import check_append_one_deterministic
 from multinumbers.moments import mgf, moments, poisson
 from multinumbers.multi import (
@@ -11,7 +11,9 @@ from multinumbers.multi import (
     multi_bernoulli,
     multi_bernoulli_series,
     multi_lah,
+    multi_lah_series,
     multi_stirling2,
+    multi_stirling2_series,
 )
 from multinumbers.multilog import multilog
 from multinumbers.series import Series, exp_t, one_minus_exp_neg_t
@@ -106,6 +108,22 @@ def test_all_ones_reductions(r):
     for n in range(13):
         expected = (-1) ** (n % 2) * bernoulli_higher(n, r, 12) / factorial(r)
         assert multi_bernoulli(ones, n, 12) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: multi_stirling2_series((1,), order),
+        lambda order: multi_bernoulli_series((1,), order),
+        lambda order: multi_lah_series((1,), order),
+        lambda order: bernoulli_higher_series(2, order),
+    ],
+    ids=["multi-stirling2", "multi-bernoulli", "multi-lah", "bernoulli-higher"],
+)
+def test_a_cached_order_1_entry_is_not_read_for_order_true(build):
+    build(1)
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        build(True)
 
 
 def test_range_checks():
