@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from .classical import _lah_columns, _stirling_columns, bernoulli_higher_series
+from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
 from .moments import moments, parse_distribution
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
@@ -79,9 +79,9 @@ FAMILIES: dict[str, Family] = {
     "multi-lah": Family(
         ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs, composed=True
     ),
-    "stirling1": Family((), lambda a, order: _stirling_columns(True, order), two_index=True),
-    "stirling2": Family((), lambda a, order: _stirling_columns(False, order), two_index=True),
-    "lah": Family((), lambda a, order: _lah_columns(order), two_index=True),
+    "stirling1": Family((), lambda a, order: _columns(_FIRST, order), two_index=True),
+    "stirling2": Family((), lambda a, order: _columns(_SECOND, order), two_index=True),
+    "lah": Family((), lambda a, order: _columns(_LAH, order), two_index=True),
     "bernoulli-higher": Family(
         ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs
     ),

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
 
-from .classical import _lah_columns, _stirling_columns, bernoulli_higher_series
+from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -68,7 +68,7 @@ from .report import (
     Mismatch,
     VerificationReport,
 )
-from .series import Series, _over_lcm, geometric, neg_log1m
+from .series import Series, _check_natural, _over_lcm, geometric, neg_log1m
 
 __all__ = [
     "ALL_IDENTITIES",
@@ -219,6 +219,7 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     Both are compared coefficientwise up to order - 1; at order 0 that
     range is empty and the check passes.
     """
+    _check_natural(order)
     ks = index_tuple(ks)
     if order == 0:
         return _report("derivative-rules", order, None, ks)
@@ -305,7 +306,7 @@ def _single_index_sides(
     :func:`_append_one_sides` at n - 1, with a zero in front.  They depend
     on (Y, r) or on r alone, so they are formed once per key."""
     if ms is None:
-        cols, den = _stirling_columns(False, order), 1
+        cols, den = _columns(_SECOND, order), 1
         weights = ((1,) * (order + 1), 1)
     else:
         cols, den = _second_kind_columns(ms, order)
@@ -353,6 +354,7 @@ def check_bernoulli_convolution(
     compare and the check passes; that covers order 0, where the moment
     sequence may stop at mu_0 and the mean is not known.
     """
+    _check_natural(order)
     ks = tuple(ks)
     r = len(ks)
     if ms.order >= 1 and ms.moment(1) == 0:
@@ -380,7 +382,7 @@ def _first_kind_weights(ks: tuple[int, ...], order: int) -> Column:
     """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
     below r): the signed second-kind triangle applied to the column [m; ks]."""
     first, d = multilog(ks, order).egf_column
-    return tuple(_triangle_sums(_stirling_columns(False, order, True), first, order)), d
+    return tuple(_triangle_sums(_columns(_SECOND, order, True), first, order)), d
 
 
 def check_first_kind_inversion(
@@ -412,7 +414,7 @@ def _lah_sides(
     r = len(ks)
     direct = prob_multi_lah_series(ms, ks, order).egf_column
     second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    first_kind = _stirling_columns(True, order)
+    first_kind = _columns(_FIRST, order)
     corrected = _triangle_sums(first_kind, second, order)
     row_sums = _triangle_sums(first_kind, (0,) * r + (1,) * (order + 1 - r), order)
     literal = [s * t for s, t in zip(second, row_sums)]
@@ -451,7 +453,7 @@ def _expansion_weights(b: Column, r: int, order: int) -> Column:
     (-1)^(i-r) S(i, r)."""
     bs, d = b
     # the triangle reaches column r; past the order no entry of it is read
-    signed = _stirling_columns(False, max(order, r), True)[r]
+    signed = _columns(_SECOND, max(order, r), True)[r]
     return tuple(_binomial_sums(bs, signed, order - r)), d
 
 
@@ -539,6 +541,7 @@ def check_route_agreement(
 ) -> VerificationReport:
     """EGF route equals the inclusion-exclusion moment route for the
     probabilistic second-kind numbers (n capped at 10)."""
+    _check_natural(order)
     top = min(order, 10)
     mismatch = _scan_triangles(
         _second_kind_columns(ms, order), _moment_route_columns(ms, top), top
@@ -549,6 +552,7 @@ def check_route_agreement(
 def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]:
     """All-ones index tuples collapse every deterministic family to its
     classical counterpart."""
+    _check_natural(order)
     ones = (1,) * r
     ns = range(order + 1)
     series = multilog(ones, order)
@@ -559,13 +563,13 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     # the family column and its classical counterpart, per identity
     pairs = (
         ("all-ones-multilog", _coeff_column(series), (power._num, power._den * factorial(r))),
-        ("all-ones-first-kind", series.egf_column, (_stirling_columns(True, top)[r], 1)),
+        ("all-ones-first-kind", series.egf_column, (_columns(_FIRST, top)[r], 1)),
         (
             "all-ones-second-kind",
             multi_stirling2_series(ones, order).egf_column,
-            (_stirling_columns(False, top)[r], 1),
+            (_columns(_SECOND, top)[r], 1),
         ),
-        ("all-ones-lah", multi_lah_series(ones, order).egf_column, (_lah_columns(top)[r], 1)),
+        ("all-ones-lah", multi_lah_series(ones, order).egf_column, (_columns(_LAH, top)[r], 1)),
         (
             "all-ones-bernoulli",
             multi_bernoulli_series(ones, order).egf_column,
@@ -583,6 +587,7 @@ def check_all_ones_probabilistic(
 ) -> list[VerificationReport]:
     """All-ones index tuples collapse both probabilistic multi families to
     their single-index counterparts for every Y."""
+    _check_natural(order)
     ones = (1,) * r
     ns = range(order + 1)
     second = _scan(
@@ -607,9 +612,9 @@ def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     label = "point:1"
     lah_triangle = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
     second = _scan_triangles(
-        _second_kind_columns(ms, order), (_stirling_columns(False, order), 1), order
+        _second_kind_columns(ms, order), (_columns(_SECOND, order), 1), order
     )
-    lah_m = _scan_triangles(lah_triangle, (_lah_columns(order), 1), order)
+    lah_m = _scan_triangles(lah_triangle, (_columns(_LAH, order), 1), order)
     return [
         _report("point-mass-collapse-second-kind", order, second, None, label),
         _report("point-mass-collapse-lah", order, lah_m, None, label),

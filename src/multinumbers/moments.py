@@ -9,15 +9,15 @@ success, success probability q), finitely supported laws, and raw moment
 lists.
 
 The providers compute in plain ``int``: for parameters with denominator
-``b`` the n-th moment is an integer numerator over ``c b^n``.  Poisson
-moments follow ``mu_(n+1) = lam sum_i C(n, i) mu_i`` with Pascal rows
-built by addition; binomial and geometric moments (Bernoulli is the
-binomial with one trial) expand their factorial moments in the
-second-kind Stirling numbers; finite laws (a point mass is one with a
-single point) sum ``w x^n`` over the lcm of the weight denominators and
-of the point denominators.  Each moment becomes one ``Fraction`` at the
-end.  ``mgf`` divides by ``n!`` on integer numerators over one
-denominator as well.  :func:`sum_power_moment` reads ``M^j`` from the
+``b`` the n-th moment is an integer numerator over ``c b^n``.  Poisson,
+binomial and geometric moments (Bernoulli is the binomial with one
+trial) expand their factorial moments in the second-kind Stirling
+numbers; for Poisson, whose k-th factorial moment is ``lam^k``, that is
+the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite laws (a
+point mass is one with a single point) sum ``w x^n`` over the lcm of the
+weight denominators and of the point denominators.  Each moment becomes
+one ``Fraction`` at the end.  ``mgf`` divides by ``n!`` on integer
+numerators over one denominator as well.  :func:`sum_power_moment` reads ``M^j`` from the
 memo of powers in ``series``.
 """
 
@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .classical import _stirling_row
+from .classical import _SECOND, _row
 from .report import FrozenRecord
-from .series import Series, _check_entry, _check_order, _make, neg_log1m, powers
+from .series import Series, _check_entry, _check_natural, _make, neg_log1m, powers
 
 __all__ = [
     "MomentSequence",
@@ -128,8 +128,7 @@ def bernoulli(p) -> DistributionSpec:
 
 
 def binomial(m, p) -> DistributionSpec:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"binomial count must be a positive integer, got {m!r}")
+    _check_natural(m, "binomial count", 1)
     p = _rational(p, "binomial parameter")
     if not 0 < p <= 1:
         raise ValueError(f"binomial parameter must lie in (0, 1], got {p}")
@@ -215,22 +214,6 @@ def parse_distribution(text: str) -> DistributionSpec:
 # a denominator c and a base b with mu_n = N_n / (c b^n).
 
 
-def _poisson(params: tuple, order: int) -> tuple[list[int], int, int]:
-    # mu_(n+1) = lam sum_i C(n, i) mu_i with lam = a/b, over b^n:
-    # N_(n+1) = a sum_i C(n, i) N_i b^(n-i)
-    (lam,) = params
-    a, b = lam.numerator, lam.denominator
-    nums = [1]
-    row = [1]  # C(n, 0..n)
-    for n in range(order):
-        acc = 0
-        for c, x in zip(row, nums):
-            acc = acc * b + c * x
-        nums.append(a * acc)
-        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
-    return nums, 1, b
-
-
 def _stirling_expansion(a: int, b: int, step, order: int) -> tuple[list[int], int, int]:
     """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
     E[(Y)_k] = (a/b)^k step(1) ... step(k), over b^n."""
@@ -240,7 +223,7 @@ def _stirling_expansion(a: int, b: int, step, order: int) -> tuple[list[int], in
     nums = []
     for n in range(order + 1):
         acc = 0
-        for s2, f in zip(_stirling_row(False, n), fm):
+        for s2, f in zip(_row(_SECOND, n), fm):
             acc = acc * b + s2 * f
         nums.append(acc)
     return nums, 1, b
@@ -276,7 +259,9 @@ _PROVIDERS = {
     "point": lambda params, order: _finite(((params[0], 1),), order),
     "bernoulli": lambda params, order: _binomial((1, params[0]), order),
     "binomial": _binomial,
-    "poisson": _poisson,
+    "poisson": lambda params, order: _stirling_expansion(
+        params[0].numerator, params[0].denominator, lambda k: 1, order
+    ),
     "geometric": _geometric,
     "finite": _finite,
 }
@@ -301,16 +286,14 @@ def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
 
 def moments(spec: DistributionSpec, order: int) -> MomentSequence:
     """Exact raw moments of the specified distribution up to ``order``."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError(f"moment order must be a non-negative integer, got {order!r}")
-    return _moments_cached(spec, order)
+    return _moments_cached(spec, _check_natural(order))
 
 
 # ``typed``, as for the stock series: ``True`` never reads the entry of order 1
 @lru_cache(maxsize=None, typed=True)
 def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""
-    if ms.order < _check_order(order):
+    if ms.order < _check_natural(order):
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
     dens = []
     fact = 1
@@ -330,7 +313,6 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:
     """E[(Y_1 + ... + Y_j)^n] for independent copies of Y; j = 0 gives 0^n."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise ValueError(f"number of copies must be a non-negative integer, got {j!r}")
-    order = _check_order(_check_entry(n, order))
+    _check_natural(j, "number of copies")
+    order = _check_natural(_check_entry(n, order))
     return powers(mgf(ms, order), j)[j].egf_coeff(n)

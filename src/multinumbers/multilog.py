@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from .series import Series, _check_entry, _check_order, _make
+from .series import Series, _check_entry, _check_natural, _make
 
 __all__ = [
     "index_tuple",
@@ -82,7 +82,7 @@ def _multilog(ks: tuple[int, ...], order: int) -> Series:
 
 def multilog(ks, order: int) -> Series:
     """Multiple-logarithm series truncated at ``order``."""
-    order = _check_order(order)
+    order = _check_natural(order)
     return _multilog(index_tuple(ks), order)
 
 
@@ -93,8 +93,7 @@ def multilog_coefficient(ks, m: int) -> Fraction:
     cross-check for the dynamic program.
     """
     ks = index_tuple(ks)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("chain endpoint must be a positive integer")
+    _check_natural(m, "chain endpoint", 1)
     r = len(ks)
     total = Fraction(0)
     for head in combinations(range(1, m), r - 1):

@@ -33,7 +33,7 @@ from math import comb, factorial
 from .moments import MomentSequence, mgf, resolvent
 from .multi import _li_family
 from .multilog import index_tuple
-from .series import Series, _check_entry, _make, _over_lcm, powers
+from .series import Series, _check_entry, _check_natural, _make, _over_lcm, powers
 
 __all__ = [
     "prob_stirling2",
@@ -64,15 +64,9 @@ def _power_family(u: Series, k: int) -> Series:
     return _make(power._num, power._den * factorial(k))
 
 
-def _check_column(k: int) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return k
-
-
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(M - 1)^k / k!."""
-    k = _check_column(k)
+    _check_natural(k, "k")
     return _power_family(mgf(ms, order), k)
 
 
@@ -120,9 +114,8 @@ def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     for k > n: E[S_j^n] is a polynomial of degree n in j, so its k-th
     difference vanishes.
     """
-    _check_column(k)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    _check_natural(k, "k")
+    _check_natural(n, "n")
     columns, den = _moment_route_columns(ms, n)
     return Fraction(columns[k][n], den) if k <= n else Fraction(0)
 
@@ -140,7 +133,7 @@ def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = Non
 
 def prob_lah_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(R - 1)^k / k!."""
-    k = _check_column(k)
+    _check_natural(k, "k")
     return _power_family(resolvent(ms, order), k)
 
 
@@ -167,8 +160,7 @@ def _fubini_series(u: Series, r: int, y: Fraction) -> Series:
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"the order r must be a positive integer, got {r!r}")
+    _check_natural(r, "the order r", 1)
     if isinstance(y, float):
         raise ValueError("y must be exact (int, Fraction or 'a/b' string), not float")
     return _fubini_series(mgf(ms, order), r, Fraction(y))

@@ -68,10 +68,13 @@ def _exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def _check_order(order: int) -> int:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
-    return order
+def _check_natural(value: int, what: str = "truncation order", least: int = 0) -> int:
+    """``value``, if it is an ``int`` (not a ``bool``) of at least ``least``,
+    which is 0 or 1; else ``ValueError`` naming the argument ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+    return value
 
 
 def _check_entry(n: int, order: int | None) -> int:
@@ -160,7 +163,7 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return _make([0] * (_check_order(order) + 1), 1)
+        return _make([0] * (_check_natural(order) + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -170,14 +173,14 @@ class Series:
     def constant(cls, value: Scalar, order: int) -> "Series":
         # an int carries its own numerator and denominator
         c = value if isinstance(value, (int, Fraction)) else _exact(value)
-        num = [0] * (_check_order(order) + 1)
+        num = [0] * (_check_natural(order) + 1)
         num[0] = c.numerator
         return _make(num, c.denominator)
 
     @classmethod
     def t(cls, order: int) -> "Series":
         """The variable itself (zero when truncated at order 0)."""
-        num = [0] * (_check_order(order) + 1)
+        num = [0] * (_check_natural(order) + 1)
         if order >= 1:
             num[1] = 1
         return _make(num, 1)
@@ -319,8 +322,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Series":
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
+        _check_natural(exponent, "series exponent")
         result = Series.one(self.order)
         base = self
         e = exponent
@@ -413,8 +415,7 @@ class Series:
         if not isinstance(den, Series):
             raise TypeError("division needs a Series denominator")
         self._check_same_order(den)
-        if not isinstance(valuation, int) or isinstance(valuation, bool) or valuation < 0:
-            raise ValueError("valuation must be a non-negative integer")
+        _check_natural(valuation, "valuation")
         if valuation > self.order:
             raise ValueError("valuation exceeds the truncation order")
         if any(den._num[:valuation]) or den._num[valuation] == 0:
@@ -467,7 +468,7 @@ def powers(g: Series, k: int) -> dict[int, Series]:
 @lru_cache(maxsize=None, typed=True)
 def exp_t(order: int) -> Series:
     """e^t, coefficients 1/n!: the numerators N!/n! over N!."""
-    num = [1] * (_check_order(order) + 1)
+    num = [1] * (_check_natural(order) + 1)
     for n in range(order, 0, -1):
         num[n - 1] = num[n] * n
     return _make(num, num[0])
@@ -476,13 +477,13 @@ def exp_t(order: int) -> Series:
 @lru_cache(maxsize=None, typed=True)
 def geometric(order: int) -> Series:
     """1/(1-t), all coefficients 1."""
-    return _make([1] * (_check_order(order) + 1), 1)
+    return _make([1] * (_check_natural(order) + 1), 1)
 
 
 @lru_cache(maxsize=None, typed=True)
 def neg_log1m(order: int) -> Series:
     """-log(1-t), coefficients 1/n for n >= 1."""
-    den = lcm(*range(1, _check_order(order) + 1))
+    den = lcm(*range(1, _check_natural(order) + 1))
     return _make([0] + [den // n for n in range(1, order + 1)], den)
 
 

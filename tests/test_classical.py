@@ -4,9 +4,12 @@ from math import comb, factorial
 import pytest
 
 from multinumbers.classical import (
+    _FIRST,
+    _LAH,
     _ROWS,
-    _lah_columns,
-    _stirling_columns,
+    _SECOND,
+    _columns,
+    _row,
     bernoulli_higher,
     bernoulli_higher_series,
     lah,
@@ -32,6 +35,15 @@ def test_off_triangle_is_zero():
     assert stirling1(3, 5) == 0
     assert stirling2(2, -1) == 0
     assert lah(4, 9) == 0
+
+
+@pytest.mark.parametrize("entry", [stirling1, stirling2, lah])
+@pytest.mark.parametrize(
+    "n, k", [(True, 1), (1, True), (True, True), (False, 0), (-1, 0), (2.0, 1), (2, 1.0)]
+)
+def test_triangle_entries_refuse_a_bool_or_non_natural_index(entry, n, k):
+    with pytest.raises(ValueError):
+        entry(n, k)
 
 
 def test_small_values_against_enumeration():
@@ -107,18 +119,20 @@ def test_bernoulli_higher_range_check():
 
 def test_cold_rows_are_filled_without_recursion(shallow_stack):
     # 300 rows past the last one held: one frame per row would pass the limit
-    n = len(_ROWS[False]) + 300
+    n = len(_ROWS[_SECOND]) + 300
     assert stirling2(n, 1) == 1
     assert stirling2(n, 2) == 2 ** (n - 1) - 1
-    n = len(_ROWS[True]) + 300
+    n = len(_ROWS[_FIRST]) + 300
     assert stirling1(n, n - 1) == comb(n, 2)
     assert stirling1(n, 1) == factorial(n - 1)
+    n = len(_ROWS[_LAH]) + 300
+    assert list(_row(_LAH, n)) == [lah(n, k) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_stirling_columns_read_the_rows(signed):
-    for first_kind, entry in ((True, stirling1), (False, stirling2)):
-        columns = _stirling_columns(first_kind, 9, signed)
+    for weights, entry in ((_FIRST, stirling1), (_SECOND, stirling2)):
+        columns = _columns(weights, 9, signed)
         for k, column in enumerate(columns):
             for n, value in enumerate(column):
                 sign = -1 if signed and (n - k) % 2 else 1
@@ -126,7 +140,7 @@ def test_stirling_columns_read_the_rows(signed):
 
 
 def test_lah_columns_equal_the_closed_form():
-    columns = _lah_columns(40)
+    columns = _columns(_LAH, 40)
     assert len(columns) == 41
     for k, column in enumerate(columns):
         assert len(column) == 41

@@ -188,6 +188,38 @@ def test_empty_grid_yields_no_reports():
     assert run_full_suite(grid=[], order=8) == []
 
 
+_MS = moments(poisson(1), 4)
+_PUBLIC_CHECKS = {
+    "check_derivative_rules": lambda order: check_derivative_rules((1, 2), order),
+    "check_append_one_deterministic": lambda order: check_append_one_deterministic((1,), order),
+    "check_append_one": lambda order: check_append_one(_MS, (1,), order),
+    "check_bernoulli_convolution": lambda order: check_bernoulli_convolution(_MS, (1,), order),
+    "check_first_kind_inversion": lambda order: check_first_kind_inversion(_MS, (1, 2), order),
+    "check_lah_via_first_kind": lambda order: check_lah_via_first_kind(_MS, (1, 2), order),
+    "check_bernoulli_expansion": lambda order: check_bernoulli_expansion(_MS, (1, 2), order),
+    "check_bernoulli_expansion_single_index": lambda order: (
+        check_bernoulli_expansion_single_index(_MS, 2, order)
+    ),
+    "check_fubini_convolution": lambda order: check_fubini_convolution(_MS, (1, 2), order),
+    "check_route_agreement": lambda order: check_route_agreement(_MS, order),
+    "check_all_ones_deterministic": lambda order: check_all_ones_deterministic(2, order),
+    "check_all_ones_probabilistic": lambda order: check_all_ones_probabilistic(_MS, 2, order),
+    "check_point_mass_collapse_classical": check_point_mass_collapse_classical,
+    "check_point_mass_collapse_multi": lambda order: check_point_mass_collapse_multi((1, 2), order),
+}
+
+
+def test_every_public_check_is_probed_for_its_order():
+    assert sorted(_PUBLIC_CHECKS) == sorted(n for n in dir(identities) if n.startswith("check_"))
+
+
+@pytest.mark.parametrize("order", [True, -1, 2.0, 0.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
+def test_public_checks_refuse_an_order_that_is_not_a_natural_number(name, order):
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        _PUBLIC_CHECKS[name](order)
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         run_full_suite(grid=[(point(1), (1,))], order=6, identities=["no-such-check"])

@@ -319,6 +319,8 @@ def test_mgf_and_resolvent_refuse_an_order_that_is_not_a_natural_number(order):
         mgf(ms, order)
     with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
         resolvent(ms, order)
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        moments(poisson(1), order)
 
 
 def test_resolvent_point_masses():

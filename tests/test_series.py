@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multinumbers.classical import bernoulli_higher_series
+from multinumbers.moments import binomial, moments, poisson, sum_power_moment
+from multinumbers.multilog import multilog_coefficient
+from multinumbers.probabilistic import (
+    prob_fubini_series,
+    prob_stirling2_by_moments,
+    prob_stirling2_series,
+)
 from multinumbers.series import (
     Series,
     _power_memo,
@@ -76,6 +85,43 @@ def test_constant_series_from_any_exact_scalar(value):
     assert Series.one(3) == Series([1, 0, 0, 0])
     with pytest.raises(TypeError):
         Series.constant(0.5, 3)
+
+
+_MS = moments(poisson(1), 3)
+_NATURAL_ARGUMENTS = [
+    # (call, argument name in the message, least value)
+    pytest.param(lambda v: Series.one(3) ** v, "series exponent", 0, id="pow"),
+    pytest.param(lambda v: Series.t(3).divide(Series.t(3), v), "valuation", 0, id="divide"),
+    pytest.param(
+        lambda v: bernoulli_higher_series(v, 3), "the power r", 0, id="bernoulli_higher_series"
+    ),
+    pytest.param(lambda v: binomial(v, F(1, 2)), "binomial count", 1, id="binomial"),
+    pytest.param(
+        lambda v: sum_power_moment(_MS, v, 2), "number of copies", 0, id="sum_power_moment"
+    ),
+    pytest.param(
+        lambda v: multilog_coefficient((1,), v), "chain endpoint", 1, id="multilog_coefficient"
+    ),
+    pytest.param(lambda v: prob_stirling2_series(_MS, v, 3), "k", 0, id="prob_stirling2_series"),
+    pytest.param(
+        lambda v: prob_stirling2_by_moments(_MS, 2, v), "k", 0, id="prob_stirling2_by_moments-k"
+    ),
+    pytest.param(
+        lambda v: prob_stirling2_by_moments(_MS, v, 1), "n", 0, id="prob_stirling2_by_moments-n"
+    ),
+    pytest.param(
+        lambda v: prob_fubini_series(_MS, v, 1, 3), "the order r", 1, id="prob_fubini_series"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, what, least", _NATURAL_ARGUMENTS)
+def test_natural_number_arguments_are_refused_by_name(call, what, least):
+    kind = "positive" if least else "non-negative"
+    for value in (True, False, -1, 2.0, "2", least - 1):
+        message = f"{what} must be a {kind} integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
 
 
 def test_coeff_range_checked():
