@@ -4,9 +4,11 @@ and higher-order Bernoulli numbers.
 The three triangles obey one two-term recurrence,
 T(m, k) = T(m-1, k-1) + (a(m-1) + bk) T(m-1, k) with T(0, 0) = 1, and
 differ only in the weights (a, b): (1, 0) for the unsigned first kind,
-(0, 1) for the second kind and (1, 1) for the unsigned Lah numbers.  One
-row builder fills all three, memoised per row; the generating-function
-routes are kept to the test suite as cross-checks.  Entries are plain
+(0, 1) for the second kind and (1, 1) for the unsigned Lah numbers.  The
+negated weights give the signed triangles: (0, -1) the signed second
+kind S(n, k)(-1)^(n-k), (-1, 0) the signed first kind.  One row builder
+fills every triangle, memoised per row; the generating-function routes
+are kept to the test suite as cross-checks.  Entries are plain
 ints (the triangles are integral), while Bernoulli values are Fractions.
 """
 
@@ -22,15 +24,15 @@ __all__ = ["stirling1", "stirling2", "lah", "bernoulli_higher", "bernoulli_highe
 
 
 # the weights (a, b) of each triangle
-_FIRST, _SECOND, _LAH = (1, 0), (0, 1), (1, 1)
+_FIRST, _SECOND, _LAH, _SIGNED_SECOND = (1, 0), (0, 1), (1, 1), (0, -1)
 # rows 0..len-1 of each triangle, keyed by its weights
 _ROWS = {weights: {0: (1,)} for weights in (_FIRST, _SECOND, _LAH)}
 
 
 def _row(weights: tuple[int, int], n: int) -> tuple[int, ...]:
     """Row n of the triangle with ``weights``: the unsigned first-kind
-    Stirling numbers (weight m - 1), the second-kind ones (k) or the
-    unsigned Lah numbers (m - 1 + k).
+    Stirling numbers (weight m - 1), the second-kind ones (k), the
+    unsigned Lah numbers (m - 1 + k) or any other weights (a, b).
 
     The rows are memoised and filled upward from the last one held, in a
     loop, so a cold row costs no recursion.  Row m is stored only after
@@ -38,7 +40,7 @@ def _row(weights: tuple[int, int], n: int) -> tuple[int, ...]:
     no lock is needed.
     """
     a, b = weights
-    rows = _ROWS[weights]
+    rows = _ROWS.setdefault(weights, {0: (1,)})
     for m in range(len(rows), n + 1):
         prev = (0, *rows[m - 1], 0)  # prev[k] = T(m-1, k-1)
         c = a * (m - 1)
@@ -47,15 +49,10 @@ def _row(weights: tuple[int, int], n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _columns(weights: tuple[int, int], order: int, signed: bool = False) -> tuple:
-    """The triangle of :func:`_row` by columns: entry k holds
-    T(0, k) .. T(order, k), each times (-1)^(n-k) when ``signed``."""
+def _columns(weights: tuple[int, int], order: int) -> tuple:
+    """The triangle of :func:`_row` by columns: entry k holds T(0, k) .. T(order, k)."""
     rows = [_row(weights, n) for n in range(order + 1)]
-    flip = -1 if signed else 1
-    return tuple(
-        tuple([0] * k + [row[k] * flip ** (n - k) for n, row in enumerate(rows[k:], k)])
-        for k in range(order + 1)
-    )
+    return tuple(tuple([0] * k + [row[k] for row in rows[k:]]) for k in range(order + 1))
 
 
 def _check_lattice(n: int, k: int) -> None:

@@ -35,9 +35,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, lcm
+from math import factorial
 
-from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
+from .classical import _FIRST, _LAH, _SECOND, _SIGNED_SECOND, _columns, bernoulli_higher_series
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -287,13 +287,6 @@ def _second_kind_sums(ms: MomentSequence, weights: Column, order: int) -> Column
 
 
 @lru_cache(maxsize=None)
-def _moment_column(ms: MomentSequence) -> Column:
-    """The moments mu_0 .. mu_N of Y as a column."""
-    den = lcm(*[m.denominator for m in ms.mu])
-    return tuple([m.numerator * (den // m.denominator) for m in ms.mu]), den
-
-
-@lru_cache(maxsize=None)
 def _single_index_sides(
     ms: MomentSequence | None, r: int, order: int
 ) -> tuple[Column, Column]:
@@ -310,7 +303,7 @@ def _single_index_sides(
         weights = ((1,) * (order + 1), 1)
     else:
         cols, den = _second_kind_columns(ms, order)
-        weights = _moment_column(ms)
+        weights = ms.column
     tail = (cols[r], den)
     (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights, order)
     return ((0, *lhs), d), tail
@@ -330,7 +323,7 @@ def check_append_one(
     r = len(prefix) + 1
     head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
     tail = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
-    lhs, rhs = _append_one_sides(head, tail, _moment_column(ms), order)
+    lhs, rhs = _append_one_sides(head, tail, ms.column, order)
     mismatch = _scan(lhs, rhs, range(order))
     if mismatch is not None:
         return _report("append-one", order, mismatch, prefix, dist, detail="main form")
@@ -382,7 +375,7 @@ def _first_kind_weights(ks: tuple[int, ...], order: int) -> Column:
     """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
     below r): the signed second-kind triangle applied to the column [m; ks]."""
     first, d = multilog(ks, order).egf_column
-    return tuple(_triangle_sums(_columns(_SECOND, order, True), first, order)), d
+    return tuple(_triangle_sums(_columns(_SIGNED_SECOND, order), first, order)), d
 
 
 def check_first_kind_inversion(
@@ -453,7 +446,7 @@ def _expansion_weights(b: Column, r: int, order: int) -> Column:
     (-1)^(i-r) S(i, r)."""
     bs, d = b
     # the triangle reaches column r; past the order no entry of it is read
-    signed = _columns(_SECOND, max(order, r), True)[r]
+    signed = _columns(_SIGNED_SECOND, max(order, r))[r]
     return tuple(_binomial_sums(bs, signed, order - r)), d
 
 
@@ -507,6 +500,8 @@ def check_bernoulli_expansion_single_index(
 
     compared for n = r..order-r, with ``w_j`` formed once per ``r``.
     """
+    _check_natural(order)
+    _check_natural(r, "r", 1)
     lhs = prob_stirling2_series(ms, r, order).egf_column
     rhs = _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
     mismatch = _scan(lhs, rhs, range(r, order - r + 1))
@@ -553,6 +548,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     """All-ones index tuples collapse every deterministic family to its
     classical counterpart."""
     _check_natural(order)
+    _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
     series = multilog(ones, order)
@@ -588,6 +584,7 @@ def check_all_ones_probabilistic(
     """All-ones index tuples collapse both probabilistic multi families to
     their single-index counterparts for every Y."""
     _check_natural(order)
+    _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
     second = _scan(

@@ -16,9 +16,9 @@ numbers; for Poisson, whose k-th factorial moment is ``lam^k``, that is
 the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite laws (a
 point mass is one with a single point) sum ``w x^n`` over the lcm of the
 weight denominators and of the point denominators.  Each moment becomes
-one ``Fraction`` at the end.  ``mgf`` divides by ``n!`` on integer
-numerators over one denominator as well.  :func:`sum_power_moment` reads ``M^j`` from the
-memo of powers in ``series``.
+one ``Fraction``; :class:`MomentSequence` also keeps them as one integer
+column, which ``mgf`` scales by ``N!/n!`` as ``exp_t`` does.
+:func:`sum_power_moment` squares ``M`` up to ``M^j`` in about ``2 log2 j`` products.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import lcm
 
 from .classical import _SECOND, _row
 from .report import FrozenRecord
-from .series import Series, _check_entry, _check_natural, _make, neg_log1m, powers
+from .series import Series, _check_entry, _check_natural, _make, neg_log1m
 
 __all__ = [
     "MomentSequence",
@@ -59,20 +59,30 @@ def _rational(value, what: str) -> Fraction:
 
 
 class MomentSequence(FrozenRecord):
-    """Raw moments mu_0..mu_N of Y, with mu_0 = 1."""
+    """Raw moments mu_0..mu_N of Y, with mu_0 = 1; the slot ``column``, not a
+    field, holds them as ``(numerators, lcm of the denominators)``."""
 
     _fields = ("mu",)
     __match_args__ = _fields
-    __slots__ = ("mu", "_hash")
+    __slots__ = ("mu", "column", "_hash")
 
     mu: tuple[Fraction, ...]
 
     def __init__(self, mu: tuple[Fraction, ...]) -> None:
+        if not isinstance(mu, tuple):
+            raise ValueError(f"mu must be a tuple, got {type(mu).__name__}")
         if not mu:
             raise ValueError("a moment sequence needs at least mu_0")
+        for n, m in enumerate(mu):
+            if type(m) not in (int, Fraction):
+                raise ValueError(f"mu_{n} must be an int or a Fraction, got {m!r}")
         if mu[0] != 1:
             raise ValueError(f"mu_0 must equal 1, got {mu[0]}")
+        dens = [m.denominator for m in mu]
+        den = lcm(*dens)
+        column = tuple([m.numerator * (den // d) for m, d in zip(mu, dens)])
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "column", (column, den))
         # Caches keyed on a sequence would otherwise re-hash every moment per
         # lookup; the value is hash of the field tuple, as for every record.
         object.__setattr__(self, "_hash", hash((mu,)))
@@ -295,14 +305,13 @@ def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""
     if ms.order < _check_natural(order):
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
-    dens = []
-    fact = 1
-    for n, mu in enumerate(ms.mu[: order + 1]):
-        if n > 1:
-            fact *= n
-        dens.append(mu.denominator * fact)
-    den = lcm(*dens)
-    return _make([mu.numerator * (den // d) for mu, d in zip(ms.mu, dens)], den)
+    mu, den = ms.column
+    num = list(mu[: order + 1])
+    scale = 1
+    for n in range(order, 0, -1):
+        scale *= n
+        num[n - 1] *= scale
+    return _make(num, den * scale)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -314,5 +323,5 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:
     """E[(Y_1 + ... + Y_j)^n] for independent copies of Y; j = 0 gives 0^n."""
     _check_natural(j, "number of copies")
-    order = _check_natural(_check_entry(n, order))
-    return powers(mgf(ms, order), j)[j].egf_coeff(n)
+    order = _check_entry(n, order)
+    return (mgf(ms, order) ** j).egf_coeff(n)

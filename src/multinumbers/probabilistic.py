@@ -59,7 +59,10 @@ def _gap(u: Series) -> Series:
 @lru_cache(maxsize=None)
 def _power_family(u: Series, k: int) -> Series:
     """(u - 1)^k / k!, column k of the exponential Riordan array (1, u - 1);
-    the power is read from the memo of powers of ``u - 1``."""
+    the power is read from the memo of powers of ``u - 1``.  With u_0 = 1
+    the power vanishes mod t^(N+1) for k > N, and the memo stays short."""
+    if k > u.order:
+        return Series.zero(u.order)
     power = powers(_gap(u), k)[k]
     return _make(power._num, power._den * factorial(k))
 

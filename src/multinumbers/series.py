@@ -18,7 +18,7 @@ series have equal ``(m, d)``.  Every operation works on that form in
 plain ``int`` arithmetic and reduces its result by one content gcd:
 sums rescale both vectors to the lcm of the two denominators, a product
 is one integer convolution over ``d_a * d_b``.  ``Fraction`` values are
-built only when a caller reads coefficients, once per series.
+built only where a caller reads coefficients, one per entry read.
 
 ``compose`` is the baby-step/giant-step scheme of Paterson and
 Stockmeyer (SIAM J. Comput. 1973): with ``k = isqrt(N) + 1`` it reads
@@ -39,13 +39,13 @@ from one table built once per series, :attr:`Series.egf_column`: the
 integer numerators ``n! m_n`` over the series denominator ``d``.  The
 identity checks sum and compare those integers directly;
 :attr:`Series.egf_coeffs` and :meth:`Series.egf_coeff` read the same
-table as ``Fraction`` values, built once on first use.  Storage stays in
-ordinary form so that products and compositions need no factorial
+table as ``Fraction`` values, built afresh on each read.  Storage stays
+in ordinary form so that products and compositions need no factorial
 bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
-series may be shared freely across threads; the coefficient tables are
-filled on first use with a value that does not depend on who fills them.
+series may be shared freely across threads; the one cached table,
+``egf_column``, is filled on first use with a value independent of who fills it.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def _check_natural(value: int, what: str = "truncation order", least: int = 0) -
 
 
 def _check_entry(n: int, order: int | None) -> int:
-    """Truncation order for the single entry ``n``: ``n`` itself by default."""
-    if order is None:
-        order = n
+    """Truncation order for the single entry ``n``, by default ``n``; both are checked."""
+    _check_natural(n, "n")
+    order = n if order is None else _check_natural(order)
     if n > order:
         raise ValueError(f"n={n} exceeds truncation order {order}")
     return order
@@ -97,9 +97,7 @@ def _make(num: list[int], den: int, reduced: bool = False) -> "Series":
     s = object.__new__(Series)
     s._num = tuple(num)
     s._den = den
-    s._coeffs = None
     s._egf = None
-    s._egf_coeffs = None
     return s
 
 
@@ -146,7 +144,7 @@ def _solve(
 class Series:
     """Formal power series in ``t`` truncated after the ``t^order`` term."""
 
-    __slots__ = ("_num", "_den", "_coeffs", "_egf", "_egf_coeffs")
+    __slots__ = ("_num", "_den", "_egf")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = tuple([_exact(c) for c in coeffs])
@@ -155,9 +153,7 @@ class Series:
         den = lcm(*[c.denominator for c in cs])
         self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
         self._den = den
-        self._coeffs = cs
         self._egf = None
-        self._egf_coeffs = None
 
     # ------------------------------------------------------------ constructors
 
@@ -193,16 +189,13 @@ class Series:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        cs = self._coeffs
-        if cs is None:
-            d = self._den
-            cs = self._coeffs = tuple([Fraction(m, d) if m else _ZERO for m in self._num])
-        return cs
+        d = self._den
+        return tuple([Fraction(m, d) if m else _ZERO for m in self._num])
 
     def coeff(self, n: int) -> Fraction:
         """Ordinary coefficient of ``t^n``; ``n`` must lie within the truncation."""
         self._check_index(n)
-        return self.coeffs[n]
+        return Fraction(self._num[n], self._den)
 
     @property
     def egf_column(self) -> tuple[tuple[int, ...], int]:
@@ -223,23 +216,14 @@ class Series:
     @property
     def egf_coeffs(self) -> tuple[Fraction, ...]:
         """Exponential-generating-function coefficients ``(0! c_0, ..., N! c_N)``."""
-        table = self._egf_coeffs
-        if table is None:
-            a, d = self.egf_column
-            table = list(a)
-            for n, m in enumerate(a):
-                table[n] = Fraction(m, d) if m else _ZERO
-            table = self._egf_coeffs = tuple(table)
-        return table
+        a, d = self.egf_column
+        return tuple([Fraction(m, d) if m else _ZERO for m in a])
 
     def egf_coeff(self, n: int) -> Fraction:
         """Exponential-generating-function coefficient ``n! * c_n``."""
         self._check_index(n)
-        # the table commands call this once per entry: no extra call on a hit
-        table = self._egf_coeffs
-        if table is None:
-            table = self.egf_coeffs
-        return table[n]
+        a, d = self.egf_column
+        return Fraction(a[n], d)
 
     def _check_index(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool):

@@ -132,7 +132,9 @@ def test_cold_rows_are_filled_without_recursion(shallow_stack):
 @pytest.mark.parametrize("signed", [False, True])
 def test_stirling_columns_read_the_rows(signed):
     for weights, entry in ((_FIRST, stirling1), (_SECOND, stirling2)):
-        columns = _columns(weights, 9, signed)
+        if signed:  # the negated weights give (-1)^(n-k) times the unsigned entry
+            weights = tuple(-w for w in weights)
+        columns = _columns(weights, 9)
         for k, column in enumerate(columns):
             for n, value in enumerate(column):
                 sign = -1 if signed and (n - k) % 2 else 1

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -20,7 +21,6 @@ from multinumbers.identities import (
     _first_kind_weights,
     _fubini_sides,
     _lah_sides,
-    _moment_column,
     _prefix_column,
     _second_kind_sums,
     _single_index_expansion_weights,
@@ -218,6 +218,23 @@ def test_every_public_check_is_probed_for_its_order():
 def test_public_checks_refuse_an_order_that_is_not_a_natural_number(name, order):
     with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
         _PUBLIC_CHECKS[name](order)
+
+
+_R_CHECKS = {
+    "check_all_ones_deterministic": lambda r: check_all_ones_deterministic(r, 6),
+    "check_all_ones_probabilistic": lambda r: check_all_ones_probabilistic(_MS, r, 4),
+    "check_bernoulli_expansion_single_index": lambda r: (
+        check_bernoulli_expansion_single_index(_MS, r, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [True, 0, -1, 2.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(_R_CHECKS))
+def test_single_index_checks_refuse_an_r_that_is_not_a_positive_integer(name, r):
+    message = f"r must be a positive integer, got {r!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _R_CHECKS[name](r)
 
 
 def test_unknown_identity_rejected():
@@ -510,7 +527,7 @@ def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
     lhs, rhs = _append_one_sides(
         _prefix_column(partial(prob_multi_stirling2_series, ms), ks, order),
         prob_multi_stirling2_series(ms, full, order).egf_column,
-        _moment_column(ms),
+        ms.column,
         order,
     )
     assert (values(lhs), values(rhs)) == append_one_sums(ms, ks, order)

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import pickle
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -129,6 +130,7 @@ def test_moment_sequence_record_semantics():
     assert ms != MomentSequence(mu[:2])
     assert ms != mu and ms != (mu,)
     assert hash(ms) == hash((mu,))
+    assert ms.column == ((4, 2, 3), 4)
     assert repr(ms) == "MomentSequence(mu=(Fraction(1, 1), Fraction(1, 2), Fraction(3, 4)))"
     assert MomentSequence.__match_args__ == ("mu",)
     assert pickle.loads(pickle.dumps(ms)) == ms
@@ -146,6 +148,17 @@ def test_moment_sequence_validation_messages():
         MomentSequence(())
     with pytest.raises(ValueError, match="mu_0 must equal 1, got 2"):
         MomentSequence((F(2), F(1)))
+    # only exact int or Fraction entries in a tuple; nothing is coerced
+    refused = [
+        ((1, 0.5), "mu_1 must be an int or a Fraction, got 0.5"),
+        (("1", "1/2"), "mu_0 must be an int or a Fraction, got '1'"),
+        ((True, F(1, 2)), "mu_0 must be an int or a Fraction, got True"),
+        ([F(1), F(1, 2)], "mu must be a tuple, got list"),
+    ]
+    for mu, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MomentSequence(mu)
+    assert MomentSequence((1, F(1, 2))) == MomentSequence((F(1), F(1, 2)))
 
 
 def test_distribution_spec_record_semantics():

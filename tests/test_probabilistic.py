@@ -12,9 +12,12 @@ from multinumbers.moments import (
     binomial,
     finite,
     geometric,
+    mgf,
     moments,
     point,
     poisson,
+    resolvent,
+    sum_power_moment,
 )
 from multinumbers.multi import multi_lah, multi_stirling2, multi_stirling2_series
 from multinumbers.multilog import multi_stirling1
@@ -31,6 +34,7 @@ from multinumbers.probabilistic import (
     prob_stirling2_by_moments,
     prob_stirling2_series,
 )
+from multinumbers.series import Series
 
 from oracles import fraction_moments, li_family, ordered_partition_count, rising_factorial_resolvent
 
@@ -233,6 +237,25 @@ def test_family_series_refuse_an_order_that_is_not_a_natural_number(order):
     for build in builders:
         with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
             build()
+
+
+def test_powers_past_the_order_make_no_product_run(monkeypatch):
+    # (u - 1)^k vanishes mod t^(N+1) for k > N; M^j is read by squaring
+    ms = moments(poisson(1), 3)
+    mgf(ms, 3), resolvent(ms, 3)
+    products = []
+    mul = Series.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    assert prob_stirling2_series(ms, 5000, 3) == Series.zero(3)
+    assert prob_lah_series(ms, 5000, 3) == Series.zero(3)
+    assert not products
+    assert sum_power_moment(ms, 5000, 3) == 5000 + 3 * 5000**2 + 5000**3
+    assert 0 < len(products) <= 26
 
 
 # ------------------------------------------------------- shared entries

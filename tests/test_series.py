@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multinumbers.classical import bernoulli_higher_series
+from multinumbers.classical import bernoulli_higher, bernoulli_higher_series
 from multinumbers.moments import binomial, moments, poisson, sum_power_moment
-from multinumbers.multilog import multilog_coefficient
+from multinumbers.multi import multi_bernoulli, multi_lah, multi_stirling2
+from multinumbers.multilog import multi_stirling1, multilog_coefficient
 from multinumbers.probabilistic import (
+    prob_fubini,
     prob_fubini_series,
+    prob_lah,
+    prob_multi_lah,
+    prob_multi_stirling2,
+    prob_stirling2,
     prob_stirling2_by_moments,
     prob_stirling2_series,
 )
@@ -122,6 +128,36 @@ def test_natural_number_arguments_are_refused_by_name(call, what, least):
         message = f"{what} must be a {kind} integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+_ENTRIES = {
+    # each per-entry function as (n, order) -> its entry n
+    "bernoulli_higher": lambda n, order: bernoulli_higher(n, 1, order),
+    "multi_stirling1": lambda n, order: multi_stirling1((1,), n, order),
+    "multi_stirling2": lambda n, order: multi_stirling2((1,), n, order),
+    "multi_bernoulli": lambda n, order: multi_bernoulli((1,), n, order),
+    "multi_lah": lambda n, order: multi_lah((1,), n, order),
+    "prob_stirling2": lambda n, order: prob_stirling2(_MS, n, 1, order),
+    "prob_multi_stirling2": lambda n, order: prob_multi_stirling2(_MS, (1,), n, order),
+    "prob_lah": lambda n, order: prob_lah(_MS, n, 1, order),
+    "prob_multi_lah": lambda n, order: prob_multi_lah(_MS, (1,), n, order),
+    "prob_fubini": lambda n, order: prob_fubini(_MS, 1, 1, n, order),
+    "sum_power_moment": lambda n, order: sum_power_moment(_MS, 2, n, order),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_entry_functions_name_a_bad_n_and_a_bad_order(name):
+    entry = _ENTRIES[name]
+    for n in (-1, True, 2.0):
+        message = f"n must be a non-negative integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(n, None)
+    for order in ("5", 2.0, True):
+        message = f"truncation order must be a non-negative integer, got {order!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(1, order)
+    assert entry(1, 3) == entry(1, None)
 
 
 def test_coeff_range_checked():
@@ -315,15 +351,11 @@ def test_egf_two_block_partitions():
     ],
     ids=["zero", "order-0", "negative", "product"],
 )
-@pytest.mark.parametrize("table_first", [True, False], ids=["table-first", "entry-first"])
-def test_egf_coeffs_is_the_whole_egf_table(make, table_first):
+def test_egf_coeffs_is_the_whole_egf_table(make):
     s = make()
-    if not table_first:
-        s.egf_coeff(s.order)
     table = s.egf_coeffs
     assert table == tuple(s.egf_coeff(n) for n in range(s.order + 1))
     assert all(type(c) is Fraction for c in table)
-    assert s.egf_coeffs is table
 
 
 # ---------------------------------------------------------------- properties
