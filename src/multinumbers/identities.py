@@ -3,10 +3,12 @@
 
 Every check compares exact rationals computed along two independent code
 paths (a direct series extraction against a finite sum over number
-tables), so a shared bug cannot certify itself.  A report is ``pass``
-only under exact equality of every coefficient in range.  Both sides are
-integer numerators over one denominator per column, compared by
-cross-multiplication; a ``Fraction`` is built only for the first mismatch.
+tables), so a shared bug cannot certify itself.  A check lists its
+comparisons as data, ``(lhs, rhs, ns, detail)``: two columns of integer
+numerators over one denominator each, the n compared and a label.  One
+runner, :func:`_verdict`, scans them by cross-multiplication and builds
+the report: ``pass`` only under exact equality of every coefficient in
+range, else the first mismatch (the only ``Fraction`` built) and its label.
 
 Every check-side sum has one of two shapes and is formed by one kernel
 each, in ``int`` arithmetic: a binomial convolution
@@ -63,7 +65,6 @@ from .probabilistic import (
 from .report import (
     EXPECTED_DISCREPANCY,
     FAIL,
-    PASS,
     SKIPPED,
     Mismatch,
     VerificationReport,
@@ -124,56 +125,38 @@ def default_grid() -> list[tuple[DistributionSpec, tuple[int, ...]]]:
     return [(spec, ks) for spec in dists for ks in _DEFAULT_TUPLES]
 
 
-def _scan(lhs: Column, rhs: Column, ns: Iterable[int]) -> Mismatch | None:
-    """First ``n`` in ``ns`` at which the columns ``lhs = (a, da)`` and
-    ``rhs = (b, db)`` differ, ``a[n] / da != b[n] / db``.
-
-    The values are compared by cross-multiplication, so a ``Fraction`` is
-    built only for the mismatch.
-    """
-    a, da = lhs
-    b, db = rhs
-    for n in ns:
-        if a[n] * db != b[n] * da:
-            return Mismatch(n, Fraction(a[n], da), Fraction(b[n], db))
-    return None
-
-
-def _scan_triangles(lhs: Triangle, rhs: Triangle, top: int) -> Mismatch | None:
-    """The same for two triangles ``(columns, d)`` with entry ``columns[k][n]``,
-    scanned over n = 0..top and, for each n, k = 0..n."""
-    cols_a, da = lhs
-    cols_b, db = rhs
-    for n in range(top + 1):
-        for k in range(n + 1):
-            a, b = cols_a[k][n], cols_b[k][n]
-            if a * db != b * da:
-                return Mismatch(n, Fraction(a, da), Fraction(b, db))
-    return None
-
-
-def _report(
+def _verdict(
     identity: str,
     order: int,
-    mismatch: Mismatch | None,
+    comparisons: Iterable[tuple[Column, Column, Iterable, str]],
     ks: tuple[int, ...] | None = None,
     dist: str | None = None,
-    detail: str = "",
 ) -> VerificationReport:
-    """A pass, or the mismatch as a failure or, for an identity the registry
-    flags ``expected``, as an expected discrepancy."""
-    if mismatch is None:
-        return VerificationReport(identity=identity, order=order, ks=ks, dist=dist, status=PASS)
-    status = EXPECTED_DISCREPANCY if _REGISTRY[identity].expected else FAIL
-    return VerificationReport(
-        identity=identity,
-        order=order,
-        ks=ks,
-        dist=dist,
-        status=status,
-        first_mismatch=mismatch,
-        detail=detail,
-    )
+    """The report of ``identity`` on its comparisons ``(lhs, rhs, ns, detail)``,
+    each of a[n] / da against b[n] / db for n in ``ns``, with ``lhs = (a, da)``
+    and ``rhs = (b, db)``.  The first mismatch, with its ``detail``, is a
+    failure or, for an identity the registry flags ``expected``, an expected
+    discrepancy; with none the report is a pass."""
+    for (a, da), (b, db), ns, detail in comparisons:
+        for n in ns:
+            if a[n] * db != b[n] * da:
+                # a triangle entry is keyed (n, k) and reported at its row n
+                row = n if type(n) is int else n[0]
+                mismatch = Mismatch(row, Fraction(a[n], da), Fraction(b[n], db))
+                status = EXPECTED_DISCREPANCY if _REGISTRY[identity].expected else FAIL
+                return VerificationReport(identity, order, ks, dist, status, mismatch, detail)
+    return VerificationReport(identity, order, ks, dist)
+
+
+def _triangle_comparison(lhs: Triangle, rhs: Triangle, top: int) -> tuple:
+    """The comparison of two triangles ``(columns, d)`` with entry
+    ``columns[k][n]``: each side as a column keyed by (n, k), scanned over
+    n = 0..top and, for each n, k = 0..n."""
+    keys = [(n, k) for n in range(top + 1) for k in range(n + 1)]
+    (cols_a, da), (cols_b, db) = lhs, rhs
+    a = {(n, k): cols_a[k][n] for n, k in keys}
+    b = {(n, k): cols_b[k][n] for n, k in keys}
+    return (a, da), (b, db), keys, ""
 
 
 def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
@@ -222,20 +205,17 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     _check_natural(order)
     ks = index_tuple(ks)
     if order == 0:
-        return _report("derivative-rules", order, None, ks)
+        return _verdict("derivative-rules", order, (), ks)
     lhs = _coeff_column(multilog(ks, order).derivative())
     lowered = ks[:-1] + (ks[-1] - 1,)
     shifted = _coeff_column(multilog(lowered, order).divide(Series.t(order), 1))
-    mismatch = _scan(lhs, shifted, range(order))
-    if mismatch is not None or ks[-1] != 1:
-        return _report("derivative-rules", order, mismatch, ks, detail="index-lowering rule")
-
-    prefix = ks[:-1]
-    tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
-    rhs = _coeff_column(geometric(order - 1) * tail)
-    mismatch = _scan(lhs, rhs, range(order))
-    detail = "prefix rule at trailing index 1"
-    return _report("derivative-rules", order, mismatch, ks, detail=detail)
+    comparisons = [(lhs, shifted, range(order), "index-lowering rule")]
+    if ks[-1] == 1:
+        prefix = ks[:-1]
+        tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
+        rhs = _coeff_column(geometric(order - 1) * tail)
+        comparisons.append((lhs, rhs, range(order), "prefix rule at trailing index 1"))
+    return _verdict("derivative-rules", order, comparisons, ks)
 
 
 def _prefix_column(family, prefix: tuple[int, ...], order: int) -> Column:
@@ -268,7 +248,7 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
     head = _prefix_column(multi_stirling2_series, prefix, order)
     tail = multi_stirling2_series(prefix + (1,), order).egf_column
     lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1), order)
-    return _report("append-one-deterministic", order, _scan(lhs, rhs, range(order)), prefix)
+    return _verdict("append-one-deterministic", order, [(lhs, rhs, range(order), "")], prefix)
 
 
 @lru_cache(maxsize=None)
@@ -323,17 +303,11 @@ def check_append_one(
     r = len(prefix) + 1
     head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
     tail = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
-    lhs, rhs = _append_one_sides(head, tail, ms.column, order)
-    mismatch = _scan(lhs, rhs, range(order))
-    if mismatch is not None:
-        return _report("append-one", order, mismatch, prefix, dist, detail="main form")
+    comparisons = [(*_append_one_sides(head, tail, ms.column, order), range(order), "main form")]
     if r <= order:
         for key, detail in ((ms, "single-index form"), (None, "single-index classical form")):
-            lhs, rhs = _single_index_sides(key, r, order)
-            mismatch = _scan(lhs, rhs, range(r, order + 1))
-            if mismatch is not None:
-                return _report("append-one", order, mismatch, prefix, dist, detail=detail)
-    return _report("append-one", order, None, prefix, dist)
+            comparisons.append((*_single_index_sides(key, r, order), range(r, order + 1), detail))
+    return _verdict("append-one", order, comparisons, prefix, dist)
 
 
 def check_bernoulli_convolution(
@@ -350,7 +324,7 @@ def check_bernoulli_convolution(
     _check_natural(order)
     ks = tuple(ks)
     r = len(ks)
-    if ms.order >= 1 and ms.moment(1) == 0:
+    if ms.order >= 1 and ms.mu[1] == 0:
         return VerificationReport(
             identity="bernoulli-convolution",
             order=order,
@@ -361,13 +335,12 @@ def check_bernoulli_convolution(
         )
     top = order - r
     if top < 0:  # no n to compare, and h**r has no valuation r below order r
-        return _report("bernoulli-convolution", order, None, ks, dist)
+        return _verdict("bernoulli-convolution", order, (), ks, dist)
     h = li_argument(mgf(ms, order))
     ratio = prob_multi_stirling2_series(ms, ks, order).divide(h**r, r).egf_column
     bern, db = multi_bernoulli_series(ks, order).egf_column
     lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
-    mismatch = _scan(lhs, ratio, range(top + 1))
-    return _report("bernoulli-convolution", order, mismatch, ks, dist)
+    return _verdict("bernoulli-convolution", order, [(lhs, ratio, range(top + 1), "")], ks, dist)
 
 
 @lru_cache(maxsize=None)
@@ -393,8 +366,8 @@ def check_first_kind_inversion(
     ks = tuple(ks)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
     rhs = _second_kind_sums(ms, _first_kind_weights(ks, order), order)
-    mismatch = _scan(lhs, rhs, range(len(ks), order + 1))
-    return _report("first-kind-inversion", order, mismatch, ks, dist)
+    ns = range(len(ks), order + 1)
+    return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
 
 def _lah_sides(
@@ -427,16 +400,13 @@ def check_lah_via_first_kind(
     ks = tuple(ks)
     direct, corrected, literal = _lah_sides(ms, ks, order)
     ns = range(len(ks), order + 1)
+    literal_detail = "summand uses the outer index; the corrected variant matches the series"
     return [
-        _report("lah-via-first-kind-corrected", order, _scan(direct, corrected, ns), ks, dist),
-        _report(
-            "lah-via-first-kind-literal",
-            order,
-            _scan(direct, literal, ns),
-            ks,
-            dist,
-            detail="summand uses the outer index; the corrected variant matches the series",
-        ),
+        _verdict(identity, order, [(direct, rhs, ns, detail)], ks, dist)
+        for identity, rhs, detail in (
+            ("lah-via-first-kind-corrected", corrected, ""),
+            ("lah-via-first-kind-literal", literal, literal_detail),
+        )
     ]
 
 
@@ -485,8 +455,8 @@ def check_bernoulli_expansion(
     r = len(ks)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
     rhs = _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
-    mismatch = _scan(lhs, rhs, range(r, order - r + 1))
-    return _report("bernoulli-expansion", order, mismatch, ks, dist)
+    ns = range(r, order - r + 1)
+    return _verdict("bernoulli-expansion", order, [(lhs, rhs, ns, "")], ks, dist)
 
 
 def check_bernoulli_expansion_single_index(
@@ -504,8 +474,8 @@ def check_bernoulli_expansion_single_index(
     _check_natural(r, "r", 1)
     lhs = prob_stirling2_series(ms, r, order).egf_column
     rhs = _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
-    mismatch = _scan(lhs, rhs, range(r, order - r + 1))
-    return _report("bernoulli-expansion-single-index", order, mismatch, (1,) * r, dist)
+    ns = range(r, order - r + 1)
+    return _verdict("bernoulli-expansion-single-index", order, [(lhs, rhs, ns, "")], (1,) * r, dist)
 
 
 def _fubini_sides(
@@ -527,8 +497,8 @@ def check_fubini_convolution(
     binomial sums of multi second-kind numbers against Fubini values at 1."""
     ks = tuple(ks)
     lhs, rhs = _fubini_sides(ms, ks, order)
-    mismatch = _scan(lhs, rhs, range(len(ks), order + 1))
-    return _report("fubini-convolution", order, mismatch, ks, dist)
+    ns = range(len(ks), order + 1)
+    return _verdict("fubini-convolution", order, [(lhs, rhs, ns, "")], ks, dist)
 
 
 def check_route_agreement(
@@ -538,10 +508,9 @@ def check_route_agreement(
     probabilistic second-kind numbers (n capped at 10)."""
     _check_natural(order)
     top = min(order, 10)
-    mismatch = _scan_triangles(
-        _second_kind_columns(ms, order), _moment_route_columns(ms, top), top
-    )
-    return _report("second-kind-route-agreement", order, mismatch, None, dist)
+    lhs, rhs = _second_kind_columns(ms, order), _moment_route_columns(ms, top)
+    comparison = _triangle_comparison(lhs, rhs, top)
+    return _verdict("second-kind-route-agreement", order, [comparison], None, dist)
 
 
 def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]:
@@ -572,10 +541,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
             ([-b if n % 2 else b for n, b in enumerate(higher)], dh * factorial(r)),
         ),
     )
-    return [
-        _report(identity, order, _scan(family, classical, ns), ones)
-        for identity, family, classical in pairs
-    ]
+    return [_verdict(identity, order, [(lhs, rhs, ns, "")], ones) for identity, lhs, rhs in pairs]
 
 
 def check_all_ones_probabilistic(
@@ -587,34 +553,34 @@ def check_all_ones_probabilistic(
     _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
-    second = _scan(
-        prob_multi_stirling2_series(ms, ones, order).egf_column,
-        prob_stirling2_series(ms, r, order).egf_column,
-        ns,
-    )
-    lah_m = _scan(
-        prob_multi_lah_series(ms, ones, order).egf_column,
-        prob_lah_series(ms, r, order).egf_column,
-        ns,
+    # the multi family and its single-index counterpart, per identity
+    pairs = (
+        ("all-ones-prob-second-kind", prob_multi_stirling2_series, prob_stirling2_series),
+        ("all-ones-prob-lah", prob_multi_lah_series, prob_lah_series),
     )
     return [
-        _report("all-ones-prob-second-kind", order, second, ones, dist),
-        _report("all-ones-prob-lah", order, lah_m, ones, dist),
+        _verdict(
+            identity,
+            order,
+            [(multi(ms, ones, order).egf_column, single(ms, r, order).egf_column, ns, "")],
+            ones,
+            dist,
+        )
+        for identity, multi, single in pairs
     ]
 
 
 def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     """At Y = point(1) the single-index probabilistic families are classical."""
     ms = moments(point(1), order)
-    label = "point:1"
-    lah_triangle = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
-    second = _scan_triangles(
-        _second_kind_columns(ms, order), (_columns(_SECOND, order), 1), order
-    )
-    lah_m = _scan_triangles(lah_triangle, (_columns(_LAH, order), 1), order)
+    second = _second_kind_columns(ms, order)
+    lah = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
     return [
-        _report("point-mass-collapse-second-kind", order, second, None, label),
-        _report("point-mass-collapse-lah", order, lah_m, None, label),
+        _verdict(identity, order, [_triangle_comparison(prob, classical, order)], None, "point:1")
+        for identity, prob, classical in (
+            ("point-mass-collapse-second-kind", second, (_columns(_SECOND, order), 1)),
+            ("point-mass-collapse-lah", lah, (_columns(_LAH, order), 1)),
+        )
     ]
 
 
@@ -630,28 +596,25 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
     """
     ks = tuple(ks)
     ms = moments(point(1), order)
-    label = "point:1"
     ns = range(order + 1)
-    second = _scan(
-        prob_multi_stirling2_series(ms, ks, order).egf_column,
-        multi_stirling2_series(ks, order).egf_column,
-        ns,
-    )
-    lah_m = _scan(
-        prob_multi_lah_series(ms, ks, order).egf_column,
-        multi_lah_series(ks, order).egf_column,
-        ns,
+    # the probabilistic family, its deterministic counterpart and the detail, per identity
+    pairs = (
+        (
+            "point-mass-collapse-multi-second-kind",
+            prob_multi_stirling2_series(ms, ks, order),
+            multi_stirling2_series(ks, order),
+            "",
+        ),
+        (
+            "point-mass-collapse-multi-lah",
+            prob_multi_lah_series(ms, ks, order),
+            multi_lah_series(ks, order),
+            "collapse holds only for all-ones index tuples",
+        ),
     )
     return [
-        _report("point-mass-collapse-multi-second-kind", order, second, ks, label),
-        _report(
-            "point-mass-collapse-multi-lah",
-            order,
-            lah_m,
-            ks,
-            label,
-            detail="collapse holds only for all-ones index tuples",
-        ),
+        _verdict(identity, order, [(prob.egf_column, det.egf_column, ns, detail)], ks, "point:1")
+        for identity, prob, det, detail in pairs
     ]
 
 

@@ -95,7 +95,8 @@ class MomentSequence(FrozenRecord):
         return len(self.mu) - 1
 
     def moment(self, n: int) -> Fraction:
-        if n < 0 or n > self.order:
+        _check_natural(n, "n")
+        if n > self.order:
             raise ValueError(f"moment index {n} outside available order {self.order}")
         return self.mu[n]
 

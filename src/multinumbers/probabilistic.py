@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .moments import MomentSequence, mgf, resolvent
+from .moments import MomentSequence, _rational, mgf, resolvent
 from .multi import _li_family
 from .multilog import index_tuple
 from .series import Series, _check_entry, _check_natural, _make, _over_lcm, powers
@@ -164,9 +164,7 @@ def _fubini_series(u: Series, r: int, y: Fraction) -> Series:
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
     _check_natural(r, "the order r", 1)
-    if isinstance(y, float):
-        raise ValueError("y must be exact (int, Fraction or 'a/b' string), not float")
-    return _fubini_series(mgf(ms, order), r, Fraction(y))
+    return _fubini_series(mgf(ms, order), r, _rational(y, "y"))
 
 
 def prob_fubini(ms: MomentSequence, r: int, y, n: int, order: int | None = None) -> Fraction:

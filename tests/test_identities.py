@@ -2,16 +2,18 @@ import copy
 import pickle
 import re
 import sys
+from fnmatch import fnmatch
 from fractions import Fraction
 from functools import partial
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinumbers import identities
-from multinumbers.classical import stirling1, stirling2
+from multinumbers.classical import _SECOND, _columns, stirling1, stirling2
 from multinumbers.identities import (
     ALL_IDENTITIES,
     IDENTITIES,
@@ -816,6 +818,93 @@ def test_perturbed_column_fails_at_first_reached_n(
     for value in (report.first_mismatch.lhs, report.first_mismatch.rhs):
         assert type(value) is Fraction
         assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+
+
+def raise_classical_second_kind(rule, order):
+    """The classical triangles the checks read, with S(3, 2) raised by 1."""
+    cols = [list(col) for col in _columns(rule, order)]
+    if rule is _SECOND:
+        cols[2][3] += 1
+    return cols
+
+
+# (check, the column source and the coefficient raised, or None for S(3, 2)
+# of the classical triangle; the detail of the first comparison that fails).
+# With ks = (2, 1) a raised multilog breaks both derivative rules and the
+# first is reported; in append-one each raise reaches the form named and no
+# earlier one.
+FIRST_FAILING_DETAILS = [
+    (lambda ms: check_derivative_rules((2, 1), N), ("multilog", 2), "index-lowering rule"),
+    (
+        lambda ms: check_derivative_rules((1,), N),
+        ("geometric", 2),
+        "prefix rule at trailing index 1",
+    ),
+    (lambda ms: check_append_one(ms, KS, N), ("prob_multi_stirling2_series", 3), "main form"),
+    (lambda ms: check_append_one(ms, (1,), N), ("prob_stirling2_series", 3), "single-index form"),
+    (lambda ms: check_append_one(ms, (1,), N), None, "single-index classical form"),
+]
+
+
+@pytest.mark.parametrize(
+    "check,raised,detail",
+    FIRST_FAILING_DETAILS,
+    ids=[row[2] for row in FIRST_FAILING_DETAILS],
+)
+def test_report_carries_the_detail_of_the_first_failing_comparison(
+    perturb, monkeypatch, check, raised, detail
+):
+    ms = moments(poisson(1), N)
+    assert check(ms).status == "pass"
+    if raised is None:
+        clear_identity_caches()
+        monkeypatch.setattr(identities, "_columns", raise_classical_second_kind)
+    else:
+        perturb(*raised)
+    report = check(ms)
+    assert (report.status, report.detail) == ("fail", detail)
+
+
+def readme_ranges():
+    """id pattern -> (the ``lo..hi`` ranges of the README's "`n` compared"
+    column, whether the cell says every k <= n is compared)."""
+    rows = {}
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        row = re.fullmatch(r"\| `([a-z*-]+)` \| .* \| (.*) \|", line)
+        if row:
+            bounds = re.findall(r"`([^`]+)\.\.([^`]+)`", row[2])
+            rows[row[1]] = (bounds, "every `k <= n`" in row[2])
+    return rows
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+def test_compared_ranges_are_the_readme_column(monkeypatch, order):
+    verdict = identities._verdict
+    seen = []  # (identity, r, ns of each comparison)
+
+    def recording(identity, order, comparisons, ks=None, dist=None):
+        seen.append((identity, len(ks or ()), [ns for _, _, ns, _ in comparisons]))
+        return verdict(identity, order, comparisons, ks, dist)
+
+    monkeypatch.setattr(identities, "_verdict", recording)
+    run_full_suite(order=order)
+    table = readme_ranges()
+    assert {identity for identity, _, _ in seen} == set(ALL_IDENTITIES)
+    for identity, r, compared in seen:
+        (pattern,) = [p for p in table if fnmatch(identity, p)]
+        bounds, triangle = table[pattern]
+        scope = {"N": order, "r": r, "min": min}
+        ranges = [list(range(eval(lo, scope), eval(hi, scope) + 1)) for lo, hi in bounds]
+        made = []
+        for ns in map(list, compared):
+            if ns and type(ns[0]) is tuple:  # a triangle, keyed (n, k) n-major
+                rows = list(dict.fromkeys(n for n, _ in ns))
+                assert triangle and ns == [(n, k) for n in rows for k in range(n + 1)]
+                ns = rows
+            assert ns in ranges, (identity, order, r, ns)
+            made.append(ns)
+        # every range the column names is compared, unless it is empty
+        assert all(ns in made for ns in ranges if ns), (identity, order, r, ranges)
 
 
 # ---------------------------------------------------------------- records

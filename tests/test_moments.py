@@ -161,6 +161,17 @@ def test_moment_sequence_validation_messages():
     assert MomentSequence((1, F(1, 2))) == MomentSequence((F(1), F(1, 2)))
 
 
+@pytest.mark.parametrize("n", [True, "1", 1.0, -1])
+def test_moment_refuses_an_index_that_is_not_a_natural_number(n):
+    ms = moments(poisson(1), 3)
+    message = f"n must be a non-negative integer, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ms.moment(n)
+    with pytest.raises(ValueError, match="^moment index 4 outside available order 3$"):
+        ms.moment(4)
+    assert ms.moment(1) == 1
+
+
 def test_distribution_spec_record_semantics():
     spec = poisson(F(1, 2))
     assert spec == DistributionSpec("poisson", (F(1, 2),), "poisson:1/2")

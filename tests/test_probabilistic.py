@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -214,6 +215,22 @@ def test_fubini_rejects_bad_arguments():
         prob_fubini(ms, 0, 1, 1, 3)
     with pytest.raises(ValueError):
         prob_fubini(ms, 1, 0.5, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "y,message",
+    [
+        ("x", "cannot parse y from 'x'"),
+        (None, "cannot parse y from None"),
+        ("1/0", "cannot parse y from '1/0'"),
+        (0.5, "y must be exact (int, Fraction or 'a/b' string), not float"),
+    ],
+)
+def test_fubini_names_a_bad_y(y, message):
+    ms = moments(poisson(1), 3)
+    for call in (lambda: prob_fubini_series(ms, 1, y, 3), lambda: prob_fubini(ms, 1, y, 2, 3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_entry_range_checks():
