@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -472,8 +472,12 @@ def test_mul_matches_fraction_oracle(pair):
     assert_kernel_result(Series(a) * Series(b), series_product(a, b))
 
 
+# Orders 0-16 give block sizes 1-5 for a first composition.  Each example
+# composes in three states of the memo of powers of g: cold (k = isqrt(N) + 1),
+# filled by that first composition, and filled by a plain powers(g, N) as
+# the single-index families fill it (both k = N + 1).
 @given(
-    st.one_of(kernel_orders, st.sampled_from([15, 16])).flatmap(
+    st.integers(min_value=0, max_value=16).flatmap(
         lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
     ),
     st.one_of(st.just(1), st.integers(min_value=2, max_value=3)),
@@ -482,7 +486,17 @@ def test_mul_matches_fraction_oracle(pair):
 def test_compose_matches_fraction_oracle(pair, valuation):
     f, g = pair
     g[:valuation] = [Fraction(0)] * min(valuation, len(g))
-    assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
+    order = len(g) - 1
+    expected = series_compose(f, g)
+    _power_memo.cache_clear()
+    assert_kernel_result(Series(f).compose(Series(g)), expected)
+    assert set(_power_memo(Series(g))[1]) == {isqrt(order) + 1}
+    assert_kernel_result(Series(f).compose(Series(g)), expected)
+    assert set(_power_memo(Series(g))[1]) == {isqrt(order) + 1, order + 1}
+    _power_memo.cache_clear()
+    powers(Series(g), order)
+    assert_kernel_result(Series(f).compose(Series(g)), expected)
+    assert set(_power_memo(Series(g))[1]) == {order + 1}
 
 
 def test_compose_every_block_layout():
@@ -508,7 +522,7 @@ def test_powers_memo_matches_pow(a, head):
     assert powers(g, order + 2)[order + 2] == g ** (order + 2)
 
 
-def test_second_compose_on_an_equal_inner_adds_only_the_giant_steps(monkeypatch):
+def test_repeat_compose_makes_only_the_products_that_fill_the_memo(monkeypatch):
     order, k = 30, 6  # k = isqrt(30) + 1: baby steps g^0..g^5, giant step g^6
     f = [F(i + 1, i + 3) for i in range(order + 1)]
     g = [F(0)] + [F(7, i + 11) for i in range(1, order + 1)]
@@ -516,12 +530,15 @@ def test_second_compose_on_an_equal_inner_adds_only_the_giant_steps(monkeypatch)
     calls = []
     mul = Series.__mul__
     monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    first = Series(f).compose(Series(g))
-    cold = len(calls)
-    second = Series(f).compose(Series(g))
-    assert first == second
-    assert cold == (k - 1) + order // k  # g^2..g^6, then the Horner steps
-    assert len(calls) - cold == order // k
+    counts = []
+    results = []
+    for _ in range(3):
+        before = len(calls)
+        results.append(Series(f).compose(Series(g)))
+        counts.append(len(calls) - before)
+    assert results[0] == results[1] == results[2]
+    # g^2..g^6, then the Horner steps; then g^7..g^30 and one block; then nothing
+    assert counts == [(k - 1) + order // k, order - k, 0]
 
 
 @given(kernel_orders.flatmap(mixed_lists))
