@@ -31,9 +31,10 @@ instead of ``N``.  Once the memo holds ``g^k``, a later composition with
 an equal ``g`` extends it to ``g^N`` and takes ``k = N + 1``: one block,
 the product by the Riordan array ``(1, g)`` (Shapiro et al., 1991), and
 no series product once the memo is full.  ``verify`` composes 16 distinct
-inner series 170 times, so this takes cold ``verify --order 32`` from
-0.28 to 0.19 s (2-vCPU Xeon VM, CPython 3.11.7); a single ``table``
-composes each inner once and does the same work as with ``k`` fixed.
+inner series 170 times, and this rule about halves cold
+``verify --order 64`` (3.05 to 1.58 s, medians of 4 alternating pairs on a
+2-vCPU Xeon VM, CPython 3.11.7); a single ``table`` composes each inner
+once and does the same work as with ``k`` fixed.
 
 ``exp``, ``log`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)``, the same for ``t b'`` against ``a``,
@@ -392,6 +393,7 @@ class Series:
             k = n + 1
         baby = baby_steps.get(k)
         if baby is None:
+            # the giant step g^k is read only when there is a second block, k <= n
             steps = powers(inner, min(k, n))
             den = lcm(*[steps[i]._den for i in range(k)])
             baby = baby_steps[k] = ([(steps[i]._num, den // steps[i]._den) for i in range(k)], den)
