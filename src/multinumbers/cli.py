@@ -7,7 +7,8 @@ Two subcommands:
 
 All rationals are rendered as canonical strings (``a`` or ``a/b``), never
 as floats, and output is byte-deterministic for fixed flags.  Exit status:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 141 when stdout is a
+pipe whose reader has gone (as for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 
 from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
-from .moments import moments, parse_distribution
+from .moments import DistributionSpec, moments, parse_distribution
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import multilog
 from .probabilistic import (
@@ -126,11 +128,28 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _parse_rational(text: str, flag: str) -> Fraction:
+def _parse_dist(text: str) -> DistributionSpec:
+    try:
+        return parse_distribution(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _parse_r(r: int) -> int:
+    if r < 1:
+        raise UsageError("--r must be a positive integer")
+    return r
+
+
+def _parse_y(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} must be an integer or a/b rational, got {text!r}") from exc
+        raise UsageError(f"--y must be an integer or a/b rational, got {text!r}") from exc
+
+
+# the parser of each flag a family may require
+_PARSERS = {"ks": _parse_ks, "dist": _parse_dist, "r": _parse_r, "y": _parse_y}
 
 
 def _check_order_flag(order: int, force: bool) -> int:
@@ -182,80 +201,38 @@ def _check_size(
         )
 
 
-def _table_inputs(name: str, inputs: tuple[str, ...], args) -> SimpleNamespace:
-    """Parse the flags a family requires; the others are ignored."""
-    a = SimpleNamespace(ks=None, spec=None, ms=None, r=None, y=None)
-    for flag in inputs:
+def _table_rows(args) -> tuple[dict, list[tuple]]:
+    """The fields every row of the requested table shares, ``{family, ks,
+    dist}``, and its rows ``(n, k, value)``, with ``k`` None for a
+    one-index family.  Only the flags the family requires are parsed."""
+    family = FAMILIES[args.family]
+    a = SimpleNamespace(ks=None, dist=None, ms=None, r=None, y=None)
+    for flag in family.inputs:
         given = getattr(args, flag)
         if given is None:
-            raise UsageError(f"family {name} requires --{flag}")
-        if flag == "ks":
-            a.ks = _parse_ks(given)
-        elif flag == "dist":
-            try:
-                a.spec = parse_distribution(given)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        elif flag == "r":
-            if given < 1:
-                raise UsageError("--r must be a positive integer")
-            a.r = given
-        else:
-            a.y = _parse_rational(given, "--y")
-    return a
-
-
-def _table_records(args) -> list[dict]:
-    family = FAMILIES[args.family]
-    a = _table_inputs(args.family, family.inputs, args)
+            raise UsageError(f"family {args.family} requires --{flag}")
+        setattr(a, flag, _PARSERS[flag](given))
     order = args.order
-    params = (a.spec.params if a.spec is not None else (), a.r or 0, a.y or 0)
+    params = (a.dist.params if a.dist is not None else (), a.r or 0, a.y or 0)
     _check_size(order, a.ks or (), params, family.composed, args.force_order)
-    ks_field = list(a.ks) if a.ks is not None else None
-    dist_field = a.spec.label if a.spec is not None else None
     try:
-        if a.spec is not None:
-            a.ms = moments(a.spec, order)
+        if a.dist is not None:
+            a.ms = moments(a.dist, order)
         values = family.values(a, order)
-        if family.two_index:
-            cells = [(n, k, values[k][n]) for n in range(order + 1) for k in range(n + 1)]
-        else:
-            cells = [(n, None, value) for n, value in enumerate(values)]
         # str() inside the guard: a value past the int-to-str digit limit
         # is a usage error, not a traceback
-        return [
-            {
-                "family": args.family,
-                "ks": ks_field,
-                "dist": dist_field,
-                "n": n,
-                "k": k,
-                "value": str(value),
-            }
-            for n, k, value in cells
-        ]
+        if family.two_index:
+            rows = [(n, k, str(values[k][n])) for n in range(order + 1) for k in range(n + 1)]
+        else:
+            rows = [(n, None, str(value)) for n, value in enumerate(values)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _emit_records(records, fmt: str, out) -> None:
-    if fmt == "json":
-        for rec in records:
-            out.write(_JSON.encode(rec) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["family", "ks", "dist", "n", "k", "value"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["family"],
-                    "" if rec["ks"] is None else ",".join(str(k) for k in rec["ks"]),
-                    "" if rec["dist"] is None else rec["dist"],
-                    rec["n"],
-                    "" if rec["k"] is None else rec["k"],
-                    rec["value"],
-                ]
-            )
+    shared = {
+        "family": args.family,
+        "ks": list(a.ks) if a.ks is not None else None,
+        "dist": a.dist.label if a.dist is not None else None,
+    }
+    return shared, rows
 
 
 def _report_to_dict(rep: VerificationReport) -> dict:
@@ -309,12 +286,25 @@ def _load_grid(path: str):
 
 def _cmd_table(args) -> int:
     _check_order_flag(args.order, args.force_order)
-    records = _table_records(args)
-    _emit_records(records, args.format, sys.stdout)
+    shared, rows = _table_rows(args)
+    out = sys.stdout
+    if args.format == "json":
+        for n, k, value in rows:
+            out.write(_JSON.encode({**shared, "n": n, "k": k, "value": value}) + "\n")
+    else:
+        ks = ",".join(map(str, shared["ks"] or ()))
+        head = [args.family, ks, shared["dist"] or ""]
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([*shared, "n", "k", "value"])
+        for n, k, value in rows:
+            writer.writerow([*head, n, "" if k is None else k, value])
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.list_identities:
+        sys.stdout.writelines(f"{entry.id}\t{entry.description}\n" for entry in IDENTITIES)
+        return 0
     _check_order_flag(args.order, args.force_order)
     grid = _load_grid(args.grid) if args.grid else None
     # every cell is bounded before any is computed
@@ -391,14 +381,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "list_identities", False):
-            for entry in IDENTITIES:
-                sys.stdout.write(f"{entry.id}\t{entry.description}\n")
-            return 0
-        return args.func(args)
+        status = args.func(args)
+        # a reader that has gone away is met here, not in the flush at exit
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # stdout goes to /dev/null so that the flush at exit writes nowhere
+        # and prints nothing; the status is a SIGPIPE death's, 128 + 13
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def entrypoint() -> None:  # console-script shim

@@ -188,11 +188,6 @@ def _triangle_sums(columns: Sequence[Sequence[int]], w: Sequence[int], top: int)
     return sums
 
 
-def _coeff_column(s: Series) -> Column:
-    """The ordinary coefficients of ``s`` as a column."""
-    return s._num, s._den
-
-
 def check_derivative_rules(ks, order: int) -> VerificationReport:
     """The two derivative recurrences of the multiple logarithm.
 
@@ -206,15 +201,17 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     ks = index_tuple(ks)
     if order == 0:
         return _verdict("derivative-rules", order, (), ks)
-    lhs = _coeff_column(multilog(ks, order).derivative())
+    derivative = multilog(ks, order).derivative()
     lowered = ks[:-1] + (ks[-1] - 1,)
-    shifted = _coeff_column(multilog(lowered, order).divide(Series.t(order), 1))
-    comparisons = [(lhs, shifted, range(order), "index-lowering rule")]
+    rhs = multilog(lowered, order).divide(Series.t(order), 1)
+    # each side is the column of ordinary coefficients of a series
+    lhs = derivative._num, derivative._den
+    comparisons = [(lhs, (rhs._num, rhs._den), range(order), "index-lowering rule")]
     if ks[-1] == 1:
         prefix = ks[:-1]
         tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
-        rhs = _coeff_column(geometric(order - 1) * tail)
-        comparisons.append((lhs, rhs, range(order), "prefix rule at trailing index 1"))
+        rhs = geometric(order - 1) * tail
+        comparisons.append((lhs, (rhs._num, rhs._den), range(order), "prefix rule at trailing index 1"))
     return _verdict("derivative-rules", order, comparisons, ks)
 
 
@@ -370,23 +367,6 @@ def check_first_kind_inversion(
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
 
-def _lah_sides(
-    ms: MomentSequence, ks: tuple[int, ...], order: int
-) -> tuple[Column, Column, Column]:
-    """The probabilistic multi-Lah column and both first-kind sums for
-    n = 0..order: sum_{k=r}^{n} {k; ks}_Y [n; k] (corrected) and
-    sum_{k=r}^{n} {n; ks}_Y [n; k] (literal).  {k; ks}_Y vanishes below
-    k = r, and the literal form is {n; ks}_Y times a first-kind row sum."""
-    r = len(ks)
-    direct = prob_multi_lah_series(ms, ks, order).egf_column
-    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    first_kind = _columns(_FIRST, order)
-    corrected = _triangle_sums(first_kind, second, order)
-    row_sums = _triangle_sums(first_kind, (0,) * r + (1,) * (order + 1 - r), order)
-    literal = [s * t for s, t in zip(second, row_sums)]
-    return direct, (corrected, ds), (literal, ds)
-
-
 def check_lah_via_first_kind(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> list[VerificationReport]:
@@ -396,10 +376,18 @@ def check_lah_via_first_kind(
     definition exactly; the literal variant freezes the outer index,
     summing {n; ks}_Y [n; k], and is retained as evidence: it disagrees,
     first at (ks = (1,1), Y = point(1), n = 3) where it gives 12 against 6.
+    Both sums run over k = r..n; {k; ks}_Y vanishes below k = r, and the
+    literal form is {n; ks}_Y times a first-kind row sum.
     """
     ks = tuple(ks)
-    direct, corrected, literal = _lah_sides(ms, ks, order)
-    ns = range(len(ks), order + 1)
+    r = len(ks)
+    direct = prob_multi_lah_series(ms, ks, order).egf_column
+    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
+    first_kind = _columns(_FIRST, order)
+    corrected = _triangle_sums(first_kind, second, order), ds
+    row_sums = _triangle_sums(first_kind, (0,) * r + (1,) * (order + 1 - r), order)
+    literal = [s * t for s, t in zip(second, row_sums)], ds
+    ns = range(r, order + 1)
     literal_detail = "summand uses the outer index; the corrected variant matches the series"
     return [
         _verdict(identity, order, [(direct, rhs, ns, detail)], ks, dist)
@@ -478,25 +466,21 @@ def check_bernoulli_expansion_single_index(
     return _verdict("bernoulli-expansion-single-index", order, [(lhs, rhs, ns, "")], (1,) * r, dist)
 
 
-def _fubini_sides(
-    ms: MomentSequence, ks: tuple[int, ...], order: int
-) -> tuple[Column, Column]:
-    """Both sides of the Fubini convolution for n = 0..order:
-    sum_{k=r}^{n} {n; k}_Y L(k; ks) and sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k);
-    L(k; ks) and {k; ks}_Y vanish below k = r."""
-    lhs = _second_kind_sums(ms, multi_lah_series(ks, order).egf_column, order)
-    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    fubini, df = prob_fubini_series(ms, len(ks), 1, order).egf_column
-    return lhs, (_binomial_sums(second, fubini, order), ds * df)
-
-
 def check_fubini_convolution(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Second-kind numbers weighted by deterministic multi-Lah numbers equal
-    binomial sums of multi second-kind numbers against Fubini values at 1."""
+    binomial sums of multi second-kind numbers against Fubini values at 1:
+
+        sum_{k=r}^{n} {n; k}_Y L(k; ks) = sum_{k=r}^{n} C(n, k) {k; ks}_Y F_(n-k),
+
+    where L(k; ks) and {k; ks}_Y vanish below k = r.
+    """
     ks = tuple(ks)
-    lhs, rhs = _fubini_sides(ms, ks, order)
+    lhs = _second_kind_sums(ms, multi_lah_series(ks, order).egf_column, order)
+    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
+    fubini, df = prob_fubini_series(ms, len(ks), 1, order).egf_column
+    rhs = _binomial_sums(second, fubini, order), ds * df
     ns = range(len(ks), order + 1)
     return _verdict("fubini-convolution", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -527,7 +511,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     top = max(order, r)
     # the family column and its classical counterpart, per identity
     pairs = (
-        ("all-ones-multilog", _coeff_column(series), (power._num, power._den * factorial(r))),
+        ("all-ones-multilog", (series._num, series._den), (power._num, power._den * factorial(r))),
         ("all-ones-first-kind", series.egf_column, (_columns(_FIRST, top)[r], 1)),
         (
             "all-ones-second-kind",

@@ -50,8 +50,9 @@ __all__ = [
 
 
 def _rational(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not float")
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

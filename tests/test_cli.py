@@ -80,6 +80,16 @@ def test_table_csv_round_trips(capsys):
     }
 
 
+def test_decimal_and_exponent_literals_read_as_the_rationals_they_spell(capsys):
+    runs = [
+        run_cli(capsys, "table", "prob-fubini", "--dist", dist, "--r", "1", "--y", y, "--order", "5")
+        for dist, y in (("poisson:0.5", "1e1"), ("poisson:1/2", "10"))
+    ]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0 and json_lines(out)[0]["dist"] == "poisson:1/2"
+
+
 def test_every_value_round_trips_through_the_grammar(capsys):
     code, out, _ = run_cli(capsys, "table", "multi-bernoulli", "--ks", "1,2", "--order", "8")
     assert code == 0
@@ -619,6 +629,24 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141():
+    # about 130 KB, more than a pipe holds, so a write fails once the reader
+    # has closed its end after the first line
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multinumbers", "table", "stirling2", "--order", "60"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first) == {
+        "family": "stirling2", "ks": None, "dist": None, "n": 0, "k": 0, "value": "1"
+    }
+    assert (proc.returncode, err) == (141, b"")
 
 
 # `verify` with every Series product, composition, exp, log and inverse done

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import pickle
 import re
@@ -21,8 +22,6 @@ from multinumbers.identities import (
     _bernoulli_expansion_weights,
     _binomial_sums,
     _first_kind_weights,
-    _fubini_sides,
-    _lah_sides,
     _prefix_column,
     _second_kind_sums,
     _single_index_expansion_weights,
@@ -399,6 +398,40 @@ def values(column):
     return [Fraction(a, den) for a in nums]
 
 
+@contextlib.contextmanager
+def recorded_comparisons():
+    """Record ``(identity, ks, comparisons)`` for every report the checks
+    build while the block runs: the comparisons ``(lhs, rhs, ns, detail)``
+    exactly as each check hands them to the runner."""
+    verdict, seen = identities._verdict, []
+
+    def recording(identity, order, comparisons, ks=None, dist=None):
+        comparisons = list(comparisons)
+        seen.append((identity, ks, comparisons))
+        return verdict(identity, order, comparisons, ks, dist)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_verdict", recording)
+        yield seen
+
+
+def lah_sides(ms, ks, order):
+    """The multi-Lah column and the corrected and literal first-kind sums
+    that ``check_lah_via_first_kind`` compares it with."""
+    with recorded_comparisons() as seen:
+        check_lah_via_first_kind(ms, ks, order)
+    (_, _, [(direct, corrected, _, _)]), (_, _, [(_, literal, _, _)]) = seen
+    return direct, corrected, literal
+
+
+def fubini_sides(ms, ks, order):
+    """The two sides that ``check_fubini_convolution`` compares."""
+    with recorded_comparisons() as seen:
+        check_fubini_convolution(ms, ks, order)
+    [(_, _, [(lhs, rhs, _, _)])] = seen
+    return lhs, rhs
+
+
 def egf_scaled(column):
     """The ordinary coefficients a[n] / n! of an EGF column."""
     return [Fraction(a, factorial(n)) for n, a in enumerate(column)]
@@ -493,7 +526,7 @@ def test_hoisted_sums_match_literal_triple_sums(spec, ks):
     assert values(single_index_expansion_rhs(ms, r, 10)) == (
         bernoulli_expansion_single_index_sum(ms, r, 10)
     )
-    lhs, rhs = _fubini_sides(ms, ks, 10)
+    lhs, rhs = fubini_sides(ms, ks, 10)
     assert (values(lhs), values(rhs)) == fubini_sums(ms, ks, 10)
 
 
@@ -541,7 +574,7 @@ def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
                 assert (values(lhs), values(rhs)) == literal
             else:  # the check compares no n here, and both literal sums vanish
                 assert not any(literal[0]) and not any(literal[1])
-    assert [values(c) for c in _lah_sides(ms, ks, order)] == list(lah_sums(ms, ks, order))
+    assert [values(c) for c in lah_sides(ms, ks, order)] == list(lah_sums(ms, ks, order))
     columns, den = _moment_route_columns(ms, order)
     assert [values((c, den)) for c in columns] == moment_route(ms, order)
 
@@ -561,7 +594,7 @@ def test_second_kind_sums_match_the_oracles(cell):
     assert values(single_index_expansion_rhs(ms, r, order)) == (
         bernoulli_expansion_single_index_sum(ms, r, order)
     )
-    lhs, rhs = _fubini_sides(ms, ks, order)
+    lhs, rhs = fubini_sides(ms, ks, order)
     assert (values(lhs), values(rhs)) == fubini_sums(ms, ks, order)
     if order >= r:
         bern, den = multi_bernoulli_series(ks, order).egf_column
@@ -878,19 +911,14 @@ def readme_ranges():
 
 
 @pytest.mark.parametrize("order", [0, 1, 12])
-def test_compared_ranges_are_the_readme_column(monkeypatch, order):
-    verdict = identities._verdict
-    seen = []  # (identity, r, ns of each comparison)
-
-    def recording(identity, order, comparisons, ks=None, dist=None):
-        seen.append((identity, len(ks or ()), [ns for _, _, ns, _ in comparisons]))
-        return verdict(identity, order, comparisons, ks, dist)
-
-    monkeypatch.setattr(identities, "_verdict", recording)
-    run_full_suite(order=order)
+def test_compared_ranges_are_the_readme_column(order):
+    with recorded_comparisons() as seen:
+        run_full_suite(order=order)
     table = readme_ranges()
     assert {identity for identity, _, _ in seen} == set(ALL_IDENTITIES)
-    for identity, r, compared in seen:
+    for identity, ks, comparisons in seen:
+        r = len(ks or ())
+        compared = [ns for _, _, ns, _ in comparisons]
         (pattern,) = [p for p in table if fnmatch(identity, p)]
         bounds, triangle = table[pattern]
         scope = {"N": order, "r": r, "min": min}

@@ -116,6 +116,21 @@ def test_invalid_parameters_rejected():
         finite([(0, F(1, 2)), (0, F(1, 2))])  # duplicate support point
     with pytest.raises(ValueError):
         point(0.5)  # floats are not exact
+    # nor is a bool a number, as for every other argument
+    refused = [
+        (lambda: point(True), "point mass location"),
+        (lambda: bernoulli(True), "bernoulli parameter"),
+        (lambda: binomial(2, True), "binomial parameter"),
+        (lambda: poisson(False), "poisson rate"),
+        (lambda: geometric(True), "geometric success probability"),
+        (lambda: finite([(True, 1)]), "support point"),
+        (lambda: finite([(0, True)]), "weight"),
+        (lambda: raw_moments((1, True)), "raw moment"),
+    ]
+    for make, what in refused:
+        message = f"{what} must be exact (int, Fraction or 'a/b' string), not bool"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 def test_mu0_must_be_one():

@@ -224,6 +224,7 @@ def test_fubini_rejects_bad_arguments():
         (None, "cannot parse y from None"),
         ("1/0", "cannot parse y from '1/0'"),
         (0.5, "y must be exact (int, Fraction or 'a/b' string), not float"),
+        (True, "y must be exact (int, Fraction or 'a/b' string), not bool"),
     ],
 )
 def test_fubini_names_a_bad_y(y, message):

@@ -1,0 +1,36 @@
+"""The README's library quickstart runs as written and gives the values
+its comments state."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart_lines() -> list[str]:
+    """The lines of the one Python block in the "Library quickstart" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library quickstart\n")[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], re.S)
+    return block.splitlines()
+
+
+def test_the_library_quickstart_gives_its_commented_values():
+    lines = quickstart_lines()
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    stated, exact = [], []  # (call, the value its comment states); the prob_* calls
+    for line in lines:
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        value = re.match(r"Fraction\(-?\d+, \d+\)", comment)
+        if value:
+            stated.append((code, value[0]))
+        elif re.match(r"prob_\w+\(", code):
+            exact.append(code)
+    assert [value for _, value in stated] == ["Fraction(1, 6)", "Fraction(3, 1)", "Fraction(1, 4)"]
+    for code, value in stated:
+        assert repr(eval(code, namespace)) == value, code
+    assert len(exact) == 2
+    for code in exact:
+        assert type(eval(code, namespace)) is Fraction, code
+    assert len(namespace["reports"]) == 511
