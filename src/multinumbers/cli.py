@@ -145,7 +145,10 @@ def _parse_y(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--y must be an integer or a/b rational, got {text!r}") from exc
+        raise UsageError(
+            f"--y must be an integer, an a/b rational or a decimal such as 0.5 or 1e-1, "
+            f"got {text!r}"
+        ) from exc
 
 
 # the parser of each flag a family may require
@@ -289,8 +292,15 @@ def _cmd_table(args) -> int:
     shared, rows = _table_rows(args)
     out = sys.stdout
     if args.format == "json":
-        for n, k, value in rows:
-            out.write(_JSON.encode({**shared, "n": n, "k": k, "value": value}) + "\n")
+        # the shared fields are encoded once; a value is a canonical
+        # rational string, which JSON never escapes
+        head = _JSON.encode(shared)[:-1]
+        out.writelines(
+            [
+                f'{head},"n":{n},"k":{"null" if k is None else k},"value":"{value}"}}\n'
+                for n, k, value in rows
+            ]
+        )
     else:
         ks = ",".join(map(str, shared["ks"] or ()))
         head = [args.family, ks, shared["dist"] or ""]

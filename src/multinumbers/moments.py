@@ -1,6 +1,6 @@
 """Exact raw moments of a discrete random variable Y and the two series
 every probabilistic family is built from: the moment EGF E[e^(Yt)] and
-the resolvent-style transform E[(1/(1-t))^Y].
+the resolvent-style transform R(t) = E[(1/(1-t))^Y].
 
 Y is represented purely by its moment sequence; there is no sampling and
 no density object anywhere.  Built-in providers cover point masses,
@@ -18,6 +18,14 @@ point mass is one with a single point) sum ``w x^n`` over the lcm of the
 weight denominators and of the point denominators.  Each moment becomes
 one ``Fraction``; :class:`MomentSequence` also keeps them as one integer
 column, which ``mgf`` scales by ``N!/n!`` as ``exp_t`` does.
+
+The coefficient of t^n in (1-t)^(-y) is the rising factorial
+y (y+1) ... (y+n-1) / n!, so the EGF coefficients of ``R`` are the
+rising-factorial moments E[<Y>_n] = sum_k [n; k] mu_k: ``resolvent``
+applies the unsigned first-kind rows of ``classical._row`` to the integer
+moment column and scales the result by ``N!/n!`` as ``mgf`` does, with no
+series composition.  The composition route M(-log(1-t)) is kept in the
+tests as the oracle it is checked against.
 :func:`sum_power_moment` squares ``M`` up to ``M^j`` in about ``2 log2 j`` products.
 """
 
@@ -26,10 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
-from .classical import _SECOND, _row
+from .classical import _FIRST, _ROWS, _SECOND, _row
 from .report import FrozenRecord
-from .series import Series, _check_entry, _check_natural, _make, neg_log1m
+from .series import Series, _check_entry, _check_natural, _from_egf_column
 
 __all__ = [
     "MomentSequence",
@@ -301,25 +310,30 @@ def moments(spec: DistributionSpec, order: int) -> MomentSequence:
     return _moments_cached(spec, _check_natural(order))
 
 
+def _column(ms: MomentSequence, order: int) -> tuple[tuple[int, ...], int]:
+    """The integer moment column of ``ms``, checked to reach ``order``."""
+    if ms.order < _check_natural(order):
+        raise ValueError(f"need moments up to order {order}, have {ms.order}")
+    return ms.column
+
+
 # ``typed``, as for the stock series: ``True`` never reads the entry of order 1
 @lru_cache(maxsize=None, typed=True)
 def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""
-    if ms.order < _check_natural(order):
-        raise ValueError(f"need moments up to order {order}, have {ms.order}")
-    mu, den = ms.column
-    num = list(mu[: order + 1])
-    scale = 1
-    for n in range(order, 0, -1):
-        scale *= n
-        num[n - 1] *= scale
-    return _make(num, den * scale)
+    mu, den = _column(ms, order)
+    return _from_egf_column(list(mu[: order + 1]), den)
 
 
 @lru_cache(maxsize=None, typed=True)
 def resolvent(ms: MomentSequence, order: int) -> Series:
-    """E[(1/(1-t))^Y], the moment EGF composed with -log(1-t)."""
-    return mgf(ms, order).compose(neg_log1m(order))
+    """E[(1/(1-t))^Y], whose EGF coefficients are the rising-factorial
+    moments E[<Y>_n] = sum_k [n; k] mu_k, the first-kind transform of the
+    moments."""
+    mu, den = _column(ms, order)
+    _row(_FIRST, order)
+    rows = _ROWS[_FIRST]
+    return _from_egf_column([sum(map(mul, rows[n], mu)) for n in range(order + 1)], den)
 
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:

@@ -24,11 +24,17 @@ built only where a caller reads coefficients, one per entry read.
 Stockmeyer (SIAM J. Comput. 1973): it reads the inner powers
 ``g^0 .. g^k``, sums each block of ``k`` outer coefficients against
 ``g^0 .. g^(k-1)`` over one common denominator, and runs Horner's scheme
-in ``g^k`` over the blocks.  The powers come from :func:`powers`, one memo
-per series value, and the block size from that memo.  A first composition
-with ``g`` takes ``k = isqrt(N) + 1``, about ``2 sqrt(N)`` series products
-instead of ``N``.  Once the memo holds ``g^k``, a later composition with
-an equal ``g`` extends it to ``g^N`` and takes ``k = N + 1``: one block,
+in ``g^k`` over the blocks.  The Horner sum from block ``start`` on is
+later multiplied by ``g^start``, which vanishes below ``t^start``, so it
+is formed only up to ``t^(N - start)``: each giant step is a truncated
+product, written out in ``compose`` and reduced once, that skips the
+``k`` leading zeros of ``g^k``, and the steps shrink from the last block
+to the first.  The powers come from :func:`powers`, one memo per series
+value, and the block size from that memo.  A first composition with ``g``
+takes ``k = isqrt(N) + 1``, about ``2 sqrt(N)`` products and steps
+instead of ``N`` products.  Once the memo holds ``g^k``, a later
+composition with an equal ``g`` extends it to ``g^N`` and takes
+``k = N + 1``: one block,
 the product by the Riordan array ``(1, g)`` (Shapiro et al., 1991), and
 no series product once the memo is full.  ``verify`` composes 16 distinct
 inner series 170 times, and this rule about halves cold
@@ -107,6 +113,17 @@ def _make(num: list[int], den: int, reduced: bool = False) -> "Series":
     s._den = den
     s._egf = None
     return s
+
+
+def _from_egf_column(num: list[int], den: int) -> "Series":
+    """The series with EGF coefficients ``num[n] / den``, n = 0..N: the
+    ordinary coefficients ``num[n] / (n! den)``, each brought over
+    ``N! den`` by the factor ``N!/n!``.  ``num`` is scaled in place."""
+    scale = 1
+    for n in range(len(num) - 1, 0, -1):
+        scale *= n
+        num[n - 1] *= scale
+    return _make(num, den * scale)
 
 
 def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -371,11 +388,19 @@ class Series:
         the inner series is nilpotent mod t^(N+1); ``inner^i`` vanishes
         below ``t^i``.
 
+        The Horner sum from block ``start`` on is multiplied by
+        ``inner^start`` in the end, so it is formed only up to
+        ``t^(N - start)``.  Each Horner step is one truncated integer
+        product written out here, not through ``__mul__``: the later sum
+        times ``inner^k`` from its term ``k`` on (the terms below vanish),
+        plus the block, over one common denominator and reduced once.
+
         The block size comes from the memo of powers of ``inner``, by one
         rule: while the memo holds fewer than ``k + 1`` powers, with
-        ``k = isqrt(order) + 1``, that ``k`` is kept, about ``2 sqrt(N)``
-        series products for a first composition.  Otherwise ``k = N + 1``:
-        the memo is extended to ``inner^N`` and the whole outer column is
+        ``k = isqrt(order) + 1``, that ``k`` is kept: a first composition
+        makes at most the ``k - 1`` series products ``inner^2 .. inner^k`` and
+        about ``sqrt(N)`` Horner steps.  Otherwise ``k = N + 1``: the memo
+        is extended to ``inner^N`` and the whole outer column is
         one block, the product by the Riordan array ``(1, inner)``, with no
         giant step and no Horner product.  A repeat composition with an
         equal inner therefore makes only the products that extend the memo,
@@ -402,15 +427,32 @@ class Series:
         f = self._num
         result = None
         for start in range(n - n % k, -1, -k):
-            block = [0] * (n + 1)
+            # the sum from this block on is multiplied by inner^start, which
+            # vanishes below t^start, so it is needed only up to t^(n - start)
+            top = n - start
+            acc = [0] * (top + 1)
+            step_den = block_den
+            if result is not None:
+                # the later sum times inner^k, whose first k terms vanish
+                giant = memo[k]
+                prod_den = result._den * giant._den
+                step_den = lcm(prod_den, block_den)
+                h, gk, fp = result._num, giant._num, step_den // prod_den
+                for j in range(k, top + 1):
+                    c = gk[j]
+                    if c:
+                        c *= fp
+                        for m in range(j, top + 1):
+                            acc[m] += c * h[m - j]
+            # plus this block, summed against the baby steps
+            fb = step_den // block_den
             for i, c in enumerate(f[start : start + k]):
                 if c:
                     row, scale = rows[i]
-                    c *= scale
-                    for m in range(i, n + 1):
-                        block[m] += c * row[m]
-            term = _make(block, block_den)
-            result = term if result is None else result * memo[k] + term
+                    c *= scale * fb
+                    for m in range(i, top + 1):
+                        acc[m] += c * row[m]
+            result = _make(acc, step_den)
         return result
 
     def divide(self, den: "Series", valuation: int) -> "Series":
@@ -483,10 +525,7 @@ def powers(g: Series, k: int) -> dict[int, Series]:
 @lru_cache(maxsize=None, typed=True)
 def exp_t(order: int) -> Series:
     """e^t, coefficients 1/n!: the numerators N!/n! over N!."""
-    num = [1] * (_check_natural(order) + 1)
-    for n in range(order, 0, -1):
-        num[n - 1] = num[n] * n
-    return _make(num, num[0])
+    return _from_egf_column([1] * (_check_natural(order) + 1), 1)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (exhaustive enumeration or textbook
-recurrences) and shares no code with the library paths it checks.  The
-literal identity sums at the end are the one exception: they read each
+recurrences) and shares no code with the library paths it checks.  There
+are two exceptions.  The literal identity sums at the end read each
 number through the library's per-entry functions and check only how the
-identity checks sum those numbers.
+identity checks sum those numbers.  :func:`resolvent_by_composition` is
+the library's composition route to ``R``, kept to check its
+rising-factorial route.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from math import comb, factorial, perm
 
 from multinumbers import (
     bernoulli_higher,
+    mgf,
     multi_bernoulli,
     multi_lah,
     multi_stirling1,
     multi_stirling2,
+    neg_log1m,
     prob_fubini,
     prob_multi_lah,
     prob_multi_stirling2,
@@ -258,6 +262,13 @@ def rising_factorial_resolvent(ms, order: int) -> list[Fraction]:
         sum((c * ms.mu[k] for k, c in enumerate(rows[n])), Fraction(0)) / factorial(n)
         for n in range(order + 1)
     ]
+
+
+def resolvent_by_composition(ms, order: int):
+    """E[(1-t)^(-Y)] = E[e^(Y (-log(1-t)))], the moment EGF composed with
+    -log(1-t): the library's composition route, kept to test the
+    rising-factorial route of ``resolvent`` against."""
+    return mgf(ms, order).compose(neg_log1m(order))
 
 
 # ---------------------------------------------------------------- whole-column family oracle

@@ -80,14 +80,25 @@ def test_table_csv_round_trips(capsys):
     }
 
 
-def test_decimal_and_exponent_literals_read_as_the_rationals_they_spell(capsys):
+@pytest.mark.parametrize("literal, rational", [("1e1", "10"), ("0.5", "1/2")])
+def test_decimal_and_exponent_literals_read_as_the_rationals_they_spell(capsys, literal, rational):
     runs = [
         run_cli(capsys, "table", "prob-fubini", "--dist", dist, "--r", "1", "--y", y, "--order", "5")
-        for dist, y in (("poisson:0.5", "1e1"), ("poisson:1/2", "10"))
+        for dist, y in (("poisson:0.5", literal), ("poisson:1/2", rational))
     ]
     assert runs[0] == runs[1]
     code, out, _ = runs[0]
     assert code == 0 and json_lines(out)[0]["dist"] == "poisson:1/2"
+
+
+def test_a_bad_y_names_every_accepted_spelling(capsys):
+    argv = ("table", "prob-fubini", "--dist", "point:1", "--r", "1", "--y", "x", "--order", "3")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        "error: --y must be an integer, an a/b rational or a decimal such as 0.5 or 1e-1, "
+        "got 'x'\n",
+    )
 
 
 def test_every_value_round_trips_through_the_grammar(capsys):

@@ -34,6 +34,7 @@ from oracles import (
     bell_numbers,
     fraction_moments,
     ordered_partition_count,
+    resolvent_by_composition,
     rising_factorial_resolvent,
 )
 
@@ -376,6 +377,29 @@ def test_resolvent_equals_the_rising_factorial_sum(spec, order):
     # [t^n] E[(1-t)^(-Y)] = sum_k [n; k] mu_k / n!, with no series composition
     ms = moments(spec, order)
     assert list(resolvent(ms, order).coeffs) == rising_factorial_resolvent(ms, order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        point(F(-3, 2)),
+        bernoulli(F(2, 7)),
+        binomial(5, F(3, 4)),
+        poisson(F(7, 3)),
+        geometric(F(2, 9)),
+        finite([(0, F(1, 3)), (F(5, 2), F(1, 6)), (-4, F(1, 2))]),
+        raw_moments([1, F(1, 2), -3, F(7, 5), 0, 11, F(-2, 9), 4, F(1, 13), 6] * 2),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("order", [0, 1, 5, 10])
+def test_resolvent_equals_the_composition_route(spec, order):
+    # the first-kind transform of the moments against M(-log(1-t)); moments
+    # computed past the order are read only up to it
+    for ms in (moments(spec, order), moments(spec, order + 5)):
+        assert resolvent(ms, order) == resolvent_by_composition(ms, order)
+    with pytest.raises(ValueError, match=f"need moments up to order {order + 1}, have {order}"):
+        resolvent(moments(spec, order), order + 1)
 
 
 def test_resolvent_bernoulli_linear_coefficient():

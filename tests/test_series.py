@@ -508,6 +508,31 @@ def test_compose_every_block_layout():
         assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
 
 
+# Orders 9-40 take 3 to 7 blocks in a first composition, so each Horner step
+# is a product truncated shorter than the one before.  The outer series has
+# one all-zero block (the first, a middle or the last one, which starts the
+# Horner sum at zero) or none; the inner one has valuation 1 or 3 and, up
+# to order 26, denominators near 10^40 (the oracle is slow on those at 40).
+@pytest.mark.parametrize(
+    "order, den",
+    [(9, 10**40), (17, 10**40), (26, 10**40), (40, 1)],
+    ids=["9-den1e40", "17-den1e40", "26-den1e40", "40-den1"],
+)
+@pytest.mark.parametrize("valuation", [1, 3])
+@pytest.mark.parametrize("zero_block", [None, "first", "middle", "last"])
+def test_compose_truncated_giant_steps_match_the_oracle(order, den, valuation, zero_block):
+    k = isqrt(order) + 1
+    f = [F((-1) ** i * (i + 2), 3 * i + 1) for i in range(order + 1)]
+    start = {None: None, "first": 0, "middle": k, "last": order - order % k}[zero_block]
+    if start is not None:
+        f[start : start + k] = [F(0)] * len(f[start : start + k])
+    g = [F(0)] * valuation + [
+        F((-1) ** i * (5**i + 1), den + 7 * i) for i in range(valuation, order + 1)
+    ]
+    _power_memo.cache_clear()
+    assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
+
+
 @given(kernel_orders.flatmap(mixed_lists), st.integers(min_value=0, max_value=10))
 @settings(max_examples=120)
 def test_powers_memo_matches_pow(a, head):
@@ -537,8 +562,9 @@ def test_repeat_compose_makes_only_the_products_that_fill_the_memo(monkeypatch):
         results.append(Series(f).compose(Series(g)))
         counts.append(len(calls) - before)
     assert results[0] == results[1] == results[2]
-    # g^2..g^6, then the Horner steps; then g^7..g^30 and one block; then nothing
-    assert counts == [(k - 1) + order // k, order - k, 0]
+    # g^2..g^6 (the Horner steps are truncated products inside compose);
+    # then g^7..g^30 and one block; then nothing
+    assert counts == [k - 1, order - k, 0]
 
 
 @given(kernel_orders.flatmap(mixed_lists))
