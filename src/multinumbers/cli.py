@@ -5,15 +5,23 @@ Two subcommands:
 * ``table``  -- stream one number family as JSON lines or CSV.
 * ``verify`` -- run the identity suite over a grid and stream reports.
 
+The command line is parsed by one loop, ``_parse_argv``, over one table,
+``COMMANDS``: each command's function, positional argument and flags, each
+flag with its attribute, parser, default and help line.  ``--help`` prints
+that table.  The parse imports nothing: a general-purpose option parser
+pulls in ``gettext``, ``locale``, ``shutil`` and the compression modules
+behind it, which cost more cold-start time than an order-64 table takes
+to compute.
+
 All rationals are rendered as canonical strings (``a`` or ``a/b``), never
 as floats, and output is byte-deterministic for fixed flags.  Exit status:
-0 success, 1 verification failure, 2 usage error, 141 when stdout is a
-pipe whose reader has gone (as for a process killed by SIGPIPE).
+0 success (and ``--help``), 1 verification failure, 2 usage error, with one
+``error:`` line on stderr, 141 when stdout is a pipe whose reader has gone
+(as for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
@@ -345,52 +353,162 @@ def _cmd_verify(args) -> int:
     return 1 if counts[FAIL] else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multinum",
-        description="Exact tables of multiple-logarithm number families and a mechanical identity verifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Flag(namedtuple("Flag", ("attr", "parse", "default", "help"))):
+    """One argument of a command: the attribute it sets, how its value is
+    read (``int``, ``str``, the collection of accepted values, or None for
+    a switch, which takes no value and sets True), its default and its
+    help line."""
 
-    table = sub.add_parser("table", help="emit one family's values as JSON lines or CSV")
-    table.add_argument("family", choices=FAMILIES)
-    table.add_argument("--ks", help="comma-separated integer index tuple, e.g. 1,2")
-    table.add_argument("--dist", help="distribution spec, e.g. bernoulli:1/2")
-    table.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
-    table.add_argument("--r", type=int, help="power for bernoulli-higher / prob-fubini")
-    table.add_argument("--y", help="rational argument for prob-fubini")
-    table.add_argument("--format", choices=("json", "csv"), default="json")
-    table.add_argument(
-        "--force-order",
-        action="store_true",
-        help=f"allow --order above {ORDER_CAP} and values past the size cap",
-    )
-    table.set_defaults(func=_cmd_table)
+    __slots__ = ()
 
-    verify = sub.add_parser("verify", help="run the identity suite and stream JSON reports")
-    verify.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
-    verify.add_argument("--grid", help="JSON file: list of {dist, ks} grid cells")
-    verify.add_argument(
-        "--identity",
-        default="all",
-        help="restrict to one identity id (see --list-identities), or 'all'",
-    )
-    verify.add_argument(
-        "--list-identities", action="store_true", help="print identity ids and exit"
-    )
-    verify.add_argument(
-        "--force-order",
-        action="store_true",
-        help=f"allow --order above {ORDER_CAP} and grid cells past the size cap",
-    )
-    verify.set_defaults(func=_cmd_verify)
-    return parser
+
+class Command(namedtuple("Command", ("func", "help", "positional", "flags"))):
+    """One subcommand: the function that runs it, its help line, its one
+    positional argument (a ``Flag``, or None) and its flags by name."""
+
+    __slots__ = ()
+
+
+_HELP = Flag(None, None, None, "print this help and exit")
+_ORDER = Flag("order", int, 12, "truncation order (default 12)")
+_FORCE = Flag(
+    "force_order", None, False, f"allow --order above {ORDER_CAP} and inputs past the size cap"
+)
+
+COMMANDS: dict[str, Command] = {
+    "table": Command(
+        _cmd_table, "emit one family's values as JSON lines or CSV",
+        Flag("family", FAMILIES, None, "the family to tabulate"),
+        {
+            "--ks": Flag("ks", str, None, "comma-separated integer index tuple, e.g. 1,2"),
+            "--dist": Flag("dist", str, None, "distribution spec, e.g. bernoulli:1/2"),
+            "--order": _ORDER,
+            "--r": Flag("r", int, None, "power for bernoulli-higher / prob-fubini"),
+            "--y": Flag("y", str, None, "rational argument for prob-fubini"),
+            "--format": Flag("format", ("json", "csv"), "json", "output format (default json)"),
+            "--force-order": _FORCE,
+            "--help": _HELP,
+        },
+    ),
+    "verify": Command(
+        _cmd_verify, "run the identity suite and stream JSON reports", None,
+        {
+            "--order": _ORDER,
+            "--grid": Flag("grid", str, None, "JSON file: list of {dist, ks} grid cells"),
+            "--identity": Flag("identity", str, "all", "restrict to one identity id, or 'all'"),
+            "--list-identities": Flag("list_identities", None, False, "list identity ids and exit"),
+            "--force-order": _FORCE,
+            "--help": _HELP,
+        },
+    ),
+}
+# the command line before its command: the command's name, or a request for help
+_TOP = Command(
+    None,
+    "Exact tables of multiple-logarithm number families and a mechanical identity verifier.",
+    Flag("command", COMMANDS, None, "the command to run"),
+    {"--help": _HELP},
+)
+
+
+def _cmd_help(args) -> int:
+    from textwrap import fill
+
+    lines = ["usage: multinum COMMAND [FLAG ...]", "", _TOP.help]
+    for name, command in COMMANDS.items():
+        arg = command.positional
+        usage = f"multinum {name} {arg.attr.upper()}" if arg else f"multinum {name}"
+        lines += ["", f"{usage} [FLAG ...]", f"  {command.help}"]
+        if arg:
+            text = f"{arg.help}, one of: {', '.join(arg.parse)}"
+            indent = f"  {arg.attr.upper():<22}"
+            lines.append(
+                fill(text, 78, initial_indent=indent, subsequent_indent=" " * 24,
+                     break_on_hyphens=False)
+            )
+        for flag_name, flag in command.flags.items():
+            if flag is _HELP:
+                flag_name = "-h, --help"
+            elif flag.parse in (int, str):
+                flag_name += f" {flag.attr.upper()}"
+            elif flag.parse:
+                flag_name += f" {{{','.join(flag.parse)}}}"
+            lines.append(f"  {flag_name:<22}{flag.help}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+def _value(name: str, parse, text: str):
+    if parse is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{name} must be an integer, got {text!r}") from None
+    if parse is not str and text not in parse:
+        raise UsageError(f"{name} must be one of {', '.join(parse)}; got {text!r}")
+    return text
+
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line: ``command`` and ``func``, the command's
+    positional argument and the attribute of each of its flags, at its
+    default unless given, or a request for help.
+
+    A token that starts with ``-`` (other than ``-`` itself) is a flag: its
+    full name, ``-h`` for ``--help``, or a prefix of exactly one name,
+    followed by ``=value`` or, for a flag that takes one, by the next token
+    as its value, whatever that token looks like.  Flags go before or after
+    the positional argument, and a repeated flag keeps its last value.
+    Anything else is refused with a ``UsageError``.
+    """
+    command, args = _TOP, SimpleNamespace()
+    positional = command.positional
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            if positional is None:
+                raise UsageError(f"unexpected argument {token!r}")
+            setattr(args, positional.attr, _value(positional.attr, positional.parse, token))
+            positional = None
+            if command is _TOP:
+                command = COMMANDS[token]
+                positional = command.positional
+                args.func = command.func
+                for flag in command.flags.values():
+                    if flag.attr:
+                        setattr(args, flag.attr, flag.default)
+            continue
+        name, eq, value = token.partition("=") if token != "-h" else ("--help", "", "")
+        flags = command.flags
+        names = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(names) != 1:
+            raise UsageError(
+                f"ambiguous flag {name}: could be {', '.join(names)}" if names
+                else f"unknown flag {name}"
+            )
+        name = names[0]
+        flag = flags[name]
+        if flag.parse is None:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            if flag is _HELP:
+                return SimpleNamespace(func=_cmd_help)
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"{name} needs a value")
+            value = _value(name, flag.parse, value)
+        setattr(args, flag.attr, value)
+    if positional is not None:
+        raise UsageError(f"missing {positional.attr}: one of {', '.join(positional.parse)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
         status = args.func(args)
         # a reader that has gone away is met here, not in the flush at exit
         sys.stdout.flush()

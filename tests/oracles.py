@@ -6,11 +6,15 @@ are two exceptions.  The literal identity sums at the end read each
 number through the library's per-entry functions and check only how the
 identity checks sum those numbers.  :func:`resolvent_by_composition` is
 the library's composition route to ``R``, kept to check its
-rising-factorial route.
+rising-factorial route.  :func:`argparse_namespace` is the ``argparse``
+parser the command line used to have, kept to check its flag table.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, perm
@@ -535,3 +539,56 @@ def moment_route(ms, order: int) -> list[list[Fraction]]:
         for k in range(order + 1)
     ]
 
+
+def argparse_namespace(argv: list[str]) -> dict | None:
+    """The attributes ``argparse`` parses from ``argv`` with the command
+    line's former parser, or None where it refuses ``argv`` (its usage
+    message is swallowed)."""
+    from multinumbers.cli import FAMILIES, ORDER_CAP, _cmd_table, _cmd_verify
+
+    parser = argparse.ArgumentParser(
+        prog="multinum",
+        description="Exact tables of multiple-logarithm number families and a mechanical "
+        "identity verifier.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    table = sub.add_parser("table", help="emit one family's values as JSON lines or CSV")
+    table.add_argument("family", choices=FAMILIES)
+    table.add_argument("--ks", help="comma-separated integer index tuple, e.g. 1,2")
+    table.add_argument("--dist", help="distribution spec, e.g. bernoulli:1/2")
+    table.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
+    table.add_argument("--r", type=int, help="power for bernoulli-higher / prob-fubini")
+    table.add_argument("--y", help="rational argument for prob-fubini")
+    table.add_argument("--format", choices=("json", "csv"), default="json")
+    table.add_argument(
+        "--force-order",
+        action="store_true",
+        help=f"allow --order above {ORDER_CAP} and values past the size cap",
+    )
+    table.set_defaults(func=_cmd_table)
+
+    verify = sub.add_parser("verify", help="run the identity suite and stream JSON reports")
+    verify.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
+    verify.add_argument("--grid", help="JSON file: list of {dist, ks} grid cells")
+    verify.add_argument(
+        "--identity",
+        default="all",
+        help="restrict to one identity id (see --list-identities), or 'all'",
+    )
+    verify.add_argument(
+        "--list-identities", action="store_true", help="print identity ids and exit"
+    )
+    verify.add_argument(
+        "--force-order",
+        action="store_true",
+        help=f"allow --order above {ORDER_CAP} and grid cells past the size cap",
+    )
+    verify.set_defaults(func=_cmd_verify)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise
+        return None

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,12 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multinumbers.cli import FAMILIES, ORDER_CAP, _check_size, main
+from multinumbers.cli import (
+    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _check_size, _parse_argv, main,
+)
 from multinumbers.identities import default_grid
 from multinumbers.moments import parse_distribution
+from oracles import argparse_namespace
 
 F = Fraction
 
@@ -128,10 +132,49 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_unknown_family_rejected_by_argparse(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table", "not-a-family"])
-    assert excinfo.value.code == 2
+def test_unknown_family_is_a_usage_error_naming_the_families(capsys):
+    code, out, err = run_cli(capsys, "table", "not-a-family")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'not-a-family'" in err
+    assert all(family in err for family in FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "family, flags, field, value",
+    [
+        ("prob-fubini", ("--dist", "point:1", "--r", "1", "--y", "-1/2"), "value", "-1/2"),
+        ("multilog", ("--ks", "-1,2"), "ks", [-1, 2]),
+    ],
+)
+def test_a_negative_value_may_be_its_own_token(capsys, family, flags, field, value):
+    joined = [f"{flag}={given}" for flag, given in zip(flags[::2], flags[1::2])]
+    code, out, err = run_cli(capsys, "table", family, *flags, "--order", "4")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[1][field] == value
+    assert run_cli(capsys, "table", family, *joined, "--order", "4") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-h",),
+        ("--help",),
+        ("--he",),
+        ("table", "-h"),
+        ("table", "stirling2", "--order", "3", "--help"),
+        ("verify", "--h"),
+    ],
+)
+def test_help_names_every_command_flag_and_family(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: multinum ")
+    words = set(re.findall(r"[\w-]+", out))
+    for name, command in COMMANDS.items():
+        assert f"multinum {name}" in out
+        assert set(command.flags) <= words, name
+    assert set(FAMILIES) <= words
 
 
 def test_order_cap_override(capsys):
@@ -623,15 +666,23 @@ def test_verify_order_zero_compares_nothing_and_passes(capsys, identity, count):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# dataclasses pulls in inspect, ast, dis and tokenize; none of them, nor
-# typing, is needed to run the command line, and each costs cold-start time
-HEAVY_IMPORTS = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize")
+# dataclasses pulls in inspect, ast, dis and tokenize; argparse pulls in
+# gettext and locale, and its help formatter shutil, which pulls in zlib,
+# bz2, lzma and fnmatch.  None of them is needed to run the command line,
+# and each costs cold-start time.
+HEAVY_IMPORTS = (
+    "dataclasses", "typing", "inspect", "ast", "dis", "tokenize",
+    "argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch",
+)
 
 
 def test_cli_import_stays_off_the_heavy_stdlib_modules():
     code = (
-        "import multinumbers.cli, sys; "
-        f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules))"
+        "import sys\n"
+        "from multinumbers.cli import main\n"
+        "assert main(['table', 'stirling2', '--order', '0']) == 0\n"
+        "assert main(['verify', '--order', '0']) == 0\n"
+        f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules), file=sys.stderr)"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
@@ -639,7 +690,7 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stderr.splitlines()[-1].split() == []
 
 
 def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141():
@@ -751,13 +802,10 @@ valid_flags = st.fixed_dictionaries({
 
 
 def run_fuzzed(argv):
-    """Exit status and stderr of an in-process run; argparse exits by raising."""
+    """Exit status and stderr of an in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -801,3 +849,94 @@ def test_fuzzed_verify_grids_exit_cleanly(tmp_path_factory, grid, order):
     code, err = run_fuzzed(["verify", "--grid", str(grid_file), "--order", str(order)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------- the flag table
+
+# Where the flag table and the former argparse parser part on purpose:
+# * a value that begins with "-", given as its own token: argparse refuses
+#   it unless it is a negative number; the table takes the next token as the
+#   value, whatever it is.  It is compared with the "--flag=value" spelling,
+#   which argparse accepts (``dash_values_joined``).
+# * a lone "--": argparse reads it as the end of the flags; no family or
+#   value needs one, and the table refuses it as a prefix of every flag.
+# Help (-h, --help) is left out: argparse answers it by exiting.
+
+
+def dash_values_joined(argv):
+    """``argv`` with each separate value that begins with "-" joined to its
+    flag by "="."""
+    flags, out, tokens = None, [], iter(argv)
+    for token in tokens:
+        out.append(token)
+        if flags is None:
+            flags = COMMANDS[token].flags if token in COMMANDS else None
+            continue
+        names = [token] if token in flags else [f for f in flags if f.startswith(token)]
+        if token.startswith("--") and len(names) == 1 and flags[names[0]].parse is not None:
+            value = next(tokens, None)
+            if value is not None and value.startswith("-"):
+                out[-1] += "=" + value
+            elif value is not None:
+                out.append(value)
+    return out
+
+
+JUNK_FLAGS = ("--bogus", "--x", "-x", "-1", "-")
+# values a flag takes, then values that look like flags or numbers
+GOOD_VALUES = {"--order": ("0", "3"), "--r": ("2",), "--format": ("json", "csv")}
+ODD_VALUES = ("-1", "-1/2", "-1,2", "1,2", "--order", "--force-order", "-", "", "x", "table")
+
+
+@st.composite
+def flag_items(draw, flags):
+    """One of ``flags`` (or, now and then, an unknown flag), spelled in full
+    or by a prefix, with a good, odd or junk value as one token or two, or
+    with none (most often for a switch)."""
+    name = draw(st.sampled_from(JUNK_FLAGS if draw(st.integers(0, 11)) == 0 else sorted(flags)))
+    spelling = name[: draw(st.integers(min_value=min(3, len(name)), max_value=len(name)))]
+    kind = draw(st.sampled_from(["good"] * 6 + ["odd", "junk"]))
+    if kind == "good":
+        value = draw(st.sampled_from(GOOD_VALUES.get(name, ("1,2", "point:1", "all"))))
+    elif kind == "odd":
+        value = draw(st.sampled_from(ODD_VALUES))
+    else:
+        value = draw(st.text(alphabet="-=,/019ax ", max_size=4))
+    switch = name in flags and flags[name].parse is None
+    form = draw(st.sampled_from(["separate", "joined"] + ["bare" if switch else "separate"] * 4))
+    if form == "joined":
+        return [f"{spelling}={value}"]
+    return [spelling, value] if form == "separate" else [spelling]
+
+
+@st.composite
+def argvs(draw):
+    """A command line: now and then a flag before the command, the command
+    (or none, or a wrong one), its flags, and for ``table`` a family placed
+    among them."""
+    command = draw(st.sampled_from(["table"] * 10 + ["verify"] * 8 + ["tab", None]))
+    flags = {n: f for n, f in COMMANDS.get(command, COMMANDS["table"]).flags.items() if f.attr}
+    items = draw(st.lists(flag_items(flags), max_size=5))
+    families = [1, 1, 1, 1, 0, 2] if command == "table" else [0] * 9 + [1]
+    for _ in range(draw(st.sampled_from(families))):
+        family = draw(st.sampled_from(["stirling2", "multilog", "prob-fubini", "nope"]))
+        items.insert(draw(st.integers(min_value=0, max_value=len(items))), [family])
+    head = [draw(flag_items(flags))] if draw(st.integers(0, 9)) == 0 else []
+    argv = head + ([[command]] if command else []) + items
+    return [token for item in argv for token in item]
+
+
+@given(argvs())
+@settings(max_examples=500, deadline=None)
+def test_the_flag_table_parses_as_argparse_did(argv):
+    oracle_argv = dash_values_joined(argv)
+    assume("--" not in oracle_argv)
+    want = argparse_namespace(oracle_argv)
+    if want is not None:
+        assert vars(_parse_argv(argv)) == want
+    else:
+        with pytest.raises(UsageError):
+            _parse_argv(argv)
+        code, err = run_fuzzed(argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

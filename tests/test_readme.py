@@ -1,17 +1,23 @@
 """The README's library quickstart runs as written and gives the values
-its comments state."""
+its comments state, and its command line section names every flag."""
 
 import re
 from fractions import Fraction
 from pathlib import Path
 
+from multinumbers.cli import COMMANDS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def section(title: str) -> str:
+    """The text of the README section headed ``## title``."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
 
 
 def quickstart_lines() -> list[str]:
     """The lines of the one Python block in the "Library quickstart" section."""
-    section = README.read_text(encoding="utf-8").split("\n## Library quickstart\n")[1]
-    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], re.S)
+    (block,) = re.findall(r"```python\n(.*?)```", section("Library quickstart"), re.S)
     return block.splitlines()
 
 
@@ -34,3 +40,11 @@ def test_the_library_quickstart_gives_its_commented_values():
     for code in exact:
         assert type(eval(code, namespace)) is Fraction, code
     assert len(namespace["reports"]) == 511
+
+
+def test_the_command_line_section_names_exactly_the_flags_of_the_table():
+    flags = {flag for command in COMMANDS.values() for flag in command.flags}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section("Command line")))
+    # the section shows abbreviations, such as --ord, which are not flags
+    abbreviations = {name for name in named if any(f.startswith(name) for f in flags - {name})}
+    assert named - abbreviations == flags
