@@ -8,7 +8,9 @@ differ only in the weights (a, b): (1, 0) for the unsigned first kind,
 negated weights give the signed triangles: (0, -1) the signed second
 kind S(n, k)(-1)^(n-k), (-1, 0) the signed first kind.  One row builder
 fills every triangle, memoised per row; the generating-function routes
-are kept to the test suite as cross-checks.  Entries are plain
+are kept to the test suite as cross-checks.  One kernel applies a
+triangle to a column of integers without building it (the Stirling
+transforms of the multi families).  Entries are plain
 ints (the triangles are integral), while Bernoulli values are Fractions.
 """
 
@@ -46,6 +48,29 @@ def _row(weights: tuple[int, int], n: int) -> tuple[int, ...]:
         c = a * (m - 1)
         rows[m] = tuple([x + (c + b * k) * y for k, (x, y) in enumerate(zip(prev, prev[1:]))])
     return rows[n]
+
+
+def _transform(weights: tuple[int, int], x) -> list[int]:
+    """The triangle of :func:`_row` applied to the integers ``x``:
+    b_n = sum_k T(n, k) x_k for n = 0..len(x) - 1, with no triangle built.
+
+    By the row recurrence b_n = sum_j T(n-1, j) (D_(n-1) x)_j, where
+    (D_m z)_k = (am + bk) z_k + z_(k+1).  The D_m differ only by multiples
+    of the identity, so they commute and b_n = (D_(n-1) ... D_0 x)_0.  Before
+    row n one list holds b_0 .. b_(n-1) and then z = D_(n-1) ... D_0 x,
+    whose first entry is b_n; row n writes D_n z over it one slot to the
+    right, from the top down, so b_n stays in front.  Each row is one loop
+    of products by small ints.
+    """
+    a, b = weights
+    y = list(x)
+    top = len(y) - 1
+    for n in range(top):
+        # slot j holds z_(j-n-1) after the step, whose weight is an + b(j-n-1)
+        c = a * n - b * (n + 1)
+        for j in range(top, n, -1):
+            y[j] = (c + b * j) * y[j - 1] + y[j]
+    return y
 
 
 @lru_cache(maxsize=None)

@@ -61,11 +61,12 @@ class Family(
 ):
     """One ``table`` family.
 
-    ``inputs`` names the flags it requires, in the order they are checked
-    (ks, dist, r, y).  ``values(args, order)`` maps the parsed inputs (a
-    ``SimpleNamespace``) and the order to the whole column of values for
-    n = 0..order or, for a ``two_index`` family, to one such column per
-    k = 0..order.  ``composed`` marks a family whose value at n sums the
+    ``inputs`` names the flags it requires, of ks, dist, r and y; ``table``
+    checks them in that order and refuses the others.  ``values(args,
+    order)`` maps the parsed inputs (a ``SimpleNamespace``) and the order
+    to the whole column of values for n = 0..order or, for a
+    ``two_index`` family, to one such column per k = 0..order.
+    ``composed`` marks a family whose value at n sums the
     multiple-logarithm coefficients of every chain end m <= n, so that its
     denominators grow like lcm(1..n)^k rather than n^k.
     """
@@ -159,7 +160,7 @@ def _parse_y(text: str) -> Fraction:
         ) from exc
 
 
-# the parser of each flag a family may require
+# the parser of each flag a family may require, in the order they are checked
 _PARSERS = {"ks": _parse_ks, "dist": _parse_dist, "r": _parse_r, "y": _parse_y}
 
 
@@ -215,14 +216,19 @@ def _check_size(
 def _table_rows(args) -> tuple[dict, list[tuple]]:
     """The fields every row of the requested table shares, ``{family, ks,
     dist}``, and its rows ``(n, k, value)``, with ``k`` None for a
-    one-index family.  Only the flags the family requires are parsed."""
+    one-index family.  The flags the family requires are parsed, and a
+    flag it does not use is refused."""
     family = FAMILIES[args.family]
     a = SimpleNamespace(ks=None, dist=None, ms=None, r=None, y=None)
-    for flag in family.inputs:
-        given = getattr(args, flag)
-        if given is None:
-            raise UsageError(f"family {args.family} requires --{flag}")
-        setattr(a, flag, _PARSERS[flag](given))
+    flags = vars(args)
+    for flag in _PARSERS:
+        given = flags[flag]
+        if flag in family.inputs:
+            if given is None:
+                raise UsageError(f"family {args.family} requires --{flag}")
+            setattr(a, flag, _PARSERS[flag](given))
+        elif given is not None:
+            raise UsageError(f"family {args.family} does not use --{flag}")
     order = args.order
     params = (a.dist.params if a.dist is not None else (), a.r or 0, a.y or 0)
     _check_size(order, a.ks or (), params, family.composed, args.force_order)

@@ -15,7 +15,10 @@ each, in ``int`` arithmetic: a binomial convolution
 sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
 (:func:`_binomial_sums`), or a lower-triangular array applied to a
 vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
-exponential Riordan array (1, M - 1) of the {n; j}_Y triangle.
+exponential Riordan array (1, M - 1) of the {n; j}_Y triangle.  The
+first-kind weights of ``first-kind-inversion`` are not such a sum: they
+are the column :func:`multilog._f_column` that the deterministic
+families are built from.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -53,7 +56,7 @@ from .moments import (
     poisson,
 )
 from .multi import li_argument, multi_bernoulli_series, multi_lah_series, multi_stirling2_series
-from .multilog import index_tuple, multilog
+from .multilog import _f_column, index_tuple, multilog
 from .probabilistic import (
     _moment_route_columns,
     prob_fubini_series,
@@ -340,14 +343,6 @@ def check_bernoulli_convolution(
     return _verdict("bernoulli-convolution", order, [(lhs, ratio, range(top + 1), "")], ks, dist)
 
 
-@lru_cache(maxsize=None)
-def _first_kind_weights(ks: tuple[int, ...], order: int) -> Column:
-    """v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
-    below r): the signed second-kind triangle applied to the column [m; ks]."""
-    first, d = multilog(ks, order).egf_column
-    return tuple(_triangle_sums(_columns(_SIGNED_SECOND, order), first, order)), d
-
-
 def check_first_kind_inversion(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
@@ -358,11 +353,12 @@ def check_first_kind_inversion(
         v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks],
 
     for n = r..order.  The inner sum ``v_l`` does not depend on n (or on
-    Y) and is formed once per index tuple.
+    Y): it is the EGF column of Li_ks(1 - e^(-s)), formed once per index
+    tuple by :func:`multilog._f_column`.
     """
     ks = tuple(ks)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
-    rhs = _second_kind_sums(ms, _first_kind_weights(ks, order), order)
+    rhs = _second_kind_sums(ms, _f_column(ks, order), order)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 

@@ -9,23 +9,38 @@ composed with a specific inner series:
     Bernoulli:     Li(1 - e^(-t)) / (1 - e^(-t))^r
     Lah:           Li(1 - e^(-t)) / (1 - t)^r
 
-where r is always the length of the index tuple.  Every chain ends at
-m_r >= r, so Li(w) / w^r is the shifted outer column c_r .. c_(N+r) of
-the multiple logarithm composed with w = 1 - e^(-t) at order N.
+where r is always the length of the index tuple.  None of them is built
+by a composition.  With F(s) = Li(1 - e^(-s)), whose EGF entries are the
+signed second-kind transform sum_m (-1)^(n-m) S(n, m) [m; ks] of the
+multi first-kind numbers (the EGF entries of (1 - e^(-s))^m / m! are
+(-1)^(n-m) S(n, m)), cached per tuple and order as
+:func:`multilog._f_column`:
 
-The second kind is one case of the shape Li_ks(1 - e^(1 - u)) that the
-probabilistic module evaluates at the moment series M and R as well:
-:func:`_li_family` caches it once per ``(ks, u)``, keyed on the value of
-``u``, so equal series share one entry whichever family asks.
+    second kind:   F(e^t - 1), the unsigned second-kind transform of F;
+    Bernoulli:     every chain ends at m_r >= r, so Li(w) / w^r is the
+                   shifted column c_r .. c_(N+r) of the multiple logarithm
+                   at w = 1 - e^(-t), its signed second-kind transform;
+    Lah:           F(t) divided by (1 - t)^r, r running sums.
+
+Each transform is :func:`classical._transform` on integer numerators, a
+product by the exponential Riordan arrays (1, e^t - 1) and
+(1, 1 - e^(-t)) (Shapiro et al., 1991) that multiplies by small ints only.
+
+The probabilistic families evaluate the shape Li_ks(1 - e^(1 - u)) at the
+moment series u = M and u = R by composition: :func:`_li_family` caches
+it once per ``(ks, u)``, keyed on the value of ``u``, so equal series
+share one entry whichever family asks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .multilog import index_tuple, multilog
-from .series import Series, _check_entry, _make, exp_t, geometric, one_minus_exp_neg_t
+from .classical import _SECOND, _SIGNED_SECOND, _transform
+from .multilog import _f_column, index_tuple, multilog
+from .series import Series, _check_entry, _check_natural, _from_egf_column, _make
 
 __all__ = [
     "li_argument",
@@ -52,13 +67,19 @@ def li_argument(u: Series) -> Series:
 
 @lru_cache(maxsize=None)
 def _li_family(ks: tuple[int, ...], u: Series) -> Series:
-    """Li_ks(1 - e^(1 - u)) at the order of ``u``: the multi second kind at
-    u = e^t and its probabilistic forms at u = M and u = R."""
+    """Li_ks(1 - e^(1 - u)) at the order of ``u``, by composition: the
+    probabilistic multi second kind at u = M and multi Lah at u = R."""
     return multilog(ks, u.order).compose(li_argument(u))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _stirling2_series(ks: tuple[int, ...], order: int) -> Series:
+    f, d = _f_column(ks, order)
+    return _from_egf_column(_transform(_SECOND, f), d)
+
+
 def multi_stirling2_series(ks, order: int) -> Series:
-    return _li_family(index_tuple(ks), exp_t(order))
+    return _stirling2_series(index_tuple(ks), order)
 
 
 def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
@@ -69,8 +90,11 @@ def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
 
 @lru_cache(maxsize=None, typed=True)
 def _bernoulli_series(ks: tuple[int, ...], order: int) -> Series:
-    li = multilog(ks, order + len(ks))
-    return _make(li._num[len(ks) :], li._den).compose(one_minus_exp_neg_t(order))
+    # the order is checked before it is shifted: True + r is an int
+    r = len(ks)
+    li = multilog(ks, _check_natural(order) + r)
+    shifted, d = _make(li._num[r:], li._den).egf_column
+    return _from_egf_column(_transform(_SIGNED_SECOND, shifted), d)
 
 
 def multi_bernoulli_series(ks, order: int) -> Series:
@@ -85,9 +109,14 @@ def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
 
 @lru_cache(maxsize=None, typed=True)
 def _lah_series(ks: tuple[int, ...], order: int) -> Series:
-    r = len(ks)
-    w = one_minus_exp_neg_t(order)
-    return multilog(ks, order).compose(w) * geometric(order) ** r
+    # dividing by (1 - t)^r is r running sums of the ordinary coefficients,
+    # each one in full: a chain of r lazy sums would nest r C-level calls
+    f, d = _f_column(ks, order)
+    f = _from_egf_column(list(f), d)
+    num = f._num
+    for _ in ks:
+        num = list(accumulate(num))
+    return _make(num, f._den)
 
 
 def multi_lah_series(ks, order: int) -> Series:

@@ -30,6 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+from .classical import _SIGNED_SECOND, _transform
 from .series import Series, _check_entry, _check_natural, _make
 
 __all__ = [
@@ -84,6 +85,15 @@ def multilog(ks, order: int) -> Series:
     """Multiple-logarithm series truncated at ``order``."""
     order = _check_natural(order)
     return _multilog(index_tuple(ks), order)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _f_column(ks: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
+    """EGF column of F(s) = Li_ks(1 - e^(-s)) as ``(numerators, d)``:
+    v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
+    below r), the signed second-kind transform of the column [m; ks]."""
+    first, d = multilog(ks, order).egf_column
+    return tuple(_transform(_SIGNED_SECOND, first)), d
 
 
 def multilog_coefficient(ks, m: int) -> Fraction:

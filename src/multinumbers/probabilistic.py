@@ -15,8 +15,8 @@ families are Li(1 - e^(1 - u)), cached in ``multi`` per (ks, u), and the
 two single-index families are (u - 1)^k / k!, the columns of the
 exponential Riordan array (1, u - 1), cached here per (u, k).  Both
 caches are keyed on the value of u, so equal moment series share one
-entry, and at Y = point(1), where M = e^t, the multi second kind is the
-deterministic entry itself.
+entry.  At Y = point(1), where M = e^t, the multi second kind equals the
+deterministic one, which ``multi`` builds apart by Stirling transforms.
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per

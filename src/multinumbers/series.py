@@ -36,8 +36,9 @@ instead of ``N`` products.  Once the memo holds ``g^k``, a later
 composition with an equal ``g`` extends it to ``g^N`` and takes
 ``k = N + 1``: one block,
 the product by the Riordan array ``(1, g)`` (Shapiro et al., 1991), and
-no series product once the memo is full.  ``verify`` composes 16 distinct
-inner series 170 times, and this rule about halves cold
+no series product once the memo is full.  ``verify`` on the default grid
+composes 14 distinct inner series 147 times, at any order, and this rule
+about halves cold
 ``verify --order 64`` (3.05 to 1.58 s, medians of 4 alternating pairs on a
 2-vCPU Xeon VM, CPython 3.11.7); a single ``table`` composes each inner
 once and does the same work as with ``k`` fixed.

@@ -2,14 +2,18 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinumbers.classical import (
     _FIRST,
     _LAH,
     _ROWS,
     _SECOND,
+    _SIGNED_SECOND,
     _columns,
     _row,
+    _transform,
     bernoulli_higher,
     bernoulli_higher_series,
     lah,
@@ -164,3 +168,22 @@ def test_bernoulli_higher_at_a_large_power():
     assert bernoulli_higher_series(r, 3).egf_coeffs == (
         1, F(-r, 2), F(r * (3 * r - 1), 12), F(-r * r * (r - 1), 8)
     )
+
+
+@given(
+    st.sampled_from([_FIRST, _SECOND, _LAH, _SIGNED_SECOND]),
+    st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=31),
+)
+@settings(max_examples=200, deadline=None)
+def test_transform_is_the_triangle_applied_to_the_column(weights, x):
+    top = len(x) - 1
+    columns = _columns(weights, top) if x else ()
+    want = [sum(columns[k][n] * x[k] for k in range(n + 1)) for n in range(len(x))]
+    assert _transform(weights, x) == want
+
+
+def test_transform_leaves_its_argument_alone():
+    x = [3, -1, 4, 1, -5]
+    # S(4, k) = 0, 1, 7, 6, 1: b_4 = -1 + 28 + 6 - 5
+    assert _transform(_SECOND, x) == [3, -1, 3, 12, 28]
+    assert x == [3, -1, 4, 1, -5]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multinumbers.cli import (
@@ -130,6 +130,32 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+# a valid value of each flag a family may require
+FAMILY_FLAG_VALUES = {"ks": "1,2", "dist": "point:1", "r": "1", "y": "1"}
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+@pytest.mark.parametrize(
+    "family, flag",
+    [(name, flag) for name in FAMILIES for flag in FAMILY_FLAG_VALUES
+     if flag not in FAMILIES[name].inputs],
+)
+def test_a_flag_the_family_does_not_use_is_refused(capsys, family, flag, joined):
+    needed = [f"--{f}={FAMILY_FLAG_VALUES[f]}" for f in FAMILIES[family].inputs]
+    value = FAMILY_FLAG_VALUES[flag]
+    unused = [f"--{flag}={value}"] if joined else [f"--{flag}", value]
+    assert run_cli(capsys, "table", family, *needed, "--order", "3")[0] == 0
+    assert run_cli(capsys, "table", family, *needed, *unused, "--order", "3") == (
+        2, "", f"error: family {family} does not use --{flag}\n"
+    )
+
+
+def test_the_unused_flags_of_a_two_index_family_are_refused_before_they_are_parsed(capsys):
+    argv = ("table", "stirling2", "--order", "1", "--dist", "bogus:1", "--ks", "x", "--y", "zz",
+            "--r", "0")
+    assert run_cli(capsys, *argv) == (2, "", "error: family stirling2 does not use --ks\n")
 
 
 def test_unknown_family_is_a_usage_error_naming_the_families(capsys):
@@ -559,6 +585,10 @@ PINNED_LARGE_TABLE_BYTES = {
         "6dc1080c42b69cfc893d5e3842923f7a3bbf1237b9ca20dad7b63f2ba54aebeb",
     ("multi-bernoulli", "--ks", "2,-1,0", "--order", "24"):
         "af9685aa9f4a155ee868dabe06c3da29147d441a26ddc05b8d832e6a1ec819e9",
+    ("multi-lah", "--ks", "2,3", "--order", "64"):
+        "1a9e381c6104d5563117028909e89d2763d6ab952d3397dcb4f708f3eb104dd4",
+    ("multi-stirling2", "--ks", "0,-2,3", "--order", "40"):
+        "16324620ec24552847cc68efd70142ece472ef6b16fc72b999cb99a069287d12",
 }
 
 
@@ -860,6 +890,9 @@ def test_fuzzed_verify_grids_exit_cleanly(tmp_path_factory, grid, order):
 #   which argparse accepts (``dash_values_joined``).
 # * a lone "--": argparse reads it as the end of the flags; no family or
 #   value needs one, and the table refuses it as a prefix of every flag.
+# * "--" as a flag's value, "--grid=--" or "--grid --": argparse drops it
+#   and leaves the flag [], while the table keeps "--" as the value.  The oracle
+#   is given a stand-in value there (``STAND_IN``) and read back as "--".
 # Help (-h, --help) is left out: argparse answers it by exiting.
 
 
@@ -880,6 +913,17 @@ def dash_values_joined(argv):
             elif value is not None:
                 out.append(value)
     return out
+
+
+# a value argparse keeps as it is, outside the alphabets values are drawn from
+STAND_IN = "-DASHES-"
+
+
+def dash_value_stood_in(token):
+    """``token`` with a joined value "--" replaced by ``STAND_IN``."""
+    if token.startswith("--") and token.endswith("=--"):
+        return token[:-2] + STAND_IN
+    return token
 
 
 JUNK_FLAGS = ("--bogus", "--x", "-x", "-1", "-")
@@ -927,12 +971,15 @@ def argvs(draw):
 
 
 @given(argvs())
+@example(["verify", "--f", "--f", "--g", "--"])
+@example(["table", "multilog", "--ks=--", "--order", "2"])
 @settings(max_examples=500, deadline=None)
 def test_the_flag_table_parses_as_argparse_did(argv):
     oracle_argv = dash_values_joined(argv)
     assume("--" not in oracle_argv)
-    want = argparse_namespace(oracle_argv)
+    want = argparse_namespace([dash_value_stood_in(token) for token in oracle_argv])
     if want is not None:
+        want = {name: "--" if value == STAND_IN else value for name, value in want.items()}
         assert vars(_parse_argv(argv)) == want
     else:
         with pytest.raises(UsageError):

@@ -21,7 +21,6 @@ from multinumbers.identities import (
     _append_one_sides,
     _bernoulli_expansion_weights,
     _binomial_sums,
-    _first_kind_weights,
     _prefix_column,
     _second_kind_sums,
     _single_index_expansion_weights,
@@ -55,7 +54,7 @@ from multinumbers.moments import (
     poisson,
 )
 from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
-from multinumbers.multilog import multilog
+from multinumbers.multilog import _f_column, multilog
 from multinumbers.probabilistic import (
     _moment_route_columns,
     prob_multi_stirling2,
@@ -506,7 +505,7 @@ ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3
 
 
 def first_kind_inversion_rhs(ms, ks, order):
-    return _second_kind_sums(ms, _first_kind_weights(ks, order), order)
+    return _second_kind_sums(ms, _f_column(ks, order), order)
 
 
 def bernoulli_expansion_rhs(ms, ks, order):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from multinumbers import multi, series
 from multinumbers.classical import bernoulli_higher, bernoulli_higher_series, lah, stirling2
 from multinumbers.identities import check_append_one_deterministic
 from multinumbers.moments import mgf, moments, poisson
@@ -18,7 +23,14 @@ from multinumbers.multi import (
 from multinumbers.multilog import multilog
 from multinumbers.series import Series, exp_t, one_minus_exp_neg_t
 
-from oracles import series_exp, stirling2_count
+from oracles import (
+    fraction_multilog,
+    series_compose,
+    series_exp,
+    series_inverse,
+    series_product,
+    stirling2_count,
+)
 
 F = Fraction
 
@@ -140,3 +152,103 @@ def test_append_one_recurrence(prefix):
     report = check_append_one_deterministic(prefix, 10)
     assert report.status == "pass"
     assert report.first_mismatch is None
+
+
+# ------------------------------------------------------- composition oracles
+
+ORACLE_ORDER = 20
+
+
+def _exp_minus(inner: list) -> list:
+    """Coefficients of 1 - e^(-inner) for ``inner`` with zero constant term."""
+    e = series_exp([-c for c in inner])
+    return [F(0)] + [-c for c in e[1:]]
+
+
+def _egf(coeffs: list) -> list:
+    return [factorial(n) * c for n, c in enumerate(coeffs)]
+
+
+def _second_kind_oracle(ks, order: int) -> list:
+    """EGF entries of Li_ks(1 - e^(1 - e^t)), the multilog composed in
+    ``Fraction`` arithmetic."""
+    e_t_minus_1 = [F(0)] + [F(1, factorial(n)) for n in range(1, order + 1)]
+    return _egf(series_compose(fraction_multilog(ks, order), _exp_minus(e_t_minus_1)))
+
+
+def _bernoulli_oracle(ks, order: int) -> list:
+    """EGF entries of Li_ks(w) / w^r, w = 1 - e^(-t): the composition at
+    order N + r, shifted down by r and divided by (w / t)^r."""
+    r = len(ks)
+    w = _exp_minus([F(0), F(1)] + [F(0)] * (order + r - 1))
+    li = series_compose(fraction_multilog(ks, order + r), w)[r:]
+    h = w[1 : order + 2]  # w / t
+    power = [F(1)] + [F(0)] * order
+    for _ in ks:
+        power = series_product(power, h)
+    return _egf(series_product(li, series_inverse(power)))
+
+
+def _lah_oracle(ks, order: int) -> list:
+    """EGF entries of Li_ks(1 - e^(-t)) / (1 - t)^r."""
+    w = _exp_minus([F(0), F(1)] + [F(0)] * (order - 1))
+    f = series_compose(fraction_multilog(ks, order), w)
+    for _ in ks:
+        f = series_product(f, [F(1)] * (order + 1))
+    return _egf(f)
+
+
+@pytest.mark.parametrize(
+    "ks", [(1,), (2, 3), (0,), (-1,), (0, 0), (2, -1, 0), (1, -3, 2), (-2, 0, 1, 1)], ids=str
+)
+@pytest.mark.parametrize(
+    "series_of, oracle",
+    [
+        (multi_stirling2_series, _second_kind_oracle),
+        (multi_bernoulli_series, _bernoulli_oracle),
+        (multi_lah_series, _lah_oracle),
+    ],
+    ids=["multi-stirling2", "multi-bernoulli", "multi-lah"],
+)
+def test_families_equal_the_fraction_composition_at_every_order(series_of, oracle, ks):
+    # a coefficient does not depend on the truncation order, so each order
+    # is a prefix of the oracle at the largest one
+    want = oracle(ks, ORACLE_ORDER)
+    for order in range(ORACLE_ORDER + 1):
+        assert list(series_of(ks, order).egf_coeffs) == want[: order + 1]
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [multi._stirling2_series, multi._bernoulli_series, multi._lah_series],
+    ids=["multi-stirling2", "multi-bernoulli", "multi-lah"],
+)
+def test_a_cold_family_makes_no_series_product_composition_or_recurrence(monkeypatch, cached):
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("compose", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Series, name, counting(name, getattr(Series, name)))
+    monkeypatch.setattr(series, "_solve", counting("_solve", series._solve))
+    for ks in [(2, 3), (1, 1), (0, -2, 3)]:
+        cached.__wrapped__(ks, 64)  # past the cache, which an earlier call may have filled
+    assert calls == []
+
+
+def test_multi_lah_of_a_very_long_tuple_runs_its_running_sums_one_at_a_time():
+    # r lazy running sums chained into one another would recurse r levels
+    # deep in C when read and overflow the stack; a subprocess keeps that
+    # crash out of the test run
+    code = "from multinumbers import multi_lah_series; print(multi_lah_series((0,) * 500000, 1))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "<Series order=1: 0>\n"

@@ -279,11 +279,13 @@ def test_powers_past_the_order_make_no_product_run(monkeypatch):
 # ------------------------------------------------------- shared entries
 
 
-@pytest.mark.parametrize("ks", [(1, 2), (2, -1), (1, 1)], ids=str)
-def test_point_one_multi_second_kind_is_the_deterministic_entry(ks):
-    # M of point(1) is e^t, so both read one entry keyed on the series
-    ms = moments(point(1), 10)
-    assert prob_multi_stirling2_series(ms, ks, 10) is multi_stirling2_series(ks, 10)
+@pytest.mark.parametrize("ks", [(1, 2), (2, -1), (1, 1), (0,), (3, 0, -2)], ids=str)
+def test_point_one_multi_second_kind_equals_the_deterministic_series(ks):
+    # M of point(1) is e^t: the composition at M and the Stirling transforms
+    # of the deterministic family are two routes to one series
+    for order in (0, 1, 2, 5, 10, 17):
+        ms = moments(point(1), order)
+        assert prob_multi_stirling2_series(ms, ks, order) == multi_stirling2_series(ks, order)
 
 
 @pytest.mark.parametrize(
