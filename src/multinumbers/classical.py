@@ -8,10 +8,15 @@ differ only in the weights (a, b): (1, 0) for the unsigned first kind,
 negated weights give the signed triangles: (0, -1) the signed second
 kind S(n, k)(-1)^(n-k), (-1, 0) the signed first kind.  One row builder
 fills every triangle, memoised per row; the generating-function routes
-are kept to the test suite as cross-checks.  One kernel applies a
-triangle to a column of integers without building it (the Stirling
-transforms of the multi families).  Entries are plain
-ints (the triangles are integral), while Bernoulli values are Fractions.
+are kept to the test suite as cross-checks.  One kernel, ``_transform``,
+applies a triangle to a column of integers without building it.  Library
+code applies a Stirling triangle only through that kernel: the multi
+families, the moments of Poisson, binomial and geometric laws, and the
+resolvent ``R``.  The memoised rows serve the entries, the check sides
+and ``table``, which read them through ``_row`` and ``_columns``; so a
+check that reads the rows tests a library value built without them.
+Entries are plain ints (the triangles are integral), while Bernoulli
+values are Fractions.
 """
 
 from __future__ import annotations

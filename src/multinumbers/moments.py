@@ -3,29 +3,30 @@ every probabilistic family is built from: the moment EGF E[e^(Yt)] and
 the resolvent-style transform R(t) = E[(1/(1-t))^Y].
 
 Y is represented purely by its moment sequence; there is no sampling and
-no density object anywhere.  Built-in providers cover point masses,
-Bernoulli, binomial, Poisson, geometric (failures before the first
-success, success probability q), finitely supported laws, and raw moment
-lists.
+no density object anywhere.  One table, ``_KINDS``, holds each kind of
+law (point mass, Bernoulli, binomial, Poisson, geometric counting the
+failures before a success of probability q, finite support, raw moment
+list): its public constructor, how the text after the colon of a spec
+becomes the constructor's arguments, and its moment provider.
 
-The providers compute in plain ``int``: for parameters with denominator
-``b`` the n-th moment is an integer numerator over ``c b^n``.  Poisson,
-binomial and geometric moments (Bernoulli is the binomial with one
-trial) expand their factorial moments in the second-kind Stirling
-numbers; for Poisson, whose k-th factorial moment is ``lam^k``, that is
-the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite laws (a
-point mass is one with a single point) sum ``w x^n`` over the lcm of the
-weight denominators and of the point denominators.  Each moment becomes
-one ``Fraction``; :class:`MomentSequence` also keeps them as one integer
-column, which ``mgf`` scales by ``N!/n!`` as ``exp_t`` does.
+A provider returns the integer numerators of mu_0..mu_N over one
+denominator.  Poisson, binomial and geometric moments (Bernoulli is the
+binomial with one trial) are the second-kind Stirling transform of their
+factorial moments over ``b^N``, for a parameter over ``b``; for Poisson
+that is the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite
+laws (a point mass has a single point) sum ``w x^n b^(N-n)`` over
+``c b^N``, ``c`` and ``b`` the lcms of the weight and point denominators.
+Each moment becomes one ``Fraction``; :class:`MomentSequence` also keeps
+them as one integer column, which ``mgf`` scales by ``N!/n!`` as
+``exp_t`` does.
 
-The coefficient of t^n in (1-t)^(-y) is the rising factorial
-y (y+1) ... (y+n-1) / n!, so the EGF coefficients of ``R`` are the
-rising-factorial moments E[<Y>_n] = sum_k [n; k] mu_k: ``resolvent``
-applies the unsigned first-kind rows of ``classical._row`` to the integer
-moment column and scales the result by ``N!/n!`` as ``mgf`` does, with no
-series composition.  The composition route M(-log(1-t)) is kept in the
-tests as the oracle it is checked against.
+The coefficient of t^n in (1-t)^(-y) is y (y+1) ... (y+n-1) / n!, so the
+EGF coefficients of ``R`` are the rising-factorial moments
+E[<Y>_n] = sum_k [n; k] mu_k: ``resolvent`` is the first-kind transform
+of the moment column, scaled as in ``mgf``, with no series composition
+(the route M(-log(1-t)) is a test oracle).  Both transforms are
+``classical._transform``, the one kernel through which library code
+applies a Stirling triangle.
 :func:`sum_power_moment` squares ``M`` up to ``M^j`` in about ``2 log2 j`` products.
 """
 
@@ -34,9 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
 
-from .classical import _FIRST, _ROWS, _SECOND, _row
+from .classical import _FIRST, _SECOND, _transform
 from .report import FrozenRecord
 from .series import Series, _check_entry, _check_natural, _from_egf_column
 
@@ -197,112 +197,99 @@ def raw_moments(mus) -> DistributionSpec:
     return DistributionSpec("raw", vals, label)
 
 
+def _stirling_expansion(rate: Fraction, step, order: int) -> tuple[list[int], int]:
+    """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
+    E[(Y)_k] = rate^k step(1) ... step(k), all over b^order for rate = a/b."""
+    a, b = rate.numerator, rate.denominator
+    fm = [b**order]  # a^k step(1) ... step(k) b^(order-k): each k drops one b
+    for k in range(1, order + 1):
+        fm.append(fm[-1] * step(k) * a // b)
+    return _transform(_SECOND, fm), fm[0]
+
+
+def _binomial(params: tuple, order: int) -> tuple[list[int], int]:
+    m, p = params  # E[(Y)_k] = (m)_k p^k, zero past k = m
+    return _stirling_expansion(p, lambda k: m - k + 1, order)
+
+
+def _finite(params: tuple, order: int) -> tuple[list[int], int]:
+    # mu_n = sum w x^n; weights over their lcm c, points over their lcm b,
+    # and x^n scaled by b^(order-n), so that every moment is over c b^order
+    c = lcm(*[w.denominator for _, w in params])
+    b = lcm(*[x.denominator for x, _ in params])
+    terms = [w.numerator * (c // w.denominator) * b**order for _, w in params]
+    points = [x.numerator * (b // x.denominator) for x, _ in params]
+    nums = [sum(terms)]
+    for _ in range(order):
+        terms = [t * x // b for t, x in zip(terms, points)]
+        nums.append(sum(terms))
+    return nums, c * b**order
+
+
+def _raw(params: tuple, order: int) -> tuple[list[int], int]:
+    if len(params) - 1 < order:
+        raise ValueError(f"raw spec provides moments up to order {len(params) - 1}, needed {order}")
+    mu = params[: order + 1]
+    den = lcm(*[m.denominator for m in mu])
+    return [m.numerator * (den // m.denominator) for m in mu], den
+
+
+def _binomial_args(body: str) -> tuple:
+    m_text, _, p_text = body.partition(",")
+    return int(m_text), p_text
+
+
+def _finite_args(body: str) -> tuple:
+    pairs = []
+    for chunk in body.split(";"):
+        x_text, sep, w_text = chunk.partition("=")
+        if not sep:
+            raise ValueError(f"finite entry {chunk!r} is not 'x=w'")
+        pairs.append((x_text, w_text))
+    return (pairs,)
+
+
+def _whole(body: str) -> tuple:
+    return (body,)
+
+
+# kind -> (constructor, spec text after the colon -> its arguments, moment
+# provider); geometric has E[(Y)_k] = k! theta^k with theta = (1-q)/q
+_KINDS = {
+    "point": (point, _whole, lambda ps, order: _finite(((ps[0], 1),), order)),
+    "bernoulli": (bernoulli, _whole, lambda ps, order: _binomial((1, ps[0]), order)),
+    "binomial": (binomial, _binomial_args, _binomial),
+    "poisson": (poisson, _whole, lambda ps, order: _stirling_expansion(ps[0], lambda k: 1, order)),
+    "geometric": (
+        geometric,
+        _whole,
+        lambda ps, order: _stirling_expansion((1 - ps[0]) / ps[0], lambda k: k, order),
+    ),
+    "finite": (finite, _finite_args, _finite),
+    "raw": (raw_moments, lambda body: (body.split(","),), _raw),
+}
+
+
 def parse_distribution(text: str) -> DistributionSpec:
     """Parse the textual grammar, e.g. ``bernoulli:1/2`` or ``finite:0=1/2;2=1/2``."""
     if not isinstance(text, str) or ":" not in text:
         raise ValueError(f"malformed distribution spec {text!r}")
     kind, _, body = text.partition(":")
     kind = kind.strip()
-    body = body.strip()
+    if kind not in _KINDS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    make, args, _ = _KINDS[kind]
     try:
-        if kind == "point":
-            return point(body)
-        if kind == "bernoulli":
-            return bernoulli(body)
-        if kind == "binomial":
-            m_text, _, p_text = body.partition(",")
-            return binomial(int(m_text), p_text)
-        if kind == "poisson":
-            return poisson(body)
-        if kind == "geometric":
-            return geometric(body)
-        if kind == "finite":
-            pairs = []
-            for chunk in body.split(";"):
-                x_text, sep, w_text = chunk.partition("=")
-                if not sep:
-                    raise ValueError(f"finite entry {chunk!r} is not 'x=w'")
-                pairs.append((x_text, w_text))
-            return finite(pairs)
-        if kind == "raw":
-            return raw_moments(body.split(","))
+        return make(*args(body.strip()))
     except ValueError as exc:
         raise ValueError(f"invalid distribution spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-# Each provider maps (params, order) to integer numerators N_0..N_order,
-# a denominator c and a base b with mu_n = N_n / (c b^n).
-
-
-def _stirling_expansion(a: int, b: int, step, order: int) -> tuple[list[int], int, int]:
-    """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
-    E[(Y)_k] = (a/b)^k step(1) ... step(k), over b^n."""
-    fm = [1]  # a^k step(1) ... step(k)
-    for k in range(1, order + 1):
-        fm.append(fm[-1] * step(k) * a)
-    nums = []
-    for n in range(order + 1):
-        acc = 0
-        for s2, f in zip(_row(_SECOND, n), fm):
-            acc = acc * b + s2 * f
-        nums.append(acc)
-    return nums, 1, b
-
-
-def _geometric(params: tuple, order: int) -> tuple[list[int], int, int]:
-    # E[(Y)_k] = k! theta^k, theta = (1-q)/q; q = s/t in lowest terms gives
-    # theta = (t-s)/s, also in lowest terms
-    (q,) = params
-    return _stirling_expansion(q.denominator - q.numerator, q.numerator, lambda k: k, order)
-
-
-def _binomial(params: tuple, order: int) -> tuple[list[int], int, int]:
-    # E[(Y)_k] = (m)_k p^k, zero past k = m
-    m, p = params
-    return _stirling_expansion(p.numerator, p.denominator, lambda k: m - k + 1, order)
-
-
-def _finite(params: tuple, order: int) -> tuple[list[int], int, int]:
-    # mu_n = sum w x^n; weights over their lcm c, points over their lcm b
-    c = lcm(*[w.denominator for _, w in params])
-    b = lcm(*[x.denominator for x, _ in params])
-    terms = [w.numerator * (c // w.denominator) for _, w in params]
-    points = [x.numerator * (b // x.denominator) for x, _ in params]
-    nums = []
-    for _ in range(order + 1):
-        nums.append(sum(terms))
-        terms = [t * x for t, x in zip(terms, points)]
-    return nums, c, b
-
-
-_PROVIDERS = {
-    "point": lambda params, order: _finite(((params[0], 1),), order),
-    "bernoulli": lambda params, order: _binomial((1, params[0]), order),
-    "binomial": _binomial,
-    "poisson": lambda params, order: _stirling_expansion(
-        params[0].numerator, params[0].denominator, lambda k: 1, order
-    ),
-    "geometric": _geometric,
-    "finite": _finite,
-}
 
 
 @lru_cache(maxsize=None)
 def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
-    if spec.kind == "raw":
-        vals = spec.params
-        if len(vals) - 1 < order:
-            raise ValueError(
-                f"raw spec provides moments up to order {len(vals) - 1}, needed {order}"
-            )
-        return MomentSequence(vals[: order + 1])
-    nums, den, base = _PROVIDERS[spec.kind](spec.params, order)
-    mu = []
-    for num in nums:
-        mu.append(Fraction(num, den))
-        den *= base
-    return MomentSequence(tuple(mu))
+    _, _, provide = _KINDS[spec.kind]
+    nums, den = provide(spec.params, order)
+    return MomentSequence(tuple([Fraction(num, den) for num in nums]))
 
 
 def moments(spec: DistributionSpec, order: int) -> MomentSequence:
@@ -331,9 +318,7 @@ def resolvent(ms: MomentSequence, order: int) -> Series:
     moments E[<Y>_n] = sum_k [n; k] mu_k, the first-kind transform of the
     moments."""
     mu, den = _column(ms, order)
-    _row(_FIRST, order)
-    rows = _ROWS[_FIRST]
-    return _from_egf_column([sum(map(mul, rows[n], mu)) for n in range(order + 1)], den)
+    return _from_egf_column(_transform(_FIRST, mu[: order + 1]), den)
 
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 from .classical import _SIGNED_SECOND, _transform
 from .series import Series, _check_entry, _check_natural, _make
@@ -75,10 +75,7 @@ def _multilog(ks: tuple[int, ...], order: int) -> Series:
                 cur[m] = below * w
             below += prev[m]
         prev = cur
-    # den is a power of L, so a content above 1 has a prime factor of L;
-    # the cheap test against L spares the full gcd of numerators and a
-    # denominator that a large index makes huge
-    return _make(prev, den, reduced=gcd(top, *prev) == 1)
+    return _make(prev, den)
 
 
 def multilog(ks, order: int) -> Series:

@@ -101,14 +101,12 @@ def _check_entry(n: int, order: int | None) -> int:
     return order
 
 
-def _make(num: list[int], den: int, reduced: bool = False) -> "Series":
-    """The series ``num[n] / den`` (``den > 0``), brought to lowest terms;
-    ``reduced`` says the caller knows ``gcd(den, *num) == 1`` already."""
-    if not reduced:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [m // g for m in num]
-            den //= g
+def _make(num: list[int], den: int) -> "Series":
+    """The series ``num[n] / den`` (``den > 0``), brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [m // g for m in num]
+        den //= g
     s = object.__new__(Series)
     s._num = tuple(num)
     s._den = den

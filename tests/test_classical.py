@@ -1,10 +1,13 @@
+import ast
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multinumbers
 from multinumbers.classical import (
     _FIRST,
     _LAH,
@@ -187,3 +190,19 @@ def test_transform_leaves_its_argument_alone():
     # S(4, k) = 0, 1, 7, 6, 1: b_4 = -1 + 28 + 6 - 5
     assert _transform(_SECOND, x) == [3, -1, 3, 12, 28]
     assert x == [3, -1, 4, 1, -5]
+
+
+def test_only_classical_reads_the_row_memo():
+    # library code applies a triangle through _transform; the memoised rows
+    # stay behind classical, read by the check sides only through _columns
+    memo = {"_row", "_ROWS"}
+    readers = []
+    for path in sorted(Path(multinumbers.__file__).parent.glob("*.py")):
+        if path.stem == "classical":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                readers += [(path.name, a.name) for a in node.names if a.name in memo]
+            elif isinstance(node, ast.Attribute) and node.attr in memo:
+                readers.append((path.name, node.attr))
+    assert readers == []

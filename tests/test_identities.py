@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multinumbers import identities
-from multinumbers.classical import _SECOND, _columns, stirling1, stirling2
+from multinumbers import classical, identities
+from multinumbers.classical import _FIRST, _SECOND, _columns, stirling1, stirling2
 from multinumbers.identities import (
     ALL_IDENTITIES,
     IDENTITIES,
@@ -52,6 +52,7 @@ from multinumbers.moments import (
     moments,
     point,
     poisson,
+    resolvent,
 )
 from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
 from multinumbers.multilog import _f_column, multilog
@@ -75,6 +76,7 @@ from oracles import (
     fubini_sums,
     lah_sums,
     moment_route,
+    rising_factorial_resolvent,
     series_compose,
     series_product,
 )
@@ -150,6 +152,33 @@ def test_lah_corrected_form_always_passes(spec, ks):
     ms = moments(spec, 9)
     corrected, _ = check_lah_via_first_kind(ms, ks, 9, spec.label)
     assert corrected.status == "pass"
+
+
+@pytest.fixture
+def corrupt_first_kind_row():
+    """Row 5 of the memoised first-kind triangle with [5; 2] off by one for
+    the test; the rows past it are filled first, so none is built from the
+    wrong row, and the column cache is cleared on the way in and out."""
+    rows = classical._ROWS[_FIRST]
+    classical._row(_FIRST, 64)
+    kept = rows[5]
+    rows[5] = kept[:2] + (kept[2] + 1,) + kept[3:]
+    _columns.cache_clear()
+    clear_identity_caches()
+    yield
+    rows[5] = kept
+    _columns.cache_clear()
+    clear_identity_caches()
+
+
+def test_resolvent_does_not_read_the_first_kind_rows(corrupt_first_kind_row):
+    # R is the first-kind transform of the moments; the check side reads
+    # the rows, so a wrong row fails the corrected sum and leaves R alone
+    ms = moments(poisson(F(5, 11)), 12)
+    assert list(resolvent.__wrapped__(ms, 12).coeffs) == rising_factorial_resolvent(ms, 12)
+    corrected, _ = check_lah_via_first_kind(ms, (1, 2), 12)
+    assert (corrected.identity, corrected.status) == ("lah-via-first-kind-corrected", "fail")
+    assert corrected.first_mismatch.n == 5
 
 
 @pytest.mark.parametrize("spec,ks", SAMPLE_CELLS, ids=lambda v: str(v))

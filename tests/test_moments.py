@@ -256,12 +256,20 @@ _specs = st.one_of(
             st.lists(st.integers(0, 5), min_size=len(xs), max_size=len(xs)).filter(any),
         )
     ),
+    st.lists(_rational, max_size=40).map(lambda mus: raw_moments([1, *mus])),
 )
 
 
 @given(_specs, _orders)
 @settings(max_examples=200, deadline=None)
 def test_integer_providers_equal_the_fraction_providers(spec, order):
+    if spec.kind == "raw" and order >= len(spec.params):
+        # a raw list provides the moments it lists and no more
+        have = len(spec.params) - 1
+        message = f"raw spec provides moments up to order {have}, needed {order}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            moments(spec, order)
+        order = have
     ms = moments(spec, order)
     assert ms.mu == fraction_moments(spec, order)
     assert all(type(mu) is Fraction for mu in ms.mu)
@@ -313,13 +321,38 @@ def test_grammar_round_trip(text):
     assert parse_distribution(spec.label) == spec
 
 
+def _invalid(text, reason):
+    return text, f"invalid distribution spec {text!r}: {reason}"
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["", "nonsense", "point", "bernoulli:0", "finite:0=1/2", "finite:x", "raw:2,1",
-     "binomial:x,1/2", "geometric:1/0"],
+    "text,message",
+    [
+        (None, "malformed distribution spec None"),
+        (3, "malformed distribution spec 3"),
+        ("", "malformed distribution spec ''"),
+        ("nonsense", "malformed distribution spec 'nonsense'"),
+        ("point", "malformed distribution spec 'point'"),
+        ("weibull:1", "unknown distribution kind 'weibull'"),
+        (" POINT :1", "unknown distribution kind 'POINT'"),
+        _invalid("point:x", "cannot parse point mass location from 'x'"),
+        _invalid("bernoulli:0", "bernoulli parameter must lie in (0, 1], got 0"),
+        _invalid("binomial:x,1/2", "invalid literal for int() with base 10: 'x'"),
+        _invalid("binomial:0,1/2", "binomial count must be a positive integer, got 0"),
+        _invalid("binomial:3,2", "binomial parameter must lie in (0, 1], got 2"),
+        _invalid("binomial:3", "cannot parse binomial parameter from ''"),
+        _invalid("poisson:-1", "poisson rate must be non-negative, got -1"),
+        _invalid("geometric:1/0", "cannot parse geometric success probability from '1/0'"),
+        _invalid("finite:x", "finite entry 'x' is not 'x=w'"),
+        _invalid("finite:0=1/2;1", "finite entry '1' is not 'x=w'"),
+        _invalid("finite:0=1/2", "finite distribution weights must sum to 1, got 1/2"),
+        _invalid("raw:2,1", "raw moment list must start with mu_0 = 1, got 2"),
+        _invalid("raw:1,x", "cannot parse raw moment from 'x'"),
+    ],
+    ids=repr,
 )
-def test_grammar_rejects_malformed_specs(text):
-    with pytest.raises(ValueError):
+def test_grammar_rejects_malformed_specs(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_distribution(text)
 
 
