@@ -13,8 +13,16 @@ pulls in ``gettext``, ``locale``, ``shutil`` and the compression modules
 behind it, which cost more cold-start time than an order-64 table takes
 to compute.
 
-All rationals are rendered as canonical strings (``a`` or ``a/b``), never
-as floats, and output is byte-deterministic for fixed flags.  Exit status:
+Every family hands ``table`` integer columns ``(a, d)``, the values
+``a[n] / d``, and each value is written as the canonical string of that
+rational (``a`` or ``a/b``, as ``str(Fraction(a[n], d))`` gives it, never
+a float) with no ``Fraction`` made.  JSON lines and CSV rows are written
+with f-strings: every string in them is a family name, an identity id, a
+canonical distribution label, a fixed detail sentence or a rational, none
+of which JSON escapes, and only a field holding a comma needs the quotes
+``csv.writer`` would put round it.  So ``json`` is imported only to read a
+``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
+fixed flags.  Exit status:
 0 success (and ``--help``), 1 verification failure, 2 usage error, with one
 ``error:`` line on stderr, 141 when stdout is a pipe whose reader has gone
 (as for a process killed by SIGPIPE).
@@ -22,13 +30,10 @@ as floats, and output is byte-deterministic for fixed flags.  Exit status:
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
@@ -51,9 +56,6 @@ ORDER_CAP = 64
 # (about 14,300 bits) by default; a value between that and the cap is
 # computed and then refused when it is printed.
 BITS_CAP = 1 << 15
-# one encoder for every output line; json.dumps with non-default arguments
-# would build a new one per line
-_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class Family(
@@ -64,7 +66,8 @@ class Family(
     ``inputs`` names the flags it requires, of ks, dist, r and y; ``table``
     checks them in that order and refuses the others.  ``values(args,
     order)`` maps the parsed inputs (a ``SimpleNamespace``) and the order
-    to the whole column of values for n = 0..order or, for a
+    to the integer column ``(a, d)`` of the values ``a[n] / d`` for
+    n = 0..order (``d > 0``, not necessarily in lowest terms) or, for a
     ``two_index`` family, to one such column per k = 0..order.
     ``composed`` marks a family whose value at n sums the
     multiple-logarithm coefficients of every chain end m <= n, so that its
@@ -74,27 +77,36 @@ class Family(
     __slots__ = ()
 
 
-def _power_columns(series, ms, order: int) -> list[tuple[Fraction, ...]]:
-    return [series(ms, k, order).egf_coeffs for k in range(order + 1)]
+def _multilog_column(a, order: int) -> tuple[tuple[int, ...], int]:
+    series = multilog(a.ks, order)
+    return series._num, series._den
+
+
+def _triangle_columns(weights, order: int) -> list[tuple[tuple[int, ...], int]]:
+    return [(column, 1) for column in _columns(weights, order)]
+
+
+def _power_columns(series, ms, order: int) -> list[tuple[tuple[int, ...], int]]:
+    return [series(ms, k, order).egf_column for k in range(order + 1)]
 
 
 FAMILIES: dict[str, Family] = {
-    "multilog": Family(("ks",), lambda a, order: multilog(a.ks, order).coeffs),
-    "multi-stirling1": Family(("ks",), lambda a, order: multilog(a.ks, order).egf_coeffs),
+    "multilog": Family(("ks",), _multilog_column),
+    "multi-stirling1": Family(("ks",), lambda a, order: multilog(a.ks, order).egf_column),
     "multi-stirling2": Family(
-        ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_coeffs, composed=True
+        ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_column, composed=True
     ),
     "multi-bernoulli": Family(
-        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_coeffs, composed=True
+        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_column, composed=True
     ),
     "multi-lah": Family(
-        ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_coeffs, composed=True
+        ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_column, composed=True
     ),
-    "stirling1": Family((), lambda a, order: _columns(_FIRST, order), two_index=True),
-    "stirling2": Family((), lambda a, order: _columns(_SECOND, order), two_index=True),
-    "lah": Family((), lambda a, order: _columns(_LAH, order), two_index=True),
+    "stirling1": Family((), lambda a, order: _triangle_columns(_FIRST, order), two_index=True),
+    "stirling2": Family((), lambda a, order: _triangle_columns(_SECOND, order), two_index=True),
+    "lah": Family((), lambda a, order: _triangle_columns(_LAH, order), two_index=True),
     "bernoulli-higher": Family(
-        ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs
+        ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_column
     ),
     "prob-stirling2": Family(
         ("dist",),
@@ -103,7 +115,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "prob-multi-stirling2": Family(
         ("ks", "dist"),
-        lambda a, order: prob_multi_stirling2_series(a.ms, a.ks, order).egf_coeffs,
+        lambda a, order: prob_multi_stirling2_series(a.ms, a.ks, order).egf_column,
         composed=True,
     ),
     "prob-lah": Family(
@@ -113,12 +125,12 @@ FAMILIES: dict[str, Family] = {
     ),
     "prob-multi-lah": Family(
         ("ks", "dist"),
-        lambda a, order: prob_multi_lah_series(a.ms, a.ks, order).egf_coeffs,
+        lambda a, order: prob_multi_lah_series(a.ms, a.ks, order).egf_column,
         composed=True,
     ),
     "prob-fubini": Family(
         ("dist", "r", "y"),
-        lambda a, order: prob_fubini_series(a.ms, a.r, a.y, order).egf_coeffs,
+        lambda a, order: prob_fubini_series(a.ms, a.r, a.y, order).egf_column,
     ),
 }
 
@@ -213,11 +225,27 @@ def _check_size(
         )
 
 
-def _table_rows(args) -> tuple[dict, list[tuple]]:
-    """The fields every row of the requested table shares, ``{family, ks,
-    dist}``, and its rows ``(n, k, value)``, with ``k`` None for a
-    one-index family.  The flags the family requires are parsed, and a
-    flag it does not use is refused."""
+def _value_strings(a, d: int) -> list[str]:
+    """The values ``a[n] / d`` (``d > 0``) as ``str(Fraction(a[n], d))``
+    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  The
+    column is reduced by its content once; when that clears the
+    denominator, each value is its numerator, and otherwise each is
+    reduced by its own gcd."""
+    g = gcd(d, *a)
+    if g != 1:
+        a = [m // g for m in a]
+        d //= g
+    if d == 1:
+        return [str(m) for m in a]
+    return [f"{m // h}/{d // h}" if (h := gcd(m, d)) != d else str(m // h) for m in a]
+
+
+def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
+    """The index tuple and the distribution label every row of the
+    requested table shares (each None when the family takes none), and its
+    rows ``(n, k, value)``, with ``k`` None for a one-index family and
+    ``value`` a canonical rational string.  The flags the family requires
+    are parsed, and a flag it does not use is refused."""
     family = FAMILIES[args.family]
     a = SimpleNamespace(ks=None, dist=None, ms=None, r=None, y=None)
     flags = vars(args)
@@ -236,44 +264,48 @@ def _table_rows(args) -> tuple[dict, list[tuple]]:
         if a.dist is not None:
             a.ms = moments(a.dist, order)
         values = family.values(a, order)
-        # str() inside the guard: a value past the int-to-str digit limit
-        # is a usage error, not a traceback
+        # rendered inside the guard: a value past the int-to-str digit
+        # limit is a usage error, not a traceback
         if family.two_index:
-            rows = [(n, k, str(values[k][n])) for n in range(order + 1) for k in range(n + 1)]
+            # column k is read from row n = k on
+            strings = [_value_strings(c[k:], d) for k, (c, d) in enumerate(values)]
+            rows = [(n, k, strings[k][n - k]) for n in range(order + 1) for k in range(n + 1)]
         else:
-            rows = [(n, None, str(value)) for n, value in enumerate(values)]
+            rows = [(n, None, value) for n, value in enumerate(_value_strings(*values))]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    shared = {
-        "family": args.family,
-        "ks": list(a.ks) if a.ks is not None else None,
-        "dist": a.dist.label if a.dist is not None else None,
-    }
-    return shared, rows
+    return a.ks, a.dist.label if a.dist is not None else None, rows
 
 
-def _report_to_dict(rep: VerificationReport) -> dict:
-    mismatch = None
-    if rep.first_mismatch is not None:
-        mismatch = {
-            "n": rep.first_mismatch.n,
-            "lhs": str(rep.first_mismatch.lhs),
-            "rhs": str(rep.first_mismatch.rhs),
-        }
-    out = {
-        "identity": rep.identity,
-        "ks": list(rep.ks) if rep.ks is not None else None,
-        "dist": rep.dist,
-        "order": rep.order,
-        "status": rep.status,
-        "first_mismatch": mismatch,
-    }
-    if rep.detail:
-        out["detail"] = rep.detail
-    return out
+def _json_ints(ks: tuple[int, ...] | None) -> str:
+    return "null" if ks is None else f"[{','.join(map(str, ks))}]"
+
+
+def _json_text(text: str | None) -> str:
+    return "null" if text is None else f'"{text}"'
+
+
+def _report_line(rep: VerificationReport) -> str:
+    """``rep`` as one compact JSON line: ``identity``, ``ks``, ``dist``,
+    ``order``, ``status``, ``first_mismatch`` (``{n, lhs, rhs}`` or null)
+    and, when it is not empty, ``detail``."""
+    m = rep.first_mismatch
+    mismatch = "null" if m is None else f'{{"n":{m.n},"lhs":"{m.lhs}","rhs":"{m.rhs}"}}'
+    detail = f',"detail":"{rep.detail}"' if rep.detail else ""
+    return (
+        f'{{"identity":"{rep.identity}","ks":{_json_ints(rep.ks)},'
+        f'"dist":{_json_text(rep.dist)},"order":{rep.order},"status":"{rep.status}",'
+        f'"first_mismatch":{mismatch}{detail}}}\n'
+    )
+
+
+def _csv_field(text: str) -> str:
+    return f'"{text}"' if "," in text else text
 
 
 def _load_grid(path: str):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -303,25 +335,19 @@ def _load_grid(path: str):
 
 def _cmd_table(args) -> int:
     _check_order_flag(args.order, args.force_order)
-    shared, rows = _table_rows(args)
-    out = sys.stdout
+    ks, dist, rows = _table_rows(args)
     if args.format == "json":
-        # the shared fields are encoded once; a value is a canonical
-        # rational string, which JSON never escapes
-        head = _JSON.encode(shared)[:-1]
-        out.writelines(
-            [
-                f'{head},"n":{n},"k":{"null" if k is None else k},"value":"{value}"}}\n'
-                for n, k, value in rows
-            ]
-        )
+        head = f'{{"family":"{args.family}","ks":{_json_ints(ks)},"dist":{_json_text(dist)}'
+        lines = [
+            f'{head},"n":{n},"k":{"null" if k is None else k},"value":"{value}"}}\n'
+            for n, k, value in rows
+        ]
     else:
-        ks = ",".join(map(str, shared["ks"] or ()))
-        head = [args.family, ks, shared["dist"] or ""]
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([*shared, "n", "k", "value"])
-        for n, k, value in rows:
-            writer.writerow([*head, n, "" if k is None else k, value])
+        ks_field = _csv_field(",".join(map(str, ks or ())))
+        head = f"{args.family},{ks_field},{_csv_field(dist or '')}"
+        lines = ["family,ks,dist,n,k,value\n"]
+        lines += [f"{head},{n},{'' if k is None else k},{value}\n" for n, k, value in rows]
+    sys.stdout.writelines(lines)
     return 0
 
 
@@ -347,7 +373,7 @@ def _cmd_verify(args) -> int:
         reports = run_full_suite(grid=grid, order=args.order, identities=identities)
         # rendered in full before any is written; a value too large for str()
         # becomes a usage error rather than a traceback after partial output
-        lines = [_JSON.encode(_report_to_dict(rep)) + "\n" for rep in reports]
+        lines = [_report_line(rep) for rep in reports]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.writelines(lines)
@@ -525,6 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # stdout goes to /dev/null so that the flush at exit writes nowhere
         # and prints nothing; the status is a SIGPIPE death's, 128 + 13
+        import os
+
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

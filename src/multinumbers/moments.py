@@ -236,7 +236,10 @@ def _raw(params: tuple, order: int) -> tuple[list[int], int]:
 
 def _binomial_args(body: str) -> tuple:
     m_text, _, p_text = body.partition(",")
-    return int(m_text), p_text
+    try:
+        return int(m_text), p_text
+    except ValueError as exc:
+        raise ValueError(f"cannot parse binomial count from {m_text!r}") from exc
 
 
 def _finite_args(body: str) -> tuple:

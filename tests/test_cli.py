@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -10,16 +12,24 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from multinumbers.classical import bernoulli_higher_series, lah, stirling1, stirling2
 from multinumbers.cli import (
-    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _check_size, _parse_argv, main,
+    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _check_size, _parse_argv, _value_strings, main,
 )
-from multinumbers.identities import default_grid
-from multinumbers.moments import parse_distribution
+from multinumbers.identities import default_grid, run_full_suite
+from multinumbers.moments import moments, parse_distribution
+from multinumbers.multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
+from multinumbers.multilog import multilog
+from multinumbers.probabilistic import (
+    prob_fubini_series, prob_lah, prob_multi_lah_series, prob_multi_stirling2_series,
+    prob_stirling2,
+)
 from oracles import argparse_namespace
 
 F = Fraction
@@ -323,6 +333,25 @@ def test_runaway_table_inputs_are_refused_before_computing(capsys, monkeypatch, 
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a denominator of 2^40000, past the size cap
+        ("table", "multilog", "--ks", "40000", "--order", "2", "--force-order"),
+        # integer values 8^5000 and p^n S(n, k) with p = 10^70, inside the
+        # size cap but past the digit limit
+        ("table", "multilog", "--ks", "-5000", "--order", "8"),
+        ("table", "prob-stirling2", "--dist", "point:1" + "0" * 70, "--order", "64"),
+    ],
+    ids=["rational", "integer", "two-index"],
+)
+def test_a_table_value_too_long_to_render_is_a_usage_error(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
 def test_force_order_overrides_the_size_cap(capsys):
     argv = ("table", "multilog", "--ks", "40000", "--order", "2")
     code, out, err = run_cli(capsys, *argv)
@@ -600,6 +629,172 @@ def test_large_table_output_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LARGE_TABLE_BYTES[argv]
 
 
+# ---------------------------------------------------------------- writers
+
+# each family's values from the library's Fraction API: a one-index family
+# as the column for n = 0..order, a two-index one as its entry at (n, k)
+ONE_INDEX_VALUES = {
+    "multilog": lambda a, order: multilog(a.ks, order).coeffs,
+    "multi-stirling1": lambda a, order: multilog(a.ks, order).egf_coeffs,
+    "multi-stirling2": lambda a, order: multi_stirling2_series(a.ks, order).egf_coeffs,
+    "multi-bernoulli": lambda a, order: multi_bernoulli_series(a.ks, order).egf_coeffs,
+    "multi-lah": lambda a, order: multi_lah_series(a.ks, order).egf_coeffs,
+    "bernoulli-higher": lambda a, order: bernoulli_higher_series(a.r, order).egf_coeffs,
+    "prob-multi-stirling2": lambda a, order: prob_multi_stirling2_series(
+        a.ms, a.ks, order
+    ).egf_coeffs,
+    "prob-multi-lah": lambda a, order: prob_multi_lah_series(a.ms, a.ks, order).egf_coeffs,
+    "prob-fubini": lambda a, order: prob_fubini_series(a.ms, a.r, a.y, order).egf_coeffs,
+}
+TWO_INDEX_VALUES = {
+    "stirling1": lambda a, n, k, order: stirling1(n, k),
+    "stirling2": lambda a, n, k, order: stirling2(n, k),
+    "lah": lambda a, n, k, order: lah(n, k),
+    "prob-stirling2": lambda a, n, k, order: prob_stirling2(a.ms, n, k, order),
+    "prob-lah": lambda a, n, k, order: prob_lah(a.ms, n, k, order),
+}
+# the raw list holds the moments 1/(n + 1) of the uniform law, up to order 7
+WRITER_INPUTS = {
+    "ks": ("2,-1,0", "-3"),
+    "dist": (
+        "binomial:3,1/3",
+        "raw:" + ",".join(str(F(1, n + 1)) for n in range(8)),
+        "finite:-4=1/2;0=1/3;5/2=1/6",
+    ),
+    "r": ("2",),
+    "y": ("-1/2",),
+}
+WRITER_CASES = [
+    (family, dict(zip(FAMILIES[family].inputs, values)), order)
+    for family in FAMILIES
+    for values in itertools.product(*[WRITER_INPUTS[flag] for flag in FAMILIES[family].inputs])
+    for order in (0, 1, 7)
+]
+
+
+def writer_records(family, inputs, order):
+    """The records of ``table family`` from the Fraction API, as dicts."""
+    a = SimpleNamespace(
+        ks=tuple(int(k) for k in inputs["ks"].split(",")) if "ks" in inputs else None,
+        dist=parse_distribution(inputs["dist"]) if "dist" in inputs else None,
+        r=int(inputs.get("r", 0)),
+        y=F(inputs.get("y", 0)),
+    )
+    a.ms = moments(a.dist, order) if a.dist else None
+    if family in TWO_INDEX_VALUES:
+        entry = TWO_INDEX_VALUES[family]
+        cells = [(n, k, entry(a, n, k, order)) for n in range(order + 1) for k in range(n + 1)]
+    else:
+        cells = [(n, None, value) for n, value in enumerate(ONE_INDEX_VALUES[family](a, order))]
+    shared = {
+        "family": family,
+        "ks": list(a.ks) if a.ks else None,
+        "dist": a.dist.label if a.dist else None,
+    }
+    return [{**shared, "n": n, "k": k, "value": str(value)} for n, k, value in cells]
+
+
+def test_the_writer_cases_cover_every_family():
+    assert {family for family, _, _ in WRITER_CASES} == set(FAMILIES)
+    assert set(ONE_INDEX_VALUES) | set(TWO_INDEX_VALUES) == set(FAMILIES)
+    assert {family for family in FAMILIES if FAMILIES[family].two_index} == set(TWO_INDEX_VALUES)
+
+
+@pytest.mark.parametrize(
+    "family, inputs, order",
+    WRITER_CASES,
+    ids=lambda v: ",".join(v.values()) if isinstance(v, dict) else str(v),
+)
+def test_table_lines_are_the_json_and_csv_of_their_records(capsys, family, inputs, order):
+    argv = ["table", family, *[f"--{flag}={value}" for flag, value in inputs.items()]]
+    argv += ["--order", str(order)]
+    records = writer_records(family, inputs, order)
+    assert run_cli(capsys, *argv) == (
+        0, "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records), ""
+    )
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(["family", "ks", "dist", "n", "k", "value"])
+    for rec in records:
+        ks = ",".join(map(str, rec["ks"] or ()))
+        k = "" if rec["k"] is None else rec["k"]
+        writer.writerow([rec["family"], ks, rec["dist"] or "", rec["n"], k, rec["value"]])
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, rows.getvalue(), "")
+
+
+def report_record(rep):
+    """A verification report as the dict its JSON line encodes."""
+    mismatch = rep.first_mismatch
+    record = {
+        "identity": rep.identity,
+        "ks": list(rep.ks) if rep.ks is not None else None,
+        "dist": rep.dist,
+        "order": rep.order,
+        "status": rep.status,
+        "first_mismatch": None if mismatch is None else {
+            "n": mismatch.n, "lhs": str(mismatch.lhs), "rhs": str(mismatch.rhs)
+        },
+    }
+    if rep.detail:
+        record["detail"] = rep.detail
+    return record
+
+
+def verify_lines(reports):
+    return "".join(json.dumps(report_record(rep), separators=(",", ":")) + "\n" for rep in reports)
+
+
+def test_verify_lines_are_the_json_of_their_reports(capsys):
+    reports = run_full_suite(order=12)
+    assert collections.Counter(rep.status for rep in reports) == {
+        "pass": 452, "expected-discrepancy": 59
+    }
+    assert run_cli(capsys, "verify", "--order", "12") == (
+        0, verify_lines(reports), "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n"
+    )
+
+
+def test_verify_grid_lines_are_the_json_of_their_reports(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(IRREGULAR_GRID))
+    grid = [(parse_distribution(cell["dist"]), tuple(cell["ks"])) for cell in IRREGULAR_GRID]
+    reports = run_full_suite(grid=grid, order=12)
+    # a skipped report and an expected discrepancy carry a detail
+    assert {rep.status for rep in reports if rep.detail} == {"skipped", "expected-discrepancy"}
+    code, out, _ = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "12")
+    assert (code, out) == (0, verify_lines(reports))
+
+
+def test_a_failure_report_line_is_the_json_of_its_report(capsys, monkeypatch):
+    from multinumbers import cli
+    from multinumbers.report import Mismatch, VerificationReport
+
+    reports = [
+        VerificationReport("fubini-convolution", 4, (2, -1), "raw:1,1/2", "fail",
+                           Mismatch(3, F(-7, 2), F(0)), "a detail"),
+        VerificationReport("derivative-rules", 0),
+    ]
+    monkeypatch.setattr(cli, "run_full_suite", lambda **kwargs: reports)
+    code, out, _ = run_cli(capsys, "verify", "--order", "4")
+    assert (code, out) == (1, verify_lines(reports))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**4000), 2**4000)),
+        max_size=6,
+    ),
+    st.one_of(st.just(1), st.integers(1, 50), st.integers(1, 2**4000)),
+    st.one_of(st.just(1), st.integers(1, 2**64)),
+)
+def test_value_strings_are_the_fraction_strings(a, d, content):
+    # a common factor of the column and its denominator exercises the
+    # content reduction; d = 1 the integer path
+    a, d = [m * content for m in a], d * content
+    assert _value_strings(a, d) == [str(F(m, d)) for m in a]
+
+
 # not a product of distributions and tuples, with a duplicated cell, a
 # negative index and a mean-zero point mass (which skips bernoulli-convolution)
 IRREGULAR_GRID = [
@@ -698,11 +893,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses pulls in inspect, ast, dis and tokenize; argparse pulls in
 # gettext and locale, and its help formatter shutil, which pulls in zlib,
-# bz2, lzma and fnmatch.  None of them is needed to run the command line,
-# and each costs cold-start time.
+# bz2, lzma and fnmatch.  json and csv are needed only to read a --grid
+# file or as writers, and os only when stdout's reader has gone.  None of
+# them is needed to run these commands, and each costs cold-start time.
 HEAVY_IMPORTS = (
     "dataclasses", "typing", "inspect", "ast", "dis", "tokenize",
     "argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch",
+    "json", "csv", "os",
 )
 
 
@@ -711,6 +908,7 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
         "import sys\n"
         "from multinumbers.cli import main\n"
         "assert main(['table', 'stirling2', '--order', '0']) == 0\n"
+        "assert main(['table', 'prob-lah', '--dist', 'binomial:2,1/2', '--format', 'csv']) == 0\n"
         "assert main(['verify', '--order', '0']) == 0\n"
         f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules), file=sys.stderr)"
     )
@@ -723,13 +921,28 @@ def test_cli_import_stays_off_the_heavy_stdlib_modules():
     assert proc.stderr.splitlines()[-1].split() == []
 
 
-def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141():
+# under -m, runpy has loaded os before the program starts; under -S -c
+# nothing has, so the handler's own import of os runs
+PIPE_RUNNERS = {
+    "m": ["-m", "multinumbers"],
+    "S-c": [
+        "-S", "-c",
+        "import sys\n"
+        "from multinumbers.cli import main\n"
+        "assert 'os' not in sys.modules\n"
+        "sys.exit(main())",
+    ],
+}
+
+
+@pytest.mark.parametrize("runner", PIPE_RUNNERS)
+def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141(runner):
     # about 130 KB, more than a pipe holds, so a write fails once the reader
     # has closed its end after the first line
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "multinumbers", "table", "stirling2", "--order", "60"],
+        [sys.executable, *PIPE_RUNNERS[runner], "table", "stirling2", "--order", "60"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     first = proc.stdout.readline()

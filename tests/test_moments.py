@@ -337,7 +337,8 @@ def _invalid(text, reason):
         (" POINT :1", "unknown distribution kind 'POINT'"),
         _invalid("point:x", "cannot parse point mass location from 'x'"),
         _invalid("bernoulli:0", "bernoulli parameter must lie in (0, 1], got 0"),
-        _invalid("binomial:x,1/2", "invalid literal for int() with base 10: 'x'"),
+        _invalid("binomial:x,1/2", "cannot parse binomial count from 'x'"),
+        _invalid("binomial:1.0,1/2", "cannot parse binomial count from '1.0'"),
         _invalid("binomial:0,1/2", "binomial count must be a positive integer, got 0"),
         _invalid("binomial:3,2", "binomial parameter must lie in (0, 1], got 2"),
         _invalid("binomial:3", "cannot parse binomial parameter from ''"),
