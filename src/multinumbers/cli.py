@@ -13,15 +13,16 @@ pulls in ``gettext``, ``locale``, ``shutil`` and the compression modules
 behind it, which cost more cold-start time than an order-64 table takes
 to compute.
 
-Every family hands ``table`` integer columns ``(a, d)``, the values
-``a[n] / d``, and each value is written as the canonical string of that
-rational (``a`` or ``a/b``, as ``str(Fraction(a[n], d))`` gives it, never
-a float) with no ``Fraction`` made.  JSON lines and CSV rows are written
-with f-strings: every string in them is a family name, an identity id, a
-canonical distribution label, a fixed detail sentence or a rational, none
-of which JSON escapes, and only a field holding a comma needs the quotes
-``csv.writer`` would put round it.  So ``json`` is imported only to read a
-``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
+Every family hands ``table`` integer columns ``(a, d)`` in lowest terms,
+the values ``a[n] / d``, and each value is reduced by its own gcd and
+written as the canonical string of that rational (``a`` or ``a/b``, as
+``str(Fraction(a[n], d))`` gives it, never a float) with no ``Fraction``
+made.  JSON lines and CSV rows are written with f-strings: every string
+in them is a family name, an identity id, a canonical distribution
+label, a fixed detail sentence or a rational, none of which JSON
+escapes, and only a field holding a comma needs the quotes
+``csv.writer`` would put round it.  So ``json`` is imported only to read
+a ``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
 fixed flags.  Exit status:
 0 success (and ``--help``), 1 verification failure, 2 usage error, with one
 ``error:`` line on stderr, 141 when stdout is a pipe whose reader has gone
@@ -67,8 +68,8 @@ class Family(
     checks them in that order and refuses the others.  ``values(args,
     order)`` maps the parsed inputs (a ``SimpleNamespace``) and the order
     to the integer column ``(a, d)`` of the values ``a[n] / d`` for
-    n = 0..order (``d > 0``, not necessarily in lowest terms) or, for a
-    ``two_index`` family, to one such column per k = 0..order.
+    n = 0..order (``d > 0``, in lowest terms) or, for a ``two_index``
+    family, to one such column per k = 0..order.
     ``composed`` marks a family whose value at n sums the
     multiple-logarithm coefficients of every chain end m <= n, so that its
     denominators grow like lcm(1..n)^k rather than n^k.
@@ -191,8 +192,7 @@ def _param_bits(value) -> int:
     parameter or a nested tuple of them."""
     if isinstance(value, tuple):
         return max([_param_bits(v) for v in value], default=0)
-    q = Fraction(value)
-    return max(q.numerator.bit_length(), q.denominator.bit_length())
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
 
 
 def _check_size(
@@ -227,14 +227,9 @@ def _check_size(
 
 def _value_strings(a, d: int) -> list[str]:
     """The values ``a[n] / d`` (``d > 0``) as ``str(Fraction(a[n], d))``
-    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  The
-    column is reduced by its content once; when that clears the
-    denominator, each value is its numerator, and otherwise each is
-    reduced by its own gcd."""
-    g = gcd(d, *a)
-    if g != 1:
-        a = [m // g for m in a]
-        d //= g
+    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  Each
+    value is reduced by its own gcd, so any column is written exactly; over
+    ``d = 1`` each value is its numerator."""
     if d == 1:
         return [str(m) for m in a]
     return [f"{m // h}/{d // h}" if (h := gcd(m, d)) != d else str(m // h) for m in a]

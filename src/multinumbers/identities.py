@@ -164,17 +164,17 @@ def _triangle_comparison(lhs: Triangle, rhs: Triangle, top: int) -> tuple:
 
 def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
     """sum_{m=0}^{n} C(n, m) a[m] b[n-m] for n = 0..top (none when top < 0):
-    the EGF product of the columns ``a`` and ``b``, each Pascal row formed
-    from the one above by addition."""
+    the EGF product of the columns ``a`` and ``b``, with ``C(n, m)`` carried
+    along each row by ``C(n, m + 1) = C(n, m) (n - m) / (m + 1)``."""
     sums = [0] * (top + 1)
-    row = [1]
     for n in range(top + 1):
         acc = 0
-        for m, c in enumerate(row):
+        c = 1
+        for m in range(n + 1):
             if a[m]:
                 acc += c * a[m] * b[n - m]
+            c = c * (n - m) // (m + 1)
         sums[n] = acc
-        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
     return sums
 
 
@@ -205,11 +205,11 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     if order == 0:
         return _verdict("derivative-rules", order, (), ks)
     derivative = multilog(ks, order).derivative()
-    lowered = ks[:-1] + (ks[-1] - 1,)
-    rhs = multilog(lowered, order).divide(Series.t(order), 1)
-    # each side is the column of ordinary coefficients of a series
+    lowered = multilog(ks[:-1] + (ks[-1] - 1,), order)
+    # each side is a column of ordinary coefficients; dividing by t is the
+    # shift that reads the lowered multilog from its t^1 term on
     lhs = derivative._num, derivative._den
-    comparisons = [(lhs, (rhs._num, rhs._den), range(order), "index-lowering rule")]
+    comparisons = [(lhs, (lowered._num[1:], lowered._den), range(order), "index-lowering rule")]
     if ks[-1] == 1:
         prefix = ks[:-1]
         tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)

@@ -30,18 +30,18 @@ is formed only up to ``t^(N - start)``: each giant step is a truncated
 product, written out in ``compose`` and reduced once, that skips the
 ``k`` leading zeros of ``g^k``, and the steps shrink from the last block
 to the first.  The powers come from :func:`powers`, one memo per series
-value, and the block size from that memo.  A first composition with ``g``
-takes ``k = isqrt(N) + 1``, about ``2 sqrt(N)`` products and steps
-instead of ``N`` products.  Once the memo holds ``g^k``, a later
-composition with an equal ``g`` extends it to ``g^N`` and takes
-``k = N + 1``: one block,
-the product by the Riordan array ``(1, g)`` (Shapiro et al., 1991), and
-no series product once the memo is full.  ``verify`` on the default grid
-composes 14 distinct inner series 147 times, at any order, and this rule
-about halves cold
-``verify --order 64`` (3.05 to 1.58 s, medians of 4 alternating pairs on a
-2-vCPU Xeon VM, CPython 3.11.7); a single ``table`` composes each inner
-once and does the same work as with ``k`` fixed.
+value and the only store of them, and the block size from that memo's
+length.  A first composition with ``g`` takes ``k = isqrt(N) + 1``, about
+``2 sqrt(N)`` products and steps instead of ``N`` products.  Once the
+memo holds ``g^k``, a later composition with an equal ``g`` extends it
+to ``g^N`` and takes ``k = N + 1``: one block, the product by the
+Riordan array ``(1, g)`` (Shapiro et al., 1991), and no series product
+once the memo is full.  ``verify`` on the default grid composes 14
+distinct inner series 147 times, at any order, and this rule about
+halves cold ``verify --order 64`` (3.05 to 1.58 s, medians of 4
+alternating pairs on a 2-vCPU Xeon VM, CPython 3.11.7); a single
+``table`` composes each inner once and does the same work as with ``k``
+fixed.
 
 ``exp``, ``log`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)``, the same for ``t b'`` against ``a``,
@@ -51,12 +51,12 @@ gcd, and the shared denominator is rescaled only when it must grow.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` come
 from one table built once per series, :attr:`Series.egf_column`: the
-integer numerators ``n! m_n`` over the series denominator ``d``.  The
-identity checks sum and compare those integers directly;
-:attr:`Series.egf_coeffs` and :meth:`Series.egf_coeff` read the same
-table as ``Fraction`` values, built afresh on each read.  Storage stays
-in ordinary form so that products and compositions need no factorial
-bookkeeping.
+integer numerators ``n! m_n`` over ``d``, reduced once by their content,
+so that the column is in lowest terms like the series.  The identity
+checks sum and compare those integers directly; :attr:`Series.egf_coeffs`
+and :meth:`Series.egf_coeff` read the same table as ``Fraction`` values,
+built afresh on each read.  Storage stays in ordinary form so that
+products and compositions need no factorial bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
 series may be shared freely across threads; the one cached table,
@@ -127,7 +127,8 @@ def _from_egf_column(num: list[int], den: int) -> "Series":
 
 def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer columns ``(a, d)``, each standing for the values ``a[n] / d``,
-    rescaled to one denominator, the lcm of theirs: ``(numerators, lcm)``."""
+    rescaled to one denominator, the lcm of theirs: ``(numerators, lcm)``,
+    in lowest terms when every column is."""
     den = lcm(*[d for _, d in columns])
     return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
 
@@ -224,8 +225,8 @@ class Series:
     @property
     def egf_column(self) -> tuple[tuple[int, ...], int]:
         """EGF coefficients as integers over one denominator: ``(a, d)`` with
-        ``n! c_n = a[n] / d`` for n = 0..order; ``d`` is the series
-        denominator, so ``a[n] / d`` need not be in lowest terms."""
+        ``n! c_n = a[n] / d`` for n = 0..order, in lowest terms
+        (``gcd(d, *a) == 1``), so equal EGF values give equal columns."""
         column = self._egf
         if column is None:
             a = list(self._num)
@@ -234,7 +235,10 @@ class Series:
                 if n > 1:
                     fact *= n
                     a[n] = m * fact
-            column = self._egf = (tuple(a), self._den)
+            g = gcd(self._den, *a)
+            if g != 1:
+                a = [m // g for m in a]
+            column = self._egf = (tuple(a), self._den // g)
         return column
 
     @property
@@ -331,16 +335,15 @@ class Series:
 
     def __pow__(self, exponent: int) -> "Series":
         _check_natural(exponent, "series exponent")
-        result = Series.one(self.order)
-        base = self
-        e = exponent
+        result = None
+        base, e = self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return Series.one(self.order) if result is None else result
 
     # ------------------------------------------------------------ transcendental
 
@@ -411,17 +414,12 @@ class Series:
         if inner._num[0] != 0:
             raise ValueError("composition requires a zero inner constant term")
         n = self.order
-        memo, baby_steps = _power_memo(inner)
         k = isqrt(n) + 1
-        if len(memo) > k:
+        if len(_power_memo(inner)) > k:
             k = n + 1
-        baby = baby_steps.get(k)
-        if baby is None:
-            # the giant step g^k is read only when there is a second block, k <= n
-            steps = powers(inner, min(k, n))
-            den = lcm(*[steps[i]._den for i in range(k)])
-            baby = baby_steps[k] = ([(steps[i]._num, den // steps[i]._den) for i in range(k)], den)
-        rows, den = baby
+        # the giant step g^k is read only when there is a second block, k <= n
+        memo = powers(inner, min(k, n))
+        den = lcm(*[memo[i]._den for i in range(k)])
         block_den = den * self._den
         f = self._num
         result = None
@@ -447,8 +445,8 @@ class Series:
             fb = step_den // block_den
             for i, c in enumerate(f[start : start + k]):
                 if c:
-                    row, scale = rows[i]
-                    c *= scale * fb
+                    c *= den // memo[i]._den * fb
+                    row = memo[i]._num
                     for m in range(i, top + 1):
                         acc[m] += c * row[m]
             result = _make(acc, step_den)
@@ -496,20 +494,16 @@ class Series:
 
 
 @lru_cache(maxsize=None)
-def _power_memo(
-    g: Series,
-) -> tuple[dict[int, Series], dict[int, tuple[list[tuple[tuple[int, ...], int]], int]]]:
-    """The memo of powers ``{j: g^j}`` of the value ``g`` and, beside it, the
-    baby steps ``compose`` reads, by block size ``k``: ``(rows, d)`` with
-    ``d`` the lcm of the denominators of ``g^0 .. g^(k-1)`` and ``rows[i]``
-    the numerators of ``g^i`` with the factor that brings them over ``d``."""
-    return {0: Series.one(g.order), 1: g}, {}
+def _power_memo(g: Series) -> dict[int, Series]:
+    """The memo of powers ``{j: g^j}`` of the value ``g``, the only store of
+    them: equal series share one memo."""
+    return {0: Series.one(g.order), 1: g}
 
 
 def powers(g: Series, k: int) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, filled upward in a loop
     to j = k at least.  Threads that fill a power store equal values."""
-    memo = _power_memo(g)[0]
+    memo = _power_memo(g)
     for j in range(len(memo), k + 1):
         memo[j] = memo[j - 1] * g
     return memo

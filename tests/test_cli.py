@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from multinumbers.classical import bernoulli_higher_series, lah, stirling1, stirling2
 from multinumbers.cli import (
-    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _check_size, _parse_argv, _value_strings, main,
+    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _PARSERS, _check_size, _parse_argv, _value_strings,
+    main,
 )
 from multinumbers.identities import default_grid, run_full_suite
 from multinumbers.moments import moments, parse_distribution
@@ -509,6 +511,11 @@ PINNED_VERIFY_BYTES = [
         "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
     ),
     (
+        ("verify", "--order", "64"),
+        "2eb48a48f623d5e2b95614770feeca5f444f42f346e996fd740cabc0256434a9",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+    ),
+    (
         ("verify", "--list-identities"),
         "b81f37cb992b80ad15ff0860f6f0df749b4c375b01cf82d53e3256d1a68fdec1",
         "",
@@ -722,6 +729,23 @@ def test_table_lines_are_the_json_and_csv_of_their_records(capsys, family, input
     assert run_cli(capsys, *argv, "--format", "csv") == (0, rows.getvalue(), "")
 
 
+@pytest.mark.parametrize(
+    "family, inputs, order",
+    WRITER_CASES,
+    ids=lambda v: ",".join(v.values()) if isinstance(v, dict) else str(v),
+)
+def test_family_value_columns_are_in_lowest_terms(family, inputs, order):
+    args = _parse_argv(["table", family, *[f"--{flag}={value}" for flag, value in inputs.items()]])
+    a = SimpleNamespace(ks=None, dist=None, ms=None, r=None, y=None)
+    for flag in inputs:
+        setattr(a, flag, _PARSERS[flag](getattr(args, flag)))
+    if a.dist is not None:
+        a.ms = moments(a.dist, order)
+    values = FAMILIES[family].values(a, order)
+    for column, d in values if FAMILIES[family].two_index else [values]:
+        assert d > 0 and gcd(d, *column) == 1
+
+
 def report_record(rep):
     """A verification report as the dict its JSON line encodes."""
     mismatch = rep.first_mismatch
@@ -789,8 +813,8 @@ def test_a_failure_report_line_is_the_json_of_its_report(capsys, monkeypatch):
     st.one_of(st.just(1), st.integers(1, 2**64)),
 )
 def test_value_strings_are_the_fraction_strings(a, d, content):
-    # a common factor of the column and its denominator exercises the
-    # content reduction; d = 1 the integer path
+    # the writer stays exact on a column that is not in lowest terms: a
+    # common factor of the column and its denominator; d = 1 the integer path
     a, d = [m * content for m in a], d * content
     assert _value_strings(a, d) == [str(F(m, d)) for m in a]
 
