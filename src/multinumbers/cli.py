@@ -13,16 +13,17 @@ pulls in ``gettext``, ``locale``, ``shutil`` and the compression modules
 behind it, which cost more cold-start time than an order-64 table takes
 to compute.
 
-Every family hands ``table`` integer columns ``(a, d)`` in lowest terms,
-the values ``a[n] / d``, and each value is reduced by its own gcd and
-written as the canonical string of that rational (``a`` or ``a/b``, as
-``str(Fraction(a[n], d))`` gives it, never a float) with no ``Fraction``
-made.  JSON lines and CSV rows are written with f-strings: every string
-in them is a family name, an identity id, a canonical distribution
-label, a fixed detail sentence or a rational, none of which JSON
-escapes, and only a field holding a comma needs the quotes
-``csv.writer`` would put round it.  So ``json`` is imported only to read
-a ``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
+Every family hands ``table`` integers in lowest terms, a column ``(a, d)``
+of the values ``a[n] / d`` or, for a two-index family, a triangle
+``(columns, d)`` over one denominator.  Each value is reduced by its own
+gcd and written as the canonical string of that rational (``a`` or
+``a/b``, as ``str(Fraction(a[n], d))`` gives it, never a float) with no
+``Fraction`` made.  JSON lines and CSV rows are written with f-strings:
+every string in them is a family name, an identity id, a canonical
+distribution label, a fixed detail sentence or a rational, none of which
+JSON escapes, and only a field holding a comma needs the quotes
+``csv.writer`` would put round it.  So ``json`` is imported only to read a
+``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
 fixed flags.  Exit status:
 0 success (and ``--help``), 1 verification failure, 2 usage error, with one
 ``error:`` line on stderr, 141 when stdout is a pipe whose reader has gone
@@ -39,15 +40,14 @@ from types import SimpleNamespace
 
 from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
-from .moments import DistributionSpec, moments, parse_distribution
+from .moments import DistributionSpec, mgf, moments, parse_distribution, resolvent
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import multilog
 from .probabilistic import (
+    _power_triangle,
     prob_fubini_series,
-    prob_lah_series,
     prob_multi_lah_series,
     prob_multi_stirling2_series,
-    prob_stirling2_series,
 )
 from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
 
@@ -69,7 +69,9 @@ class Family(
     order)`` maps the parsed inputs (a ``SimpleNamespace``) and the order
     to the integer column ``(a, d)`` of the values ``a[n] / d`` for
     n = 0..order (``d > 0``, in lowest terms) or, for a ``two_index``
-    family, to one such column per k = 0..order.
+    family, to one triangle ``(columns, d)`` of the values
+    ``columns[k][n] / d`` for n, k = 0..order, in lowest terms as a whole:
+    ``(_columns(weights, order), 1)`` or ``_power_triangle`` at M or R.
     ``composed`` marks a family whose value at n sums the
     multiple-logarithm coefficients of every chain end m <= n, so that its
     denominators grow like lcm(1..n)^k rather than n^k.
@@ -81,14 +83,6 @@ class Family(
 def _multilog_column(a, order: int) -> tuple[tuple[int, ...], int]:
     series = multilog(a.ks, order)
     return series._num, series._den
-
-
-def _triangle_columns(weights, order: int) -> list[tuple[tuple[int, ...], int]]:
-    return [(column, 1) for column in _columns(weights, order)]
-
-
-def _power_columns(series, ms, order: int) -> list[tuple[tuple[int, ...], int]]:
-    return [series(ms, k, order).egf_column for k in range(order + 1)]
 
 
 FAMILIES: dict[str, Family] = {
@@ -103,16 +97,14 @@ FAMILIES: dict[str, Family] = {
     "multi-lah": Family(
         ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_column, composed=True
     ),
-    "stirling1": Family((), lambda a, order: _triangle_columns(_FIRST, order), two_index=True),
-    "stirling2": Family((), lambda a, order: _triangle_columns(_SECOND, order), two_index=True),
-    "lah": Family((), lambda a, order: _triangle_columns(_LAH, order), two_index=True),
+    "stirling1": Family((), lambda a, order: (_columns(_FIRST, order), 1), two_index=True),
+    "stirling2": Family((), lambda a, order: (_columns(_SECOND, order), 1), two_index=True),
+    "lah": Family((), lambda a, order: (_columns(_LAH, order), 1), two_index=True),
     "bernoulli-higher": Family(
         ("r",), lambda a, order: bernoulli_higher_series(a.r, order).egf_column
     ),
     "prob-stirling2": Family(
-        ("dist",),
-        lambda a, order: _power_columns(prob_stirling2_series, a.ms, order),
-        two_index=True,
+        ("dist",), lambda a, order: _power_triangle(mgf(a.ms, order)), two_index=True
     ),
     "prob-multi-stirling2": Family(
         ("ks", "dist"),
@@ -120,9 +112,7 @@ FAMILIES: dict[str, Family] = {
         composed=True,
     ),
     "prob-lah": Family(
-        ("dist",),
-        lambda a, order: _power_columns(prob_lah_series, a.ms, order),
-        two_index=True,
+        ("dist",), lambda a, order: _power_triangle(resolvent(a.ms, order)), two_index=True
     ),
     "prob-multi-lah": Family(
         ("ks", "dist"),
@@ -263,7 +253,8 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
         # limit is a usage error, not a traceback
         if family.two_index:
             # column k is read from row n = k on
-            strings = [_value_strings(c[k:], d) for k, (c, d) in enumerate(values)]
+            columns, d = values
+            strings = [_value_strings(c[k:], d) for k, c in enumerate(columns)]
             rows = [(n, k, strings[k][n - k]) for n in range(order + 1) for k in range(n + 1)]
         else:
             rows = [(n, None, value) for n, value in enumerate(_value_strings(*values))]

@@ -15,7 +15,8 @@ each, in ``int`` arithmetic: a binomial convolution
 sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
 (:func:`_binomial_sums`), or a lower-triangular array applied to a
 vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
-exponential Riordan array (1, M - 1) of the {n; j}_Y triangle.  The
+exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
+:func:`probabilistic._power_triangle` like the entries and ``table``.  The
 first-kind weights of ``first-kind-inversion`` are not such a sum: they
 are the column :func:`multilog._f_column` that the deterministic
 families are built from.
@@ -54,11 +55,13 @@ from .moments import (
     moments,
     point,
     poisson,
+    resolvent,
 )
 from .multi import li_argument, multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import _f_column, index_tuple, multilog
 from .probabilistic import (
     _moment_route_columns,
+    _power_triangle,
     prob_fubini_series,
     prob_lah_series,
     prob_multi_lah_series,
@@ -72,7 +75,7 @@ from .report import (
     Mismatch,
     VerificationReport,
 )
-from .series import Series, _check_natural, _over_lcm, geometric, neg_log1m
+from .series import Series, _check_natural, geometric, neg_log1m
 
 __all__ = [
     "ALL_IDENTITIES",
@@ -251,18 +254,11 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
     return _verdict("append-one-deterministic", order, [(lhs, rhs, range(order), "")], prefix)
 
 
-@lru_cache(maxsize=None)
-def _second_kind_columns(ms: MomentSequence, order: int) -> Triangle:
-    """The {n; k}_Y triangle over one denominator: column k holds the
-    numerators of {0; k}_Y .. {order; k}_Y."""
-    return _over_lcm([prob_stirling2_series(ms, k, order).egf_column for k in range(order + 1)])
-
-
 def _second_kind_sums(ms: MomentSequence, weights: Column, order: int) -> Column:
     """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``:
     the exponential Riordan array (1, M - 1) applied to ``w``."""
     w, dw = weights
-    cols, den = _second_kind_columns(ms, order)
+    cols, den = _power_triangle(mgf(ms, order))
     return _triangle_sums(cols, w, len(w) - 1), dw * den
 
 
@@ -282,7 +278,7 @@ def _single_index_sides(
         cols, den = _columns(_SECOND, order), 1
         weights = ((1,) * (order + 1), 1)
     else:
-        cols, den = _second_kind_columns(ms, order)
+        cols, den = _power_triangle(mgf(ms, order))
         weights = ms.column
     tail = (cols[r], den)
     (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights, order)
@@ -488,7 +484,7 @@ def check_route_agreement(
     probabilistic second-kind numbers (n capped at 10)."""
     _check_natural(order)
     top = min(order, 10)
-    lhs, rhs = _second_kind_columns(ms, order), _moment_route_columns(ms, top)
+    lhs, rhs = _power_triangle(mgf(ms, order)), _moment_route_columns(ms, top)
     comparison = _triangle_comparison(lhs, rhs, top)
     return _verdict("second-kind-route-agreement", order, [comparison], None, dist)
 
@@ -553,8 +549,7 @@ def check_all_ones_probabilistic(
 def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     """At Y = point(1) the single-index probabilistic families are classical."""
     ms = moments(point(1), order)
-    second = _second_kind_columns(ms, order)
-    lah = _over_lcm([prob_lah_series(ms, k, order).egf_column for k in range(order + 1)])
+    second, lah = _power_triangle(mgf(ms, order)), _power_triangle(resolvent(ms, order))
     return [
         _verdict(identity, order, [_triangle_comparison(prob, classical, order)], None, "point:1")
         for identity, prob, classical in (
@@ -680,14 +675,18 @@ def run_full_suite(
     """Run every check over the grid and return reports in canonical order.
 
     ``identities`` optionally restricts the run to a subset of
-    :data:`ALL_IDENTITIES`.  Identical inputs produce identical report
-    lists; grid cells are independent, so the ordering never depends on
-    evaluation strategy.
+    :data:`ALL_IDENTITIES`, a collection of ids (a lone string is refused).
+    ``order`` is checked even for an empty grid.  Identical inputs give
+    identical report lists; grid cells are independent, so the ordering
+    never depends on evaluation strategy.
     """
+    _check_natural(order)
     if grid is None:
         grid = default_grid()
     if identities is None:
         wanted = set(ALL_IDENTITIES)
+    elif isinstance(identities, str):
+        raise ValueError(f"identities must be a collection of identity ids, got {identities!r}")
     else:
         wanted = set(identities)
         unknown = wanted.difference(ALL_IDENTITIES)

@@ -26,10 +26,9 @@ Each transform is :func:`classical._transform` on integer numerators, a
 product by the exponential Riordan arrays (1, e^t - 1) and
 (1, 1 - e^(-t)) (Shapiro et al., 1991) that multiplies by small ints only.
 
-The probabilistic families evaluate the shape Li_ks(1 - e^(1 - u)) at the
-moment series u = M and u = R by composition: :func:`_li_family` caches
-it once per ``(ks, u)``, keyed on the value of ``u``, so equal series
-share one entry whichever family asks.
+The probabilistic multi families are Li_ks(1 - e^(1 - u)) at the moment
+series u = M and u = R, composed with :func:`li_argument` in
+``probabilistic``.
 """
 
 from __future__ import annotations
@@ -63,13 +62,6 @@ def li_argument(u: Series) -> Series:
     if u._num[0] != u._den:
         raise ValueError("li_argument requires a unit constant term")
     return 1 - (1 - u).exp()
-
-
-@lru_cache(maxsize=None)
-def _li_family(ks: tuple[int, ...], u: Series) -> Series:
-    """Li_ks(1 - e^(1 - u)) at the order of ``u``, by composition: the
-    probabilistic multi second kind at u = M and multi Lah at u = R."""
-    return multilog(ks, u.order).compose(li_argument(u))
 
 
 @lru_cache(maxsize=None, typed=True)

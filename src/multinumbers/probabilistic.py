@@ -10,13 +10,15 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
     multi Lah            n! [t^n] Li(1 - e^(1 - R))
     Fubini, order r      n! [t^n] (1 - y (M - 1))^(-r)
 
-So there are two shapes, each evaluated at a series u: the two multi
-families are Li(1 - e^(1 - u)), cached in ``multi`` per (ks, u), and the
-two single-index families are (u - 1)^k / k!, the columns of the
-exponential Riordan array (1, u - 1), cached here per (u, k).  Both
-caches are keyed on the value of u, so equal moment series share one
-entry.  At Y = point(1), where M = e^t, the multi second kind equals the
-deterministic one, which ``multi`` builds apart by Stirling transforms.
+So there are two shapes, each evaluated at a series u and cached here on
+the value of u, so equal moment series share one entry: the multi
+families are Li_ks(1 - e^(1 - u)), per (ks, u) in :func:`_li_family`, and
+the single-index ones (u - 1)^k / k!, the columns of the exponential
+Riordan array (1, u - 1) (Shapiro et al., 1991), one integer triangle per
+u, :func:`_power_triangle`, which the entries, the identity checks and
+``table`` all read.  At Y = point(1), where M = e^t, the multi second
+kind equals the deterministic one, which ``multi`` builds apart by
+Stirling transforms.
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
@@ -31,9 +33,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .moments import MomentSequence, _rational, mgf, resolvent
-from .multi import _li_family
-from .multilog import index_tuple
-from .series import Series, _check_entry, _check_natural, _make, _over_lcm, powers
+from .multi import li_argument
+from .multilog import index_tuple, multilog
+from .series import Series, _check_entry, _check_natural, _from_egf_column, _make, _over_lcm, powers
 
 __all__ = [
     "prob_stirling2",
@@ -51,32 +53,46 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _gap(u: Series) -> Series:
-    """u - 1, the one series whose powers the single-index families read."""
-    return u - 1
+def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The exponential Riordan array (1, u - 1) at the order N of ``u``, as
+    ``(columns, d)``: column k holds the EGF numerators of (u - 1)^k / k!
+    for n = 0..N over the one denominator ``d``, in lowest terms.  The
+    powers are read from the memo of powers of ``u - 1``; with u_0 = 1
+    column k vanishes above row n = k."""
+    memo = powers(u - 1, u.order)
+    return _over_lcm(
+        [_make(memo[k]._num, memo[k]._den * factorial(k)).egf_column for k in range(u.order + 1)]
+    )
+
+
+def _power_column(u: Series, k: int) -> tuple[tuple[int, ...], int]:
+    """Column k of :func:`_power_triangle`, the EGF numerators of
+    (u - 1)^k / k! over its denominator; all zero for k > N, where the
+    power vanishes mod t^(N+1) and no triangle is read."""
+    if _check_natural(k, "k") > u.order:
+        return (0,) * (u.order + 1), 1
+    columns, d = _power_triangle(u)
+    return columns[k], d
 
 
 @lru_cache(maxsize=None)
-def _power_family(u: Series, k: int) -> Series:
-    """(u - 1)^k / k!, column k of the exponential Riordan array (1, u - 1);
-    the power is read from the memo of powers of ``u - 1``.  With u_0 = 1
-    the power vanishes mod t^(N+1) for k > N, and the memo stays short."""
-    if k > u.order:
-        return Series.zero(u.order)
-    power = powers(_gap(u), k)[k]
-    return _make(power._num, power._den * factorial(k))
+def _li_family(ks: tuple[int, ...], u: Series) -> Series:
+    """Li_ks(1 - e^(1 - u)) at the order of ``u``, by composition: the
+    multi second kind at u = M and multi Lah at u = R."""
+    return multilog(ks, u.order).compose(li_argument(u))
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(M - 1)^k / k!."""
-    _check_natural(k, "k")
-    return _power_family(mgf(ms, order), k)
+    a, d = _power_column(mgf(ms, order), k)
+    return _from_egf_column(list(a), d)
 
 
 def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
     """Probabilistic Stirling number of the second kind (EGF route)."""
     order = _check_entry(n, order)
-    return prob_stirling2_series(ms, k, order).egf_coeff(n)
+    a, d = _power_column(mgf(ms, order), k)
+    return Fraction(a[n], d)
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +152,15 @@ def prob_multi_stirling2(ms: MomentSequence, ks, n: int, order: int | None = Non
 
 def prob_lah_series(ms: MomentSequence, k: int, order: int) -> Series:
     """(R - 1)^k / k!."""
-    _check_natural(k, "k")
-    return _power_family(resolvent(ms, order), k)
+    a, d = _power_column(resolvent(ms, order), k)
+    return _from_egf_column(list(a), d)
 
 
 def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fraction:
     """Probabilistic Lah number, n! [t^n] (R - 1)^k / k!."""
     order = _check_entry(n, order)
-    return prob_lah_series(ms, k, order).egf_coeff(n)
+    a, d = _power_column(resolvent(ms, order), k)
+    return Fraction(a[n], d)
 
 
 def prob_multi_lah_series(ms: MomentSequence, ks, order: int) -> Series:
@@ -159,7 +176,7 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
 
 @lru_cache(maxsize=None)
 def _fubini_series(u: Series, r: int, y: Fraction) -> Series:
-    return ((1 - y * _gap(u)) ** r).inverse()
+    return ((1 - y * (u - 1)) ** r).inverse()
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:

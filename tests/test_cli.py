@@ -742,7 +742,13 @@ def test_family_value_columns_are_in_lowest_terms(family, inputs, order):
     if a.dist is not None:
         a.ms = moments(a.dist, order)
     values = FAMILIES[family].values(a, order)
-    for column, d in values if FAMILIES[family].two_index else [values]:
+    if FAMILIES[family].two_index:
+        # one triangle over one denominator, in lowest terms as a whole
+        columns, d = values
+        assert len(columns) == order + 1 and {len(column) for column in columns} == {order + 1}
+        assert d > 0 and gcd(d, *[x for column in columns for x in column]) == 1
+    else:
+        column, d = values
         assert d > 0 and gcd(d, *column) == 1
 
 

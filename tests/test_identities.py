@@ -217,6 +217,14 @@ def test_empty_grid_yields_no_reports():
     assert run_full_suite(grid=[], order=8) == []
 
 
+@pytest.mark.parametrize("order", [-1, "x", True], ids=repr)
+@pytest.mark.parametrize("grid", [[], [(point(1), (1,))]], ids=["empty grid", "one cell"])
+def test_suite_refuses_an_order_that_is_not_a_natural_number(grid, order):
+    message = f"truncation order must be a non-negative integer, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_full_suite(grid=grid, order=order)
+
+
 _MS = moments(poisson(1), 4)
 _PUBLIC_CHECKS = {
     "check_derivative_rules": lambda order: check_derivative_rules((1, 2), order),
@@ -269,6 +277,15 @@ def test_single_index_checks_refuse_an_r_that_is_not_a_positive_integer(name, r)
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         run_full_suite(grid=[(point(1), (1,))], order=6, identities=["no-such-check"])
+
+
+@pytest.mark.parametrize("grid", [[], [(point(1), (1,))]], ids=["empty grid", "one cell"])
+def test_a_single_identity_string_is_refused_not_split_into_characters(grid):
+    with pytest.raises(ValueError, match="^identities must be a collection of identity ids, "):
+        run_full_suite(grid=grid, order=6, identities="append-one")
+    assert run_full_suite(grid=grid, order=6, identities=["append-one"]) == run_full_suite(
+        grid=grid, order=6, identities=("append-one",)
+    )
 
 
 def test_identity_filter_restricts_output():
@@ -697,11 +714,18 @@ def perturb(monkeypatch):
 
 
 def bumped(source, m):
-    """``source`` with ordinary coefficient ``m`` of the series it returns raised by 1."""
+    """``source`` with ordinary coefficient ``m`` of the series it returns
+    raised by 1, or of every column of the triangle ``(columns, d)`` of EGF
+    numerators it returns, whose entry at n = m then rises by m!."""
 
     def perturbed(*args):
         s = source(*args)
-        return Series([c + 1 if i == m else c for i, c in enumerate(s.coeffs)])
+        if isinstance(s, Series):
+            return Series([c + 1 if i == m else c for i, c in enumerate(s.coeffs)])
+        columns, d = s
+        raised = factorial(m) * d
+        columns = [[x + raised if n == m else x for n, x in enumerate(c)] for c in columns]
+        return columns, d
 
     return perturbed
 
@@ -811,7 +835,7 @@ PERTURBATIONS = [
     (
         "append-one-single-index",
         lambda ms: check_append_one(ms, (1,), N),
-        "prob_stirling2_series",
+        "_power_triangle",
         3,
         3,
         lambda ms: pairs(*append_one_single_index_sums(ms, 2, N), range(2, N + 1)),
@@ -847,7 +871,7 @@ PERTURBATIONS = [
     (
         "route-agreement",
         lambda ms: check_route_agreement(ms, N),
-        "prob_stirling2_series",
+        "_power_triangle",
         3,
         3,
         route_pairs,
@@ -902,7 +926,7 @@ FIRST_FAILING_DETAILS = [
         "prefix rule at trailing index 1",
     ),
     (lambda ms: check_append_one(ms, KS, N), ("prob_multi_stirling2_series", 3), "main form"),
-    (lambda ms: check_append_one(ms, (1,), N), ("prob_stirling2_series", 3), "single-index form"),
+    (lambda ms: check_append_one(ms, (1,), N), ("_power_triangle", 3), "single-index form"),
     (lambda ms: check_append_one(ms, (1,), N), None, "single-index classical form"),
 ]
 

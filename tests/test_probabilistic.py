@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +23,8 @@ from multinumbers.moments import (
 from multinumbers.multi import multi_lah, multi_stirling2, multi_stirling2_series
 from multinumbers.multilog import multi_stirling1
 from multinumbers.probabilistic import (
+    _li_family,
+    _power_triangle,
     prob_fubini,
     prob_fubini_series,
     prob_lah,
@@ -37,7 +39,13 @@ from multinumbers.probabilistic import (
 )
 from multinumbers.series import Series
 
-from oracles import fraction_moments, li_family, ordered_partition_count, rising_factorial_resolvent
+from oracles import (
+    fraction_moments,
+    li_family,
+    ordered_partition_count,
+    rising_factorial_resolvent,
+    series_product,
+)
 
 F = Fraction
 
@@ -242,6 +250,18 @@ def test_entry_range_checks():
         prob_multi_lah(ms, (1,), 6, 5)
 
 
+@pytest.mark.parametrize("k", [-1, True, 1.5, "2"], ids=repr)
+def test_single_index_families_name_a_bad_k(k):
+    ms = moments(poisson(1), 3)
+    message = f"k must be a non-negative integer, got {k!r}"
+    for call in (prob_stirling2, prob_lah):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ms, 2, k, 3)
+    for call in (prob_stirling2_series, prob_lah_series):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ms, k, 3)
+
+
 @pytest.mark.parametrize("order", [-1, True], ids=repr)
 def test_family_series_refuse_an_order_that_is_not_a_natural_number(order):
     ms = moments(poisson(1), 3)
@@ -299,10 +319,16 @@ def test_point_one_multi_second_kind_equals_the_deterministic_series(ks):
 def test_specs_with_equal_moments_share_the_family_entries(specs):
     first, *rest = [moments(spec, 10) for spec in specs]
     for ms in rest:
-        for k in range(11):
-            assert prob_lah_series(ms, k, 10) is prob_lah_series(first, k, 10)
-            assert prob_stirling2_series(ms, k, 10) is prob_stirling2_series(first, k, 10)
+        for u in (mgf, resolvent):
+            assert _power_triangle(u(ms, 10)) is _power_triangle(u(first, 10))
+            assert _li_family((2, -1), u(ms, 10)) is _li_family((2, -1), u(first, 10))
+        for k in range(12):
+            assert prob_lah_series(ms, k, 10) == prob_lah_series(first, k, 10)
+            assert prob_stirling2_series(ms, k, 10) == prob_stirling2_series(first, k, 10)
         assert prob_multi_lah_series(ms, (2, -1), 10) is prob_multi_lah_series(first, (2, -1), 10)
+        assert prob_multi_stirling2_series(ms, (1,), 10) is prob_multi_stirling2_series(
+            first, (1,), 10
+        )
 
 
 # ------------------------------------------------------- whole-column oracle
@@ -318,6 +344,39 @@ def _mgf(spec):
 
 def _resolvent(spec):
     return lambda m: rising_factorial_resolvent(SimpleNamespace(mu=fraction_moments(spec, m)), m)
+
+
+# laws with non-integer parameters or values, and one with mean zero
+TRIANGLE_LAWS = [
+    poisson(F(1, 2)),
+    geometric(F(3, 4)),
+    binomial(3, F(1, 3)),
+    finite([(F(-1, 2), F(1, 3)), (F(3, 2), F(2, 3))]),
+    MEAN_ZERO,
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 20])
+@pytest.mark.parametrize("base", ["M", "R"])
+@pytest.mark.parametrize("spec", TRIANGLE_LAWS, ids=lambda s: s.label)
+def test_power_triangle_is_the_fraction_powers_of_u_minus_one(spec, base, order):
+    ms = moments(spec, order)
+    if base == "M":
+        u, oracle = mgf(ms, order), _mgf(spec)
+    else:
+        u, oracle = resolvent(ms, order), _resolvent(spec)
+    columns, d = _power_triangle(u)
+    assert d > 0 and len(columns) == order + 1
+    assert gcd(d, *[x for column in columns for x in column]) == 1
+    gap = oracle(order)
+    gap[0] -= 1
+    power = [F(1)] + [F(0)] * order  # (u - 1)^k in Fractions
+    for k, column in enumerate(columns):
+        assert len(column) == order + 1
+        assert not any(column[:k])  # zero above the diagonal
+        egf = [factorial(n) * c / factorial(k) for n, c in enumerate(power)]
+        assert [F(x, d) for x in column] == egf
+        power = series_product(power, gap)
 
 
 # every law has a nonzero mean, which the oracle's divisions by g' and g/t need

@@ -1,10 +1,14 @@
 """The README's library quickstart runs as written and gives the values
-its comments state, and its command line section names every flag."""
+its comments state, its command line section names every flag, and every
+module attribute it names exists."""
 
+import importlib
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import multinumbers
 from multinumbers.cli import COMMANDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +52,18 @@ def test_the_command_line_section_names_exactly_the_flags_of_the_table():
     # the section shows abbreviations, such as --ord, which are not flags
     abbreviations = {name for name in named if any(f.startswith(name) for f in flags - {name})}
     assert named - abbreviations == flags
+
+
+def test_every_module_attribute_the_readme_names_exists():
+    modules = [m.name for m in pkgutil.iter_modules(multinumbers.__path__)]
+    reference = re.compile(rf"(?<![\w.])({'|'.join(modules)})\.(\w+)")
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    # ``multi.py`` names a file, not an attribute
+    named = {ref for span in spans for ref in reference.findall(span) if ref[1] != "py"}
+    assert len(named) >= 10
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"multinumbers.{module}"), name)
+    ]
+    assert not missing
