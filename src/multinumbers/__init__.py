@@ -26,7 +26,6 @@ from .moments import (
     sum_power_moment,
 )
 from .multi import (
-    li_argument,
     multi_bernoulli,
     multi_bernoulli_series,
     multi_lah,
@@ -89,7 +88,6 @@ __all__ = [
     "mgf",
     "resolvent",
     "sum_power_moment",
-    "li_argument",
     "multi_stirling2",
     "multi_stirling2_series",
     "multi_bernoulli",

@@ -60,7 +60,11 @@ BITS_CAP = 1 << 15
 
 
 class Family(
-    namedtuple("Family", ("inputs", "values", "two_index", "composed"), defaults=(False, False))
+    namedtuple(
+        "Family",
+        ("inputs", "values", "two_index", "composed", "shifted"),
+        defaults=(False, False, False),
+    )
 ):
     """One ``table`` family.
 
@@ -74,7 +78,9 @@ class Family(
     ``(_columns(weights, order), 1)`` or ``_power_triangle`` at M or R.
     ``composed`` marks a family whose value at n sums the
     multiple-logarithm coefficients of every chain end m <= n, so that its
-    denominators grow like lcm(1..n)^k rather than n^k.
+    denominators grow like lcm(1..n)^k rather than n^k.  ``shifted`` marks
+    a family that reads the multiple logarithm r orders past N, as
+    multi-Bernoulli does, so that its chains reach N + r.
     """
 
     __slots__ = ()
@@ -92,7 +98,10 @@ FAMILIES: dict[str, Family] = {
         ("ks",), lambda a, order: multi_stirling2_series(a.ks, order).egf_column, composed=True
     ),
     "multi-bernoulli": Family(
-        ("ks",), lambda a, order: multi_bernoulli_series(a.ks, order).egf_column, composed=True
+        ("ks",),
+        lambda a, order: multi_bernoulli_series(a.ks, order).egf_column,
+        composed=True,
+        shifted=True,
     ),
     "multi-lah": Family(
         ("ks",), lambda a, order: multi_lah_series(a.ks, order).egf_column, composed=True
@@ -186,7 +195,7 @@ def _param_bits(value) -> int:
 
 
 def _check_size(
-    order: int, ks: tuple[int, ...], params: tuple, composed: bool, force: bool
+    order: int, ks: tuple[int, ...], params: tuple, composed: bool, force: bool, shift: int = 0
 ) -> None:
     """Refuse inputs whose values would run past ``BITS_CAP`` bits, from an
     estimate that computes nothing.
@@ -195,19 +204,30 @@ def _check_size(
     reaches at most M_i = N - r + i.  The coefficient at n sums m_i^(-k_i)
     over every m_i <= M_i for i < r, about |k_i| log2(lcm(1..M_i)) bits, and
     fixes m_r = n, about |k_r| log2(N) bits; a ``composed`` family sums over
-    every chain end as well, so its last index counts like the others.  The
-    n-th moments of Y, and the coefficients built from them, grow by about
-    the bits of the parameters (and log2 N) per order.
+    every chain end as well, so its last index counts like the others, and
+    one that reads the multiple logarithm to order N + ``shift`` has chains
+    that reach ``shift`` further.  The n-th moments of Y, and the
+    coefficients built from them, grow by about the bits of the parameters
+    (and log2 N) per order.
     """
     if force:
         return
     top = max(order, 1)
     bits = order * (top.bit_length() + _param_bits(params))
     r = len(ks)
+    # ell = lcm(1..m), carried up the reaches, which grow with i, so a long
+    # tuple costs one pass up to its last reach; ceil(log2 x) is
+    # (x - 1).bit_length()
+    ell = m = 1
     for i, k in enumerate(ks, 1):
-        # lcm() of no arguments is 1; ceil(log2 x) = (x - 1).bit_length()
-        reach = lcm(*range(1, order - r + i + 1)) if composed or i < r else top
-        bits += abs(k) * (reach - 1).bit_length()
+        if composed or i < r:
+            reach = order + shift - r + i
+            if reach > m:
+                ell = lcm(ell, *range(m + 1, reach + 1))
+                m = reach
+            bits += abs(k) * (ell - 1).bit_length()
+        else:
+            bits += abs(k) * (top - 1).bit_length()
     if bits > BITS_CAP:
         raise UsageError(
             f"the values would run to about {bits} bits, past the cap of {BITS_CAP}; "
@@ -244,7 +264,8 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
             raise UsageError(f"family {args.family} does not use --{flag}")
     order = args.order
     params = (a.dist.params if a.dist is not None else (), a.r or 0, a.y or 0)
-    _check_size(order, a.ks or (), params, family.composed, args.force_order)
+    shift = len(a.ks) if family.shifted else 0
+    _check_size(order, a.ks or (), params, family.composed, args.force_order, shift)
     try:
         if a.dist is not None:
             a.ms = moments(a.dist, order)
@@ -337,18 +358,32 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _check_grid(order: int, grid, force: bool) -> None:
+    """Bound every cell of a ``verify`` grid before any is computed: its index
+    tuple and, once per length r, the all-ones tuple of that length, which
+    the all-ones checks build whatever the cell's indices and read as
+    multi-Bernoulli to order N + r."""
+    lengths = set()
+    for i, (spec, ks) in enumerate(grid):
+        r = len(ks)
+        sizes = [("", ks, spec.params, 0)]
+        if r not in lengths:
+            lengths.add(r)
+            sizes.append((f"the all-ones tuple of length {r}: ", (1,) * r, (), r))
+        for what, tup, params, shift in sizes:
+            try:
+                _check_size(order, tup, params, True, force, shift)
+            except UsageError as exc:
+                raise UsageError(f"grid entry {i}: {what}{exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     if args.list_identities:
         sys.stdout.writelines(f"{entry.id}\t{entry.description}\n" for entry in IDENTITIES)
         return 0
     _check_order_flag(args.order, args.force_order)
     grid = _load_grid(args.grid) if args.grid else None
-    # every cell is bounded before any is computed
-    for i, (spec, ks) in enumerate(grid or ()):
-        try:
-            _check_size(args.order, ks, spec.params, composed=True, force=args.force_order)
-        except UsageError as exc:
-            raise UsageError(f"grid entry {i}: {exc}") from exc
+    _check_grid(args.order, grid or (), args.force_order)
     identities = None
     if args.identity != "all":
         if args.identity not in ALL_IDENTITIES:

@@ -1,9 +1,14 @@
 """Mechanical verification of the identity catalogue over a grid of
 (distribution, index tuple) cells.
 
-Every check compares exact rationals computed along two independent code
-paths (a direct series extraction against a finite sum over number
-tables), so a shared bug cannot certify itself.  A check lists its
+Every check compares exact rationals computed along two code paths (a
+series extraction against a finite sum over number tables).  All four
+multi families are read from one column, :func:`multilog._f_column`, and
+the probabilistic ones share the memo of powers of u - 1 with the
+(1, u - 1) triangle, so a check whose two sides both come from one of
+them cannot see a fault in it; the README names, per check, where each
+side comes from, and ``tests/test_identities.py`` pins which checks fail
+when a kernel is raised.  A check lists its
 comparisons as data, ``(lhs, rhs, ns, detail)``: two columns of integer
 numerators over one denominator each, the n compared and a label.  One
 runner, :func:`_verdict`, scans them by cross-multiplication and builds
@@ -18,8 +23,9 @@ vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
 exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
 :func:`probabilistic._power_triangle` like the entries and ``table``.  The
 first-kind weights of ``first-kind-inversion`` are not such a sum: they
-are the column :func:`multilog._f_column` that the deterministic
-families are built from.
+are the column :func:`multilog._f_column` that all four multi families
+are built from, so that check takes its other side from the definition,
+the multiple logarithm composed with :func:`multi.li_argument`.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -350,10 +356,12 @@ def check_first_kind_inversion(
 
     for n = r..order.  The inner sum ``v_l`` does not depend on n (or on
     Y): it is the EGF column of Li_ks(1 - e^(-s)), formed once per index
-    tuple by :func:`multilog._f_column`.
+    tuple by :func:`multilog._f_column`.  The library builds {n; ks}_Y as
+    that very sum, so the left side is taken from the definition instead,
+    the multiple logarithm composed with 1 - e^(1 - M).
     """
     ks = tuple(ks)
-    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
+    lhs = multilog(ks, order).compose(li_argument(mgf(ms, order))).egf_column
     rhs = _second_kind_sums(ms, _f_column(ks, order), order)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)

@@ -26,9 +26,11 @@ Each transform is :func:`classical._transform` on integer numerators, a
 product by the exponential Riordan arrays (1, e^t - 1) and
 (1, 1 - e^(-t)) (Shapiro et al., 1991) that multiplies by small ints only.
 
-The probabilistic multi families are Li_ks(1 - e^(1 - u)) at the moment
-series u = M and u = R, composed with :func:`li_argument` in
-``probabilistic``.
+The probabilistic multi families Li_ks(1 - e^(1 - u)) at the moment
+series u = M and u = R are F(u - 1), the same column composed with
+u - 1 in ``probabilistic``.  :func:`li_argument`, the inner series
+1 - e^(1 - u) of the definition, is kept for the identity checks, which
+compose with it directly.
 """
 
 from __future__ import annotations

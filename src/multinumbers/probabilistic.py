@@ -10,15 +10,18 @@ transform: e^t becomes the moment EGF M(t) = E[e^(Yt)], and powers of
     multi Lah            n! [t^n] Li(1 - e^(1 - R))
     Fubini, order r      n! [t^n] (1 - y (M - 1))^(-r)
 
-So there are two shapes, each evaluated at a series u and cached here on
-the value of u, so equal moment series share one entry: the multi
-families are Li_ks(1 - e^(1 - u)), per (ks, u) in :func:`_li_family`, and
-the single-index ones (u - 1)^k / k!, the columns of the exponential
-Riordan array (1, u - 1) (Shapiro et al., 1991), one integer triangle per
-u, :func:`_power_triangle`, which the entries, the identity checks and
-``table`` all read.  At Y = point(1), where M = e^t, the multi second
-kind equals the deterministic one, which ``multi`` builds apart by
-Stirling transforms.
+Both shapes are read through the exponential Riordan array (1, u - 1)
+(Shapiro et al., 1991), evaluated at a series u and cached here on the
+value of u, so equal moment series share one entry.  The single-index
+families (u - 1)^k / k! are its columns, one integer triangle per u,
+:func:`_power_triangle`, which the entries, the identity checks and
+``table`` all read.  The multi families apply it to one column: with
+F_ks(s) = Li_ks(1 - e^(-s)), whose EGF column
+:func:`multilog._f_column` the deterministic multi families are built
+from too, Li_ks(1 - e^(1 - u)) = F_ks(u - 1), per (ks, u) in
+:func:`_li_family`, a composition with u - 1.  At Y = point(1), where
+M = e^t, the multi second kind equals the deterministic one, which
+``multi`` builds from the same column by a Stirling transform.
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
@@ -33,8 +36,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .moments import MomentSequence, _rational, mgf, resolvent
-from .multi import li_argument
-from .multilog import index_tuple, multilog
+from .multilog import _f_column, index_tuple
 from .series import Series, _check_entry, _check_natural, _from_egf_column, _make, _over_lcm, powers
 
 __all__ = [
@@ -77,9 +79,12 @@ def _power_column(u: Series, k: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _li_family(ks: tuple[int, ...], u: Series) -> Series:
-    """Li_ks(1 - e^(1 - u)) at the order of ``u``, by composition: the
-    multi second kind at u = M and multi Lah at u = R."""
-    return multilog(ks, u.order).compose(li_argument(u))
+    """Li_ks(1 - e^(1 - u)) = F_ks(u - 1) at the order of ``u``: the series
+    of the column :func:`multilog._f_column` composed with u - 1, whose
+    memo of powers :func:`_power_triangle` reads too.  The multi second
+    kind at u = M and multi Lah at u = R."""
+    f, d = _f_column(ks, u.order)
+    return _from_egf_column(list(f), d).compose(u - 1)
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
@@ -95,7 +100,6 @@ def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None)
     return Fraction(a[n], d)
 
 
-@lru_cache(maxsize=None)
 def _moment_route_columns(
     ms: MomentSequence, order: int
 ) -> tuple[tuple[tuple[int, ...], ...], int]:

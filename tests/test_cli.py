@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from multinumbers.classical import bernoulli_higher_series, lah, stirling1, stirling2
 from multinumbers.cli import (
-    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _PARSERS, _check_size, _parse_argv, _value_strings,
-    main,
+    COMMANDS, FAMILIES, ORDER_CAP, UsageError, _PARSERS, _check_grid, _check_size, _parse_argv,
+    _value_strings, main,
 )
 from multinumbers.identities import default_grid, run_full_suite
 from multinumbers.moments import moments, parse_distribution
@@ -414,8 +414,53 @@ def test_force_order_lets_a_verify_grid_cell_past_the_size_cap_run(tmp_path, cap
 
 def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
     for order in range(ORDER_CAP + 1):
-        for spec, ks in default_grid():
-            _check_size(order, ks, spec.params, composed=True, force=False)
+        _check_grid(order, default_grid(), force=False)
+
+
+# before the estimate reached N + r these ran unbounded: 300 ones took 3.6 s
+# and 600 ones ran past 60 s; a cell of 400 zeros took 11.3 s, in the
+# all-ones checks of length 400
+@pytest.mark.parametrize(
+    "argv,grid,prefix",
+    [
+        (("table", "multi-bernoulli", "--ks", ",".join(["1"] * 300)), None, ""),
+        (("table", "multi-bernoulli", "--ks", ",".join(["1"] * 600)), None, ""),
+        (("verify",), [{"dist": "poisson:1", "ks": [0] * 400}],
+         "grid entry 0: the all-ones tuple of length 400: "),
+        (("verify",), [{"dist": "poisson:1", "ks": [1, 2]}, {"dist": "point:1", "ks": [2] * 800}],
+         "grid entry 1: the all-ones tuple of length 800: "),
+    ],
+    ids=["bernoulli-300-ones", "bernoulli-600-ones", "verify-400-zeros", "verify-800-twos"],
+)
+def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
+    if grid is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        argv += ("--grid", str(path))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "multinumbers", *argv, "--order", "64"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(
+        f"error: {prefix}the values would run to about [0-9]+ bits, past the cap of 32768; "
+        "pass --force-order to override\n",
+        proc.stderr,
+    ), proc.stderr
+
+
+def test_size_estimate_reaches_n_plus_r_only_where_the_multiple_logarithm_does():
+    # at order 64, 157 ones stay inside the cap at reach N + r and 158 do
+    # not; read only to N, 158 ones are inside
+    ones = (1,) * 158
+    _check_size(64, ones[:157], (), True, False, shift=157)
+    with pytest.raises(UsageError, match="past the cap"):
+        _check_size(64, ones, (), True, False, shift=158)
+    _check_size(64, ones, (), True, False)
+    _check_grid(64, [(parse_distribution("point:1"), (0,) * 157)], force=False)
+    _check_grid(64, [(parse_distribution("point:1"), (0,) * 158)], force=True)
 
 
 def test_table_with_too_few_raw_moments_is_a_usage_error(capsys):

@@ -44,7 +44,6 @@ from multinumbers.identities import (
     run_full_suite,
 )
 from multinumbers.moments import (
-    _moments_cached,
     bernoulli,
     finite,
     geometric,
@@ -158,17 +157,15 @@ def test_lah_corrected_form_always_passes(spec, ks):
 def corrupt_first_kind_row():
     """Row 5 of the memoised first-kind triangle with [5; 2] off by one for
     the test; the rows past it are filled first, so none is built from the
-    wrong row, and the column cache is cleared on the way in and out."""
+    wrong row, and every cache is cleared on the way in and out."""
     rows = classical._ROWS[_FIRST]
     classical._row(_FIRST, 64)
     kept = rows[5]
     rows[5] = kept[:2] + (kept[2] + 1,) + kept[3:]
-    _columns.cache_clear()
-    clear_identity_caches()
+    clear_library_caches()
     yield
     rows[5] = kept
-    _columns.cache_clear()
-    clear_identity_caches()
+    clear_library_caches()
 
 
 def test_resolvent_does_not_read_the_first_kind_rows(corrupt_first_kind_row):
@@ -537,8 +534,7 @@ def test_full_suite_reads_no_classical_entry():
         if event == "call" and frame.f_code in entries:
             calls.append(frame.f_code.co_name)
 
-    clear_identity_caches()
-    _moments_cached.cache_clear()
+    clear_library_caches()
     sys.setprofile(profile)
     try:
         run_full_suite(order=12)
@@ -689,34 +685,41 @@ def test_every_check_runs_at_orders_zero_to_r_plus_one(spec, ks):
                 assert (report.status, report.first_mismatch) == ("pass", None), report
 
 
-def clear_identity_caches():
-    for value in vars(identities).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+def clear_library_caches():
+    """Drop every ``lru_cache`` of the library, ``series._power_memo`` among them."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("multinumbers."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture
 def perturb(monkeypatch):
     """Replace a column source of the checks by a perturbed one, both where the
     checks look it up and in the module that defines it, so the per-entry
-    functions the oracles read see the same change; the sums the checks
-    cache per tuple are dropped on the way in and on the way out."""
+    functions the oracles read see the same change; every cache is dropped
+    on the way in and on the way out."""
 
     def apply(name, m):
-        clear_identity_caches()
+        clear_library_caches()
         source = getattr(identities, name)
         changed = bumped(source, m)
         monkeypatch.setattr(identities, name, changed)
         monkeypatch.setattr(sys.modules[source.__module__], name, changed)
 
     yield apply
-    clear_identity_caches()
+    clear_library_caches()
 
 
 def bumped(source, m):
     """``source`` with ordinary coefficient ``m`` of the series it returns
-    raised by 1, or of every column of the triangle ``(columns, d)`` of EGF
-    numerators it returns, whose entry at n = m then rises by m!."""
+    raised by 1, or of the column ``(a, d)`` or every column of the triangle
+    ``(columns, d)`` of EGF numerators it returns, whose entry at n = m then
+    rises by m!."""
+
+    def raise_entry(column, raised):
+        return [x + raised if n == m else x for n, x in enumerate(column)]
 
     def perturbed(*args):
         s = source(*args)
@@ -724,8 +727,9 @@ def bumped(source, m):
             return Series([c + 1 if i == m else c for i, c in enumerate(s.coeffs)])
         columns, d = s
         raised = factorial(m) * d
-        columns = [[x + raised if n == m else x for n, x in enumerate(c)] for c in columns]
-        return columns, d
+        if isinstance(columns[0], int):
+            return raise_entry(columns, raised), d
+        return [raise_entry(c, raised) for c in columns], d
 
     return perturbed
 
@@ -748,6 +752,13 @@ def convolution_pairs(ms):
     return pairs(bernoulli_convolution_sum(ms, KS, N), ratio, range(N - 1))
 
 
+def raised_inversion_sum(ms):
+    # the weight v_4 = F_ks entry 4, raised by 4!, adds 4! {n; 4}_Y at each n;
+    # the left side, the direct composition, does not read that column
+    literal = first_kind_inversion_sum(ms, KS, N)
+    return [s + factorial(4) * prob_stirling2(ms, n, 4, N) for n, s in enumerate(literal)]
+
+
 def route_pairs(ms):
     by_moments = moment_route(ms, N)
     return [
@@ -766,12 +777,12 @@ def route_pairs(ms):
 PASS_THEN_FAIL = ("pass", "fail")
 PERTURBATIONS = [
     (
-        "multilog-4",
+        "f_column-4",
         lambda ms: check_first_kind_inversion(ms, KS, N),
-        "multilog",
+        "_f_column",
         4,
         4,
-        lambda ms: pairs(pms2_column(ms), first_kind_inversion_sum(ms, KS, N), range(2, N + 1)),
+        lambda ms: pairs(pms2_column(ms), raised_inversion_sum(ms), range(2, N + 1)),
         PASS_THEN_FAIL,
     ),
     (
@@ -905,6 +916,82 @@ def test_perturbed_column_fails_at_first_reached_n(
         assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
 
 
+@pytest.fixture
+def raise_kernel(monkeypatch):
+    """Raise entry 4 of what one library kernel returns, ``(owner, name)``
+    with ``owner`` a module of the package or ``Series``, for every caller:
+    a function is replaced in each module that holds it, a method on the
+    class.  Every cache is dropped on the way in and on the way out."""
+
+    def apply(owner, name):
+        clear_library_caches()
+        if owner == "Series":
+            monkeypatch.setattr(Series, name, bumped(getattr(Series, name), 4))
+            return
+        source = getattr(sys.modules[f"multinumbers.{owner}"], name)
+        changed = bumped(source, 4)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("multinumbers.") and vars(module).get(name) is source:
+                monkeypatch.setattr(module, name, changed)
+
+    yield apply
+    clear_library_caches()
+
+
+# The identities that fail when one kernel's output is raised at entry 4, on
+# three cells at N = 10.  A check whose two sides both read the kernel passes
+# and is absent from its row.  The probabilistic multi families are F_ks(u - 1):
+# with F_ks raised, fubini-convolution and point-mass-collapse-multi-second-kind
+# pass, because both hold for any F (they failed while the families composed
+# the multiple logarithm with 1 - e^(1 - u)); with products raised, the
+# all-ones-prob checks pass, as both of their sides read the powers of u - 1.
+# li_argument is read only by the direct sides of bernoulli-convolution and
+# first-kind-inversion.
+KERNEL_FAILURES = {
+    None: set(),
+    ("multilog", "_f_column"): {
+        "all-ones-lah", "all-ones-prob-lah", "all-ones-prob-second-kind", "all-ones-second-kind",
+        "append-one", "append-one-deterministic", "bernoulli-convolution",
+        "bernoulli-expansion", "first-kind-inversion",
+    },
+    ("probabilistic", "_power_triangle"): {
+        "all-ones-prob-lah", "all-ones-prob-second-kind", "append-one", "bernoulli-convolution",
+        "bernoulli-expansion", "first-kind-inversion", "fubini-convolution",
+        "point-mass-collapse-lah", "point-mass-collapse-second-kind",
+        "second-kind-route-agreement",
+    },
+    ("Series", "compose"): {
+        "all-ones-prob-lah", "all-ones-prob-second-kind", "append-one", "bernoulli-convolution",
+        "bernoulli-expansion", "first-kind-inversion", "fubini-convolution",
+        "lah-via-first-kind-corrected", "point-mass-collapse-multi-second-kind",
+    },
+    ("Series", "__mul__"): {
+        "all-ones-bernoulli", "all-ones-multilog", "append-one", "bernoulli-convolution",
+        "bernoulli-expansion", "bernoulli-expansion-single-index", "derivative-rules",
+        "first-kind-inversion", "fubini-convolution", "lah-via-first-kind-corrected",
+        "point-mass-collapse-lah", "point-mass-collapse-multi-second-kind",
+        "point-mass-collapse-second-kind", "second-kind-route-agreement",
+    },
+    ("multi", "li_argument"): {"bernoulli-convolution", "first-kind-inversion"},
+    ("multilog", "_multilog"): {
+        "all-ones-bernoulli", "all-ones-first-kind", "all-ones-lah", "all-ones-multilog",
+        "all-ones-prob-lah", "all-ones-prob-second-kind", "all-ones-second-kind", "append-one",
+        "append-one-deterministic", "derivative-rules",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kernel", list(KERNEL_FAILURES), ids=lambda k: ".".join(k) if k else "none"
+)
+def test_raised_kernel_fails_the_pinned_identities(raise_kernel, kernel):
+    if kernel is not None:
+        raise_kernel(*kernel)
+    grid = [(poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2))]
+    reports = run_full_suite(grid=grid, order=N)
+    assert {rep.identity for rep in reports if rep.status == "fail"} == KERNEL_FAILURES[kernel]
+
+
 def raise_classical_second_kind(rule, order):
     """The classical triangles the checks read, with S(3, 2) raised by 1."""
     cols = [list(col) for col in _columns(rule, order)]
@@ -942,7 +1029,7 @@ def test_report_carries_the_detail_of_the_first_failing_comparison(
     ms = moments(poisson(1), N)
     assert check(ms).status == "pass"
     if raised is None:
-        clear_identity_caches()
+        clear_library_caches()
         monkeypatch.setattr(identities, "_columns", raise_classical_second_kind)
     else:
         perturb(*raised)

@@ -1,12 +1,15 @@
+import ast
 import re
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multinumbers
 from multinumbers.classical import lah, stirling1, stirling2
 from multinumbers.moments import (
     bernoulli,
@@ -20,8 +23,8 @@ from multinumbers.moments import (
     resolvent,
     sum_power_moment,
 )
-from multinumbers.multi import multi_lah, multi_stirling2, multi_stirling2_series
-from multinumbers.multilog import multi_stirling1
+from multinumbers.multi import li_argument, multi_lah, multi_stirling2, multi_stirling2_series
+from multinumbers.multilog import multi_stirling1, multilog
 from multinumbers.probabilistic import (
     _li_family,
     _power_triangle,
@@ -420,3 +423,33 @@ def test_li_families_equal_the_derivative_rule_oracle(base, spec, ks, order):
 def test_li_families_equal_the_derivative_rule_oracle_at_order_14(base, spec, ks):
     series, column = _li_family_pair(base, spec, ks, 14)
     assert list(series.coeffs) == column
+
+
+@pytest.mark.parametrize("ks", [(2, -1, 0), (3, 1)], ids=str)
+@pytest.mark.parametrize(
+    "spec",
+    [poisson(F(1, 2)), finite([(-4, F(1, 2)), (0, F(1, 3)), (F(5, 2), F(1, 6))])],
+    ids=lambda spec: spec.label,
+)
+def test_multi_families_equal_the_composition_with_li_argument_at_order_40(spec, ks):
+    # F_ks(u - 1) against the defining composition Li_ks(1 - e^(1 - u))
+    ms = moments(spec, 40)
+    for family, u in ((prob_multi_stirling2_series, mgf), (prob_multi_lah_series, resolvent)):
+        assert family(ms, ks, 40) == multilog(ks, 40).compose(li_argument(u(ms, 40)))
+
+
+def test_only_multi_and_identities_name_li_argument():
+    # the families are built from the F_ks column; 1 - e^(1 - u) is left
+    # to the direct sides of the identity checks
+    readers = []
+    for path in sorted(Path(multinumbers.__file__).parent.glob("*.py")):
+        if path.stem in ("multi", "identities"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                readers += [path.name for a in node.names if a.name == "li_argument"]
+            elif isinstance(node, ast.Name) and node.id == "li_argument":
+                readers.append(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "li_argument":
+                readers.append(path.name)
+    assert readers == []
