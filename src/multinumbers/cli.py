@@ -215,22 +215,25 @@ def _check_size(
     top = max(order, 1)
     bits = order * (top.bit_length() + _param_bits(params))
     r = len(ks)
-    # ell = lcm(1..m), carried up the reaches, which grow with i, so a long
-    # tuple costs one pass up to its last reach; ceil(log2 x) is
+    # ell = lcm(1..m), carried up the reaches, which grow with i, and only
+    # for an index that counts it; the sum stops once it passes the cap, so
+    # a refused tuple is printed with a partial sum.  ceil(log2 x) is
     # (x - 1).bit_length()
     ell = m = 1
     for i, k in enumerate(ks, 1):
         if composed or i < r:
             reach = order + shift - r + i
-            if reach > m:
+            if k and reach > m:
                 ell = lcm(ell, *range(m + 1, reach + 1))
                 m = reach
             bits += abs(k) * (ell - 1).bit_length()
         else:
             bits += abs(k) * (top - 1).bit_length()
+        if bits > BITS_CAP:
+            break
     if bits > BITS_CAP:
         raise UsageError(
-            f"the values would run to about {bits} bits, past the cap of {BITS_CAP}; "
+            f"the values would run to at least {bits} bits, past the cap of {BITS_CAP}; "
             "pass --force-order to override"
         )
 

@@ -3,7 +3,7 @@
 
 Every check compares exact rationals computed along two code paths (a
 series extraction against a finite sum over number tables).  All four
-multi families are read from one column, :func:`multilog._f_column`, and
+multi families are read from one series, :func:`multilog._f_series`, and
 the probabilistic ones share the memo of powers of u - 1 with the
 (1, u - 1) triangle, so a check whose two sides both come from one of
 them cannot see a fault in it; the README names, per check, where each
@@ -21,11 +21,13 @@ sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
 (:func:`_binomial_sums`), or a lower-triangular array applied to a
 vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
 exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
-:func:`probabilistic._power_triangle` like the entries and ``table``.  The
+:func:`probabilistic._power_triangle` like the entries and ``table``; a
+single-index side is a column of that triangle, read as it is kept.  The
 first-kind weights of ``first-kind-inversion`` are not such a sum: they
-are the column :func:`multilog._f_column` that all four multi families
-are built from, so that check takes its other side from the definition,
-the multiple logarithm composed with :func:`multi.li_argument`.
+are the EGF column of :func:`multilog._f_series`, the series all four
+multi families are built from, so that check takes its other side from
+the definition, the multiple logarithm composed with
+:func:`multi.li_argument`.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -64,15 +66,14 @@ from .moments import (
     resolvent,
 )
 from .multi import li_argument, multi_bernoulli_series, multi_lah_series, multi_stirling2_series
-from .multilog import _f_column, index_tuple, multilog
+from .multilog import _f_series, index_tuple, multilog
 from .probabilistic import (
     _moment_route_columns,
+    _power_column,
     _power_triangle,
     prob_fubini_series,
-    prob_lah_series,
     prob_multi_lah_series,
     prob_multi_stirling2_series,
-    prob_stirling2_series,
 )
 from .report import (
     EXPECTED_DISCREPANCY,
@@ -355,14 +356,14 @@ def check_first_kind_inversion(
         v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks],
 
     for n = r..order.  The inner sum ``v_l`` does not depend on n (or on
-    Y): it is the EGF column of Li_ks(1 - e^(-s)), formed once per index
-    tuple by :func:`multilog._f_column`.  The library builds {n; ks}_Y as
-    that very sum, so the left side is taken from the definition instead,
-    the multiple logarithm composed with 1 - e^(1 - M).
+    Y): it is the EGF column of Li_ks(1 - e^(-s)), the series formed once
+    per index tuple by :func:`multilog._f_series`.  The library builds
+    {n; ks}_Y as that very sum, so the left side is taken from the
+    definition instead, the multiple logarithm composed with 1 - e^(1 - M).
     """
     ks = tuple(ks)
     lhs = multilog(ks, order).compose(li_argument(mgf(ms, order))).egf_column
-    rhs = _second_kind_sums(ms, _f_column(ks, order), order)
+    rhs = _second_kind_sums(ms, _f_series(ks, order).egf_column, order)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -460,7 +461,7 @@ def check_bernoulli_expansion_single_index(
     """
     _check_natural(order)
     _check_natural(r, "r", 1)
-    lhs = prob_stirling2_series(ms, r, order).egf_column
+    lhs = _power_column(mgf(ms, order), r)
     rhs = _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
     ns = range(r, order - r + 1)
     return _verdict("bernoulli-expansion-single-index", order, [(lhs, rhs, ns, "")], (1,) * r, dist)
@@ -537,20 +538,21 @@ def check_all_ones_probabilistic(
     _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
-    # the multi family and its single-index counterpart, per identity
+    # the multi family and the moment series u whose triangle column r is
+    # its single-index counterpart, per identity
     pairs = (
-        ("all-ones-prob-second-kind", prob_multi_stirling2_series, prob_stirling2_series),
-        ("all-ones-prob-lah", prob_multi_lah_series, prob_lah_series),
+        ("all-ones-prob-second-kind", prob_multi_stirling2_series, mgf),
+        ("all-ones-prob-lah", prob_multi_lah_series, resolvent),
     )
     return [
         _verdict(
             identity,
             order,
-            [(multi(ms, ones, order).egf_column, single(ms, r, order).egf_column, ns, "")],
+            [(multi(ms, ones, order).egf_column, _power_column(u(ms, order), r), ns, "")],
             ones,
             dist,
         )
-        for identity, multi, single in pairs
+        for identity, multi, u in pairs
     ]
 
 

@@ -13,21 +13,23 @@ where r is always the length of the index tuple.  None of them is built
 by a composition.  With F(s) = Li(1 - e^(-s)), whose EGF entries are the
 signed second-kind transform sum_m (-1)^(n-m) S(n, m) [m; ks] of the
 multi first-kind numbers (the EGF entries of (1 - e^(-s))^m / m! are
-(-1)^(n-m) S(n, m)), cached per tuple and order as
-:func:`multilog._f_column`:
+(-1)^(n-m) S(n, m)), one cached series per tuple and order,
+:func:`multilog._f_series`:
 
-    second kind:   F(e^t - 1), the unsigned second-kind transform of F;
+    second kind:   F(e^t - 1), the unsigned second-kind transform of the
+                   EGF column of F;
     Bernoulli:     every chain ends at m_r >= r, so Li(w) / w^r is the
                    shifted column c_r .. c_(N+r) of the multiple logarithm
                    at w = 1 - e^(-t), its signed second-kind transform;
-    Lah:           F(t) divided by (1 - t)^r, r running sums.
+    Lah:           F(t) divided by (1 - t)^r, r running sums of its
+                   ordinary numerators.
 
 Each transform is :func:`classical._transform` on integer numerators, a
 product by the exponential Riordan arrays (1, e^t - 1) and
 (1, 1 - e^(-t)) (Shapiro et al., 1991) that multiplies by small ints only.
 
 The probabilistic multi families Li_ks(1 - e^(1 - u)) at the moment
-series u = M and u = R are F(u - 1), the same column composed with
+series u = M and u = R are F(u - 1), the same series composed with
 u - 1 in ``probabilistic``.  :func:`li_argument`, the inner series
 1 - e^(1 - u) of the definition, is kept for the identity checks, which
 compose with it directly.
@@ -40,7 +42,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .classical import _SECOND, _SIGNED_SECOND, _transform
-from .multilog import _f_column, index_tuple, multilog
+from .multilog import _f_series, index_tuple, multilog
 from .series import Series, _check_entry, _check_natural, _from_egf_column, _make
 
 __all__ = [
@@ -68,7 +70,7 @@ def li_argument(u: Series) -> Series:
 
 @lru_cache(maxsize=None, typed=True)
 def _stirling2_series(ks: tuple[int, ...], order: int) -> Series:
-    f, d = _f_column(ks, order)
+    f, d = _f_series(ks, order).egf_column
     return _from_egf_column(_transform(_SECOND, f), d)
 
 
@@ -105,8 +107,7 @@ def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
 def _lah_series(ks: tuple[int, ...], order: int) -> Series:
     # dividing by (1 - t)^r is r running sums of the ordinary coefficients,
     # each one in full: a chain of r lazy sums would nest r C-level calls
-    f, d = _f_column(ks, order)
-    f = _from_egf_column(list(f), d)
+    f = _f_series(ks, order)
     num = f._num
     for _ in ks:
         num = list(accumulate(num))

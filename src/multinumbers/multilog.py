@@ -21,6 +21,11 @@ The unsigned multi-Stirling numbers of the first kind are the
 EGF-normalised coefficients ``n! * [t^n]`` of that series; for the
 all-ones tuple they reduce to the classical unsigned Stirling numbers of
 the first kind.
+
+:func:`_f_series` holds F(s) = Li_ks(1 - e^(-s)) as one cached series per
+tuple and order, the one value all four multi families are read from:
+``multi`` takes its EGF column or its ordinary numerators, and
+``probabilistic`` composes it with u - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from itertools import combinations
 from math import lcm
 
 from .classical import _SIGNED_SECOND, _transform
-from .series import Series, _check_entry, _check_natural, _make
+from .series import Series, _check_entry, _check_natural, _from_egf_column, _make
 
 __all__ = [
     "index_tuple",
@@ -85,12 +90,13 @@ def multilog(ks, order: int) -> Series:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _f_column(ks: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
-    """EGF column of F(s) = Li_ks(1 - e^(-s)) as ``(numerators, d)``:
+def _f_series(ks: tuple[int, ...], order: int) -> Series:
+    """F(s) = Li_ks(1 - e^(-s)), whose EGF entries are
     v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
-    below r), the signed second-kind transform of the column [m; ks]."""
+    below r), the signed second-kind transform of the column [m; ks].  One
+    value per tuple and order; each reader takes the form it needs."""
     first, d = multilog(ks, order).egf_column
-    return tuple(_transform(_SIGNED_SECOND, first)), d
+    return _from_egf_column(_transform(_SIGNED_SECOND, first), d)
 
 
 def multilog_coefficient(ks, m: int) -> Fraction:

@@ -15,13 +15,13 @@ Both shapes are read through the exponential Riordan array (1, u - 1)
 value of u, so equal moment series share one entry.  The single-index
 families (u - 1)^k / k! are its columns, one integer triangle per u,
 :func:`_power_triangle`, which the entries, the identity checks and
-``table`` all read.  The multi families apply it to one column: with
-F_ks(s) = Li_ks(1 - e^(-s)), whose EGF column
-:func:`multilog._f_column` the deterministic multi families are built
-from too, Li_ks(1 - e^(1 - u)) = F_ks(u - 1), per (ks, u) in
-:func:`_li_family`, a composition with u - 1.  At Y = point(1), where
-M = e^t, the multi second kind equals the deterministic one, which
-``multi`` builds from the same column by a Stirling transform.
+``table`` all read.  The multi families apply it to one series: with
+F_ks(s) = Li_ks(1 - e^(-s)), the cached series :func:`multilog._f_series`
+the deterministic multi families are built from too,
+Li_ks(1 - e^(1 - u)) = F_ks(u - 1), per (ks, u) in :func:`_li_family`, a
+composition with u - 1.  At Y = point(1), where M = e^t, the multi second
+kind equals the deterministic one, which ``multi`` builds from the EGF
+column of the same series by a Stirling transform.
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .moments import MomentSequence, _rational, mgf, resolvent
-from .multilog import _f_column, index_tuple
+from .multilog import _f_series, index_tuple
 from .series import Series, _check_entry, _check_natural, _from_egf_column, _make, _over_lcm, powers
 
 __all__ = [
@@ -80,11 +80,10 @@ def _power_column(u: Series, k: int) -> tuple[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def _li_family(ks: tuple[int, ...], u: Series) -> Series:
     """Li_ks(1 - e^(1 - u)) = F_ks(u - 1) at the order of ``u``: the series
-    of the column :func:`multilog._f_column` composed with u - 1, whose
-    memo of powers :func:`_power_triangle` reads too.  The multi second
-    kind at u = M and multi Lah at u = R."""
-    f, d = _f_column(ks, u.order)
-    return _from_egf_column(list(f), d).compose(u - 1)
+    :func:`multilog._f_series` composed with u - 1, whose memo of powers
+    :func:`_power_triangle` reads too.  The multi second kind at u = M and
+    multi Lah at u = R."""
+    return _f_series(ks, u.order).compose(u - 1)
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:

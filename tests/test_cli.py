@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -330,7 +330,7 @@ def test_runaway_table_inputs_are_refused_before_computing(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: the values would run to about ") and err.endswith(
+    assert err.startswith("error: the values would run to at least ") and err.endswith(
         "pass --force-order to override\n"
     )
 
@@ -395,7 +395,7 @@ def test_verify_grid_cells_past_the_size_cap_are_refused_before_computing(tmp_pa
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err.startswith("error: grid entry 1: the values would run to about ")
+    assert err.startswith("error: grid entry 1: the values would run to at least ")
     assert err.endswith("past the cap of 32768; pass --force-order to override\n")
 
 
@@ -445,7 +445,7 @@ def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert re.fullmatch(
-        f"error: {prefix}the values would run to about [0-9]+ bits, past the cap of 32768; "
+        f"error: {prefix}the values would run to at least [0-9]+ bits, past the cap of 32768; "
         "pass --force-order to override\n",
         proc.stderr,
     ), proc.stderr
@@ -461,6 +461,32 @@ def test_size_estimate_reaches_n_plus_r_only_where_the_multiple_logarithm_does()
     _check_size(64, ones, (), True, False)
     _check_grid(64, [(parse_distribution("point:1"), (0,) * 157)], force=False)
     _check_grid(64, [(parse_distribution("point:1"), (0,) * 158)], force=True)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda: _check_size(64, (1,) * 50000, (), True, False, shift=50000),
+        lambda: _check_grid(64, [(parse_distribution("point:1"), (0,) * 50000)], force=False),
+    ],
+    ids=["50000-ones", "grid-cell-of-50000-zeros"],
+)
+def test_size_estimate_of_a_very_long_tuple_stops_at_the_cap(monkeypatch, estimate):
+    # the lcm is extended only for a nonzero index and the sum stops once it
+    # passes the cap, a few hundred indices in; carried to reach N + r over
+    # all 50,000 indices, each estimate took about 1 s
+    from multinumbers import cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    monkeypatch.setattr(cli, "lcm", counted)
+    with pytest.raises(UsageError, match="past the cap"):
+        estimate()
+    assert 0 < len(calls) < 1000
 
 
 def test_table_with_too_few_raw_moments_is_a_usage_error(capsys):
@@ -558,6 +584,26 @@ PINNED_VERIFY_BYTES = [
     (
         ("verify", "--order", "64"),
         "2eb48a48f623d5e2b95614770feeca5f444f42f346e996fd740cabc0256434a9",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--order", "0"),
+        "3f6073af2a213e49faf3957a73ab546dd503d06ef20da6513ff32219dea7a5af",
+        "verify: 511 pass, 0 fail, 0 skipped, 0 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--order", "1"),
+        "2f9a7996369eb54f5102904bb86d7ff27f7a0ffd5bb4633fe3634706363a5ce7",
+        "verify: 511 pass, 0 fail, 0 skipped, 0 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--order", "2"),
+        "191b9de6c4402decff789d96a375ec03a580a8e2db8f33a43f0c84ec36569e9c",
+        "verify: 500 pass, 0 fail, 0 skipped, 11 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--order", "12"),
+        "4e9fbc620bd8b6194417fa931fd04517b300031880aa4939bfff2eae8a5eeed7",
         "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
     ),
     (

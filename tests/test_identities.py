@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multinumbers import classical, identities
+from multinumbers import classical, identities, probabilistic
 from multinumbers.classical import _FIRST, _SECOND, _columns, stirling1, stirling2
 from multinumbers.identities import (
     ALL_IDENTITIES,
@@ -54,7 +54,7 @@ from multinumbers.moments import (
     resolvent,
 )
 from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
-from multinumbers.multilog import _f_column, multilog
+from multinumbers.multilog import _f_series, multilog
 from multinumbers.probabilistic import (
     _moment_route_columns,
     prob_multi_stirling2,
@@ -543,11 +543,27 @@ def test_full_suite_reads_no_classical_entry():
     assert calls == []
 
 
+def test_full_suite_builds_no_series_from_a_column(monkeypatch):
+    # F_ks is one cached series and the single-index sides are triangle
+    # columns, so no column is turned back into a series
+    source = probabilistic._from_egf_column
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return source(*args)
+
+    clear_library_caches()
+    monkeypatch.setattr(probabilistic, "_from_egf_column", counted)
+    run_full_suite(order=12)
+    assert calls == []
+
+
 ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
 
 
 def first_kind_inversion_rhs(ms, ks, order):
-    return _second_kind_sums(ms, _f_column(ks, order), order)
+    return _second_kind_sums(ms, _f_series(ks, order).egf_column, order)
 
 
 def bernoulli_expansion_rhs(ms, ks, order):
@@ -777,9 +793,9 @@ def route_pairs(ms):
 PASS_THEN_FAIL = ("pass", "fail")
 PERTURBATIONS = [
     (
-        "f_column-4",
+        "f_series-4",
         lambda ms: check_first_kind_inversion(ms, KS, N),
-        "_f_column",
+        "_f_series",
         4,
         4,
         lambda ms: pairs(pms2_column(ms), raised_inversion_sum(ms), range(2, N + 1)),
@@ -946,10 +962,11 @@ def raise_kernel(monkeypatch):
 # the multiple logarithm with 1 - e^(1 - u)); with products raised, the
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
 # li_argument is read only by the direct sides of bernoulli-convolution and
-# first-kind-inversion.
+# first-kind-inversion.  Kernels that return bare lists or dicts
+# (classical._transform and _row, series.powers and _solve) are not raised here.
 KERNEL_FAILURES = {
     None: set(),
-    ("multilog", "_f_column"): {
+    ("multilog", "_f_series"): {
         "all-ones-lah", "all-ones-prob-lah", "all-ones-prob-second-kind", "all-ones-second-kind",
         "append-one", "append-one-deterministic", "bernoulli-convolution",
         "bernoulli-expansion", "first-kind-inversion",
@@ -978,6 +995,35 @@ KERNEL_FAILURES = {
         "all-ones-prob-lah", "all-ones-prob-second-kind", "all-ones-second-kind", "append-one",
         "append-one-deterministic", "derivative-rules",
     },
+    ("moments", "mgf"): {
+        "append-one", "lah-via-first-kind-corrected", "point-mass-collapse-multi-second-kind",
+        "point-mass-collapse-second-kind",
+    },
+    ("moments", "resolvent"): {"lah-via-first-kind-corrected", "point-mass-collapse-lah"},
+    ("classical", "bernoulli_higher_series"): {
+        "all-ones-bernoulli", "bernoulli-expansion-single-index",
+    },
+    ("probabilistic", "_moment_route_columns"): {"second-kind-route-agreement"},
+    ("probabilistic", "_fubini_series"): {"fubini-convolution"},
+    ("multi", "_bernoulli_series"): {
+        "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion",
+    },
+    ("multi", "_lah_series"): {"all-ones-lah", "fubini-convolution"},
+    ("multi", "_stirling2_series"): {
+        "all-ones-second-kind", "append-one-deterministic",
+        "point-mass-collapse-multi-second-kind",
+    },
+    ("Series", "__pow__"): {
+        "all-ones-bernoulli", "all-ones-multilog", "bernoulli-convolution",
+        "bernoulli-expansion-single-index", "fubini-convolution",
+    },
+    ("Series", "inverse"): {
+        "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion-single-index",
+        "fubini-convolution",
+    },
+    ("Series", "exp"): {"bernoulli-convolution", "first-kind-inversion"},
+    ("Series", "divide"): {"bernoulli-convolution"},
+    ("Series", "derivative"): {"derivative-rules"},
 }
 
 
