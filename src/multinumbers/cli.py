@@ -33,7 +33,7 @@ fixed flags.  Exit status:
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -302,10 +302,12 @@ def _report_line(rep: VerificationReport) -> str:
     m = rep.first_mismatch
     mismatch = "null" if m is None else f'{{"n":{m.n},"lhs":"{m.lhs}","rhs":"{m.rhs}"}}'
     detail = f',"detail":"{rep.detail}"' if rep.detail else ""
+    # _json_ints and _json_text written out: this runs once per report
+    ks = "null" if rep.ks is None else f"[{','.join(map(str, rep.ks))}]"
+    dist = "null" if rep.dist is None else f'"{rep.dist}"'
     return (
-        f'{{"identity":"{rep.identity}","ks":{_json_ints(rep.ks)},'
-        f'"dist":{_json_text(rep.dist)},"order":{rep.order},"status":"{rep.status}",'
-        f'"first_mismatch":{mismatch}{detail}}}\n'
+        f'{{"identity":"{rep.identity}","ks":{ks},"dist":{dist},"order":{rep.order},'
+        f'"status":"{rep.status}","first_mismatch":{mismatch}{detail}}}\n'
     )
 
 
@@ -364,12 +366,14 @@ def _cmd_table(args) -> int:
 def _check_grid(order: int, grid, force: bool) -> None:
     """Bound every cell of a ``verify`` grid before any is computed: its index
     tuple and, once per length r, the all-ones tuple of that length, which
-    the all-ones checks build whatever the cell's indices and read as
-    multi-Bernoulli to order N + r."""
+    the all-ones checks build whatever the cell's indices.  Both are
+    estimated at reach N + r, where the checks read each as multi-Bernoulli
+    (the cell's own tuple in ``bernoulli-expansion`` and
+    ``bernoulli-convolution``)."""
     lengths = set()
     for i, (spec, ks) in enumerate(grid):
         r = len(ks)
-        sizes = [("", ks, spec.params, 0)]
+        sizes = [("", ks, spec.params, r)]
         if r not in lengths:
             lengths.add(r)
             sizes.append((f"the all-ones tuple of length {r}: ", (1,) * r, (), r))
@@ -401,12 +405,13 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.writelines(lines)
-    counts = Counter(rep.status for rep in reports)
+    statuses = [rep.status for rep in reports]
+    failed = statuses.count(FAIL)
     sys.stderr.write(
-        f"verify: {counts[PASS]} pass, {counts[FAIL]} fail, {counts[SKIPPED]} skipped, "
-        f"{counts[EXPECTED_DISCREPANCY]} expected-discrepancy\n"
+        f"verify: {statuses.count(PASS)} pass, {failed} fail, {statuses.count(SKIPPED)} skipped, "
+        f"{statuses.count(EXPECTED_DISCREPANCY)} expected-discrepancy\n"
     )
-    return 1 if counts[FAIL] else 0
+    return 1 if failed else 0
 
 
 class Flag(namedtuple("Flag", ("attr", "parse", "default", "help"))):

@@ -29,6 +29,13 @@ multi families are built from, so that check takes its other side from
 the definition, the multiple logarithm composed with
 :func:`multi.li_argument`.
 
+A check-side quantity that depends on less than the cell is formed once
+per the key it depends on, in an ``lru_cache``: the single-index
+append-one sides per (Y, r), the expansion weights per tuple or per r,
+the first-kind row sums of ``lah-via-first-kind-literal`` per r, and the
+divisor (1 - e^(1 - M))^r of ``bernoulli-convolution`` per (M, r), whose
+shifted inverse :meth:`Series.divide` keeps per value.
+
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
 counterexample attached:
@@ -313,16 +320,24 @@ def check_append_one(
     return _verdict("append-one", order, comparisons, prefix, dist)
 
 
+@lru_cache(maxsize=None)
+def _li_argument_power(u: Series, r: int) -> Series:
+    """(1 - e^(1 - u))^r, the divisor of ``bernoulli-convolution`` at u = M;
+    it depends on (M, r) alone, so it is formed once per key."""
+    return li_argument(u) ** r
+
+
 def check_bernoulli_convolution(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Convolving multi-Bernoulli numbers with probabilistic second-kind numbers
     reproduces Li(1 - e^(1 - M)) / (1 - e^(1 - M))^r coefficientwise.
 
-    Requires a nonzero first moment, otherwise the denominator does not have
-    valuation r and the check is skipped.  Below order r there is no n to
-    compare and the check passes; that covers order 0, where the moment
-    sequence may stop at mu_0 and the mean is not known.
+    The divisor and the inverse that ``divide`` takes of it are formed once
+    per (M, r).  Requires a nonzero first moment, otherwise the denominator
+    does not have valuation r and the check is skipped.  Below order r
+    there is no n to compare and the check passes; that covers order 0,
+    where the moment sequence may stop at mu_0 and the mean is not known.
     """
     _check_natural(order)
     ks = tuple(ks)
@@ -337,10 +352,10 @@ def check_bernoulli_convolution(
             detail="first moment is zero; the divided series has no valuation r",
         )
     top = order - r
-    if top < 0:  # no n to compare, and h**r has no valuation r below order r
+    if top < 0:  # no n to compare, and the divisor has no valuation r below order r
         return _verdict("bernoulli-convolution", order, (), ks, dist)
-    h = li_argument(mgf(ms, order))
-    ratio = prob_multi_stirling2_series(ms, ks, order).divide(h**r, r).egf_column
+    divisor = _li_argument_power(mgf(ms, order), r)
+    ratio = prob_multi_stirling2_series(ms, ks, order).divide(divisor, r).egf_column
     bern, db = multi_bernoulli_series(ks, order).egf_column
     lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
     return _verdict("bernoulli-convolution", order, [(lhs, ratio, range(top + 1), "")], ks, dist)
@@ -368,6 +383,15 @@ def check_first_kind_inversion(
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
 
+@lru_cache(maxsize=None)
+def _first_kind_row_sums(r: int, order: int) -> tuple[int, ...]:
+    """sum_{k=r}^{n} [n; k] for n = 0..order, the first-kind row sums of the
+    literal Lah variant; they depend on (r, order) alone, so they are formed
+    once per key."""
+    ones = (0,) * r + (1,) * (order + 1 - r)
+    return tuple(_triangle_sums(_columns(_FIRST, order), ones, order))
+
+
 def check_lah_via_first_kind(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> list[VerificationReport]:
@@ -378,16 +402,14 @@ def check_lah_via_first_kind(
     summing {n; ks}_Y [n; k], and is retained as evidence: it disagrees,
     first at (ks = (1,1), Y = point(1), n = 3) where it gives 12 against 6.
     Both sums run over k = r..n; {k; ks}_Y vanishes below k = r, and the
-    literal form is {n; ks}_Y times a first-kind row sum.
+    literal form is {n; ks}_Y times a first-kind row sum, formed once per r.
     """
     ks = tuple(ks)
     r = len(ks)
     direct = prob_multi_lah_series(ms, ks, order).egf_column
     second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    first_kind = _columns(_FIRST, order)
-    corrected = _triangle_sums(first_kind, second, order), ds
-    row_sums = _triangle_sums(first_kind, (0,) * r + (1,) * (order + 1 - r), order)
-    literal = [s * t for s, t in zip(second, row_sums)], ds
+    corrected = _triangle_sums(_columns(_FIRST, order), second, order), ds
+    literal = [s * t for s, t in zip(second, _first_kind_row_sums(r, order))], ds
     ns = range(r, order + 1)
     literal_detail = "summand uses the outer index; the corrected variant matches the series"
     return [

@@ -52,7 +52,7 @@ def index_tuple(ks) -> tuple[int, ...]:
     if not out:
         raise ValueError("index tuple needs at least one entry")
     for k in out:
-        if not isinstance(k, int) or isinstance(k, bool):
+        if type(k) is bool or not isinstance(k, int):
             raise ValueError(f"index entries must be integers, got {k!r}")
     return out
 

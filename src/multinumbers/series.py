@@ -50,6 +50,10 @@ inner once and does the same work as with ``k`` fixed.
 and ``a_0 b_n = -sum a_j b_(n-j)``) solved in integers: the coefficients
 found so far share one denominator, each new one is reduced by a single
 gcd, and the shared denominator is rescaled only when it must grow.
+``divide`` multiplies by the inverse of the shifted denominator, kept in
+one cache per denominator value and valuation, so a repeat division by an
+equal series, even one built apart, inverts nothing: ``verify`` on the
+default grid divides 56 times by 21 distinct denominators.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` come
 from one table built once per series, :attr:`Series.egf_column`: the
@@ -62,7 +66,8 @@ products and compositions need no factorial bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
 series may be shared freely across threads; the one cached table,
-``egf_column``, is filled on first use with a value independent of who fills it.
+``egf_column``, is filled on first use with a value independent of who fills
+it, and so are the memo of powers and the cache of shifted inverses.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def _exact(value: Scalar) -> Fraction:
 def _check_natural(value: int, what: str = "truncation order", least: int = 0) -> int:
     """``value``, if it is an ``int`` (not a ``bool``) of at least ``least``,
     which is 0 or 1; else ``ValueError`` naming the argument ``what``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+    if type(value) is bool or not isinstance(value, int) or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
     return value
@@ -256,7 +261,7 @@ class Series:
         return Fraction(a[n], d)
 
     def _check_index(self, n: int) -> None:
-        if not isinstance(n, int) or isinstance(n, bool):
+        if type(n) is bool or not isinstance(n, int):
             raise TypeError("coefficient index must be an integer")
         if n < 0 or n > self.order:
             raise ValueError(
@@ -264,7 +269,7 @@ class Series:
             )
 
     def _check_same_order(self, other: "Series") -> None:
-        if self.order != other.order:
+        if len(self._num) != len(other._num):
             raise ValueError(
                 f"truncation order mismatch: {self.order} != {other.order}"
             )
@@ -460,7 +465,9 @@ class Series:
         ``den`` must have coefficients 0 strictly below ``valuation`` and a
         nonzero coefficient there; ``self`` must vanish at least as far.
         The quotient is well defined only up to order ``order - valuation``
-        and the result carries that shorter truncation order.
+        and the result carries that shorter truncation order.  The inverse
+        of the shifted denominator is formed once per value of ``den`` and
+        ``valuation`` (:func:`_shifted_inverse`).
         """
         if not isinstance(den, Series):
             raise TypeError("division needs a Series denominator")
@@ -472,9 +479,7 @@ class Series:
             raise ValueError(f"denominator does not have valuation {valuation}")
         if any(self._num[:valuation]):
             raise ValueError(f"numerator valuation is below {valuation}")
-        num_shift = _make(self._num[valuation:], self._den)
-        den_shift = _make(den._num[valuation:], den._den)
-        return num_shift * den_shift.inverse()
+        return _make(self._num[valuation:], self._den) * _shifted_inverse(den, valuation)
 
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""
@@ -500,6 +505,13 @@ def _power_memo(g: Series) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, the only store of
     them: equal series share one memo."""
     return {0: Series.one(g.order), 1: g}
+
+
+@lru_cache(maxsize=None)
+def _shifted_inverse(den: Series, valuation: int) -> Series:
+    """The inverse of ``den / t^valuation``, formed once per value of ``den``
+    and valuation: ``divide`` reads it here, so equal denominators share it."""
+    return _make(den._num[valuation:], den._den).inverse()
 
 
 def powers(g: Series, k: int) -> dict[int, Series]:

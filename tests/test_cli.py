@@ -419,7 +419,10 @@ def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
 
 # before the estimate reached N + r these ran unbounded: 300 ones took 3.6 s
 # and 600 ones ran past 60 s; a cell of 400 zeros took 11.3 s, in the
-# all-ones checks of length 400
+# all-ones checks of length 400; a cell of 150 tens, estimated at reach N
+# while its multi-Bernoulli series reads the multilog to N + r, took 11.1 s.
+# A cell's own tuple is estimated first, so 800 twos are refused for their
+# own size before the all-ones tuple of length 800 is estimated
 @pytest.mark.parametrize(
     "argv,grid,prefix",
     [
@@ -428,9 +431,13 @@ def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
         (("verify",), [{"dist": "poisson:1", "ks": [0] * 400}],
          "grid entry 0: the all-ones tuple of length 400: "),
         (("verify",), [{"dist": "poisson:1", "ks": [1, 2]}, {"dist": "point:1", "ks": [2] * 800}],
-         "grid entry 1: the all-ones tuple of length 800: "),
+         "grid entry 1: "),
+        (("verify",), [{"dist": "point:1", "ks": [10] * 150}], "grid entry 0: "),
     ],
-    ids=["bernoulli-300-ones", "bernoulli-600-ones", "verify-400-zeros", "verify-800-twos"],
+    ids=[
+        "bernoulli-300-ones", "bernoulli-600-ones", "verify-400-zeros", "verify-800-twos",
+        "verify-150-tens",
+    ],
 )
 def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
     if grid is not None:
@@ -610,6 +617,16 @@ PINNED_VERIFY_BYTES = [
         ("verify", "--list-identities"),
         "b81f37cb992b80ad15ff0860f6f0df749b4c375b01cf82d53e3256d1a68fdec1",
         "",
+    ),
+    (
+        ("verify", "--order", "16"),
+        "d17d52dc1c7e4e88fbe0eeabb71bfccf33f0f34eaefa75e9b924d13f9e4259e7",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+    ),
+    (
+        ("verify", "--order", "20"),
+        "6fa43674f6277bfa753f747b17a54fae4b1af49b81143bf1a34d325e9342780f",
+        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
     ),
 ]
 

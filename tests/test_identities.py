@@ -559,6 +559,35 @@ def test_full_suite_builds_no_series_from_a_column(monkeypatch):
     assert calls == []
 
 
+def test_bernoulli_convolution_inverts_once_per_moment_series_and_length(monkeypatch):
+    # the divisor (1 - e^(1 - M))^r and its inverse depend on (M, r) alone:
+    # 7 distributions by 3 tuple lengths on the default grid, 56 cells
+    source_check, source_inverse = identities.check_bernoulli_convolution, Series.inverse
+    keys, cells, inside, calls = set(), [], [], []
+
+    def check(ms, ks, order, dist=None):
+        keys.add((mgf(ms, order), len(ks)))
+        cells.append(ks)
+        inside.append(True)
+        try:
+            return source_check(ms, ks, order, dist)
+        finally:
+            inside.pop()
+
+    def inverse(s):
+        if inside:
+            calls.append(s)
+        return source_inverse(s)
+
+    clear_library_caches()
+    monkeypatch.setattr(identities, "check_bernoulli_convolution", check)
+    monkeypatch.setattr(Series, "inverse", inverse)
+    run_full_suite(order=12)
+    assert (len(cells), len(keys)) == (56, 21)
+    assert len(calls) == 21
+    clear_library_caches()
+
+
 ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
 
 
@@ -945,13 +974,42 @@ def raise_kernel(monkeypatch):
             monkeypatch.setattr(Series, name, bumped(getattr(Series, name), 4))
             return
         source = getattr(sys.modules[f"multinumbers.{owner}"], name)
-        changed = bumped(source, 4)
+        changed = KERNEL_RAISERS.get(name, bumped)(source, 4)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("multinumbers.") and vars(module).get(name) is source:
                 monkeypatch.setattr(module, name, changed)
 
     yield apply
     clear_library_caches()
+
+
+def raised_powers(source, m):
+    """``series.powers`` handing out its memo with the power ``g^m`` raised by
+    1 at ``t^m``; the memo itself keeps the true powers."""
+
+    def perturbed(g, k):
+        memo = dict(source(g, k))
+        if m in memo:
+            memo[m] = Series([c + 1 if i == m else c for i, c in enumerate(memo[m].coeffs)])
+        return memo
+
+    return perturbed
+
+
+def raised_solve(source, m):
+    """``series._solve`` with its solution ``x_m`` raised by 1, so that ``exp``,
+    ``log`` and ``inverse`` each return a series off at ``t^m``."""
+
+    def perturbed(*args):
+        xs, den = source(*args)
+        return [x + den if n == m else x for n, x in enumerate(xs)], den
+
+    return perturbed
+
+
+# the kernels that return a bare memo or an unreduced solution, not a series
+# or a column, and the helper that raises entry 4 of each
+KERNEL_RAISERS = {"powers": raised_powers, "_solve": raised_solve}
 
 
 # The identities that fail when one kernel's output is raised at entry 4, on
@@ -962,8 +1020,9 @@ def raise_kernel(monkeypatch):
 # the multiple logarithm with 1 - e^(1 - u)); with products raised, the
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
 # li_argument is read only by the direct sides of bernoulli-convolution and
-# first-kind-inversion.  Kernels that return bare lists or dicts
-# (classical._transform and _row, series.powers and _solve) are not raised here.
+# first-kind-inversion.  series.powers and _solve are raised by their own
+# helpers in KERNEL_RAISERS; classical._transform and _row, which return bare
+# lists of rows, are not raised here.
 KERNEL_FAILURES = {
     None: set(),
     ("multilog", "_f_series"): {
@@ -1024,6 +1083,15 @@ KERNEL_FAILURES = {
     ("Series", "exp"): {"bernoulli-convolution", "first-kind-inversion"},
     ("Series", "divide"): {"bernoulli-convolution"},
     ("Series", "derivative"): {"derivative-rules"},
+    ("series", "powers"): {
+        "append-one", "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",
+        "fubini-convolution", "lah-via-first-kind-corrected", "point-mass-collapse-lah",
+        "point-mass-collapse-multi-second-kind", "point-mass-collapse-second-kind",
+    },
+    ("series", "_solve"): {
+        "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion-single-index",
+        "first-kind-inversion", "fubini-convolution",
+    },
 }
 
 
