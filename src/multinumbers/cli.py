@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
-from .moments import DistributionSpec, mgf, moments, parse_distribution, resolvent
+from .moments import DistributionSpec, _check_digits, mgf, moments, parse_distribution, resolvent
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import multilog
 from .probabilistic import (
@@ -163,6 +163,7 @@ def _parse_r(r: int) -> int:
 
 
 def _parse_y(text: str) -> Fraction:
+    _check_digits(text, "--y", UsageError)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -287,14 +288,6 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
     return a.ks, a.dist.label if a.dist is not None else None, rows
 
 
-def _json_ints(ks: tuple[int, ...] | None) -> str:
-    return "null" if ks is None else f"[{','.join(map(str, ks))}]"
-
-
-def _json_text(text: str | None) -> str:
-    return "null" if text is None else f'"{text}"'
-
-
 def _report_line(rep: VerificationReport) -> str:
     """``rep`` as one compact JSON line: ``identity``, ``ks``, ``dist``,
     ``order``, ``status``, ``first_mismatch`` (``{n, lhs, rhs}`` or null)
@@ -302,7 +295,6 @@ def _report_line(rep: VerificationReport) -> str:
     m = rep.first_mismatch
     mismatch = "null" if m is None else f'{{"n":{m.n},"lhs":"{m.lhs}","rhs":"{m.rhs}"}}'
     detail = f',"detail":"{rep.detail}"' if rep.detail else ""
-    # _json_ints and _json_text written out: this runs once per report
     ks = "null" if rep.ks is None else f"[{','.join(map(str, rep.ks))}]"
     dist = "null" if rep.dist is None else f'"{rep.dist}"'
     return (
@@ -349,7 +341,9 @@ def _cmd_table(args) -> int:
     _check_order_flag(args.order, args.force_order)
     ks, dist, rows = _table_rows(args)
     if args.format == "json":
-        head = f'{{"family":"{args.family}","ks":{_json_ints(ks)},"dist":{_json_text(dist)}'
+        ks_json = "null" if ks is None else f"[{','.join(map(str, ks))}]"
+        dist_json = "null" if dist is None else f'"{dist}"'
+        head = f'{{"family":"{args.family}","ks":{ks_json},"dist":{dist_json}'
         lines = [
             f'{head},"n":{n},"k":{"null" if k is None else k},"value":"{value}"}}\n'
             for n, k, value in rows

@@ -22,19 +22,20 @@ sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
 vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
 exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
 :func:`probabilistic._power_triangle` like the entries and ``table``; a
-single-index side is a column of that triangle, read as it is kept.  The
-first-kind weights of ``first-kind-inversion`` are not such a sum: they
-are the EGF column of :func:`multilog._f_series`, the series all four
-multi families are built from, so that check takes its other side from
-the definition, the multiple logarithm composed with
-:func:`multi.li_argument`.
+single-index side is a column of that triangle, read as it is kept.
+``bernoulli-convolution`` applies both in turn: the (1, M - 1) array to
+the multi-Bernoulli column, then the EGF product with (1 - e^(1 - M))^r,
+so no check divides a series.  The first-kind weights of
+``first-kind-inversion`` are not such a sum: they are the EGF column of
+:func:`multilog._f_series`, the series all four multi families are built
+from, so that check takes its other side from the definition, the
+multiple logarithm composed with :func:`multi.li_argument`.
 
 A check-side quantity that depends on less than the cell is formed once
 per the key it depends on, in an ``lru_cache``: the single-index
 append-one sides per (Y, r), the expansion weights per tuple or per r,
 the first-kind row sums of ``lah-via-first-kind-literal`` per r, and the
-divisor (1 - e^(1 - M))^r of ``bernoulli-convolution`` per (M, r), whose
-shifted inverse :meth:`Series.divide` keeps per value.
+factor (1 - e^(1 - M))^r of ``bernoulli-convolution`` per (M, r).
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -322,8 +323,8 @@ def check_append_one(
 
 @lru_cache(maxsize=None)
 def _li_argument_power(u: Series, r: int) -> Series:
-    """(1 - e^(1 - u))^r, the divisor of ``bernoulli-convolution`` at u = M;
-    it depends on (M, r) alone, so it is formed once per key."""
+    """(1 - e^(1 - u))^r, the factor h^r of ``bernoulli-convolution`` at
+    u = M; it depends on (M, r) alone, so it is formed once per key."""
     return li_argument(u) ** r
 
 
@@ -331,34 +332,28 @@ def check_bernoulli_convolution(
     ms: MomentSequence, ks, order: int, dist: str | None = None
 ) -> VerificationReport:
     """Convolving multi-Bernoulli numbers with probabilistic second-kind numbers
-    reproduces Li(1 - e^(1 - M)) / (1 - e^(1 - M))^r coefficientwise.
+    and multiplying by h^r, h = 1 - e^(1 - M), reproduces Li_ks(h):
 
-    The divisor and the inverse that ``divide`` takes of it are formed once
-    per (M, r).  Requires a nonzero first moment, otherwise the denominator
-    does not have valuation r and the check is skipped.  Below order r
-    there is no n to compare and the check passes; that covers order 0,
-    where the moment sequence may stop at mu_0 and the mean is not known.
+        {n; ks}_Y = sum_m C(n, m) s_m [h^r]_(n-m),  s_m = sum_j B_j(ks) {m; j}_Y,
+
+    with [h^r]_k the EGF coefficients of h^r: the EGF product of h^r with
+    the (1, M - 1) array applied to the multi-Bernoulli column, compared
+    for n = r..order.  The factor h^r is formed once per (M, r).  With a
+    zero first moment the check is skipped, as the divided form it
+    replaces had no valuation r there; at order 0 the moment sequence may
+    stop at mu_0, the mean is not known and the empty range passes.
     """
     _check_natural(order)
     ks = tuple(ks)
     r = len(ks)
     if ms.order >= 1 and ms.mu[1] == 0:
-        return VerificationReport(
-            identity="bernoulli-convolution",
-            order=order,
-            ks=ks,
-            dist=dist,
-            status=SKIPPED,
-            detail="first moment is zero; the divided series has no valuation r",
-        )
-    top = order - r
-    if top < 0:  # no n to compare, and the divisor has no valuation r below order r
-        return _verdict("bernoulli-convolution", order, (), ks, dist)
-    divisor = _li_argument_power(mgf(ms, order), r)
-    ratio = prob_multi_stirling2_series(ms, ks, order).divide(divisor, r).egf_column
-    bern, db = multi_bernoulli_series(ks, order).egf_column
-    lhs = _second_kind_sums(ms, (bern[: top + 1], db), order)
-    return _verdict("bernoulli-convolution", order, [(lhs, ratio, range(top + 1), "")], ks, dist)
+        detail = "first moment is zero; the divided series has no valuation r"
+        return VerificationReport("bernoulli-convolution", order, ks, dist, SKIPPED, None, detail)
+    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
+    s, ds = _second_kind_sums(ms, multi_bernoulli_series(ks, order).egf_column, order)
+    h, dh = _li_argument_power(mgf(ms, order), r).egf_column
+    rhs = _binomial_sums(s, h, order), ds * dh
+    return _verdict("bernoulli-convolution", order, [(lhs, rhs, range(r, order + 1), "")], ks, dist)
 
 
 def check_first_kind_inversion(

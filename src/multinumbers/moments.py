@@ -58,10 +58,33 @@ __all__ = [
 ]
 
 
+# CPython's default limit on the digits of an int read from or written as text
+_MAX_DIGITS = 4300
+
+
+def _check_digits(text: str, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``what`` when the decimal ``text`` has an
+    exponent that would write out a numerator or denominator of more than
+    ``_MAX_DIGITS`` digits, before ``Fraction`` expands the power of ten;
+    text with no exponent, or one that ``Fraction`` refuses anyway, passes."""
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
+    try:
+        shift = int(exponent) - len(frac)
+    except ValueError:
+        return
+    # the numerator has the mantissa's digits and `shift` zeros, the
+    # denominator 10^-shift has 1 - shift digits
+    if max(len((whole + frac).lstrip("0")) + shift, 1 - shift) > _MAX_DIGITS:
+        raise error(f"{what} {text!r} writes out more than {_MAX_DIGITS} digits")
+
+
 def _rational(value, what: str) -> Fraction:
     if isinstance(value, (float, bool)):
         kind = type(value).__name__
         raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
+    if type(value) is str and ("e" in value or "E" in value):
+        _check_digits(value, what)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -307,7 +330,7 @@ def _column(ms: MomentSequence, order: int) -> tuple[tuple[int, ...], int]:
     return ms.column
 
 
-# ``typed``, as for the stock series: ``True`` never reads the entry of order 1
+# ``typed`` keeps ``True`` from reading the entry of order 1 past the order check
 @lru_cache(maxsize=None, typed=True)
 def mgf(ms: MomentSequence, order: int) -> Series:
     """Moment EGF: ordinary coefficients mu_n / n!."""

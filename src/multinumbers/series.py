@@ -50,10 +50,9 @@ inner once and does the same work as with ``k`` fixed.
 and ``a_0 b_n = -sum a_j b_(n-j)``) solved in integers: the coefficients
 found so far share one denominator, each new one is reduced by a single
 gcd, and the shared denominator is rescaled only when it must grow.
-``divide`` multiplies by the inverse of the shifted denominator, kept in
-one cache per denominator value and valuation, so a repeat division by an
-equal series, even one built apart, inverts nothing: ``verify`` on the
-default grid divides 56 times by 21 distinct denominators.
+``divide`` multiplies by the inverse of the shifted denominator.  The
+library divides nothing: the identity checks multiply instead, and
+``divide`` stays as the quotient the tests take as an oracle.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` come
 from one table built once per series, :attr:`Series.egf_column`: the
@@ -67,7 +66,7 @@ products and compositions need no factorial bookkeeping.
 Values are immutable after construction and every operation is pure, so
 series may be shared freely across threads; the one cached table,
 ``egf_column``, is filled on first use with a value independent of who fills
-it, and so are the memo of powers and the cache of shifted inverses.
+it, and so is the memo of powers.
 """
 
 from __future__ import annotations
@@ -465,9 +464,9 @@ class Series:
         ``den`` must have coefficients 0 strictly below ``valuation`` and a
         nonzero coefficient there; ``self`` must vanish at least as far.
         The quotient is well defined only up to order ``order - valuation``
-        and the result carries that shorter truncation order.  The inverse
-        of the shifted denominator is formed once per value of ``den`` and
-        ``valuation`` (:func:`_shifted_inverse`).
+        and the result carries that shorter truncation order.  Each call
+        inverts the shifted denominator afresh; no library path divides, and
+        the tests read the quotient as an oracle.
         """
         if not isinstance(den, Series):
             raise TypeError("division needs a Series denominator")
@@ -479,7 +478,8 @@ class Series:
             raise ValueError(f"denominator does not have valuation {valuation}")
         if any(self._num[:valuation]):
             raise ValueError(f"numerator valuation is below {valuation}")
-        return _make(self._num[valuation:], self._den) * _shifted_inverse(den, valuation)
+        shifted = _make(den._num[valuation:], den._den)
+        return _make(self._num[valuation:], self._den) * shifted.inverse()
 
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""
@@ -507,13 +507,6 @@ def _power_memo(g: Series) -> dict[int, Series]:
     return {0: Series.one(g.order), 1: g}
 
 
-@lru_cache(maxsize=None)
-def _shifted_inverse(den: Series, valuation: int) -> Series:
-    """The inverse of ``den / t^valuation``, formed once per value of ``den``
-    and valuation: ``divide`` reads it here, so equal denominators share it."""
-    return _make(den._num[valuation:], den._den).inverse()
-
-
 def powers(g: Series, k: int) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, filled upward in a loop
     to j = k at least.  Threads that fill a power store equal values."""
@@ -524,31 +517,25 @@ def powers(g: Series, k: int) -> dict[int, Series]:
 
 
 # ------------------------------------------------------------ stock series
-# Built once per order from integer numerators; a Series is immutable, so
-# every caller may share the value.  ``typed`` keeps ``True`` from reading
-# the entry of order 1 past the order check.
+# Built from integer numerators on each call.
 
 
-@lru_cache(maxsize=None, typed=True)
 def exp_t(order: int) -> Series:
     """e^t, coefficients 1/n!: the numerators N!/n! over N!."""
     return _from_egf_column([1] * (_check_natural(order) + 1), 1)
 
 
-@lru_cache(maxsize=None, typed=True)
 def geometric(order: int) -> Series:
     """1/(1-t), all coefficients 1."""
     return _make([1] * (_check_natural(order) + 1), 1)
 
 
-@lru_cache(maxsize=None, typed=True)
 def neg_log1m(order: int) -> Series:
     """-log(1-t), coefficients 1/n for n >= 1."""
     den = lcm(*range(1, _check_natural(order) + 1))
     return _make([0] + [den // n for n in range(1, order + 1)], den)
 
 
-@lru_cache(maxsize=None, typed=True)
 def one_minus_exp_neg_t(order: int) -> Series:
     """1 - e^(-t), coefficients (-1)^(n+1)/n! for n >= 1."""
     e = exp_t(order)

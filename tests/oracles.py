@@ -505,7 +505,7 @@ def lah_sums(ms, ks, order: int) -> tuple[list[Fraction], list[Fraction], list[F
 
 
 def bernoulli_convolution_sum(ms, ks, order: int) -> list[Fraction]:
-    """sum_{j=0}^{n} B_j(ks) {n; j}_Y, n = 0..order-r."""
+    """sum_{j=0}^{n} B_j(ks) {n; j}_Y, n = 0..order."""
     return [
         sum(
             (
@@ -514,7 +514,7 @@ def bernoulli_convolution_sum(ms, ks, order: int) -> list[Fraction]:
             ),
             Fraction(0),
         )
-        for n in range(order - len(ks) + 1)
+        for n in range(order + 1)
     ]
 
 

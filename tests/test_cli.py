@@ -458,6 +458,47 @@ def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
     ), proc.stderr
 
 
+# Fraction expands a literal's power of ten before any size cap runs: the
+# first command spent 9.9 s before it exited 2, the second 10.3 s before it
+# printed CPython's int/str digit-limit message
+@pytest.mark.parametrize(
+    "argv,grid,message",
+    [
+        (
+            ("table", "prob-fubini", "--dist", "poisson:1", "--r", "1", "--y", "1e10000000"),
+            None,
+            "--y '1e10000000'",
+        ),
+        (
+            ("table", "prob-fubini", "--dist", "bernoulli:1e-10000000", "--r", "1", "--y", "1"),
+            None,
+            "invalid distribution spec 'bernoulli:1e-10000000': bernoulli parameter "
+            "'1e-10000000'",
+        ),
+        (
+            ("verify",),
+            [{"dist": "poisson:1e10000000", "ks": [1]}],
+            "grid entry 0 is malformed: invalid distribution spec 'poisson:1e10000000': "
+            "poisson rate '1e10000000'",
+        ),
+    ],
+    ids=["y", "dist", "grid"],
+)
+def test_runaway_exponents_are_refused_up_front(tmp_path, argv, grid, message):
+    if grid is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        argv += ("--grid", str(path))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "multinumbers", *argv, "--order", "2"],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message} writes out more than 4300 digits\n"
+
+
 def test_size_estimate_reaches_n_plus_r_only_where_the_multiple_logarithm_does():
     # at order 64, 157 ones stay inside the cap at reach N + r and 158 do
     # not; read only to N, 158 ones are inside

@@ -6,7 +6,7 @@ import sys
 from fnmatch import fnmatch
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -53,8 +53,8 @@ from multinumbers.moments import (
     poisson,
     resolvent,
 )
-from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
-from multinumbers.multilog import _f_series, multilog
+from multinumbers.multi import multi_bernoulli_series, multi_stirling2_series
+from multinumbers.multilog import _f_series
 from multinumbers.probabilistic import (
     _moment_route_columns,
     prob_multi_stirling2,
@@ -77,6 +77,7 @@ from oracles import (
     moment_route,
     rising_factorial_resolvent,
     series_compose,
+    series_exp,
     series_product,
 )
 
@@ -559,10 +560,11 @@ def test_full_suite_builds_no_series_from_a_column(monkeypatch):
     assert calls == []
 
 
-def test_bernoulli_convolution_inverts_once_per_moment_series_and_length(monkeypatch):
-    # the divisor (1 - e^(1 - M))^r and its inverse depend on (M, r) alone:
-    # 7 distributions by 3 tuple lengths on the default grid, 56 cells
-    source_check, source_inverse = identities.check_bernoulli_convolution, Series.inverse
+def test_bernoulli_convolution_powers_once_per_moment_series_and_length(monkeypatch):
+    # the factor (1 - e^(1 - M))^r depends on (M, r) alone: 7 distributions
+    # by 3 tuple lengths on the default grid, 56 cells; the check multiplies
+    # by it, so it neither divides nor inverts a series
+    source_check = identities.check_bernoulli_convolution
     keys, cells, inside, calls = set(), [], [], []
 
     def check(ms, ks, order, dist=None):
@@ -574,17 +576,24 @@ def test_bernoulli_convolution_inverts_once_per_moment_series_and_length(monkeyp
         finally:
             inside.pop()
 
-    def inverse(s):
-        if inside:
-            calls.append(s)
-        return source_inverse(s)
+    def counted(name):
+        source = getattr(Series, name)
+
+        def method(*args):
+            if inside:
+                calls.append(name)
+            return source(*args)
+
+        return method
 
     clear_library_caches()
     monkeypatch.setattr(identities, "check_bernoulli_convolution", check)
-    monkeypatch.setattr(Series, "inverse", inverse)
+    for name in ("divide", "inverse"):
+        monkeypatch.setattr(Series, name, counted(name))
     run_full_suite(order=12)
     assert (len(cells), len(keys)) == (56, 21)
-    assert len(calls) == 21
+    assert identities._li_argument_power.cache_info().misses == 21
+    assert calls == []
     clear_library_caches()
 
 
@@ -682,10 +691,8 @@ def test_second_kind_sums_match_the_oracles(cell):
     )
     lhs, rhs = fubini_sides(ms, ks, order)
     assert (values(lhs), values(rhs)) == fubini_sums(ms, ks, order)
-    if order >= r:
-        bern, den = multi_bernoulli_series(ks, order).egf_column
-        lhs = _second_kind_sums(ms, (bern[: order - r + 1], den), order)
-        assert values(lhs) == bernoulli_convolution_sum(ms, ks, order)
+    bern = multi_bernoulli_series(ks, order).egf_column
+    assert values(_second_kind_sums(ms, bern, order)) == bernoulli_convolution_sum(ms, ks, order)
 
 
 # index tuples of length r = 3 and 4, over a mean-zero law among others
@@ -792,9 +799,15 @@ def pms2_column(ms):
 
 
 def convolution_pairs(ms):
-    h = li_argument(mgf(ms, N))
-    ratio = multilog(KS, N).compose(h).divide(h**2, 2).egf_coeffs
-    return pairs(bernoulli_convolution_sum(ms, KS, N), ratio, range(N - 1))
+    # {n; ks}_Y against sum_m C(n, m) s_m [h^2]_(n-m), h = 1 - e^(1 - M), with
+    # h^2 from the Fraction series oracles
+    one_minus_m = [F(0)] + [-ms.mu[n] / factorial(n) for n in range(1, N + 1)]
+    h = [-c for c in series_exp(one_minus_m)]
+    h[0] += 1
+    h2 = [factorial(n) * c for n, c in enumerate(series_product(h, h))]
+    s = bernoulli_convolution_sum(ms, KS, N)
+    rhs = [sum(comb(n, m) * s[m] * h2[n - m] for m in range(n + 1)) for n in range(N + 1)]
+    return pairs(pms2_column(ms), rhs, range(2, N + 1))
 
 
 def raised_inversion_sum(ms):
@@ -857,7 +870,7 @@ PERTURBATIONS = [
         lambda ms: check_bernoulli_convolution(ms, KS, N),
         "multi_bernoulli_series",
         3,
-        3,
+        5,
         convolution_pairs,
         PASS_THEN_FAIL,
     ),
@@ -1007,9 +1020,27 @@ def raised_solve(source, m):
     return perturbed
 
 
-# the kernels that return a bare memo or an unreduced solution, not a series
-# or a column, and the helper that raises entry 4 of each
-KERNEL_RAISERS = {"powers": raised_powers, "_solve": raised_solve}
+def raised_entry(source, m):
+    """``source`` with entry ``m`` of the bare list or row of integers it
+    returns raised by 1, where there is one: ``classical._transform`` off at
+    b_m, ``classical._row`` off at T(n, m) for every n >= m."""
+
+    def perturbed(*args):
+        got = source(*args)
+        return type(got)([x + 1 if n == m else x for n, x in enumerate(got)])
+
+    return perturbed
+
+
+# the kernels that return a bare memo, an unreduced solution or a bare list
+# of integers, not a series or a column over a denominator, and the helper
+# that raises entry 4 of each
+KERNEL_RAISERS = {
+    "powers": raised_powers,
+    "_solve": raised_solve,
+    "_transform": raised_entry,
+    "_row": raised_entry,
+}
 
 
 # The identities that fail when one kernel's output is raised at entry 4, on
@@ -1019,10 +1050,11 @@ KERNEL_RAISERS = {"powers": raised_powers, "_solve": raised_solve}
 # pass, because both hold for any F (they failed while the families composed
 # the multiple logarithm with 1 - e^(1 - u)); with products raised, the
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
-# li_argument is read only by the direct sides of bernoulli-convolution and
-# first-kind-inversion.  series.powers and _solve are raised by their own
-# helpers in KERNEL_RAISERS; classical._transform and _row, which return bare
-# lists of rows, are not raised here.
+# li_argument is read only by the direct side of first-kind-inversion and the
+# factor h^r of bernoulli-convolution.  No check divides, so the divide row is
+# empty.  series.powers, _solve, classical._transform and _row are raised by
+# their own helpers in KERNEL_RAISERS; the raised rows are handed out, and the
+# row memo classical._ROWS keeps the true ones.
 KERNEL_FAILURES = {
     None: set(),
     ("multilog", "_f_series"): {
@@ -1077,16 +1109,25 @@ KERNEL_FAILURES = {
         "bernoulli-expansion-single-index", "fubini-convolution",
     },
     ("Series", "inverse"): {
-        "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion-single-index",
-        "fubini-convolution",
+        "all-ones-bernoulli", "bernoulli-expansion-single-index", "fubini-convolution",
     },
     ("Series", "exp"): {"bernoulli-convolution", "first-kind-inversion"},
-    ("Series", "divide"): {"bernoulli-convolution"},
+    ("Series", "divide"): set(),
     ("Series", "derivative"): {"derivative-rules"},
     ("series", "powers"): {
         "append-one", "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",
         "fubini-convolution", "lah-via-first-kind-corrected", "point-mass-collapse-lah",
         "point-mass-collapse-multi-second-kind", "point-mass-collapse-second-kind",
+    },
+    ("classical", "_transform"): {
+        "all-ones-bernoulli", "all-ones-lah", "all-ones-prob-lah", "all-ones-prob-second-kind",
+        "all-ones-second-kind", "append-one", "append-one-deterministic", "bernoulli-convolution",
+        "bernoulli-expansion", "first-kind-inversion", "lah-via-first-kind-corrected",
+        "point-mass-collapse-lah", "point-mass-collapse-multi-second-kind",
+    },
+    ("classical", "_row"): {
+        "lah-via-first-kind-corrected", "point-mass-collapse-lah",
+        "point-mass-collapse-second-kind",
     },
     ("series", "_solve"): {
         "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion-single-index",

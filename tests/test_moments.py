@@ -349,12 +349,39 @@ def _invalid(text, reason):
         _invalid("finite:0=1/2", "finite distribution weights must sum to 1, got 1/2"),
         _invalid("raw:2,1", "raw moment list must start with mu_0 = 1, got 2"),
         _invalid("raw:1,x", "cannot parse raw moment from 'x'"),
+        _invalid("point:1e4300", "point mass location '1e4300' writes out more than 4300 digits"),
+        _invalid("point:1.23e4300", "point mass location '1.23e4300' writes out more than 4300 "
+                 "digits"),
+        _invalid("point:1e-4300", "point mass location '1e-4300' writes out more than 4300 digits"),
+        _invalid("poisson:1.5e-4299", "poisson rate '1.5e-4299' writes out more than 4300 digits"),
+        _invalid("poisson:5e-4300", "poisson rate '5e-4300' writes out more than 4300 digits"),
+        _invalid("raw:1,0e99999999", "raw moment '0e99999999' writes out more than 4300 digits"),
     ],
     ids=repr,
 )
 def test_grammar_rejects_malformed_specs(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_distribution(text)
+
+
+# the written-out numerator has the mantissa's digits and the exponent's
+# zeros, the denominator 10^(digits after the point - exponent); each may
+# reach 4300 digits
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("1e4299", F(10**4299)),
+        ("0.5e4300", F(5 * 10**4299)),
+        ("-12_3.4_5E+4296", F(-12345 * 10**4294)),
+        ("1e-4299", F(1, 10**4299)),
+        ("1.5e-4298", F(15, 10**4299)),
+        ("0012.5e-2", F(1, 8)),
+        ("1/3", F(1, 3)),
+    ],
+    ids=repr,
+)
+def test_exponent_literals_up_to_the_digit_limit_are_read_exactly(text, value):
+    assert point(text).params == (value,)
 
 
 # ---------------------------------------------------------------- transforms

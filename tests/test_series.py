@@ -23,7 +23,6 @@ from multinumbers.probabilistic import (
 from multinumbers.series import (
     Series,
     _power_memo,
-    _shifted_inverse,
     exp_t,
     geometric,
     neg_log1m,
@@ -76,10 +75,9 @@ STOCK = {
 
 
 @pytest.mark.parametrize("stock", STOCK, ids=lambda f: f.__name__)
-def test_stock_series_equal_their_fraction_coefficients_and_are_shared(stock):
+def test_stock_series_equal_their_fraction_coefficients(stock):
     for order in range(41):
         assert stock(order) == Series(STOCK[stock](n) for n in range(order + 1))
-        assert stock(order) is stock(order)
     for bad in (-1, True, 2.0):
         with pytest.raises(ValueError):
             stock(bad)
@@ -318,35 +316,6 @@ def test_divide_validates_valuations():
         (t5**2).divide(t5, 2)  # denominator valuation is 1, not 2
     with pytest.raises(ValueError):
         t5.divide(t5**2, 2)  # numerator valuation below 2
-
-
-@pytest.mark.parametrize("valuation", [0, 1, 3])
-def test_divide_shares_the_inverse_of_equal_denominators(monkeypatch, valuation):
-    # two distinct denominators of one value: the second division reads the
-    # inverse the first one formed, and both quotients are the oracle's
-    order = 7
-    tail = [F(2, 3), F(-1, 5), F(7, 2), F(0), F(4, 9), F(-3), F(1, 7), F(5, 11)]
-    head = [F(0)] * valuation
-    dens = [Series(head + tail[: order + 1 - valuation]) for _ in range(2)]
-    assert dens[0] == dens[1] and dens[0] is not dens[1]
-    nums = [
-        Series(head + [F(n + 1, n + 2) for n in range(order + 1 - valuation)]),
-        Series(head + [F((-3) ** n, 2 * n + 1) for n in range(order + 1 - valuation)]),
-    ]
-    source, calls = Series.inverse, []
-
-    def counted(s):
-        calls.append(s)
-        return source(s)
-
-    _shifted_inverse.cache_clear()
-    monkeypatch.setattr(Series, "inverse", counted)
-    for num, den in zip(nums, dens):
-        shifted = [list(s.coeffs[valuation:]) for s in (num, den)]
-        want = series_product(shifted[0], series_inverse(shifted[1]))
-        assert_kernel_result(num.divide(den, valuation), want)
-    assert len(calls) == 1
-    _shifted_inverse.cache_clear()
 
 
 def test_derivative_drops_order():
