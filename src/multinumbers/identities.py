@@ -346,7 +346,7 @@ def check_bernoulli_convolution(
     _check_natural(order)
     ks = tuple(ks)
     r = len(ks)
-    if ms.order >= 1 and ms.mu[1] == 0:
+    if ms.order >= 1 and ms.column[0][1] == 0:
         detail = "first moment is zero; the divided series has no valuation r"
         return VerificationReport("bernoulli-convolution", order, ks, dist, SKIPPED, None, detail)
     lhs = prob_multi_stirling2_series(ms, ks, order).egf_column

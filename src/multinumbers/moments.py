@@ -16,9 +16,9 @@ factorial moments over ``b^N``, for a parameter over ``b``; for Poisson
 that is the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite
 laws (a point mass has a single point) sum ``w x^n b^(N-n)`` over
 ``c b^N``, ``c`` and ``b`` the lcms of the weight and point denominators.
-Each moment becomes one ``Fraction``; :class:`MomentSequence` also keeps
-them as one integer column, which ``mgf`` scales by ``N!/n!`` as
-``exp_t`` does.
+:class:`MomentSequence` keeps that column reduced by one gcd, the key its
+caches hash, and ``mgf`` scales it by ``N!/n!`` as ``exp_t`` does; a
+``Fraction`` per moment is built only when ``mu`` is read.
 
 The coefficient of t^n in (1-t)^(-y) is y (y+1) ... (y+n-1) / n!, so the
 EGF coefficients of ``R`` are the rising-factorial moments
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 
 from .classical import _FIRST, _SECOND, _transform
 from .report import FrozenRecord
@@ -63,19 +64,22 @@ _MAX_DIGITS = 4300
 
 
 def _check_digits(text: str, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming ``what`` when the decimal ``text`` has an
-    exponent that would write out a numerator or denominator of more than
-    ``_MAX_DIGITS`` digits, before ``Fraction`` expands the power of ten;
-    text with no exponent, or one that ``Fraction`` refuses anyway, passes."""
+    """Raise ``error`` naming ``what`` when the decimal ``text`` would write
+    out a numerator or denominator of more than ``_MAX_DIGITS`` digits,
+    before ``Fraction`` builds them from its digits, point and exponent; an
+    ``a/b`` literal, whose parts ``int`` bounds, and text that ``Fraction``
+    refuses anyway pass."""
+    if "/" in text:
+        return
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
     try:
-        shift = int(exponent) - len(frac)
+        shift = int(exponent or 0) - len(frac)
     except ValueError:
         return
-    # the numerator has the mantissa's digits and `shift` zeros, the
-    # denominator 10^-shift has 1 - shift digits
-    if max(len((whole + frac).lstrip("0")) + shift, 1 - shift) > _MAX_DIGITS:
+    # the numerator has the mantissa's digits and, for shift > 0, `shift`
+    # zeros; the denominator 10^-shift has 1 - shift digits
+    if max(len((whole + frac).lstrip("0")) + max(shift, 0), 1 - shift) > _MAX_DIGITS:
         raise error(f"{what} {text!r} writes out more than {_MAX_DIGITS} digits")
 
 
@@ -83,7 +87,7 @@ def _rational(value, what: str) -> Fraction:
     if isinstance(value, (float, bool)):
         kind = type(value).__name__
         raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
-    if type(value) is str and ("e" in value or "E" in value):
+    if type(value) is str:
         _check_digits(value, what)
     try:
         return Fraction(value)
@@ -92,14 +96,18 @@ def _rational(value, what: str) -> Fraction:
 
 
 class MomentSequence(FrozenRecord):
-    """Raw moments mu_0..mu_N of Y, with mu_0 = 1; the slot ``column``, not a
-    field, holds them as ``(numerators, lcm of the denominators)``."""
+    """Raw moments mu_0..mu_N of Y, with mu_0 = 1.
+
+    The slot ``column`` holds them as ``(numerators, denominator)`` in
+    lowest terms, ``gcd(denominator, *numerators) == 1``, so the
+    denominator is the lcm of the reduced ones and equal sequences have
+    equal columns; equality and the hash, ``hash(column)``, read it.  The
+    field ``mu`` is the tuple of ``Fraction`` values, built from the column
+    on its first read and kept (a sequence made from ``mu`` keeps it)."""
 
     _fields = ("mu",)
     __match_args__ = _fields
-    __slots__ = ("mu", "column", "_hash")
-
-    mu: tuple[Fraction, ...]
+    __slots__ = ("column", "_mu", "_hash")
 
     def __init__(self, mu: tuple[Fraction, ...]) -> None:
         if not isinstance(mu, tuple):
@@ -113,25 +121,55 @@ class MomentSequence(FrozenRecord):
             raise ValueError(f"mu_0 must equal 1, got {mu[0]}")
         dens = [m.denominator for m in mu]
         den = lcm(*dens)
-        column = tuple([m.numerator * (den // d) for m, d in zip(mu, dens)])
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "column", (column, den))
-        # Caches keyed on a sequence would otherwise re-hash every moment per
-        # lookup; the value is hash of the field tuple, as for every record.
-        object.__setattr__(self, "_hash", hash((mu,)))
+        _set_column(self, tuple([m.numerator * (den // d) for m, d in zip(mu, dens)]), den)
+        object.__setattr__(self, "_mu", mu)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.column == other.column
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
+    def mu(self) -> tuple[Fraction, ...]:
+        mu = self._mu
+        if mu is None:
+            nums, den = self.column
+            mu = tuple([Fraction(m, den) for m in nums])
+            object.__setattr__(self, "_mu", mu)
+        return mu
+
+    @property
     def order(self) -> int:
-        return len(self.mu) - 1
+        return len(self.column[0]) - 1
 
     def moment(self, n: int) -> Fraction:
         _check_natural(n, "n")
         if n > self.order:
             raise ValueError(f"moment index {n} outside available order {self.order}")
         return self.mu[n]
+
+
+def _set_column(ms: MomentSequence, nums: tuple[int, ...], den: int) -> None:
+    """Set the lowest-terms ``column`` of ``ms`` and its hash; caches keyed
+    on a sequence hash the column once, not per lookup."""
+    object.__setattr__(ms, "column", (nums, den))
+    object.__setattr__(ms, "_hash", hash((nums, den)))
+
+
+def _from_column(nums: list[int], den: int) -> MomentSequence:
+    """The moment sequence ``nums[n] / den`` with ``nums[0] == den``, reduced
+    by one gcd; ``mu`` is left to its first read."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [m // g for m in nums]
+        den //= g
+    ms = object.__new__(MomentSequence)
+    _set_column(ms, tuple(nums), den)
+    object.__setattr__(ms, "_mu", None)
+    return ms
 
 
 class DistributionSpec(FrozenRecord):
@@ -220,19 +258,22 @@ def raw_moments(mus) -> DistributionSpec:
     return DistributionSpec("raw", vals, label)
 
 
-def _stirling_expansion(rate: Fraction, step, order: int) -> tuple[list[int], int]:
+def _stirling_expansion(rate: Fraction, factors, order: int) -> tuple[list[int], int]:
     """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
-    E[(Y)_k] = rate^k step(1) ... step(k), all over b^order for rate = a/b."""
+    E[(Y)_k] = rate^k s_1 ... s_k, all over b^order for rate = a/b, with
+    ``factors`` the integers s_1 .. s_order."""
     a, b = rate.numerator, rate.denominator
-    fm = [b**order]  # a^k step(1) ... step(k) b^(order-k): each k drops one b
-    for k in range(1, order + 1):
-        fm.append(fm[-1] * step(k) * a // b)
+    f = b**order  # a^k s_1 ... s_k b^(order-k): each k drops one b
+    fm = [f]
+    for s in factors:
+        f = f * s * a // b
+        fm.append(f)
     return _transform(_SECOND, fm), fm[0]
 
 
 def _binomial(params: tuple, order: int) -> tuple[list[int], int]:
     m, p = params  # E[(Y)_k] = (m)_k p^k, zero past k = m
-    return _stirling_expansion(p, lambda k: m - k + 1, order)
+    return _stirling_expansion(p, range(m, m - order, -1), order)
 
 
 def _finite(params: tuple, order: int) -> tuple[list[int], int]:
@@ -285,11 +326,15 @@ _KINDS = {
     "point": (point, _whole, lambda ps, order: _finite(((ps[0], 1),), order)),
     "bernoulli": (bernoulli, _whole, lambda ps, order: _binomial((1, ps[0]), order)),
     "binomial": (binomial, _binomial_args, _binomial),
-    "poisson": (poisson, _whole, lambda ps, order: _stirling_expansion(ps[0], lambda k: 1, order)),
+    "poisson": (
+        poisson,
+        _whole,
+        lambda ps, order: _stirling_expansion(ps[0], repeat(1, order), order),
+    ),
     "geometric": (
         geometric,
         _whole,
-        lambda ps, order: _stirling_expansion((1 - ps[0]) / ps[0], lambda k: k, order),
+        lambda ps, order: _stirling_expansion((1 - ps[0]) / ps[0], range(1, order + 1), order),
     ),
     "finite": (finite, _finite_args, _finite),
     "raw": (raw_moments, lambda body: (body.split(","),), _raw),
@@ -314,8 +359,7 @@ def parse_distribution(text: str) -> DistributionSpec:
 @lru_cache(maxsize=None)
 def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
     _, _, provide = _KINDS[spec.kind]
-    nums, den = provide(spec.params, order)
-    return MomentSequence(tuple([Fraction(num, den) for num in nums]))
+    return _from_column(*provide(spec.params, order))
 
 
 def moments(spec: DistributionSpec, order: int) -> MomentSequence:

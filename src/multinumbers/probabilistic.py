@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .moments import MomentSequence, _rational, mgf, resolvent
 from .multilog import _f_series, index_tuple
-from .series import Series, _check_entry, _check_natural, _from_egf_column, _make, _over_lcm, powers
+from .series import Series, _check_entry, _check_natural, _from_egf_column, _over_lcm, powers
 
 __all__ = [
     "prob_stirling2",
@@ -58,13 +58,30 @@ __all__ = [
 def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The exponential Riordan array (1, u - 1) at the order N of ``u``, as
     ``(columns, d)``: column k holds the EGF numerators of (u - 1)^k / k!
-    for n = 0..N over the one denominator ``d``, in lowest terms.  The
-    powers are read from the memo of powers of ``u - 1``; with u_0 = 1
-    column k vanishes above row n = k."""
-    memo = powers(u - 1, u.order)
-    return _over_lcm(
-        [_make(memo[k]._num, memo[k]._den * factorial(k)).egf_column for k in range(u.order + 1)]
-    )
+    for n = 0..N over the one denominator ``d``, in lowest terms.
+
+    The powers m_k / d_k are read from the memo of powers of ``u - 1``.
+    With u_0 = 1, as for M and R, (u - 1)^k vanishes below t^k, so column
+    k is zero above row n = k and from there holds m_k[n] (n!/k!) (L/d_k)
+    over L, the lcm of the d_k, the factor carried down the column; one
+    content gcd then reduces the whole triangle."""
+    top = u.order
+    memo = powers(u - 1, top)
+    den = lcm(*[memo[k]._den for k in range(top + 1)])
+    columns, g = [], den
+    for k in range(top + 1):
+        power = memo[k]
+        num, scale = power._num, den // power._den
+        column = [0] * (top + 1)
+        column[k] = num[k] * scale
+        for n in range(k + 1, top + 1):
+            scale *= n
+            column[n] = num[n] * scale
+        g = gcd(g, *column)
+        columns.append(column)
+    if g != 1:
+        columns = [[x // g for x in column] for column in columns]
+    return tuple(map(tuple, columns)), den // g
 
 
 def _power_column(u: Series, k: int) -> tuple[tuple[int, ...], int]:

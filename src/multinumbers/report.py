@@ -22,6 +22,9 @@ class FrozenRecord:
     tuple, and setting or deleting an attribute raises ``AttributeError``.
     Subclasses name their fields in ``_fields``, ``__match_args__`` and
     ``__slots__`` and set them in ``__init__`` with ``object.__setattr__``.
+    A subclass whose fields have one canonical form may compare and hash
+    that instead, with the same equality: ``MomentSequence`` reads its
+    integer column and hashes it, not its ``Fraction`` moments.
     The dataclasses module is not used because it is the largest import on
     a cold start.
     """

@@ -460,10 +460,26 @@ def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
 
 # Fraction expands a literal's power of ten before any size cap runs: the
 # first command spent 9.9 s before it exited 2, the second 10.3 s before it
-# printed CPython's int/str digit-limit message
+# printed CPython's int/str digit-limit message.  A plain decimal of 4,000
+# digits on each side of the point builds an 8,000-digit numerator, which
+# ended in that message too, naming no argument.
+LONG_DECIMAL = "7" * 4000 + "." + "3" * 4000
+
+
 @pytest.mark.parametrize(
     "argv,grid,message",
     [
+        (
+            ("table", "prob-fubini", "--dist", "poisson:1", "--r", "1", "--y", LONG_DECIMAL),
+            None,
+            f"--y {LONG_DECIMAL!r}",
+        ),
+        (
+            ("table", "prob-fubini", "--dist", f"point:{LONG_DECIMAL}", "--r", "1", "--y", "1"),
+            None,
+            f"invalid distribution spec 'point:{LONG_DECIMAL}': point mass location "
+            f"{LONG_DECIMAL!r}",
+        ),
         (
             ("table", "prob-fubini", "--dist", "poisson:1", "--r", "1", "--y", "1e10000000"),
             None,
@@ -482,7 +498,7 @@ def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):
             "poisson rate '1e10000000'",
         ),
     ],
-    ids=["y", "dist", "grid"],
+    ids=["y-decimal", "dist-decimal", "y", "dist", "grid"],
 )
 def test_runaway_exponents_are_refused_up_front(tmp_path, argv, grid, message):
     if grid is not None:

@@ -3,7 +3,7 @@ import importlib
 import pickle
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -145,7 +145,7 @@ def test_moment_sequence_record_semantics():
     assert ms == MomentSequence(mu=mu) == moments(raw_moments(mu), 2)
     assert ms != MomentSequence(mu[:2])
     assert ms != mu and ms != (mu,)
-    assert hash(ms) == hash((mu,))
+    assert hash(ms) == hash(ms.column) == hash(moments(raw_moments(mu), 2))
     assert ms.column == ((4, 2, 3), 4)
     assert repr(ms) == "MomentSequence(mu=(Fraction(1, 1), Fraction(1, 2), Fraction(3, 4)))"
     assert MomentSequence.__match_args__ == ("mu",)
@@ -226,8 +226,9 @@ def test_equal_parsed_specs_are_equal_and_hash_equal(first, second):
 def test_moment_sequence_hash_is_the_field_hash():
     mu = (F(1), F(1, 2), F(3, 4))
     a, b = MomentSequence(mu), MomentSequence(tuple(mu))
-    assert a == b
-    assert hash(a) == hash(b) == hash((mu,))
+    assert a == b == moments(raw_moments(mu), 2)
+    # keys hash the integer column, not a Fraction per moment
+    assert hash(a) == hash(b) == hash(a.column) == hash(moments(raw_moments(mu), 2))
 
 
 # ---------------------------------------------------------------- integer providers
@@ -271,6 +272,11 @@ def test_integer_providers_equal_the_fraction_providers(spec, order):
             moments(spec, order)
         order = have
     ms = moments(spec, order)
+    expected = MomentSequence(fraction_moments(spec, order))
+    assert ms == expected and hash(ms) == hash(expected)
+    nums, den = ms.column
+    assert gcd(den, *nums) == 1
+    assert ms.order == order
     assert ms.mu == fraction_moments(spec, order)
     assert all(type(mu) is Fraction for mu in ms.mu)
     assert mgf(ms, order) == Series(mu / factorial(n) for n, mu in enumerate(ms.mu))
@@ -282,9 +288,20 @@ def test_degenerate_poisson_and_geometric_moments_vanish(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [poisson(1), poisson(F(3, 7)), geometric(F(1, 2)), binomial(5, F(1, 3))], ids=str
+    "spec",
+    [
+        poisson(1),
+        poisson(F(3, 7)),
+        geometric(F(1, 2)),
+        binomial(5, F(1, 3)),
+        point(F(2, 3)),
+        finite([(-4, F(1, 2)), (0, F(1, 3)), (F(5, 2), F(1, 6))]),
+        raw_moments([1, F(1, 2)] * 33),
+    ],
+    ids=lambda spec: spec.label[:40],
 )
 def test_order_64_moments_build_one_fraction_per_moment(spec, monkeypatch):
+    # the providers' integer column is the key; mu is built on its first read
     module = importlib.import_module("multinumbers.moments")
     built = []
 
@@ -294,9 +311,12 @@ def test_order_64_moments_build_one_fraction_per_moment(spec, monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(module, "Fraction", Counting)
-    mu = module._moments_cached.__wrapped__(spec, 64).mu
+    ms = module._moments_cached.__wrapped__(spec, 64)
+    assert built == []
+    mu = ms.mu
     assert mu == fraction_moments(spec, 64)
     assert len(built) <= 65
+    assert ms.mu is mu
 
 
 # ---------------------------------------------------------------- grammar
@@ -382,6 +402,38 @@ def test_grammar_rejects_malformed_specs(text, message):
 )
 def test_exponent_literals_up_to_the_digit_limit_are_read_exactly(text, value):
     assert point(text).params == (value,)
+
+
+# a plain decimal writes out all its digits over 10^(digits after the
+# point); an a/b literal is bounded by int on each part
+_HALF = "1" * 2150
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        (f"{_HALF}.{_HALF}", F(int(_HALF * 2), 10**2150)),
+        ("-0." + "0" * 4298 + "1", F(-1, 10**4299)),
+        ("9" * 4300 + "/" + "7" * 4300, F(int("9" * 4300), int("7" * 4300))),
+    ],
+    ids=["4300-digit-numerator", "4300-digit-denominator", "a/b-of-4300-digits-each"],
+)
+def test_plain_decimals_up_to_the_digit_limit_are_read_exactly(text, value):
+    assert point(text).params == (value,)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"{_HALF}.{_HALF}1", "0." + "0" * 4299 + "1", "1" * 4301],
+    ids=["4301-digit-numerator", "4301-digit-denominator", "4301-digit-integer"],
+)
+def test_plain_decimals_past_the_digit_limit_are_refused(text):
+    message = (
+        f"invalid distribution spec 'point:{text}': "
+        f"point mass location {text!r} writes out more than 4300 digits"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_distribution(f"point:{text}")
 
 
 # ---------------------------------------------------------------- transforms

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multinumbers
+from multinumbers import probabilistic, series
 from multinumbers.classical import lah, stirling1, stirling2
 from multinumbers.moments import (
     bernoulli,
@@ -40,7 +41,7 @@ from multinumbers.probabilistic import (
     prob_stirling2_by_moments,
     prob_stirling2_series,
 )
-from multinumbers.series import Series
+from multinumbers.series import Series, powers
 
 from oracles import (
     fraction_moments,
@@ -380,6 +381,36 @@ def test_power_triangle_is_the_fraction_powers_of_u_minus_one(spec, base, order)
         egf = [factorial(n) * c / factorial(k) for n, c in enumerate(power)]
         assert [F(x, d) for x in column] == egf
         power = series_product(power, gap)
+
+
+@pytest.mark.parametrize("base", [mgf, resolvent], ids=["M", "R"])
+def test_power_triangle_builds_no_series_once_the_powers_are_kept(base, monkeypatch):
+    # the triangle is read off the memo of powers of u - 1 in integers: the
+    # one series it makes is u - 1, the key of that memo, and no column is
+    # made into a series or read back as an EGF column
+    u = base(moments(poisson(F(1, 2)), 20), 20)
+    gap = u - 1
+    powers(gap, 20)
+    expected = _power_triangle.__wrapped__(u)
+    made, columns = [], []
+    make, egf_column = series._make, Series.egf_column
+
+    def counted_make(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    def counted_column(self):
+        columns.append(self)
+        return egf_column.fget(self)
+
+    for module in (series, probabilistic):
+        if vars(module).get("_make") is make:
+            monkeypatch.setattr(module, "_make", counted_make)
+    monkeypatch.setattr(Series, "egf_column", property(counted_column))
+    got = _power_triangle.__wrapped__(u)
+    monkeypatch.undo()
+    assert got == expected
+    assert made == [gap] and columns == []
 
 
 # every law has a nonzero mean, which the oracle's divisions by g' and g/t need
