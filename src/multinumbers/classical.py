@@ -21,7 +21,6 @@ values are Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 

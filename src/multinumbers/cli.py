@@ -17,12 +17,16 @@ Every family hands ``table`` integers in lowest terms, a column ``(a, d)``
 of the values ``a[n] / d`` or, for a two-index family, a triangle
 ``(columns, d)`` over one denominator.  Each value is reduced by its own
 gcd and written as the canonical string of that rational (``a`` or
-``a/b``, as ``str(Fraction(a[n], d))`` gives it, never a float) with no
-``Fraction`` made.  JSON lines and CSV rows are written with f-strings:
-every string in them is a family name, an identity id, a canonical
-distribution label, a fixed detail sentence or a rational, none of which
-JSON escapes, and only a field holding a comma needs the quotes
-``csv.writer`` would put round it.  So ``json`` is imported only to read a
+``a/b``, as ``str(Fraction(a[n], d))`` gives it, never a float) by
+``series._value_strings``, with no ``Fraction`` made.  ``--y`` and the
+spec parameters are read into integer pairs, and ``verify`` writes each
+mismatch from the two integer pairs compared, by the same formatter, so
+neither command imports ``fractions`` when its rationals are integers or
+``a/b`` text; a decimal or exponent literal is read by ``Fraction``.  JSON lines and CSV rows are
+written with f-strings: every string in them is a family name, an
+identity id, a canonical distribution label, a fixed detail sentence or
+a rational, none of which JSON escapes, and only a field holding a comma
+needs the quotes ``csv.writer`` would put round it.  So ``json`` is imported only to read a
 ``--grid`` file, and ``csv`` not at all.  Output is byte-deterministic for
 fixed flags.  Exit status:
 0 success (and ``--help``), 1 verification failure, 2 usage error, with one
@@ -34,22 +38,22 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import SimpleNamespace
 
 from .classical import _FIRST, _LAH, _SECOND, _columns, bernoulli_higher_series
 from .identities import ALL_IDENTITIES, IDENTITIES, run_full_suite
-from .moments import DistributionSpec, _check_digits, mgf, moments, parse_distribution, resolvent
+from .moments import DistributionSpec, mgf, moments, parse_distribution, resolvent
 from .multi import multi_bernoulli_series, multi_lah_series, multi_stirling2_series
 from .multilog import multilog
 from .probabilistic import (
+    _fubini_series,
     _power_triangle,
-    prob_fubini_series,
     prob_multi_lah_series,
     prob_multi_stirling2_series,
 )
 from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
+from .series import _check_digits, _rational, _text, _value_strings
 
 ORDER_CAP = 64
 # table refuses inputs whose values would run to more bits than this before
@@ -130,7 +134,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "prob-fubini": Family(
         ("dist", "r", "y"),
-        lambda a, order: prob_fubini_series(a.ms, a.r, a.y, order).egf_column,
+        lambda a, order: _fubini_series(a.ms, a.r, a.y, order).egf_column,
     ),
 }
 
@@ -162,10 +166,10 @@ def _parse_r(r: int) -> int:
     return r
 
 
-def _parse_y(text: str) -> Fraction:
+def _parse_y(text: str) -> tuple[int, int]:
     _check_digits(text, "--y", UsageError)
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(
             f"--y must be an integer, an a/b rational or a decimal such as 0.5 or 1e-1, "
@@ -188,11 +192,11 @@ def _check_order_flag(order: int, force: bool) -> int:
 
 
 def _param_bits(value) -> int:
-    """Largest bit length of a numerator or denominator in a rational
-    parameter or a nested tuple of them."""
+    """Largest bit length of a numerator or denominator in a nested tuple of
+    integer pairs ``(p, q)`` and integers, each integer read over 1."""
     if isinstance(value, tuple):
         return max([_param_bits(v) for v in value], default=0)
-    return max(value.numerator.bit_length(), value.denominator.bit_length())
+    return max(value.bit_length(), 1)
 
 
 def _check_size(
@@ -239,16 +243,6 @@ def _check_size(
         )
 
 
-def _value_strings(a, d: int) -> list[str]:
-    """The values ``a[n] / d`` (``d > 0``) as ``str(Fraction(a[n], d))``
-    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  Each
-    value is reduced by its own gcd, so any column is written exactly; over
-    ``d = 1`` each value is its numerator."""
-    if d == 1:
-        return [str(m) for m in a]
-    return [f"{m // h}/{d // h}" if (h := gcd(m, d)) != d else str(m // h) for m in a]
-
-
 def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
     """The index tuple and the distribution label every row of the
     requested table shares (each None when the family takes none), and its
@@ -267,7 +261,7 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
         elif given is not None:
             raise UsageError(f"family {args.family} does not use --{flag}")
     order = args.order
-    params = (a.dist.params if a.dist is not None else (), a.r or 0, a.y or 0)
+    params = (a.dist.pairs if a.dist is not None else (), a.r or 0, a.y or 0)
     shift = len(a.ks) if family.shifted else 0
     _check_size(order, a.ks or (), params, family.composed, args.force_order, shift)
     try:
@@ -293,7 +287,11 @@ def _report_line(rep: VerificationReport) -> str:
     ``order``, ``status``, ``first_mismatch`` (``{n, lhs, rhs}`` or null)
     and, when it is not empty, ``detail``."""
     m = rep.first_mismatch
-    mismatch = "null" if m is None else f'{{"n":{m.n},"lhs":"{m.lhs}","rhs":"{m.rhs}"}}'
+    if m is None:
+        mismatch = "null"
+    else:
+        lhs, rhs = m.pairs
+        mismatch = f'{{"n":{m.n},"lhs":"{_text(lhs)}","rhs":"{_text(rhs)}"}}'
     detail = f',"detail":"{rep.detail}"' if rep.detail else ""
     ks = "null" if rep.ks is None else f"[{','.join(map(str, rep.ks))}]"
     dist = "null" if rep.dist is None else f'"{rep.dist}"'
@@ -367,7 +365,7 @@ def _check_grid(order: int, grid, force: bool) -> None:
     lengths = set()
     for i, (spec, ks) in enumerate(grid):
         r = len(ks)
-        sizes = [("", ks, spec.params, r)]
+        sizes = [("", ks, spec.pairs, r)]
         if r not in lengths:
             lengths.add(r)
             sizes.append((f"the all-ones tuple of length {r}: ", (1,) * r, (), r))

@@ -13,7 +13,9 @@ comparisons as data, ``(lhs, rhs, ns, detail)``: two columns of integer
 numerators over one denominator each, the n compared and a label.  One
 runner, :func:`_verdict`, scans them by cross-multiplication and builds
 the report: ``pass`` only under exact equality of every coefficient in
-range, else the first mismatch (the only ``Fraction`` built) and its label.
+range, else the first mismatch, kept as the two integer pairs compared,
+and its label.  No check builds a ``Fraction``: one is made only when a
+caller reads ``Mismatch.lhs`` or ``rhs``.
 
 Every check-side sum has one of two shapes and is formed by one kernel
 each, in ``int`` arithmetic: a binomial convolution
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 
@@ -83,13 +84,7 @@ from .probabilistic import (
     prob_multi_lah_series,
     prob_multi_stirling2_series,
 )
-from .report import (
-    EXPECTED_DISCREPANCY,
-    FAIL,
-    SKIPPED,
-    Mismatch,
-    VerificationReport,
-)
+from .report import EXPECTED_DISCREPANCY, FAIL, SKIPPED, VerificationReport, _mismatch
 from .series import Series, _check_natural, geometric, neg_log1m
 
 __all__ = [
@@ -137,11 +132,11 @@ def default_grid() -> list[tuple[DistributionSpec, tuple[int, ...]]]:
     dists = (
         point(1),
         point(2),
-        bernoulli(Fraction(1, 2)),
-        binomial(3, Fraction(1, 3)),
+        bernoulli("1/2"),
+        binomial(3, "1/3"),
         poisson(1),
-        geometric_dist(Fraction(1, 2)),
-        finite([(0, Fraction(1, 2)), (2, Fraction(1, 2))]),
+        geometric_dist("1/2"),
+        finite([(0, "1/2"), (2, "1/2")]),
     )
     return [(spec, ks) for spec in dists for ks in _DEFAULT_TUPLES]
 
@@ -163,7 +158,7 @@ def _verdict(
             if a[n] * db != b[n] * da:
                 # a triangle entry is keyed (n, k) and reported at its row n
                 row = n if type(n) is int else n[0]
-                mismatch = Mismatch(row, Fraction(a[n], da), Fraction(b[n], db))
+                mismatch = _mismatch(row, (a[n], da), (b[n], db))
                 status = EXPECTED_DISCREPANCY if _REGISTRY[identity].expected else FAIL
                 return VerificationReport(identity, order, ks, dist, status, mismatch, detail)
     return VerificationReport(identity, order, ks, dist)

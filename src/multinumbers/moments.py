@@ -7,7 +7,11 @@ no density object anywhere.  One table, ``_KINDS``, holds each kind of
 law (point mass, Bernoulli, binomial, Poisson, geometric counting the
 failures before a success of probability q, finite support, raw moment
 list): its public constructor, how the text after the colon of a spec
-becomes the constructor's arguments, and its moment provider.
+becomes the constructor's arguments, and its moment provider.  Every
+rational parameter is read by ``series._rational`` into an integer pair
+``(p, q)`` in lowest terms, which the checks, the labels and the
+providers read; :attr:`DistributionSpec.params` holds them as
+``Fraction`` values only once it is read.
 
 A provider returns the integer numerators of mu_0..mu_N over one
 denominator.  Poisson, binomial and geometric moments (Bernoulli is the
@@ -32,14 +36,21 @@ applies a Stirling triangle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 
 from .classical import _FIRST, _SECOND, _transform
 from .report import FrozenRecord
-from .series import Series, _check_entry, _check_natural, _from_egf_column
+from .series import (
+    Series,
+    _check_entry,
+    _check_natural,
+    _fraction,
+    _from_egf_column,
+    _rational,
+    _text,
+)
 
 __all__ = [
     "MomentSequence",
@@ -57,42 +68,6 @@ __all__ = [
     "resolvent",
     "sum_power_moment",
 ]
-
-
-# CPython's default limit on the digits of an int read from or written as text
-_MAX_DIGITS = 4300
-
-
-def _check_digits(text: str, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming ``what`` when the decimal ``text`` would write
-    out a numerator or denominator of more than ``_MAX_DIGITS`` digits,
-    before ``Fraction`` builds them from its digits, point and exponent; an
-    ``a/b`` literal, whose parts ``int`` bounds, and text that ``Fraction``
-    refuses anyway pass."""
-    if "/" in text:
-        return
-    mantissa, _, exponent = text.lower().partition("e")
-    whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
-    try:
-        shift = int(exponent or 0) - len(frac)
-    except ValueError:
-        return
-    # the numerator has the mantissa's digits and, for shift > 0, `shift`
-    # zeros; the denominator 10^-shift has 1 - shift digits
-    if max(len((whole + frac).lstrip("0")) + max(shift, 0), 1 - shift) > _MAX_DIGITS:
-        raise error(f"{what} {text!r} writes out more than {_MAX_DIGITS} digits")
-
-
-def _rational(value, what: str) -> Fraction:
-    if isinstance(value, (float, bool)):
-        kind = type(value).__name__
-        raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
-    if type(value) is str:
-        _check_digits(value, what)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"cannot parse {what} from {value!r}") from exc
 
 
 class MomentSequence(FrozenRecord):
@@ -115,8 +90,11 @@ class MomentSequence(FrozenRecord):
         if not mu:
             raise ValueError("a moment sequence needs at least mu_0")
         for n, m in enumerate(mu):
-            if type(m) not in (int, Fraction):
-                raise ValueError(f"mu_{n} must be an int or a Fraction, got {m!r}")
+            if type(m) is not int:
+                from fractions import Fraction
+
+                if type(m) is not Fraction:
+                    raise ValueError(f"mu_{n} must be an int or a Fraction, got {m!r}")
         if mu[0] != 1:
             raise ValueError(f"mu_0 must equal 1, got {mu[0]}")
         dens = [m.denominator for m in mu]
@@ -137,7 +115,7 @@ class MomentSequence(FrozenRecord):
         mu = self._mu
         if mu is None:
             nums, den = self.column
-            mu = tuple([Fraction(m, den) for m in nums])
+            mu = tuple([_fraction(m, den) for m in nums])
             object.__setattr__(self, "_mu", mu)
         return mu
 
@@ -173,96 +151,155 @@ def _from_column(nums: list[int], den: int) -> MomentSequence:
 
 
 class DistributionSpec(FrozenRecord):
-    """A validated distribution description; ``label`` is its canonical text form."""
+    """A validated distribution description; ``label`` is its canonical text form.
+
+    The slot ``pairs`` holds the parameters with each rational an integer
+    pair ``(p, q)`` in lowest terms (the binomial count stays an ``int``);
+    the providers read it, and equality and the hash,
+    ``hash((kind, pairs, label))``, read it too.  The field ``params``
+    holds the rationals as ``Fraction`` values, built from the pairs on
+    its first read and kept (a spec made from ``params`` keeps them)."""
 
     _fields = ("kind", "params", "label")
     __match_args__ = _fields
-    __slots__ = ("kind", "params", "label", "_hash")
+    __slots__ = ("kind", "pairs", "label", "_params", "_hash")
 
     kind: str
     params: tuple
     label: str
 
     def __init__(self, kind: str, params: tuple, label: str) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "label", label)
-        # grid deduplication and the moment cache look specs up by hash
-        object.__setattr__(self, "_hash", hash((kind, params, label)))
+        # the binomial count is the one parameter that is no rational
+        pairs = (params[0], _to_pairs(params[1])) if kind == "binomial" else _to_pairs(params)
+        _set_spec(self, kind, pairs, label)
+        object.__setattr__(self, "_params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.pairs, self.label) == (other.kind, other.pairs, other.label)
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def params(self) -> tuple:
+        params = self._params
+        if params is None:
+            params = tuple([_to_fractions(v) for v in self.pairs])
+            object.__setattr__(self, "_params", params)
+        return params
 
     def __str__(self) -> str:
         return self.label
 
 
+def _to_pairs(value):
+    """A rational, or a nested tuple of them, with each rational as its
+    integer pair."""
+    if isinstance(value, tuple):
+        return tuple([_to_pairs(v) for v in value])
+    return value.numerator, value.denominator
+
+
+def _to_fractions(value):
+    """A parameter of ``DistributionSpec.pairs`` with each integer pair as
+    its ``Fraction``; an ``int``, the binomial count, is kept."""
+    if type(value) is int:
+        return value
+    if type(value[0]) is int:
+        return _fraction(*value)
+    return tuple([_to_fractions(v) for v in value])
+
+
+def _set_spec(spec: DistributionSpec, kind: str, pairs: tuple, label: str) -> None:
+    setattr_ = object.__setattr__
+    setattr_(spec, "kind", kind)
+    setattr_(spec, "pairs", pairs)
+    setattr_(spec, "label", label)
+    # grid deduplication and the moment cache look specs up by hash
+    setattr_(spec, "_hash", hash((kind, pairs, label)))
+
+
+def _spec(kind: str, pairs: tuple, label: str) -> DistributionSpec:
+    """The spec with the parameter ``pairs``; ``params`` is left to its first read."""
+    spec = object.__new__(DistributionSpec)
+    _set_spec(spec, kind, pairs, label)
+    object.__setattr__(spec, "_params", None)
+    return spec
+
+
+def _check_unit(p: tuple[int, int], what: str) -> None:
+    if not 0 < p[0] <= p[1]:
+        raise ValueError(f"{what} must lie in (0, 1], got {_text(p)}")
+
+
 def point(c) -> DistributionSpec:
     c = _rational(c, "point mass location")
-    return DistributionSpec("point", (c,), f"point:{c}")
+    return _spec("point", (c,), f"point:{_text(c)}")
 
 
 def bernoulli(p) -> DistributionSpec:
     p = _rational(p, "bernoulli parameter")
-    if not 0 < p <= 1:
-        raise ValueError(f"bernoulli parameter must lie in (0, 1], got {p}")
-    return DistributionSpec("bernoulli", (p,), f"bernoulli:{p}")
+    _check_unit(p, "bernoulli parameter")
+    return _spec("bernoulli", (p,), f"bernoulli:{_text(p)}")
 
 
 def binomial(m, p) -> DistributionSpec:
     _check_natural(m, "binomial count", 1)
     p = _rational(p, "binomial parameter")
-    if not 0 < p <= 1:
-        raise ValueError(f"binomial parameter must lie in (0, 1], got {p}")
-    return DistributionSpec("binomial", (m, p), f"binomial:{m},{p}")
+    _check_unit(p, "binomial parameter")
+    return _spec("binomial", (m, p), f"binomial:{m},{_text(p)}")
 
 
 def poisson(lam) -> DistributionSpec:
     lam = _rational(lam, "poisson rate")
-    if lam < 0:
-        raise ValueError(f"poisson rate must be non-negative, got {lam}")
-    return DistributionSpec("poisson", (lam,), f"poisson:{lam}")
+    if lam[0] < 0:
+        raise ValueError(f"poisson rate must be non-negative, got {_text(lam)}")
+    return _spec("poisson", (lam,), f"poisson:{_text(lam)}")
 
 
 def geometric(q) -> DistributionSpec:
     q = _rational(q, "geometric success probability")
-    if not 0 < q <= 1:
-        raise ValueError(f"geometric success probability must lie in (0, 1], got {q}")
-    return DistributionSpec("geometric", (q,), f"geometric:{q}")
+    _check_unit(q, "geometric success probability")
+    return _spec("geometric", (q,), f"geometric:{_text(q)}")
 
 
 def finite(pairs) -> DistributionSpec:
     entries = [(_rational(x, "support point"), _rational(w, "weight")) for x, w in pairs]
     if not entries:
         raise ValueError("finite distribution needs at least one support point")
-    support = sorted(entries)
+    # the points over their lcm b sort as their numerators
+    b = lcm(*[x[1] for x, _ in entries])
+    support = sorted(entries, key=lambda e: e[0][0] * (b // e[0][1]))
     xs = [x for x, _ in support]
     if len(set(xs)) != len(xs):
         raise ValueError("finite distribution has a duplicated support point")
-    if any(w < 0 for _, w in support):
+    if any(w[0] < 0 for _, w in support):
         raise ValueError("finite distribution weights must be non-negative")
-    total = sum(w for _, w in support)
-    if total != 1:
-        raise ValueError(f"finite distribution weights must sum to 1, got {total}")
-    label = "finite:" + ";".join(f"{x}={w}" for x, w in support)
-    return DistributionSpec("finite", tuple(support), label)
+    c = lcm(*[w[1] for _, w in support])
+    total = sum([w[0] * (c // w[1]) for _, w in support])
+    if total != c:
+        raise ValueError(f"finite distribution weights must sum to 1, got {_text((total, c))}")
+    label = "finite:" + ";".join(f"{_text(x)}={_text(w)}" for x, w in support)
+    return _spec("finite", tuple(support), label)
 
 
 def raw_moments(mus) -> DistributionSpec:
     vals = tuple(_rational(v, "raw moment") for v in mus)
     if not vals:
         raise ValueError("raw moment list must not be empty")
-    if vals[0] != 1:
-        raise ValueError(f"raw moment list must start with mu_0 = 1, got {vals[0]}")
-    label = "raw:" + ",".join(str(v) for v in vals)
-    return DistributionSpec("raw", vals, label)
+    if vals[0] != (1, 1):
+        raise ValueError(f"raw moment list must start with mu_0 = 1, got {_text(vals[0])}")
+    label = "raw:" + ",".join(map(_text, vals))
+    return _spec("raw", vals, label)
 
 
-def _stirling_expansion(rate: Fraction, factors, order: int) -> tuple[list[int], int]:
+def _stirling_expansion(rate: tuple[int, int], factors, order: int) -> tuple[list[int], int]:
     """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
-    E[(Y)_k] = rate^k s_1 ... s_k, all over b^order for rate = a/b, with
-    ``factors`` the integers s_1 .. s_order."""
-    a, b = rate.numerator, rate.denominator
+    E[(Y)_k] = rate^k s_1 ... s_k, all over b^order for the pair
+    rate = (a, b), with ``factors`` the integers s_1 .. s_order."""
+    a, b = rate
     f = b**order  # a^k s_1 ... s_k b^(order-k): each k drops one b
     fm = [f]
     for s in factors:
@@ -279,10 +316,10 @@ def _binomial(params: tuple, order: int) -> tuple[list[int], int]:
 def _finite(params: tuple, order: int) -> tuple[list[int], int]:
     # mu_n = sum w x^n; weights over their lcm c, points over their lcm b,
     # and x^n scaled by b^(order-n), so that every moment is over c b^order
-    c = lcm(*[w.denominator for _, w in params])
-    b = lcm(*[x.denominator for x, _ in params])
-    terms = [w.numerator * (c // w.denominator) * b**order for _, w in params]
-    points = [x.numerator * (b // x.denominator) for x, _ in params]
+    c = lcm(*[w[1] for _, w in params])
+    b = lcm(*[x[1] for x, _ in params])
+    terms = [w[0] * (c // w[1]) * b**order for _, w in params]
+    points = [x[0] * (b // x[1]) for x, _ in params]
     nums = [sum(terms)]
     for _ in range(order):
         terms = [t * x // b for t, x in zip(terms, points)]
@@ -294,8 +331,8 @@ def _raw(params: tuple, order: int) -> tuple[list[int], int]:
     if len(params) - 1 < order:
         raise ValueError(f"raw spec provides moments up to order {len(params) - 1}, needed {order}")
     mu = params[: order + 1]
-    den = lcm(*[m.denominator for m in mu])
-    return [m.numerator * (den // m.denominator) for m in mu], den
+    den = lcm(*[q for _, q in mu])
+    return [p * (den // q) for p, q in mu], den
 
 
 def _binomial_args(body: str) -> tuple:
@@ -321,9 +358,10 @@ def _whole(body: str) -> tuple:
 
 
 # kind -> (constructor, spec text after the colon -> its arguments, moment
-# provider); geometric has E[(Y)_k] = k! theta^k with theta = (1-q)/q
+# provider of the parameter pairs); geometric has E[(Y)_k] = k! theta^k
+# with theta = (1-q)/q, which is (b - a)/a in lowest terms for q = a/b
 _KINDS = {
-    "point": (point, _whole, lambda ps, order: _finite(((ps[0], 1),), order)),
+    "point": (point, _whole, lambda ps, order: _finite(((ps[0], (1, 1)),), order)),
     "bernoulli": (bernoulli, _whole, lambda ps, order: _binomial((1, ps[0]), order)),
     "binomial": (binomial, _binomial_args, _binomial),
     "poisson": (
@@ -334,7 +372,9 @@ _KINDS = {
     "geometric": (
         geometric,
         _whole,
-        lambda ps, order: _stirling_expansion((1 - ps[0]) / ps[0], range(1, order + 1), order),
+        lambda ps, order: _stirling_expansion(
+            (ps[0][1] - ps[0][0], ps[0][0]), range(1, order + 1), order
+        ),
     ),
     "finite": (finite, _finite_args, _finite),
     "raw": (raw_moments, lambda body: (body.split(","),), _raw),
@@ -359,7 +399,7 @@ def parse_distribution(text: str) -> DistributionSpec:
 @lru_cache(maxsize=None)
 def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
     _, _, provide = _KINDS[spec.kind]
-    return _from_column(*provide(spec.params, order))
+    return _from_column(*provide(spec.pairs, order))
 
 
 def moments(spec: DistributionSpec, order: int) -> MomentSequence:

@@ -37,7 +37,6 @@ compose with it directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 

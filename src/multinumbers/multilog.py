@@ -30,7 +30,6 @@ tuple and order, the one value all four multi families are read from:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -94,7 +93,8 @@ def _f_series(ks: tuple[int, ...], order: int) -> Series:
     """F(s) = Li_ks(1 - e^(-s)), whose EGF entries are
     v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
     below r), the signed second-kind transform of the column [m; ks].  One
-    value per tuple and order; each reader takes the form it needs."""
+    value per tuple and order; each reader takes the form it needs, and the
+    EGF column is kept as the series is built from it."""
     first, d = multilog(ks, order).egf_column
     return _from_egf_column(_transform(_SIGNED_SECOND, first), d)
 
@@ -105,6 +105,8 @@ def multilog_coefficient(ks, m: int) -> Fraction:
     Deliberately naive (it walks every chain); kept as an independent
     cross-check for the dynamic program.
     """
+    from fractions import Fraction
+
     ks = index_tuple(ks)
     _check_natural(m, "chain endpoint", 1)
     r = len(ks)

@@ -31,13 +31,22 @@ check.  Powers of u - 1 and M come from the memo in ``series``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .moments import MomentSequence, _rational, mgf, resolvent
+from .moments import MomentSequence, mgf, resolvent
 from .multilog import _f_series, index_tuple
-from .series import Series, _check_entry, _check_natural, _from_egf_column, _over_lcm, powers
+from .series import (
+    Series,
+    _check_entry,
+    _check_natural,
+    _fraction,
+    _from_egf_column,
+    _over_lcm,
+    _rational,
+    _scaled,
+    powers,
+)
 
 __all__ = [
     "prob_stirling2",
@@ -113,7 +122,7 @@ def prob_stirling2(ms: MomentSequence, n: int, k: int, order: int | None = None)
     """Probabilistic Stirling number of the second kind (EGF route)."""
     order = _check_entry(n, order)
     a, d = _power_column(mgf(ms, order), k)
-    return Fraction(a[n], d)
+    return _fraction(a[n], d)
 
 
 def _moment_route_columns(
@@ -156,7 +165,7 @@ def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     _check_natural(k, "k")
     _check_natural(n, "n")
     columns, den = _moment_route_columns(ms, n)
-    return Fraction(columns[k][n], den) if k <= n else Fraction(0)
+    return _fraction(columns[k][n], den) if k <= n else _fraction(0, 1)
 
 
 def prob_multi_stirling2_series(ms: MomentSequence, ks, order: int) -> Series:
@@ -180,7 +189,7 @@ def prob_lah(ms: MomentSequence, n: int, k: int, order: int | None = None) -> Fr
     """Probabilistic Lah number, n! [t^n] (R - 1)^k / k!."""
     order = _check_entry(n, order)
     a, d = _power_column(resolvent(ms, order), k)
-    return Fraction(a[n], d)
+    return _fraction(a[n], d)
 
 
 def prob_multi_lah_series(ms: MomentSequence, ks, order: int) -> Series:
@@ -194,14 +203,17 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
     return prob_multi_lah_series(ms, ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
-def _fubini_series(u: Series, r: int, y: Fraction) -> Series:
-    return ((1 - y * (u - 1)) ** r).inverse()
+# ``typed`` keeps ``True`` from reading the entry of order 1, as in ``mgf``
+@lru_cache(maxsize=None, typed=True)
+def _fubini_series(ms: MomentSequence, r: int, y: tuple[int, int], order: int) -> Series:
+    """(1 - y (u - 1))^(-r) with u the MGF, for the rational y, an integer
+    pair (p, q): :func:`prob_fubini_series` once its arguments are read."""
+    return ((1 - _scaled(mgf(ms, order) - 1, *y)) ** r).inverse()
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
     _check_natural(r, "the order r", 1)
-    return _fubini_series(mgf(ms, order), r, _rational(y, "y"))
+    return _fubini_series(ms, r, _rational(y, "y"), order)
 
 
 def prob_fubini(ms: MomentSequence, r: int, y, n: int, order: int | None = None) -> Fraction:

@@ -3,7 +3,7 @@ record base they and the moment records share."""
 
 from __future__ import annotations
 
-from collections import namedtuple
+from .series import _fraction
 
 PASS = "pass"
 FAIL = "fail"
@@ -24,7 +24,8 @@ class FrozenRecord:
     ``__slots__`` and set them in ``__init__`` with ``object.__setattr__``.
     A subclass whose fields have one canonical form may compare and hash
     that instead, with the same equality: ``MomentSequence`` reads its
-    integer column and hashes it, not its ``Fraction`` moments.
+    integer column and hashes it, not its ``Fraction`` moments, and
+    ``DistributionSpec`` its parameter pairs.
     The dataclasses module is not used because it is the largest import on
     a cold start.
     """
@@ -57,10 +58,55 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Mismatch(namedtuple("Mismatch", ("n", "lhs", "rhs"))):
-    """The first n at which the two sides of a check differ, with both values."""
+class Mismatch(FrozenRecord):
+    """The first n at which the two sides of a check differ, with both values.
 
-    __slots__ = ()
+    The slot ``pairs`` holds the two values as the check compared them,
+    integer pairs ``(a, d)`` standing for ``a / d`` with ``d > 0``, not
+    reduced; the ``verify`` report writer reads them.  The fields ``lhs`` and
+    ``rhs`` are those values as ``Fraction``, built on each read, and
+    equality, hash and repr read the fields.  Iterating gives
+    ``(n, lhs, rhs)``, and the record equals and hashes as that tuple; it
+    has no indexing, length or ordering."""
+
+    _fields = ("n", "lhs", "rhs")
+    __match_args__ = _fields
+    __slots__ = ("n", "pairs")
+
+    n: int
+
+    def __init__(self, n: int, lhs, rhs) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(
+            self, "pairs", ((lhs.numerator, lhs.denominator), (rhs.numerator, rhs.denominator))
+        )
+
+    @property
+    def lhs(self):
+        return _fraction(*self.pairs[0])
+
+    @property
+    def rhs(self):
+        return _fraction(*self.pairs[1])
+
+    def __eq__(self, other):
+        if isinstance(other, (Mismatch, tuple)):
+            return self._values() == tuple(other)
+        return NotImplemented
+
+    __hash__ = FrozenRecord.__hash__
+
+    def __iter__(self):
+        return iter(self._values())
+
+
+def _mismatch(n: int, lhs: tuple[int, int], rhs: tuple[int, int]) -> Mismatch:
+    """The mismatch at ``n`` of the values ``lhs`` and ``rhs``, each an
+    integer pair ``(a, d)`` with ``d > 0``; no ``Fraction`` is built."""
+    m = object.__new__(Mismatch)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "pairs", (lhs, rhs))
+    return m
 
 
 class VerificationReport(FrozenRecord):

@@ -17,8 +17,21 @@ m_N) == 1``, so ``d`` is the lcm of the reduced denominators and equal
 series have equal ``(m, d)``.  Every operation works on that form in
 plain ``int`` arithmetic and reduces its result by one content gcd:
 sums rescale both vectors to the lcm of the two denominators, a product
-is one integer convolution over ``d_a * d_b``.  ``Fraction`` values are
-built only where a caller reads coefficients, one per entry read.
+is one integer convolution over ``d_a * d_b``.
+
+This module owns the boundary between those integers and
+``fractions.Fraction``.  Inside the package every exact rational is an
+integer pair ``(p, q)`` in lowest terms, ``q > 0``: :func:`_rational`
+reads one from an ``int``, from text of the form ``a`` or ``a/b`` with
+``int`` alone, and from anything else (a ``Fraction``, a ``Decimal``, a
+decimal or exponent literal) through ``Fraction``, imported there.
+:func:`_fraction` builds the ``Fraction`` values that the public readers
+hand out, one per value read, and :func:`_value_strings` writes a column
+as the canonical strings ``str(Fraction)`` gives, with no ``Fraction``
+made.  So ``fractions`` is imported only when a caller passes or reads a
+``Fraction``, a ``Decimal`` or a decimal literal, and a ``table`` or
+``verify`` command whose rationals are all integers or ``a/b`` text, as
+on the default grid, does not import it.
 
 ``compose`` is the baby-step/giant-step scheme of Paterson and
 Stockmeyer (SIAM J. Comput. 1973): it reads the inner powers
@@ -60,8 +73,10 @@ integer numerators ``n! m_n`` over ``d``, reduced once by their content,
 so that the column is in lowest terms like the series.  The identity
 checks sum and compare those integers directly; :attr:`Series.egf_coeffs`
 and :meth:`Series.egf_coeff` read the same table as ``Fraction`` values,
-built afresh on each read.  Storage stays in ordinary form so that
-products and compositions need no factorial bookkeeping.
+built afresh on each read.  A series built from an EGF column keeps
+that column as its table, reduced once, for a reader that takes it next.
+Storage stays in ordinary form so that products and compositions need no
+factorial bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
 series may be shared freely across threads; the one cached table,
@@ -72,7 +87,6 @@ it, and so is the memo of powers.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -80,13 +94,126 @@ Scalar = "int | Fraction"
 
 __all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t", "powers"]
 
-_ZERO = Fraction(0)
+# CPython's default limit on the digits of an int read from or written as text
+_MAX_DIGITS = 4300
 
 
-def _exact(value: Scalar) -> Fraction:
-    if isinstance(value, float):
+def _check_digits(text: str, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``what`` when the decimal ``text`` would write
+    out a numerator or denominator of more than ``_MAX_DIGITS`` digits,
+    before ``Fraction`` builds them from its digits, point and exponent; an
+    ``a/b`` literal, whose parts ``int`` bounds, and text that ``Fraction``
+    refuses anyway pass."""
+    if "/" in text:
+        return
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
+    try:
+        shift = int(exponent or 0) - len(frac)
+    except ValueError:
+        return
+    # the numerator has the mantissa's digits and, for shift > 0, `shift`
+    # zeros; the denominator 10^-shift has 1 - shift digits
+    if max(len((whole + frac).lstrip("0")) + max(shift, 0), 1 - shift) > _MAX_DIGITS:
+        raise error(f"{what} {text!r} writes out more than {_MAX_DIGITS} digits")
+
+
+def _int_pair(text: str) -> tuple[int, int] | None:
+    """``text`` of the form ``a`` or ``a/b``, read by ``int`` as ``Fraction``
+    reads it: ``(p, q)`` in lowest terms, or None for any other text and
+    for a zero denominator, which ``Fraction`` then judges.  ``int`` takes
+    the same surrounding whitespace, sign, underscores and Unicode digits as
+    ``Fraction``; only a bare ``b``, with no space or sign between it and
+    the slash and none before the slash, is its denominator."""
+    num, slash, den = text.partition("/")
+    try:
+        if not slash:
+            return int(text), 1
+        if not (num[-1:].isdecimal() and den[:1].isdecimal()):
+            return None
+        p, q = int(num), int(den)
+    except ValueError:
+        return None
+    if not q:
+        return None
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _rational(value, what: str | None = None) -> tuple[int, int]:
+    """The exact rational ``value`` as the integer pair ``(p, q)`` of
+    ``Fraction(value)``, in lowest terms with ``q > 0``.
+
+    An ``int`` is ``(value, 1)`` and text of the form ``a`` or ``a/b`` is
+    read by ``int``; anything else (a ``Fraction``, a ``Decimal``, a
+    decimal or exponent literal) goes to ``Fraction``, imported here, which
+    costs nothing when the caller already holds one.  With ``what`` the
+    value is the parameter it names: a ``float`` or ``bool`` is refused,
+    and so is text past :func:`_check_digits`, and every refusal is a
+    ``ValueError`` naming it.  Without, it is a series coefficient: a
+    ``float`` is a ``TypeError``, a ``bool`` reads as 0 or 1, and the errors
+    of ``Fraction`` pass unchanged.
+    """
+    if type(value) is int:
+        return value, 1
+    if what is not None:
+        if isinstance(value, (float, bool)):
+            kind = type(value).__name__
+            raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
+        if type(value) is str:
+            _check_digits(value, what)
+    elif isinstance(value, float):
         raise TypeError("float coefficients are inexact; pass int, Fraction or str")
-    return Fraction(value)
+    if type(value) is str:
+        pair = _int_pair(value)
+        if pair is not None:
+            return pair
+    from fractions import Fraction
+
+    if not isinstance(value, Fraction):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            if what is None:
+                raise
+            raise ValueError(f"cannot parse {what} from {value!r}") from exc
+    return value.numerator, value.denominator
+
+
+def _scalar(value) -> tuple[int, int] | None:
+    """``(numerator, denominator)`` of an ``int`` or a ``Fraction`` operand,
+    None for any other; ``fractions`` is imported only to tell a value that
+    is no ``int``."""
+    if isinstance(value, int):
+        return value.numerator, value.denominator
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
+def _fraction(a: int, d: int) -> "Fraction":
+    """``Fraction(a, d)``, for a public reader that hands one out."""
+    from fractions import Fraction
+
+    return Fraction(a, d)
+
+
+def _value_strings(a, d: int) -> list[str]:
+    """The values ``a[n] / d`` (``d > 0``) as ``str(Fraction(a[n], d))``
+    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  Each
+    value is reduced by its own gcd, so any column is written exactly; over
+    ``d = 1`` each value is its numerator."""
+    if d == 1:
+        return [str(m) for m in a]
+    return [f"{m // h}/{d // h}" if (h := gcd(m, d)) != d else str(m // h) for m in a]
+
+
+def _text(pair: tuple[int, int]) -> str:
+    """The rational ``a / d`` of the pair ``(a, d)`` (``d > 0``) as
+    :func:`_value_strings` writes it."""
+    return _value_strings((pair[0],), pair[1])[0]
 
 
 def _check_natural(value: int, what: str = "truncation order", least: int = 0) -> int:
@@ -123,12 +250,24 @@ def _make(num: list[int], den: int) -> "Series":
 def _from_egf_column(num: list[int], den: int) -> "Series":
     """The series with EGF coefficients ``num[n] / den``, n = 0..N: the
     ordinary coefficients ``num[n] / (n! den)``, each brought over
-    ``N! den`` by the factor ``N!/n!``.  ``num`` is scaled in place."""
+    ``N! den`` by the factor ``N!/n!``.  ``num`` is scaled in place.  The
+    series keeps the column, reduced by one gcd, as its
+    :attr:`Series.egf_column`, which is then not rebuilt from the ordinary
+    coefficients by the factors ``n!`` and a second gcd."""
+    g = gcd(den, *num)
+    column = tuple([m // g for m in num]) if g != 1 else tuple(num), den // g
     scale = 1
     for n in range(len(num) - 1, 0, -1):
         scale *= n
         num[n - 1] *= scale
-    return _make(num, den * scale)
+    s = _make(num, den * scale)
+    s._egf = column
+    return s
+
+
+def _scaled(s: "Series", p: int, q: int) -> "Series":
+    """The series ``s`` times the rational ``p / q`` (``q > 0``)."""
+    return _make([p * m for m in s._num], s._den * q)
 
 
 def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -178,11 +317,11 @@ class Series:
     __slots__ = ("_num", "_den", "_egf")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple([_exact(c) for c in coeffs])
+        cs = [_rational(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        den = lcm(*[c.denominator for c in cs])
-        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        den = lcm(*[q for _, q in cs])
+        self._num = tuple([p * (den // q) for p, q in cs])
         self._den = den
         self._egf = None
 
@@ -198,11 +337,10 @@ class Series:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "Series":
-        # an int carries its own numerator and denominator
-        c = value if isinstance(value, (int, Fraction)) else _exact(value)
+        p, q = _rational(value)
         num = [0] * (_check_natural(order) + 1)
-        num[0] = c.numerator
-        return _make(num, c.denominator)
+        num[0] = p
+        return _make(num, q)
 
     @classmethod
     def t(cls, order: int) -> "Series":
@@ -221,12 +359,12 @@ class Series:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         d = self._den
-        return tuple([Fraction(m, d) if m else _ZERO for m in self._num])
+        return tuple([_fraction(m, d) for m in self._num])
 
     def coeff(self, n: int) -> Fraction:
         """Ordinary coefficient of ``t^n``; ``n`` must lie within the truncation."""
         self._check_index(n)
-        return Fraction(self._num[n], self._den)
+        return _fraction(self._num[n], self._den)
 
     @property
     def egf_column(self) -> tuple[tuple[int, ...], int]:
@@ -251,13 +389,13 @@ class Series:
     def egf_coeffs(self) -> tuple[Fraction, ...]:
         """Exponential-generating-function coefficients ``(0! c_0, ..., N! c_N)``."""
         a, d = self.egf_column
-        return tuple([Fraction(m, d) if m else _ZERO for m in a])
+        return tuple([_fraction(m, d) for m in a])
 
     def egf_coeff(self, n: int) -> Fraction:
         """Exponential-generating-function coefficient ``n! * c_n``."""
         self._check_index(n)
         a, d = self.egf_column
-        return Fraction(a[n], d)
+        return _fraction(a[n], d)
 
     def _check_index(self, n: int) -> None:
         if type(n) is bool or not isinstance(n, int):
@@ -292,33 +430,36 @@ class Series:
         fa, fb = den // self._den, sign * (den // other._den)
         return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
 
-    def _plus_scalar(self, value: Scalar) -> "Series":
-        den = lcm(self._den, value.denominator)
+    def _plus_scalar(self, p: int, q: int) -> "Series":
+        den = lcm(self._den, q)
         f = den // self._den
         num = [m * f for m in self._num]
-        num[0] += value.numerator * (den // value.denominator)
+        num[0] += p * (den // q)
         return _make(num, den)
 
     def __add__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             return self._plus(other, 1)
-        if isinstance(other, (int, Fraction)):
-            return self._plus_scalar(other)
-        return NotImplemented
+        pair = _scalar(other)
+        if pair is None:
+            return NotImplemented
+        return self._plus_scalar(*pair)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             return self._plus(other, -1)
-        if isinstance(other, (int, Fraction)):
-            return self._plus_scalar(-other)
-        return NotImplemented
+        pair = _scalar(other)
+        if pair is None:
+            return NotImplemented
+        return self._plus_scalar(-pair[0], pair[1])
 
     def __rsub__(self, other: Scalar) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return (-self)._plus_scalar(other)
-        return NotImplemented
+        pair = _scalar(other)
+        if pair is None:
+            return NotImplemented
+        return (-self)._plus_scalar(*pair)
 
     def __mul__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
@@ -331,11 +472,10 @@ class Series:
                     for j in range(n + 1 - i):
                         out[i + j] += ai * b[j]
             return _make(out, self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            # an int carries its own numerator and denominator
-            p = other.numerator
-            return _make([p * m for m in self._num], self._den * other.denominator)
-        return NotImplemented
+        pair = _scalar(other)
+        if pair is None:
+            return NotImplemented
+        return _scaled(self, *pair)
 
     __rmul__ = __mul__
 
@@ -490,9 +630,9 @@ class Series:
 
     def __repr__(self) -> str:
         shown = []
-        for n, c in enumerate(self.coeffs):
-            if c:
-                shown.append(f"{c}" if n == 0 else f"{c}*t^{n}")
+        for n, (m, c) in enumerate(zip(self._num, _value_strings(self._num, self._den))):
+            if m:
+                shown.append(c if n == 0 else f"{c}*t^{n}")
             if len(shown) == 4:
                 shown.append("...")
                 break

@@ -7,7 +7,10 @@ number through the library's per-entry functions and check only how the
 identity checks sum those numbers.  :func:`resolvent_by_composition` is
 the library's composition route to ``R``, kept to check its
 rising-factorial route.  :func:`argparse_namespace` is the ``argparse``
-parser the command line used to have, kept to check its flag table.
+parser the command line used to have, kept to check its flag table, and
+:func:`fraction_rational` the ``Fraction`` reader the library used to
+have, kept to check the integer-pair reader ``series._rational``; it
+shares the library's digit-count refusal, which it ran first.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, perm
 
+from multinumbers.series import _check_digits
 from multinumbers import (
     bernoulli_higher,
     mgf,
@@ -34,6 +38,28 @@ from multinumbers import (
     stirling1,
     stirling2,
 )
+
+
+def fraction_rational(value, what: str | None = None) -> tuple[int, int]:
+    """``(numerator, denominator)`` of ``value`` read by ``Fraction``: as a
+    parameter named ``what``, which refuses a float or a bool and wraps a
+    refusal in one ``ValueError``, or, with ``what`` None, as a series
+    coefficient, which refuses a float and lets ``Fraction``'s errors pass."""
+    if what is None:
+        if isinstance(value, float):
+            raise TypeError("float coefficients are inexact; pass int, Fraction or str")
+        f = Fraction(value)
+        return f.numerator, f.denominator
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
+    if type(value) is str:
+        _check_digits(value, what)
+    try:
+        f = Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"cannot parse {what} from {value!r}") from exc
+    return f.numerator, f.denominator
 
 
 def set_partitions(elements: list):

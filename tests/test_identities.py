@@ -72,6 +72,7 @@ from oracles import (
     bernoulli_expansion_single_index_sum,
     bernoulli_expansion_sum,
     first_kind_inversion_sum,
+    fraction_moments,
     fubini_sums,
     lah_sums,
     moment_route,
@@ -977,14 +978,21 @@ def test_perturbed_column_fails_at_first_reached_n(
 @pytest.fixture
 def raise_kernel(monkeypatch):
     """Raise entry 4 of what one library kernel returns, ``(owner, name)``
-    with ``owner`` a module of the package or ``Series``, for every caller:
-    a function is replaced in each module that holds it, a method on the
-    class.  Every cache is dropped on the way in and on the way out."""
+    with ``owner`` a module of the package, ``Series`` or ``_KINDS``, for
+    every caller: a function is replaced in each module that holds it, a
+    method on the class, and the moment provider of the kind ``name`` in its
+    entry of ``moments._KINDS``, so that mu_4 rises by 4!.  Every cache is
+    dropped on the way in and on the way out."""
 
     def apply(owner, name):
         clear_library_caches()
         if owner == "Series":
             monkeypatch.setattr(Series, name, bumped(getattr(Series, name), 4))
+            return
+        if owner == "_KINDS":
+            kinds = sys.modules["multinumbers.moments"]._KINDS
+            make, args, provide = kinds[name]
+            monkeypatch.setitem(kinds, name, (make, args, bumped(provide, 4)))
             return
         source = getattr(sys.modules[f"multinumbers.{owner}"], name)
         changed = KERNEL_RAISERS.get(name, bumped)(source, 4)
@@ -1054,7 +1062,11 @@ KERNEL_RAISERS = {
 # factor h^r of bernoulli-convolution.  No check divides, so the divide row is
 # empty.  series.powers, _solve, classical._transform and _row are raised by
 # their own helpers in KERNEL_RAISERS; the raised rows are handed out, and the
-# row memo classical._ROWS keeps the true ones.
+# row memo classical._ROWS keeps the true ones.  A moment provider of
+# moments._KINDS is raised for each kind the default grid has, on the cells
+# of that kind as well: every identity holds for any moment sequence, so a
+# raised mu_4 fails only the checks that compare with values that do not
+# depend on Y, the point-mass collapses, which read point(1).
 KERNEL_FAILURES = {
     None: set(),
     ("multilog", "_f_series"): {
@@ -1133,6 +1145,15 @@ KERNEL_FAILURES = {
         "all-ones-bernoulli", "bernoulli-convolution", "bernoulli-expansion-single-index",
         "first-kind-inversion", "fubini-convolution",
     },
+    ("_KINDS", "point"): {
+        "point-mass-collapse-lah", "point-mass-collapse-multi-second-kind",
+        "point-mass-collapse-second-kind",
+    },
+    ("_KINDS", "bernoulli"): set(),
+    ("_KINDS", "binomial"): set(),
+    ("_KINDS", "poisson"): set(),
+    ("_KINDS", "geometric"): set(),
+    ("_KINDS", "finite"): set(),
 }
 
 
@@ -1140,9 +1161,14 @@ KERNEL_FAILURES = {
     "kernel", list(KERNEL_FAILURES), ids=lambda k: ".".join(k) if k else "none"
 )
 def test_raised_kernel_fails_the_pinned_identities(raise_kernel, kernel):
+    grid = [(poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2))]
     if kernel is not None:
         raise_kernel(*kernel)
-    grid = [(poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2))]
+    if kernel and kernel[0] == "_KINDS":
+        cells = [(spec, ks) for spec, ks in default_grid() if spec.kind == kernel[1]]
+        spec = cells[0][0]
+        assert moments(spec, N).mu[4] == fraction_moments(spec, N)[4] + factorial(4)
+        grid += cells
     reports = run_full_suite(grid=grid, order=N)
     assert {rep.identity for rep in reports if rep.status == "fail"} == KERNEL_FAILURES[kernel]
 
@@ -1234,7 +1260,8 @@ def test_compared_ranges_are_the_readme_column(order):
 MISMATCH = Mismatch(2, F(1, 2), F(1, 3))
 
 
-def test_mismatch_is_a_plain_tuple_record():
+def test_mismatch_is_a_record_over_pairs_that_equals_its_tuple():
+    assert MISMATCH.pairs == ((1, 2), (1, 3)) and not isinstance(MISMATCH, tuple)
     assert MISMATCH == (2, F(1, 2), F(1, 3))
     assert MISMATCH != (2, F(1, 2), F(1, 4))
     assert hash(MISMATCH) == hash((2, F(1, 2), F(1, 3)))

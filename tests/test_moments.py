@@ -2,6 +2,7 @@ import copy
 import importlib
 import pickle
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -26,7 +27,7 @@ from multinumbers.moments import (
     resolvent,
     sum_power_moment,
 )
-from multinumbers.probabilistic import prob_lah, prob_stirling2
+from multinumbers.probabilistic import prob_fubini, prob_lah, prob_stirling2
 from multinumbers.series import Series, exp_t
 from multinumbers.series import geometric as geometric_series
 
@@ -194,7 +195,9 @@ def test_distribution_spec_record_semantics():
     assert spec == DistributionSpec(kind="poisson", params=(F(1, 2),), label="poisson:1/2")
     assert spec != poisson(1)
     assert spec != ("poisson", (F(1, 2),), "poisson:1/2")
-    assert hash(spec) == hash((spec.kind, spec.params, spec.label))
+    # keys hash the parameter pairs, not a Fraction per parameter
+    assert spec.pairs == ((1, 2),)
+    assert hash(spec) == hash((spec.kind, spec.pairs, spec.label))
     assert str(spec) == "poisson:1/2"
     assert repr(spec) == (
         "DistributionSpec(kind='poisson', params=(Fraction(1, 2),), label='poisson:1/2')"
@@ -220,7 +223,7 @@ def test_equal_parsed_specs_are_equal_and_hash_equal(first, second):
     a, b = parse_distribution(first), parse_distribution(second)
     assert a is not b
     assert a == b
-    assert hash(a) == hash(b) == hash((a.kind, a.params, a.label))
+    assert hash(a) == hash(b) == hash((a.kind, a.pairs, a.label))
 
 
 def test_moment_sequence_hash_is_the_field_hash():
@@ -304,16 +307,17 @@ def test_order_64_moments_build_one_fraction_per_moment(spec, monkeypatch):
     # the providers' integer column is the key; mu is built on its first read
     module = importlib.import_module("multinumbers.moments")
     built = []
+    new = Fraction.__new__
 
-    class Counting(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(module, "Fraction", Counting)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     ms = module._moments_cached.__wrapped__(spec, 64)
     assert built == []
     mu = ms.mu
+    monkeypatch.undo()
     assert mu == fraction_moments(spec, 64)
     assert len(built) <= 65
     assert ms.mu is mu
@@ -552,3 +556,219 @@ def test_cold_power_tables_are_filled_without_recursion(shallow_stack):
     ms = moments(poisson(1), 5)
     for j in (400, 401, 3):
         assert sum_power_moment(ms, j, 5) == sum(stirling2(5, k) * j**k for k in range(6))
+
+
+# ---------------------------------------------------------------- the rational boundary
+
+# Every kind of value a caller may pass for a rational: an int, a Fraction,
+# a Decimal (a NaN among them), a bool, a float and text, read by int alone
+# or by Fraction, or refused
+BOUNDARY_VALUES = [
+    1, F(1, 2), Decimal("0.5"), Decimal("NaN"), True, 0.5,
+    "1/2", " -3/4 ", "0.5", "1e-1", "x", "1/0", "1 /2",
+]
+_ONE = moments(point(1), 2)
+BOUNDARY_CONSTRUCTORS = {
+    "Series": lambda v: Series([v]),
+    "MomentSequence": lambda v: MomentSequence((1, v)),
+    "point": point,
+    "bernoulli": bernoulli,
+    "binomial": lambda v: binomial(2, v),
+    "poisson": poisson,
+    "geometric": geometric,
+    "finite point": lambda v: finite([(v, 1)]),
+    "finite weight": lambda v: finite([(0, v), (1, "1/2")]),
+    "raw_moments": lambda v: raw_moments([1, v]),
+    "prob_fubini y": lambda v: prob_fubini(_ONE, 1, v, 2),
+}
+# what each constructor makes of each value, in the order above: the label
+# of a spec, the repr of anything else, or the exception with its message,
+# as the Fraction-based readers gave them
+CONSTRUCTOR_OUTCOMES = {
+    'Series': [
+        '<Series order=0: 1>',
+        '<Series order=0: 1/2>',
+        '<Series order=0: 1/2>',
+        'ValueError: cannot convert NaN to integer ratio',
+        '<Series order=0: 1>',
+        'TypeError: float coefficients are inexact; pass int, Fraction or str',
+        '<Series order=0: 1/2>',
+        '<Series order=0: -3/4>',
+        '<Series order=0: 1/2>',
+        '<Series order=0: 1/10>',
+        "ValueError: Invalid literal for Fraction: 'x'",
+        'ZeroDivisionError: Fraction(1, 0)',
+        "ValueError: Invalid literal for Fraction: '1 /2'",
+    ],
+    'MomentSequence': [
+        'MomentSequence(mu=(1, 1))',
+        'MomentSequence(mu=(1, Fraction(1, 2)))',
+        "ValueError: mu_1 must be an int or a Fraction, got Decimal('0.5')",
+        "ValueError: mu_1 must be an int or a Fraction, got Decimal('NaN')",
+        'ValueError: mu_1 must be an int or a Fraction, got True',
+        'ValueError: mu_1 must be an int or a Fraction, got 0.5',
+        "ValueError: mu_1 must be an int or a Fraction, got '1/2'",
+        "ValueError: mu_1 must be an int or a Fraction, got ' -3/4 '",
+        "ValueError: mu_1 must be an int or a Fraction, got '0.5'",
+        "ValueError: mu_1 must be an int or a Fraction, got '1e-1'",
+        "ValueError: mu_1 must be an int or a Fraction, got 'x'",
+        "ValueError: mu_1 must be an int or a Fraction, got '1/0'",
+        "ValueError: mu_1 must be an int or a Fraction, got '1 /2'",
+    ],
+    'point': [
+        'point:1',
+        'point:1/2',
+        'point:1/2',
+        "ValueError: cannot parse point mass location from Decimal('NaN')",
+        "ValueError: point mass location must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: point mass location must be exact (int, Fraction or 'a/b' string), not float",
+        'point:1/2',
+        'point:-3/4',
+        'point:1/2',
+        'point:1/10',
+        "ValueError: cannot parse point mass location from 'x'",
+        "ValueError: cannot parse point mass location from '1/0'",
+        "ValueError: cannot parse point mass location from '1 /2'",
+    ],
+    'bernoulli': [
+        'bernoulli:1',
+        'bernoulli:1/2',
+        'bernoulli:1/2',
+        "ValueError: cannot parse bernoulli parameter from Decimal('NaN')",
+        "ValueError: bernoulli parameter must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: bernoulli parameter must be exact (int, Fraction or 'a/b' string), not float",
+        'bernoulli:1/2',
+        'ValueError: bernoulli parameter must lie in (0, 1], got -3/4',
+        'bernoulli:1/2',
+        'bernoulli:1/10',
+        "ValueError: cannot parse bernoulli parameter from 'x'",
+        "ValueError: cannot parse bernoulli parameter from '1/0'",
+        "ValueError: cannot parse bernoulli parameter from '1 /2'",
+    ],
+    'binomial': [
+        'binomial:2,1',
+        'binomial:2,1/2',
+        'binomial:2,1/2',
+        "ValueError: cannot parse binomial parameter from Decimal('NaN')",
+        "ValueError: binomial parameter must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: binomial parameter must be exact (int, Fraction or 'a/b' string), not float",
+        'binomial:2,1/2',
+        'ValueError: binomial parameter must lie in (0, 1], got -3/4',
+        'binomial:2,1/2',
+        'binomial:2,1/10',
+        "ValueError: cannot parse binomial parameter from 'x'",
+        "ValueError: cannot parse binomial parameter from '1/0'",
+        "ValueError: cannot parse binomial parameter from '1 /2'",
+    ],
+    'poisson': [
+        'poisson:1',
+        'poisson:1/2',
+        'poisson:1/2',
+        "ValueError: cannot parse poisson rate from Decimal('NaN')",
+        "ValueError: poisson rate must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: poisson rate must be exact (int, Fraction or 'a/b' string), not float",
+        'poisson:1/2',
+        'ValueError: poisson rate must be non-negative, got -3/4',
+        'poisson:1/2',
+        'poisson:1/10',
+        "ValueError: cannot parse poisson rate from 'x'",
+        "ValueError: cannot parse poisson rate from '1/0'",
+        "ValueError: cannot parse poisson rate from '1 /2'",
+    ],
+    'geometric': [
+        'geometric:1',
+        'geometric:1/2',
+        'geometric:1/2',
+        "ValueError: cannot parse geometric success probability from Decimal('NaN')",
+        "ValueError: geometric success probability must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: geometric success probability must be exact (int, Fraction or 'a/b' string), not float",
+        'geometric:1/2',
+        'ValueError: geometric success probability must lie in (0, 1], got -3/4',
+        'geometric:1/2',
+        'geometric:1/10',
+        "ValueError: cannot parse geometric success probability from 'x'",
+        "ValueError: cannot parse geometric success probability from '1/0'",
+        "ValueError: cannot parse geometric success probability from '1 /2'",
+    ],
+    'finite point': [
+        'finite:1=1',
+        'finite:1/2=1',
+        'finite:1/2=1',
+        "ValueError: cannot parse support point from Decimal('NaN')",
+        "ValueError: support point must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: support point must be exact (int, Fraction or 'a/b' string), not float",
+        'finite:1/2=1',
+        'finite:-3/4=1',
+        'finite:1/2=1',
+        'finite:1/10=1',
+        "ValueError: cannot parse support point from 'x'",
+        "ValueError: cannot parse support point from '1/0'",
+        "ValueError: cannot parse support point from '1 /2'",
+    ],
+    'finite weight': [
+        'ValueError: finite distribution weights must sum to 1, got 3/2',
+        'finite:0=1/2;1=1/2',
+        'finite:0=1/2;1=1/2',
+        "ValueError: cannot parse weight from Decimal('NaN')",
+        "ValueError: weight must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: weight must be exact (int, Fraction or 'a/b' string), not float",
+        'finite:0=1/2;1=1/2',
+        'ValueError: finite distribution weights must be non-negative',
+        'finite:0=1/2;1=1/2',
+        'ValueError: finite distribution weights must sum to 1, got 3/5',
+        "ValueError: cannot parse weight from 'x'",
+        "ValueError: cannot parse weight from '1/0'",
+        "ValueError: cannot parse weight from '1 /2'",
+    ],
+    'raw_moments': [
+        'raw:1,1',
+        'raw:1,1/2',
+        'raw:1,1/2',
+        "ValueError: cannot parse raw moment from Decimal('NaN')",
+        "ValueError: raw moment must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: raw moment must be exact (int, Fraction or 'a/b' string), not float",
+        'raw:1,1/2',
+        'raw:1,-3/4',
+        'raw:1,1/2',
+        'raw:1,1/10',
+        "ValueError: cannot parse raw moment from 'x'",
+        "ValueError: cannot parse raw moment from '1/0'",
+        "ValueError: cannot parse raw moment from '1 /2'",
+    ],
+    'prob_fubini y': [
+        'Fraction(3, 1)',
+        'Fraction(1, 1)',
+        'Fraction(1, 1)',
+        "ValueError: cannot parse y from Decimal('NaN')",
+        "ValueError: y must be exact (int, Fraction or 'a/b' string), not bool",
+        "ValueError: y must be exact (int, Fraction or 'a/b' string), not float",
+        'Fraction(1, 1)',
+        'Fraction(3, 8)',
+        'Fraction(1, 1)',
+        'Fraction(3, 25)',
+        "ValueError: cannot parse y from 'x'",
+        "ValueError: cannot parse y from '1/0'",
+        "ValueError: cannot parse y from '1 /2'",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CONSTRUCTORS)
+def test_constructors_accept_and_refuse_each_kind_of_value_as_before(name):
+    made = []
+    for value in BOUNDARY_VALUES:
+        try:
+            got = BOUNDARY_CONSTRUCTORS[name](value)
+        except Exception as exc:
+            made.append(f"{type(exc).__name__}: {exc}")
+            continue
+        if isinstance(got, DistributionSpec):
+            # the public parameters are Fractions, the binomial count an int
+            flat = [v for p in got.params for v in (p if isinstance(p, tuple) else (p,))]
+            assert [type(v) for v in flat] == [int] * (got.kind == "binomial") + [F] * (
+                len(flat) - (got.kind == "binomial")
+            )
+            made.append(got.label)
+        else:
+            made.append(repr(got))
+    assert made == CONSTRUCTOR_OUTCOMES[name]

@@ -1,9 +1,10 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinumbers.classical import bernoulli_higher, bernoulli_higher_series
@@ -23,6 +24,7 @@ from multinumbers.probabilistic import (
 from multinumbers.series import (
     Series,
     _power_memo,
+    _rational,
     exp_t,
     geometric,
     neg_log1m,
@@ -31,6 +33,7 @@ from multinumbers.series import (
 )
 
 from oracles import (
+    fraction_rational,
     ordered_partition_count,
     series_compose,
     series_exp,
@@ -677,3 +680,68 @@ def test_preconditions_still_raised(a, head):
     if head != 1:
         with pytest.raises(ValueError, match="log requires a unit constant term"):
             s.log()
+
+
+# ---------------------------------------------------------------- the rational boundary
+
+# pieces of the text Fraction reads or refuses: ASCII, Arabic-Indic and
+# fullwidth digits, a superscript and a vulgar fraction (digits to
+# str.isdigit, not to int), signs, the slash, the point, exponents,
+# underscores, ASCII and Unicode whitespace, and junk
+_PIECES = [
+    "0", "1", "7", "10", "\u0663", "\uff11", "\u00b2", "\u00bd", "+", "-", "/", ".", "e", "E",
+    "_", " ", "\t", "\n", "\u3000", "\x1c", "\xa0", "x", "nan", "inf",
+]
+rational_texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=9).map("".join),
+    st.text(max_size=6),
+)
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(rational_texts)
+@settings(max_examples=1500, deadline=None)
+@example(" -3/4 ")
+@example("1 /2")
+@example("1/ 2")
+@example("1/-2")
+@example("1/0")
+@example("0/7")
+@example("\u0661_\u0662/\uff13 ")
+@example("1__0")
+@example("1_")
+@example("_1")
+@example("1.")
+@example(".5")
+@example("1.5e-3")
+@example("1e5000")
+def test_the_integer_pair_reader_reads_text_as_fraction_does(text):
+    # a parameter is refused with the same message, a coefficient with the
+    # same exception, and an accepted text has the same value
+    for what in (None, "y"):
+        assert outcome(_rational, text, what) == outcome(fraction_rational, text, what)
+
+
+@given(
+    st.one_of(
+        st.integers(),
+        st.fractions(),
+        st.decimals(allow_nan=True, allow_infinity=True),
+        st.booleans(),
+        st.floats(),
+        st.none(),
+        st.tuples(st.integers(), st.integers(1)),
+    )
+)
+@settings(max_examples=500)
+@example(Decimal("sNaN"))
+def test_the_integer_pair_reader_reads_values_as_fraction_does(value):
+    for what in (None, "y"):
+        assert outcome(_rational, value, what) == outcome(fraction_rational, value, what)
