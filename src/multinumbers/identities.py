@@ -334,9 +334,11 @@ def check_bernoulli_convolution(
     with [h^r]_k the EGF coefficients of h^r: the EGF product of h^r with
     the (1, M - 1) array applied to the multi-Bernoulli column, compared
     for n = r..order.  The factor h^r is formed once per (M, r).  With a
-    zero first moment the check is skipped, as the divided form it
-    replaces had no valuation r there; at order 0 the moment sequence may
-    stop at mu_0, the mean is not known and the empty range passes.
+    zero first moment the check is skipped: h then has no t^1 term, so h^r
+    has no valuation r and the quotient Li_ks(h) / h^r of the paper's
+    definition is not formed, although the product compared here holds
+    there too.  At order 0 the moment sequence may stop at mu_0, the mean
+    is not known and the empty range passes.
     """
     _check_natural(order)
     ks = tuple(ks)

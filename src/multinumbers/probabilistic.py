@@ -26,7 +26,9 @@ column of the same series by a Stirling transform.
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
 (Y, order), read by :func:`prob_stirling2_by_moments` and the route-agreement
-check.  Powers of u - 1 and M come from the memo in ``series``.
+check.  Powers of u - 1 and M come from the memo in ``series``, and
+u - 1 is built once per u (:func:`_less_one`), so the triangle, the multi
+families and the Fubini series at M read one series and its one memo.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
+def _less_one(u: Series) -> Series:
+    """u - 1, built once per moment series ``u``: the one key of the memo of
+    its powers, which :func:`_power_triangle` and :func:`_li_family` read,
+    and the series :func:`_fubini_series` scales."""
+    return u - 1
+
+
+@lru_cache(maxsize=None)
 def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The exponential Riordan array (1, u - 1) at the order N of ``u``, as
     ``(columns, d)``: column k holds the EGF numerators of (u - 1)^k / k!
@@ -75,7 +85,7 @@ def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
     over L, the lcm of the d_k, the factor carried down the column; one
     content gcd then reduces the whole triangle."""
     top = u.order
-    memo = powers(u - 1, top)
+    memo = powers(_less_one(u), top)
     den = lcm(*[memo[k]._den for k in range(top + 1)])
     columns, g = [], den
     for k in range(top + 1):
@@ -109,7 +119,7 @@ def _li_family(ks: tuple[int, ...], u: Series) -> Series:
     :func:`multilog._f_series` composed with u - 1, whose memo of powers
     :func:`_power_triangle` reads too.  The multi second kind at u = M and
     multi Lah at u = R."""
-    return _f_series(ks, u.order).compose(u - 1)
+    return _f_series(ks, u.order).compose(_less_one(u))
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:
@@ -208,7 +218,7 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
 def _fubini_series(ms: MomentSequence, r: int, y: tuple[int, int], order: int) -> Series:
     """(1 - y (u - 1))^(-r) with u the MGF, for the rational y, an integer
     pair (p, q): :func:`prob_fubini_series` once its arguments are read."""
-    return ((1 - _scaled(mgf(ms, order) - 1, *y)) ** r).inverse()
+    return ((1 - _scaled(_less_one(mgf(ms, order)), *y)) ** r).inverse()
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:

@@ -42,10 +42,12 @@ later multiplied by ``g^start``, which vanishes below ``t^start``, so it
 is formed only up to ``t^(N - start)``: each giant step is a truncated
 product, written out in ``compose`` and reduced once, that skips the
 ``k`` leading zeros of ``g^k``, and the steps shrink from the last block
-to the first.  The powers come from :func:`powers`, one memo per series
-value and the only store of them, and the block size from that memo's
-length.  A first composition with ``g`` takes ``k = isqrt(N) + 1``, about
-``2 sqrt(N)`` products and steps instead of ``N`` products.  Once the
+to the first.  The powers come from the memo of :func:`powers`, one per
+series value and the only store of them, looked up once per composition,
+and the block size from that memo's length.  A memo is filled by the
+product :func:`_product` with no operand check, which ``__mul__`` calls
+after its own.  A first composition with ``g`` takes ``k = isqrt(N) + 1``,
+about ``2 sqrt(N)`` products and steps instead of ``N`` products.  Once the
 memo holds ``g^k``, a later composition with an equal ``g`` extends it
 to ``g^N`` and takes ``k = N + 1``: one block, the product by the
 Riordan array ``(1, g)`` (Shapiro et al., 1991), and no series product
@@ -79,9 +81,11 @@ Storage stays in ordinary form so that products and compositions need no
 factorial bookkeeping.
 
 Values are immutable after construction and every operation is pure, so
-series may be shared freely across threads; the one cached table,
-``egf_column``, is filled on first use with a value independent of who fills
-it, and so is the memo of powers.
+series may be shared freely across threads.  A series hashes by value,
+its numerators and denominator, and computes that hash once, on the first
+cache lookup it keys.  The hash and the one cached table, ``egf_column``,
+are filled on first use with a value independent of who fills them, and
+so is the memo of powers.
 """
 
 from __future__ import annotations
@@ -243,7 +247,7 @@ def _make(num: list[int], den: int) -> "Series":
     s = object.__new__(Series)
     s._num = tuple(num)
     s._den = den
-    s._egf = None
+    s._hash = s._egf = None
     return s
 
 
@@ -263,6 +267,20 @@ def _from_egf_column(num: list[int], den: int) -> "Series":
     s = _make(num, den * scale)
     s._egf = column
     return s
+
+
+def _product(x: "Series", y: "Series") -> "Series":
+    """The product of two series of one order, one integer convolution over
+    ``d_x * d_y``, with no operand check: ``Series.__mul__`` makes its check
+    first, and :func:`_fill` multiplies powers of one series."""
+    a, b = x._num, y._num
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n + 1 - i):
+                out[i + j] += ai * b[j]
+    return _make(out, x._den * y._den)
 
 
 def _scaled(s: "Series", p: int, q: int) -> "Series":
@@ -314,7 +332,7 @@ def _solve(
 class Series:
     """Formal power series in ``t`` truncated after the ``t^order`` term."""
 
-    __slots__ = ("_num", "_den", "_egf")
+    __slots__ = ("_num", "_den", "_hash", "_egf")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = [_rational(c) for c in coeffs]
@@ -323,7 +341,7 @@ class Series:
         den = lcm(*[q for _, q in cs])
         self._num = tuple([p * (den // q) for p, q in cs])
         self._den = den
-        self._egf = None
+        self._hash = self._egf = None
 
     # ------------------------------------------------------------ constructors
 
@@ -419,7 +437,10 @@ class Series:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._num, self._den))
+        return h
 
     def __neg__(self) -> "Series":
         return _make([-m for m in self._num], self._den)
@@ -464,14 +485,7 @@ class Series:
     def __mul__(self, other: "Series | Scalar") -> "Series":
         if isinstance(other, Series):
             self._check_same_order(other)
-            a, b = self._num, other._num
-            n = len(a) - 1
-            out = [0] * (n + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(n + 1 - i):
-                        out[i + j] += ai * b[j]
-            return _make(out, self._den * other._den)
+            return _product(self, other)
         pair = _scalar(other)
         if pair is None:
             return NotImplemented
@@ -561,10 +575,11 @@ class Series:
             raise ValueError("composition requires a zero inner constant term")
         n = self.order
         k = isqrt(n) + 1
-        if len(_power_memo(inner)) > k:
+        memo = _power_memo(inner)
+        if len(memo) > k:
             k = n + 1
         # the giant step g^k is read only when there is a second block, k <= n
-        memo = powers(inner, min(k, n))
+        _fill(memo, inner, min(k, n))
         den = lcm(*[memo[i]._den for i in range(k)])
         block_den = den * self._den
         f = self._num
@@ -647,13 +662,19 @@ def _power_memo(g: Series) -> dict[int, Series]:
     return {0: Series.one(g.order), 1: g}
 
 
+def _fill(memo: dict[int, Series], g: Series, k: int) -> dict[int, Series]:
+    """``memo``, the memo of powers of ``g``, filled upward in a loop to
+    j = k at least by :func:`_product`, which needs no operand check for
+    powers of one series.  Threads that fill a power store equal values."""
+    for j in range(len(memo), k + 1):
+        memo[j] = _product(memo[j - 1], g)
+    return memo
+
+
 def powers(g: Series, k: int) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, filled upward in a loop
-    to j = k at least.  Threads that fill a power store equal values."""
-    memo = _power_memo(g)
-    for j in range(len(memo), k + 1):
-        memo[j] = memo[j - 1] * g
-    return memo
+    to j = k at least."""
+    return _fill(_power_memo(g), g, k)
 
 
 # ------------------------------------------------------------ stock series

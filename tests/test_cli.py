@@ -1172,6 +1172,7 @@ def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141(runner):
 # by the schoolbook Fraction oracles; exits 3 if a kernel it swaps never ran
 ORACLE_KERNELS = """
 import sys
+from multinumbers import series
 from multinumbers.cli import main
 from multinumbers.series import Series
 from oracles import series_compose, series_exp, series_inverse, series_log, series_product
@@ -1186,8 +1187,8 @@ def swap(name, oracle):
     return kernel
 
 
-scalar_mul, series_mul = Series.__mul__, swap("mul", series_product)
-Series.__mul__ = lambda a, b: series_mul(a, b) if isinstance(b, Series) else scalar_mul(a, b)
+# Series.__mul__ and the fills of the memo of powers both multiply by it
+series._product = swap("mul", series_product)
 Series.compose = swap("compose", series_compose)
 Series.exp = swap("exp", series_exp)
 Series.log = swap("log", series_log)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multinumbers import classical, identities, probabilistic
+from multinumbers import classical, identities, probabilistic, series
 from multinumbers.classical import _FIRST, _SECOND, _columns, stirling1, stirling2
 from multinumbers.identities import (
     ALL_IDENTITIES,
@@ -598,6 +598,38 @@ def test_bernoulli_convolution_powers_once_per_moment_series_and_length(monkeypa
     clear_library_caches()
 
 
+def test_suite_builds_each_u_minus_one_once_and_hashes_each_series_once(monkeypatch):
+    # u - 1 is kept per moment series, so the default grid builds it once
+    # for each of its 7 distinct M and 7 distinct R; a series computes its
+    # hash on its first lookup and keeps it, so no numerator tuple is hashed
+    # twice however often the series keys a cache
+    order = 8
+    subtracted, hashed = [], []
+    sub = Series.__sub__
+
+    def counted_sub(a, b):
+        if type(b) is int and b == 1:
+            subtracted.append(a)
+        return sub(a, b)
+
+    def counted_hash(value):
+        hashed.append(value)
+        return hash(value)
+
+    clear_library_caches()
+    monkeypatch.setattr(Series, "__sub__", counted_sub)
+    monkeypatch.setattr(series, "hash", counted_hash, raising=False)
+    run_full_suite(order=order)
+    monkeypatch.undo()
+    dists = dict.fromkeys(spec for spec, _ in default_grid())
+    us = {u(moments(spec, order), order) for spec in dists for u in (mgf, resolvent)}
+    assert len(subtracted) == len(set(subtracted)) == len(us) == 14
+    assert set(subtracted) == us
+    assert hashed and all(type(value[0]) is tuple for value in hashed)
+    assert len({id(num) for num, _ in hashed}) == len(hashed)
+    clear_library_caches()
+
+
 ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3))]
 
 
@@ -1060,9 +1092,15 @@ KERNEL_RAISERS = {
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
 # li_argument is read only by the direct side of first-kind-inversion and the
 # factor h^r of bernoulli-convolution.  No check divides, so the divide row is
-# empty.  series.powers, _solve, classical._transform and _row are raised by
-# their own helpers in KERNEL_RAISERS; the raised rows are handed out, and the
-# row memo classical._ROWS keeps the true ones.  A moment provider of
+# empty.  Every series product, those that fill a memo of powers included,
+# is series._product: Series.__mul__ calls it after its order check, and
+# the memo fills call it directly, so the __mul__ row holds only the checks
+# that multiply series themselves.  compose reads its memo without
+# series.powers, so the powers row holds only checks that read the memo
+# through the power triangle or the moment route.  series.powers, _solve,
+# classical._transform and _row are raised by their own helpers in
+# KERNEL_RAISERS; the raised rows are handed out, and the row memo
+# classical._ROWS keeps the true ones.  A moment provider of
 # moments._KINDS is raised for each kind the default grid has, on the cells
 # of that kind as well: every identity holds for any moment sequence, so a
 # raised mu_4 fails only the checks that compare with values that do not
@@ -1086,11 +1124,8 @@ KERNEL_FAILURES = {
         "lah-via-first-kind-corrected", "point-mass-collapse-multi-second-kind",
     },
     ("Series", "__mul__"): {
-        "all-ones-bernoulli", "all-ones-multilog", "append-one", "bernoulli-convolution",
-        "bernoulli-expansion", "bernoulli-expansion-single-index", "derivative-rules",
-        "first-kind-inversion", "fubini-convolution", "lah-via-first-kind-corrected",
-        "point-mass-collapse-lah", "point-mass-collapse-multi-second-kind",
-        "point-mass-collapse-second-kind", "second-kind-route-agreement",
+        "all-ones-bernoulli", "all-ones-multilog", "bernoulli-convolution",
+        "bernoulli-expansion-single-index", "derivative-rules", "fubini-convolution",
     },
     ("multi", "li_argument"): {"bernoulli-convolution", "first-kind-inversion"},
     ("multilog", "_multilog"): {
@@ -1127,9 +1162,8 @@ KERNEL_FAILURES = {
     ("Series", "divide"): set(),
     ("Series", "derivative"): {"derivative-rules"},
     ("series", "powers"): {
-        "append-one", "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",
-        "fubini-convolution", "lah-via-first-kind-corrected", "point-mass-collapse-lah",
-        "point-mass-collapse-multi-second-kind", "point-mass-collapse-second-kind",
+        "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",
+        "fubini-convolution", "point-mass-collapse-lah", "point-mass-collapse-second-kind",
     },
     ("classical", "_transform"): {
         "all-ones-bernoulli", "all-ones-lah", "all-ones-prob-lah", "all-ones-prob-second-kind",
@@ -1154,6 +1188,13 @@ KERNEL_FAILURES = {
     ("_KINDS", "poisson"): set(),
     ("_KINDS", "geometric"): set(),
     ("_KINDS", "finite"): set(),
+    ("series", "_product"): {
+        "all-ones-bernoulli", "all-ones-multilog", "append-one", "bernoulli-convolution",
+        "bernoulli-expansion", "bernoulli-expansion-single-index", "derivative-rules",
+        "first-kind-inversion", "fubini-convolution", "lah-via-first-kind-corrected",
+        "point-mass-collapse-lah", "point-mass-collapse-multi-second-kind",
+        "point-mass-collapse-second-kind", "second-kind-route-agreement",
+    },
 }
 
 

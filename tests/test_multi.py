@@ -235,7 +235,8 @@ def test_a_cold_family_makes_no_series_product_composition_or_recurrence(monkeyp
 
     for name in ("compose", "__mul__", "__rmul__"):
         monkeypatch.setattr(Series, name, counting(name, getattr(Series, name)))
-    monkeypatch.setattr(series, "_solve", counting("_solve", series._solve))
+    for name in ("_solve", "_product"):
+        monkeypatch.setattr(series, name, counting(name, getattr(series, name)))
     for ks in [(2, 3), (1, 1), (0, -2, 3)]:
         cached.__wrapped__(ks, 64)  # past the cache, which an earlier call may have filled
     assert calls == []

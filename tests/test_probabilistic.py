@@ -27,6 +27,7 @@ from multinumbers.moments import (
 from multinumbers.multi import li_argument, multi_lah, multi_stirling2, multi_stirling2_series
 from multinumbers.multilog import multi_stirling1, multilog
 from multinumbers.probabilistic import (
+    _less_one,
     _li_family,
     _power_triangle,
     prob_fubini,
@@ -41,7 +42,7 @@ from multinumbers.probabilistic import (
     prob_stirling2_by_moments,
     prob_stirling2_series,
 )
-from multinumbers.series import Series, powers
+from multinumbers.series import Series, _power_memo, powers
 
 from oracles import (
     fraction_moments,
@@ -286,13 +287,13 @@ def test_powers_past_the_order_make_no_product_run(monkeypatch):
     ms = moments(poisson(1), 3)
     mgf(ms, 3), resolvent(ms, 3)
     products = []
-    mul = Series.__mul__
+    product = series._product
 
     def counted(a, b):
         products.append(1)
-        return mul(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(series, "_product", counted)
     assert prob_stirling2_series(ms, 5000, 3) == Series.zero(3)
     assert prob_lah_series(ms, 5000, 3) == Series.zero(3)
     assert not products
@@ -326,6 +327,8 @@ def test_specs_with_equal_moments_share_the_family_entries(specs):
         for u in (mgf, resolvent):
             assert _power_triangle(u(ms, 10)) is _power_triangle(u(first, 10))
             assert _li_family((2, -1), u(ms, 10)) is _li_family((2, -1), u(first, 10))
+            gap = _less_one(u(first, 10))
+            assert _less_one(u(ms, 10)) is gap and _power_memo(gap) is _power_memo(u(ms, 10) - 1)
         for k in range(12):
             assert prob_lah_series(ms, k, 10) == prob_lah_series(first, k, 10)
             assert prob_stirling2_series(ms, k, 10) == prob_stirling2_series(first, k, 10)
@@ -333,6 +336,22 @@ def test_specs_with_equal_moments_share_the_family_entries(specs):
         assert prob_multi_stirling2_series(ms, (1,), 10) is prob_multi_stirling2_series(
             first, (1,), 10
         )
+
+
+def test_point_bernoulli_and_binomial_at_one_read_one_triangle_and_one_memo():
+    # one u - 1, one memo of its powers and one triangle per moment series,
+    # whichever of the three specs asks
+    for cached in (_less_one, _power_triangle, _li_family, _power_memo):
+        cached.cache_clear()
+    for spec in (point(1), bernoulli(1), binomial(1, 1)):
+        ms = moments(spec, 10)
+        for entry in (prob_stirling2, prob_lah):
+            entry(ms, 7, 3, 10)
+        for entry in (prob_multi_stirling2, prob_multi_lah):
+            entry(ms, (1, 2), 7, 10)
+    for cached in (_less_one, _power_triangle, _power_memo):
+        assert (cached.cache_info().misses, cached.cache_info().currsize) == (2, 2)
+    assert _li_family.cache_info().misses == 2
 
 
 # ------------------------------------------------------- whole-column oracle
@@ -385,9 +404,10 @@ def test_power_triangle_is_the_fraction_powers_of_u_minus_one(spec, base, order)
 
 @pytest.mark.parametrize("base", [mgf, resolvent], ids=["M", "R"])
 def test_power_triangle_builds_no_series_once_the_powers_are_kept(base, monkeypatch):
-    # the triangle is read off the memo of powers of u - 1 in integers: the
-    # one series it makes is u - 1, the key of that memo, and no column is
-    # made into a series or read back as an EGF column
+    # the triangle is read off the memo of powers of u - 1 in integers, and
+    # u - 1, the key of that memo, is kept per u: once the powers are kept
+    # it makes no series, and no column is made into a series or read back
+    # as an EGF column
     u = base(moments(poisson(F(1, 2)), 20), 20)
     gap = u - 1
     powers(gap, 20)
@@ -410,7 +430,7 @@ def test_power_triangle_builds_no_series_once_the_powers_are_kept(base, monkeypa
     got = _power_triangle.__wrapped__(u)
     monkeypatch.undo()
     assert got == expected
-    assert made == [gap] and columns == []
+    assert made == [] and columns == []
 
 
 # every law has a nonzero mean, which the oracle's divisions by g' and g/t need

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +23,7 @@ from multinumbers.probabilistic import (
     prob_stirling2_by_moments,
     prob_stirling2_series,
 )
+from multinumbers import series as series_module
 from multinumbers.series import (
     Series,
     _power_memo,
@@ -562,8 +565,8 @@ def test_repeat_compose_makes_only_the_products_that_fill_the_memo(monkeypatch):
     g = [F(0)] + [F(7, i + 11) for i in range(1, order + 1)]
     _power_memo.cache_clear()
     calls = []
-    mul = Series.__mul__
-    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    product = series_module._product
+    monkeypatch.setattr(series_module, "_product", lambda a, b: calls.append(1) or product(a, b))
     counts = []
     results = []
     for _ in range(3):
@@ -662,6 +665,55 @@ def test_canonical_form(pair, c):
     for same in ((sa * c) * (1 / c), (sa + sb) - sb, sa * Series.one(sa.order)):
         assert same == sa and hash(same) == hash(sa)
         assert same.coeffs == tuple(a)
+
+
+def value_hash(s):
+    return hash((s._num, s._den))
+
+
+@given(kernel_orders.flatmap(mixed_lists))
+@settings(max_examples=100)
+def test_every_construction_path_hashes_by_value(a):
+    # a series keeps the hash of its numerators and denominator, made once
+    # on the first lookup: whichever path built it, the hash is the value's
+    order = len(a) - 1
+    s = Series(a)
+    inner = Series([F(0)] + a[1:])
+    unit = Series([F(1)] + a[1:])
+    built = [
+        s,
+        series_module._make([3 * m for m in s._num], 3 * s._den),
+        series_module._from_egf_column(list(s._num), s._den),
+        Series.zero(order),
+        Series.one(order),
+        Series.constant(F(-2, 3), order),
+        Series.t(order),
+        exp_t(order),
+        geometric(order),
+        neg_log1m(order),
+        one_minus_exp_neg_t(order),
+        s + unit, s - unit, s * unit, s + 1, 2 - s, s * F(1, 3), -s, s**2,
+        inner.exp(), unit.log(), unit.inverse(), s.compose(inner),
+    ]
+    if order:
+        built.append(s.derivative())
+    for got in built:
+        assert got._hash is None
+        assert hash(got) == value_hash(got) == got._hash
+    # a series built from an equal value apart hashes alike
+    assert hash(series_module._make(list(s._num), s._den)) == hash(s)
+
+
+@given(kernel_orders.flatmap(mixed_lists), st.booleans())
+@settings(max_examples=60)
+def test_copy_and_pickle_keep_value_and_hash(a, hashed):
+    s = Series(a)
+    column = s.egf_column  # the cached table travels with the value
+    if hashed:
+        hash(s)
+    for got in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert got == s and hash(got) == hash(s) == value_hash(got)
+        assert got.egf_column == column
 
 
 @given(kernel_orders.flatmap(mixed_lists), mixed_fractions)
