@@ -6,8 +6,8 @@ extensions for a random variable given by exact moments, and a
 mechanical verifier for the identities connecting them.
 """
 
-from .series import Series, exp_t, geometric, neg_log1m, one_minus_exp_neg_t
-from .multilog import index_tuple, multi_stirling1, multilog, multilog_coefficient
+from .series import Series, exp_t, geometric, neg_log1m
+from .multilog import index_tuple, multi_stirling1, multilog
 from .classical import bernoulli_higher, bernoulli_higher_series, lah, stirling1, stirling2
 from .moments import (
     DistributionSpec,
@@ -63,10 +63,8 @@ __all__ = [
     "exp_t",
     "geometric",
     "neg_log1m",
-    "one_minus_exp_neg_t",
     "index_tuple",
     "multilog",
-    "multilog_coefficient",
     "multi_stirling1",
     "check_derivative_rules",
     "stirling1",

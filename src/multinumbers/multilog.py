@@ -31,7 +31,6 @@ tuple and order, the one value all four multi families are read from:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 
 from .classical import _SIGNED_SECOND, _transform
@@ -40,7 +39,6 @@ from .series import Series, _check_entry, _check_natural, _from_egf_column, _mak
 __all__ = [
     "index_tuple",
     "multilog",
-    "multilog_coefficient",
     "multi_stirling1",
 ]
 
@@ -97,27 +95,6 @@ def _f_series(ks: tuple[int, ...], order: int) -> Series:
     EGF column is kept as the series is built from it."""
     first, d = multilog(ks, order).egf_column
     return _from_egf_column(_transform(_SIGNED_SECOND, first), d)
-
-
-def multilog_coefficient(ks, m: int) -> Fraction:
-    """Coefficient of ``t^m`` by literal enumeration of ascending chains.
-
-    Deliberately naive (it walks every chain); kept as an independent
-    cross-check for the dynamic program.
-    """
-    from fractions import Fraction
-
-    ks = index_tuple(ks)
-    _check_natural(m, "chain endpoint", 1)
-    r = len(ks)
-    total = Fraction(0)
-    for head in combinations(range(1, m), r - 1):
-        chain = head + (m,)
-        term = Fraction(1)
-        for mi, ki in zip(chain, ks):
-            term *= Fraction(mi) ** (-ki)
-        total += term
-    return total
 
 
 def multi_stirling1(ks, n: int, order: int | None = None) -> Fraction:

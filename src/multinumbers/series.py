@@ -6,9 +6,9 @@ A :class:`Series` stands for the ordinary coefficients ``c_0, ..., c_N`` of
 
 with every ``c_n`` an exact rational, so nothing is ever rounded.  The
 truncation order ``N`` is fixed per value: binary operations require both
-operands to carry the same order, and the few operations that shorten a
-series (``derivative``, ``divide``) say so explicitly.  Constant-coefficient
-preconditions (``exp`` wants c_0 = 0, ``log`` wants c_0 = 1, composition
+operands to carry the same order, and the one operation that shortens a
+series, ``derivative``, says so explicitly.  Constant-coefficient
+preconditions (``exp`` wants c_0 = 0, ``inverse`` a nonzero c_0, composition
 wants a nilpotent inner argument) are enforced, not assumed.
 
 Storage is one vector of integer numerators over one positive integer
@@ -60,14 +60,12 @@ one identity check.  When it was measured, this rule about halved cold
 a 2-vCPU Xeon VM, CPython 3.11.7); a single ``table`` composes each
 inner once and does the same work as with ``k`` fixed.
 
-``exp``, ``log`` and ``inverse`` are triangular recurrences
-(``n b_n = sum j a_j b_(n-j)``, the same for ``t b'`` against ``a``,
-and ``a_0 b_n = -sum a_j b_(n-j)``) solved in integers: the coefficients
-found so far share one denominator, each new one is reduced by a single
-gcd, and the shared denominator is rescaled only when it must grow.
-``divide`` multiplies by the inverse of the shifted denominator.  The
-library divides nothing: the identity checks multiply instead, and
-``divide`` stays as the quotient the tests take as an oracle.
+``exp`` and ``inverse`` are triangular recurrences
+(``n b_n = sum j a_j b_(n-j)`` and ``a_0 b_n = -sum a_j b_(n-j)``) solved
+in integers: the coefficients found so far share one denominator, each new
+one is reduced by a single gcd, and the shared denominator is rescaled only
+when it must grow.  Where a definition divides by a series that vanishes
+at 0, the identity checks multiply instead.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` come
 from one table built once per series, :attr:`Series.egf_column`: the
@@ -96,7 +94,7 @@ from math import gcd, isqrt, lcm
 
 Scalar = "int | Fraction"
 
-__all__ = ["Series", "exp_t", "geometric", "neg_log1m", "one_minus_exp_neg_t", "powers"]
+__all__ = ["Series", "exp_t", "geometric", "neg_log1m", "powers"]
 
 # CPython's default limit on the digits of an int read from or written as text
 _MAX_DIGITS = 4300
@@ -296,22 +294,20 @@ def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
 
 
-def _solve(
-    w: list[int], c: list[int] | None, d: list[int], x0: tuple[int, int]
-) -> tuple[list[int], int]:
+def _solve(w: list[int], d: list[int], x0: tuple[int, int]) -> tuple[list[int], int]:
     """Integer numerators ``X`` and one denominator ``L`` of the sequence
 
-        x_0 = p / q,  x_n = (c_n + sum_{j=1..n} w_j x_(n-j)) / d_n,
+        x_0 = p / q,  x_n = (sum_{j=1..n} w_j x_(n-j)) / d_n,
 
     for ``n`` up to ``len(w) - 1``, with the seed ``x0 = (p, q)`` in lowest
-    terms and ``q > 0``; ``w``, ``c`` (``None`` for zeros) and nonzero ``d``
-    are integers, entry 0 of each unused.  ``L`` is the lcm of the reduced
-    denominators of ``x_0 .. x_N``.
+    terms and ``q > 0``; ``w`` and nonzero ``d`` are integers, entry 0 of
+    each unused.  ``L`` is the lcm of the reduced denominators of
+    ``x_0 .. x_N``.
     """
     xs, den = [x0[0]], x0[1]
     terms = [j for j in range(1, len(w)) if w[j]]
     for n in range(1, len(w)):
-        acc = c[n] * den if c else 0
+        acc = 0
         for j in terms:
             if j > n:
                 break
@@ -513,22 +509,8 @@ class Series:
         if a[0] != 0:
             raise ValueError("exp requires a zero constant term")
         w = [j * m for j, m in enumerate(a)]
-        xs, den = _solve(w, None, [n * d for n in range(len(a))], (1, 1))
+        xs, den = _solve(w, [n * d for n in range(len(a))], (1, 1))
         return _make(xs, den)
-
-    def log(self) -> "Series":
-        """log of a series with unit constant term, via t b' = t a' / a."""
-        a, d = self._num, self._den
-        if a[0] != d:
-            raise ValueError("log requires a unit constant term")
-        # e_n = n b_n solves a * e = t a'; with a_j = m_j / d that is
-        # d e_n = n m_n - sum_{j>=1} m_j e_(n-j)
-        n_max = len(a) - 1
-        xs, den = _solve(
-            [-m for m in a], [n * m for n, m in enumerate(a)], [d] * (n_max + 1), (0, 1)
-        )
-        scale = lcm(*range(1, n_max + 1))
-        return _make([0] + [xs[n] * (scale // n) for n in range(1, n_max + 1)], den * scale)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -537,7 +519,7 @@ class Series:
             raise ValueError("inverse requires a nonzero constant term")
         # the seed d / a_0 in lowest terms, over a positive denominator
         g = gcd(d, a[0]) if a[0] > 0 else -gcd(d, a[0])
-        xs, den = _solve([-m for m in a], None, [a[0]] * len(a), (d // g, a[0] // g))
+        xs, den = _solve([-m for m in a], [a[0]] * len(a), (d // g, a[0] // g))
         return _make(xs, den)
 
     def compose(self, inner: "Series") -> "Series":
@@ -613,29 +595,6 @@ class Series:
             result = _make(acc, step_den)
         return result
 
-    def divide(self, den: "Series", valuation: int) -> "Series":
-        """Quotient of two series that both vanish to the stated valuation.
-
-        ``den`` must have coefficients 0 strictly below ``valuation`` and a
-        nonzero coefficient there; ``self`` must vanish at least as far.
-        The quotient is well defined only up to order ``order - valuation``
-        and the result carries that shorter truncation order.  Each call
-        inverts the shifted denominator afresh; no library path divides, and
-        the tests read the quotient as an oracle.
-        """
-        if not isinstance(den, Series):
-            raise TypeError("division needs a Series denominator")
-        self._check_same_order(den)
-        _check_natural(valuation, "valuation")
-        if valuation > self.order:
-            raise ValueError("valuation exceeds the truncation order")
-        if any(den._num[:valuation]) or den._num[valuation] == 0:
-            raise ValueError(f"denominator does not have valuation {valuation}")
-        if any(self._num[:valuation]):
-            raise ValueError(f"numerator valuation is below {valuation}")
-        shifted = _make(den._num[valuation:], den._den)
-        return _make(self._num[valuation:], self._den) * shifted.inverse()
-
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""
         if self.order == 0:
@@ -696,10 +655,3 @@ def neg_log1m(order: int) -> Series:
     den = lcm(*range(1, _check_natural(order) + 1))
     return _make([0] + [den // n for n in range(1, order + 1)], den)
 
-
-def one_minus_exp_neg_t(order: int) -> Series:
-    """1 - e^(-t), coefficients (-1)^(n+1)/n! for n >= 1."""
-    e = exp_t(order)
-    num = [m if n % 2 else -m for n, m in enumerate(e._num)]
-    num[0] = 0
-    return _make(num, e._den)

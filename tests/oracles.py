@@ -1,16 +1,19 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (exhaustive enumeration or textbook
-recurrences) and shares no code with the library paths it checks.  There
-are two exceptions.  The literal identity sums at the end read each
-number through the library's per-entry functions and check only how the
-identity checks sum those numbers.  :func:`resolvent_by_composition` is
-the library's composition route to ``R``, kept to check its
-rising-factorial route.  :func:`argparse_namespace` is the ``argparse``
-parser the command line used to have, kept to check its flag table, and
-:func:`fraction_rational` the ``Fraction`` reader the library used to
-have, kept to check the integer-pair reader ``series._rational``; it
-shares the library's digit-count refusal, which it ran first.
+recurrences) and shares no code with the library paths it checks.
+:func:`multilog_coefficient` is the literal enumeration of ascending
+chains that defines the multiple logarithm, kept to check its dynamic
+program.  There are exceptions.  The literal identity sums at the end
+read each number through the library's per-entry functions and check only
+how the identity checks sum those numbers.
+:func:`resolvent_by_composition` is the library's composition route to
+``R``, kept to check its rising-factorial route.
+:func:`argparse_namespace` is the ``argparse`` parser the command line
+used to have, kept to check its flag table, and :func:`fraction_rational`
+the ``Fraction`` reader the library used to have, kept to check the
+integer-pair reader ``series._rational``; it shares the library's
+digit-count refusal, which it ran first.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import argparse
 import contextlib
 import io
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, perm
 
-from multinumbers.series import _check_digits
+from multinumbers.series import _check_digits, _check_natural
 from multinumbers import (
+    Series,
     bernoulli_higher,
+    index_tuple,
     mgf,
     multi_bernoulli,
     multi_lah,
@@ -157,6 +162,35 @@ def bernoulli_higher_oracle(n_max: int, r: int) -> list[Fraction]:
                 nxt[i + j] += a * base[j]
         acc = nxt
     return [factorial(n) * c for n, c in enumerate(acc)]
+
+
+def multilog_coefficient(ks, m: int) -> Fraction:
+    """Coefficient of ``t^m`` by literal enumeration of ascending chains.
+
+    Deliberately naive (it walks every chain); kept as an independent
+    cross-check for the dynamic program.
+    """
+    ks = index_tuple(ks)
+    _check_natural(m, "chain endpoint", 1)
+    r = len(ks)
+    total = Fraction(0)
+    for head in combinations(range(1, m), r - 1):
+        chain = head + (m,)
+        term = Fraction(1)
+        for mi, ki in zip(chain, ks):
+            term *= Fraction(mi) ** (-ki)
+        total += term
+    return total
+
+
+def one_minus_exp_neg_t(order: int) -> Series:
+    """1 - e^(-t) up to t^order, from its coefficients (-1)^(n+1)/n!."""
+    return Series([Fraction((-1) ** (n + 1), factorial(n)) if n else 0 for n in range(order + 1)])
+
+
+def shifted(s: Series, v: int) -> Series:
+    """``s`` divided by t^v, for ``s`` vanishing below t^v: its order drops by v."""
+    return Series(s.coeffs[v:])
 
 
 def series_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -25,7 +25,7 @@ from multinumbers.classical import (
 )
 from multinumbers.series import Series, exp_t, geometric, neg_log1m
 
-from oracles import bernoulli_higher_oracle, stirling1_count, stirling2_count
+from oracles import bernoulli_higher_oracle, shifted, stirling1_count, stirling2_count
 
 F = Fraction
 
@@ -158,12 +158,13 @@ def test_lah_columns_equal_the_closed_form():
 
 
 def test_bernoulli_higher_series_equals_the_divided_power():
-    # the former construction: t^r / (e^t - 1)^r at order N + r, divided
+    # the former construction, t^r / (e^t - 1)^r at order N + r, as the
+    # product: the series times (e^t - 1)^r / t^r is 1 at order N
     for r in range(8):
         for order in range(20):
             work = order + r
-            divided = (Series.t(work) ** r).divide((exp_t(work) - 1) ** r, r)
-            assert bernoulli_higher_series(r, order) == divided
+            den = shifted((exp_t(work) - 1) ** r, r)
+            assert bernoulli_higher_series(r, order) * den == shifted(Series.t(work) ** r, r)
 
 
 def test_bernoulli_higher_at_a_large_power():

@@ -1168,14 +1168,14 @@ def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141(runner):
     assert (proc.returncode, err) == (141, b"")
 
 
-# `verify` with every Series product, composition, exp, log and inverse done
+# `verify` with every Series product, composition, exp and inverse done
 # by the schoolbook Fraction oracles; exits 3 if a kernel it swaps never ran
 ORACLE_KERNELS = """
 import sys
 from multinumbers import series
 from multinumbers.cli import main
 from multinumbers.series import Series
-from oracles import series_compose, series_exp, series_inverse, series_log, series_product
+from oracles import series_compose, series_exp, series_inverse, series_product
 
 used = set()
 
@@ -1191,7 +1191,6 @@ def swap(name, oracle):
 series._product = swap("mul", series_product)
 Series.compose = swap("compose", series_compose)
 Series.exp = swap("exp", series_exp)
-Series.log = swap("log", series_log)
 Series.inverse = swap("inverse", series_inverse)
 code = main(sys.argv[1:])
 sys.exit(code if {"mul", "compose", "exp", "inverse"} <= used else 3)

@@ -564,7 +564,7 @@ def test_full_suite_builds_no_series_from_a_column(monkeypatch):
 def test_bernoulli_convolution_powers_once_per_moment_series_and_length(monkeypatch):
     # the factor (1 - e^(1 - M))^r depends on (M, r) alone: 7 distributions
     # by 3 tuple lengths on the default grid, 56 cells; the check multiplies
-    # by it, so it neither divides nor inverts a series
+    # by it, so it inverts no series
     source_check = identities.check_bernoulli_convolution
     keys, cells, inside, calls = set(), [], [], []
 
@@ -589,8 +589,7 @@ def test_bernoulli_convolution_powers_once_per_moment_series_and_length(monkeypa
 
     clear_library_caches()
     monkeypatch.setattr(identities, "check_bernoulli_convolution", check)
-    for name in ("divide", "inverse"):
-        monkeypatch.setattr(Series, name, counted(name))
+    monkeypatch.setattr(Series, "inverse", counted("inverse"))
     run_full_suite(order=12)
     assert (len(cells), len(keys)) == (56, 21)
     assert identities._li_argument_power.cache_info().misses == 21
@@ -1050,8 +1049,8 @@ def raised_powers(source, m):
 
 
 def raised_solve(source, m):
-    """``series._solve`` with its solution ``x_m`` raised by 1, so that ``exp``,
-    ``log`` and ``inverse`` each return a series off at ``t^m``."""
+    """``series._solve`` with its solution ``x_m`` raised by 1, so that ``exp``
+    and ``inverse`` each return a series off at ``t^m``."""
 
     def perturbed(*args):
         xs, den = source(*args)
@@ -1091,20 +1090,19 @@ KERNEL_RAISERS = {
 # the multiple logarithm with 1 - e^(1 - u)); with products raised, the
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
 # li_argument is read only by the direct side of first-kind-inversion and the
-# factor h^r of bernoulli-convolution.  No check divides, so the divide row is
-# empty.  Every series product, those that fill a memo of powers included,
-# is series._product: Series.__mul__ calls it after its order check, and
-# the memo fills call it directly, so the __mul__ row holds only the checks
-# that multiply series themselves.  compose reads its memo without
-# series.powers, so the powers row holds only checks that read the memo
-# through the power triangle or the moment route.  series.powers, _solve,
-# classical._transform and _row are raised by their own helpers in
-# KERNEL_RAISERS; the raised rows are handed out, and the row memo
-# classical._ROWS keeps the true ones.  A moment provider of
-# moments._KINDS is raised for each kind the default grid has, on the cells
-# of that kind as well: every identity holds for any moment sequence, so a
-# raised mu_4 fails only the checks that compare with values that do not
-# depend on Y, the point-mass collapses, which read point(1).
+# factor h^r of bernoulli-convolution.  Every series product, those that
+# fill a memo of powers included, is series._product: Series.__mul__ calls
+# it after its order check, and the memo fills call it directly, so the
+# __mul__ row holds only the checks that multiply series themselves.
+# compose reads its memo without series.powers, so the powers row holds only
+# checks that read the memo through the power triangle or the moment route.
+# series.powers, _solve, classical._transform and _row are raised by their own
+# helpers in KERNEL_RAISERS; the raised rows are handed out, and the row memo
+# classical._ROWS keeps the true ones.  A moment provider of moments._KINDS is
+# raised for each kind the default grid has, on the cells of that kind as
+# well: every identity holds for any moment sequence, so a raised mu_4 fails
+# only the checks that compare with values that do not depend on Y, the
+# point-mass collapses, which read point(1).
 KERNEL_FAILURES = {
     None: set(),
     ("multilog", "_f_series"): {
@@ -1159,7 +1157,6 @@ KERNEL_FAILURES = {
         "all-ones-bernoulli", "bernoulli-expansion-single-index", "fubini-convolution",
     },
     ("Series", "exp"): {"bernoulli-convolution", "first-kind-inversion"},
-    ("Series", "divide"): set(),
     ("Series", "derivative"): {"derivative-rules"},
     ("series", "powers"): {
         "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",

@@ -21,14 +21,17 @@ from multinumbers.multi import (
     multi_stirling2_series,
 )
 from multinumbers.multilog import multilog
-from multinumbers.series import Series, exp_t, one_minus_exp_neg_t
+from multinumbers.series import Series, exp_t
 
 from oracles import (
     fraction_multilog,
+    multilog_coefficient,
+    one_minus_exp_neg_t,
     series_compose,
     series_exp,
     series_inverse,
     series_product,
+    shifted,
     stirling2_count,
 )
 
@@ -78,23 +81,41 @@ def test_bernoulli_examples():
 
 
 def test_bernoulli_leading_coefficient_via_series_division():
-    # lowest coefficient of Li_{1,2}(1 - e^(-t)) / (1 - e^(-t))^2 directly
+    # Li_{1,2}(1 - e^(-t)) / (1 - e^(-t))^2 as the product: the quotient times
+    # the shifted denominator, whose lowest coefficient is 1, is the shifted
+    # numerator, so the two lowest coefficients agree
     w = one_minus_exp_neg_t(8)
-    ratio = multilog((1, 2), 8).compose(w).divide(w**2, 2)
-    assert ratio.egf_coeff(0) == F(1, 4)
+    num, den = shifted(multilog((1, 2), 8).compose(w), 2), shifted(w**2, 2)
+    assert multi_bernoulli_series((1, 2), 6) * den == num
+    assert den.coeff(0) == 1 and num.coeff(0) == F(1, 4)
     assert multi_bernoulli((1, 2), 0, 6) == F(1, 4)
 
 
-@pytest.mark.parametrize(
-    "ks", [(0,), (-1,), (-2, 3), (0, 0), (2, -1, 0), (1, -3, 2), (0, 1, -1, 2), (1, 1)], ids=str
-)
+BERNOULLI_TUPLES = [(0,), (-1,), (-2, 3), (0, 0), (2, -1, 0), (1, -3, 2), (0, 1, -1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("ks", BERNOULLI_TUPLES, ids=str)
+def test_bernoulli_leading_coefficient_is_the_shortest_chain(ks):
+    # w = t + O(t^2), so B_0 is the t^r coefficient of Li_ks, the one chain
+    # 1 < 2 < ... < r: the product of i^(-k_i)
+    r = len(ks)
+    shortest = F(1)
+    for i, k in enumerate(ks, 1):
+        shortest *= F(i) ** -k
+    assert multilog_coefficient(ks, r) == shortest
+    for order in range(6):
+        assert multi_bernoulli(ks, 0, order) == shortest
+
+
+@pytest.mark.parametrize("ks", BERNOULLI_TUPLES, ids=str)
 def test_bernoulli_is_the_shifted_column_composed(ks):
-    # the old form, at internal order N + r and divided by w^r, as the oracle
+    # the old form, at internal order N + r and divided by w^r, as the
+    # oracle: the series times the shifted w^r is the shifted composition
     r = len(ks)
     for order in range(25):
         w = one_minus_exp_neg_t(order + r)
-        old = multilog(ks, order + r).compose(w).divide(w**r, r)
-        assert multi_bernoulli_series(ks, order) == old
+        old = shifted(multilog(ks, order + r).compose(w), r)
+        assert multi_bernoulli_series(ks, order) * shifted(w**r, r) == old
 
 
 def test_lah_examples():

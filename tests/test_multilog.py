@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinumbers.identities import check_derivative_rules
-from multinumbers.multilog import index_tuple, multi_stirling1, multilog, multilog_coefficient
+from multinumbers.multilog import index_tuple, multi_stirling1, multilog
 from multinumbers.series import Series, neg_log1m
 
-from oracles import fraction_multilog, stirling1_count
+from oracles import fraction_multilog, multilog_coefficient, stirling1_count
 
 F = Fraction
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from multinumbers.classical import bernoulli_higher, bernoulli_higher_series
 from multinumbers.moments import binomial, moments, poisson, sum_power_moment
 from multinumbers.multi import multi_bernoulli, multi_lah, multi_stirling2
-from multinumbers.multilog import multi_stirling1, multilog_coefficient
+from multinumbers.multilog import multi_stirling1
 from multinumbers.probabilistic import (
     prob_fubini,
     prob_fubini_series,
@@ -31,18 +31,19 @@ from multinumbers.series import (
     exp_t,
     geometric,
     neg_log1m,
-    one_minus_exp_neg_t,
     powers,
 )
 
 from oracles import (
     fraction_rational,
+    one_minus_exp_neg_t,
     ordered_partition_count,
     series_compose,
     series_exp,
     series_inverse,
     series_log,
     series_product,
+    shifted,
     stirling2_count,
 )
 
@@ -76,7 +77,6 @@ STOCK = {
     exp_t: lambda n: F(1, factorial(n)),
     geometric: lambda n: F(1),
     neg_log1m: lambda n: F(1, n) if n else F(0),
-    one_minus_exp_neg_t: lambda n: F((-1) ** (n + 1), factorial(n)) if n else F(0),
 }
 
 
@@ -102,16 +102,12 @@ _MS = moments(poisson(1), 3)
 _NATURAL_ARGUMENTS = [
     # (call, argument name in the message, least value)
     pytest.param(lambda v: Series.one(3) ** v, "series exponent", 0, id="pow"),
-    pytest.param(lambda v: Series.t(3).divide(Series.t(3), v), "valuation", 0, id="divide"),
     pytest.param(
         lambda v: bernoulli_higher_series(v, 3), "the power r", 0, id="bernoulli_higher_series"
     ),
     pytest.param(lambda v: binomial(v, F(1, 2)), "binomial count", 1, id="binomial"),
     pytest.param(
         lambda v: sum_power_moment(_MS, v, 2), "number of copies", 0, id="sum_power_moment"
-    ),
-    pytest.param(
-        lambda v: multilog_coefficient((1,), v), "chain endpoint", 1, id="multilog_coefficient"
     ),
     pytest.param(lambda v: prob_stirling2_series(_MS, v, 3), "k", 0, id="prob_stirling2_series"),
     pytest.param(
@@ -246,19 +242,16 @@ def test_exp_of_one_minus_exp():
     assert inner.exp() == series(1, -1, 0)
 
 
-def test_log_trivials():
-    assert Series.one(5).log() == Series.zero(5)
-    assert geometric(7).log() == neg_log1m(7)
+def test_exp_of_neg_log1m_is_geometric():
+    # e^(-log(1 - t)) = 1 / (1 - t)
+    assert neg_log1m(7).exp() == geometric(7)
 
 
-def test_log_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        series(2, 1).log()
-
-
-def test_log_undoes_exp_on_polynomial():
-    f = series(0, 1, 0, 1, 0)  # t + t^3
-    assert f.exp().log() == f
+def test_fraction_log_oracle_inverts_the_stock_series():
+    # the oracle the round trips read: log e^t = t, log 1/(1 - t) = -log(1 - t)
+    for order in range(12):
+        assert Series(series_log(list(exp_t(order).coeffs))) == Series.t(order)
+        assert Series(series_log(list(geometric(order).coeffs))) == neg_log1m(order)
 
 
 # ---------------------------------------------------------------- compose
@@ -281,12 +274,17 @@ def test_compose_log_with_one_minus_exp_neg():
     assert neg_log1m(n).compose(one_minus_exp_neg_t(n)) == Series.t(n)
 
 
+def test_one_minus_exp_neg_t_oracle_is_exp_t_at_minus_t():
+    for order in range(21):
+        assert one_minus_exp_neg_t(order) == 1 - exp_t(order).compose(-Series.t(order))
+
+
 def test_compose_requires_nilpotent_inner():
     with pytest.raises(ValueError):
         series(0, 1).compose(series(1, 1))
 
 
-# ---------------------------------------------------------------- inverse / divide
+# ---------------------------------------------------------------- inverse
 
 
 def test_inverse_trivials():
@@ -306,22 +304,10 @@ def test_inverse_of_two_minus_exp_counts_ordered_partitions():
         assert inv.egf_coeff(m) == ordered_partition_count(m)
 
 
-def test_divide_shift():
-    t_sq = Series.t(5) ** 2
-    assert t_sq.divide(Series.t(5), 1) == Series.t(4)
-
-
-def test_divide_self_is_one():
-    w = one_minus_exp_neg_t(6) ** 2
-    assert w.divide(w, 2) == Series.one(4)
-
-
-def test_divide_validates_valuations():
+def test_shifted_drops_the_valuation():
     t5 = Series.t(5)
-    with pytest.raises(ValueError):
-        (t5**2).divide(t5, 2)  # denominator valuation is 1, not 2
-    with pytest.raises(ValueError):
-        t5.divide(t5**2, 2)  # numerator valuation below 2
+    assert shifted(t5**2, 1) == Series.t(4)
+    assert shifted(t5**2, 2) == Series.one(3)
 
 
 def test_derivative_drops_order():
@@ -390,9 +376,9 @@ def test_ring_axioms(triple):
 def test_exp_log_round_trip(coeffs):
     coeffs[0] = Fraction(0)
     a = Series(coeffs)
-    assert a.exp().log() == a
+    assert Series(series_log(list(a.exp().coeffs))) == a
     b = Series([Fraction(1)] + coeffs[1:])
-    assert b.log().exp() == b
+    assert Series(series_log(list(b.coeffs))).exp() == b
 
 
 @given(st.integers(min_value=0, max_value=10).flatmap(lambda n: coeff_lists(n)))
@@ -422,7 +408,9 @@ def test_compose_associativity(triple):
     ),
 )
 @settings(max_examples=60)
-def test_divide_undoes_multiply(v, pair):
+def test_shifted_quotient_undoes_multiply(v, pair):
+    # a quotient by a series of valuation v: both sides lose t^v, then the
+    # product with the inverse of the shifted denominator
     q_coeffs, d_coeffs = pair
     order = len(q_coeffs) - 1 + v
     den = Series([Fraction(0)] * v + [Fraction(1)] + d_coeffs[1:])
@@ -430,7 +418,7 @@ def test_divide_undoes_multiply(v, pair):
     q = Series(q_coeffs)
     q_padded = Series(list(q.coeffs) + [Fraction(0)] * v)
     prod = q_padded * den_padded
-    assert prod.divide(den_padded, v) == q
+    assert shifted(prod, v) * shifted(den_padded, v).inverse() == q
 
 
 # ---------------------------------------------------------------- integer kernel
@@ -586,13 +574,6 @@ def test_exp_matches_fraction_oracle(a):
     assert_kernel_result(Series(a).exp(), series_exp(a))
 
 
-@given(kernel_orders.flatmap(mixed_lists))
-@settings(max_examples=120)
-def test_log_matches_fraction_oracle(a):
-    a[0] = Fraction(1)
-    assert_kernel_result(Series(a).log(), series_log(a))
-
-
 @given(kernel_orders.flatmap(mixed_lists), mixed_fractions.filter(bool))
 @settings(max_examples=120)
 def test_inverse_matches_fraction_oracle(a, head):
@@ -613,18 +594,18 @@ def test_linear_ops_match_fraction_oracle(pair, c):
     assert_kernel_result(-sa, [-x for x in a])
     assert_kernel_result(sa * c, [c * x for x in a])
     assert_kernel_result(c * sa, [c * x for x in a])
-    shifted = list(a)
-    shifted[0] += c
-    assert_kernel_result(sa + c, shifted)
-    assert_kernel_result(c + sa, shifted)
-    shifted[0] -= 2 * c
-    assert_kernel_result(sa - c, shifted)
-    assert_kernel_result(c - sa, [-x for x in shifted])
+    with_c = list(a)
+    with_c[0] += c
+    assert_kernel_result(sa + c, with_c)
+    assert_kernel_result(c + sa, with_c)
+    with_c[0] -= 2 * c
+    assert_kernel_result(sa - c, with_c)
+    assert_kernel_result(c - sa, [-x for x in with_c])
 
 
-def test_scalar_products_inverse_and_log_build_no_fraction(monkeypatch):
+def test_scalar_products_and_inverse_build_no_fraction(monkeypatch):
     a = [F(3, 2), F(-1, 3), F(5, 7), F(2), F(-9, 4)]
-    s, unit = Series(a), Series([F(1)] + a[1:])
+    s = Series(a)
     c = F(-4, 9)
     built = []
     new = Fraction.__new__
@@ -635,7 +616,7 @@ def test_scalar_products_inverse_and_log_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     # the constant terms 3/2 and -3/2 share a factor with the denominator 84
-    got = (s * 3, 3 * s, s * c, c * s, s.inverse(), (-s).inverse(), unit.log())
+    got = (s * 3, 3 * s, s * c, c * s, s.inverse(), (-s).inverse())
     monkeypatch.undo()
     assert built == []
     want = (
@@ -645,7 +626,6 @@ def test_scalar_products_inverse_and_log_build_no_fraction(monkeypatch):
         [c * x for x in a],
         series_inverse(a),
         series_inverse([-x for x in a]),
-        series_log([F(1)] + a[1:]),
     )
     for series_, coeffs in zip(got, want):
         assert list(series_.coeffs) == coeffs
@@ -691,9 +671,8 @@ def test_every_construction_path_hashes_by_value(a):
         exp_t(order),
         geometric(order),
         neg_log1m(order),
-        one_minus_exp_neg_t(order),
         s + unit, s - unit, s * unit, s + 1, 2 - s, s * F(1, 3), -s, s**2,
-        inner.exp(), unit.log(), unit.inverse(), s.compose(inner),
+        inner.exp(), unit.inverse(), s.compose(inner),
     ]
     if order:
         built.append(s.derivative())
@@ -729,9 +708,6 @@ def test_preconditions_still_raised(a, head):
     else:
         with pytest.raises(ValueError, match="inverse requires a nonzero constant term"):
             s.inverse()
-    if head != 1:
-        with pytest.raises(ValueError, match="log requires a unit constant term"):
-            s.log()
 
 
 # ---------------------------------------------------------------- the rational boundary
