@@ -35,9 +35,13 @@ multiple logarithm composed with :func:`multi.li_argument`.
 
 A check-side quantity that depends on less than the cell is formed once
 per the key it depends on, in an ``lru_cache``: the single-index
-append-one sides per (Y, r), the expansion weights per tuple or per r,
-the first-kind row sums of ``lah-via-first-kind-literal`` per r, and the
-factor (1 - e^(1 - M))^r of ``bernoulli-convolution`` per (M, r).
+append-one sides per (Y, r), the expansion weights per tuple or per r and
+the first-kind row sums of ``lah-via-first-kind-literal`` per r; the
+factor h^r of ``bernoulli-convolution`` is read from the memo of powers of
+h = 1 - e^(1 - M).  Each check validates its index tuple and order once,
+resolves M, R and the (1, M - 1) triangle once and reads the cores below
+the public family functions, such as :func:`probabilistic._li_family`,
+:func:`multilog._multilog` and :func:`series._compose`, which check nothing.
 
 Two comparisons are known to disagree and are reported as
 ``expected-discrepancy`` rather than failures, each with its first
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
 from .classical import _FIRST, _LAH, _SECOND, _SIGNED_SECOND, _columns, bernoulli_higher_series
@@ -74,18 +78,17 @@ from .moments import (
     poisson,
     resolvent,
 )
-from .multi import li_argument, multi_bernoulli_series, multi_lah_series, multi_stirling2_series
-from .multilog import _f_series, index_tuple, multilog
+from .multi import _bernoulli_series, _lah_series, _stirling2_series, li_argument
+from .multilog import _f_series, _multilog, index_tuple
 from .probabilistic import (
+    _fubini_series,
+    _li_family,
     _moment_route_columns,
     _power_column,
     _power_triangle,
-    prob_fubini_series,
-    prob_multi_lah_series,
-    prob_multi_stirling2_series,
 )
-from .report import EXPECTED_DISCREPANCY, FAIL, SKIPPED, VerificationReport, _mismatch
-from .series import Series, _check_natural, geometric, neg_log1m
+from .report import EXPECTED_DISCREPANCY, FAIL, VerificationReport, _mismatch
+from .series import Series, _check_natural, _compose, geometric, neg_log1m, powers
 
 __all__ = [
     "ALL_IDENTITIES",
@@ -217,26 +220,27 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     ks = index_tuple(ks)
     if order == 0:
         return _verdict("derivative-rules", order, (), ks)
-    derivative = multilog(ks, order).derivative()
-    lowered = multilog(ks[:-1] + (ks[-1] - 1,), order)
+    derivative = _multilog(ks, order).derivative()
+    lowered = _multilog(ks[:-1] + (ks[-1] - 1,), order)
     # each side is a column of ordinary coefficients; dividing by t is the
     # shift that reads the lowered multilog from its t^1 term on
     lhs = derivative._num, derivative._den
     comparisons = [(lhs, (lowered._num[1:], lowered._den), range(order), "index-lowering rule")]
     if ks[-1] == 1:
         prefix = ks[:-1]
-        tail = multilog(prefix, order - 1) if prefix else Series.one(order - 1)
+        tail = _multilog(prefix, order - 1) if prefix else Series.one(order - 1)
         rhs = geometric(order - 1) * tail
         comparisons.append((lhs, (rhs._num, rhs._den), range(order), "prefix rule at trailing index 1"))
     return _verdict("derivative-rules", order, comparisons, ks)
 
 
-def _prefix_column(family, prefix: tuple[int, ...], order: int) -> Column:
-    """EGF column ``family(prefix, order).egf_column`` of a possibly empty
-    index prefix; the empty prefix gives the delta column (1, 0, ..., 0)."""
+def _prefix_column(family, prefix: tuple[int, ...], at, order: int) -> Column:
+    """EGF column ``family(prefix, at).egf_column`` of a multi family at a
+    possibly empty index prefix, ``at`` its order or moment series; the
+    empty prefix gives the delta column (1, 0, ..., 0)."""
     if not prefix:
         return Series.one(order).egf_column
-    return family(prefix, order).egf_column
+    return family(prefix, at).egf_column
 
 
 def _append_one_sides(
@@ -257,18 +261,19 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
 
         ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
     """
-    prefix = tuple(ks_prefix)
-    head = _prefix_column(multi_stirling2_series, prefix, order)
-    tail = multi_stirling2_series(prefix + (1,), order).egf_column
+    _check_natural(order)
+    full = index_tuple((*ks_prefix, 1))
+    prefix = full[:-1]
+    head = _prefix_column(_stirling2_series, prefix, order, order)
+    tail = _stirling2_series(full, order).egf_column
     lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1), order)
     return _verdict("append-one-deterministic", order, [(lhs, rhs, range(order), "")], prefix)
 
 
-def _second_kind_sums(ms: MomentSequence, weights: Column, order: int) -> Column:
+def _second_kind_sums(triangle: Triangle, weights: Column) -> Column:
     """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``:
-    the exponential Riordan array (1, M - 1) applied to ``w``."""
-    w, dw = weights
-    cols, den = _power_triangle(mgf(ms, order))
+    ``triangle``, the exponential Riordan array (1, M - 1), applied to ``w``."""
+    (cols, den), (w, dw) = triangle, weights
     return _triangle_sums(cols, w, len(w) - 1), dw * den
 
 
@@ -305,22 +310,16 @@ def check_append_one(
     together with its two single-index specialisations, which compare
     n = r..order and so nothing when r > order.
     """
-    prefix = tuple(ks_prefix)
-    r = len(prefix) + 1
-    head = _prefix_column(partial(prob_multi_stirling2_series, ms), prefix, order)
-    tail = prob_multi_stirling2_series(ms, prefix + (1,), order).egf_column
+    full = index_tuple((*ks_prefix, 1))
+    prefix, r = full[:-1], len(full)
+    m = mgf(ms, order)
+    head = _prefix_column(_li_family, prefix, m, order)
+    tail = _li_family(full, m).egf_column
     comparisons = [(*_append_one_sides(head, tail, ms.column, order), range(order), "main form")]
     if r <= order:
         for key, detail in ((ms, "single-index form"), (None, "single-index classical form")):
             comparisons.append((*_single_index_sides(key, r, order), range(r, order + 1), detail))
     return _verdict("append-one", order, comparisons, prefix, dist)
-
-
-@lru_cache(maxsize=None)
-def _li_argument_power(u: Series, r: int) -> Series:
-    """(1 - e^(1 - u))^r, the factor h^r of ``bernoulli-convolution`` at
-    u = M; it depends on (M, r) alone, so it is formed once per key."""
-    return li_argument(u) ** r
 
 
 def check_bernoulli_convolution(
@@ -333,22 +332,17 @@ def check_bernoulli_convolution(
 
     with [h^r]_k the EGF coefficients of h^r: the EGF product of h^r with
     the (1, M - 1) array applied to the multi-Bernoulli column, compared
-    for n = r..order.  The factor h^r is formed once per (M, r).  With a
-    zero first moment the check is skipped: h then has no t^1 term, so h^r
-    has no valuation r and the quotient Li_ks(h) / h^r of the paper's
-    definition is not formed, although the product compared here holds
-    there too.  At order 0 the moment sequence may stop at mu_0, the mean
-    is not known and the empty range passes.
+    for n = r..order.  The factor h^r is read from the memo of powers of h,
+    so each power is formed once per M.  The product holds at a zero first
+    moment too, where h has no t^1 term and the quotient Li_ks(h) / h^r of
+    the paper's definition is not a power series.
     """
-    _check_natural(order)
-    ks = tuple(ks)
+    ks = index_tuple(ks)
     r = len(ks)
-    if ms.order >= 1 and ms.column[0][1] == 0:
-        detail = "first moment is zero; the divided series has no valuation r"
-        return VerificationReport("bernoulli-convolution", order, ks, dist, SKIPPED, None, detail)
-    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
-    s, ds = _second_kind_sums(ms, multi_bernoulli_series(ks, order).egf_column, order)
-    h, dh = _li_argument_power(mgf(ms, order), r).egf_column
+    m = mgf(ms, order)
+    lhs = _li_family(ks, m).egf_column
+    s, ds = _second_kind_sums(_power_triangle(m), _bernoulli_series(ks, order).egf_column)
+    h, dh = powers(li_argument(m), r)[r].egf_column
     rhs = _binomial_sums(s, h, order), ds * dh
     return _verdict("bernoulli-convolution", order, [(lhs, rhs, range(r, order + 1), "")], ks, dist)
 
@@ -368,9 +362,10 @@ def check_first_kind_inversion(
     {n; ks}_Y as that very sum, so the left side is taken from the
     definition instead, the multiple logarithm composed with 1 - e^(1 - M).
     """
-    ks = tuple(ks)
-    lhs = multilog(ks, order).compose(li_argument(mgf(ms, order))).egf_column
-    rhs = _second_kind_sums(ms, _f_series(ks, order).egf_column, order)
+    ks = index_tuple(ks)
+    m = mgf(ms, order)
+    lhs = _compose(_multilog(ks, order), li_argument(m)).egf_column
+    rhs = _second_kind_sums(_power_triangle(m), _f_series(ks, order).egf_column)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -396,10 +391,10 @@ def check_lah_via_first_kind(
     Both sums run over k = r..n; {k; ks}_Y vanishes below k = r, and the
     literal form is {n; ks}_Y times a first-kind row sum, formed once per r.
     """
-    ks = tuple(ks)
+    ks = index_tuple(ks)
     r = len(ks)
-    direct = prob_multi_lah_series(ms, ks, order).egf_column
-    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
+    direct = _li_family(ks, resolvent(ms, order)).egf_column
+    second, ds = _li_family(ks, mgf(ms, order)).egf_column
     corrected = _triangle_sums(_columns(_FIRST, order), second, order), ds
     literal = [s * t for s, t in zip(second, _first_kind_row_sums(r, order))], ds
     ns = range(r, order + 1)
@@ -427,7 +422,7 @@ def _expansion_weights(b: Column, r: int, order: int) -> Column:
 def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> Column:
     """w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
     r_fact = factorial(len(ks))
-    bern, d = multi_bernoulli_series(ks, order).egf_column
+    bern, d = _bernoulli_series(ks, order).egf_column
     return _expansion_weights(([r_fact * b for b in bern], d), len(ks), order)
 
 
@@ -454,10 +449,11 @@ def check_bernoulli_expansion(
     does not depend on n (or on Y) and is formed once per index tuple, so
     the right-hand side is sum_{j=r}^{n} w_j {n; j}_Y.
     """
-    ks = tuple(ks)
+    ks = index_tuple(ks)
     r = len(ks)
-    lhs = prob_multi_stirling2_series(ms, ks, order).egf_column
-    rhs = _second_kind_sums(ms, _bernoulli_expansion_weights(ks, order), order)
+    m = mgf(ms, order)
+    lhs = _li_family(ks, m).egf_column
+    rhs = _second_kind_sums(_power_triangle(m), _bernoulli_expansion_weights(ks, order))
     ns = range(r, order - r + 1)
     return _verdict("bernoulli-expansion", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -475,8 +471,9 @@ def check_bernoulli_expansion_single_index(
     """
     _check_natural(order)
     _check_natural(r, "r", 1)
-    lhs = _power_column(mgf(ms, order), r)
-    rhs = _second_kind_sums(ms, _single_index_expansion_weights(r, order), order)
+    m = mgf(ms, order)
+    lhs = _power_column(m, r)
+    rhs = _second_kind_sums(_power_triangle(m), _single_index_expansion_weights(r, order))
     ns = range(r, order - r + 1)
     return _verdict("bernoulli-expansion-single-index", order, [(lhs, rhs, ns, "")], (1,) * r, dist)
 
@@ -491,10 +488,11 @@ def check_fubini_convolution(
 
     where L(k; ks) and {k; ks}_Y vanish below k = r.
     """
-    ks = tuple(ks)
-    lhs = _second_kind_sums(ms, multi_lah_series(ks, order).egf_column, order)
-    second, ds = prob_multi_stirling2_series(ms, ks, order).egf_column
-    fubini, df = prob_fubini_series(ms, len(ks), 1, order).egf_column
+    ks = index_tuple(ks)
+    m = mgf(ms, order)
+    lhs = _second_kind_sums(_power_triangle(m), _lah_series(ks, order).egf_column)
+    second, ds = _li_family(ks, m).egf_column
+    fubini, df = _fubini_series(ms, len(ks), (1, 1), order).egf_column
     rhs = _binomial_sums(second, fubini, order), ds * df
     ns = range(len(ks), order + 1)
     return _verdict("fubini-convolution", order, [(lhs, rhs, ns, "")], ks, dist)
@@ -519,7 +517,7 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
     _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
-    series = multilog(ones, order)
+    series = _multilog(ones, order)
     power = neg_log1m(order) ** r
     higher, dh = bernoulli_higher_series(r, order).egf_column
     # the triangles reach column r; past the order their extra rows are not read
@@ -530,13 +528,13 @@ def check_all_ones_deterministic(r: int, order: int) -> list[VerificationReport]
         ("all-ones-first-kind", series.egf_column, (_columns(_FIRST, top)[r], 1)),
         (
             "all-ones-second-kind",
-            multi_stirling2_series(ones, order).egf_column,
+            _stirling2_series(ones, order).egf_column,
             (_columns(_SECOND, top)[r], 1),
         ),
-        ("all-ones-lah", multi_lah_series(ones, order).egf_column, (_columns(_LAH, top)[r], 1)),
+        ("all-ones-lah", _lah_series(ones, order).egf_column, (_columns(_LAH, top)[r], 1)),
         (
             "all-ones-bernoulli",
-            multi_bernoulli_series(ones, order).egf_column,
+            _bernoulli_series(ones, order).egf_column,
             ([-b if n % 2 else b for n, b in enumerate(higher)], dh * factorial(r)),
         ),
     )
@@ -552,21 +550,21 @@ def check_all_ones_probabilistic(
     _check_natural(r, "r", 1)
     ones = (1,) * r
     ns = range(order + 1)
-    # the multi family and the moment series u whose triangle column r is
-    # its single-index counterpart, per identity
+    # the moment series u at which the multi family is compared with column
+    # r of its triangle, its single-index counterpart, per identity
     pairs = (
-        ("all-ones-prob-second-kind", prob_multi_stirling2_series, mgf),
-        ("all-ones-prob-lah", prob_multi_lah_series, resolvent),
+        ("all-ones-prob-second-kind", mgf(ms, order)),
+        ("all-ones-prob-lah", resolvent(ms, order)),
     )
     return [
         _verdict(
             identity,
             order,
-            [(multi(ms, ones, order).egf_column, _power_column(u(ms, order), r), ns, "")],
+            [(_li_family(ones, u).egf_column, _power_column(u, r), ns, "")],
             ones,
             dist,
         )
-        for identity, multi, u in pairs
+        for identity, u in pairs
     ]
 
 
@@ -593,21 +591,21 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
     difference is therefore reported as an expected discrepancy with the
     first counterexample attached.
     """
-    ks = tuple(ks)
+    ks = index_tuple(ks)
     ms = moments(point(1), order)
     ns = range(order + 1)
     # the probabilistic family, its deterministic counterpart and the detail, per identity
     pairs = (
         (
             "point-mass-collapse-multi-second-kind",
-            prob_multi_stirling2_series(ms, ks, order),
-            multi_stirling2_series(ks, order),
+            _li_family(ks, mgf(ms, order)),
+            _stirling2_series(ks, order),
             "",
         ),
         (
             "point-mass-collapse-multi-lah",
-            prob_multi_lah_series(ms, ks, order),
-            multi_lah_series(ks, order),
+            _li_family(ks, resolvent(ms, order)),
+            _lah_series(ks, order),
             "collapse holds only for all-ones index tuples",
         ),
     )
@@ -647,7 +645,7 @@ IDENTITIES: tuple[Identity, ...] = tuple(Identity(*row) for row in (
     ("append-one", "cell", "check_append_one",
      "appending a trailing 1, moment-weighted probabilistic form"),
     ("bernoulli-convolution", "cell", "check_bernoulli_convolution",
-     "multi-Bernoulli/second-kind convolution equals the divided series"),
+     "multi-Bernoulli/second-kind convolution times h^r equals Li_ks(h)"),
     ("first-kind-inversion", "cell", "check_first_kind_inversion",
      "probabilistic multi second kind via first-kind inversion"),
     ("lah-via-first-kind-corrected", "cell", "check_lah_via_first_kind",
@@ -724,25 +722,27 @@ def run_full_suite(
     tuples = list(dict.fromkeys(ks for _, ks in cells))
     dists = list(dict.fromkeys(spec for spec, _ in cells))
     rs = sorted({len(ks) for ks in tuples})
+    # each distribution's moments, built once, by the first scope that reads them
+    law: dict[DistributionSpec, MomentSequence] = {}
     # the argument tuples a check of each scope is called with, built once
     scopes = {
         "tuple": lambda: [(ks, order) for ks in tuples],
         "r": lambda: [(r, order) for r in rs],
         "global": lambda: [(order,)],
-        "distribution": lambda: [(moments(s, order), order, s.label) for s in dists],
-        "distribution-r": lambda: [
-            (moments(s, order), r, order, s.label) for s in dists for r in rs
-        ],
+        "distribution": lambda: [(law[s], order, s.label) for s in dists],
+        "distribution-r": lambda: [(law[s], r, order, s.label) for s in dists for r in rs],
         "cell-r": lambda: [
-            (moments(s, order), r, order, s.label)
+            (law[s], r, order, s.label)
             for s, r in dict.fromkeys((s, len(ks)) for s, ks in cells)
         ],
-        "cell": lambda: [(moments(s, order), ks, order, s.label) for s, ks in cells],
+        "cell": lambda: [(law[s], ks, order, s.label) for s, ks in cells],
     }
 
     scope_args: dict[str, list[tuple]] = {}
     for name, scope in dict.fromkeys((e.check, e.scope) for e in IDENTITIES if e.id in wanted):
         if scope not in scope_args:
+            if not law and scope.startswith(("distribution", "cell")):
+                law.update((s, moments(s, order)) for s in dists)
             scope_args[scope] = scopes[scope]()
         check = globals()[name]
         for args in scope_args[scope]:

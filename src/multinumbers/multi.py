@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .classical import _SECOND, _SIGNED_SECOND, _transform
-from .multilog import _f_series, index_tuple, multilog
+from .multilog import _f_series, _multilog, index_tuple
 from .series import Series, _check_entry, _check_natural, _from_egf_column, _make
 
 __all__ = [
@@ -74,7 +74,7 @@ def _stirling2_series(ks: tuple[int, ...], order: int) -> Series:
 
 
 def multi_stirling2_series(ks, order: int) -> Series:
-    return _stirling2_series(index_tuple(ks), order)
+    return _stirling2_series(index_tuple(ks), _check_natural(order))
 
 
 def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
@@ -85,15 +85,14 @@ def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
 
 @lru_cache(maxsize=None, typed=True)
 def _bernoulli_series(ks: tuple[int, ...], order: int) -> Series:
-    # the order is checked before it is shifted: True + r is an int
     r = len(ks)
-    li = multilog(ks, _check_natural(order) + r)
+    li = _multilog(ks, order + r)
     shifted, d = _make(li._num[r:], li._den).egf_column
     return _from_egf_column(_transform(_SIGNED_SECOND, shifted), d)
 
 
 def multi_bernoulli_series(ks, order: int) -> Series:
-    return _bernoulli_series(index_tuple(ks), order)
+    return _bernoulli_series(index_tuple(ks), _check_natural(order))
 
 
 def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
@@ -114,7 +113,7 @@ def _lah_series(ks: tuple[int, ...], order: int) -> Series:
 
 
 def multi_lah_series(ks, order: int) -> Series:
-    return _lah_series(index_tuple(ks), order)
+    return _lah_series(index_tuple(ks), _check_natural(order))
 
 
 def multi_lah(ks, n: int, order: int | None = None) -> Fraction:

@@ -92,8 +92,9 @@ def _f_series(ks: tuple[int, ...], order: int) -> Series:
     v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero
     below r), the signed second-kind transform of the column [m; ks].  One
     value per tuple and order; each reader takes the form it needs, and the
-    EGF column is kept as the series is built from it."""
-    first, d = multilog(ks, order).egf_column
+    EGF column is kept as the series is built from it.  Its callers pass a
+    checked tuple and order, so it reads :func:`_multilog`."""
+    first, d = _multilog(ks, order).egf_column
     return _from_egf_column(_transform(_SIGNED_SECOND, first), d)
 
 

@@ -42,6 +42,7 @@ from .series import (
     Series,
     _check_entry,
     _check_natural,
+    _compose,
     _fraction,
     _from_egf_column,
     _over_lcm,
@@ -118,8 +119,9 @@ def _li_family(ks: tuple[int, ...], u: Series) -> Series:
     """Li_ks(1 - e^(1 - u)) = F_ks(u - 1) at the order of ``u``: the series
     :func:`multilog._f_series` composed with u - 1, whose memo of powers
     :func:`_power_triangle` reads too.  The multi second kind at u = M and
-    multi Lah at u = R."""
-    return _f_series(ks, u.order).compose(_less_one(u))
+    multi Lah at u = R.  Its arguments are valid by construction, so it
+    composes by :func:`series._compose`, with no operand check."""
+    return _compose(_f_series(ks, u.order), _less_one(u))
 
 
 def prob_stirling2_series(ms: MomentSequence, k: int, order: int) -> Series:

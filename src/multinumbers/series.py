@@ -33,14 +33,15 @@ made.  So ``fractions`` is imported only when a caller passes or reads a
 ``verify`` command whose rationals are all integers or ``a/b`` text, as
 on the default grid, does not import it.
 
-``compose`` is the baby-step/giant-step scheme of Paterson and
-Stockmeyer (SIAM J. Comput. 1973): it reads the inner powers
-``g^0 .. g^k``, sums each block of ``k`` outer coefficients against
+Composition is :func:`_compose`, which ``compose`` calls after its operand
+checks and callers with valid operands call directly: the baby-step/giant-step
+scheme of Paterson and Stockmeyer (SIAM J. Comput. 1973).  It reads the inner
+powers ``g^0 .. g^k``, sums each block of ``k`` outer coefficients against
 ``g^0 .. g^(k-1)`` over one common denominator, and runs Horner's scheme
 in ``g^k`` over the blocks.  The Horner sum from block ``start`` on is
 later multiplied by ``g^start``, which vanishes below ``t^start``, so it
 is formed only up to ``t^(N - start)``: each giant step is a truncated
-product, written out in ``compose`` and reduced once, that skips the
+product, written out in ``_compose`` and reduced once, that skips the
 ``k`` leading zeros of ``g^k``, and the steps shrink from the last block
 to the first.  The powers come from the memo of :func:`powers`, one per
 series value and the only store of them, looked up once per composition,
@@ -279,6 +280,76 @@ def _product(x: "Series", y: "Series") -> "Series":
             for j in range(n + 1 - i):
                 out[i + j] += ai * b[j]
     return _make(out, x._den * y._den)
+
+
+def _compose(outer: "Series", inner: "Series") -> "Series":
+    """Substitution outer(inner(t)) for series of one order with inner(0) = 0,
+    with no operand check: :meth:`Series.compose` makes its checks first.
+
+    Baby-step/giant-step: each block of ``k`` outer coefficients is
+    summed against the baby steps ``inner^0 .. inner^(k-1)`` over their
+    common denominator, and the blocks are combined by Horner's scheme
+    in the giant step ``inner^k``.  Exact at every kept order because
+    the inner series is nilpotent mod t^(N+1); ``inner^i`` vanishes
+    below ``t^i``.
+
+    The Horner sum from block ``start`` on is multiplied by
+    ``inner^start`` in the end, so it is formed only up to
+    ``t^(N - start)``.  Each Horner step is one truncated integer
+    product written out here, not through ``__mul__``: the later sum
+    times ``inner^k`` from its term ``k`` on (the terms below vanish),
+    plus the block, over one common denominator and reduced once.
+
+    The block size comes from the memo of powers of ``inner``, by one
+    rule: while the memo holds fewer than ``k + 1`` powers, with
+    ``k = isqrt(order) + 1``, that ``k`` is kept: a first composition
+    makes at most the ``k - 1`` series products ``inner^2 .. inner^k`` and
+    about ``sqrt(N)`` Horner steps.  Otherwise ``k = N + 1``: the memo
+    is extended to ``inner^N`` and the whole outer column is
+    one block, the product by the Riordan array ``(1, inner)``, with no
+    giant step and no Horner product.  A repeat composition with an
+    equal inner therefore makes only the products that extend the memo,
+    and none once it holds ``inner^N``.
+    """
+    n = outer.order
+    k = isqrt(n) + 1
+    memo = _power_memo(inner)
+    if len(memo) > k:
+        k = n + 1
+    # the giant step g^k is read only when there is a second block, k <= n
+    _fill(memo, inner, min(k, n))
+    den = lcm(*[memo[i]._den for i in range(k)])
+    block_den = den * outer._den
+    f = outer._num
+    result = None
+    for start in range(n - n % k, -1, -k):
+        # the sum from this block on is multiplied by inner^start, which
+        # vanishes below t^start, so it is needed only up to t^(n - start)
+        top = n - start
+        acc = [0] * (top + 1)
+        step_den = block_den
+        if result is not None:
+            # the later sum times inner^k, whose first k terms vanish
+            giant = memo[k]
+            prod_den = result._den * giant._den
+            step_den = lcm(prod_den, block_den)
+            h, gk, fp = result._num, giant._num, step_den // prod_den
+            for j in range(k, top + 1):
+                c = gk[j]
+                if c:
+                    c *= fp
+                    for m in range(j, top + 1):
+                        acc[m] += c * h[m - j]
+        # plus this block, summed against the baby steps
+        fb = step_den // block_den
+        for i, c in enumerate(f[start : start + k]):
+            if c:
+                c *= den // memo[i]._den * fb
+                row = memo[i]._num
+                for m in range(i, top + 1):
+                    acc[m] += c * row[m]
+        result = _make(acc, step_den)
+    return result
 
 
 def _scaled(s: "Series", p: int, q: int) -> "Series":
@@ -524,76 +595,13 @@ class Series:
 
     def compose(self, inner: "Series") -> "Series":
         """Substitution self(inner(t)); the inner constant term must vanish.
-
-        Baby-step/giant-step: each block of ``k`` outer coefficients is
-        summed against the baby steps ``inner^0 .. inner^(k-1)`` over their
-        common denominator, and the blocks are combined by Horner's scheme
-        in the giant step ``inner^k``.  Exact at every kept order because
-        the inner series is nilpotent mod t^(N+1); ``inner^i`` vanishes
-        below ``t^i``.
-
-        The Horner sum from block ``start`` on is multiplied by
-        ``inner^start`` in the end, so it is formed only up to
-        ``t^(N - start)``.  Each Horner step is one truncated integer
-        product written out here, not through ``__mul__``: the later sum
-        times ``inner^k`` from its term ``k`` on (the terms below vanish),
-        plus the block, over one common denominator and reduced once.
-
-        The block size comes from the memo of powers of ``inner``, by one
-        rule: while the memo holds fewer than ``k + 1`` powers, with
-        ``k = isqrt(order) + 1``, that ``k`` is kept: a first composition
-        makes at most the ``k - 1`` series products ``inner^2 .. inner^k`` and
-        about ``sqrt(N)`` Horner steps.  Otherwise ``k = N + 1``: the memo
-        is extended to ``inner^N`` and the whole outer column is
-        one block, the product by the Riordan array ``(1, inner)``, with no
-        giant step and no Horner product.  A repeat composition with an
-        equal inner therefore makes only the products that extend the memo,
-        and none once it holds ``inner^N``.
-        """
+        The operands are checked here and composed by :func:`_compose`."""
         if not isinstance(inner, Series):
             raise TypeError("composition needs a Series argument")
         self._check_same_order(inner)
         if inner._num[0] != 0:
             raise ValueError("composition requires a zero inner constant term")
-        n = self.order
-        k = isqrt(n) + 1
-        memo = _power_memo(inner)
-        if len(memo) > k:
-            k = n + 1
-        # the giant step g^k is read only when there is a second block, k <= n
-        _fill(memo, inner, min(k, n))
-        den = lcm(*[memo[i]._den for i in range(k)])
-        block_den = den * self._den
-        f = self._num
-        result = None
-        for start in range(n - n % k, -1, -k):
-            # the sum from this block on is multiplied by inner^start, which
-            # vanishes below t^start, so it is needed only up to t^(n - start)
-            top = n - start
-            acc = [0] * (top + 1)
-            step_den = block_den
-            if result is not None:
-                # the later sum times inner^k, whose first k terms vanish
-                giant = memo[k]
-                prod_den = result._den * giant._den
-                step_den = lcm(prod_den, block_den)
-                h, gk, fp = result._num, giant._num, step_den // prod_den
-                for j in range(k, top + 1):
-                    c = gk[j]
-                    if c:
-                        c *= fp
-                        for m in range(j, top + 1):
-                            acc[m] += c * h[m - j]
-            # plus this block, summed against the baby steps
-            fb = step_den // block_den
-            for i, c in enumerate(f[start : start + k]):
-                if c:
-                    c *= den // memo[i]._den * fb
-                    row = memo[i]._num
-                    for m in range(i, top + 1):
-                        acc[m] += c * row[m]
-            result = _make(acc, step_den)
-        return result
+        return _compose(self, inner)
 
     def derivative(self) -> "Series":
         """Termwise derivative; the truncation order drops by one."""

@@ -672,7 +672,7 @@ PINNED_VERIFY_BYTES = [
     ),
     (
         ("verify", "--list-identities"),
-        "b81f37cb992b80ad15ff0860f6f0df749b4c375b01cf82d53e3256d1a68fdec1",
+        "90711a0e570c0cec098293c40e5fadc8212ebf452d3c96d2a4891621a3c284ee",
         "",
     ),
     (
@@ -954,8 +954,8 @@ def test_verify_grid_lines_are_the_json_of_their_reports(tmp_path, capsys):
     grid_file.write_text(json.dumps(IRREGULAR_GRID))
     grid = [(parse_distribution(cell["dist"]), tuple(cell["ks"])) for cell in IRREGULAR_GRID]
     reports = run_full_suite(grid=grid, order=12)
-    # a skipped report and an expected discrepancy carry a detail
-    assert {rep.status for rep in reports if rep.detail} == {"skipped", "expected-discrepancy"}
+    # an expected discrepancy carries a detail, and so does nothing else here
+    assert {rep.status for rep in reports if rep.detail} == {"expected-discrepancy"}
     code, out, _ = run_cli(capsys, "verify", "--grid", str(grid_file), "--order", "12")
     assert (code, out) == (0, verify_lines(reports))
 
@@ -991,7 +991,8 @@ def test_value_strings_are_the_fraction_strings(a, d, content):
 
 
 # not a product of distributions and tuples, with a duplicated cell, a
-# negative index and a mean-zero point mass (which skips bernoulli-convolution)
+# negative index and a mean-zero point mass, at which bernoulli-convolution
+# compares the product form as everywhere else
 IRREGULAR_GRID = [
     {"dist": "poisson:1", "ks": [1, 2]},
     {"dist": "point:0", "ks": [2, -1]},
@@ -1008,9 +1009,9 @@ def test_verify_irregular_grid_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "ad35f947c64f144425e5754881601677e7b33fb9f7645ea9943837592d261d56"
+        == "ceb19ed7475de7a0717b83e90e00b1699ccb87b770c3520fecbf14ebd9a9d8e2"
     )
-    assert err == "verify: 73 pass, 0 fail, 1 skipped, 6 expected-discrepancy\n"
+    assert err == "verify: 74 pass, 0 fail, 0 skipped, 6 expected-discrepancy\n"
 
 
 # specs with equal moments: point:1, bernoulli:1 and binomial:1,1 (every
@@ -1172,7 +1173,7 @@ def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141(runner):
 # by the schoolbook Fraction oracles; exits 3 if a kernel it swaps never ran
 ORACLE_KERNELS = """
 import sys
-from multinumbers import series
+from multinumbers import identities, probabilistic, series
 from multinumbers.cli import main
 from multinumbers.series import Series
 from oracles import series_compose, series_exp, series_inverse, series_product
@@ -1189,7 +1190,9 @@ def swap(name, oracle):
 
 # Series.__mul__ and the fills of the memo of powers both multiply by it
 series._product = swap("mul", series_product)
-Series.compose = swap("compose", series_compose)
+# Series.compose calls the core, and the multi families and a check call it directly
+for module in (series, probabilistic, identities):
+    module._compose = swap("compose", series_compose)
 Series.exp = swap("exp", series_exp)
 Series.inverse = swap("inverse", series_inverse)
 code = main(sys.argv[1:])
