@@ -52,7 +52,7 @@ from .probabilistic import (
     prob_multi_lah_series,
     prob_multi_stirling2_series,
 )
-from .report import EXPECTED_DISCREPANCY, FAIL, PASS, SKIPPED, VerificationReport
+from .report import EXPECTED_DISCREPANCY, FAIL, PASS, VerificationReport
 from .series import _check_digits, _rational, _text, _value_strings
 
 ORDER_CAP = 64
@@ -145,12 +145,9 @@ class UsageError(Exception):
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--ks must be comma-separated integers, got {text!r}") from exc
-    if not ks:
-        raise UsageError("--ks must not be empty")
-    return ks
 
 
 def _parse_dist(text: str) -> DistributionSpec:
@@ -400,7 +397,7 @@ def _cmd_verify(args) -> int:
     statuses = [rep.status for rep in reports]
     failed = statuses.count(FAIL)
     sys.stderr.write(
-        f"verify: {statuses.count(PASS)} pass, {failed} fail, {statuses.count(SKIPPED)} skipped, "
+        f"verify: {statuses.count(PASS)} pass, {failed} fail, "
         f"{statuses.count(EXPECTED_DISCREPANCY)} expected-discrepancy\n"
     )
     return 1 if failed else 0

@@ -38,9 +38,11 @@ per the key it depends on, in an ``lru_cache``: the single-index
 append-one sides per (Y, r), the expansion weights per tuple or per r and
 the first-kind row sums of ``lah-via-first-kind-literal`` per r; the
 factor h^r of ``bernoulli-convolution`` is read from the memo of powers of
-h = 1 - e^(1 - M).  Each check validates its index tuple and order once,
-resolves M, R and the (1, M - 1) triangle once and reads the cores below
-the public family functions, such as :func:`probabilistic._li_family`,
+h = 1 - e^(1 - M).  Each check validates its index tuple once and its order
+before any cache that does not check it: a cell check at its first ``mgf``
+or ``resolvent`` lookup, whose typed cache refuses a ``bool``.  It resolves
+M, R and the (1, M - 1) triangle once and reads the cores below the public
+family functions, such as :func:`probabilistic._li_family`,
 :func:`multilog._multilog` and :func:`series._compose`, which check nothing.
 
 Two comparisons are known to disagree and are reported as
@@ -129,11 +131,13 @@ _DEFAULT_TUPLES: tuple[tuple[int, ...], ...] = (
     (1, 2, 3),
 )
 
+_POINT_ONE = point(1)
+
 
 def default_grid() -> list[tuple[DistributionSpec, tuple[int, ...]]]:
     """Distribution x index-tuple grid used by the command line verifier."""
     dists = (
-        point(1),
+        _POINT_ONE,
         point(2),
         bernoulli("1/2"),
         binomial(3, "1/3"),
@@ -570,7 +574,7 @@ def check_all_ones_probabilistic(
 
 def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     """At Y = point(1) the single-index probabilistic families are classical."""
-    ms = moments(point(1), order)
+    ms = moments(_POINT_ONE, order)
     second, lah = _power_triangle(mgf(ms, order)), _power_triangle(resolvent(ms, order))
     return [
         _verdict(identity, order, [_triangle_comparison(prob, classical, order)], None, "point:1")
@@ -592,7 +596,7 @@ def check_point_mass_collapse_multi(ks, order: int) -> list[VerificationReport]:
     first counterexample attached.
     """
     ks = index_tuple(ks)
-    ms = moments(point(1), order)
+    ms = moments(_POINT_ONE, order)
     ns = range(order + 1)
     # the probabilistic family, its deterministic counterpart and the detail, per identity
     pairs = (

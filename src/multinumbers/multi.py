@@ -67,7 +67,7 @@ def li_argument(u: Series) -> Series:
     return 1 - (1 - u).exp()
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _stirling2_series(ks: tuple[int, ...], order: int) -> Series:
     f, d = _f_series(ks, order).egf_column
     return _from_egf_column(_transform(_SECOND, f), d)
@@ -83,7 +83,7 @@ def multi_stirling2(ks, n: int, order: int | None = None) -> Fraction:
     return multi_stirling2_series(ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _bernoulli_series(ks: tuple[int, ...], order: int) -> Series:
     r = len(ks)
     li = _multilog(ks, order + r)
@@ -101,7 +101,7 @@ def multi_bernoulli(ks, n: int, order: int | None = None) -> Fraction:
     return multi_bernoulli_series(ks, order).egf_coeff(n)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _lah_series(ks: tuple[int, ...], order: int) -> Series:
     # dividing by (1 - t)^r is r running sums of the ordinary coefficients,
     # each one in full: a chain of r lazy sums would nest r C-level calls

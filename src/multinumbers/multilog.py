@@ -86,7 +86,7 @@ def multilog(ks, order: int) -> Series:
     return _multilog(index_tuple(ks), order)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _f_series(ks: tuple[int, ...], order: int) -> Series:
     """F(s) = Li_ks(1 - e^(-s)), whose EGF entries are
     v_l = sum_{m=r}^{l} (-1)^(l-m) S(l, m) [m; ks] for l = 0..order (zero

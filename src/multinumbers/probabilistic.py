@@ -215,8 +215,7 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
     return prob_multi_lah_series(ms, ks, order).egf_coeff(n)
 
 
-# ``typed`` keeps ``True`` from reading the entry of order 1, as in ``mgf``
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _fubini_series(ms: MomentSequence, r: int, y: tuple[int, int], order: int) -> Series:
     """(1 - y (u - 1))^(-r) with u the MGF, for the rational y, an integer
     pair (p, q): :func:`prob_fubini_series` once its arguments are read."""
@@ -225,7 +224,7 @@ def _fubini_series(ms: MomentSequence, r: int, y: tuple[int, int], order: int) -
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
     _check_natural(r, "the order r", 1)
-    return _fubini_series(ms, r, _rational(y, "y"), order)
+    return _fubini_series(ms, r, _rational(y, "y"), _check_natural(order))
 
 
 def prob_fubini(ms: MomentSequence, r: int, y, n: int, order: int | None = None) -> Fraction:

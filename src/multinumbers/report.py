@@ -7,10 +7,9 @@ from .series import _fraction
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 EXPECTED_DISCREPANCY = "expected-discrepancy"
 
-_STATUSES = (PASS, FAIL, SKIPPED, EXPECTED_DISCREPANCY)
+_STATUSES = (PASS, FAIL, EXPECTED_DISCREPANCY)
 
 
 class FrozenRecord:
@@ -112,8 +111,8 @@ def _mismatch(n: int, lhs: tuple[int, int], rhs: tuple[int, int]) -> Mismatch:
 class VerificationReport(FrozenRecord):
     """Outcome of one identity check at one grid point.
 
-    ``first_mismatch`` is present exactly when the check found unequal
-    coefficients; skipped checks record why in ``detail``.
+    ``status`` is ``pass``, ``fail`` or ``expected-discrepancy``;
+    ``first_mismatch`` is present exactly when it is not ``pass``.
     """
 
     _fields = ("identity", "order", "ks", "dist", "status", "first_mismatch", "detail")
@@ -141,7 +140,7 @@ class VerificationReport(FrozenRecord):
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
         has_mismatch = first_mismatch is not None
-        if status in (PASS, SKIPPED) and has_mismatch:
+        if status == PASS and has_mismatch:
             raise ValueError(f"status {status!r} cannot carry a mismatch")
         if status in (FAIL, EXPECTED_DISCREPANCY) and not has_mismatch:
             raise ValueError(f"status {status!r} requires a mismatch")

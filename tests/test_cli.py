@@ -638,37 +638,37 @@ PINNED_VERIFY_BYTES = [
     (
         ("verify", "--order", "8"),
         "2ce870c23e74da28ddc4361978956b38a4ea776802c08622323417d96f5d6817",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "24"),
         "b9ff5ca6c97c14d768986163ebef2835a8323c3471b64fa4b8cde15e27266753",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "64"),
         "2eb48a48f623d5e2b95614770feeca5f444f42f346e996fd740cabc0256434a9",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "0"),
         "3f6073af2a213e49faf3957a73ab546dd503d06ef20da6513ff32219dea7a5af",
-        "verify: 511 pass, 0 fail, 0 skipped, 0 expected-discrepancy\n",
+        "verify: 511 pass, 0 fail, 0 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "1"),
         "2f9a7996369eb54f5102904bb86d7ff27f7a0ffd5bb4633fe3634706363a5ce7",
-        "verify: 511 pass, 0 fail, 0 skipped, 0 expected-discrepancy\n",
+        "verify: 511 pass, 0 fail, 0 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "2"),
         "191b9de6c4402decff789d96a375ec03a580a8e2db8f33a43f0c84ec36569e9c",
-        "verify: 500 pass, 0 fail, 0 skipped, 11 expected-discrepancy\n",
+        "verify: 500 pass, 0 fail, 11 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "12"),
         "4e9fbc620bd8b6194417fa931fd04517b300031880aa4939bfff2eae8a5eeed7",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
     (
         ("verify", "--list-identities"),
@@ -678,12 +678,12 @@ PINNED_VERIFY_BYTES = [
     (
         ("verify", "--order", "16"),
         "d17d52dc1c7e4e88fbe0eeabb71bfccf33f0f34eaefa75e9b924d13f9e4259e7",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
     (
         ("verify", "--order", "20"),
         "6fa43674f6277bfa753f747b17a54fae4b1af49b81143bf1a34d325e9342780f",
-        "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n",
+        "verify: 452 pass, 0 fail, 59 expected-discrepancy\n",
     ),
 ]
 
@@ -945,7 +945,7 @@ def test_verify_lines_are_the_json_of_their_reports(capsys):
         "pass": 452, "expected-discrepancy": 59
     }
     assert run_cli(capsys, "verify", "--order", "12") == (
-        0, verify_lines(reports), "verify: 452 pass, 0 fail, 0 skipped, 59 expected-discrepancy\n"
+        0, verify_lines(reports), "verify: 452 pass, 0 fail, 59 expected-discrepancy\n"
     )
 
 
@@ -1011,7 +1011,7 @@ def test_verify_irregular_grid_bytes_are_pinned(tmp_path, capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "ceb19ed7475de7a0717b83e90e00b1699ccb87b770c3520fecbf14ebd9a9d8e2"
     )
-    assert err == "verify: 74 pass, 0 fail, 0 skipped, 6 expected-discrepancy\n"
+    assert err == "verify: 74 pass, 0 fail, 6 expected-discrepancy\n"
 
 
 # specs with equal moments: point:1, bernoulli:1 and binomial:1,1 (every
@@ -1033,7 +1033,7 @@ def test_verify_equal_moment_grid_bytes_are_pinned(tmp_path, capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "8832aa0de07ddb457a9031feeaaa50e1158fe97a6821c55a176bd7ca017e696a"
     )
-    assert err == "verify: 127 pass, 0 fail, 0 skipped, 17 expected-discrepancy\n"
+    assert err == "verify: 127 pass, 0 fail, 17 expected-discrepancy\n"
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -1077,7 +1077,7 @@ def test_verify_order_zero_compares_nothing_and_passes(capsys, identity, count):
     argv = ["verify", "--order", "0"] + (["--identity", identity] if identity else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
-    assert err == f"verify: {count} pass, 0 fail, 0 skipped, 0 expected-discrepancy\n"
+    assert err == f"verify: {count} pass, 0 fail, 0 expected-discrepancy\n"
     records = json_lines(out)
     assert len(records) == count
     assert all(rec["order"] == 0 and rec["status"] == "pass" for rec in records)

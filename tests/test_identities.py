@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import pickle
@@ -270,6 +271,9 @@ def test_every_public_check_is_probed_for_its_order():
 @pytest.mark.parametrize("order", [True, -1, 2.0, 0.0], ids=repr)
 @pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
 def test_public_checks_refuse_an_order_that_is_not_a_natural_number(name, order):
+    # the caches behind a check are not typed, so with its order-1 entries
+    # cached True would read them if the order were not checked first
+    _PUBLIC_CHECKS[name](1)
     with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
         _PUBLIC_CHECKS[name](order)
 
@@ -325,10 +329,10 @@ def test_suite_statuses_confined_to_documented_set():
     grid = [(MEAN_ZERO, (2,)), (point(1), (1, 1))]
     reports = run_full_suite(grid=grid, order=8)
     assert reports
-    for rep in reports:
-        assert rep.status in ("pass", "skipped", "expected-discrepancy")
-    # no check skips, the mean-zero cell of bernoulli-convolution included
-    assert "skipped" not in {rep.status for rep in reports}
+    statuses = {rep.status for rep in reports}
+    assert statuses <= {"pass", "fail", "expected-discrepancy"}
+    # nothing fails, the mean-zero cell of bernoulli-convolution included
+    assert "fail" not in statuses
     assert [r.status for r in reports if r.identity == "bernoulli-convolution"] == ["pass"] * 2
 
 
@@ -658,10 +662,12 @@ def test_suite_builds_each_u_minus_one_once_and_hashes_each_series_once(monkeypa
 def test_suite_validates_each_tuple_once_and_builds_each_law_once():
     # a check that takes an index tuple validates it once and reads the
     # cores below it; run_full_suite builds each distribution's moments once
-    # (the point-mass checks build those of point(1) themselves, once per
-    # call); every composition is series._compose, not Series.compose
+    # (the point-mass checks look up those of point(1) themselves, once per
+    # call) and no DistributionSpec; every composition is series._compose,
+    # not Series.compose
     checks = {getattr(identities, entry.check).__code__: entry.scope for entry in IDENTITIES}
-    watched = {index_tuple.__code__, moments.__code__, Series.compose.__code__}
+    build_spec = sys.modules[moments.__module__]._spec
+    watched = {index_tuple.__code__, moments.__code__, Series.compose.__code__, build_spec.__code__}
     calls, specs, tuple_checks = Counter(), [], 0
 
     def profile(frame, event, arg):
@@ -674,19 +680,21 @@ def test_suite_validates_each_tuple_once_and_builds_each_law_once():
             specs.append(frame.f_locals["spec"])
         tuple_checks += checks.get(code) in ("tuple", "cell")
 
+    grid = default_grid()
     clear_library_caches()
     sys.setprofile(profile)
     try:
-        run_full_suite(order=8)
+        run_full_suite(grid=grid, order=8)
     finally:
         sys.setprofile(None)
+    assert calls["_spec"] == 0
     assert tuple_checks == 3 * 8 + 6 * 56
     assert 0 < calls["index_tuple"] <= tuple_checks
     point_checks = calls["check_point_mass_collapse_classical"] + calls[
         "check_point_mass_collapse_multi"
     ]
     assert point_checks == 9
-    laws = Counter(dict.fromkeys((spec for spec, _ in default_grid()), 1))
+    laws = Counter(dict.fromkeys((spec for spec, _ in grid), 1))
     assert Counter(specs) == laws + Counter({point(1): point_checks})
     assert calls["compose"] == 0
 
@@ -1509,7 +1517,7 @@ def test_report_is_frozen(name):
     [
         ("bogus", None, "unknown status 'bogus'"),
         ("pass", MISMATCH, "status 'pass' cannot carry a mismatch"),
-        ("skipped", MISMATCH, "status 'skipped' cannot carry a mismatch"),
+        ("skipped", None, "unknown status 'skipped'"),
         ("fail", None, "status 'fail' requires a mismatch"),
         ("expected-discrepancy", None, "status 'expected-discrepancy' requires a mismatch"),
     ],
@@ -1518,6 +1526,27 @@ def test_report_validation_errors(status, mismatch, message):
     with pytest.raises(ValueError) as excinfo:
         VerificationReport("x", 3, status=status, first_mismatch=mismatch)
     assert str(excinfo.value) == message
+
+
+def test_no_private_cache_is_typed_and_no_status_is_skipped():
+    # typed=True is kept for the public functions that are their own cache;
+    # a private cache is reached only after its caller has refused a bool
+    # order.  Every report is a pass, a failure or an expected discrepancy.
+    typed, skipped = [], []
+    for path in sorted(Path(identities.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "skipped" in text.lower():
+            skipped.append(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                typed += [
+                    (path.name, node.name)
+                    for deco in node.decorator_list if isinstance(deco, ast.Call)
+                    for k in deco.keywords
+                    if k.arg == "typed" and getattr(k.value, "value", None) is True
+                ]
+    assert typed == []
+    assert skipped == []
 
 
 def test_wrapped_report_init_counts_every_report_built(monkeypatch):

@@ -21,6 +21,7 @@ from multinumbers.multi import (
     multi_stirling2_series,
 )
 from multinumbers.multilog import multilog
+from multinumbers.probabilistic import prob_fubini_series
 from multinumbers.series import Series, exp_t
 
 from oracles import (
@@ -150,8 +151,9 @@ def test_all_ones_reductions(r):
         lambda order: multi_bernoulli_series((1,), order),
         lambda order: multi_lah_series((1,), order),
         lambda order: bernoulli_higher_series(2, order),
+        lambda order: prob_fubini_series(moments(poisson(1), 1), 1, 1, order),
     ],
-    ids=["multi-stirling2", "multi-bernoulli", "multi-lah", "bernoulli-higher"],
+    ids=["multi-stirling2", "multi-bernoulli", "multi-lah", "bernoulli-higher", "prob-fubini"],
 )
 def test_a_cached_order_1_entry_is_not_read_for_order_true(build):
     build(1)
