@@ -114,7 +114,13 @@ def lah(n: int, k: int) -> int:
     return comb(n - 1, k - 1) * factorial(n) // factorial(k)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
+def _bernoulli_higher_series(r: int, order: int) -> Series:
+    # (e^t - 1)/t: the coefficients of e^t from t^1 on, shifted down
+    e = exp_t(order + 1)
+    return _make(e._num[1:], e._den).inverse() ** r
+
+
 def bernoulli_higher_series(r: int, order: int) -> Series:
     """(t/(e^t - 1))^r as an exact series of the requested order.
 
@@ -122,10 +128,7 @@ def bernoulli_higher_series(r: int, order: int) -> Series:
     1/(n+1)!: every step works at the requested order, whatever r, and the
     power takes about 2 log2(r) products.
     """
-    _check_natural(r, "the power r")
-    # (e^t - 1)/t: the coefficients of e^t from t^1 on, shifted down
-    e = exp_t(_check_natural(order) + 1)
-    return _make(e._num[1:], e._den).inverse() ** r
+    return _bernoulli_higher_series(_check_natural(r, "the power r"), _check_natural(order))
 
 
 def bernoulli_higher(n: int, r: int, order: int | None = None) -> Fraction:

@@ -32,6 +32,11 @@ fixed flags.  Exit status:
 0 success (and ``--help``), 1 verification failure, 2 usage error, with one
 ``error:`` line on stderr, 141 when stdout is a pipe whose reader has gone
 (as for a process killed by SIGPIPE).
+
+``main`` returns that status.  ``entrypoint``, behind ``python -m
+multinumbers``, ``python -m multinumbers.cli`` and the ``multinum`` script,
+is the one way a command-line process ends: it flushes stdout and stderr
+and leaves by ``os._exit``, with no interpreter teardown.
 """
 
 from __future__ import annotations
@@ -577,9 +582,22 @@ def main(argv: list[str] | None = None) -> int:
         return 141
 
 
-def entrypoint() -> None:  # console-script shim
-    sys.exit(main())
+def entrypoint() -> None:
+    """Run :func:`main` on the command line, flush stdout and stderr and end
+    the process with its status by ``os._exit``.  The interpreter's
+    teardown, which frees every module, cache and big integer and writes
+    nothing, does not run, and neither do ``atexit`` handlers.  The library
+    opens no file for writing, so the two streams are all there is to
+    flush.  An exception that escapes ``main`` leaves as usual, with its
+    traceback and status 1."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # here, not at the top: importing the module loads no os
+    import os
+
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

@@ -40,9 +40,9 @@ the first-kind row sums of ``lah-via-first-kind-literal`` per r; the
 factor h^r of ``bernoulli-convolution`` is read from the memo of powers of
 h = 1 - e^(1 - M).  Each check validates its index tuple once and its order
 before any cache that does not check it: a cell check at its first ``mgf``
-or ``resolvent`` lookup, whose typed cache refuses a ``bool``.  It resolves
-M, R and the (1, M - 1) triangle once and reads the cores below the public
-family functions, such as :func:`probabilistic._li_family`,
+or ``resolvent`` lookup, which checks the order in front of its cache.  It
+resolves M, R and the (1, M - 1) triangle once and reads the cores below
+the public family functions, such as :func:`probabilistic._li_family`,
 :func:`multilog._multilog` and :func:`series._compose`, which check nothing.
 
 Two comparisons are known to disagree and are reported as

@@ -408,27 +408,35 @@ def moments(spec: DistributionSpec, order: int) -> MomentSequence:
 
 
 def _column(ms: MomentSequence, order: int) -> tuple[tuple[int, ...], int]:
-    """The integer moment column of ``ms``, checked to reach ``order``."""
-    if ms.order < _check_natural(order):
+    """The integer moment column of ``ms``, checked to reach ``order``, a
+    natural number its caller has checked."""
+    if ms.order < order:
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
     return ms.column
 
 
-# ``typed`` keeps ``True`` from reading the entry of order 1 past the order check
-@lru_cache(maxsize=None, typed=True)
-def mgf(ms: MomentSequence, order: int) -> Series:
-    """Moment EGF: ordinary coefficients mu_n / n!."""
+@lru_cache(maxsize=None)
+def _mgf(ms: MomentSequence, order: int) -> Series:
     mu, den = _column(ms, order)
     return _from_egf_column(list(mu[: order + 1]), den)
 
 
-@lru_cache(maxsize=None, typed=True)
+def mgf(ms: MomentSequence, order: int) -> Series:
+    """Moment EGF: ordinary coefficients mu_n / n!."""
+    return _mgf(ms, _check_natural(order))
+
+
+@lru_cache(maxsize=None)
+def _resolvent(ms: MomentSequence, order: int) -> Series:
+    mu, den = _column(ms, order)
+    return _from_egf_column(_transform(_FIRST, mu[: order + 1]), den)
+
+
 def resolvent(ms: MomentSequence, order: int) -> Series:
     """E[(1/(1-t))^Y], whose EGF coefficients are the rising-factorial
     moments E[<Y>_n] = sum_k [n; k] mu_k, the first-kind transform of the
     moments."""
-    mu, den = _column(ms, order)
-    return _from_egf_column(_transform(_FIRST, mu[: order + 1]), den)
+    return _resolvent(ms, _check_natural(order))
 
 
 def sum_power_moment(ms: MomentSequence, j: int, n: int, order: int | None = None) -> Fraction:

@@ -49,7 +49,7 @@ def index_tuple(ks) -> tuple[int, ...]:
     if not out:
         raise ValueError("index tuple needs at least one entry")
     for k in out:
-        if type(k) is bool or not isinstance(k, int):
+        if type(k) is not int and (type(k) is bool or not isinstance(k, int)):
             raise ValueError(f"index entries must be integers, got {k!r}")
     return out
 

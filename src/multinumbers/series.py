@@ -222,6 +222,8 @@ def _text(pair: tuple[int, int]) -> str:
 def _check_natural(value: int, what: str = "truncation order", least: int = 0) -> int:
     """``value``, if it is an ``int`` (not a ``bool``) of at least ``least``,
     which is 0 or 1; else ``ValueError`` naming the argument ``what``."""
+    if type(value) is int and value >= least:
+        return value
     if type(value) is bool or not isinstance(value, int) or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{what} must be a {kind} integer, got {value!r}")

@@ -167,6 +167,26 @@ def test_bernoulli_higher_series_equals_the_divided_power():
             assert bernoulli_higher_series(r, order) * den == shifted(Series.t(work) ** r, r)
 
 
+@pytest.mark.parametrize(
+    "r,order,message",
+    [
+        (2, [3], "truncation order must be a non-negative integer, got [3]"),
+        (2, True, "truncation order must be a non-negative integer, got True"),
+        (2, -1, "truncation order must be a non-negative integer, got -1"),
+        ([2], 3, "the power r must be a non-negative integer, got [2]"),
+        (True, 3, "the power r must be a non-negative integer, got True"),
+    ],
+    ids=repr,
+)
+def test_bernoulli_higher_series_refuses_a_power_or_order_that_is_not_natural(r, order, message):
+    # with r = 1 and order 1 cached, True must still not read those entries,
+    # and an unhashable argument must not reach the cache
+    bernoulli_higher_series(1, 1), bernoulli_higher_series(2, 1), bernoulli_higher_series(1, 3)
+    with pytest.raises(ValueError) as excinfo:
+        bernoulli_higher_series(r, order)
+    assert str(excinfo.value) == message
+
+
 def test_bernoulli_higher_at_a_large_power():
     r = 100_000
     assert bernoulli_higher_series(r, 3).egf_coeffs == (

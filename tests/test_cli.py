@@ -1147,6 +1147,13 @@ PIPE_RUNNERS = {
         "assert 'os' not in sys.modules\n"
         "sys.exit(main())",
     ],
+    "entrypoint": [
+        "-S", "-c",
+        "import sys\n"
+        "from multinumbers.cli import entrypoint\n"
+        "assert 'os' not in sys.modules\n"
+        "entrypoint()",
+    ],
 }
 
 
@@ -1167,6 +1174,63 @@ def test_a_reader_that_goes_away_ends_the_run_quietly_with_status_141(runner):
         "family": "stirling2", "ks": None, "dist": None, "n": 0, "k": 0, "value": "1"
     }
     assert (proc.returncode, err) == (141, b"")
+
+
+# each way the command line is run; all of them end in cli.entrypoint, which
+# flushes stdout and stderr and leaves by os._exit
+EXIT_RUNNERS = {
+    "m": ["-m", "multinumbers"],
+    "m-cli": ["-m", "multinumbers.cli"],
+    "entrypoint": ["-S", "-c", "from multinumbers.cli import entrypoint; entrypoint()"],
+}
+
+
+def run_python(args, stdout=subprocess.PIPE):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60
+    )
+
+
+@pytest.mark.parametrize("runner", EXIT_RUNNERS)
+def test_every_runner_writes_what_main_writes_and_exits_with_its_status(runner, tmp_path, capsys):
+    # about 130 KB, more than a pipe or a stdio buffer holds, written to a
+    # regular file, which takes every byte before the process ends
+    argv = ("table", "stirling2", "--order", "60")
+    path = tmp_path / "out"
+    with path.open("wb") as fh:
+        proc = run_python([*EXIT_RUNNERS[runner], *argv], stdout=fh)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, path.read_bytes(), proc.stderr) == (code, out.encode(), err.encode())
+
+    argv = ("verify", "--order", "4")
+    code, out, err = run_cli(capsys, *argv)
+    proc = run_python([*EXIT_RUNNERS[runner], *argv])
+    assert (code, err) == (0, "verify: 453 pass, 0 fail, 58 expected-discrepancy\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    argv = ("table", "stirling2", "--order", "-1")
+    proc = run_python([*EXIT_RUNNERS[runner], *argv])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: --order must be non-negative\n"
+
+
+def test_an_exception_out_of_main_ends_with_its_traceback_and_status_1():
+    # COMMANDS holds _cmd_table itself, so the raise comes from inside it
+    code = (
+        "from multinumbers import cli\n"
+        "def broken(args):\n"
+        "    raise RuntimeError('table broke')\n"
+        "cli._table_rows = broken\n"
+        "cli.entrypoint()\n"
+    )
+    proc = run_python(["-S", "-c", code, "table", "stirling2", "--order", "2"])
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    err = proc.stderr.decode()
+    assert err.startswith("Traceback (most recent call last):\n"), err
+    assert err.endswith("RuntimeError: table broke\n"), err
+    assert "in _cmd_table" in err
 
 
 # `verify` with every Series product, composition, exp and inverse done

@@ -193,7 +193,8 @@ def test_resolvent_does_not_read_the_first_kind_rows(corrupt_first_kind_row):
     # R is the first-kind transform of the moments; the check side reads
     # the rows, so a wrong row fails the corrected sum and leaves R alone
     ms = moments(poisson(F(5, 11)), 12)
-    assert list(resolvent.__wrapped__(ms, 12).coeffs) == rising_factorial_resolvent(ms, 12)
+    resolvent_core = sys.modules["multinumbers.moments"]._resolvent.__wrapped__
+    assert list(resolvent_core(ms, 12).coeffs) == rising_factorial_resolvent(ms, 12)
     corrected, _ = check_lah_via_first_kind(ms, (1, 2), 12)
     assert (corrected.identity, corrected.status) == ("lah-via-first-kind-corrected", "fail")
     assert corrected.first_mismatch.n == 5
@@ -268,13 +269,15 @@ def test_every_public_check_is_probed_for_its_order():
     assert sorted(_PUBLIC_CHECKS) == sorted(n for n in dir(identities) if n.startswith("check_"))
 
 
-@pytest.mark.parametrize("order", [True, -1, 2.0, 0.0], ids=repr)
+@pytest.mark.parametrize("order", [True, -1, 2.0, 0.0, [3]], ids=repr)
 @pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
 def test_public_checks_refuse_an_order_that_is_not_a_natural_number(name, order):
-    # the caches behind a check are not typed, so with its order-1 entries
-    # cached True would read them if the order were not checked first
+    # no cache is typed, so with its order-1 entries cached True would read
+    # them if the order were not checked first; an unhashable order would
+    # reach a cache as a TypeError
     _PUBLIC_CHECKS[name](1)
-    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+    message = f"truncation order must be a non-negative integer, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _PUBLIC_CHECKS[name](order)
 
 
@@ -1529,16 +1532,16 @@ def test_report_validation_errors(status, mismatch, message):
 
 
 def test_no_private_cache_is_typed_and_no_status_is_skipped():
-    # typed=True is kept for the public functions that are their own cache;
-    # a private cache is reached only after its caller has refused a bool
-    # order.  Every report is a pass, a failure or an expected discrepancy.
+    # no public function is its own cache, and a private cache is reached
+    # only after its caller has refused a bool order, so no cache is typed.
+    # Every report is a pass, a failure or an expected discrepancy.
     typed, skipped = [], []
     for path in sorted(Path(identities.__file__).parent.glob("*.py")):
         text = path.read_text()
         if "skipped" in text.lower():
             skipped.append(path.name)
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 typed += [
                     (path.name, node.name)
                     for deco in node.decorator_list if isinstance(deco, ast.Call)
