@@ -47,8 +47,12 @@ to the first.  The powers come from the memo of :func:`powers`, one per
 series value and the only store of them, looked up once per composition,
 and the block size from that memo's length.  A memo is filled by the
 product :func:`_product` with no operand check, which ``__mul__`` calls
-after its own.  A first composition with ``g`` takes ``k = isqrt(N) + 1``,
-about ``2 sqrt(N)`` products and steps instead of ``N`` products.  Once the
+after its own; an even power is the square of its half, and a square,
+``x is y``, forms each cross term once and doubles it, about half the
+multiplications of a product.  A first composition with ``g`` takes
+``k = isqrt(N // 2) + 1``: about ``sqrt(N / 2)`` full-length products fill
+the memo and about ``sqrt(2 N)`` truncated giant steps combine the blocks,
+instead of ``N`` products; the giant steps are the cheaper half.  Once the
 memo holds ``g^k``, a later composition with an equal ``g`` extends it
 to ``g^N`` and takes ``k = N + 1``: one block, the product by the
 Riordan array ``(1, g)`` (Shapiro et al., 1991), and no series product
@@ -150,24 +154,23 @@ def _rational(value, what: str | None = None) -> tuple[int, int]:
     An ``int`` is ``(value, 1)`` and text of the form ``a`` or ``a/b`` is
     read by ``int``; anything else (a ``Fraction``, a ``Decimal``, a
     decimal or exponent literal) goes to ``Fraction``, imported here, which
-    costs nothing when the caller already holds one.  With ``what`` the
-    value is the parameter it names: a ``float`` or ``bool`` is refused,
-    and so is text past :func:`_check_digits`, and every refusal is a
+    costs nothing when the caller already holds one.  Text past
+    :func:`_check_digits` is refused by a ``ValueError`` before any number
+    is built from it.  With ``what`` the value is the parameter it names: a
+    ``float`` or ``bool`` is refused too, and every refusal is a
     ``ValueError`` naming it.  Without, it is a series coefficient: a
-    ``float`` is a ``TypeError``, a ``bool`` reads as 0 or 1, and the errors
-    of ``Fraction`` pass unchanged.
+    ``float`` is a ``TypeError``, a ``bool`` reads as 0 or 1, and the other
+    errors of ``Fraction`` pass unchanged.
     """
     if type(value) is int:
         return value, 1
-    if what is not None:
-        if isinstance(value, (float, bool)):
-            kind = type(value).__name__
-            raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
-        if type(value) is str:
-            _check_digits(value, what)
-    elif isinstance(value, float):
+    if what is not None and isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"{what} must be exact (int, Fraction or 'a/b' string), not {kind}")
+    if isinstance(value, float):
         raise TypeError("float coefficients are inexact; pass int, Fraction or str")
     if type(value) is str:
+        _check_digits(value, what or "series coefficient")
         pair = _int_pair(value)
         if pair is not None:
             return pair
@@ -273,10 +276,24 @@ def _from_egf_column(num: list[int], den: int) -> "Series":
 def _product(x: "Series", y: "Series") -> "Series":
     """The product of two series of one order, one integer convolution over
     ``d_x * d_y``, with no operand check: ``Series.__mul__`` makes its check
-    first, and :func:`_fill` multiplies powers of one series."""
+    first, and :func:`_fill` multiplies powers of one series.
+
+    A square, ``x is y``, forms each cross term ``a_i a_j`` (``i < j``)
+    once, as ``2 a_i`` times ``a_j``, and each diagonal term ``a_i^2`` once:
+    about half the multiplications of the general convolution."""
     a, b = x._num, y._num
     n = len(a) - 1
     out = [0] * (n + 1)
+    if x is y:
+        # a_i a_j with i <= j lands at t^(i + j) <= t^n only for i <= n / 2
+        for i in range(n // 2 + 1):
+            ai = a[i]
+            if ai:
+                out[2 * i] += ai * ai
+                ai += ai
+                for j in range(i + 1, n + 1 - i):
+                    out[i + j] += ai * a[j]
+        return _make(out, x._den * x._den)
     for i, ai in enumerate(a):
         if ai:
             for j in range(n + 1 - i):
@@ -304,17 +321,18 @@ def _compose(outer: "Series", inner: "Series") -> "Series":
 
     The block size comes from the memo of powers of ``inner``, by one
     rule: while the memo holds fewer than ``k + 1`` powers, with
-    ``k = isqrt(order) + 1``, that ``k`` is kept: a first composition
-    makes at most the ``k - 1`` series products ``inner^2 .. inner^k`` and
-    about ``sqrt(N)`` Horner steps.  Otherwise ``k = N + 1``: the memo
-    is extended to ``inner^N`` and the whole outer column is
-    one block, the product by the Riordan array ``(1, inner)``, with no
-    giant step and no Horner product.  A repeat composition with an
+    ``k = isqrt(order // 2) + 1``, that ``k`` is kept: a first composition
+    makes at most the ``k - 1`` series products ``inner^2 .. inner^k``,
+    about ``sqrt(N / 2)``, and about ``sqrt(2 N)`` Horner steps, which are
+    truncated and so cheaper than a full product.  Otherwise
+    ``k = N + 1``: the memo is extended to ``inner^N`` and the whole outer
+    column is one block, the product by the Riordan array ``(1, inner)``,
+    with no giant step and no Horner product.  A repeat composition with an
     equal inner therefore makes only the products that extend the memo,
     and none once it holds ``inner^N``.
     """
     n = outer.order
-    k = isqrt(n) + 1
+    k = isqrt(n // 2) + 1
     memo = _power_memo(inner)
     if len(memo) > k:
         k = n + 1
@@ -634,9 +652,15 @@ def _power_memo(g: Series) -> dict[int, Series]:
 def _fill(memo: dict[int, Series], g: Series, k: int) -> dict[int, Series]:
     """``memo``, the memo of powers of ``g``, filled upward in a loop to
     j = k at least by :func:`_product`, which needs no operand check for
-    powers of one series.  Threads that fill a power store equal values."""
+    powers of one series: an even power is the square of its half, an odd
+    one the power below times ``g``.  Threads that fill a power store
+    equal values."""
     for j in range(len(memo), k + 1):
-        memo[j] = _product(memo[j - 1], g)
+        if j % 2:
+            memo[j] = _product(memo[j - 1], g)
+        else:
+            half = memo[j // 2]
+            memo[j] = _product(half, half)
     return memo
 
 

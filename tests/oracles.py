@@ -49,10 +49,14 @@ def fraction_rational(value, what: str | None = None) -> tuple[int, int]:
     """``(numerator, denominator)`` of ``value`` read by ``Fraction``: as a
     parameter named ``what``, which refuses a float or a bool and wraps a
     refusal in one ``ValueError``, or, with ``what`` None, as a series
-    coefficient, which refuses a float and lets ``Fraction``'s errors pass."""
+    coefficient, which refuses a float and lets ``Fraction``'s errors pass.
+    Either way text past ``_check_digits`` is refused before ``Fraction``
+    builds its numerator and denominator."""
     if what is None:
         if isinstance(value, float):
             raise TypeError("float coefficients are inexact; pass int, Fraction or str")
+        if type(value) is str:
+            _check_digits(value, "series coefficient")
         f = Fraction(value)
         return f.numerator, f.denominator
     if isinstance(value, (float, bool)):

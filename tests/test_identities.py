@@ -1218,6 +1218,10 @@ KERNEL_RAISERS = {
 }
 
 
+# The three cells at N = 10 on which a raised kernel is run.
+RAISED_GRID = ((poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2)))
+
+
 # The identities that fail when one kernel's output is raised at entry 4, on
 # three cells at N = 10.  A check whose two sides both read the kernel passes
 # and is absent from its row.  The probabilistic multi families are F_ks(u - 1):
@@ -1340,7 +1344,7 @@ KERNEL_FAILURES = {
     "kernel", list(KERNEL_FAILURES), ids=lambda k: ".".join(k) if k else "none"
 )
 def test_raised_kernel_fails_the_pinned_identities(raise_kernel, kernel):
-    grid = [(poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2))]
+    grid = list(RAISED_GRID)
     if kernel is not None:
         raise_kernel(*kernel)
     if kernel and kernel[0] == "_KINDS":
@@ -1350,6 +1354,37 @@ def test_raised_kernel_fails_the_pinned_identities(raise_kernel, kernel):
         grid += cells
     reports = run_full_suite(grid=grid, order=N)
     assert {rep.identity for rep in reports if rep.status == "fail"} == KERNEL_FAILURES[kernel]
+
+
+def raised_squares(source, m):
+    """``series._product`` with each square it returns, a call with
+    ``x is y``, raised by 1 at ``t^m``; every other product is true."""
+
+    def perturbed(x, y):
+        got = source(x, y)
+        if x is not y:
+            return got
+        return Series([c + 1 if i == m else c for i, c in enumerate(got.coeffs)])
+
+    return perturbed
+
+
+# A wrong square reaches every check that the raised products of
+# series._product fail but derivative-rules, which multiplies distinct
+# series: the even powers of a memo are squares, and so is each doubling
+# of the base in Series.__pow__.
+SQUARE_FAILURES = KERNEL_FAILURES[("series", "_product")] - {"derivative-rules"}
+
+
+def test_a_raised_square_fails_the_pinned_identities(monkeypatch):
+    clear_library_caches()
+    monkeypatch.setattr(series, "_product", raised_squares(series._product, 4))
+    try:
+        reports = run_full_suite(grid=RAISED_GRID, order=N)
+    finally:
+        clear_library_caches()
+    failed = {rep.identity for rep in reports if rep.status == "fail"}
+    assert failed == SQUARE_FAILURES and failed
 
 
 def raise_classical_second_kind(rule, order):

@@ -10,7 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinumbers.classical import bernoulli_higher, bernoulli_higher_series
-from multinumbers.moments import binomial, moments, poisson, sum_power_moment
+from multinumbers.moments import (
+    binomial,
+    mgf,
+    moments,
+    parse_distribution,
+    poisson,
+    resolvent,
+    sum_power_moment,
+)
 from multinumbers.multi import multi_bernoulli, multi_lah, multi_stirling2
 from multinumbers.multilog import multi_stirling1
 from multinumbers.probabilistic import (
@@ -455,8 +463,8 @@ def assert_kernel_result(got, expected):
 
 
 # Orders 0-3 are the block-size edges of the baby-step/giant-step compose:
-# its block size k = isqrt(N) + 1 is 1 at N = 0 and 2 up to N = 3, then
-# steps up at N = 4, 9 and 16.
+# its block size k = isqrt(N // 2) + 1 is 1 up to N = 1 and 2 from N = 2,
+# then steps up at N = 8, 18 and 32.
 kernel_orders = st.one_of(
     st.integers(min_value=0, max_value=3), st.integers(min_value=4, max_value=10)
 )
@@ -469,10 +477,28 @@ def test_mul_matches_fraction_oracle(pair):
     assert_kernel_result(Series(a) * Series(b), series_product(a, b))
 
 
-# Orders 0-16 give block sizes 1-5 for a first composition.  Each example
-# composes in three states of the memo of powers of g: cold (k = isqrt(N) + 1),
-# filled by that first composition, and filled by a plain powers(g, N) as
-# the single-index families fill it (both k = N + 1).
+# A square, _product(s, s), takes its own branch, which forms each cross
+# term once and doubles it; an equal series built apart takes the general
+# one.  Leading zeros stand for the valuation of a power of u - 1.
+@given(
+    st.integers(min_value=0, max_value=24).flatmap(
+        lambda n: st.tuples(mixed_lists(n), st.integers(min_value=0, max_value=n + 1))
+    )
+)
+@settings(max_examples=150)
+def test_square_matches_fraction_oracle_and_the_general_product(case):
+    a, zeros = case
+    a[:zeros] = [Fraction(0)] * zeros
+    s, twin = Series(a), Series(a)
+    square = series_module._product(s, s)
+    assert_kernel_result(square, series_product(a, a))
+    assert square == series_module._product(s, twin)
+
+
+# Orders 0-16 give block sizes 1-3 for a first composition.  Each example
+# composes in three states of the memo of powers of g: cold
+# (k = isqrt(N // 2) + 1), filled by that first composition, and filled by
+# a plain powers(g, N) as the single-index families fill it (both k = N + 1).
 @given(
     st.integers(min_value=0, max_value=16).flatmap(
         lambda n: st.tuples(mixed_lists(n), mixed_lists(n))
@@ -486,11 +512,11 @@ def test_compose_matches_fraction_oracle(pair, valuation):
     order = len(g) - 1
     expected = series_compose(f, g)
     # the memo starts at g^0, g^1; a first composition fills it to the giant
-    # step g^k, k = isqrt(N) + 1 (to g^N when there is one block), and a
-    # later one, k = N + 1, to g^N
+    # step g^k, k = isqrt(N // 2) + 1 (to g^N when there is one block), and
+    # a later one, k = N + 1, to g^N
     _power_memo.cache_clear()
     assert_kernel_result(Series(f).compose(Series(g)), expected)
-    assert len(_power_memo(Series(g))) == max(2, min(isqrt(order) + 1, order) + 1)
+    assert len(_power_memo(Series(g))) == max(2, min(isqrt(order // 2) + 1, order) + 1)
     assert_kernel_result(Series(f).compose(Series(g)), expected)
     assert len(_power_memo(Series(g))) == max(2, order + 1)
     _power_memo.cache_clear()
@@ -500,15 +526,15 @@ def test_compose_matches_fraction_oracle(pair, valuation):
 
 
 def test_compose_every_block_layout():
-    # orders 0-16 give block sizes 1-5 and every length of the last block
+    # orders 0-49 give block sizes 1-5 and every length of the last block
     # for block sizes up to 4
-    for order in range(17):
+    for order in range(50):
         f = [F((-1) ** i * (i + 1), i + 2) for i in range(order + 1)]
         g = [F(0)] + [F(3 - i, 2 * i + 1) for i in range(1, order + 1)]
         assert_kernel_result(Series(f).compose(Series(g)), series_compose(f, g))
 
 
-# Orders 9-40 take 3 to 7 blocks in a first composition, so each Horner step
+# Orders 9-40 take 4 to 9 blocks in a first composition, so each Horner step
 # is a product truncated shorter than the one before.  The outer series has
 # one all-zero block (the first, a middle or the last one, which starts the
 # Horner sum at zero) or none; the inner one has valuation 1 or 3 and, up
@@ -521,7 +547,7 @@ def test_compose_every_block_layout():
 @pytest.mark.parametrize("valuation", [1, 3])
 @pytest.mark.parametrize("zero_block", [None, "first", "middle", "last"])
 def test_compose_truncated_giant_steps_match_the_oracle(order, den, valuation, zero_block):
-    k = isqrt(order) + 1
+    k = isqrt(order // 2) + 1
     f = [F((-1) ** i * (i + 2), 3 * i + 1) for i in range(order + 1)]
     start = {None: None, "first": 0, "middle": k, "last": order - order % k}[zero_block]
     if start is not None:
@@ -547,8 +573,26 @@ def test_powers_memo_matches_pow(a, head):
     assert powers(g, order + 2)[order + 2] == g ** (order + 2)
 
 
+@pytest.mark.parametrize(
+    "base, law", [(resolvent, "geometric:1/2"), (mgf, "poisson:1")], ids=["R", "M"]
+)
+def test_order_64_memo_powers_of_u_minus_one_match_the_oracle(base, law):
+    # the even powers are squares of the memo's own halves, the odd ones
+    # the power below times u - 1; the oracle multiplies by u - 1 each time
+    order = 64
+    gap = base(moments(parse_distribution(law), order), order) - 1
+    _power_memo.cache_clear()
+    memo = powers(gap, order)
+    g = list(gap.coeffs)
+    power = [F(1)] + [F(0)] * order
+    for j in range(order + 1):
+        assert list(memo[j].coeffs) == power
+        power = series_product(power, g)
+    _power_memo.cache_clear()
+
+
 def test_repeat_compose_makes_only_the_products_that_fill_the_memo(monkeypatch):
-    order, k = 30, 6  # k = isqrt(30) + 1: baby steps g^0..g^5, giant step g^6
+    order, k = 30, 4  # k = isqrt(30 // 2) + 1: baby steps g^0..g^3, giant step g^4
     f = [F(i + 1, i + 3) for i in range(order + 1)]
     g = [F(0)] + [F(7, i + 11) for i in range(1, order + 1)]
     _power_memo.cache_clear()
@@ -562,8 +606,8 @@ def test_repeat_compose_makes_only_the_products_that_fill_the_memo(monkeypatch):
         results.append(Series(f).compose(Series(g)))
         counts.append(len(calls) - before)
     assert results[0] == results[1] == results[2]
-    # g^2..g^6 (the Horner steps are truncated products inside compose);
-    # then g^7..g^30 and one block; then nothing
+    # g^2..g^4 (the Horner steps are truncated products inside compose);
+    # then g^5..g^30 and one block; then nothing
     assert counts == [k - 1, order - k, 0]
 
 
@@ -755,6 +799,14 @@ def test_the_integer_pair_reader_reads_text_as_fraction_does(text):
     # same exception, and an accepted text has the same value
     for what in (None, "y"):
         assert outcome(_rational, text, what) == outcome(fraction_rational, text, what)
+
+
+def test_a_coefficient_text_of_too_many_digits_is_refused_before_it_is_built():
+    # 10^999999999 and its reciprocal are never built: the bound on the
+    # digits refuses them as int() refuses a 4,301-digit string
+    for build in (lambda: Series(["1e999999999"]), lambda: Series.constant("1e-99999999", 2)):
+        with pytest.raises(ValueError, match="series coefficient .* more than 4300 digits"):
+            build()
 
 
 @given(
