@@ -139,7 +139,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "prob-fubini": Family(
         ("dist", "r", "y"),
-        lambda a, order: _fubini_series(a.ms, a.r, a.y, order).egf_column,
+        lambda a, order: _fubini_series(mgf(a.ms, order), a.r, a.y).egf_column,
     ),
 }
 

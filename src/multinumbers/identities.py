@@ -35,7 +35,7 @@ multiple logarithm composed with :func:`multi.li_argument`.
 
 A check-side quantity that depends on less than the cell is formed once
 per the key it depends on, in an ``lru_cache``: the single-index
-append-one sides per (Y, r), the expansion weights per tuple or per r and
+append-one sides per (M, r), the expansion weights per tuple or per r and
 the first-kind row sums of ``lah-via-first-kind-literal`` per r; the
 factor h^r of ``bernoulli-convolution`` is read from the memo of powers of
 h = 1 - e^(1 - M).  Each check validates its index tuple once and its order
@@ -231,20 +231,9 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     lhs = derivative._num, derivative._den
     comparisons = [(lhs, (lowered._num[1:], lowered._den), range(order), "index-lowering rule")]
     if ks[-1] == 1:
-        prefix = ks[:-1]
-        tail = _multilog(prefix, order - 1) if prefix else Series.one(order - 1)
-        rhs = geometric(order - 1) * tail
+        rhs = geometric(order - 1) * _multilog(ks[:-1], order - 1)
         comparisons.append((lhs, (rhs._num, rhs._den), range(order), "prefix rule at trailing index 1"))
     return _verdict("derivative-rules", order, comparisons, ks)
-
-
-def _prefix_column(family, prefix: tuple[int, ...], at, order: int) -> Column:
-    """EGF column ``family(prefix, at).egf_column`` of a multi family at a
-    possibly empty index prefix, ``at`` its order or moment series; the
-    empty prefix gives the delta column (1, 0, ..., 0)."""
-    if not prefix:
-        return Series.one(order).egf_column
-    return family(prefix, at).egf_column
 
 
 def _append_one_sides(
@@ -268,7 +257,7 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
     _check_natural(order)
     full = index_tuple((*ks_prefix, 1))
     prefix = full[:-1]
-    head = _prefix_column(_stirling2_series, prefix, order, order)
+    head = _stirling2_series(prefix, order).egf_column
     tail = _stirling2_series(full, order).egf_column
     lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1), order)
     return _verdict("append-one-deterministic", order, [(lhs, rhs, range(order), "")], prefix)
@@ -282,23 +271,22 @@ def _second_kind_sums(triangle: Triangle, weights: Column) -> Column:
 
 
 @lru_cache(maxsize=None)
-def _single_index_sides(
-    ms: MomentSequence | None, r: int, order: int
-) -> tuple[Column, Column]:
+def _single_index_sides(u: Series | None, r: int, order: int) -> tuple[Column, Column]:
     """Both sides of the append-one rule for the single-index numbers, for
     n = 0..order (zero below n = r) and 1 <= r <= order:
 
-        {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m)   for Y given by ``ms``,
-        S(n, r) = sum_m C(n-1, m) S(m, r-1)              for ``ms`` None;
+        {n; r}_Y = sum_m C(n-1, m) {m; r-1}_Y mu_(n-m)   for Y with MGF ``u``,
+        S(n, r) = sum_m C(n-1, m) S(m, r-1)              for ``u`` None;
 
-    :func:`_append_one_sides` at n - 1, with a zero in front.  They depend
-    on (Y, r) or on r alone, so they are formed once per key."""
-    if ms is None:
+    :func:`_append_one_sides` at n - 1, with a zero in front.  The moments
+    mu_n are the EGF column of u = M.  The sides depend on (M, r) or on r
+    alone, so they are formed once per key."""
+    if u is None:
         cols, den = _columns(_SECOND, order), 1
         weights = ((1,) * (order + 1), 1)
     else:
-        cols, den = _power_triangle(mgf(ms, order))
-        weights = ms.column
+        cols, den = _power_triangle(u)
+        weights = u.egf_column
     tail = (cols[r], den)
     (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights, order)
     return ((0, *lhs), d), tail
@@ -317,11 +305,11 @@ def check_append_one(
     full = index_tuple((*ks_prefix, 1))
     prefix, r = full[:-1], len(full)
     m = mgf(ms, order)
-    head = _prefix_column(_li_family, prefix, m, order)
+    head = _li_family(prefix, m).egf_column
     tail = _li_family(full, m).egf_column
     comparisons = [(*_append_one_sides(head, tail, ms.column, order), range(order), "main form")]
     if r <= order:
-        for key, detail in ((ms, "single-index form"), (None, "single-index classical form")):
+        for key, detail in ((m, "single-index form"), (None, "single-index classical form")):
             comparisons.append((*_single_index_sides(key, r, order), range(r, order + 1), detail))
     return _verdict("append-one", order, comparisons, prefix, dist)
 
@@ -496,7 +484,7 @@ def check_fubini_convolution(
     m = mgf(ms, order)
     lhs = _second_kind_sums(_power_triangle(m), _lah_series(ks, order).egf_column)
     second, ds = _li_family(ks, m).egf_column
-    fubini, df = _fubini_series(ms, len(ks), (1, 1), order).egf_column
+    fubini, df = _fubini_series(m, len(ks), (1, 1)).egf_column
     rhs = _binomial_sums(second, fubini, order), ds * df
     ns = range(len(ks), order + 1)
     return _verdict("fubini-convolution", order, [(lhs, rhs, ns, "")], ks, dist)

@@ -20,9 +20,11 @@ factorial moments over ``b^N``, for a parameter over ``b``; for Poisson
 that is the Touchard polynomial ``mu_n = sum_k S(n, k) lam^k``.  Finite
 laws (a point mass has a single point) sum ``w x^n b^(N-n)`` over
 ``c b^N``, ``c`` and ``b`` the lcms of the weight and point denominators.
-:class:`MomentSequence` keeps that column reduced by one gcd, the key its
-caches hash, and ``mgf`` scales it by ``N!/n!`` as ``exp_t`` does; a
-``Fraction`` per moment is built only when ``mu`` is read.
+:class:`MomentSequence` keeps that column reduced by one gcd, the key the
+``mgf`` and ``resolvent`` caches hash, the only caches keyed on a law:
+every cache below them reads its series.  ``mgf`` scales the column by
+``N!/n!`` as ``exp_t`` does; a ``Fraction`` per moment is built only when
+``mu`` is read.
 
 The coefficient of t^n in (1-t)^(-y) is y (y+1) ... (y+n-1) / n!, so the
 EGF coefficients of ``R`` are the rising-factorial moments

@@ -216,15 +216,18 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
 
 
 @lru_cache(maxsize=None)
-def _fubini_series(ms: MomentSequence, r: int, y: tuple[int, int], order: int) -> Series:
-    """(1 - y (u - 1))^(-r) with u the MGF, for the rational y, an integer
-    pair (p, q): :func:`prob_fubini_series` once its arguments are read."""
-    return ((1 - _scaled(_less_one(mgf(ms, order)), *y)) ** r).inverse()
+def _fubini_series(u: Series, r: int, y: tuple[int, int]) -> Series:
+    """(1 - y (u - 1))^(-r) at the order of the moment series ``u``, for the
+    rational y, an integer pair (p, q): keyed like :func:`_li_family`, so
+    laws with equal M share one entry.  :func:`prob_fubini_series` once its
+    arguments are read."""
+    return ((1 - _scaled(_less_one(u), *y)) ** r).inverse()
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:
     _check_natural(r, "the order r", 1)
-    return _fubini_series(ms, r, _rational(y, "y"), _check_natural(order))
+    y = _rational(y, "y")
+    return _fubini_series(mgf(ms, order), r, y)
 
 
 def prob_fubini(ms: MomentSequence, r: int, y, n: int, order: int | None = None) -> Fraction:

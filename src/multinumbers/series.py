@@ -60,10 +60,8 @@ once the memo is full.  ``verify`` on the default grid composes 21
 distinct inner series 203 times, at any order: 147 times over the 14
 series u - 1, whose memos reach ``g^N`` through the (1, u - 1)
 triangles or this rule, and 56 times over the 7 series 1 - e^(1 - M) of
-one identity check.  When it was measured, this rule about halved cold
-``verify --order 64`` (3.05 to 1.58 s, medians of 4 alternating pairs on
-a 2-vCPU Xeon VM, CPython 3.11.7); a single ``table`` composes each
-inner once and does the same work as with ``k`` fixed.
+one identity check.  A single ``table`` composes each inner once and
+does the same work as with ``k`` fixed.
 
 ``exp`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)`` and ``a_0 b_n = -sum a_j b_(n-j)``) solved

@@ -424,6 +424,40 @@ def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
 # A cell's own tuple is estimated first, so 800 twos are refused for their
 # own size before the all-ones tuple of length 800 is estimated
 @pytest.mark.parametrize(
+    "argv,grid,stderr",
+    [
+        (("table", "bernoulli-higher", "--r", "0", "--order", "3"), None,
+         "error: --r must be a positive integer\n"),
+        (("table", "prob-fubini", "--dist", "point:1", "--r", "0", "--y", "1", "--order", "3"),
+         None, "error: --r must be a positive integer\n"),
+        (("table", "stirling2", "--order"), None, "error: --order needs a value\n"),
+        (("verify", "--grid", "{grid}"), None,
+         "error: cannot read grid file {grid}: [Errno 2] No such file or directory: '{grid}'\n"),
+        (("verify", "--grid", "{grid}"), [{"dist": "point:1", "ks": []}],
+         "error: grid entry 0 has an empty index tuple\n"),
+    ],
+)
+def test_a_refusal_writes_exactly_its_one_error_line(tmp_path, capsys, argv, grid, stderr):
+    # a grid of None leaves the file unwritten, so the path is missing
+    path = tmp_path / "grid.json"
+    if grid is not None:
+        path.write_text(json.dumps(grid))
+    argv = [arg.format(grid=path) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", stderr.format(grid=path))
+
+
+def test_a_forced_report_value_past_the_digit_limit_is_refused_before_any_line(tmp_path, capsys):
+    # --force-order passes the size cap, so the render guard of verify sees
+    # the value; its message is the one CPython gives for the digit limit
+    with pytest.raises(ValueError) as exc:
+        str(10 ** sys.get_int_max_str_digits())
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"dist": "point:1", "ks": [6000]}]))
+    argv = ("verify", "--order", "4", "--force-order", "--grid", str(path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize(
     "argv,grid,prefix",
     [
         (("table", "multi-bernoulli", "--ks", ",".join(["1"] * 300)), None, ""),

@@ -7,7 +7,6 @@ import sys
 from collections import Counter
 from fnmatch import fnmatch
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, gcd
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from multinumbers.identities import (
     _append_one_sides,
     _bernoulli_expansion_weights,
     _binomial_sums,
-    _prefix_column,
     _second_kind_sums,
     _single_index_expansion_weights,
     _single_index_sides,
@@ -56,9 +54,15 @@ from multinumbers.moments import (
     poisson,
     resolvent,
 )
-from multinumbers.multi import li_argument, multi_bernoulli_series, multi_stirling2_series
-from multinumbers.multilog import _f_series, index_tuple
+from multinumbers.multi import (
+    _stirling2_series,
+    li_argument,
+    multi_bernoulli_series,
+    multi_stirling2_series,
+)
+from multinumbers.multilog import _f_series, _multilog, index_tuple
 from multinumbers.probabilistic import (
+    _li_family,
     _moment_route_columns,
     _power_triangle,
     prob_multi_stirling2,
@@ -104,9 +108,27 @@ def test_append_one_passes(spec, ks):
     assert check_append_one(ms, ks, 10, spec.label).status == "pass"
 
 
+GRID_LAWS = list(dict.fromkeys(spec for spec, _ in default_grid()))
+
+
 def test_append_one_empty_prefix():
-    ms = moments(bernoulli(F(1, 2)), 8)
-    assert check_append_one(ms, (), 8).status == "pass"
+    # the prefix () reads the delta column from the cores themselves
+    for order in range(13):
+        assert check_append_one_deterministic((), order).status == "pass"
+        assert check_derivative_rules((1,), order).status == "pass"
+        for spec in GRID_LAWS:
+            assert check_append_one(moments(spec, order), (), order).status == "pass"
+
+
+def test_the_cores_take_the_empty_tuple():
+    for order in range(13):
+        delta = ((1,) + (0,) * order, 1)
+        assert _multilog((), order) == Series.one(order)
+        assert _stirling2_series((), order).egf_column == delta
+        for spec in GRID_LAWS:
+            ms = moments(spec, order)
+            for u in (mgf(ms, order), resolvent(ms, order)):
+                assert _li_family((), u).egf_column == delta
 
 
 @pytest.mark.parametrize("spec,ks", SAMPLE_CELLS[:3], ids=lambda v: str(v))
@@ -758,21 +780,21 @@ def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
     r = len(ks)
     full = ks + (1,)
     lhs, rhs = _append_one_sides(
-        _prefix_column(multi_stirling2_series, ks, order, order),
+        multi_stirling2_series(ks, order).egf_column,
         multi_stirling2_series(full, order).egf_column,
         ((1,) * (order + 1), 1),
         order,
     )
     assert (values(lhs), values(rhs)) == append_one_deterministic_sums(ks, order)
     lhs, rhs = _append_one_sides(
-        _prefix_column(partial(prob_multi_stirling2_series, ms), ks, order, order),
+        prob_multi_stirling2_series(ms, ks, order).egf_column,
         prob_multi_stirling2_series(ms, full, order).egf_column,
         ms.column,
         order,
     )
     assert (values(lhs), values(rhs)) == append_one_sums(ms, ks, order)
     for s in (r, r + 1):
-        for key, literal in ((ms, append_one_single_index_sums(ms, s, order)),
+        for key, literal in ((mgf(ms, order), append_one_single_index_sums(ms, s, order)),
                              (None, append_one_classical_sums(s, order))):
             if s <= order:
                 lhs, rhs = _single_index_sides(key, s, order)

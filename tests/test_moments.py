@@ -118,6 +118,10 @@ def test_invalid_parameters_rejected():
         finite([(0, F(1, 2)), (0, F(1, 2))])  # duplicate support point
     with pytest.raises(ValueError):
         point(0.5)  # floats are not exact
+    with pytest.raises(ValueError, match="^finite distribution needs at least one support point$"):
+        finite([])
+    with pytest.raises(ValueError, match="^raw moment list must not be empty$"):
+        raw_moments([])
     # nor is a bool a number, as for every other argument
     refused = [
         (lambda: point(True), "point mass location"),

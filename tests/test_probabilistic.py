@@ -354,6 +354,31 @@ def test_point_bernoulli_and_binomial_at_one_read_one_triangle_and_one_memo():
     assert _li_family.cache_info().misses == 2
 
 
+def test_point_bernoulli_and_binomial_at_one_share_one_fubini_series():
+    # the Fubini series is keyed on M, so laws whose moments agree up to the
+    # order share its entry, however many moments each sequence holds
+    probabilistic._fubini_series.cache_clear()
+    values = {prob_fubini_series(moments(spec, top), 2, F(1, 2), 8)
+              for spec, top in ((point(1), 8), (bernoulli(1), 10), (binomial(1, 1), 12))}
+    assert len(values) == 1
+    assert probabilistic._fubini_series.cache_info().currsize == 1
+
+
+def test_only_mgf_and_resolvent_key_a_cache_on_a_moment_sequence():
+    # a law becomes its series once; every cache below reads the series
+    keyed = set()
+    for path in sorted(Path(multinumbers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if not any("lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                continue
+            for arg in node.args.args:
+                if arg.annotation and re.search(r"\bMomentSequence\b", ast.unparse(arg.annotation)):
+                    keyed.add((path.stem, node.name))
+    assert keyed == {("moments", "_mgf"), ("moments", "_resolvent")}
+
+
 # ------------------------------------------------------- whole-column oracle
 
 

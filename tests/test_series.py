@@ -177,6 +177,22 @@ def test_coeff_range_checked():
         s.egf_coeff(3)
 
 
+def test_operands_of_the_wrong_type_are_refused():
+    s = series(1, 0)
+    with pytest.raises(TypeError, match="^composition needs a Series argument$"):
+        s.compose([0, 1])
+    with pytest.raises(TypeError, match="^coefficient index must be an integer$"):
+        s.coeff("1")
+    # each arithmetic operator returns NotImplemented, so Python refuses
+    for apply in (lambda: s + "x", lambda: s - "x", lambda: "x" - s, lambda: s * "x"):
+        with pytest.raises(TypeError):
+            apply()
+
+
+def test_repr_shows_the_first_four_nonzero_terms():
+    assert repr(series(1, 2, 3, 4, 5, 6)) == "<Series order=5: 1 + 2*t^1 + 3*t^2 + 4*t^3 + ...>"
+
+
 def test_order_mismatch_is_an_error():
     with pytest.raises(ValueError):
         series(1, 2) + series(1, 2, 3)
