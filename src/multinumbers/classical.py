@@ -9,7 +9,8 @@ negated weights give the signed triangles: (0, -1) the signed second
 kind S(n, k)(-1)^(n-k), (-1, 0) the signed first kind.  One row builder
 fills every triangle, memoised per row; the generating-function routes
 are kept to the test suite as cross-checks.  One kernel, ``_transform``,
-applies a triangle to a column of integers without building it.  Library
+applies a triangle to a column of integers without building it, and
+``_binomial_sums`` forms the EGF product of two such columns.  Library
 code applies a Stirling triangle only through that kernel: the multi
 families, the moments of Poisson, binomial and geometric laws, and the
 resolvent ``R``.  The memoised rows serve the entries, the check sides
@@ -21,6 +22,7 @@ values are Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb, factorial
 
@@ -75,6 +77,22 @@ def _transform(weights: tuple[int, int], x) -> list[int]:
         for j in range(top, n, -1):
             y[j] = (c + b * j) * y[j - 1] + y[j]
     return y
+
+
+def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
+    """sum_{m=0}^{n} C(n, m) a[m] b[n-m] for n = 0..top (none when top < 0):
+    the EGF product of the columns ``a`` and ``b``, with ``C(n, m)`` carried
+    along each row by ``C(n, m + 1) = C(n, m) (n - m) / (m + 1)``."""
+    sums = [0] * (top + 1)
+    for n in range(top + 1):
+        acc = 0
+        c = 1
+        for m in range(n + 1):
+            if a[m]:
+                acc += c * a[m] * b[n - m]
+            c = c * (n - m) // (m + 1)
+        sums[n] = acc
+    return sums
 
 
 @lru_cache(maxsize=None)

@@ -239,8 +239,12 @@ def _check_size(
         if bits > BITS_CAP:
             break
     if bits > BITS_CAP:
+        try:
+            shown = str(bits)
+        except ValueError:  # past the int-to-str digit limit; the cap passed is a bound too
+            shown = BITS_CAP + 1
         raise UsageError(
-            f"the values would run to at least {bits} bits, past the cap of {BITS_CAP}; "
+            f"the values would run to at least {shown} bits, past the cap of {BITS_CAP}; "
             "pass --force-order to override"
         )
 
@@ -313,7 +317,7 @@ def _load_grid(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read grid file {path}: {exc}") from exc
     if not isinstance(raw, list):
         raise UsageError("grid file must hold a JSON list of {dist, ks} objects")

@@ -20,8 +20,9 @@ caller reads ``Mismatch.lhs`` or ``rhs``.
 Every check-side sum has one of two shapes and is formed by one kernel
 each, in ``int`` arithmetic: a binomial convolution
 sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
-(:func:`_binomial_sums`), or a lower-triangular array applied to a
-vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
+(:func:`classical._binomial_sums`, which the moment route of
+``second-kind-route-agreement`` reads too), or a lower-triangular array
+applied to a vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
 exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
 :func:`probabilistic._power_triangle` like the entries and ``table``; a
 single-index side is a column of that triangle, read as it is kept.
@@ -31,7 +32,8 @@ so no check divides a series.  The first-kind weights of
 ``first-kind-inversion`` are not such a sum: they are the EGF column of
 :func:`multilog._f_series`, the series all four multi families are built
 from, so that check takes its other side from the definition, the
-multiple logarithm composed with :func:`multi.li_argument`.
+multiple logarithm composed with 1 - e^(1 - M), read from
+:func:`multi._li_argument`, the cache behind :func:`multi.li_argument`.
 
 A check-side quantity that depends on less than the cell is formed once
 per the key it depends on, in an ``lru_cache``: the single-index
@@ -66,7 +68,15 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import factorial
 
-from .classical import _FIRST, _LAH, _SECOND, _SIGNED_SECOND, _columns, bernoulli_higher_series
+from .classical import (
+    _FIRST,
+    _LAH,
+    _SECOND,
+    _SIGNED_SECOND,
+    _binomial_sums,
+    _columns,
+    bernoulli_higher_series,
+)
 from .moments import (
     DistributionSpec,
     MomentSequence,
@@ -80,7 +90,7 @@ from .moments import (
     poisson,
     resolvent,
 )
-from .multi import _bernoulli_series, _lah_series, _stirling2_series, li_argument
+from .multi import _bernoulli_series, _lah_series, _li_argument, _stirling2_series
 from .multilog import _f_series, _multilog, index_tuple
 from .probabilistic import (
     _fubini_series,
@@ -180,22 +190,6 @@ def _triangle_comparison(lhs: Triangle, rhs: Triangle, top: int) -> tuple:
     a = {(n, k): cols_a[k][n] for n, k in keys}
     b = {(n, k): cols_b[k][n] for n, k in keys}
     return (a, da), (b, db), keys, ""
-
-
-def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
-    """sum_{m=0}^{n} C(n, m) a[m] b[n-m] for n = 0..top (none when top < 0):
-    the EGF product of the columns ``a`` and ``b``, with ``C(n, m)`` carried
-    along each row by ``C(n, m + 1) = C(n, m) (n - m) / (m + 1)``."""
-    sums = [0] * (top + 1)
-    for n in range(top + 1):
-        acc = 0
-        c = 1
-        for m in range(n + 1):
-            if a[m]:
-                acc += c * a[m] * b[n - m]
-            c = c * (n - m) // (m + 1)
-        sums[n] = acc
-    return sums
 
 
 def _triangle_sums(columns: Sequence[Sequence[int]], w: Sequence[int], top: int) -> list[int]:
@@ -334,7 +328,7 @@ def check_bernoulli_convolution(
     m = mgf(ms, order)
     lhs = _li_family(ks, m).egf_column
     s, ds = _second_kind_sums(_power_triangle(m), _bernoulli_series(ks, order).egf_column)
-    h, dh = powers(li_argument(m), r)[r].egf_column
+    h, dh = powers(_li_argument(m), r)[r].egf_column
     rhs = _binomial_sums(s, h, order), ds * dh
     return _verdict("bernoulli-convolution", order, [(lhs, rhs, range(r, order + 1), "")], ks, dist)
 
@@ -356,7 +350,7 @@ def check_first_kind_inversion(
     """
     ks = index_tuple(ks)
     m = mgf(ms, order)
-    lhs = _compose(_multilog(ks, order), li_argument(m)).egf_column
+    lhs = _compose(_multilog(ks, order), _li_argument(m)).egf_column
     rhs = _second_kind_sums(_power_triangle(m), _f_series(ks, order).egf_column)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)

@@ -32,7 +32,7 @@ The probabilistic multi families Li_ks(1 - e^(1 - u)) at the moment
 series u = M and u = R are F(u - 1), the same series composed with
 u - 1 in ``probabilistic``.  :func:`li_argument`, the inner series
 1 - e^(1 - u) of the definition, is kept for the identity checks, which
-compose with it directly.
+read its cache :func:`_li_argument` and compose with it directly.
 """
 
 from __future__ import annotations
@@ -55,15 +55,22 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def li_argument(u: Series) -> Series:
     """1 - exp(1 - u) for a series with unit constant term.
 
     This is the substitution that turns a moment-type series into a valid
-    (nilpotent) argument of the multiple logarithm.
+    (nilpotent) argument of the multiple logarithm.  The argument is
+    checked here and the series built by :func:`_li_argument`.
     """
+    if not isinstance(u, Series):
+        raise TypeError("li_argument needs a Series argument")
     if u._num[0] != u._den:
         raise ValueError("li_argument requires a unit constant term")
+    return _li_argument(u)
+
+
+@lru_cache(maxsize=None)
+def _li_argument(u: Series) -> Series:
     return 1 - (1 - u).exp()
 
 

@@ -25,9 +25,9 @@ column of the same series by a Stirling transform.
 
 The second-kind numbers also admit an inclusion-exclusion form over the
 moments of partial sums S_j = Y_1 + ... + Y_j: one integer triangle per
-(Y, order), read by :func:`prob_stirling2_by_moments` and the route-agreement
-check.  Powers of u - 1 and M come from the memo in ``series``, and
-u - 1 is built once per u (:func:`_less_one`), so the triangle, the multi
+(Y, order) from the moment column alone, read by :func:`prob_stirling2_by_moments`
+and the route-agreement check.  Powers of u - 1 come from the memo in ``series``,
+and u - 1 is built once per u (:func:`_less_one`), so the triangle, the multi
 families and the Fubini series at M read one series and its one memo.
 """
 
@@ -36,7 +36,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .moments import MomentSequence, mgf, resolvent
+from .classical import _binomial_sums
+from .moments import MomentSequence, _column, mgf, resolvent
 from .multilog import _f_series, index_tuple
 from .series import (
     Series,
@@ -45,7 +46,6 @@ from .series import (
     _compose,
     _fraction,
     _from_egf_column,
-    _over_lcm,
     _rational,
     _scaled,
     powers,
@@ -147,30 +147,32 @@ def _moment_route_columns(
 
     returned as ``(columns, d)``: entry k of ``columns`` holds the
     numerators of {0; k}_Y .. {order; k}_Y over the one denominator ``d``.
-    ``E[S_j^n]`` is read off the EGF column of ``M^j``.
+    E[S_j^n] D^j is the j-fold binomial convolution of mu, the moments over D.
     """
-    memo = powers(mgf(ms, order), order)
-    sums, den = _over_lcm([memo[j].egf_column for j in range(order + 1)])
+    mu, den = _column(ms, order)
+    sums = [[1] + [0] * order]
+    for j in range(order):
+        sums.append(_binomial_sums(sums[j], mu, order))
     top = factorial(order)
     columns = []
     for k in range(order + 1):
         scale = top // factorial(k)
         column = [0] * (order + 1)
         for j in range(k + 1):
-            c = comb(k, j) * scale
+            c = comb(k, j) * scale * den ** (order - j)
             if (k - j) % 2:
                 c = -c
             for n, x in enumerate(sums[j]):
                 column[n] += c * x
         columns.append(tuple(column))
-    return tuple(columns), den * top
+    return tuple(columns), den**order * top
 
 
 def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
     """Same number by the inclusion-exclusion sum over moments of S_j.
 
     (1/k!) sum_{j=0}^{k} C(k,j) (-1)^(k-j) E[S_j^n], read from the order-n
-    triangle; kept as an independent cross-check of the EGF route.  Zero
+    triangle of the moments alone; an independent cross-check of the EGF route.  Zero
     for k > n: E[S_j^n] is a polynomial of degree n in j, so its k-th
     difference vanishes.
     """

@@ -375,14 +375,6 @@ def _scaled(s: "Series", p: int, q: int) -> "Series":
     return _make([p * m for m in s._num], s._den * q)
 
 
-def _over_lcm(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer columns ``(a, d)``, each standing for the values ``a[n] / d``,
-    rescaled to one denominator, the lcm of theirs: ``(numerators, lcm)``,
-    in lowest terms when every column is."""
-    den = lcm(*[d for _, d in columns])
-    return tuple([tuple([x * (den // d) for x in a]) for a, d in columns]), den
-
-
 def _solve(w: list[int], d: list[int], x0: tuple[int, int]) -> tuple[list[int], int]:
     """Integer numerators ``X`` and one denominator ``L`` of the sequence
 
@@ -664,8 +656,11 @@ def _fill(memo: dict[int, Series], g: Series, k: int) -> dict[int, Series]:
 
 def powers(g: Series, k: int) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, filled upward in a loop
-    to j = k at least."""
-    return _fill(_power_memo(g), g, k)
+    to j = k at least.  The arguments are checked here and the memo filled
+    by :func:`_fill`."""
+    if not isinstance(g, Series):
+        raise TypeError("powers needs a Series argument")
+    return _fill(_power_memo(g), g, _check_natural(k, "k"))
 
 
 # ------------------------------------------------------------ stock series

@@ -417,6 +417,18 @@ def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
         _check_grid(order, default_grid(), force=False)
 
 
+# an integer one digit past CPython's int/str digit limit, and the message
+# that limit gives for it
+LONG_INT = b"9" * (sys.get_int_max_str_digits() + 1)
+try:
+    int(LONG_INT)
+except ValueError as exc:
+    LONG_INT_ERROR = str(exc)
+# an index of 4,299 digits, which the parsers take; its size estimate runs
+# past that limit
+NINES = "9" * 4299
+
+
 # before the estimate reached N + r these ran unbounded: 300 ones took 3.6 s
 # and 600 ones ran past 60 s; a cell of 400 zeros took 11.3 s, in the
 # all-ones checks of length 400; a cell of 150 tens, estimated at reach N
@@ -435,13 +447,25 @@ def test_the_default_grid_is_within_the_size_cap_at_every_allowed_order():
          "error: cannot read grid file {grid}: [Errno 2] No such file or directory: '{grid}'\n"),
         (("verify", "--grid", "{grid}"), [{"dist": "point:1", "ks": []}],
          "error: grid entry 0 has an empty index tuple\n"),
+        # a grid file given as bytes is written as it is
+        pytest.param(
+            ("verify", "--grid", "{grid}"), b"\xff\xfe[]",
+            "error: cannot read grid file {grid}: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n",
+            id="grid-not-utf-8",
+        ),
+        pytest.param(
+            ("verify", "--grid", "{grid}"), b'[{"dist": "point:1", "ks": [%s]}]' % LONG_INT,
+            f"error: cannot read grid file {{grid}}: {LONG_INT_ERROR}\n",
+            id="grid-int-past-the-digit-limit",
+        ),
     ],
 )
 def test_a_refusal_writes_exactly_its_one_error_line(tmp_path, capsys, argv, grid, stderr):
     # a grid of None leaves the file unwritten, so the path is missing
     path = tmp_path / "grid.json"
     if grid is not None:
-        path.write_text(json.dumps(grid))
+        path.write_bytes(grid if isinstance(grid, bytes) else json.dumps(grid).encode())
     argv = [arg.format(grid=path) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", stderr.format(grid=path))
 
@@ -467,10 +491,13 @@ def test_a_forced_report_value_past_the_digit_limit_is_refused_before_any_line(t
         (("verify",), [{"dist": "poisson:1", "ks": [1, 2]}, {"dist": "point:1", "ks": [2] * 800}],
          "grid entry 1: "),
         (("verify",), [{"dist": "point:1", "ks": [10] * 150}], "grid entry 0: "),
+        # an estimate too long to print is shown as the cap plus one
+        (("table", "multi-stirling2", "--ks", NINES), None, ""),
+        (("verify",), [{"dist": "point:1", "ks": [int(NINES)]}], "grid entry 0: "),
     ],
     ids=[
         "bernoulli-300-ones", "bernoulli-600-ones", "verify-400-zeros", "verify-800-twos",
-        "verify-150-tens",
+        "verify-150-tens", "table-4299-nines", "verify-4299-nines",
     ],
 )
 def test_long_index_tuples_are_refused_up_front(tmp_path, argv, grid, prefix):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import inspect
 import pickle
 import re
 import sys
@@ -604,6 +605,30 @@ def test_full_suite_builds_no_series_from_a_column(monkeypatch):
     monkeypatch.setattr(probabilistic, "_from_egf_column", counted)
     run_full_suite(order=12)
     assert calls == []
+
+
+def test_moment_route_reads_only_the_moment_column():
+    # second-kind-route-agreement compares the route with the (1, M - 1)
+    # array; built from the moment column by binomial convolutions, the
+    # route shares no kernel with that array, so a fault in M, in a memo of
+    # powers or in the series products shows in the check
+    tree = ast.parse(inspect.getsource(probabilistic._moment_route_columns))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    shared = {"mgf", "resolvent", "powers", "Series", "_product", "_from_egf_column", "egf_column"}
+    assert named and not named & shared
+
+
+def test_suite_builds_one_moment_egf_and_one_memo_of_powers_per_inner_series():
+    # the default grid has 7 laws: 7 M at the suite's order, and memos of
+    # powers only for the inner series of a composition or triangle, u - 1
+    # at the 7 M and 7 R and li_argument(M) at the 7 M; the moment route
+    # builds no M at its own order and no memo of its powers
+    clear_library_caches()
+    run_full_suite(order=12)
+    assert sys.modules["multinumbers.moments"]._mgf.cache_info().misses == 7
+    assert series._power_memo.cache_info().currsize == 21
+    clear_library_caches()
 
 
 def test_bernoulli_convolution_powers_once_per_moment_series_and_length(monkeypatch):
@@ -1237,6 +1262,7 @@ KERNEL_RAISERS = {
     "_solve": raised_solve,
     "_transform": raised_entry,
     "_row": raised_entry,
+    "_binomial_sums": raised_entry,
 }
 
 
@@ -1251,9 +1277,11 @@ RAISED_GRID = ((poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2)))
 # pass, because both hold for any F (they failed while the families composed
 # the multiple logarithm with 1 - e^(1 - u)); with products raised, the
 # all-ones-prob checks pass, as both of their sides read the powers of u - 1.
-# li_argument is read only by the direct side of first-kind-inversion and the
-# factor h^r of bernoulli-convolution, which comes from the memo of powers of
-# h.  Every series product, those that fill a memo of powers included, is
+# _li_argument, the cache behind the checked multi.li_argument, is read only
+# by the direct side of first-kind-inversion and the factor h^r of
+# bernoulli-convolution, which comes from the memo of powers of h; the suite
+# never enters li_argument, so its row is empty.  Every series product, those
+# that fill a memo of powers included, is
 # series._product: Series.__mul__ calls it after its order check, and the
 # memo fills call it directly, so the __mul__ and __pow__ rows hold only the
 # checks that multiply series themselves.  Every composition is
@@ -1261,9 +1289,13 @@ RAISED_GRID = ((poisson(1), (1, 2)), (poisson(1), (1,)), (point(1), (1, 2)))
 # multi families and first-kind-inversion call it directly, so the suite never
 # enters Series.compose and its row is empty.  _compose reads its memo
 # without series.powers, so the powers row holds only checks that read the
-# memo through the power triangle or the moment route.
-# series.powers, _solve, classical._transform and _row are raised by their own
-# helpers in KERNEL_RAISERS; the raised rows are handed out, and the row memo
+# memo through the power triangle, and bernoulli-convolution, which reads h^r
+# from it.  The moment route of second-kind-route-agreement reads the moment
+# column alone, by classical._binomial_sums, so that check fails with the
+# mgf, the powers or the products under its other side, the power triangle.
+# series.powers, _solve, classical._transform, _row and _binomial_sums are
+# raised by their own helpers in KERNEL_RAISERS; the raised rows are handed
+# out, and the row memo
 # classical._ROWS keeps the true ones.  A moment provider of moments._KINDS is
 # raised for each kind the default grid has, on the cells of that kind as
 # well: every identity holds for any moment sequence, so a raised mu_4 fails
@@ -1292,7 +1324,8 @@ KERNEL_FAILURES = {
         "all-ones-bernoulli", "all-ones-multilog", "bernoulli-expansion-single-index",
         "derivative-rules", "fubini-convolution",
     },
-    ("multi", "li_argument"): {"bernoulli-convolution", "first-kind-inversion"},
+    ("multi", "li_argument"): set(),
+    ("multi", "_li_argument"): {"bernoulli-convolution", "first-kind-inversion"},
     ("multilog", "_multilog"): {
         "all-ones-bernoulli", "all-ones-first-kind", "all-ones-lah", "all-ones-multilog",
         "all-ones-prob-lah", "all-ones-prob-second-kind", "all-ones-second-kind", "append-one",
@@ -1300,7 +1333,7 @@ KERNEL_FAILURES = {
     },
     ("moments", "mgf"): {
         "append-one", "lah-via-first-kind-corrected", "point-mass-collapse-multi-second-kind",
-        "point-mass-collapse-second-kind",
+        "point-mass-collapse-second-kind", "second-kind-route-agreement",
     },
     ("moments", "resolvent"): {"lah-via-first-kind-corrected", "point-mass-collapse-lah"},
     ("classical", "bernoulli_higher_series"): {
@@ -1328,6 +1361,7 @@ KERNEL_FAILURES = {
     ("series", "powers"): {
         "bernoulli-convolution", "bernoulli-expansion", "first-kind-inversion",
         "fubini-convolution", "point-mass-collapse-lah", "point-mass-collapse-second-kind",
+        "second-kind-route-agreement",
     },
     ("classical", "_transform"): {
         "all-ones-bernoulli", "all-ones-lah", "all-ones-prob-lah", "all-ones-prob-second-kind",
@@ -1352,6 +1386,10 @@ KERNEL_FAILURES = {
     ("_KINDS", "poisson"): set(),
     ("_KINDS", "geometric"): set(),
     ("_KINDS", "finite"): set(),
+    ("classical", "_binomial_sums"): {
+        "append-one", "append-one-deterministic", "bernoulli-convolution", "bernoulli-expansion",
+        "bernoulli-expansion-single-index", "fubini-convolution", "second-kind-route-agreement",
+    },
     ("series", "_product"): {
         "all-ones-bernoulli", "all-ones-multilog", "append-one", "bernoulli-convolution",
         "bernoulli-expansion", "bernoulli-expansion-single-index", "derivative-rules",

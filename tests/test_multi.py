@@ -44,6 +44,12 @@ def test_li_argument_requires_unit_constant():
         li_argument(Series.t(4))
 
 
+@pytest.mark.parametrize("u", [[1, 2], "x"], ids=str)
+def test_li_argument_refuses_an_argument_that_is_not_a_series(u):
+    with pytest.raises(TypeError, match="^li_argument needs a Series argument$"):
+        li_argument(u)
+
+
 @pytest.mark.parametrize("head", [0, 2, F(-1, 2)], ids=str)
 def test_cached_li_argument_refuses_a_non_unit_constant_term_on_every_call(head):
     u = exp_t(6) + (head - 1)
@@ -62,7 +68,7 @@ def test_li_argument_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    v = li_argument.__wrapped__(u)  # past the cache, which an earlier call may have filled
+    v = multi._li_argument.__wrapped__(u)  # past the cache, which an earlier call may have filled
     monkeypatch.undo()
     assert built == []
     e = series_exp([F(0)] + [-c for c in u.coeffs[1:]])

@@ -1,7 +1,9 @@
 """The README's library quickstart runs as written and gives the values
 its comments state, its command line section names every flag, and every
-module attribute it names exists."""
+module attribute it names exists; every cross-reference in the package's
+docstrings resolves."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -66,4 +68,36 @@ def test_every_module_attribute_the_readme_names_exists():
         for module, name in sorted(named)
         if not hasattr(importlib.import_module(f"multinumbers.{module}"), name)
     ]
+    assert not missing
+
+
+def test_every_docstring_cross_reference_resolves():
+    # a reference such as :func:`_row` or :func:`series._compose` names an
+    # attribute of its own module or of the package module it starts with
+    role = re.compile(r":(?:func|attr|meth|data|class):`([\w.]+)`")
+    modules = {m.name for m in pkgutil.iter_modules(multinumbers.__path__)}
+
+    def resolves(start, path: list[str]) -> bool:
+        value = start
+        for name in path:
+            if not hasattr(value, name):
+                return False
+            value = getattr(value, name)
+        return True
+
+    checked, missing = 0, []
+    for path in sorted(Path(multinumbers.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"multinumbers.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            for ref in role.findall(ast.get_docstring(node) or ""):
+                head, *rest = ref.split(".")
+                checked += 1
+                if not resolves(module, [head, *rest]) and not (
+                    head in modules
+                    and resolves(importlib.import_module(f"multinumbers.{head}"), rest)
+                ):
+                    missing.append(f"{path.name}: {ref}")
+    assert checked >= 40
     assert not missing

@@ -127,6 +127,7 @@ _NATURAL_ARGUMENTS = [
     pytest.param(
         lambda v: prob_fubini_series(_MS, v, 1, 3), "the order r", 1, id="prob_fubini_series"
     ),
+    pytest.param(lambda v: powers(Series.t(3), v), "k", 0, id="powers"),
 ]
 
 
@@ -181,6 +182,8 @@ def test_operands_of_the_wrong_type_are_refused():
     s = series(1, 0)
     with pytest.raises(TypeError, match="^composition needs a Series argument$"):
         s.compose([0, 1])
+    with pytest.raises(TypeError, match="^powers needs a Series argument$"):
+        powers([0, 1], 2)
     with pytest.raises(TypeError, match="^coefficient index must be an integer$"):
         s.coeff("1")
     # each arithmetic operator returns NotImplemented, so Python refuses
