@@ -17,15 +17,18 @@ range, else the first mismatch, kept as the two integer pairs compared,
 and its label.  No check builds a ``Fraction``: one is made only when a
 caller reads ``Mismatch.lhs`` or ``rhs``.
 
-Every check-side sum has one of two shapes and is formed by one kernel
-each, in ``int`` arithmetic: a binomial convolution
+Every check-side sum has one of two shapes, and each shape is formed by
+one kernel on integer columns: a binomial convolution
 sum_m C(n, m) a_m b_(n-m), the EGF product of two columns
 (:func:`classical._binomial_sums`, which the moment route of
 ``second-kind-route-agreement`` reads too), or a lower-triangular array
-applied to a vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), as for the
-exponential Riordan array (1, M - 1) of the {n; j}_Y triangle, read from
-:func:`probabilistic._power_triangle` like the entries and ``table``; a
-single-index side is a column of that triangle, read as it is kept.
+applied to a vector, sum_j w_j T(n, j) (:func:`_triangle_sums`), which
+maps a triangle ``(columns, d)`` and a column ``(w, dw)`` to the column of
+sums over d dw.  Its triangles are the exponential Riordan array
+(1, M - 1) of the {n; j}_Y triangle, read from
+:func:`probabilistic._power_triangle` like the entries and ``table``, and
+the first-kind rows over 1; a single-index side is a column of the
+{n; j}_Y triangle, read as it is kept.
 ``bernoulli-convolution`` applies both in turn: the (1, M - 1) array to
 the multi-Bernoulli column, then the EGF product with (1 - e^(1 - M))^r,
 so no check divides a series.  The first-kind weights of
@@ -181,28 +184,30 @@ def _verdict(
     return VerificationReport(identity, order, ks, dist)
 
 
-def _triangle_comparison(lhs: Triangle, rhs: Triangle, top: int) -> tuple:
+def _triangle_comparison(lhs: Triangle, rhs: Triangle) -> tuple:
     """The comparison of two triangles ``(columns, d)`` with entry
     ``columns[k][n]``: each side as a column keyed by (n, k), scanned over
-    n = 0..top and, for each n, k = 0..n."""
-    keys = [(n, k) for n in range(top + 1) for k in range(n + 1)]
+    n = 0..top and, for each n, k = 0..n, for top + 1 the columns of ``rhs``."""
     (cols_a, da), (cols_b, db) = lhs, rhs
+    keys = [(n, k) for n in range(len(cols_b)) for k in range(n + 1)]
     a = {(n, k): cols_a[k][n] for n, k in keys}
     b = {(n, k): cols_b[k][n] for n, k in keys}
     return (a, da), (b, db), keys, ""
 
 
-def _triangle_sums(columns: Sequence[Sequence[int]], w: Sequence[int], top: int) -> list[int]:
-    """sum_{j<=n} w[j] columns[j][n] for n = 0..top: the lower-triangular
-    array with the given columns (column j vanishes above row j) applied to
-    ``w``, in O(top^2) integer products."""
-    sums = [0] * (top + 1)
-    for j, wj in enumerate(w[: top + 1]):
+def _triangle_sums(triangle: Triangle, weights: Column) -> Column:
+    """sum_{j<=n} w_j T(n, j) for n = 0..len(w) - 1, with ``weights = (w, dw)``
+    and ``triangle = (columns, d)``, entry T(n, j) = columns[j][n] / d: the
+    lower-triangular array (column j vanishes above row j) applied to ``w``,
+    over the denominator d dw, in O(len(w)^2) integer products."""
+    (columns, d), (w, dw) = triangle, weights
+    rows = len(w)
+    sums = [0] * rows
+    for j, (wj, col) in enumerate(zip(w, columns)):
         if wj:
-            col = columns[j]
-            for n in range(j, top + 1):
+            for n in range(j, rows):
                 sums[n] += wj * col[n]
-    return sums
+    return sums, d * dw
 
 
 def check_derivative_rules(ks, order: int) -> VerificationReport:
@@ -230,17 +235,16 @@ def check_derivative_rules(ks, order: int) -> VerificationReport:
     return _verdict("derivative-rules", order, comparisons, ks)
 
 
-def _append_one_sides(
-    head: Column, tail: Column, weights: Column, order: int
-) -> tuple[Column, Column]:
-    """Both sides of appending a trailing 1 for n = 0..order-1,
+def _append_one_sides(head: Column, tail: Column, weights: Column) -> tuple[Column, Column]:
+    """Both sides of appending a trailing 1 for n = 0..N-1, N + 1 the length
+    of the ``head`` column,
 
         sum_m C(n, m) w_(n-m+1) head_m = tail_(n+1),
 
     with ``weights = (w, d)`` the moments of Y for a probabilistic family
     and all ones for a deterministic or classical one."""
     (h, dh), (t, dt), (w, dw) = head, tail, weights
-    return (_binomial_sums(h, w[1:], order - 1), dh * dw), (t[1:], dt)
+    return (_binomial_sums(h, w[1:], len(h) - 2), dh * dw), (t[1:], dt)
 
 
 def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
@@ -253,15 +257,8 @@ def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
     prefix = full[:-1]
     head = _stirling2_series(prefix, order).egf_column
     tail = _stirling2_series(full, order).egf_column
-    lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1), order)
+    lhs, rhs = _append_one_sides(head, tail, ((1,) * (order + 1), 1))
     return _verdict("append-one-deterministic", order, [(lhs, rhs, range(order), "")], prefix)
-
-
-def _second_kind_sums(triangle: Triangle, weights: Column) -> Column:
-    """sum_{j<=n} w_j {n; j}_Y for n = 0..len(w) - 1, with ``weights = (w, d)``:
-    ``triangle``, the exponential Riordan array (1, M - 1), applied to ``w``."""
-    (cols, den), (w, dw) = triangle, weights
-    return _triangle_sums(cols, w, len(w) - 1), dw * den
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +279,7 @@ def _single_index_sides(u: Series | None, r: int, order: int) -> tuple[Column, C
         cols, den = _power_triangle(u)
         weights = u.egf_column
     tail = (cols[r], den)
-    (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights, order)
+    (lhs, d), _ = _append_one_sides((cols[r - 1], den), tail, weights)
     return ((0, *lhs), d), tail
 
 
@@ -301,7 +298,7 @@ def check_append_one(
     m = mgf(ms, order)
     head = _li_family(prefix, m).egf_column
     tail = _li_family(full, m).egf_column
-    comparisons = [(*_append_one_sides(head, tail, ms.column, order), range(order), "main form")]
+    comparisons = [(*_append_one_sides(head, tail, ms.column), range(order), "main form")]
     if r <= order:
         for key, detail in ((m, "single-index form"), (None, "single-index classical form")):
             comparisons.append((*_single_index_sides(key, r, order), range(r, order + 1), detail))
@@ -327,7 +324,7 @@ def check_bernoulli_convolution(
     r = len(ks)
     m = mgf(ms, order)
     lhs = _li_family(ks, m).egf_column
-    s, ds = _second_kind_sums(_power_triangle(m), _bernoulli_series(ks, order).egf_column)
+    s, ds = _triangle_sums(_power_triangle(m), _bernoulli_series(ks, order).egf_column)
     h, dh = powers(_li_argument(m), r)[r].egf_column
     rhs = _binomial_sums(s, h, order), ds * dh
     return _verdict("bernoulli-convolution", order, [(lhs, rhs, range(r, order + 1), "")], ks, dist)
@@ -351,7 +348,7 @@ def check_first_kind_inversion(
     ks = index_tuple(ks)
     m = mgf(ms, order)
     lhs = _compose(_multilog(ks, order), _li_argument(m)).egf_column
-    rhs = _second_kind_sums(_power_triangle(m), _f_series(ks, order).egf_column)
+    rhs = _triangle_sums(_power_triangle(m), _f_series(ks, order).egf_column)
     ns = range(len(ks), order + 1)
     return _verdict("first-kind-inversion", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -362,7 +359,7 @@ def _first_kind_row_sums(r: int, order: int) -> tuple[int, ...]:
     literal Lah variant; they depend on (r, order) alone, so they are formed
     once per key."""
     ones = (0,) * r + (1,) * (order + 1 - r)
-    return tuple(_triangle_sums(_columns(_FIRST, order), ones, order))
+    return tuple(_triangle_sums((_columns(_FIRST, order), 1), (ones, 1))[0])
 
 
 def check_lah_via_first_kind(
@@ -381,7 +378,7 @@ def check_lah_via_first_kind(
     r = len(ks)
     direct = _li_family(ks, resolvent(ms, order)).egf_column
     second, ds = _li_family(ks, mgf(ms, order)).egf_column
-    corrected = _triangle_sums(_columns(_FIRST, order), second, order), ds
+    corrected = _triangle_sums((_columns(_FIRST, order), 1), (second, ds))
     literal = [s * t for s, t in zip(second, _first_kind_row_sums(r, order))], ds
     ns = range(r, order + 1)
     literal_detail = "summand uses the outer index; the corrected variant matches the series"
@@ -394,14 +391,14 @@ def check_lah_via_first_kind(
     ]
 
 
-def _expansion_weights(b: Column, r: int, order: int) -> Column:
-    """w_j = sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) b_m for j = 0..order-r
-    (zero below r): the binomial convolution of ``b`` with the column
-    (-1)^(i-r) S(i, r)."""
+def _expansion_weights(b: Column, r: int) -> Column:
+    """w_j = sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) b_m for j = 0..N-r,
+    N + 1 the length of ``b`` (zero below r): the binomial convolution of
+    ``b`` with the column (-1)^(i-r) S(i, r)."""
     bs, d = b
     # the triangle reaches column r; past the order no entry of it is read
-    signed = _columns(_SIGNED_SECOND, max(order, r))[r]
-    return tuple(_binomial_sums(bs, signed, order - r)), d
+    signed = _columns(_SIGNED_SECOND, max(len(bs) - 1, r))[r]
+    return tuple(_binomial_sums(bs, signed, len(bs) - 1 - r)), d
 
 
 @lru_cache(maxsize=None)
@@ -409,7 +406,7 @@ def _bernoulli_expansion_weights(ks: tuple[int, ...], order: int) -> Column:
     """w_j = r! sum_{m=0}^{j-r} (-1)^(j-m-r) C(j, m) S(j-m, r) B_m(ks)."""
     r_fact = factorial(len(ks))
     bern, d = _bernoulli_series(ks, order).egf_column
-    return _expansion_weights(([r_fact * b for b in bern], d), len(ks), order)
+    return _expansion_weights(([r_fact * b for b in bern], d), len(ks))
 
 
 @lru_cache(maxsize=None)
@@ -417,7 +414,7 @@ def _single_index_expansion_weights(r: int, order: int) -> Column:
     """w_j = (-1)^(j-r) sum_{m=0}^{j-r} C(j, m) S(j-m, r) B_m^(r)."""
     bern, d = bernoulli_higher_series(r, order).egf_column
     # (-1)^m B_m^(r) turns the sign (-1)^(j-m-r) into (-1)^(j-r)
-    return _expansion_weights(([-b if m % 2 else b for m, b in enumerate(bern)], d), r, order)
+    return _expansion_weights(([-b if m % 2 else b for m, b in enumerate(bern)], d), r)
 
 
 def check_bernoulli_expansion(
@@ -439,7 +436,7 @@ def check_bernoulli_expansion(
     r = len(ks)
     m = mgf(ms, order)
     lhs = _li_family(ks, m).egf_column
-    rhs = _second_kind_sums(_power_triangle(m), _bernoulli_expansion_weights(ks, order))
+    rhs = _triangle_sums(_power_triangle(m), _bernoulli_expansion_weights(ks, order))
     ns = range(r, order - r + 1)
     return _verdict("bernoulli-expansion", order, [(lhs, rhs, ns, "")], ks, dist)
 
@@ -459,7 +456,7 @@ def check_bernoulli_expansion_single_index(
     _check_natural(r, "r", 1)
     m = mgf(ms, order)
     lhs = _power_column(m, r)
-    rhs = _second_kind_sums(_power_triangle(m), _single_index_expansion_weights(r, order))
+    rhs = _triangle_sums(_power_triangle(m), _single_index_expansion_weights(r, order))
     ns = range(r, order - r + 1)
     return _verdict("bernoulli-expansion-single-index", order, [(lhs, rhs, ns, "")], (1,) * r, dist)
 
@@ -476,7 +473,7 @@ def check_fubini_convolution(
     """
     ks = index_tuple(ks)
     m = mgf(ms, order)
-    lhs = _second_kind_sums(_power_triangle(m), _lah_series(ks, order).egf_column)
+    lhs = _triangle_sums(_power_triangle(m), _lah_series(ks, order).egf_column)
     second, ds = _li_family(ks, m).egf_column
     fubini, df = _fubini_series(m, len(ks), (1, 1)).egf_column
     rhs = _binomial_sums(second, fubini, order), ds * df
@@ -489,10 +486,8 @@ def check_route_agreement(
 ) -> VerificationReport:
     """EGF route equals the inclusion-exclusion moment route for the
     probabilistic second-kind numbers (n capped at 10)."""
-    _check_natural(order)
-    top = min(order, 10)
-    lhs, rhs = _power_triangle(mgf(ms, order)), _moment_route_columns(ms, top)
-    comparison = _triangle_comparison(lhs, rhs, top)
+    lhs = _power_triangle(mgf(ms, order))
+    comparison = _triangle_comparison(lhs, _moment_route_columns(ms, min(order, 10)))
     return _verdict("second-kind-route-agreement", order, [comparison], None, dist)
 
 
@@ -559,7 +554,7 @@ def check_point_mass_collapse_classical(order: int) -> list[VerificationReport]:
     ms = moments(_POINT_ONE, order)
     second, lah = _power_triangle(mgf(ms, order)), _power_triangle(resolvent(ms, order))
     return [
-        _verdict(identity, order, [_triangle_comparison(prob, classical, order)], None, "point:1")
+        _verdict(identity, order, [_triangle_comparison(prob, classical)], None, "point:1")
         for identity, prob, classical in (
             ("point-mass-collapse-second-kind", second, (_columns(_SECOND, order), 1)),
             ("point-mass-collapse-lah", lah, (_columns(_LAH, order), 1)),

@@ -410,8 +410,10 @@ def moments(spec: DistributionSpec, order: int) -> MomentSequence:
 
 
 def _column(ms: MomentSequence, order: int) -> tuple[tuple[int, ...], int]:
-    """The integer moment column of ``ms``, checked to reach ``order``, a
-    natural number its caller has checked."""
+    """The integer moment column of ``ms``, checked to be a moment sequence
+    that reaches ``order``, a natural number its caller has checked."""
+    if ms.__class__ is not MomentSequence:
+        raise TypeError(f"moments must be a MomentSequence, got {type(ms).__name__}")
     if ms.order < order:
         raise ValueError(f"need moments up to order {order}, have {ms.order}")
     return ms.column

@@ -45,7 +45,10 @@ __all__ = [
 
 def index_tuple(ks) -> tuple[int, ...]:
     """Canonicalise an index tuple: at least one entry, all integers."""
-    out = tuple(ks)
+    try:
+        out = tuple(ks)
+    except TypeError:
+        raise ValueError(f"index tuple must be an iterable of integers, got {ks!r}") from None
     if not out:
         raise ValueError("index tuple needs at least one entry")
     for k in out:

@@ -56,12 +56,10 @@ instead of ``N`` products; the giant steps are the cheaper half.  Once the
 memo holds ``g^k``, a later composition with an equal ``g`` extends it
 to ``g^N`` and takes ``k = N + 1``: one block, the product by the
 Riordan array ``(1, g)`` (Shapiro et al., 1991), and no series product
-once the memo is full.  ``verify`` on the default grid composes 21
-distinct inner series 203 times, at any order: 147 times over the 14
-series u - 1, whose memos reach ``g^N`` through the (1, u - 1)
-triangles or this rule, and 56 times over the 7 series 1 - e^(1 - M) of
-one identity check.  A single ``table`` composes each inner once and
-does the same work as with ``k`` fixed.
+once the memo is full.  ``verify`` composes over the series u - 1, whose
+memos reach ``g^N`` through the (1, u - 1) triangles or this rule, and
+over the series 1 - e^(1 - M) of one identity check.  A single ``table``
+composes each inner once and does the same work as with ``k`` fixed.
 
 ``exp`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)`` and ``a_0 b_n = -sum a_j b_(n-j)``) solved

@@ -6,12 +6,14 @@ budgets are asserted, not just hoped for.
 """
 
 import functools
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 from multinumbers.classical import bernoulli_higher, lah, stirling1, stirling2
 from multinumbers.identities import default_grid, run_full_suite
@@ -200,10 +202,14 @@ def test_criterion_7_series_round_trips():
 
 @criterion(8, "CLI output is byte-deterministic and the verifier exits 0")
 def test_criterion_8_cli_determinism():
+    # the child finds the package in the source tree, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "multinumbers", *argv],
             capture_output=True,
+            env=env,
             timeout=300,
         )
 

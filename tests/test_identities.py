@@ -23,7 +23,6 @@ from multinumbers.identities import (
     _append_one_sides,
     _bernoulli_expansion_weights,
     _binomial_sums,
-    _second_kind_sums,
     _single_index_expansion_weights,
     _single_index_sides,
     _triangle_sums,
@@ -555,12 +554,17 @@ def test_binomial_sums_are_the_egf_product(cell):
     assert _binomial_sums(a, b, -1) == []
 
 
-@given(int_columns(3))
-@example((0, [2], [0], [7]))
+@given(int_columns(3), st.integers(0, 10), st.integers(1, 6), st.integers(1, 6))
+@example((0, [2], [0], [7]), 1, 1, 1)
+# a weight column shorter than the triangle, as the Bernoulli expansion
+# weights are (length N - r + 1): the sums stop at its last row
+@example((4, [1, 2, 0, -1, 3], [0, 1, 1, 0, 2], [1, -2, 3, 4, 5]), 3, 2, 3)
 @settings(max_examples=60, deadline=None)
-def test_triangle_sums_apply_an_exponential_riordan_array(cell):
+def test_triangle_sums_apply_an_exponential_riordan_array(cell, rows, d, dw):
     # the array with columns n! [t^n] g f^j / j! (f(0) = 0), integer for
-    # integer EGF columns g and f, maps w to the EGF column of g * w(f)
+    # integer EGF columns g and f, maps w to the EGF column of g * w(f); its
+    # row n reads w_0..w_n alone, so a column cut to its first rows gives
+    # the first rows of the sums, over the product of the two denominators
     top, g_col, f_col, w = cell
     g, f = egf_scaled(g_col), egf_scaled([0] + f_col[1:])
     columns, power = [], [Fraction(1)] + [Fraction(0)] * top
@@ -570,7 +574,7 @@ def test_triangle_sums_apply_an_exponential_riordan_array(cell):
         columns.append([int(c) for c in column])
         power = [c / (j + 1) for c in series_product(power, f)]
     want = egf_unscaled(series_product(g, series_compose(egf_scaled(w), f)))
-    assert _triangle_sums(columns, w, top) == want
+    assert _triangle_sums((columns, d), (w[:rows], dw)) == (want[:rows], d * dw)
 
 
 def test_full_suite_reads_no_classical_entry():
@@ -623,11 +627,13 @@ def test_suite_builds_one_moment_egf_and_one_memo_of_powers_per_inner_series():
     # the default grid has 7 laws: 7 M at the suite's order, and memos of
     # powers only for the inner series of a composition or triangle, u - 1
     # at the 7 M and 7 R and li_argument(M) at the 7 M; the moment route
-    # builds no M at its own order and no memo of its powers
+    # builds no M at its own order and no memo of its powers.  The family
+    # F_ks(u - 1) is composed once per (ks, u) it is read at
     clear_library_caches()
     run_full_suite(order=12)
     assert sys.modules["multinumbers.moments"]._mgf.cache_info().misses == 7
     assert series._power_memo.cache_info().currsize == 21
+    assert probabilistic._li_family.cache_info().misses == 147
     clear_library_caches()
 
 
@@ -753,8 +759,8 @@ ORACLE_CELLS = SAMPLE_CELLS + [(poisson(1), (2, -1)), (bernoulli(F(1, 2)), (0, 3
 
 
 def second_kind_sums(ms, weights, order):
-    """``_second_kind_sums`` over the (1, M - 1) triangle of ``ms`` at ``order``."""
-    return _second_kind_sums(_power_triangle(mgf(ms, order)), weights)
+    """``_triangle_sums`` over the (1, M - 1) triangle of ``ms`` at ``order``."""
+    return _triangle_sums(_power_triangle(mgf(ms, order)), weights)
 
 
 def first_kind_inversion_rhs(ms, ks, order):
@@ -808,14 +814,12 @@ def test_append_one_lah_and_moment_route_sums_match_the_oracles(cell):
         multi_stirling2_series(ks, order).egf_column,
         multi_stirling2_series(full, order).egf_column,
         ((1,) * (order + 1), 1),
-        order,
     )
     assert (values(lhs), values(rhs)) == append_one_deterministic_sums(ks, order)
     lhs, rhs = _append_one_sides(
         prob_multi_stirling2_series(ms, ks, order).egf_column,
         prob_multi_stirling2_series(ms, full, order).egf_column,
         ms.column,
-        order,
     )
     assert (values(lhs), values(rhs)) == append_one_sums(ms, ks, order)
     for s in (r, r + 1):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from fractions import Fraction
 from math import factorial, gcd
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multinumbers
-from multinumbers import probabilistic, series
+from multinumbers import identities, multi, probabilistic, series
 from multinumbers.classical import lah, stirling1, stirling2
 from multinumbers.moments import (
     bernoulli,
@@ -529,3 +530,89 @@ def test_only_multi_and_identities_name_li_argument():
             elif isinstance(node, ast.Attribute) and node.attr == "li_argument":
                 readers.append(path.name)
     assert readers == []
+
+
+# ------------------------------------------------------- argument types
+# each public entry that reads a moment sequence, an index tuple or both:
+# a call on (ms, ks) at order 3 and the arguments it reads
+TYPED_ENTRIES = {
+    "mgf": (lambda ms, ks: mgf(ms, 3), "ms"),
+    "resolvent": (lambda ms, ks: resolvent(ms, 3), "ms"),
+    "sum_power_moment": (lambda ms, ks: sum_power_moment(ms, 2, 3), "ms"),
+    "prob_stirling2": (lambda ms, ks: prob_stirling2(ms, 3, 1), "ms"),
+    "prob_stirling2_series": (lambda ms, ks: prob_stirling2_series(ms, 1, 3), "ms"),
+    "prob_stirling2_by_moments": (lambda ms, ks: prob_stirling2_by_moments(ms, 3, 1), "ms"),
+    "prob_lah": (lambda ms, ks: prob_lah(ms, 3, 1), "ms"),
+    "prob_lah_series": (lambda ms, ks: prob_lah_series(ms, 1, 3), "ms"),
+    "prob_fubini": (lambda ms, ks: prob_fubini(ms, 2, 1, 3), "ms"),
+    "prob_fubini_series": (lambda ms, ks: prob_fubini_series(ms, 2, 1, 3), "ms"),
+    "prob_multi_stirling2": (lambda ms, ks: prob_multi_stirling2(ms, ks, 3), "ms ks"),
+    "prob_multi_stirling2_series": (
+        lambda ms, ks: prob_multi_stirling2_series(ms, ks, 3), "ms ks"
+    ),
+    "prob_multi_lah": (lambda ms, ks: prob_multi_lah(ms, ks, 3), "ms ks"),
+    "prob_multi_lah_series": (lambda ms, ks: prob_multi_lah_series(ms, ks, 3), "ms ks"),
+    "index_tuple": (lambda ms, ks: multinumbers.index_tuple(ks), "ks"),
+    "multilog": (lambda ms, ks: multilog(ks, 3), "ks"),
+    "multi_stirling1": (lambda ms, ks: multi_stirling1(ks, 3), "ks"),
+    **{
+        name: (lambda ms, ks, f=getattr(multi, name): f(ks, 3), "ks")
+        for name in (
+            "multi_stirling2", "multi_stirling2_series", "multi_bernoulli",
+            "multi_bernoulli_series", "multi_lah", "multi_lah_series",
+        )
+    },
+    "check_derivative_rules": (lambda ms, ks: identities.check_derivative_rules(ks, 3), "ks"),
+    "check_append_one": (lambda ms, ks: identities.check_append_one(ms, (1,), 3), "ms"),
+    **{
+        name: (lambda ms, ks, f=getattr(identities, name): f(ms, ks, 3), "ms ks")
+        for name in (
+            "check_bernoulli_convolution", "check_first_kind_inversion",
+            "check_lah_via_first_kind", "check_bernoulli_expansion",
+            "check_fubini_convolution",
+        )
+    },
+    "check_bernoulli_expansion_single_index": (
+        lambda ms, ks: identities.check_bernoulli_expansion_single_index(ms, 2, 3), "ms"
+    ),
+    "check_route_agreement": (lambda ms, ks: identities.check_route_agreement(ms, 3), "ms"),
+    "check_all_ones_probabilistic": (
+        lambda ms, ks: identities.check_all_ones_probabilistic(ms, 2, 3), "ms"
+    ),
+    "check_point_mass_collapse_multi": (
+        lambda ms, ks: identities.check_point_mass_collapse_multi(ks, 3), "ks"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPED_ENTRIES))
+def test_entries_refuse_a_wrong_typed_moment_sequence_or_index_tuple(name):
+    # a tuple or None in place of the moments is a TypeError that names
+    # MomentSequence (an unhashable one is the TypeError of the cache it
+    # reaches first, if any), and an index tuple that is no iterable is the
+    # ValueError of a bad entry; the table holds every public function with
+    # an ``ms`` or ``ks`` argument
+    public = [getattr(multinumbers, n) for n in multinumbers.__all__]
+    public += [getattr(identities, n) for n in identities.__all__]
+    typed = {
+        f.__name__: {"ms", "ks"} & set(inspect.signature(f).parameters)
+        for f in public
+        if inspect.isfunction(f)
+    }
+    assert {n: set(reads.split()) for n, (_, reads) in TYPED_ENTRIES.items()} == {
+        n: reads for n, reads in typed.items() if reads
+    }
+    call, reads = TYPED_ENTRIES[name]
+    ms = moments(poisson(1), 3)
+    call(ms, (1, 2))
+    if "ms" in reads:
+        for bad in ((1, 2), None):
+            message = f"moments must be a MomentSequence, got {type(bad).__name__}"
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                call(bad, (1, 2))
+        with pytest.raises(TypeError):
+            call([1, 2], (1, 2))
+    if "ks" in reads:
+        message = "index tuple must be an iterable of integers, got 5"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(ms, 5)
