@@ -247,13 +247,24 @@ def _append_one_sides(head: Column, tail: Column, weights: Column) -> tuple[Colu
     return (_binomial_sums(h, w[1:], len(h) - 2), dh * dw), (t[1:], dt)
 
 
+def _append_one(ks_prefix) -> tuple[int, ...]:
+    """The index tuple ``ks_prefix + (1,)``: the prefix may be empty, and one
+    that is no iterable gets the ``ValueError`` of :func:`index_tuple`."""
+    try:
+        full = (*ks_prefix, 1)
+    except TypeError:
+        index_tuple(ks_prefix)  # refuses what is no iterable
+        raise
+    return index_tuple(full)
+
+
 def check_append_one_deterministic(ks_prefix, order: int) -> VerificationReport:
     """Appending a trailing index 1 is binomial summation over the prefix family:
 
         ms2(prefix + (1,), n + 1) = sum_{m} C(n, m) ms2(prefix, m).
     """
     _check_natural(order)
-    full = index_tuple((*ks_prefix, 1))
+    full = _append_one(ks_prefix)
     prefix = full[:-1]
     head = _stirling2_series(prefix, order).egf_column
     tail = _stirling2_series(full, order).egf_column
@@ -293,7 +304,7 @@ def check_append_one(
     together with its two single-index specialisations, which compare
     n = r..order and so nothing when r > order.
     """
-    full = index_tuple((*ks_prefix, 1))
+    full = _append_one(ks_prefix)
     prefix, r = full[:-1], len(full)
     m = mgf(ms, order)
     head = _li_family(prefix, m).egf_column

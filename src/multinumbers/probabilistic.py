@@ -34,7 +34,7 @@ families and the Fubini series at M read one series and its one memo.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 from .classical import _binomial_sums
 from .moments import MomentSequence, _column, mgf, resolvent
@@ -70,7 +70,7 @@ __all__ = [
 def _less_one(u: Series) -> Series:
     """u - 1, built once per moment series ``u``: the one key of the memo of
     its powers, which :func:`_power_triangle` and :func:`_li_family` read,
-    and the series :func:`_fubini_series` scales."""
+    and the series :func:`_fubini_inverse` scales."""
     return u - 1
 
 
@@ -148,24 +148,32 @@ def _moment_route_columns(
     returned as ``(columns, d)``: entry k of ``columns`` holds the
     numerators of {0; k}_Y .. {order; k}_Y over the one denominator ``d``.
     E[S_j^n] D^j is the j-fold binomial convolution of mu, the moments over D.
+    The weights are carried, not recomputed: C(k, j) (-1)^(k-j) order!/k!
+    along j by C(k, j + 1) = C(k, j) (k - j) / (j + 1), order!/k! along k,
+    and D^(order - j) is formed once per j.
     """
     mu, den = _column(ms, order)
     sums = [[1] + [0] * order]
     for j in range(order):
         sums.append(_binomial_sums(sums[j], mu, order))
+    # lift[j] = D^(order - j), which brings E[S_j^n] D^j over D^order
+    lift = [1] * (order + 1)
+    for j in range(order - 1, -1, -1):
+        lift[j] = lift[j + 1] * den
     top = factorial(order)
-    columns = []
+    columns, scale = [], top
     for k in range(order + 1):
-        scale = top // factorial(k)
+        # c = C(k, j) (-1)^(k-j) order!/k!, carried along j from j = 0
+        c = -scale if k % 2 else scale
         column = [0] * (order + 1)
         for j in range(k + 1):
-            c = comb(k, j) * scale * den ** (order - j)
-            if (k - j) % 2:
-                c = -c
+            w = c * lift[j]
             for n, x in enumerate(sums[j]):
-                column[n] += c * x
+                column[n] += w * x
+            c = -c * (k - j) // (j + 1)
         columns.append(tuple(column))
-    return tuple(columns), den**order * top
+        scale //= k + 1
+    return tuple(columns), lift[0] * top
 
 
 def prob_stirling2_by_moments(ms: MomentSequence, n: int, k: int) -> Fraction:
@@ -218,12 +226,19 @@ def prob_multi_lah(ms: MomentSequence, ks, n: int, order: int | None = None) -> 
 
 
 @lru_cache(maxsize=None)
+def _fubini_inverse(u: Series, y: tuple[int, int]) -> Series:
+    """(1 - y (u - 1))^(-1) at the order of the moment series ``u``, for the
+    rational y, an integer pair (p, q): the one inversion per (u, y) whose
+    powers :func:`_fubini_series` holds."""
+    return (1 - _scaled(_less_one(u), *y)).inverse()
+
+
+@lru_cache(maxsize=None)
 def _fubini_series(u: Series, r: int, y: tuple[int, int]) -> Series:
-    """(1 - y (u - 1))^(-r) at the order of the moment series ``u``, for the
-    rational y, an integer pair (p, q): keyed like :func:`_li_family`, so
-    laws with equal M share one entry.  :func:`prob_fubini_series` once its
-    arguments are read."""
-    return ((1 - _scaled(_less_one(u), *y)) ** r).inverse()
+    """(1 - y (u - 1))^(-r), power r of :func:`_fubini_inverse`: keyed like
+    :func:`_li_family`, so laws with equal M share one entry.
+    :func:`prob_fubini_series` once its arguments are read."""
+    return _fubini_inverse(u, y) ** r
 
 
 def prob_fubini_series(ms: MomentSequence, r: int, y, order: int) -> Series:

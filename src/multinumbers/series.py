@@ -634,7 +634,7 @@ class Series:
 def _power_memo(g: Series) -> dict[int, Series]:
     """The memo of powers ``{j: g^j}`` of the value ``g``, the only store of
     them: equal series share one memo."""
-    return {0: Series.one(g.order), 1: g}
+    return {0: _make([1] + [0] * g.order, 1), 1: g}
 
 
 def _fill(memo: dict[int, Series], g: Series, k: int) -> dict[int, Series]:

@@ -13,7 +13,10 @@ how the identity checks sum those numbers.
 used to have, kept to check its flag table, and :func:`fraction_rational`
 the ``Fraction`` reader the library used to have, kept to check the
 integer-pair reader ``series._rational``; it shares the library's
-digit-count refusal, which it ran first.
+digit-count refusal, which it ran first.  :func:`fubini_by_inverted_power`
+and :func:`moment_route_by_comb` are the forms the library's Fubini series
+and moment route had before they carried their work, kept to check that
+they give the same values, the second in the same integers.
 """
 
 from __future__ import annotations
@@ -602,6 +605,36 @@ def moment_route(ms, order: int) -> list[list[Fraction]]:
         ]
         for k in range(order + 1)
     ]
+
+
+def fubini_by_inverted_power(ms, r: int, y, order: int) -> Series:
+    """(1 - y (M - 1))^(-r) as the inverse of the r-th power of
+    1 - y (M - 1), the Fubini series the library once formed anew for each r."""
+    return ((1 - (mgf(ms, order) - 1) * Fraction(y)) ** r).inverse()
+
+
+def moment_route_by_comb(ms, order: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The moment route's integer triangle ``(columns, d)`` as the library
+    once wrote it: E[S_j^n] D^j as j binomial convolutions of the moment
+    column mu / D of ``ms``, and each weight C(k, j) (-1)^(k-j) order!/k!
+    D^(order-j) formed anew from ``comb`` and ``factorial``."""
+    mu, den = ms.column
+    sums = [[1] + [0] * order]
+    for j in range(order):
+        sums.append([
+            sum(comb(n, m) * sums[j][m] * mu[n - m] for m in range(n + 1))
+            for n in range(order + 1)
+        ])
+    top = factorial(order)
+    columns = []
+    for k in range(order + 1):
+        column = [0] * (order + 1)
+        for j in range(k + 1):
+            c = _sign(k - j) * comb(k, j) * (top // factorial(k)) * den ** (order - j)
+            for n, x in enumerate(sums[j]):
+                column[n] += c * x
+        columns.append(tuple(column))
+    return tuple(columns), den**order * top
 
 
 def argparse_namespace(argv: list[str]) -> dict | None:

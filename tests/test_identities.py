@@ -615,12 +615,13 @@ def test_moment_route_reads_only_the_moment_column():
     # second-kind-route-agreement compares the route with the (1, M - 1)
     # array; built from the moment column by binomial convolutions, the
     # route shares no kernel with that array, so a fault in M, in a memo of
-    # powers or in the series products shows in the check
+    # powers or in the series products shows in the check; its binomials
+    # are carried, so it names no ``comb``
     tree = ast.parse(inspect.getsource(probabilistic._moment_route_columns))
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     shared = {"mgf", "resolvent", "powers", "Series", "_product", "_from_egf_column", "egf_column"}
-    assert named and not named & shared
+    assert named and not named & (shared | {"comb"})
 
 
 def test_suite_builds_one_moment_egf_and_one_memo_of_powers_per_inner_series():
@@ -628,12 +629,15 @@ def test_suite_builds_one_moment_egf_and_one_memo_of_powers_per_inner_series():
     # powers only for the inner series of a composition or triangle, u - 1
     # at the 7 M and 7 R and li_argument(M) at the 7 M; the moment route
     # builds no M at its own order and no memo of its powers.  The family
-    # F_ks(u - 1) is composed once per (ks, u) it is read at
+    # F_ks(u - 1) is composed once per (ks, u) it is read at, and the
+    # Fubini series at r = 1, 2, 3 are powers of one inverse per M
     clear_library_caches()
     run_full_suite(order=12)
     assert sys.modules["multinumbers.moments"]._mgf.cache_info().misses == 7
     assert series._power_memo.cache_info().currsize == 21
     assert probabilistic._li_family.cache_info().misses == 147
+    assert probabilistic._fubini_series.cache_info().misses == 21
+    assert probabilistic._fubini_inverse.cache_info().misses == 7
     clear_library_caches()
 
 

@@ -22,6 +22,7 @@ from multinumbers.moments import (
     moments,
     point,
     poisson,
+    raw_moments,
     resolvent,
     sum_power_moment,
 )
@@ -47,7 +48,9 @@ from multinumbers.series import Series, _power_memo, powers
 
 from oracles import (
     fraction_moments,
+    fubini_by_inverted_power,
     li_family,
+    moment_route_by_comb,
     ordered_partition_count,
     rising_factorial_resolvent,
     series_product,
@@ -365,6 +368,40 @@ def test_point_bernoulli_and_binomial_at_one_share_one_fubini_series():
     assert probabilistic._fubini_series.cache_info().currsize == 1
 
 
+# the seven laws of the default grid and a raw law of mixed signs, with
+# moments to order 12, for the oracles of the carried forms
+ORACLE_LAWS = [
+    *dict.fromkeys(spec for spec, _ in identities.default_grid()),
+    raw_moments([1] + [F((-1) ** n * (n + 2), n + 3) for n in range(1, 13)]),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_LAWS, ids=lambda spec: spec.label)
+def test_fubini_series_is_the_inverse_of_the_power_at_every_r_and_y(spec):
+    # (1 - y (M - 1))^(-r), formed as power r of one inverse per (M, y),
+    # equals the inverse of power r, at every order to 12
+    ms = moments(spec, 12)
+    for order in range(13):
+        u = mgf(ms, order)
+        for y in (0, 1, F(1, 2), -2):
+            for r in range(1, 6):
+                assert probabilistic._fubini_series(u, r, series._rational(y)) == (
+                    fubini_by_inverted_power(ms, r, y, order)
+                )
+
+
+@pytest.mark.parametrize("spec", ORACLE_LAWS, ids=lambda spec: spec.label)
+def test_moment_route_matches_the_comb_weighted_oracle(spec):
+    # the carried weights give the same integers over the same denominator
+    # as C(k, j) (-1)^(k-j) order!/k! D^(order-j) formed for each (k, j),
+    # read from a moment sequence at the route's order and from a longer one
+    for order in range(13):
+        for ms in (moments(spec, order), moments(spec, 12)):
+            assert probabilistic._moment_route_columns(ms, order) == (
+                moment_route_by_comb(ms, order)
+            )
+
+
 def test_only_mgf_and_resolvent_key_a_cache_on_a_moment_sequence():
     # a law becomes its series once; every cache below reads the series
     keyed = set()
@@ -563,7 +600,12 @@ TYPED_ENTRIES = {
         )
     },
     "check_derivative_rules": (lambda ms, ks: identities.check_derivative_rules(ks, 3), "ks"),
-    "check_append_one": (lambda ms, ks: identities.check_append_one(ms, (1,), 3), "ms"),
+    "check_append_one": (
+        lambda ms, ks: identities.check_append_one(ms, ks, 3), "ms ks_prefix"
+    ),
+    "check_append_one_deterministic": (
+        lambda ms, ks: identities.check_append_one_deterministic(ks, 3), "ks_prefix"
+    ),
     **{
         name: (lambda ms, ks, f=getattr(identities, name): f(ms, ks, 3), "ms ks")
         for name in (
@@ -590,12 +632,13 @@ def test_entries_refuse_a_wrong_typed_moment_sequence_or_index_tuple(name):
     # a tuple or None in place of the moments is a TypeError that names
     # MomentSequence (an unhashable one is the TypeError of the cache it
     # reaches first, if any), and an index tuple that is no iterable is the
-    # ValueError of a bad entry; the table holds every public function with
-    # an ``ms`` or ``ks`` argument
+    # ValueError of a bad entry, a None prefix of append-one too; the table
+    # holds every public function with an ``ms``, ``ks`` or ``ks_prefix``
+    # argument
     public = [getattr(multinumbers, n) for n in multinumbers.__all__]
     public += [getattr(identities, n) for n in identities.__all__]
     typed = {
-        f.__name__: {"ms", "ks"} & set(inspect.signature(f).parameters)
+        f.__name__: {"ms", "ks", "ks_prefix"} & set(inspect.signature(f).parameters)
         for f in public
         if inspect.isfunction(f)
     }
@@ -603,6 +646,7 @@ def test_entries_refuse_a_wrong_typed_moment_sequence_or_index_tuple(name):
         n: reads for n, reads in typed.items() if reads
     }
     call, reads = TYPED_ENTRIES[name]
+    reads = set(reads.split())
     ms = moments(poisson(1), 3)
     call(ms, (1, 2))
     if "ms" in reads:
@@ -616,3 +660,8 @@ def test_entries_refuse_a_wrong_typed_moment_sequence_or_index_tuple(name):
         message = "index tuple must be an iterable of integers, got 5"
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(ms, 5)
+    if "ks_prefix" in reads:
+        for bad in (5, None):
+            message = f"index tuple must be an iterable of integers, got {bad}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(ms, bad)
