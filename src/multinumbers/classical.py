@@ -97,9 +97,11 @@ def _binomial_sums(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _columns(weights: tuple[int, int], order: int) -> tuple:
-    """The triangle of :func:`_row` by columns: entry k holds T(0, k) .. T(order, k)."""
-    rows = [_row(weights, n) for n in range(order + 1)]
-    return tuple(tuple([0] * k + [row[k] for row in rows[k:]]) for k in range(order + 1))
+    """The triangle of :func:`_row` by columns: entry k holds T(0, k) .. T(order, k).
+    Every row is read through :func:`_row` and padded with zeros to the
+    order, and one ``zip`` transposes them, so the columns cost no call each."""
+    rows = [_row(weights, n) + (0,) * (order - n) for n in range(order + 1)]
+    return tuple(zip(*rows))
 
 
 def _check_lattice(n: int, k: int) -> None:

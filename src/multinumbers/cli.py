@@ -17,10 +17,11 @@ Every family hands ``table`` integers in lowest terms, a column ``(a, d)``
 of the values ``a[n] / d`` or, for a two-index family, a triangle
 ``(columns, d)`` over one denominator.  Each value is reduced by its own
 gcd and written as the canonical string of that rational (``a`` or
-``a/b``, as ``str(Fraction(a[n], d))`` gives it, never a float) by
-``series._value_strings``, with no ``Fraction`` made.  ``--y`` and the
-spec parameters are read into integer pairs, and ``verify`` writes each
-mismatch from the two integer pairs compared, by the same formatter, so
+``a/b``, as ``str(Fraction(a[n], d))`` gives it, never a float) by one
+``series._value_strings`` call per table, with no ``Fraction`` made.
+``--y`` and the spec parameters are read into integer pairs, and
+``verify`` writes each mismatch from the two integer pairs compared, by
+the same formatter, so
 neither command imports ``fractions`` when its rationals are integers or
 ``a/b`` text; a decimal or exponent literal is read by ``Fraction``.  JSON lines and CSV rows are
 written with f-strings: every string in them is a family name, an
@@ -254,7 +255,10 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
     requested table shares (each None when the family takes none), and its
     rows ``(n, k, value)``, with ``k`` None for a one-index family and
     ``value`` a canonical rational string.  The flags the family requires
-    are parsed, and a flag it does not use is refused."""
+    are parsed, and a flag it does not use is refused.  Every table is
+    written by one :func:`series._value_strings` call, over its column or,
+    for a two-index family, over the entries of its triangle taken column
+    by column, which the rows index."""
     family = FAMILIES[args.family]
     a = SimpleNamespace(ks=None, dist=None, ms=None, r=None, y=None)
     flags = vars(args)
@@ -277,10 +281,12 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
         # rendered inside the guard: a value past the int-to-str digit
         # limit is a usage error, not a traceback
         if family.two_index:
-            # column k is read from row n = k on
+            # one formatter call over the columns, each read from row n = k
+            # on: (n, k) is at k (order + 1) - k (k - 1) / 2 + n - k
             columns, d = values
-            strings = [_value_strings(c[k:], d) for k, c in enumerate(columns)]
-            rows = [(n, k, strings[k][n - k]) for n in range(order + 1) for k in range(n + 1)]
+            strings = _value_strings([x for k, c in enumerate(columns) for x in c[k:]], d)
+            base = [k * order - k * (k - 1) // 2 for k in range(order + 1)]
+            rows = [(n, k, strings[base[k] + n]) for n in range(order + 1) for k in range(n + 1)]
         else:
             rows = [(n, None, value) for n, value in enumerate(_value_strings(*values))]
     except ValueError as exc:
@@ -325,6 +331,9 @@ def _load_grid(path: str):
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "dist" not in entry or "ks" not in entry:
             raise UsageError(f"grid entry {i} must be an object with 'dist' and 'ks'")
+        unknown = sorted(entry.keys() - {"dist", "ks"})
+        if unknown:
+            raise UsageError(f"grid entry {i} has unknown keys {unknown}")
         ks = entry["ks"]
         if not isinstance(ks, list) or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in ks

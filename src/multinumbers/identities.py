@@ -690,9 +690,10 @@ def run_full_suite(
 
     ``identities`` optionally restricts the run to a subset of
     :data:`ALL_IDENTITIES`, a collection of ids (a lone string is refused).
-    ``order`` is checked even for an empty grid.  Identical inputs give
-    identical report lists; grid cells are independent, so the ordering
-    never depends on evaluation strategy.
+    ``order`` is checked even for an empty grid, and every cell's spec,
+    which must be a :class:`DistributionSpec`, before any check runs.
+    Identical inputs give identical report lists; grid cells are
+    independent, so the ordering never depends on evaluation strategy.
     """
     _check_natural(order)
     if grid is None:
@@ -707,7 +708,12 @@ def run_full_suite(
         if unknown:
             raise ValueError(f"unknown identities: {sorted(unknown)}")
 
-    cells = list(dict.fromkeys((spec, tuple(ks)) for spec, ks in grid))
+    cells = [(spec, tuple(ks)) for spec, ks in grid]
+    # refused before the cells are hashed, as moments() refuses it
+    for spec, _ in cells:
+        if spec.__class__ is not DistributionSpec:
+            raise TypeError(f"spec must be a DistributionSpec, got {type(spec).__name__}")
+    cells = list(dict.fromkeys(cells))
     reports: list[VerificationReport] = []
     if not cells:
         return reports

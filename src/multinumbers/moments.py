@@ -300,13 +300,11 @@ def raw_moments(mus) -> DistributionSpec:
 def _stirling_expansion(rate: tuple[int, int], factors, order: int) -> tuple[list[int], int]:
     """mu_n = sum_k S(n, k) E[(Y)_k] for the factorial moments
     E[(Y)_k] = rate^k s_1 ... s_k, all over b^order for the pair
-    rate = (a, b), with ``factors`` the integers s_1 .. s_order."""
+    rate = (a, b), with ``factors`` the integers s_1 .. s_order.  The
+    factorial-moment column is one comprehension, carried from k = 0."""
     a, b = rate
     f = b**order  # a^k s_1 ... s_k b^(order-k): each k drops one b
-    fm = [f]
-    for s in factors:
-        f = f * s * a // b
-        fm.append(f)
+    fm = [f] + [f := f * s * a // b for s in factors]
     return _transform(_SECOND, fm), fm[0]
 
 
@@ -316,17 +314,20 @@ def _binomial(params: tuple, order: int) -> tuple[list[int], int]:
 
 
 def _finite(params: tuple, order: int) -> tuple[list[int], int]:
-    # mu_n = sum w x^n; weights over their lcm c, points over their lcm b,
-    # and x^n scaled by b^(order-n), so that every moment is over c b^order
+    """mu_n = sum w x^n over c b^order, with c and b the lcms of the weight
+    and point denominators: each point's column w x^n b^(order-n) is one
+    comprehension, carried from n = 0, and is added to the sum by another,
+    so a law costs calls per point, not per moment."""
     c = lcm(*[w[1] for _, w in params])
     b = lcm(*[x[1] for x, _ in params])
-    terms = [w[0] * (c // w[1]) * b**order for _, w in params]
-    points = [x[0] * (b // x[1]) for x, _ in params]
-    nums = [sum(terms)]
-    for _ in range(order):
-        terms = [t * x // b for t, x in zip(terms, points)]
-        nums.append(sum(terms))
-    return nums, c * b**order
+    top = b**order
+    nums = [0] * (order + 1)
+    for x, w in params:
+        t = w[0] * (c // w[1]) * top
+        p = x[0] * (b // x[1])
+        column = [t] + [t := t * p // b for _ in range(order)]
+        nums = [m + y for m, y in zip(nums, column)]
+    return nums, c * top
 
 
 def _raw(params: tuple, order: int) -> tuple[list[int], int]:
@@ -405,7 +406,10 @@ def _moments_cached(spec: DistributionSpec, order: int) -> MomentSequence:
 
 
 def moments(spec: DistributionSpec, order: int) -> MomentSequence:
-    """Exact raw moments of the specified distribution up to ``order``."""
+    """Exact raw moments of the specified distribution up to ``order``;
+    ``spec`` must be a :class:`DistributionSpec`, tested before the cache."""
+    if spec.__class__ is not DistributionSpec:
+        raise TypeError(f"spec must be a DistributionSpec, got {type(spec).__name__}")
     return _moments_cached(spec, _check_natural(order))
 
 

@@ -83,12 +83,14 @@ def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
     The powers m_k / d_k are read from the memo of powers of ``u - 1``.
     With u_0 = 1, as for M and R, (u - 1)^k vanishes below t^k, so column
     k is zero above row n = k and from there holds m_k[n] (n!/k!) (L/d_k)
-    over L, the lcm of the d_k, the factor carried down the column; one
-    content gcd then reduces the whole triangle."""
+    over L, the lcm of the d_k, the factor carried down the column.  The
+    columns fill a preallocated list, and one content gcd over the whole
+    triangle and at most one division pass in place reduce it, so the
+    triangle costs a fixed number of calls, not one per column."""
     top = u.order
     memo = powers(_less_one(u), top)
     den = lcm(*[memo[k]._den for k in range(top + 1)])
-    columns, g = [], den
+    columns = [None] * (top + 1)
     for k in range(top + 1):
         power = memo[k]
         num, scale = power._num, den // power._den
@@ -97,10 +99,12 @@ def _power_triangle(u: Series) -> tuple[tuple[tuple[int, ...], ...], int]:
         for n in range(k + 1, top + 1):
             scale *= n
             column[n] = num[n] * scale
-        g = gcd(g, *column)
-        columns.append(column)
+        columns[k] = column
+    g = gcd(den, *[x for column in columns for x in column])
     if g != 1:
-        columns = [[x // g for x in column] for column in columns]
+        for k, column in enumerate(columns):
+            for n in range(k, top + 1):
+                column[n] //= g
     return tuple(map(tuple, columns)), den // g
 
 
@@ -150,18 +154,21 @@ def _moment_route_columns(
     E[S_j^n] D^j is the j-fold binomial convolution of mu, the moments over D.
     The weights are carried, not recomputed: C(k, j) (-1)^(k-j) order!/k!
     along j by C(k, j + 1) = C(k, j) (k - j) / (j + 1), order!/k! along k,
-    and D^(order - j) is formed once per j.
+    and D^(order - j) is formed once per j.  The convolutions and the
+    columns fill preallocated lists, so the route makes one call per
+    convolution and none per column.
     """
     mu, den = _column(ms, order)
-    sums = [[1] + [0] * order]
+    sums = [None] * (order + 1)
+    sums[0] = [1] + [0] * order
     for j in range(order):
-        sums.append(_binomial_sums(sums[j], mu, order))
+        sums[j + 1] = _binomial_sums(sums[j], mu, order)
     # lift[j] = D^(order - j), which brings E[S_j^n] D^j over D^order
     lift = [1] * (order + 1)
     for j in range(order - 1, -1, -1):
         lift[j] = lift[j + 1] * den
     top = factorial(order)
-    columns, scale = [], top
+    columns, scale = [None] * (order + 1), top
     for k in range(order + 1):
         # c = C(k, j) (-1)^(k-j) order!/k!, carried along j from j = 0
         c = -scale if k % 2 else scale
@@ -171,7 +178,7 @@ def _moment_route_columns(
             for n, x in enumerate(sums[j]):
                 column[n] += w * x
             c = -c * (k - j) // (j + 1)
-        columns.append(tuple(column))
+        columns[k] = tuple(column)
         scale //= k + 1
     return tuple(columns), lift[0] * top
 

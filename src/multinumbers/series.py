@@ -26,9 +26,10 @@ reads one from an ``int``, from text of the form ``a`` or ``a/b`` with
 ``int`` alone, and from anything else (a ``Fraction``, a ``Decimal``, a
 decimal or exponent literal) through ``Fraction``, imported there.
 :func:`_fraction` builds the ``Fraction`` values that the public readers
-hand out, one per value read, and :func:`_value_strings` writes a column
-as the canonical strings ``str(Fraction)`` gives, with no ``Fraction``
-made.  So ``fractions`` is imported only when a caller passes or reads a
+hand out, one per value read, and :func:`_value_strings` writes a list of
+values over one denominator, a whole table in one call, as the canonical
+strings ``str(Fraction)`` gives, with no ``Fraction`` made.  So
+``fractions`` is imported only when a caller passes or reads a
 ``Fraction``, a ``Decimal`` or a decimal literal, and a ``table`` or
 ``verify`` command whose rationals are all integers or ``a/b`` text, as
 on the default grid, does not import it.

@@ -1,3 +1,4 @@
+import cProfile
 import sys
 
 import pytest
@@ -14,3 +15,17 @@ def shallow_stack():
     sys.setrecursionlimit(depth + 100)
     yield
     sys.setrecursionlimit(limit)
+
+
+@pytest.fixture
+def call_count():
+    """``count(fn, *args)``: the Python and builtin calls made while
+    ``fn(*args)`` runs, counted by ``cProfile`` with builtins as
+    ``bench/counted.py`` counts them."""
+
+    def count(fn, *args):
+        profiler = cProfile.Profile(builtins=True)
+        profiler.runcall(fn, *args)
+        return sum(entry.callcount for entry in profiler.getstats())
+
+    return count

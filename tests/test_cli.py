@@ -447,6 +447,9 @@ NINES = "9" * 4299
          "error: cannot read grid file {grid}: [Errno 2] No such file or directory: '{grid}'\n"),
         (("verify", "--grid", "{grid}"), [{"dist": "point:1", "ks": []}],
          "error: grid entry 0 has an empty index tuple\n"),
+        # a key other than dist and ks would be ignored, so it is refused
+        (("verify", "--grid", "{grid}"), [{"dist": "poisson:1", "ks": [1], "order": 5}],
+         "error: grid entry 0 has unknown keys ['order']\n"),
         # a grid file given as bytes is written as it is
         pytest.param(
             ("verify", "--grid", "{grid}"), b"\xff\xfe[]",
@@ -851,6 +854,18 @@ PINNED_LARGE_TABLE_BYTES = {
         "1a9e381c6104d5563117028909e89d2763d6ab952d3397dcb4f708f3eb104dd4",
     ("multi-stirling2", "--ks", "0,-2,3", "--order", "40"):
         "16324620ec24552847cc68efd70142ece472ef6b16fc72b999cb99a069287d12",
+    # a triangle whose content gcd is above 1
+    ("prob-stirling2", "--dist", "poisson:1", "--order", "64"):
+        "27a1192c96aeec65a102bb5f87ce9aa7f8e3ecb47dd71f206f86447b1c8abe42",
+    # a triangle over a denominator above 1, which the formatter reduces per value
+    ("prob-stirling2", "--dist", "binomial:3,1/3", "--order", "64"):
+        "e76efed0376e2812d8b0a3fad5e7bd35d9afaa3c9f954815915781cc3f0ed1d0",
+    # a triangle from the finite provider
+    ("prob-lah", "--dist", "finite:0=1/2;2=1/2", "--order", "64"):
+        "9259e405d409eceda9625d5cf41a4b9457176ab410b596d6525062574fae0d13",
+    # a classical triangle, transposed from its rows
+    ("stirling2", "--order", "64"):
+        "c95a065fc020c6b9d1f8bdf35642a49623f48d23d04e69ec6fc6db1e0b6347b9",
 }
 
 
@@ -860,6 +875,39 @@ def test_large_table_output_bytes_are_pinned(capsys, argv):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LARGE_TABLE_BYTES[argv]
+
+
+# one table of each two-index family
+TWO_INDEX_TABLES = [
+    ("stirling1",),
+    ("stirling2",),
+    ("lah",),
+    ("prob-stirling2", "--dist", "binomial:3,1/3"),
+    ("prob-lah", "--dist", "geometric:1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", TWO_INDEX_TABLES, ids=" ".join)
+def test_a_two_index_table_is_written_by_one_formatter_call(capsys, monkeypatch, argv):
+    # the entries of the triangle, column k from row n = k on, go to one
+    # _value_strings call, which the rows index, whatever the order
+    sizes = []
+
+    def counted(a, d):
+        sizes.append(len(a))
+        return _value_strings(a, d)
+
+    monkeypatch.setattr("multinumbers.cli._value_strings", counted)
+    for order in (7, 20):
+        sizes.clear()
+        code, out, err = run_cli(capsys, "table", *argv, "--order", str(order))
+        assert (code, err) == (0, "")
+        assert sizes == [(order + 1) * (order + 2) // 2] == [len(out.splitlines())]
+
+
+def test_the_formatter_call_cases_cover_every_two_index_family():
+    two_index = {family for family in FAMILIES if FAMILIES[family].two_index}
+    assert {argv[0] for argv in TWO_INDEX_TABLES} == two_index
 
 
 # ---------------------------------------------------------------- writers

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinumbers.classical import stirling2
+from multinumbers.identities import run_full_suite
 from multinumbers.moments import (
     DistributionSpec,
     MomentSequence,
@@ -325,6 +326,43 @@ def test_order_64_moments_build_one_fraction_per_moment(spec, monkeypatch):
     assert mu == fraction_moments(spec, 64)
     assert len(built) <= 65
     assert ms.mu is mu
+
+
+# one law of each kind of moments._KINDS
+ONE_LAW_PER_KIND = [
+    point(2),
+    bernoulli(F(1, 2)),
+    binomial(3, F(1, 3)),
+    poisson(1),
+    geometric(F(1, 2)),
+    finite([(F(-1, 2), F(1, 3)), (F(3, 2), F(2, 3))]),
+    raw_moments([1, F(1, 2)] * 25),
+]
+
+
+def test_one_law_per_kind_covers_every_kind():
+    module = importlib.import_module("multinumbers.moments")
+    assert sorted(spec.kind for spec in ONE_LAW_PER_KIND) == sorted(module._KINDS)
+
+
+@pytest.mark.parametrize("spec", ONE_LAW_PER_KIND, ids=lambda spec: spec.kind)
+def test_a_provider_makes_as_many_calls_at_every_order(call_count, spec):
+    # the factorial-moment column and each support point's power column are
+    # one comprehension each, so a law costs no call per moment
+    module = importlib.import_module("multinumbers.moments")
+    counts = [call_count(module._moments_cached.__wrapped__, spec, order) for order in (16, 48)]
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("bad", ["poisson:1", None, [1], (1, 2)], ids=repr)
+def test_moments_refuse_what_is_not_a_spec_before_the_cache(bad):
+    # the class is tested before the cache hashes the argument or a provider
+    # reads its kind; a grid cell's spec is tested before the cells are hashed
+    message = f"spec must be a DistributionSpec, got {type(bad).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        moments(bad, 3)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        run_full_suite(grid=[(bad, (1,))], order=3)
 
 
 # ---------------------------------------------------------------- grammar

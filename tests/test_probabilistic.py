@@ -2,7 +2,7 @@ import ast
 import inspect
 import re
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -494,6 +494,29 @@ def test_power_triangle_builds_no_series_once_the_powers_are_kept(base, monkeypa
     monkeypatch.undo()
     assert got == expected
     assert made == [] and columns == []
+
+
+@pytest.mark.parametrize(
+    "spec,base,reduced",
+    [(poisson(1), mgf, True), (geometric(F(1, 2)), resolvent, False)],
+    ids=["M of poisson:1", "R of geometric:1/2"],
+)
+def test_power_triangle_makes_as_many_calls_at_every_order(call_count, spec, base, reduced):
+    # the columns fill a preallocated list and one content gcd reduces the
+    # whole triangle, above 1 at M of poisson:1 and 1 at R of geometric:1/2:
+    # once the memo of powers of u - 1 is full, no call is made per column.
+    # The two caches it looks up are cleared first, so that no equal but
+    # distinct key left by another test is compared by Series.__eq__
+    counts = []
+    for order in (16, 48):
+        for cached in (_less_one, _power_memo):
+            cached.cache_clear()
+        u = base(moments(spec, order), order)
+        memo = powers(_less_one(u), order)
+        counts.append(call_count(_power_triangle.__wrapped__, u))
+        den = lcm(*[memo[k]._den for k in range(order + 1)])
+        assert (_power_triangle(u)[1] != den) is reduced
+    assert counts[0] == counts[1]
 
 
 # every law has a nonzero mean, which the oracle's divisions by g' and g/t need
