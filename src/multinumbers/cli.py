@@ -215,13 +215,16 @@ def _check_size(
     every chain end as well, so its last index counts like the others, and
     one that reads the multiple logarithm to order N + ``shift`` has chains
     that reach ``shift`` further.  The n-th moments of Y, and the
-    coefficients built from them, grow by about the bits of the parameters
-    (and log2 N) per order.
+    coefficients built from them, grow by about log2 N and the bits of the
+    parameters ``params``, one entry per parameter the family takes, added
+    per order: the Fubini series multiplies the law's moments by powers of
+    y and takes the r-th power, and every other family takes at most one.
     """
     if force:
         return
     top = max(order, 1)
-    bits = order * (top.bit_length() + _param_bits(params))
+    per_order = max(sum(map(_param_bits, params)), 1)
+    bits = order * (top.bit_length() + per_order)
     r = len(ks)
     # ell = lcm(1..m), carried up the reaches, which grow with i, and only
     # for an index that counts it; the sum stops once it passes the cap, so
@@ -271,7 +274,11 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
         elif given is not None:
             raise UsageError(f"family {args.family} does not use --{flag}")
     order = args.order
-    params = (a.dist.pairs if a.dist is not None else (), a.r or 0, a.y or 0)
+    params = tuple(
+        a.dist.pairs if flag == "dist" else getattr(a, flag)
+        for flag in family.inputs
+        if flag != "ks"
+    )
     shift = len(a.ks) if family.shifted else 0
     _check_size(order, a.ks or (), params, family.composed, args.force_order, shift)
     try:
@@ -294,10 +301,12 @@ def _table_rows(args) -> tuple[tuple[int, ...] | None, str | None, list[tuple]]:
     return a.ks, a.dist.label if a.dist is not None else None, rows
 
 
-def _report_line(rep: VerificationReport) -> str:
+def _report_line(rep: VerificationReport, ks_json: str) -> str:
     """``rep`` as one compact JSON line: ``identity``, ``ks``, ``dist``,
     ``order``, ``status``, ``first_mismatch`` (``{n, lhs, rhs}`` or null)
-    and, when it is not empty, ``detail``."""
+    and, when it is not empty, ``detail``.  ``ks_json`` is the JSON text of
+    ``rep.ks``, formed once per index tuple by the caller, so a report that
+    matches makes no interpreter call of its own."""
     m = rep.first_mismatch
     if m is None:
         mismatch = "null"
@@ -305,10 +314,9 @@ def _report_line(rep: VerificationReport) -> str:
         lhs, rhs = m.pairs
         mismatch = f'{{"n":{m.n},"lhs":"{_text(lhs)}","rhs":"{_text(rhs)}"}}'
     detail = f',"detail":"{rep.detail}"' if rep.detail else ""
-    ks = "null" if rep.ks is None else f"[{','.join(map(str, rep.ks))}]"
     dist = "null" if rep.dist is None else f'"{rep.dist}"'
     return (
-        f'{{"identity":"{rep.identity}","ks":{ks},"dist":{dist},"order":{rep.order},'
+        f'{{"identity":"{rep.identity}","ks":{ks_json},"dist":{dist},"order":{rep.order},'
         f'"status":"{rep.status}","first_mismatch":{mismatch}{detail}}}\n'
     )
 
@@ -408,7 +416,11 @@ def _cmd_verify(args) -> int:
         reports = run_full_suite(grid=grid, order=args.order, identities=identities)
         # rendered in full before any is written; a value too large for str()
         # becomes a usage error rather than a traceback after partial output
-        lines = [_report_line(rep) for rep in reports]
+        ks_json = {
+            ks: "null" if ks is None else f"[{','.join(map(str, ks))}]"
+            for ks in {rep.ks for rep in reports}
+        }
+        lines = [_report_line(rep, ks_json[rep.ks]) for rep in reports]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.writelines(lines)

@@ -694,6 +694,10 @@ def run_full_suite(
     which must be a :class:`DistributionSpec`, before any check runs.
     Identical inputs give identical report lists; grid cells are
     independent, so the ordering never depends on evaluation strategy.
+    Reports are sorted by identity, index tuple and distribution label,
+    ties kept in the order the checks built them.  Each check is looked up
+    as an attribute of this module, and collecting, filtering and sorting
+    the reports makes no interpreter call per report.
     """
     _check_natural(order)
     if grid is None:
@@ -745,8 +749,14 @@ def run_full_suite(
         check = globals()[name]
         for args in scope_args[scope]:
             out = check(*args)
-            reports += out if isinstance(out, list) else [out]
+            reports += out if type(out) is list else [out]
 
-    reports = [rep for rep in reports if rep.identity in wanted]
-    reports.sort(key=lambda rep: (rep.identity, rep.ks or (), rep.dist or ""))
-    return reports
+    # the kept reports by identity, ks and dist, ties in the order built;
+    # the position keeps reports themselves from being compared
+    keyed = [
+        (rep.identity, rep.ks or (), rep.dist or "", i, rep)
+        for i, rep in enumerate(reports)
+        if rep.identity in wanted
+    ]
+    keyed.sort()
+    return [entry[4] for entry in keyed]

@@ -26,9 +26,9 @@ reads one from an ``int``, from text of the form ``a`` or ``a/b`` with
 ``int`` alone, and from anything else (a ``Fraction``, a ``Decimal``, a
 decimal or exponent literal) through ``Fraction``, imported there.
 :func:`_fraction` builds the ``Fraction`` values that the public readers
-hand out, one per value read, and :func:`_value_strings` writes a list of
-values over one denominator, a whole table in one call, as the canonical
-strings ``str(Fraction)`` gives, with no ``Fraction`` made.  So
+hand out, one per value read, and :func:`_value_strings` writes values
+over one denominator as the canonical strings ``str(Fraction)`` gives,
+each reduced by its own gcd, with no ``Fraction`` made.  So
 ``fractions`` is imported only when a caller passes or reads a
 ``Fraction``, a ``Decimal`` or a decimal literal, and a ``table`` or
 ``verify`` command whose rationals are all integers or ``a/b`` text, as
@@ -65,9 +65,9 @@ composes each inner once and does the same work as with ``k`` fixed.
 ``exp`` and ``inverse`` are triangular recurrences
 (``n b_n = sum j a_j b_(n-j)`` and ``a_0 b_n = -sum a_j b_(n-j)``) solved
 in integers: the coefficients found so far share one denominator, each new
-one is reduced by a single gcd, and the shared denominator is rescaled only
-when it must grow.  Where a definition divides by a series that vanishes
-at 0, the identity checks multiply instead.
+one is reduced by a single gcd, and the shared denominator is rescaled, in
+place, only when it must grow.  Where a definition divides by a series that
+vanishes at 0, the identity checks multiply instead.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` come
 from one table built once per series, :attr:`Series.egf_column`: the
@@ -204,10 +204,10 @@ def _fraction(a: int, d: int) -> "Fraction":
 
 
 def _value_strings(a, d: int) -> list[str]:
-    """The values ``a[n] / d`` (``d > 0``) as ``str(Fraction(a[n], d))``
-    writes them: ``p`` or ``p/q`` in lowest terms, the sign on ``p``.  Each
-    value is reduced by its own gcd, so any column is written exactly; over
-    ``d = 1`` each value is its numerator."""
+    """The values ``a[n] / d`` (``d > 0``) of the sequence ``a`` as
+    ``str(Fraction(a[n], d))`` writes them: ``p`` or ``p/q`` in lowest
+    terms, the sign on ``p``.  Each value is reduced by its own gcd, so any
+    column is written exactly; over ``d = 1`` each value is its numerator."""
     if d == 1:
         return [str(m) for m in a]
     return [f"{m // h}/{d // h}" if (h := gcd(m, d)) != d else str(m // h) for m in a]
@@ -383,8 +383,13 @@ def _solve(w: list[int], d: list[int], x0: tuple[int, int]) -> tuple[list[int], 
     terms and ``q > 0``; ``w`` and nonzero ``d`` are integers, entry 0 of
     each unused.  ``L`` is the lcm of the reduced denominators of
     ``x_0 .. x_N``.
+
+    The numerators fill one preallocated list, rescaled in place when the
+    denominator grows, so that no interpreter call is made per coefficient
+    beyond the gcds that reduce each one.
     """
-    xs, den = [x0[0]], x0[1]
+    xs = [0] * len(w)
+    xs[0], den = x0
     terms = [j for j in range(1, len(w)) if w[j]]
     for n in range(1, len(w)):
         acc = 0
@@ -399,9 +404,10 @@ def _solve(w: list[int], d: list[int], x0: tuple[int, int]) -> tuple[list[int], 
         num, new_den = acc // g, full // g
         if den % new_den:
             grow = new_den // gcd(den, new_den)
-            xs = [x * grow for x in xs]
+            for i in range(n):
+                xs[i] *= grow
             den *= grow
-        xs.append(num * (den // new_den))
+        xs[n] = num * (den // new_den)
     return xs, den
 
 
@@ -620,10 +626,20 @@ class Series:
         return _make([n * a[n] for n in range(1, len(a))], self._den)
 
     def __repr__(self) -> str:
-        shown = []
-        for n, (m, c) in enumerate(zip(self._num, _value_strings(self._num, self._den))):
-            if m:
-                shown.append(c if n == 0 else f"{c}*t^{n}")
+        """The first four nonzero terms, and ``...`` once there are four; only
+        they are written, each value that ``str`` refuses as ``<B-bit>``,
+        ``B`` the larger bit length of its reduced numerator and
+        denominator."""
+        d, shown = self._den, []
+        for n, m in enumerate(self._num):
+            if not m:
+                continue
+            try:
+                c = _text((m, d))
+            except ValueError:
+                h = gcd(m, d)
+                c = f"<{max((m // h).bit_length(), (d // h).bit_length())}-bit>"
+            shown.append(c if n == 0 else f"{c}*t^{n}")
             if len(shown) == 4:
                 shown.append("...")
                 break

@@ -1,5 +1,7 @@
 import cProfile
+import gc
 import sys
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,28 @@ def shallow_stack():
     sys.setrecursionlimit(limit)
 
 
+def _calls_by_callee(fn, *args) -> Counter:
+    """The Python and builtin calls made while ``fn(*args)`` runs, by callee:
+    a builtin by its ``cProfile`` name, a Python function by its file, line
+    and name.  The collector is off while ``fn`` runs, so that a gc
+    callback, such as the one hypothesis installs, is not counted."""
+    profiler = cProfile.Profile(builtins=True)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        profiler.runcall(fn, *args)
+    finally:
+        if collecting:
+            gc.enable()
+    counts = Counter()
+    for entry in profiler.getstats():
+        code = entry.code
+        if not isinstance(code, str):
+            code = code.co_filename, code.co_firstlineno, code.co_name
+        counts[code] += entry.callcount
+    return counts
+
+
 @pytest.fixture
 def call_count():
     """``count(fn, *args)``: the Python and builtin calls made while
@@ -24,8 +48,13 @@ def call_count():
     ``bench/counted.py`` counts them."""
 
     def count(fn, *args):
-        profiler = cProfile.Profile(builtins=True)
-        profiler.runcall(fn, *args)
-        return sum(entry.callcount for entry in profiler.getstats())
+        return sum(_calls_by_callee(fn, *args).values())
 
     return count
+
+
+@pytest.fixture
+def calls_by_callee():
+    """``count(fn, *args)``: the calls ``call_count`` counts, as a
+    ``Counter`` from each callee to its number of calls."""
+    return _calls_by_callee

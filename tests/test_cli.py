@@ -443,6 +443,13 @@ NINES = "9" * 4299
         (("table", "prob-fubini", "--dist", "point:1", "--r", "0", "--y", "1", "--order", "3"),
          None, "error: --r must be a positive integer\n"),
         (("table", "stirling2", "--order"), None, "error: --order needs a value\n"),
+        # the Fubini values multiply the law's moments by powers of y, so the
+        # bits of --y and the law add: 51,520 bits, not the 25,824 of the
+        # larger, which passed and then failed at the print
+        (("table", "prob-fubini", "--r", "3", "--y", str(2**800 + 1),
+          "--dist", f"poisson:{2**800 + 1}", "--order", "32"), None,
+         "error: the values would run to at least 51520 bits, past the cap of 32768; "
+         "pass --force-order to override\n"),
         (("verify", "--grid", "{grid}"), None,
          "error: cannot read grid file {grid}: [Errno 2] No such file or directory: '{grid}'\n"),
         (("verify", "--grid", "{grid}"), [{"dist": "point:1", "ks": []}],
@@ -866,6 +873,14 @@ PINNED_LARGE_TABLE_BYTES = {
     # a classical triangle, transposed from its rows
     ("stirling2", "--order", "64"):
         "c95a065fc020c6b9d1f8bdf35642a49623f48d23d04e69ec6fc6db1e0b6347b9",
+    # columns solved by series._solve: the Fubini series invert 1 - y (M - 1)
+    # and the higher-order Bernoulli column inverts (e^t - 1) / t
+    ("prob-fubini", "--dist", "poisson:1", "--r", "3", "--y", "1/2", "--order", "64"):
+        "fdcbaec742c771d4d3743822a333368dc89414fe9a132d856fe1d4aa224ffba1",
+    ("prob-fubini", "--dist", "geometric:1/2", "--r", "2", "--y", "-2", "--order", "64"):
+        "669cb754e99e043022b32b2627a9f90c7dcecb24ed79050d7fc19fdc256f37b3",
+    ("bernoulli-higher", "--r", "3", "--order", "64"):
+        "d3d383e15823722826262bfb5b86379414a222c661e522342bea12e87dfd235b",
 }
 
 
@@ -1121,6 +1136,36 @@ def test_verify_irregular_grid_bytes_are_pinned(tmp_path, capsys):
         == "ceb19ed7475de7a0717b83e90e00b1699ccb87b770c3520fecbf14ebd9a9d8e2"
     )
     assert err == "verify: 74 pass, 0 fail, 6 expected-discrepancy\n"
+
+
+@pytest.mark.parametrize("grid", [IRREGULAR_GRID, None], ids=["irregular", "default"])
+def test_suite_reports_come_in_identity_ks_dist_order(grid):
+    if grid is not None:
+        grid = [(parse_distribution(cell["dist"]), tuple(cell["ks"])) for cell in grid]
+    reports = run_full_suite(grid=grid, order=6)
+
+    def key(rep):
+        return rep.identity, rep.ks or (), rep.dist or ""
+
+    assert reports == sorted(reports, key=key)
+    # no two reports share a key, so the key leaves only this order
+    assert len(set(map(key, reports))) == len(reports)
+
+
+def test_verify_makes_one_call_per_matching_report(call_count, monkeypatch):
+    # each distinct index tuple is written as JSON once, so a report that
+    # matches costs its one _report_line call and nothing more
+    from multinumbers import cli
+    from multinumbers.report import VerificationReport
+
+    counts = []
+    for size in (10, 100):
+        reports = [VerificationReport("append-one", 4, (1, 2), "poisson:1")] * size
+        monkeypatch.setattr(cli, "run_full_suite", lambda reports=reports, **kwargs: reports)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        counts.append(call_count(main, ["verify", "--order", "4"]))
+    assert counts[1] - counts[0] == 90
 
 
 # specs with equal moments: point:1, bernoulli:1 and binomial:1,1 (every

@@ -350,6 +350,21 @@ def test_suite_is_deterministic():
     assert order_keys == sorted(order_keys)
 
 
+def test_suite_makes_no_call_per_report_outside_its_checks(call_count, monkeypatch):
+    # the suite looks each check up as an attribute of its module, so every
+    # check is stubbed there by one that returns prebuilt reports: the calls
+    # made outside the stubs do not grow with the reports each returns
+    grid = default_grid()
+    counts = []
+    for copies in (1, 1, 4):
+        for entry in IDENTITIES:
+            made = [VerificationReport(entry.id, 2, (1, 2), "poisson:1")] * copies
+            monkeypatch.setattr(identities, entry.check, lambda *args, made=made: made)
+        counts.append(call_count(run_full_suite, grid, 2))
+    # the first run fills the moment caches the later ones read
+    assert counts[1] == counts[2]
+
+
 def test_suite_statuses_confined_to_documented_set():
     grid = [(MEAN_ZERO, (2,)), (point(1), (1, 1))]
     reports = run_full_suite(grid=grid, order=8)

@@ -194,6 +194,30 @@ def test_operands_of_the_wrong_type_are_refused():
 
 def test_repr_shows_the_first_four_nonzero_terms():
     assert repr(series(1, 2, 3, 4, 5, 6)) == "<Series order=5: 1 + 2*t^1 + 3*t^2 + 4*t^3 + ...>"
+    # a term past the fourth is not written, however long
+    assert (
+        repr(Series([1, 2, 3, 4, 5, 6, 2**20000]))
+        == "<Series order=6: 1 + 2*t^1 + 3*t^2 + 4*t^3 + ...>"
+    )
+    # a shown value too long for str is shown by its size
+    assert repr(Series([0, 2**20000])) == "<Series order=1: <20001-bit>*t^1>"
+
+
+def dense(order, constant):
+    """A series whose every coefficient is nonzero, over denominators that
+    grow with n: constant, then 1/2, -1/3, 1/4, ..."""
+    return Series([constant] + [F((-1) ** (n + 1), n + 1) for n in range(1, order + 1)])
+
+
+@pytest.mark.parametrize("method,constant", [("exp", 0), ("inverse", 3)])
+def test_solve_makes_no_call_per_coefficient_but_its_gcds(calls_by_callee, method, constant):
+    # the solved numerators fill a preallocated list, rescaled in place as
+    # the denominator grows: between orders 16 and 48 only math.gcd, which
+    # reduces each new coefficient, is called more often
+    low, high = (calls_by_callee(getattr(dense(order, constant), method)) for order in (16, 48))
+    assert {callee for callee in low.keys() | high.keys() if low[callee] != high[callee]} == {
+        "<built-in method math.gcd>"
+    }
 
 
 def test_order_mismatch_is_an_error():
